@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -29,7 +28,6 @@ from .linalg import (
     nonsingular_square,
     random_matrix,
     rank_gaussian,
-    sieve_first_primes,
 )
 from .linalg.intmatrix import scan_width
 from .linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
@@ -50,16 +48,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def worker_cap() -> int:
-    """Worker count cap from CHOICELESS_LAB_THREADS (execution is currently
-    single threaded; the cap is honored trivially)."""
-    raw = os.environ.get("CHOICELESS_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> _Parser:
@@ -257,14 +245,18 @@ def _cmd_solve_det(args) -> dict:
     if kind == "int":
         if method != "crt":
             raise _UsageError("integer matrices support --method crt only")
-        result: dict = {"method": "crt", "nonsingular": nonsingular_int(m)}
-        if args.prime_divisors:
-            divisors = det_prime_divisors(m)
-            n = scan_width(m)
-            scanned = sieve_first_primes(2 * n * n)
-            result["prime_divisors"] = sorted(divisors)
-            result["determinant_zero"] = len(divisors) == len(scanned)
-        return result
+        if not args.prime_divisors:
+            return {"method": "crt", "nonsingular": nonsingular_int(m)}
+        divisors = det_prime_divisors(m)
+        n = scan_width(m)
+        # the determinant is zero exactly when all 2 n**2 scanned primes divide it
+        zero = len(divisors) == 2 * n * n
+        return {
+            "method": "crt",
+            "nonsingular": not zero,
+            "prime_divisors": sorted(divisors),
+            "determinant_zero": zero,
+        }
     if args.prime_divisors:
         raise _UsageError("--prime-divisors needs an integer matrix")
     if method == "crt":
@@ -314,7 +306,7 @@ def _cmd_iso(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     fraction = frequency_experiment(gf(args.q), args.n, args.trials, args.seed)
-    return {"fraction": fraction, "trials": args.trials, "workers": worker_cap()}
+    return {"fraction": fraction, "trials": args.trials}
 
 
 def _cmd_validate_multipede(args) -> dict:

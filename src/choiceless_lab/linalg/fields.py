@@ -4,121 +4,92 @@ Elements are the integers ``0 .. q-1``; that numbering is also the field's
 linear ordering (used only where an order is an explicit part of a contract,
 never to decide singularity).  Prime fields compute arithmetically; the
 non-prime orders 4, 8 and 9 ship as explicit table fixtures built from
-polynomial arithmetic.  Field axioms are verified on construction for
-q <= 64.
+polynomial arithmetic.  In both, the integers ``0 .. p-1`` are the prime
+subfield: the element ``r < p`` is ``1`` added to itself ``r`` times.
+
+This module is the only one that knows how a field is stored; the rest of
+the package uses ``add``, ``mul``, ``neg``, ``inv`` and the row operation
+``axpy``.  The field axioms of every fixture are checked by brute force in
+the test suite (``tests/oracles.py``), not at run time.
 """
 
 from __future__ import annotations
 
 from ..errors import ValidationError
 
-_AXIOM_CHECK_LIMIT = 64
-
 
 class FiniteField:
-    """A finite field of order ``q`` with elements ``0 .. q-1``.
+    """A finite field of order ``q`` with elements ``0 .. q-1``."""
 
-    ``add_table`` / ``mul_table`` may be dense q-by-q nested tuples or None
-    for arithmetically backed prime fields.
-    """
+    zero = 0
+    one = 1
 
-    def __init__(self, q, characteristic, add, mul, add_table=None, mul_table=None, check=True):
+    def __init__(self, q, characteristic):
         self.order = q
         self.characteristic = characteristic
-        self.zero = 0
-        self.one = 1 if q > 1 else 0
-        self._add = add
-        self._mul = mul
-        self.add_table = add_table
-        self.mul_table = mul_table
-        if check and q <= _AXIOM_CHECK_LIMIT:
-            self._check_axioms()
-        self._inverse = {}
 
     @property
     def elements(self):
         return range(self.order)
 
-    def add(self, a, b):
-        return self._add(a, b)
-
-    def mul(self, a, b):
-        return self._mul(a, b)
-
-    def neg(self, a):
-        for b in self.elements:
-            if self._add(a, b) == self.zero:
-                return b
-        raise ValidationError(f"no additive inverse for {a}")
-
-    def sub(self, a, b):
-        return self._add(a, b) if self.characteristic == 2 else self._add(a, self.neg(b))
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        got = self._inverse.get(a)
-        if got is None:
-            for b in self.elements:
-                if self._mul(a, b) == self.one:
-                    self._inverse[a] = got = b
-                    break
-            else:
-                raise ValidationError(f"no multiplicative inverse for {a}")
-        return got
-
-    def div(self, a, b):
-        return self._mul(a, self.inv(b))
-
-    def scalar(self, a, count):
-        """a added to itself ``count`` times (count a small nonneg int)."""
-        acc = self.zero
-        for _ in range(count % self.characteristic):
-            acc = self._add(acc, a)
-        return acc
-
-    def _check_axioms(self):
-        q = self.order
-        els = list(range(q))
-        add, mul = self._add, self._mul
-        for a in els:
-            if add(a, 0) != a or mul(a, self.one) != a:
-                raise ValidationError("identity axiom fails")
-            if mul(a, 0) != 0:
-                raise ValidationError("zero absorption fails")
-            if all(add(a, b) != 0 for b in els):
-                raise ValidationError("additive inverse missing")
-            if a != 0 and all(mul(a, b) != self.one for b in els):
-                raise ValidationError("multiplicative inverse missing")
-        for a in els:
-            for b in els:
-                if add(a, b) != add(b, a) or mul(a, b) != mul(b, a):
-                    raise ValidationError("commutativity fails")
-                for c in els:
-                    if add(add(a, b), c) != add(a, add(b, c)):
-                        raise ValidationError("additive associativity fails")
-                    if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                        raise ValidationError("multiplicative associativity fails")
-                    if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-                        raise ValidationError("distributivity fails")
-        # characteristic: order of 1 under addition must be a prime p with q = p^e
-        acc, p = self.one, 1
-        while acc != 0:
-            acc = add(acc, self.one)
-            p += 1
-            if p > q:
-                raise ValidationError("characteristic not found")
-        if p != self.characteristic:
-            raise ValidationError(f"declared characteristic {self.characteristic}, found {p}")
-        e, qq = 0, 1
-        while qq < q:
-            qq *= p
-            e += 1
-        if qq != q:
-            raise ValidationError(f"order {q} is not a power of {p}")
-
     def __repr__(self):
         return f"FiniteField(q={self.order})"
+
+
+class _PrimeField(FiniteField):
+    """The integers modulo a prime ``p``, computed arithmetically."""
+
+    def __init__(self, p):
+        super().__init__(p, p)
+
+    def add(self, a, b):
+        return (a + b) % self.order
+
+    def mul(self, a, b):
+        return a * b % self.order
+
+    def neg(self, a):
+        return -a % self.order
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return pow(a, -1, self.order)
+
+    def axpy(self, f, x, y):
+        """The row ``[x_k + f * y_k]`` for rows ``x`` and ``y``."""
+        p = self.order
+        return [(a + f * b) % p for a, b in zip(x, y)]
+
+
+class _TableField(FiniteField):
+    """A field given by dense q-by-q addition and multiplication tables."""
+
+    def __init__(self, q, characteristic, add_table, mul_table):
+        super().__init__(q, characteristic)
+        self.add_table = add_table
+        self.mul_table = mul_table
+        self._neg = tuple(row.index(0) for row in add_table)
+        self._inv = (None,) + tuple(row.index(1) for row in mul_table[1:])
+
+    def add(self, a, b):
+        return self.add_table[a][b]
+
+    def mul(self, a, b):
+        return self.mul_table[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self._inv[a]
+
+    def axpy(self, f, x, y):
+        """The row ``[x_k + f * y_k]`` for rows ``x`` and ``y``."""
+        add, times_f = self.add_table, self.mul_table[f]
+        return [add[a][times_f[b]] for a, b in zip(x, y)]
 
 
 def _is_prime(n: int) -> bool:
@@ -141,7 +112,7 @@ def zp(p: int) -> FiniteField:
     if field is None:
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        field = FiniteField(p, p, lambda a, b: (a + b) % p, lambda a, b: (a * b) % p)
+        field = _PrimeField(p)
         _ZP_CACHE[p] = field
     return field
 
@@ -185,14 +156,7 @@ def _poly_field(p: int, e: int, modulus: tuple) -> FiniteField:
     mul_table = tuple(
         tuple(encode(poly_mul(decode(a), decode(b))) for b in range(q)) for a in range(q)
     )
-    return FiniteField(
-        q,
-        p,
-        lambda a, b: add_table[a][b],
-        lambda a, b: mul_table[a][b],
-        add_table=add_table,
-        mul_table=mul_table,
-    )
+    return _TableField(q, p, add_table, mul_table)
 
 
 _GF_CACHE: dict = {}

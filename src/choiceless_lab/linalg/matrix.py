@@ -16,7 +16,9 @@ checking ``M**g == identity`` for ``g`` the order of the general linear
 group of that dimension: non-singular matrices have order dividing ``g``
 (Lagrange), while no power of a singular matrix is the identity.  The
 ordered Gaussian routines live alongside as the independent oracle and as
-the solver used by the multipede module.
+the solver used by the multipede module; rank, solve and the frequency
+experiment share one forward elimination, :func:`echelon`, over the row
+operation the field supplies.
 """
 
 from __future__ import annotations
@@ -124,11 +126,10 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
                 b = col.get(j)
                 if b is not None:
                     counts[mul(a, b)] += 1
+            # the count m_z mod p is the prime-subfield element of that index
             acc = field.zero
             for z, m_z in counts.items():
-                r = m_z % p
-                for _ in range(r):
-                    acc = add(acc, z)
+                acc = add(acc, mul(z, m_z % p))
             if acc != field.zero:
                 out[(i, k)] = acc
     return FieldMatrix(field, m.rows, n.cols, out, square=m.rows == n.cols)
@@ -218,57 +219,61 @@ def _ordered_grid(field: FiniteField, m: FieldMatrix, row_order, col_order):
     return rows, cols, grid
 
 
-def _eliminate(field: FiniteField, grid, width, rhs=None):
-    """In-place Gauss-Jordan over the field; returns pivot column list."""
+def echelon(field: FiniteField, rows: list, width: int) -> list:
+    """Forward elimination in place.
+
+    ``rows`` are lists of ``width`` field elements, in a caller-chosen
+    order.  Afterwards the first ``k`` rows are in row echelon form and the
+    rest are zero; returns the ``k`` pivot columns in row order.  Column
+    ``c`` is a pivot exactly when it is not a combination of the columns
+    before it.
+    """
     pivots = []
     r = 0
     for c in range(width):
-        pivot_row = None
-        for rr in range(r, len(grid)):
-            if grid[rr][c] != field.zero:
-                pivot_row = rr
+        if r == len(rows):
+            break
+        for rr in range(r, len(rows)):
+            if rows[rr][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        if rhs is not None:
-            rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = field.inv(grid[r][c])
-        grid[r] = [field.mul(inv, v) for v in grid[r]]
-        if rhs is not None:
-            rhs[r] = field.mul(inv, rhs[r])
-        for rr in range(len(grid)):
-            if rr != r and grid[rr][c] != field.zero:
-                factor = grid[rr][c]
-                grid[rr] = [
-                    field.sub(grid[rr][k], field.mul(factor, grid[r][k]))
-                    for k in range(width)
-                ]
-                if rhs is not None:
-                    rhs[rr] = field.sub(rhs[rr], field.mul(factor, rhs[r]))
+        rows[r], rows[rr] = rows[rr], rows[r]
+        pivot = rows[r]
+        scale = field.neg(field.inv(pivot[c]))
+        # rows below the pivot are zero left of column c
+        tail = pivot[c:]
+        for rr in range(r + 1, len(rows)):
+            row = rows[rr]
+            if row[c]:
+                row[c:] = field.axpy(field.mul(row[c], scale), row[c:], tail)
         pivots.append(c)
         r += 1
-        if r == len(grid):
-            break
     return pivots
 
 
 def rank_gaussian(field: FiniteField, m: FieldMatrix, row_order, col_order) -> int:
     """Matrix rank by ordered Gaussian elimination (the oracle route)."""
     _, _, grid = _ordered_grid(field, m, row_order, col_order)
-    return len(_eliminate(field, grid, len(col_order)))
+    return len(echelon(field, grid, len(col_order)))
 
 
 def solve_gaussian(field: FiniteField, m: FieldMatrix, rhs: dict, row_order, col_order):
     """Solve ``m x = rhs`` over the field; returns a dict col -> element, or
-    None when the system is inconsistent."""
+    None when the system is inconsistent.  Columns that are not pivots in
+    the given column order are set to zero, which makes the answer unique."""
     rows, cols, grid = _ordered_grid(field, m, row_order, col_order)
-    b = [rhs.get(i, field.zero) for i in rows]
-    pivots = _eliminate(field, grid, len(cols), rhs=b)
-    for r in range(len(pivots), len(rows)):
-        if b[r] != field.zero and all(v == field.zero for v in grid[r]):
-            return None
-    solution = {j: field.zero for j in cols}
-    for r, c in enumerate(pivots):
-        solution[cols[c]] = b[r]
-    return solution
+    n = len(cols)
+    for i, row in zip(rows, grid):
+        row.append(rhs.get(i, field.zero))
+    pivots = echelon(field, grid, n + 1)
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the right-hand side reads 0 = nonzero
+    x = [field.zero] * n
+    for c, row in reversed(list(zip(pivots, grid))):
+        acc = row[n]
+        for k in range(c + 1, n):
+            if row[k] and x[k]:
+                acc = field.add(acc, field.neg(field.mul(row[k], x[k])))
+        x[c] = field.mul(acc, field.inv(row[c]))
+    return dict(zip(cols, x))

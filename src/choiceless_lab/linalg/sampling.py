@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .fields import FiniteField
-from .matrix import FieldMatrix
+from .matrix import FieldMatrix, echelon
 
 __all__ = ["random_matrix", "frequency_experiment"]
 
@@ -35,58 +35,6 @@ def _rank_bitrows(rows) -> int:
     return rank
 
 
-def _rank_modp(rows, n, p) -> int:
-    rank = 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] % p:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for rr in range(r + 1, len(rows)):
-            if rows[rr][c] % p:
-                f = rows[rr][c]
-                rows[rr] = [(rows[rr][k] - f * rows[r][k]) % p for k in range(n)]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
-def _rank_field(rows, n, field) -> int:
-    rank = 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != field.zero:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for rr in range(r + 1, len(rows)):
-            if rows[rr][c] != field.zero:
-                f = rows[rr][c]
-                rows[rr] = [
-                    field.sub(rows[rr][k], field.mul(f, rows[r][k])) for k in range(n)
-                ]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
 def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float:
     """Fraction of uniformly random n-by-n matrices over the field that are
     non-singular.
@@ -101,18 +49,14 @@ def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float
     q = field.order
     hits = 0
     if q == 2:
+        # rows as bit masks: xor is far faster than the generic row operation
         for _ in range(trials):
             rows = [rng.getrandbits(n) for _ in range(n)]
             if _rank_bitrows(rows) == n:
                 hits += 1
-    elif q == field.characteristic:
-        for _ in range(trials):
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if _rank_modp(rows, n, q) == n:
-                hits += 1
     else:
         for _ in range(trials):
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if _rank_field(rows, n, field) == n:
+            if len(echelon(field, rows, n)) == n:
                 hits += 1
     return hits / trials

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, ValidationError
@@ -177,15 +178,17 @@ class ShodMultipede:
 def validate(m: Multipede2) -> list:
     """All axiom violations, each tagged with a name and witnesses."""
     out = []
+    segments = set(m.segments)
+    feet_per_segment = Counter(m.segment_of[f] for f in m.feet)
     for s in m.segments:
-        count = sum(1 for f in m.feet if m.segment_of[f] == s)
+        count = feet_per_segment[s]
         if count != 2:
             out.append(("two-feet", s, count))
     for f in m.feet:
-        if m.segment_of[f] not in set(m.segments):
+        if m.segment_of[f] not in segments:
             out.append(("foot-segment", f))
     for h in m.hyperedges:
-        if len(h) != 3 or not h <= set(m.segments):
+        if len(h) != 3 or not h <= segments:
             out.append(("hyperedge-shape", tuple(sorted(h, key=str))))
     for p in m.positives:
         if len(p) != 3:
@@ -500,7 +503,7 @@ def from_structure_lenient(structure):
         frozenset(x.name for x in tup) for tup in structure.relations["Positive"]
     )
     leq = {(x.name, y.name) for (x, y) in structure.relations["Leq"]}
-    later_counts = {s: sum(1 for (x, _) in leq if x == s) for s in segments}
+    later_counts = Counter(x for (x, _) in leq)
     order = tuple(sorted(segments, key=lambda s: -later_counts[s]))
     for i, s in enumerate(order):
         if later_counts[s] != len(segments) - i:

@@ -24,6 +24,67 @@ def naive_mat_mul(field, m, n, row_order, inner_order, col_order):
     return out
 
 
+def field_axiom_violations(field) -> list:
+    """Every field axiom that fails on ``field``, by brute force over all
+    elements (q**3 triples): identities, inverses, commutativity,
+    associativity, distributivity, and a prime characteristic p with
+    q a power of p.  Uses only ``add``, ``mul``, ``zero`` and ``one``."""
+    q, add, mul = field.order, field.add, field.mul
+    zero, one = field.zero, field.one
+    els = range(q)
+    out = []
+    for a in els:
+        if add(a, zero) != a or mul(a, one) != a:
+            out.append(f"identity fails at {a}")
+        if mul(a, zero) != zero:
+            out.append(f"zero does not absorb {a}")
+        if all(add(a, b) != zero for b in els):
+            out.append(f"no additive inverse for {a}")
+        if a != zero and all(mul(a, b) != one for b in els):
+            out.append(f"no multiplicative inverse for {a}")
+        for b in els:
+            if add(a, b) != add(b, a) or mul(a, b) != mul(b, a):
+                out.append(f"commutativity fails at {a}, {b}")
+            for c in els:
+                if add(add(a, b), c) != add(a, add(b, c)):
+                    out.append(f"additive associativity fails at {a}, {b}, {c}")
+                if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                    out.append(f"multiplicative associativity fails at {a}, {b}, {c}")
+                if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+                    out.append(f"distributivity fails at {a}, {b}, {c}")
+    # the additive order of one is the characteristic
+    acc, p = one, 1
+    while acc != zero and p <= q:
+        acc, p = add(acc, one), p + 1
+    if p != field.characteristic:
+        out.append(f"declared characteristic {field.characteristic}, found {p}")
+    power = 1
+    while power < q:
+        power *= p
+    if power != q or any(p % d == 0 for d in range(2, p)):
+        out.append(f"order {q} is not a power of the prime {p}")
+    return out
+
+
+def linear_solutions(field, grid, rhs, width) -> list:
+    """All vectors x of length ``width`` over ``range(order)`` with
+    ``grid x = rhs``, by enumerating every vector and taking ordered dot
+    products."""
+    out = []
+    for x in itertools.product(range(field.order), repeat=width):
+        ok = True
+        for row, b in zip(grid, rhs):
+            acc = field.zero
+            for a, v in zip(row, x):
+                acc = field.add(acc, field.mul(a, v))
+            if acc != b:
+                ok = False
+                break
+        if ok:
+            out.append(x)
+    return out
+
+
 def bareiss_det(rows) -> int:
     """Exact integer determinant by fraction-free elimination (n <= 6)."""
     n = len(rows)

@@ -169,6 +169,29 @@ def test_solve_det_integer_crt(tmp_path, capsys):
     assert report["result"]["determinant_zero"] is True
 
 
+def test_solve_det_prime_divisors_scans_once(tmp_path, capsys, monkeypatch):
+    from choiceless_lab.linalg import intmatrix
+
+    calls = []
+    original = intmatrix.nonsingular_square
+
+    def counting(field, m):
+        calls.append(field.order)
+        return original(field, m)
+
+    monkeypatch.setattr(intmatrix, "nonsingular_square", counting)
+    # singular, digit count 3: n = 3, so the scan covers the first 18 primes
+    path = tmp_path / "sing.mat"
+    path.write_text("ring Z\nrows i0 i1\nsquare\ni0 i0 2\ni0 i1 4\ni1 i0 1\ni1 i1 2\n")
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_OK
+    assert list(report["result"]) == ["method", "nonsingular", "prime_divisors", "determinant_zero"]
+    assert report["result"]["determinant_zero"] is True
+    assert report["result"]["nonsingular"] is False
+    assert len(calls) == 2 * 3 * 3
+    assert report["result"]["prime_divisors"] == sorted(calls)
+
+
 def test_gen_matrix_and_experiment(tmp_path, capsys):
     path = tmp_path / "r.mat"
     code, _ = invoke(

@@ -34,7 +34,14 @@ from choiceless_lab.linalg import (
 )
 from choiceless_lab.linalg.intmatrix import scan_width
 
-from oracles import bareiss_det, leibniz_det_mod, naive_mat_mul, partial_product
+from oracles import (
+    bareiss_det,
+    field_axiom_violations,
+    leibniz_det_mod,
+    linear_solutions,
+    naive_mat_mul,
+    partial_product,
+)
 
 GF2 = zp(2)
 GF3 = zp(3)
@@ -59,15 +66,25 @@ def as_rows(field, m, order):
 # ---------------------------------------------------------------- fields
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9, 11, 13])
 def test_field_fixtures_satisfy_axioms(q):
-    field = gf(q)  # construction itself runs the axiom check for q <= 64
+    field = gf(q)
     assert field.order == q
-    for a in field.elements:
-        assert field.add(a, field.zero) == a
-        assert field.mul(a, field.one) == a
+    assert field_axiom_violations(field) == []
+    els = list(field.elements)
+    for a in els:
+        assert field.add(a, field.neg(a)) == field.zero
         if a != field.zero:
             assert field.mul(a, field.inv(a)) == field.one
+    # the prime-subfield element r is one added to itself r times
+    acc = field.zero
+    for r in range(field.characteristic):
+        assert acc == r
+        acc = field.add(acc, field.one)
+    xs, ys = zip(*itertools.product(els, repeat=2))
+    for f in els:
+        expected = [field.add(x, field.mul(f, y)) for x, y in zip(xs, ys)]
+        assert field.axpy(f, xs, ys) == expected
 
 
 def test_field_addition_is_order_independent():
@@ -127,9 +144,9 @@ def test_mat_mul_hand_example():
     assert as_rows(GF2, sq, [0, 1]) == [[1, 1], [1, 0]]
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_mat_mul_matches_naive_dot_product(q):
-    field = zp(q)
+    field = gf(q)
     rng = random.Random(100 + q)
     for _ in range(100):
         n = rng.randrange(1, 5)
@@ -312,6 +329,44 @@ def test_solve_gaussian():
     assert solve_gaussian(GF2, m2, {"a": 1, "b": 0}, ["a", "b"], ["x"]) is None
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_gaussian_matches_enumeration(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 9]))
+    field = gf(q)
+    n_rows = data.draw(st.integers(min_value=0, max_value=3))
+    n_cols = data.draw(st.integers(min_value=0, max_value=3))
+    grid = data.draw(
+        st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n_cols, max_size=n_cols),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    rhs = data.draw(st.lists(st.integers(0, q - 1), min_size=n_rows, max_size=n_rows))
+    names = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=6, max_size=6, unique=True))
+    row_names, col_names = names[:n_rows], names[3 : 3 + n_cols]
+    m = FieldMatrix(
+        field,
+        frozenset(row_names),
+        frozenset(col_names),
+        {(i, j): grid[a][b] for a, i in enumerate(row_names) for b, j in enumerate(col_names)},
+    )
+    row_order = data.draw(st.permutations(row_names))
+    col_order = data.draw(st.permutations(col_names))
+
+    kernel = linear_solutions(field, grid, [field.zero] * n_rows, n_cols)
+    rank = rank_gaussian(field, m, row_order, col_order)
+    assert q ** (n_cols - rank) == len(kernel)
+
+    solutions = linear_solutions(field, grid, rhs, n_cols)
+    solution = solve_gaussian(field, m, dict(zip(row_names, rhs)), row_order, col_order)
+    assert (solution is not None) == bool(solutions)
+    if solution is not None:
+        assert set(solution) == set(col_names)
+        assert tuple(solution[j] for j in col_names) in solutions
+
+
 # ---------------------------------------------------------------- primes
 
 
@@ -489,6 +544,8 @@ def test_frequency_experiment_reference_constants():
     assert abs(frac2 - partial_product(2.0)) < 0.02
     frac3 = frequency_experiment(GF3, 15, 1500, seed=1)
     assert abs(frac3 - partial_product(3.0)) < 0.03
+    frac4 = frequency_experiment(gf(4), 15, 1500, seed=1)
+    assert abs(frac4 - partial_product(4.0)) < 0.03
     assert frequency_experiment(GF2, 20, 500, seed=2) == frequency_experiment(
         GF2, 20, 500, seed=2
     )
