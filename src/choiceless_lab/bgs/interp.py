@@ -34,7 +34,6 @@ from ..hfset import (
     ordinal,
     pair,
     the_unique,
-    transitive_closure,
     union_all,
 )
 from .structures import InputStructure
@@ -257,10 +256,17 @@ def active_count(trace) -> int:
 
 
 def _accumulate_active(updates: UpdateSet, active: set) -> None:
+    # active is closed under membership, so the walk stops at any element
+    # already counted: its members are counted too
+    stack: list = []
     for _, args, value in updates:
-        active.update(transitive_closure(value))
-        for a in args:
-            active.update(transitive_closure(a))
+        stack.append(value)
+        stack.extend(args)
+    while stack:
+        v = stack.pop()
+        if v not in active:
+            active.add(v)
+            stack.extend(v.members)
 
 
 @dataclass(frozen=True)

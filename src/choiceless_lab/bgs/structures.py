@@ -74,7 +74,7 @@ class InputStructure:
     def build(atom_names, relations=None, functions=None, arities=None) -> "InputStructure":
         """Construct from plain names: relations as name -> iterable of name
         tuples, functions as name -> dict of name tuple -> name."""
-        atoms = tuple(Atom(n, i) for i, n in enumerate(atom_names))
+        atoms = tuple(Atom(n) for n in atom_names)
         by_name = {a.name: a for a in atoms}
         rels = {}
         declared = dict(arities or {})

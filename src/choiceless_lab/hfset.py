@@ -9,10 +9,12 @@ are safe to pass between threads once built (``dict.setdefault`` on the
 interning table is the single synchronization point: concurrent interning of
 equal values yields the identical canonical object).
 
-Canonical form: members are stored deduplicated and sorted by an internal
-total order (atoms by universe position, then sets compared member-wise).
-That order exists only inside this module; none of the exported operations
-reveal it, which is what keeps programs built on these values order-blind.
+Canonical form: a set is interned on its member set, and its member tuple
+is sorted by creation serial.  Every atom and every set takes the next
+serial when it is created; a set is created after its members, so its
+serial exceeds theirs.  That order exists only inside this module; none of
+the exported operations reveal it, which is what keeps programs built on
+these values order-blind.
 
 Von Neumann ordinals serve as the natural numbers: ``ordinal(n)`` is the set
 ``{0, 1, ..., n-1}``.  Ordinals 0 and 1 double as the truth values.  The
@@ -23,7 +25,7 @@ a member query on an atom) is to return ordinal 0.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
@@ -48,7 +50,8 @@ __all__ = [
     "transitive_closure",
 ]
 
-_atom_serial = itertools.count()
+_serial = itertools.count()
+_by_serial = attrgetter("_serial")
 
 
 class Atom:
@@ -56,17 +59,16 @@ class Atom:
 
     Atoms are never sets: membership queries on them are false and their
     member tuple is empty.  Two atoms are equal only if they are the same
-    object, so distinct universes never collide.  ``index`` is the position
-    in the owning universe's listing; it orders canonical forms internally
-    and is not observable through any exported operation.
+    object, so distinct universes never collide.  The creation serial
+    orders canonical forms internally and is not observable through any
+    exported operation.
     """
 
-    __slots__ = ("name", "index", "_serial")
+    __slots__ = ("name", "_serial")
 
-    def __init__(self, name: str, index: int):
+    def __init__(self, name: str):
         self.name = str(name)
-        self.index = int(index)
-        self._serial = next(_atom_serial)
+        self._serial = next(_serial)
 
     @property
     def members(self) -> tuple:
@@ -80,16 +82,17 @@ class HfSet:
     """A canonical, interned, immutable hereditarily finite set.
 
     Do not instantiate directly; use :func:`make_set` (or the derived
-    constructors below), which dedupe, sort and intern.  Because of
-    interning, ``a == b`` is simply ``a is b``.
+    constructors below), which dedupe and intern.  Because of interning,
+    ``a == b`` is simply ``a is b``.
     """
 
-    __slots__ = ("members", "_member_set", "_hash")
+    __slots__ = ("members", "_member_set", "_hash", "_serial")
 
-    def __init__(self, members: tuple):
-        self.members = members
-        self._member_set = frozenset(members)
-        self._hash = hash(self._member_set) ^ 0x9E3779B9
+    def __init__(self, member_set: frozenset):
+        self._member_set = member_set
+        self.members = tuple(sorted(member_set, key=_by_serial))
+        self._hash = hash(member_set) ^ 0x9E3779B9
+        self._serial = next(_serial)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -118,29 +121,6 @@ HfValue = Union[Atom, HfSet]
 _INTERN: dict = {}
 
 
-def _compare(x: HfValue, y: HfValue) -> int:
-    """Internal total order: atoms (by universe position) before sets,
-    sets lexicographically by their canonical member tuples."""
-    if x is y:
-        return 0
-    x_atom = isinstance(x, Atom)
-    y_atom = isinstance(y, Atom)
-    if x_atom and y_atom:
-        kx = (x.index, x._serial)
-        ky = (y.index, y._serial)
-        return -1 if kx < ky else 1
-    if x_atom != y_atom:
-        return -1 if x_atom else 1
-    for u, v in zip(x.members, y.members):
-        c = _compare(u, v)
-        if c:
-            return c
-    return len(x.members) - len(y.members)
-
-
-_sort_key = cmp_to_key(_compare)
-
-
 def is_atom(value: HfValue) -> bool:
     return isinstance(value, Atom)
 
@@ -151,19 +131,11 @@ def is_set(value: HfValue) -> bool:
 
 def make_set(elems: Iterable[HfValue]) -> HfSet:
     """Build the canonical set of the given values (duplicates collapse)."""
-    members = sorted(dict.fromkeys(elems), key=_sort_key)
-    key = tuple(members)
+    key = frozenset(elems)
     found = _INTERN.get(key)
     if found is None:
         # setdefault keeps interning race-free under concurrent callers
         found = _INTERN.setdefault(key, HfSet(key))
-    return found
-
-
-def _intern_sorted(members: tuple) -> HfSet:
-    found = _INTERN.get(members)
-    if found is None:
-        found = _INTERN.setdefault(members, HfSet(members))
     return found
 
 
@@ -178,9 +150,7 @@ def ordinal(n: int) -> HfSet:
         raise ValueError("ordinals are nonnegative")
     while len(_ORDINALS) <= n:
         prev = _ORDINALS[-1]
-        # prev exceeds all its members in the canonical order, so the
-        # extended member tuple is already sorted
-        _ORDINALS.append(_intern_sorted(prev.members + (prev,)))
+        _ORDINALS.append(make_set(prev.members + (prev,)))
     return _ORDINALS[n]
 
 

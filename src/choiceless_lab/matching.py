@@ -207,11 +207,21 @@ def saturate(graph: BipartiteGraph, coloring: StableColoring) -> frozenset:
     """Complete the edge relation to full block products wherever it meets
     a block pair."""
     out: set = set()
-    for a_block in coloring.a_blocks:
-        for b_block in coloring.b_blocks:
-            if any((a, b) in graph.edges for a in a_block for b in b_block):
-                out.update((a, b) for a in a_block for b in b_block)
+    for i, j in _linked_blocks(graph, coloring):
+        out.update(itertools.product(coloring.a_blocks[i], coloring.b_blocks[j]))
     return frozenset(out)
+
+
+def _linked_blocks(graph: BipartiteGraph, coloring: StableColoring) -> set:
+    """The index pairs ``(i, j)`` of A-block i and B-block j that some edge
+    joins, in one pass over the edges."""
+    block_of = {
+        v: i
+        for blocks in (coloring.a_blocks, coloring.b_blocks)
+        for i, block in enumerate(blocks)
+        for v in block
+    }
+    return {(block_of[a], block_of[b]) for a, b in graph.edges}
 
 
 def quotient(graph: BipartiteGraph, coloring: StableColoring) -> QuotientGraph:
@@ -232,11 +242,7 @@ def quotient(graph: BipartiteGraph, coloring: StableColoring) -> QuotientGraph:
             for s in range(len(block))
         )
     )
-    linked = set()
-    for i, a_block in enumerate(coloring.a_blocks):
-        for j, b_block in enumerate(coloring.b_blocks):
-            if any((a, b) in graph.edges for a in a_block for b in b_block):
-                linked.add((i, j))
+    linked = _linked_blocks(graph, coloring)
     edges = frozenset(
         (av, bv)
         for av in a_vertices

@@ -28,6 +28,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GuardExceeded, ValidationError
 from .linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
@@ -66,8 +67,14 @@ class Multipede2:
 
     def feet_of(self, segment) -> tuple:
         """The two feet of a segment, in the auxiliary (name) order."""
-        pair = sorted((f for f in self.feet if self.segment_of[f] == segment), key=str)
-        return tuple(pair)
+        return self._feet_by_segment.get(segment, ())
+
+    @cached_property
+    def _feet_by_segment(self) -> dict:
+        by_segment: dict = {}
+        for f in sorted(self.feet, key=str):
+            by_segment.setdefault(self.segment_of[f], []).append(f)
+        return {s: tuple(feet) for s, feet in by_segment.items()}
 
     @staticmethod
     def from_representatives(segments, hyperedges, representatives) -> "Multipede2":

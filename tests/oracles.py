@@ -66,6 +66,15 @@ def field_axiom_violations(field) -> list:
     return out
 
 
+def hf_model(value):
+    """A hereditarily finite value as nested Python frozensets: an atom is
+    its name, a set is the frozenset of its members' models.  Atoms must
+    have distinct names for the model to tell them apart."""
+    if hasattr(value, "name"):
+        return value.name
+    return frozenset(hf_model(m) for m in value.members)
+
+
 def linear_solutions(field, grid, rhs, width) -> list:
     """All vectors x of length ``width`` over ``range(order)`` with
     ``grid x = rhs``, by enumerating every vector and taking ordered dot

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiceless_lab.bgs import (
     App,
@@ -34,7 +36,7 @@ from choiceless_lab.bgs import (
 from choiceless_lab.bgs.interp import initial_state
 from choiceless_lab.bgs.syntax import Forall
 from choiceless_lab.errors import ParseError, UnsupportedSymbolError
-from choiceless_lab.hfset import EMPTY, TRUE, make_set, ordinal
+from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, transitive_closure
 from choiceless_lab.linalg import mat_pow, zp
 from choiceless_lab.linalg.matrix import FieldMatrix
 
@@ -219,6 +221,32 @@ def test_active_count_examples(five_atoms):
     for n in range(6):
         upd = UpdateSet(frozenset({("F", (), ordinal(n))}))
         assert active_count([upd]) == n + 1
+
+
+_TRACE_ATOMS = [Atom(f"x{i}") for i in range(3)]
+
+nested_values = st.recursive(
+    st.sampled_from(_TRACE_ATOMS),
+    lambda kids: st.lists(kids, max_size=4).map(make_set),
+    max_leaves=10,
+)
+traced_updates = st.tuples(
+    st.sampled_from(["F", "G"]),
+    st.lists(nested_values, max_size=2).map(tuple),
+    nested_values,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(traced_updates, max_size=4), max_size=5))
+def test_active_count_matches_transitive_closure_union(trace):
+    trace = [UpdateSet(frozenset(step)) for step in trace]
+    expected: set = set()
+    for updates in trace:
+        for _, args, value in updates:
+            for v in (value,) + args:
+                expected |= transitive_closure(v)
+    assert active_count(trace) == len(expected)
 
 
 # ------------------------------------------------------------------ runs

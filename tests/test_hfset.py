@@ -27,10 +27,12 @@ from choiceless_lab.hfset import (
     union_all,
 )
 
+from oracles import hf_model
+
 
 @pytest.fixture()
 def atoms():
-    return [Atom(f"a{i}", i) for i in range(4)]
+    return [Atom(f"a{i}") for i in range(4)]
 
 
 def depth2_universe(two_atoms):
@@ -142,7 +144,7 @@ def test_transitive_closure(atoms):
 def test_section_identities_exhaustive_depth2():
     """pair/ordered_pair/union_all/the_unique identities over every value of
     depth <= 2 built from two atoms."""
-    a0, a1 = Atom("u", 0), Atom("v", 1)
+    a0, a1 = Atom("u"), Atom("v")
     values = depth2_universe([a0, a1])
     assert len(values) > 60
     for x in values:
@@ -158,7 +160,7 @@ def test_section_identities_exhaustive_depth2():
 
 @st.composite
 def hf_values(draw, depth=2):
-    atoms = [Atom("h0", 0), Atom("h1", 1)]
+    atoms = [Atom("h0"), Atom("h1")]
     if depth == 0:
         return draw(st.sampled_from(atoms))
     kids = draw(st.lists(hf_values(depth=depth - 1), max_size=4))
@@ -180,7 +182,7 @@ def test_extensionality(p, q):
 def test_concurrent_interning_yields_identical_values():
     import threading
 
-    atoms = [Atom(f"t{i}", i) for i in range(6)]
+    atoms = [Atom(f"t{i}") for i in range(6)]
     results = [[] for _ in range(8)]
 
     def worker(slot):
@@ -217,7 +219,7 @@ def test_equality_cost_is_depth_independent_after_interning():
 
 def test_interning_shares_structure():
     rng = random.Random(7)
-    atoms = [Atom(f"s{i}", i) for i in range(3)]
+    atoms = [Atom(f"s{i}") for i in range(3)]
     built = []
     for _ in range(200):
         picks = [rng.choice(atoms) for _ in range(rng.randrange(4))]
@@ -226,3 +228,65 @@ def test_interning_shares_structure():
         for y in built:
             if set(x.members) == set(y.members):
                 assert x is y
+
+
+def test_deep_chains_build_without_recursion():
+    # two 3000-deep singleton chains differ only at the bottom; telling them
+    # apart must not recurse through their depth
+    def chain(atom):
+        x = atom
+        for _ in range(3000):
+            x = make_set([x])
+        return x
+
+    a, b = Atom("a"), Atom("b")
+    x, y = chain(a), chain(b)
+    both = pair(x, y)
+    assert len(both.members) == 2
+    assert chain(a) is x and chain(b) is y
+
+
+_MODEL_ATOMS = [Atom("m0"), Atom("m1"), Atom("m2")]
+
+# a description is an atom index or a list of descriptions
+descriptions = st.recursive(
+    st.integers(0, len(_MODEL_ATOMS) - 1),
+    lambda kids: st.lists(kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def build(desc, rng=None):
+    """Build the value a description names, listing members in a shuffled
+    order (with one repeat) at every level when ``rng`` is given."""
+    if isinstance(desc, int):
+        return _MODEL_ATOMS[desc]
+    parts = [build(d, rng) for d in desc]
+    if rng is not None and parts:
+        parts.append(rng.choice(parts))
+        rng.shuffle(parts)
+    return make_set(parts)
+
+
+def described(desc):
+    """The model a description names, computed without building it."""
+    if isinstance(desc, int):
+        return _MODEL_ATOMS[desc].name
+    return frozenset(described(d) for d in desc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(descriptions, max_size=5),
+    st.lists(descriptions, max_size=5),
+    st.integers(0, 2**32),
+)
+def test_interning_agrees_with_nested_frozenset_model(p, r, seed):
+    rng = random.Random(seed)
+    # q lists the same values as p in shuffled order, built first so that
+    # the sets new to this example take their serials in q's order
+    q = build(p, rng)
+    sp, sr = build(p), build(r)
+    assert sp is q
+    assert (sp is sr) == (hf_model(sp) == hf_model(sr))
+    assert hf_model(sp) == described(p)
