@@ -83,15 +83,15 @@ class HfSet:
 
     Do not instantiate directly; use :func:`make_set` (or the derived
     constructors below), which dedupe and intern.  Because of interning,
-    ``a == b`` is simply ``a is b``.
+    ``a == b`` is simply ``a is b``, and the default identity hash agrees
+    with it.
     """
 
-    __slots__ = ("members", "_member_set", "_hash", "_serial")
+    __slots__ = ("members", "_member_set", "_serial")
 
     def __init__(self, member_set: frozenset):
         self._member_set = member_set
         self.members = tuple(sorted(member_set, key=_by_serial))
-        self._hash = hash(member_set) ^ 0x9E3779B9
         self._serial = next(_serial)
 
     def __len__(self) -> int:
@@ -102,9 +102,6 @@ class HfSet:
 
     def __contains__(self, value: "HfValue") -> bool:
         return value in self._member_set
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         n = ordinal_value(self)

@@ -4,12 +4,12 @@ A :class:`FieldMatrix` is a total function from ``rows x cols`` to field
 elements, stored sparsely (absent entries are zero).  Index sets carry no
 order; every verdict produced here is invariant under renaming the indices.
 
-Multiplication follows the counting scheme: the (i, k) entry of ``M N`` is
-``sum_z z * (m_z mod p)`` where ``m_z`` counts inner indices ``j`` whose
-entry pair multiplies to ``z``.  Over Z/2 this is exactly "the number of
-common neighbours is odd".  Because the per-value counts are tallied over
-an unordered index set and combined through commutative field addition, no
-index order can influence the result.
+Multiplication sums over an unordered index set: the (i, k) entry of
+``M N`` is the field sum of ``M[i, j] * N[j, k]`` over the inner indices
+``j`` where both entries are nonzero.  Over Z/2 this is exactly "the
+number of common neighbours is odd".  Field addition is commutative and
+associative, so the order in which the inner indices are visited cannot
+influence the result.
 
 Non-singularity of an I-square matrix is decided without elimination, by
 checking ``M**g == identity`` for ``g`` the order of the general linear
@@ -23,7 +23,6 @@ operation the field supplies.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -105,10 +104,10 @@ def transpose(m: FieldMatrix) -> FieldMatrix:
 
 
 def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
-    """Product via per-entry counting of inner products, counts mod p."""
+    """Product as field sums over the common nonzero inner indices."""
     if m.cols != n.rows:
         raise ValidationError("inner index sets differ")
-    p = field.characteristic
+    zero = field.zero
     mul = field.mul
     add = field.add
     # nonzero columns of m per row, nonzero rows of n per column
@@ -121,16 +120,12 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
     out = {}
     for i, row in by_row.items():
         for k, col in by_col.items():
-            counts: Counter = Counter()
+            acc = zero
             for j, a in row:
                 b = col.get(j)
                 if b is not None:
-                    counts[mul(a, b)] += 1
-            # the count m_z mod p is the prime-subfield element of that index
-            acc = field.zero
-            for z, m_z in counts.items():
-                acc = add(acc, mul(z, m_z % p))
-            if acc != field.zero:
+                    acc = add(acc, mul(a, b))
+            if acc != zero:
                 out[(i, k)] = acc
     return FieldMatrix(field, m.rows, n.cols, out, square=m.rows == n.cols)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GuardExceeded, ValidationError
 
@@ -56,8 +57,18 @@ class BipartiteGraph:
     def build(a_side, b_side, edges) -> "BipartiteGraph":
         return BipartiteGraph(frozenset(a_side), frozenset(b_side), frozenset(edges))
 
-    def neighbours_of(self, a) -> frozenset:
-        return frozenset(b for (x, b) in self.edges if x == a)
+    @cached_property
+    def adjacency(self) -> dict:
+        """Every vertex of either side mapped to a tuple of its neighbours
+        (tuples take a fraction of the memory of sets on dense quotients)."""
+        adj: dict = {v: [] for v in self.a_side | self.b_side}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return {v: tuple(n) for v, n in adj.items()}
+
+    def neighbours_of(self, v) -> frozenset:
+        return frozenset(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -99,50 +110,46 @@ def path_algorithm(graph: BipartiteGraph, order) -> tuple:
         raise ValidationError("order must enumerate all vertices")
     rank = {v: i for i, v in enumerate(order)}
     a_sorted = sorted(graph.a_side, key=rank.__getitem__)
-    forward: dict = {a: [] for a in graph.a_side}
-    for a, b in sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
-        forward[a].append(b)
+    forward = {a: sorted(graph.adjacency[a], key=rank.__getitem__) for a in a_sorted}
 
     matched_of_b: dict = {}
     matched_of_a: dict = {}
 
-    def augment_from(a, visited_b) -> bool:
-        # forward along non-matching edges only; matching edges are walked
-        # backwards from b to its owner, giving the alternating digraph
-        for b in forward[a]:
-            if b in visited_b or matched_of_a.get(a) == b:
+    def augment_from(root):
+        """Augment along the first path from root and return None, or, when
+        there is none, the A-vertices the search reached from root."""
+        # depth first along the alternating digraph: forward along edges,
+        # backwards along the matching from b to its owner.  An owner's
+        # partner is the b it was entered by, so that b is already visited.
+        visited_b: set = set()
+        path = [(root, iter(forward[root]))]
+        while path:
+            for b in path[-1][1]:
+                if b not in visited_b:
+                    break
+            else:
+                path.pop()
                 continue
             visited_b.add(b)
             owner = matched_of_b.get(b)
-            if owner is None or augment_from(owner, visited_b):
-                matched_of_b[b] = a
-                matched_of_a[a] = b
-                return True
-        return False
+            if owner is None:
+                # each a on the path takes the b it reached and hands its
+                # old partner to the a before it
+                for a, _ in reversed(path):
+                    matched_of_b[b] = a
+                    matched_of_a[a], b = b, matched_of_a.get(a)
+                return None
+            path.append((owner, iter(forward[owner])))
+        # the search ran to the end, so every b it visited has an owner
+        return frozenset([root, *(matched_of_b[b] for b in visited_b)])
 
     for a in a_sorted:
-        if not augment_from(a, set()):
+        x_set = augment_from(a)
+        if x_set is not None:
             # a stays exposed forever; the alternating reachable set from it
             # violates the neighbourhood condition
-            return False, _reachable_a(graph, matched_of_b, matched_of_a, a)
+            return False, x_set
     return True, frozenset(matched_of_a.items())
-
-
-def _reachable_a(graph, matched_of_b, matched_of_a, start) -> frozenset:
-    seen_a = {start}
-    seen_b: set = set()
-    stack = [start]
-    while stack:
-        a = stack.pop()
-        for b in graph.neighbours_of(a):
-            if matched_of_a.get(a) == b or b in seen_b:
-                continue
-            seen_b.add(b)
-            owner = matched_of_b.get(b)
-            if owner is not None and owner not in seen_a:
-                seen_a.add(owner)
-                stack.append(owner)
-    return frozenset(seen_a)
 
 
 def hall_oracle(graph: BipartiteGraph, max_side: int = 20) -> bool:
@@ -150,57 +157,53 @@ def hall_oracle(graph: BipartiteGraph, max_side: int = 20) -> bool:
     a_list = list(graph.a_side)
     if len(a_list) > max_side:
         raise GuardExceeded("hall_oracle.max_side", max_side, len(a_list))
-    neigh = {a: graph.neighbours_of(a) for a in a_list}
+    neigh = graph.adjacency
     for r in range(1, len(a_list) + 1):
         for subset in itertools.combinations(a_list, r):
             reach: set = set()
             for a in subset:
-                reach |= neigh[a]
+                reach.update(neigh[a])
             if len(reach) < len(subset):
                 return False
     return True
 
 
-def _refine(blocks, opposite_blocks, edges_by_vertex):
-    """One refinement round of one side against the opposite partition."""
-    new_blocks = []
-    changed = False
+def _refine(blocks, opposite_blocks, adjacency) -> tuple:
+    """One refinement round of one side against the opposite partition.
+
+    A vertex's signature, its neighbours' negated block indices in
+    descending order, orders exactly as its count vector into all opposite
+    blocks: where two vectors first differ, at block i, the smaller count's
+    run of -i ends first, at a later block's smaller entry or at the end.
+    """
+    block_of = {u: -i for i, ob in enumerate(opposite_blocks) for u in ob}
+    new_blocks: list = []
     for block in blocks:
-        vectors: dict = {}
+        by_signature: dict = {}
         for v in block:
-            vec = tuple(
-                sum(1 for u in edges_by_vertex[v] if u in ob) for ob in opposite_blocks
-            )
-            vectors.setdefault(vec, set()).add(v)
-        if len(vectors) > 1:
-            changed = True
-        for vec in sorted(vectors):
-            new_blocks.append(frozenset(vectors[vec]))
-    return tuple(new_blocks), changed
+            signature = tuple(sorted([block_of[u] for u in adjacency[v]], reverse=True))
+            by_signature.setdefault(signature, []).append(v)
+        new_blocks.extend(frozenset(by_signature[s]) for s in sorted(by_signature))
+    return tuple(new_blocks)
 
 
 def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     """Coarsest stable coloring, refining both sides simultaneously.
 
-    Vertices get the vector of edge counts into the opposite side's current
-    blocks; a block splits into subblocks ordered by those vectors, and
-    subblocks inherit their parent's position.  Terminates in at most
-    |A| + |B| rounds.
+    Vertices get their edge counts into the opposite side's current blocks;
+    a block splits into subblocks ordered by those counts, and subblocks
+    inherit their parent's position.  Rounds repeat until neither side
+    gains a block; every earlier round adds one, so the loop ends.
     """
-    a_adj: dict = {a: set() for a in graph.a_side}
-    b_adj: dict = {b: set() for b in graph.b_side}
-    for a, b in graph.edges:
-        a_adj[a].add(b)
-        b_adj[b].add(a)
+    adjacency = graph.adjacency
     a_blocks = (frozenset(graph.a_side),) if graph.a_side else ()
     b_blocks = (frozenset(graph.b_side),) if graph.b_side else ()
-    for _ in range(len(graph.a_side) + len(graph.b_side) + 1):
-        new_a, changed_a = _refine(a_blocks, b_blocks, a_adj)
-        new_b, changed_b = _refine(b_blocks, a_blocks, b_adj)
-        a_blocks, b_blocks = new_a, new_b
-        if not (changed_a or changed_b):
+    while True:
+        new_a = _refine(a_blocks, b_blocks, adjacency)
+        new_b = _refine(b_blocks, a_blocks, adjacency)
+        if len(new_a) == len(a_blocks) and len(new_b) == len(b_blocks):
             return StableColoring(a_blocks, b_blocks)
-    raise AssertionError("refinement failed to stabilize within |A|+|B| rounds")
+        a_blocks, b_blocks = new_a, new_b
 
 
 def saturate(graph: BipartiteGraph, coloring: StableColoring) -> frozenset:

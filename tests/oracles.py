@@ -207,3 +207,33 @@ def fo_model_check(sentence, universe, relations) -> bool:
         raise ValueError(f"bad node {node!r}")
 
     return ev(sentence, {})
+
+
+def stable_coloring_dense(a_side, b_side, edges) -> tuple:
+    """Coarsest stable coloring as ``(a_blocks, b_blocks)``, by dense count
+    vectors.  Each round, both sides at once: a vertex's vector counts its
+    edges into every block of the opposite side, and a block splits into
+    subblocks in ascending vector order, in its own position.  Rounds
+    repeat until no block splits."""
+    adj = {v: set() for v in set(a_side) | set(b_side)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def refine(blocks, opposite):
+        out = []
+        for block in blocks:
+            by_vector = {}
+            for v in block:
+                vector = tuple(len(adj[v] & ob) for ob in opposite)
+                by_vector.setdefault(vector, set()).add(v)
+            out.extend(frozenset(by_vector[vec]) for vec in sorted(by_vector))
+        return tuple(out)
+
+    a_blocks = (frozenset(a_side),) if a_side else ()
+    b_blocks = (frozenset(b_side),) if b_side else ()
+    while True:
+        new = refine(a_blocks, b_blocks), refine(b_blocks, a_blocks)
+        if new == (a_blocks, b_blocks):
+            return new
+        a_blocks, b_blocks = new

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiceless_lab.errors import GuardExceeded
 from choiceless_lab.matching import (
@@ -21,7 +23,7 @@ from choiceless_lab.matching import (
     stable_coloring,
 )
 
-from oracles import hall_condition_direct, max_matching_brute
+from oracles import hall_condition_direct, max_matching_brute, stable_coloring_dense
 
 
 def graph(a, b, edges):
@@ -108,6 +110,18 @@ def test_path_algorithm_decision_independent_of_order():
         assert len(decisions) == 1
 
 
+def test_path_algorithm_long_chain_without_recursion():
+    # every augmenting path runs back down the whole chain: a_{n-1} finds
+    # b_{n-1} taken by a_{n-2}, which moves to b_{n-2}, and so on to b_0
+    n = 1500
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    edges = [(a[i], b[i]) for i in range(n)] + [(a[i], b[i + 1]) for i in range(n - 1)]
+    ok, witness = path_algorithm(graph(a, b, edges), a + b[::-1])
+    assert ok
+    assert witness == frozenset(zip(a, b))
+
+
 # ------------------------------------------------------------- hall oracle
 
 
@@ -192,6 +206,35 @@ def test_stable_coloring_respects_renaming():
         c2 = stable_coloring(g2)
         assert tuple(frozenset(mapping[v] for v in blk) for blk in c1.a_blocks) == c2.a_blocks
         assert tuple(frozenset(mapping[v] for v in blk) for blk in c1.b_blocks) == c2.b_blocks
+
+
+@st.composite
+def graphs_with_renaming(draw, max_side=10):
+    na, nb = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    cells = st.tuples(st.integers(0, max(na - 1, 0)), st.integers(0, max(nb - 1, 0)))
+    edges = draw(st.sets(cells, max_size=na * nb)) if na and nb else set()
+    names = [f"a{i}" for i in range(na)] + [f"b{j}" for j in range(nb)]
+    mapping = dict(zip(names, draw(st.permutations(names))))
+    return (
+        [f"a{i}" for i in range(na)],
+        [f"b{j}" for j in range(nb)],
+        [(f"a{i}", f"b{j}") for i, j in edges],
+        mapping,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming())
+def test_stable_coloring_matches_dense_reference(example):
+    a, b, edges, mapping = example
+    renamed = (
+        [mapping[v] for v in a],
+        [mapping[v] for v in b],
+        [(mapping[x], mapping[y]) for x, y in edges],
+    )
+    for sides in ((a, b, edges), renamed):
+        c = stable_coloring(graph(*sides))
+        assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(*sides)
 
 
 # -------------------------------------------------------------- saturation
