@@ -9,9 +9,12 @@ the block vertices only.  The twist set T decides, per base vertex,
 whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
-The classifier and the isomorphism search work purely structurally (from
+The classifier and the isomorphism test work purely structurally (from
 the edge and pre-order relations), so renaming vertices never changes a
-verdict.
+verdict.  Two gadgets are isomorphic exactly when they have the same m,
+the same padding and the same twist parity; a structure that is not a
+coherent gadget is rejected (``ValidationError``, exit status 3 on the
+command line).
 """
 
 from __future__ import annotations
@@ -325,6 +328,16 @@ def recognize_and_classify(structure: PreGraph, order):
     position = {v: i for i, v in enumerate(order)}
     if len(position) != len(structure.vertices) or set(position) != set(structure.vertices):
         raise ValidationError("order must enumerate the vertices")
+    return _twist_parity(shape, position)
+
+
+def _twist_parity(shape: _Shape, position: dict):
+    """Twist parity (0 or 1) of an analysed structure, labelling the
+    earlier vertex of each edge pair (under ``position``) plus; ``NOT_CFI``
+    unless, in every class, each two members differ on a positive even
+    number of touching pairs.  Relabelling one pair flips the good/bad
+    status of exactly its two classes, so the parity does not depend on
+    ``position``."""
     pair_keys = sorted(shape.pairs)
     plus_of = {}
     minus_of = {}
@@ -380,42 +393,20 @@ def distinguish_padded(padded: PaddedStructure, max_m: int = 4) -> int:
 
 
 def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
-    """Isomorphism search restricted to maps preserving the pre-order
-    classes and the edge pairs: per pair the two vertices map straight or
-    swapped, and each block vertex must then land on the unique vertex
-    with the matching neighbourhood."""
+    """Isomorphism of two twisted gadgets: same m, same padding and same
+    twist parity.  A pre-order-preserving map sends class i to class i and
+    each edge pair to itself, and over a connected base such a map exists
+    exactly when the parities agree.  Raises ``ValidationError`` unless
+    both structures are coherent gadgets."""
     sx = _analyze(x)
     sy = _analyze(y)
-    if sx is None or sy is None:
+    px = py = NOT_CFI
+    if sx is not None and sy is not None:
+        px = _twist_parity(sx, {v: i for i, v in enumerate(x.vertices)})
+        py = _twist_parity(sy, {v: i for i, v in enumerate(y.vertices)})
+    if NOT_CFI in (px, py):
         raise ValidationError("both structures must be twisted gadgets")
-    if sx.m != sy.m or sx.padding != sy.padding:
-        return False
-    pair_keys = sorted(sx.pairs)
-    if pair_keys != sorted(sy.pairs):
-        return False
-    y_lookup: dict = {}
-    for ci, cls in enumerate(sy.classes):
-        for v in cls:
-            y_lookup[(ci, sy.pair_neighbours[v])] = v
-    for flips in itertools.product((False, True), repeat=len(pair_keys)):
-        pair_map = {}
-        for key, flip in zip(pair_keys, flips):
-            x1, x2 = sx.pairs[key]
-            y1, y2 = sy.pairs[key]
-            pair_map[x1] = y2 if flip else y1
-            pair_map[x2] = y1 if flip else y2
-        ok = True
-        for ci, cls in enumerate(sx.classes):
-            for v in cls:
-                image_neigh = frozenset(pair_map[w] for w in sx.pair_neighbours[v])
-                if (ci, image_neigh) not in y_lookup:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return sx.m == sy.m and sx.padding == sy.padding and px == py
 
 
 # ------------------------------------------------------------ structure io

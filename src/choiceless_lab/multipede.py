@@ -253,12 +253,10 @@ def is_odd(m: Multipede3) -> bool:
     return rank_gaussian(_GF2, matrix, rows, list(range(n))) == n
 
 
-def automorphism_count(m: Multipede3, max_segments: int = 16) -> int:
+def automorphism_count(m: Multipede3) -> int:
     """Number of automorphisms: two to the dimension of the incidence
     matrix's column kernel (foot flips meeting every hyperedge evenly)."""
     n = len(m.segment_order)
-    if n > max_segments:
-        raise GuardExceeded("automorphism_count.max_segments", max_segments, n)
     if not m.hyperedges:
         return 2**n
     matrix, rows = _incidence_matrix(m)

@@ -1,10 +1,11 @@
-"""Shared constructors for interpreter tests."""
+"""Shared constructors for tests."""
 
 from __future__ import annotations
 
 import random
 
 from choiceless_lab.bgs import InputStructure
+from choiceless_lab.cfi import PreGraph, build_twisted, complete_graph
 
 
 def empty_structure(n: int) -> InputStructure:
@@ -72,3 +73,24 @@ def x_table(outcome, idx_names):
             row.append(1 if value is one else 0)
         grid.append(row)
     return grid
+
+
+def twin_gadget() -> PreGraph:
+    """The untwisted gadget over K5 with its first block rewired: the four
+    name-first block vertices meet the name-first vertex of every edge pair
+    touching the block, the other four meet the second vertex.  Every other
+    edge and the pre-order stay, so the structure is gadget-shaped but its
+    first block holds two sets of four twins."""
+    gadget = build_twisted(complete_graph(5), [])
+    plain = gadget.structure()
+    adj = plain.adjacency()
+    block = sorted((v for v in gadget.block_vertices if gadget.rank[v] == 0), key=str)
+    pairs = [
+        sorted(pair, key=str)
+        for pair in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2])
+        if not adj[pair[0]].isdisjoint(block)
+    ]
+    edges = {e for e in plain.edges if e.isdisjoint(block)}
+    for i, v in enumerate(block):
+        edges |= {frozenset({v, pair[i >= len(block) // 2]}) for pair in pairs}
+    return PreGraph(plain.vertices, frozenset(edges), plain.preorder)

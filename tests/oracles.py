@@ -8,6 +8,7 @@ enumeration, fraction-free elimination), so the two sides can be compared.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -237,3 +238,62 @@ def stable_coloring_dense(a_side, b_side, edges) -> tuple:
         if new == (a_blocks, b_blocks):
             return new
         a_blocks, b_blocks = new
+
+
+def gadget_iso_by_flips(x, y) -> bool:
+    """Isomorphism of two gadget-shaped structures (``vertices``, ``edges``
+    as 2-sets, ``preorder`` pairs) by the maps that keep every pre-order
+    class and every edge pair: try each straight/swapped choice per pair,
+    which works when, class by class, the multiset of image neighbourhoods
+    of x's members equals the multiset of y's neighbourhoods.  Classes come
+    from the upward sets of the pre-order, an edge pair is the linked
+    vertices outside the pre-order touching the same classes, and the
+    isolated vertices outside it are padding."""
+
+    def parts(g):
+        adj = {v: set() for v in g.vertices}
+        for e in g.edges:
+            a, b = tuple(e)
+            adj[a].add(b)
+            adj[b].add(a)
+        upward = {}
+        for a, b in g.preorder:
+            upward.setdefault(a, set()).add(b)
+            upward.setdefault(b, set())
+        by_upward = {}
+        for v, up in upward.items():
+            by_upward.setdefault(frozenset(up), []).append(v)
+        classes = [by_upward[key] for key in sorted(by_upward, key=len, reverse=True)]
+        class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+        pairs, padding = {}, 0
+        for v in g.vertices:
+            if v in class_of:
+                continue
+            if not adj[v]:
+                padding += 1
+                continue
+            key = frozenset(class_of[w] for w in adj[v])
+            pairs.setdefault(key, []).append(v)
+        return adj, classes, pairs, padding
+
+    adj_x, classes_x, pairs_x, padding_x = parts(x)
+    adj_y, classes_y, pairs_y, padding_y = parts(y)
+    if len(classes_x) != len(classes_y) or padding_x != padding_y:
+        return False
+    if pairs_x.keys() != pairs_y.keys():
+        return False
+    if any(len(p) != 2 for p in (*pairs_x.values(), *pairs_y.values())):
+        return False
+    keys = list(pairs_x)
+    for flips in itertools.product((False, True), repeat=len(keys)):
+        image = {}
+        for key, flip in zip(keys, flips):
+            (x1, x2), (y1, y2) = pairs_x[key], pairs_y[key]
+            image[x1], image[x2] = (y2, y1) if flip else (y1, y2)
+        if all(
+            Counter(frozenset(image[w] for w in adj_x[v]) for v in cls_x)
+            == Counter(frozenset(adj_y[v]) for v in cls_y)
+            for cls_x, cls_y in zip(classes_x, classes_y)
+        ):
+            return True
+    return False

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiceless_lab.cfi import (
     NOT_CFI,
@@ -24,6 +26,9 @@ from choiceless_lab.cfi import (
     to_structure,
 )
 from choiceless_lab.errors import GuardExceeded, ValidationError
+
+from helpers import twin_gadget
+from oracles import gadget_iso_by_flips
 
 
 def k(n):
@@ -283,6 +288,58 @@ def test_isomorphism_survives_renaming():
     assert isomorphic_gadgets(s1, s2)
     s3 = renamed(build_twisted(k(3), []).structure(), 12)
     assert not isomorphic_gadgets(s1, s3)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_isomorphism_criterion_large_bases(m):
+    base = k(m + 1)
+    even = build_twisted(base, []).structure()
+    odd = build_twisted(base, base.vertices[:1]).structure()
+    odd_too = renamed(build_twisted(base, base.vertices[1:4]).structure(), m)
+    assert not isomorphic_gadgets(even, odd)
+    assert isomorphic_gadgets(odd, odd_too)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_isomorphism_matches_flip_search(data):
+    m = data.draw(st.sampled_from([2, 3]))
+    base = k(m + 1)
+    sides = []
+    for _ in range(2):
+        gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
+        padded = data.draw(st.booleans())
+        structure = pad(gadget, m).structure() if padded else gadget.structure()
+        sides.append(renamed(structure, data.draw(st.integers(0, 2**32))))
+    x, y = sides
+    assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y)
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [
+        ((), ("v0",)),
+        (("v0", "v1"), ("v2", "v4")),
+        (("v1",), ("v0", "v2", "v3")),
+        (("v0", "v1", "v2"), ()),
+    ],
+)
+def test_isomorphism_matches_flip_search_m4(t1, t2):
+    x = build_twisted(k(5), t1).structure()
+    y = renamed(build_twisted(k(5), t2).structure(), 4)
+    expected = len(t1) % 2 == len(t2) % 2
+    assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y) == expected
+
+
+def test_isomorphism_rejects_twin_blocks():
+    twin = twin_gadget()
+    plain = build_twisted(k(5), []).structure()
+    assert recognize_and_classify(twin, twin.vertices) == NOT_CFI
+    assert not gadget_iso_by_flips(twin, plain)
+    with pytest.raises(ValidationError):
+        isomorphic_gadgets(twin, plain)
+    with pytest.raises(ValidationError):
+        isomorphic_gadgets(plain, twin)
 
 
 # ------------------------------------------------------------ structure io

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from choiceless_lab.bgs import write_structure
+from choiceless_lab.cfi import to_structure
 from choiceless_lab.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -13,6 +15,8 @@ from choiceless_lab.cli import (
     EXIT_USAGE,
     dispatch,
 )
+
+from helpers import twin_gadget
 
 
 def invoke(argv, capsys):
@@ -95,6 +99,16 @@ def test_gen_cfi_padded_and_iso(tmp_path, capsys):
     assert report["result"]["padding"] == 16
     code, report = invoke(["solve", "cfi-classify", "--input", str(padded)], capsys)
     assert report["result"]["class"] == 0
+
+
+def test_iso_cfi_rejects_twin_blocks(tmp_path, capsys):
+    twin = tmp_path / "twin.str"
+    plain = tmp_path / "plain.str"
+    twin.write_text(write_structure(to_structure(twin_gadget())))
+    invoke(["gen", "cfi", "--m", "4", "--twist", "even", "--file", str(plain)], capsys)
+    code, report = invoke(["iso", "cfi", "--a", str(twin), "--b", str(plain)], capsys)
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
 
 
 def test_gen_multipede_validate_and_iso(tmp_path, capsys):

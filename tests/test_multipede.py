@@ -193,10 +193,9 @@ def test_automorphism_count_matches_flip_enumeration():
         assert automorphism_count(m) == count
 
 
-def test_automorphism_count_guard():
+def test_automorphism_count_past_sixteen_segments():
     big = pede_from([f"s{i}" for i in range(17)], [])
-    with pytest.raises(GuardExceeded):
-        automorphism_count(big)
+    assert automorphism_count(big) == 2**17
 
 
 def test_oddness_iff_rigid():
