@@ -3,8 +3,9 @@
 Every invocation produces one JSON report on stdout (or at --out) that
 echoes the full invocation, so results are reproducible byte for byte
 apart from the timing field.  Randomized commands require an explicit
-seed.  Resource guards exit with a distinct status and can be lifted with
---force (a warning goes to stderr).
+seed.  Resource guards exit with a distinct status.  --force exists only
+on ``gen cfi``, where it lifts the padding guard ``pad.max_m`` (a warning
+goes to stderr).
 
 Exit statuses: 0 ok, 2 usage, 3 parse/validation, 4 guard, 5 internal.
 """
@@ -107,7 +108,6 @@ def _build_parser() -> _Parser:
         p = iso_sub.add_parser(kind)
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
-        p.add_argument("--force", action="store_true")
 
     exp = sub.add_parser("experiment")
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
@@ -135,11 +135,6 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _warn_force(enabled: bool):
-    if enabled:
-        print("warning: resource guards lifted by --force", file=sys.stderr)
-
-
 # ------------------------------------------------------------ subcommands
 
 
@@ -156,7 +151,8 @@ def _cmd_bgs_run(args) -> dict:
 
 
 def _cmd_gen_cfi(args) -> dict:
-    _warn_force(args.force)
+    if args.force:
+        print("warning: resource guards lifted by --force", file=sys.stderr)
     base = cfi.complete_graph(args.m + 1)
     if args.twist == "even":
         twist = []
@@ -285,23 +281,14 @@ def _cmd_solve_cfi_classify(args) -> dict:
 
 
 def _cmd_iso(args) -> dict:
-    _warn_force(args.force)
     if args.kind == "cfi":
         a = cfi.from_structure(parse_structure(_read(args.a)))
         b = cfi.from_structure(parse_structure(_read(args.b)))
         return {"isomorphic": cfi.isomorphic_gadgets(a, b)}
     shod_a = multipede.from_structure(parse_structure(_read(args.a)))
     shod_b = multipede.from_structure(parse_structure(_read(args.b)))
-    if args.kind == "multipede3":
-        return {"isomorphic": multipede.iso3_decide(shod_a, shod_b)}
-    limit = _BIG if args.force else 16
-    m4_a = multipede.ShodMultipede(
-        multipede.Multipede4.from_multipede3(shod_a.pede), shod_a.shoe
-    )
-    m4_b = multipede.ShodMultipede(
-        multipede.Multipede4.from_multipede3(shod_b.pede), shod_b.shoe
-    )
-    return {"isomorphic": multipede.iso4_decide(m4_a, m4_b, max_segments=limit)}
+    # a 4-multipede's power-set sort is padding, so both kinds share a decider
+    return {"isomorphic": multipede.iso3_decide(shod_a, shod_b)}
 
 
 def _cmd_experiment(args) -> dict:

@@ -45,8 +45,6 @@ __all__ = [
     "card",
     "ordinal",
     "ordinal_value",
-    "add_via_card",
-    "mul_via_card",
     "transitive_closure",
 ]
 
@@ -197,23 +195,6 @@ def card(x: HfValue) -> HfSet:
     if isinstance(x, Atom):
         return EMPTY
     return ordinal(len(x.members))
-
-
-def add_via_card(a: HfValue, b: HfValue) -> HfSet:
-    """Ordinal addition as the cardinality of ``a`` joined with a tagged
-    disjoint copy ``{<0, x> : x in b}``."""
-    tagged = [ordered_pair(EMPTY, x) for x in b.members] if isinstance(b, HfSet) else []
-    base = a.members if isinstance(a, HfSet) else ()
-    return card(make_set(tuple(base) + tuple(tagged)))
-
-
-def mul_via_card(a: HfValue, b: HfValue) -> HfSet:
-    """Ordinal multiplication as the cardinality of the coded cartesian
-    product ``{<x, y> : x in a, y in b}``."""
-    if not isinstance(a, HfSet) or not isinstance(b, HfSet):
-        return EMPTY
-    prod = [ordered_pair(x, y) for y in b.members for x in a.members]
-    return card(make_set(prod))
 
 
 def transitive_closure(value: HfValue) -> frozenset:

@@ -16,7 +16,6 @@ from .matrix import (
     mat_mul,
     mat_pow,
     nonsingular_rect,
-    nonsingular_rect_block,
     nonsingular_square,
     rank_gaussian,
     solve_gaussian,
@@ -39,7 +38,6 @@ __all__ = [
     "mat_pow",
     "nonsingular_int",
     "nonsingular_rect",
-    "nonsingular_rect_block",
     "nonsingular_square",
     "random_matrix",
     "rank_gaussian",

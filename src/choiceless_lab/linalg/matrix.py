@@ -24,6 +24,7 @@ operation the field supplies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..errors import ValidationError
 from .binnat import BinNat
@@ -36,7 +37,6 @@ __all__ = [
     "mat_mul",
     "mat_pow",
     "nonsingular_rect",
-    "nonsingular_rect_block",
     "nonsingular_square",
     "rank_gaussian",
     "solve_gaussian",
@@ -150,6 +150,7 @@ def mat_pow(field: FiniteField, m: FieldMatrix, r) -> FieldMatrix:
     return power
 
 
+@lru_cache(maxsize=None)
 def gl_order(q: int, n: int) -> BinNat:
     """Order of the group of invertible n-by-n matrices over the field of
     order q: the product of ``q**n - q**i`` for ``i < n``."""
@@ -185,22 +186,6 @@ def nonsingular_rect(field: FiniteField, m: FieldMatrix) -> bool:
     gram = mat_mul(field, m, transpose(m))
     gram = FieldMatrix(field, m.rows, m.rows, gram.entries, square=True)
     return nonsingular_square(field, gram)
-
-
-def nonsingular_rect_block(field: FiniteField, m: FieldMatrix) -> bool:
-    """The block-matrix alternative: embed M and its transpose off-diagonal
-    in an (I + J)-square matrix and test that."""
-    if len(m.rows) != len(m.cols):
-        raise ValidationError("row and column sets must have equal size")
-    left = {("r", i) for i in m.rows}
-    right = {("c", j) for j in m.cols}
-    idx = frozenset(left | right)
-    entries = {}
-    for (i, j), v in m.entries.items():
-        entries[(("r", i), ("c", j))] = v
-        entries[(("c", j), ("r", i))] = v
-    block = FieldMatrix(field, idx, idx, entries, square=True)
-    return nonsingular_square(field, block)
 
 
 def _ordered_grid(field: FiniteField, m: FieldMatrix, row_order, col_order):

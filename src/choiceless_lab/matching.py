@@ -1,5 +1,5 @@
-"""Bipartite matching: path algorithm, Hall oracle, and the three-phase
-order-free decision.
+"""Bipartite matching: the path algorithm and the three-phase order-free
+decision.
 
 The decision pipeline avoids choosing anything order-dependent on the
 input: phase one refines both sides into the coarsest stable coloring
@@ -10,8 +10,8 @@ the ordered path algorithm on that quotient.  Saturation cannot create a
 complete matching where none existed, so the verdict transfers back to the
 input graph.
 
-The path algorithm and the Hall-condition check are also exposed on their
-own; they serve as oracles for each other and for the pipeline.
+The path algorithm is also exposed on its own, with any vertex order; on a
+failure it returns the A-set whose neighbourhood violates Hall's condition.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GuardExceeded, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "BipartiteGraph",
     "StableColoring",
     "QuotientGraph",
     "path_algorithm",
-    "hall_oracle",
     "stable_coloring",
     "saturate",
     "quotient",
@@ -150,22 +149,6 @@ def path_algorithm(graph: BipartiteGraph, order) -> tuple:
             # violates the neighbourhood condition
             return False, x_set
     return True, frozenset(matched_of_a.items())
-
-
-def hall_oracle(graph: BipartiteGraph, max_side: int = 20) -> bool:
-    """Exhaustive check that every subset of A has enough neighbours."""
-    a_list = list(graph.a_side)
-    if len(a_list) > max_side:
-        raise GuardExceeded("hall_oracle.max_side", max_side, len(a_list))
-    neigh = graph.adjacency
-    for r in range(1, len(a_list) + 1):
-        for subset in itertools.combinations(a_list, r):
-            reach: set = set()
-            for a in subset:
-                reach.update(neigh[a])
-            if len(reach) < len(subset):
-                return False
-    return True
 
 
 def _refine(blocks, opposite_blocks, adjacency) -> tuple:

@@ -5,8 +5,9 @@ sets; over each hyperedge the eight foot triples split into two classes
 of four under "even symmetric difference", and the positive triples are
 exactly one of those classes.  A linear order on segments and an optional
 distinguished foot (the shoe, required to sit on the first segment)
-complete the picture; a further power-set sort can be materialized but
-carries no isomorphism content.
+complete the picture.  A 4-multipede adds the power set of the segments as
+a further sort; that sort is padding with no isomorphism content, so it is
+never built and shod 4-multipedes are decided as 3-multipedes.
 
 Oddness (every nonempty segment set meets some hyperedge oddly) is the
 triviality of the GF(2) column kernel of the hyperedge incidence matrix;
@@ -18,8 +19,7 @@ Isomorphism with shoes: a base matching pairs left feet with left feet
 is declared left regardless).  Every candidate matching flips the base at
 some segment set avoiding the shoe's segment, and the positivity defects
 of the base matching give a GF(2) linear system whose solvability under
-that avoidance constraint decides isomorphism.  The exhaustive decider
-enumerates the shoe-respecting matchings directly.
+that avoidance constraint decides isomorphism.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GuardExceeded, ValidationError
+from .errors import ValidationError
 from .linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
 
 __all__ = [
     "Multipede2",
     "Multipede3",
-    "Multipede4",
     "ShodMultipede",
     "automorphism_count",
     "flip_feet",
@@ -44,7 +43,6 @@ __all__ = [
     "from_structure_lenient",
     "is_odd",
     "iso3_decide",
-    "iso4_decide",
     "random_multipede",
     "shoe_expansions",
     "to_structure",
@@ -129,35 +127,8 @@ class Multipede3(Multipede2):
 
 
 @dataclass(frozen=True, eq=False)
-class Multipede4(Multipede3):
-    """A 3-multipede with a sets sort: materialized power set when small,
-    otherwise a symbolic marker (the sort adds no isomorphism constraint)."""
-
-    sets_sort: tuple = None  # type: ignore[assignment]
-
-    @staticmethod
-    def from_multipede3(m3: "Multipede3", materialize_limit: int = 16) -> "Multipede4":
-        sets_sort = None
-        if len(m3.segments) <= materialize_limit:
-            sets_sort = tuple(
-                frozenset(c)
-                for r in range(len(m3.segments) + 1)
-                for c in itertools.combinations(sorted(m3.segments, key=str), r)
-            )
-        return Multipede4(
-            m3.segments,
-            m3.feet,
-            m3.segment_of,
-            m3.hyperedges,
-            m3.positives,
-            m3.segment_order,
-            sets_sort,
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class ShodMultipede:
-    """A 3- or 4-multipede with a distinguished foot on the first segment."""
+    """A 3-multipede with a distinguished foot on the first segment."""
 
     pede: Multipede3
     shoe: str
@@ -352,49 +323,6 @@ def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
         _GF2, matrix, rhs, sorted(matrix_rows, key=str), list(range(n))
     )
     return solution is not None
-
-
-def iso4_decide(a: ShodMultipede, b: ShodMultipede, max_segments: int = 16) -> bool:
-    """Exhaustive decision: try every foot matching that respects the
-    segment map and keeps the shoe on the shoe (flip sets over the
-    non-first segments)."""
-    n = len(a.pede.segment_order)
-    if n > max_segments:
-        raise GuardExceeded("iso4_decide.max_segments", max_segments, n)
-    rows = _aligned_skeletons(a, b)
-    if rows is None:
-        return False
-    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
-    mu = _base_matching(a, b)
-    reps: dict = {}
-    for p in a.pede.positives:
-        row = tuple(sorted(a_idx[a.pede.segment_of[f]] for f in p))
-        reps.setdefault(row, set()).add(p)
-    flippable = a.pede.segment_order[1:]
-    b_swap = {}
-    for sb in b.pede.segment_order:
-        lb, rb = b.left_foot(sb), b.right_foot(sb)
-        b_swap[lb], b_swap[rb] = rb, lb
-    for r in range(len(flippable) + 1):
-        for combo in itertools.combinations(flippable, r):
-            flipped = {a_idx[s] for s in combo}
-            matching = dict(mu)
-            for s in combo:
-                la = a.left_foot(s)
-                ra = a.right_foot(s)
-                matching[la] = b_swap[mu[la]]
-                matching[ra] = b_swap[mu[ra]]
-            ok = True
-            for row, triples in reps.items():
-                for p in triples:
-                    if (frozenset(matching[f] for f in p) in b.pede.positives) != True:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
 
 
 def shoe_expansions(m3: Multipede3):

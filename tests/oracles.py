@@ -297,3 +297,35 @@ def gadget_iso_by_flips(x, y) -> bool:
         ):
             return True
     return False
+
+
+def brute_force_iso(a, b) -> bool:
+    """Isomorphism of two shod multipedes by exhaustive matching search,
+    shoe to shoe: flip any subset of the non-first segments of the base
+    left-to-left matching."""
+    if len(a.pede.segment_order) != len(b.pede.segment_order):
+        return False
+    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
+    b_order = b.pede.segment_order
+    a_rows = {
+        frozenset(a_idx[s] for s in h) for h in a.pede.hyperedges
+    }
+    b_idx = {s: i for i, s in enumerate(b_order)}
+    b_rows = {frozenset(b_idx[s] for s in h) for h in b.pede.hyperedges}
+    if a_rows != b_rows:
+        return False
+    n = len(a.pede.segment_order)
+    for bits in itertools.product((0, 1), repeat=n - 1):
+        mapping = {}
+        for pos, (sa, sb) in enumerate(zip(a.pede.segment_order, b_order)):
+            la, ra = a.left_foot(sa), a.right_foot(sa)
+            lb, rb = b.left_foot(sb), b.right_foot(sb)
+            if pos > 0 and bits[pos - 1]:
+                lb, rb = rb, lb
+            mapping[la], mapping[ra] = lb, rb
+        if all(
+            frozenset(mapping[f] for f in p) in b.pede.positives
+            for p in a.pede.positives
+        ):
+            return True
+    return False

@@ -42,7 +42,6 @@ from choiceless_lab.linalg.intmatrix import scan_width
 from choiceless_lab.matching import (
     BipartiteGraph,
     decide_complete_matching,
-    hall_oracle,
     path_algorithm,
     saturate,
     stable_coloring,
@@ -59,8 +58,7 @@ from choiceless_lab.multipede import (
 
 from conftest import record_criterion
 from helpers import empty_structure, permuted_structure, power_structure, x_table
-from oracles import bareiss_det, partial_product
-from test_multipede import brute_force_iso
+from oracles import bareiss_det, brute_force_iso, hall_condition_direct, partial_product
 
 GF2 = zp(2)
 GF3 = zp(3)
@@ -104,7 +102,7 @@ def test_criterion_01_matching_oracle_sweep():
     for g in corpora:
         order = sorted(g.a_side | g.b_side)
         by_pipeline = decide_complete_matching(g)
-        by_hall = hall_oracle(g)
+        by_hall = hall_condition_direct(g.a_side, g.edges)
         by_path, _ = path_algorithm(g, order)
         assert by_pipeline == by_hall == by_path, f"disagreement on {g.edges}"
         count += 1
@@ -122,7 +120,9 @@ def test_criterion_02_saturation_lemma():
         plus = saturate(g, stable_coloring(g))
         assert g.edges <= plus
         saturated = BipartiteGraph(g.a_side, g.b_side, plus)
-        if hall_oracle(g) != hall_oracle(saturated):
+        if hall_condition_direct(g.a_side, g.edges) != hall_condition_direct(
+            saturated.a_side, saturated.edges
+        ):
             violations += 1
     assert violations == 0
     record_criterion(2, "saturation keeps the matching verdict", f"{len(corpora)} instances")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from choiceless_lab.bgs import write_structure
+from choiceless_lab import multipede
+from choiceless_lab.bgs import parse_structure, write_structure
 from choiceless_lab.cfi import to_structure
 from choiceless_lab.cli import (
     EXIT_GUARD,
@@ -140,6 +141,55 @@ def test_gen_multipede_validate_and_iso(tmp_path, capsys):
     code, report = invoke(["iso", "multipede4", "--a", str(a), "--b", str(a)], capsys)
     assert code == EXIT_OK
     assert report["result"]["isomorphic"] is True
+
+
+def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):
+    a = tmp_path / "a.str"
+    code, report = invoke(
+        [
+            "gen",
+            "multipede",
+            "--segments",
+            "20",
+            "--hyperedges",
+            "40",
+            "--seed",
+            "1",
+            "--shoe",
+            "--file",
+            str(a),
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert report["result"]["odd"] is True  # rigid, so a first-segment flip is no isomorphism
+    shod = multipede.from_structure(parse_structure(a.read_text()))
+    flipped = multipede.flip_feet(shod.pede, [shod.pede.first_segment])
+    b = tmp_path / "b.str"
+    b.write_text(
+        write_structure(multipede.to_structure(multipede.ShodMultipede(flipped, shod.shoe)))
+    )
+    answers = []
+    for other in (a, b):
+        verdicts = []
+        for kind in ("multipede3", "multipede4"):
+            code, report = invoke(["iso", kind, "--a", str(a), "--b", str(other)], capsys)
+            assert code == EXIT_OK
+            verdicts.append(report["result"]["isomorphic"])
+        assert verdicts[0] == verdicts[1]
+        answers.append(verdicts[0])
+    assert answers == [True, False]
+
+
+def test_iso_takes_no_force(tmp_path, capsys):
+    a = tmp_path / "a.str"
+    invoke(
+        ["gen", "multipede", "--segments", "4", "--hyperedges", "3", "--seed", "9", "--shoe", "--file", str(a)],
+        capsys,
+    )
+    for kind in ("multipede3", "multipede4", "cfi"):
+        code, _ = invoke(["iso", kind, "--a", str(a), "--b", str(a), "--force"], capsys)
+        assert code == EXIT_USAGE
 
 
 def test_validate_structure(tmp_path, capsys):

@@ -13,11 +13,9 @@ from choiceless_lab import hfset
 from choiceless_lab.hfset import (
     EMPTY,
     Atom,
-    add_via_card,
     card,
     is_atom,
     make_set,
-    mul_via_card,
     ordered_pair,
     ordinal,
     ordinal_value,
@@ -116,6 +114,17 @@ def test_card_of_ordinals_up_to_1000():
 
 
 def test_arithmetic_via_card():
+    def add_via_card(a, b):
+        """Ordinal addition as the cardinality of ``a`` joined with a tagged
+        disjoint copy ``{<0, x> : x in b}``."""
+        tagged = [ordered_pair(EMPTY, x) for x in b.members]
+        return card(make_set(tuple(a.members) + tuple(tagged)))
+
+    def mul_via_card(a, b):
+        """Ordinal multiplication as the cardinality of the coded cartesian
+        product ``{<x, y> : x in a, y in b}``."""
+        return card(make_set([ordered_pair(x, y) for y in b.members for x in a.members]))
+
     # oracle: enumerate the constructed union / product sets directly
     for a, b in [(2, 3), (0, 5), (5, 0), (4, 4), (7, 1)]:
         tagged = {ordered_pair(ordinal(0), x) for x in ordinal(b).members}

@@ -23,7 +23,6 @@ from choiceless_lab.linalg import (
     mat_pow,
     nonsingular_int,
     nonsingular_rect,
-    nonsingular_rect_block,
     nonsingular_square,
     random_matrix,
     rank_gaussian,
@@ -491,7 +490,6 @@ def test_nonsingular_rect_hand_example():
     assert gram.entry("i1", "i2") == 1
     assert gram.entry("i2", "i2") == 2
     assert not nonsingular_rect(field, m)
-    assert not nonsingular_rect_block(field, m)
 
 
 def test_nonsingular_rect_bijection_matrix():
@@ -502,7 +500,6 @@ def test_nonsingular_rect_bijection_matrix():
         {("i1", "j2"): 1, ("i2", "j1"): 1},
     )
     assert nonsingular_rect(GF2, m)
-    assert nonsingular_rect_block(GF2, m)
 
 
 def test_rect_agrees_with_rank_and_block():
@@ -525,7 +522,6 @@ def test_rect_agrees_with_rank_and_block():
             )
             by_rank = rank_gaussian(field, m, row_labels, col_labels) == n
             assert nonsingular_rect(field, m) == by_rank
-            assert nonsingular_rect_block(field, m) == by_rank
 
 
 # ---------------------------------------------------------------- random

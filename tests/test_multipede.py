@@ -1,4 +1,4 @@
-"""Multipede axioms, oddness, rigidity, and the two isomorphism deciders."""
+"""Multipede axioms, oddness, rigidity, and the isomorphism decider."""
 
 from __future__ import annotations
 
@@ -7,23 +7,23 @@ import random
 
 import pytest
 
-from choiceless_lab.errors import GuardExceeded, ValidationError
+from choiceless_lab.errors import ValidationError
 from choiceless_lab.multipede import (
     Multipede2,
     Multipede3,
-    Multipede4,
     ShodMultipede,
     automorphism_count,
     flip_feet,
     from_structure,
     is_odd,
     iso3_decide,
-    iso4_decide,
     random_multipede,
     shoe_expansions,
     to_structure,
     validate,
 )
+
+from oracles import brute_force_iso
 
 
 def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
@@ -42,37 +42,6 @@ def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
         base.positives,
         tuple(order or segments),
     )
-
-
-def brute_force_iso(a: ShodMultipede, b: ShodMultipede) -> bool:
-    """Exhaustive matching search, shoe to shoe: flip any subset of the
-    non-first segments of the base left-to-left matching."""
-    if len(a.pede.segment_order) != len(b.pede.segment_order):
-        return False
-    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
-    b_order = b.pede.segment_order
-    a_rows = {
-        frozenset(a_idx[s] for s in h) for h in a.pede.hyperedges
-    }
-    b_idx = {s: i for i, s in enumerate(b_order)}
-    b_rows = {frozenset(b_idx[s] for s in h) for h in b.pede.hyperedges}
-    if a_rows != b_rows:
-        return False
-    n = len(a.pede.segment_order)
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        mapping = {}
-        for pos, (sa, sb) in enumerate(zip(a.pede.segment_order, b_order)):
-            la, ra = a.left_foot(sa), a.right_foot(sa)
-            lb, rb = b.left_foot(sb), b.right_foot(sb)
-            if pos > 0 and bits[pos - 1]:
-                lb, rb = rb, lb
-            mapping[la], mapping[ra] = lb, rb
-        if all(
-            frozenset(mapping[f] for f in p) in b.pede.positives
-            for p in a.pede.positives
-        ):
-            return True
-    return False
 
 
 # ------------------------------------------------------------- validation
@@ -207,14 +176,14 @@ def test_oddness_iff_rigid():
         assert is_odd(m) == (automorphism_count(m) == 1)
 
 
-# -------------------------------------------------------------- iso3/iso4
+# ------------------------------------------------------------- isomorphism
 
 
 def test_iso3_identical_yes():
     m = random_multipede(6, 8, seed=2)
     a, _ = shoe_expansions(m)
     assert iso3_decide(a, a)
-    assert iso4_decide(a, a)
+    assert brute_force_iso(a, a)
 
 
 def test_iso3_foot_flip_yes():
@@ -224,7 +193,6 @@ def test_iso3_foot_flip_yes():
     a, _ = shoe_expansions(m)
     b = ShodMultipede(twin, a.shoe)
     assert iso3_decide(a, b)
-    assert iso4_decide(a, b)
     assert brute_force_iso(a, b)
 
 
@@ -270,7 +238,6 @@ def test_iso3_dependent_rows_twist_no():
     b = ShodMultipede(twisted, a.shoe) if a.shoe in twisted.feet else None
     assert b is not None
     assert not iso3_decide(a, b)
-    assert not iso4_decide(a, b)
     assert not brute_force_iso(a, b)
 
 
@@ -295,15 +262,7 @@ def test_iso_deciders_agree_with_brute_force():
             b = a_other
         expected = brute_force_iso(a, b)
         assert iso3_decide(a, b) == expected
-        assert iso4_decide(a, b) == expected
         checked += 1
-
-
-def test_iso4_guard():
-    m = pede_from([f"s{i}" for i in range(17)], [])
-    a, b = shoe_expansions(m)
-    with pytest.raises(GuardExceeded):
-        iso4_decide(a, b)
 
 
 def test_rigid_odd_multipedes_have_distinct_shoe_expansions():
@@ -318,7 +277,7 @@ def test_rigid_odd_multipedes_have_distinct_shoe_expansions():
         assert automorphism_count(m) == 1
         left, right = shoe_expansions(m)
         assert not iso3_decide(left, right)
-        assert not iso4_decide(left, right)
+        assert not brute_force_iso(left, right)
         found += 1
 
 
@@ -327,30 +286,6 @@ def test_shoe_must_sit_on_first_segment():
     other_seg_foot = m.feet_of(m.segment_order[1])[0]
     with pytest.raises(ValidationError):
         ShodMultipede(m, other_seg_foot)
-
-
-# ------------------------------------------------------------- four sorts
-
-
-def test_multipede4_materializes_small_power_set():
-    m = random_multipede(5, 4, seed=11)
-    m4 = Multipede4.from_multipede3(m)
-    assert len(m4.sets_sort) == 2**5
-    assert frozenset() in m4.sets_sort
-    m4_sym = Multipede4.from_multipede3(m, materialize_limit=3)
-    assert m4_sym.sets_sort is None
-
-
-def test_iso4_on_multipede4_agrees_with_iso3():
-    rng = random.Random(59)
-    for _ in range(10):
-        m = random_multipede(5, 6, seed=rng.randrange(10**6))
-        m4 = Multipede4.from_multipede3(m)
-        a3, b3 = shoe_expansions(m)
-        a4 = ShodMultipede(m4, a3.shoe)
-        b4 = ShodMultipede(m4, b3.shoe)
-        assert iso4_decide(a4, b4) == iso3_decide(a3, b3)
-        assert iso4_decide(a4, a4) and iso3_decide(a3, a3)
 
 
 # ------------------------------------------------------------ structure io
