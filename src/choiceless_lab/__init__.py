@@ -5,8 +5,8 @@ Subpackages and modules:
 - ``hfset``: canonical hereditarily finite sets over an atom universe.
 - ``bgs``: parser and interpreter for the set-machine language, with
   polynomial step/active budgets and an optional cardinality builtin.
-- ``matching``: bipartite matching via stable coloring, saturation and a
-  canonically ordered path algorithm.
+- ``matching``: bipartite matching via stable coloring and a maximum flow
+  over its blocks, plus the ordered path algorithm.
 - ``cfi``: twisted gadget graphs, their automorphisms, padding, and the
   parity classifier.
 - ``multipede``: segment/feet structures with hyperedges, rigidity checks

@@ -1,17 +1,20 @@
-"""Bipartite matching: the path algorithm and the three-phase order-free
-decision.
+"""Bipartite matching: the ordered path algorithm, and the order-free
+decision by a maximum flow over the stable coloring's blocks.
 
-The decision pipeline avoids choosing anything order-dependent on the
-input: phase one refines both sides into the coarsest stable coloring
-(blocks in a canonical order, since subblocks are ranked by their count
-vectors), phase two saturates the edge relation to full block products and
-rebuilds the graph on canonically ordered triples, and phase three runs
-the ordered path algorithm on that quotient.  Saturation cannot create a
-complete matching where none existed, so the verdict transfers back to the
-input graph.
+The decision keeps only the block sizes of the coarsest stable coloring
+and its linked block pairs, those some edge joins.  The network source ->
+A_i (capacity |A_i|), A_i -> B_j per linked pair (uncapped), B_j -> sink
+(capacity |B_j|) is thus the same for isomorphic inputs, and its searches
+scan blocks by canonical index, so no order on the input is chosen.
 
-The path algorithm is also exposed on its own, with any vertex order; on a
-failure it returns the A-set whose neighbourhood violates Hall's condition.
+The flow value is the maximum matching size, by the LP reduction of Grohe,
+Kersting, Mladenov and Selman ("Dimension reduction via colour
+refinement", ESA 2014).  A matching counted per block pair is a flow.
+Conversely, stability gives each vertex of A_i the same number of
+neighbours in B_j, and each of B_j the same number in A_i, so a flow f
+spread evenly over each linked pair's e_ij edges loads a vertex of A_i
+with sum_j f_ij / |A_i| <= 1, and one of B_j likewise: a fractional
+matching of value |f|, and the bipartite matching polytope is integral.
 """
 
 from __future__ import annotations
@@ -58,16 +61,12 @@ class BipartiteGraph:
 
     @cached_property
     def adjacency(self) -> dict:
-        """Every vertex of either side mapped to a tuple of its neighbours
-        (tuples take a fraction of the memory of sets on dense quotients)."""
+        """Every vertex of either side mapped to a tuple of its neighbours."""
         adj: dict = {v: [] for v in self.a_side | self.b_side}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         return {v: tuple(n) for v, n in adj.items()}
-
-    def neighbours_of(self, v) -> frozenset:
-        return frozenset(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,6 @@ class QuotientGraph:
     a_vertices: tuple  # (0, block index, rank), lexicographically sorted
     b_vertices: tuple  # (1, block index, rank)
     edges: frozenset
-
-    def as_graph(self) -> BipartiteGraph:
-        return BipartiteGraph(
-            frozenset(self.a_vertices), frozenset(self.b_vertices), self.edges
-        )
-
-    @property
-    def canonical_order(self) -> tuple:
-        return tuple(sorted(self.a_vertices + self.b_vertices))
 
 
 def path_algorithm(graph: BipartiteGraph, order) -> tuple:
@@ -214,58 +204,68 @@ def quotient(graph: BipartiteGraph, coloring: StableColoring) -> QuotientGraph:
     """Replace each block by numbered triples; block adjacency becomes the
     edge relation.  The result is identical, not merely isomorphic, for
     isomorphic inputs."""
-    a_vertices = tuple(
-        sorted(
-            (0, i, r)
-            for i, block in enumerate(coloring.a_blocks)
-            for r in range(len(block))
-        )
+    a_vertices, b_vertices = (
+        tuple((side, i, r) for i, block in enumerate(blocks) for r in range(len(block)))
+        for side, blocks in enumerate((coloring.a_blocks, coloring.b_blocks))
     )
-    b_vertices = tuple(
-        sorted(
-            (1, j, s)
-            for j, block in enumerate(coloring.b_blocks)
-            for s in range(len(block))
-        )
-    )
-    linked = _linked_blocks(graph, coloring)
     edges = frozenset(
-        (av, bv)
-        for av in a_vertices
-        for bv in b_vertices
-        if (av[1], bv[1]) in linked
+        ((0, i, r), (1, j, s))
+        for i, j in _linked_blocks(graph, coloring)
+        for r in range(len(coloring.a_blocks[i]))
+        for s in range(len(coloring.b_blocks[j]))
     )
     return QuotientGraph(a_vertices, b_vertices, edges)
 
 
 def decide_complete_matching(graph: BipartiteGraph) -> bool:
-    """The full pipeline: stable coloring, quotient, ordered path search."""
-    if not graph.a_side:
-        return True
-    if not graph.b_side:
-        return False
-    coloring = stable_coloring(graph)
-    q = quotient(graph, coloring)
-    decided, _ = path_algorithm(q.as_graph(), q.canonical_order)
-    return decided
+    """Whether A can be matched completely: whether the block flow, which
+    reads only the coloring's canonical blocks, saturates A."""
+    return max_matching_size(graph) == len(graph.a_side)
 
 
 def max_matching_size(graph: BipartiteGraph) -> int:
-    """Largest matching cardinality, found by padding B with universal
-    vertices until a complete matching appears."""
-    pad_tag = "pad"
-    while any(isinstance(b, tuple) and b and b[0] == pad_tag for b in graph.b_side):
-        pad_tag = pad_tag + "_"
-    for s in range(len(graph.a_side) + 1):
-        pads = [(pad_tag, t) for t in range(s)]
-        padded = BipartiteGraph(
-            graph.a_side,
-            graph.b_side | frozenset(pads),
-            graph.edges | frozenset((a, p) for a in graph.a_side for p in pads),
-        )
-        if decide_complete_matching(padded):
-            return len(graph.a_side) - s
-    raise AssertionError("padding with |A| vertices always yields a matching")
+    """Largest matching cardinality: the block network's maximum flow (module
+    docstring), by breadth-first augmenting paths in canonical block order."""
+    coloring = stable_coloring(graph)
+    a_left = [len(block) for block in coloring.a_blocks]
+    b_left = [len(block) for block in coloring.b_blocks]
+    forward: list = [[] for _ in a_left]
+    into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
+    for i, j in sorted(_linked_blocks(graph, coloring)):
+        forward[i].append(j)
+        into[j][i] = 0
+    while True:
+        # a reached A-block maps to the arc (i, j) by which the search came
+        # to take back its flow into j, or to None if it has spare capacity
+        reached = [i for i, left in enumerate(a_left) if left]
+        via = dict.fromkeys(reached)
+        seen_b: set = set()
+        for i in reached:  # appended to while read, so breadth first
+            b_end = next((j for j in forward[i] if b_left[j]), None)
+            if b_end is not None:
+                break
+            for j in forward[i]:
+                if j not in seen_b:
+                    seen_b.add(j)
+                    for k, units in into[j].items():
+                        if units and k not in via:
+                            via[k] = i, j
+                            reached.append(k)
+        else:
+            return len(graph.a_side) - sum(a_left)
+        path = [(i, b_end)]  # the arcs that gain flow, walked back to the source
+        while via[path[-1][0]] is not None:
+            path.append(via[path[-1][0]])
+        # each A-block on the path gives back its flow into the next arc's B-block
+        returned = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]
+        a_root = path[-1][0]
+        push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
+        a_left[a_root] -= push
+        b_left[b_end] -= push
+        for i, j in path:
+            into[j][i] += push
+        for i, j in returned:
+            into[j][i] -= push
 
 
 def graph_from_structure(structure) -> BipartiteGraph:

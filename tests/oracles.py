@@ -174,6 +174,20 @@ def hall_condition_direct(a_side, edges) -> bool:
     return True
 
 
+def max_matching_by_padding(a_side, b_side, edges) -> int:
+    """Maximum matching size as |A| minus the fewest B-vertices adjacent
+    to all of A whose addition satisfies Hall's condition."""
+    pad_tag = "pad"
+    while any(isinstance(b, tuple) and b and b[0] == pad_tag for b in b_side):
+        pad_tag = pad_tag + "_"
+    for s in range(len(a_side) + 1):
+        pads = [(pad_tag, t) for t in range(s)]
+        padded = set(edges) | {(a, p) for a in a_side for p in pads}
+        if hall_condition_direct(a_side, padded):
+            return len(a_side) - s
+    raise AssertionError("padding with |A| vertices always satisfies Hall's condition")
+
+
 def partial_product(q: float, terms: int = 64) -> float:
     """Reference constant: product over j of (1 - q**-j)."""
     acc = 1.0

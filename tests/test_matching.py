@@ -5,11 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiceless_lab import matching
 from choiceless_lab.matching import (
     BipartiteGraph,
+    StableColoring,
     decide_complete_matching,
     graph_from_structure,
     graph_to_structure,
@@ -20,7 +23,12 @@ from choiceless_lab.matching import (
     stable_coloring,
 )
 
-from oracles import hall_condition_direct, max_matching_brute, stable_coloring_dense
+from oracles import (
+    hall_condition_direct,
+    max_matching_brute,
+    max_matching_by_padding,
+    stable_coloring_dense,
+)
 
 
 def graph(a, b, edges):
@@ -69,7 +77,7 @@ def test_path_algorithm_gang_defector_no():
     assert not ok
     neighbourhood = set()
     for a in x_set:
-        neighbourhood |= g.neighbours_of(a)
+        neighbourhood.update(g.adjacency[a])
     assert len(neighbourhood) < len(x_set)
 
 
@@ -89,7 +97,7 @@ def test_path_algorithm_augments_one_edge_at_a_time():
             x_set = witness
             neigh = set()
             for a in x_set:
-                neigh |= g.neighbours_of(a)
+                neigh.update(g.adjacency[a])
             assert len(neigh) < len(x_set)
 
 
@@ -207,16 +215,21 @@ def graphs_with_renaming(draw, max_side=10):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(graphs_with_renaming())
-def test_stable_coloring_matches_dense_reference(example):
+def both_namings(example):
+    """The drawn graph's sides and edges, then those of its renaming."""
     a, b, edges, mapping = example
     renamed = (
         [mapping[v] for v in a],
         [mapping[v] for v in b],
         [(mapping[x], mapping[y]) for x, y in edges],
     )
-    for sides in ((a, b, edges), renamed):
+    return (a, b, edges), renamed
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming())
+def test_stable_coloring_matches_dense_reference(example):
+    for sides in both_namings(example):
         c = stable_coloring(graph(*sides))
         assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(*sides)
 
@@ -325,11 +338,93 @@ def test_max_matching_size():
     assert max_matching_size(graph([], [], [])) == 0
 
 
-def test_max_matching_size_against_brute_force():
-    rng = random.Random(29)
-    for _ in range(30):
-        g = random_graph(rng, max_side=4)
-        assert max_matching_size(g) == max_matching_brute(g.a_side, g.edges)
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming(max_side=7))
+def test_max_matching_size_against_brute_force(example):
+    for a, b, edges in both_namings(example):
+        size = max_matching_size(graph(a, b, edges))
+        assert size == max_matching_brute(a, edges)
+        assert size == max_matching_by_padding(a, b, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming(max_side=7))
+def test_decision_matches_path_algorithm_on_expanded_quotient(example):
+    for sides in both_namings(example):
+        g = graph(*sides)
+        q = quotient(g, stable_coloring(g))
+        expanded = BipartiteGraph(frozenset(q.a_vertices), frozenset(q.b_vertices), q.edges)
+        by_path, _ = path_algorithm(expanded, sorted(q.a_vertices + q.b_vertices))
+        assert decide_complete_matching(g) == by_path
+        assert by_path == hall_condition_direct(g.a_side, g.edges)
+
+
+def test_max_matching_size_takes_flow_back(monkeypatch):
+    # any stable partition in any order gives the same flow value; in this
+    # order the first search sends y to p, so x's search must take that
+    # unit back and move y to q, and it can move only the one unit
+    g = graph(
+        ["x1", "x2", "y"],
+        ["p", "q1", "q2"],
+        [("x1", "p"), ("x2", "p"), ("y", "p"), ("y", "q1"), ("y", "q2")],
+    )
+    reordered = StableColoring(
+        (frozenset({"y"}), frozenset({"x1", "x2"})), (frozenset({"p"}), frozenset({"q1", "q2"}))
+    )
+    assert stable_coloring(g) == StableColoring(reordered.a_blocks[::-1], reordered.b_blocks[::-1])
+    monkeypatch.setattr(matching, "stable_coloring", lambda _: reordered)
+    assert max_matching_size(g) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming(max_side=7), st.randoms(use_true_random=False))
+def test_max_matching_size_under_any_block_order(example, rng):
+    # shuffled block orders make the searches take flow back far more often
+    # than the canonical order does
+    a, b, edges, _ = example
+    g = graph(a, b, edges)
+    c = stable_coloring(g)
+    shuffled = StableColoring(
+        *(tuple(rng.sample(blocks, len(blocks))) for blocks in (c.a_blocks, c.b_blocks))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "stable_coloring", lambda _: shuffled)
+        assert max_matching_size(g) == max_matching_brute(a, edges)
+
+
+def test_max_matching_size_colors_once(monkeypatch):
+    # deficiency 2: three A-vertices share the one B-vertex they reach
+    g = graph(["a1", "a2", "a3"], ["b1", "b2"], [("a1", "b1"), ("a2", "b1"), ("a3", "b1")])
+    calls = []
+
+    def counted(graph_):
+        calls.append(graph_)
+        return stable_coloring(graph_)
+
+    monkeypatch.setattr(matching, "stable_coloring", counted)
+    assert max_matching_size(g) == 1
+    assert calls == [g]
+
+
+def test_decisions_build_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the decision expanded the quotient")
+
+    monkeypatch.setattr(matching, "quotient", refuse)
+    monkeypatch.setattr(matching, "path_algorithm", refuse)
+    assert not decide_complete_matching(gang_defector())
+    assert max_matching_size(gang_defector()) == 3
+
+
+def test_max_matching_size_on_large_circulant():
+    # one block per side, so the flow needs one augmentation, where the
+    # expanded quotient would hold n * n = 4 million edges
+    n = 2000
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    g = graph(a, b, [(a[i], b[(i + d) % n]) for i in range(n) for d in range(3)])
+    assert max_matching_size(g) == n
+    assert decide_complete_matching(g)
 
 
 # ------------------------------------------------------------ structure io
