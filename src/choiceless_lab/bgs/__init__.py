@@ -9,7 +9,7 @@ needs the cardinality builtin.
 
 from importlib import resources
 
-from .interp import RunOutcome, State, UpdateSet, active_count, collect_updates, eval_term, fire, run
+from .interp import RunOutcome, State, active_count, collect_updates, eval_term, fire, run
 from .parser import parse_program
 from .structures import InputStructure, parse_structure, write_structure
 from .syntax import (
@@ -26,7 +26,6 @@ from .syntax import (
     Term,
     Update,
     Var,
-    Vocabulary,
     check_program,
 )
 
@@ -46,9 +45,7 @@ __all__ = [
     "State",
     "Term",
     "Update",
-    "UpdateSet",
     "Var",
-    "Vocabulary",
     "active_count",
     "check_program",
     "collect_updates",

@@ -20,9 +20,8 @@ dynamic symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..errors import UnsupportedSymbolError, ValidationError
+from ..errors import ValidationError
 from ..hfset import (
     EMPTY,
     TRUE,
@@ -46,7 +45,6 @@ from .syntax import (
     Lit,
     Par,
     Program,
-    RunBounds,
     Skip,
     Update,
     Var,
@@ -55,12 +53,10 @@ from .syntax import (
 __all__ = [
     "RunOutcome",
     "State",
-    "UpdateSet",
     "active_count",
     "collect_updates",
     "eval_term",
     "fire",
-    "initial_state",
     "run",
 ]
 
@@ -84,37 +80,12 @@ class State:
         return table.get(args, EMPTY)
 
 
-def initial_state(structure: InputStructure) -> State:
-    return State(structure, {})
-
-
-@dataclass(frozen=True)
-class UpdateSet:
-    """Triples (symbol, argument tuple, value)."""
-
-    updates: frozenset
-
-    def __len__(self):
-        return len(self.updates)
-
-    def __iter__(self):
-        return iter(self.updates)
-
-    def has_clash(self) -> bool:
-        seen: dict = {}
-        for symbol, args, value in self.updates:
-            prev = seen.setdefault((symbol, args), value)
-            if prev is not value:
-                return True
-        return False
-
-
 def _as_flag(value: HfValue) -> int:
     """Interpret a value as a truth flag: 1 for ordinal 1, 0 otherwise."""
     return 1 if value is TRUE else 0
 
 
-def eval_term(state: State, env: dict, term, card_enabled: bool = True) -> HfValue:
+def eval_term(state: State, env: dict, term) -> HfValue:
     """Evaluate a term under variable bindings from ``env``."""
     if isinstance(term, Var):
         try:
@@ -124,13 +95,13 @@ def eval_term(state: State, env: dict, term, card_enabled: bool = True) -> HfVal
     if isinstance(term, Lit):
         return ordinal(term.value)
     if isinstance(term, Compr):
-        source = eval_term(state, env, term.source, card_enabled)
+        source = eval_term(state, env, term.source)
         collected = []
         inner = dict(env)
         for member in source.members:
             inner[term.var] = member
-            if _as_flag(eval_term(state, inner, term.guard, card_enabled)):
-                collected.append(eval_term(state, inner, term.element, card_enabled))
+            if _as_flag(eval_term(state, inner, term.guard)):
+                collected.append(eval_term(state, inner, term.element))
         return make_set(collected)
     if not isinstance(term, App):
         raise TypeError(f"not a term: {term!r}")
@@ -145,7 +116,7 @@ def eval_term(state: State, env: dict, term, card_enabled: bool = True) -> HfVal
     if symbol == "Atoms":
         return state.atoms_value
 
-    args = [eval_term(state, env, a, card_enabled) for a in term.args]
+    args = [eval_term(state, env, a) for a in term.args]
 
     if symbol == "not":
         (x,) = args
@@ -174,8 +145,6 @@ def eval_term(state: State, env: dict, term, card_enabled: bool = True) -> HfVal
     if symbol == "Pair":
         return pair(args[0], args[1])
     if symbol == "Card":
-        if not card_enabled:
-            raise UnsupportedSymbolError("Card is not enabled for this run")
         return card(args[0])
 
     structure = state.structure
@@ -192,51 +161,58 @@ def eval_term(state: State, env: dict, term, card_enabled: bool = True) -> HfVal
     return state.read(symbol, tuple(args))
 
 
-def collect_updates(state: State, env: dict, rule, card_enabled: bool = True) -> UpdateSet:
-    """The update set a rule produces under the given bindings."""
+def collect_updates(state: State, env: dict, rule) -> frozenset:
+    """The update set a rule produces under the given bindings, as
+    (symbol, argument tuple, value) triples."""
     out: set = set()
-    _collect(state, env, rule, card_enabled, out)
-    return UpdateSet(frozenset(out))
+    _collect(state, env, rule, out)
+    return frozenset(out)
 
 
-def _collect(state: State, env: dict, rule, card_enabled: bool, out: set) -> None:
+def _collect(state: State, env: dict, rule, out: set) -> None:
     if isinstance(rule, Skip):
         return
     if isinstance(rule, Update):
-        args = tuple(eval_term(state, env, a, card_enabled) for a in rule.args)
-        value = eval_term(state, env, rule.value, card_enabled)
+        args = tuple(eval_term(state, env, a) for a in rule.args)
+        value = eval_term(state, env, rule.value)
         if rule.symbol in BOOLEAN_DYNAMICS and value not in (TRUE, EMPTY):
             raise ValidationError(f"{rule.symbol} assigned a non-Boolean value")
         out.add((rule.symbol, args, value))
         return
     if isinstance(rule, Cond):
-        flag = _as_flag(eval_term(state, env, rule.guard, card_enabled))
+        flag = _as_flag(eval_term(state, env, rule.guard))
         branch = rule.then_rule if flag else rule.else_rule
-        _collect(state, env, branch, card_enabled, out)
+        _collect(state, env, branch, out)
         return
     if isinstance(rule, Forall):
-        source = eval_term(state, env, rule.source, card_enabled)
+        source = eval_term(state, env, rule.source)
         inner = dict(env)
         for member in source.members:
             inner[rule.var] = member
-            _collect(state, inner, rule.body, card_enabled, out)
+            _collect(state, inner, rule.body, out)
         return
     if isinstance(rule, Par):
         for sub in rule.rules:
-            _collect(state, env, sub, card_enabled, out)
+            _collect(state, env, sub, out)
         return
     raise TypeError(f"not a rule: {rule!r}")
 
 
-def fire(state: State, updates: UpdateSet) -> State:
+def _has_clash(updates: frozenset) -> bool:
+    seen: dict = {}
+    for symbol, args, value in updates:
+        if seen.setdefault((symbol, args), value) is not value:
+            return True
+    return False
+
+
+def fire(state: State, updates: frozenset) -> State:
     """Apply all updates simultaneously; a clash leaves the state as is."""
-    if not updates.updates:
-        return state
-    if updates.has_clash():
+    if not updates or _has_clash(updates):
         return state
     tables = dict(state.tables)
     touched: set = set()
-    for symbol, args, value in updates.updates:
+    for symbol, args, value in updates:
         if symbol not in touched:
             tables[symbol] = dict(tables.get(symbol, ()))
             touched.add(symbol)
@@ -255,7 +231,7 @@ def active_count(trace) -> int:
     return len(active)
 
 
-def _accumulate_active(updates: UpdateSet, active: set) -> None:
+def _accumulate_active(updates: frozenset, active: set) -> None:
     # active is closed under membership, so the walk stops at any element
     # already counted: its members are counted too
     stack: list = []
@@ -282,7 +258,7 @@ class RunOutcome:
 
 def _vocabulary_check(program: Program, structure: InputStructure) -> None:
     for name, arity in program.static_arity.items():
-        declared = structure.arity_of(name)
+        declared = structure.arities.get(name)
         if declared is None:
             raise ValidationError(f"input symbol {name!r} missing from the structure")
         if declared != arity:
@@ -296,21 +272,15 @@ def _vocabulary_check(program: Program, structure: InputStructure) -> None:
             )
 
 
-def run(program: Program, structure: InputStructure, bounds: Optional[RunBounds] = None) -> RunOutcome:
-    """Fire the program from the initial state under the given budgets
-    (defaulting to the program's own)."""
-    if bounds is None:
-        bounds = program.bounds
-    if program.requires_card and not bounds.card_enabled:
-        raise UnsupportedSymbolError("program requires the cardinality builtin")
+def run(program: Program, structure: InputStructure) -> RunOutcome:
+    """Fire the program from the initial state under its own budgets."""
     _vocabulary_check(program, structure)
 
     n = len(structure.atoms)
-    max_steps = bounds.max_steps(n)
-    max_active = bounds.max_active(n)
-    card_enabled = bounds.card_enabled
+    max_steps = program.bounds.max_steps(n)
+    max_active = program.bounds.max_active(n)
 
-    state = initial_state(structure)
+    state = State(structure)
     active: set = set()
     steps = 0
     while True:
@@ -322,7 +292,7 @@ def run(program: Program, structure: InputStructure, bounds: Optional[RunBounds]
             return RunOutcome(
                 "bound-exceeded", steps, len(active), _as_flag(state.read("Output", ())), state
             )
-        updates = collect_updates(state, {}, program.rule, card_enabled)
+        updates = collect_updates(state, {}, program.rule)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:

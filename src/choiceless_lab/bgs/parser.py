@@ -6,6 +6,8 @@ Header lines (before the body):
     #active <c0> <c1> ...      active-element budget polynomial
     #requires card             enables the cardinality builtin
 
+A header line may end in a ``//`` comment.
+
 Body grammar (keywords are reserved):
 
     rule  := "skip"
@@ -28,6 +30,10 @@ names that are never assigned are rejected as unbound variables (upper-case
 initials name input constants).
 
 Full-line comments start with ``//``.
+
+Nesting is capped at ``MAX_NESTING`` levels (each rule and each term is a
+level, and each ``not``, ``and`` and ``or`` adds one within its term), so
+no program that parses can exhaust the recursion limit downstream.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from .syntax import (
     check_program,
 )
 
-__all__ = ["parse_program"]
+__all__ = ["MAX_NESTING", "parse_program"]
+
+MAX_NESTING = 100
 
 _KEYWORDS = {
     "skip",
@@ -121,6 +129,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.assigned: dict = {}  # dynamic symbol -> arity
         self.applied: dict = {}  # any applied symbol -> arity (consistency)
         self.bare_lower: list = []  # (name, token) candidates for unbound vars
@@ -148,24 +157,36 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def descend(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+
     # -- terms ----------------------------------------------------------
 
     def term(self, bound) -> object:
+        # every not / and / or of this term adds a level until it ends
+        self.descend()
+        outer = self.depth
         node = self.and_term(bound)
         while self.at("or"):
+            self.descend()
             self.advance()
             node = App("or", (node, self.and_term(bound)))
+        self.depth = outer - 1
         return node
 
     def and_term(self, bound):
         node = self.not_term(bound)
         while self.at("and"):
+            self.descend()
             self.advance()
             node = App("and", (node, self.not_term(bound)))
         return node
 
     def not_term(self, bound):
         if self.at("not"):
+            self.descend()
             self.advance()
             return App("not", (self.not_term(bound),))
         return self.comparison(bound)
@@ -271,11 +292,12 @@ class _Parser:
     # -- rules ----------------------------------------------------------
 
     def rule(self, bound):
+        self.descend()
         tok = self.peek()
         if tok.text == "skip":
             self.advance()
-            return Skip()
-        if tok.text == "if":
+            node = Skip()
+        elif tok.text == "if":
             self.advance()
             guard = self.term(bound)
             self.expect("then")
@@ -286,8 +308,8 @@ class _Parser:
             else:
                 else_rule = Skip()
             self.expect("endif")
-            return Cond(guard, then_rule, else_rule)
-        if tok.text == "do":
+            node = Cond(guard, then_rule, else_rule)
+        elif tok.text == "do":
             self.advance()
             if self.at("forall"):
                 self.advance()
@@ -299,18 +321,19 @@ class _Parser:
                 self.expect(",")
                 body = self.rule(bound | {var_tok.text})
                 self.expect("enddo")
-                return Forall(var_tok.text, source, body)
-            self.expect("in")
-            self.expect("parallel")
-            rules = [self.rule(bound)]
-            while self.at(";"):
-                self.advance()
-                if self.at("enddo"):
-                    break
-                rules.append(self.rule(bound))
-            self.expect("enddo")
-            return Par(tuple(rules))
-        if tok.kind == "name" and tok.text not in _KEYWORDS:
+                node = Forall(var_tok.text, source, body)
+            else:
+                self.expect("in")
+                self.expect("parallel")
+                rules = [self.rule(bound)]
+                while self.at(";"):
+                    self.advance()
+                    if self.at("enddo"):
+                        break
+                    rules.append(self.rule(bound))
+                self.expect("enddo")
+                node = Par(tuple(rules))
+        elif tok.kind == "name" and tok.text not in _KEYWORDS:
             self.advance()
             args = self.arguments(bound) if self.at("(") else []
             assign = self.peek()
@@ -321,8 +344,11 @@ class _Parser:
             self.advance()
             value = self.term(bound)
             self.note_assigned(tok, len(args))
-            return Update(tok.text, tuple(args), value)
-        self.fail(f"expected a rule, found {tok.text or 'end of input'!r}")
+            node = Update(tok.text, tuple(args), value)
+        else:
+            self.fail(f"expected a rule, found {tok.text or 'end of input'!r}")
+        self.depth -= 1
+        return node
 
     # -- symbol bookkeeping ----------------------------------------------
 
@@ -347,33 +373,33 @@ class _Parser:
 
 
 def _parse_headers(text: str):
-    steps = None
-    active = None
+    budgets: dict = {}
     card = False
     body_lines = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
-            parts = line[1:].split()
+            parts = line[1:].split("//", 1)[0].split()
             if not parts:
-                raise ParseError("empty header line")
+                raise ParseError("empty header line", line_no)
             head, rest = parts[0], parts[1:]
-            if head == "steps":
-                steps = tuple(int(x) for x in rest)
-            elif head == "active":
-                active = tuple(int(x) for x in rest)
+            if head in ("steps", "active"):
+                if not rest or not all(x.isascii() and x.isdigit() for x in rest):
+                    raise ParseError("budget coefficients must be nonnegative integers", line_no)
+                budgets[head] = tuple(int(x) for x in rest)
             elif head == "requires":
                 if rest != ["card"]:
-                    raise ParseError(f"unknown requirement {rest!r}")
+                    raise ParseError(f"unknown requirement {rest!r}", line_no)
                 card = True
             else:
-                raise ParseError(f"unknown header {head!r}")
+                raise ParseError(f"unknown header {head!r}", line_no)
             body_lines.append("")
         else:
             body_lines.append(raw)
-    if steps is None or active is None:
+    if len(budgets) < 2:
         raise ParseError("program needs #steps and #active headers")
-    return RunBounds(steps, active, card_enabled=card), "\n".join(body_lines)
+    bounds = RunBounds(budgets["steps"], budgets["active"], card_enabled=card)
+    return bounds, "\n".join(body_lines)
 
 
 def parse_program(text: str) -> Program:

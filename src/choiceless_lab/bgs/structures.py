@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ParseError, ValidationError
 from ..hfset import Atom
-from .syntax import Vocabulary
 
 __all__ = ["InputStructure", "parse_structure", "write_structure"]
 
@@ -103,32 +102,6 @@ class InputStructure:
                     )
                 declared[name] = len(next(iter(resolved_f)))
         return InputStructure(atoms, rels, funs, declared)
-
-    def arity_of(self, symbol: str):
-        return self.arities.get(symbol)
-
-    @property
-    def vocabulary(self) -> Vocabulary:
-        """Input symbols only; relations are the Boolean ones."""
-        return Vocabulary(
-            relations={n: self.arities[n] for n in self.relations},
-            functions={n: self.arities[n] for n in self.functions},
-            booleans=frozenset(self.relations),
-        )
-
-    def state_vocabulary(self, program) -> Vocabulary:
-        """The full run vocabulary: input symbols plus the program's dynamic
-        functions, with Halt and Output always present and Boolean."""
-        functions = {n: self.arities[n] for n in self.functions}
-        for name, arity in program.dynamic_arity.items():
-            functions[name] = arity
-        functions.setdefault("Halt", 0)
-        functions.setdefault("Output", 0)
-        return Vocabulary(
-            relations={n: self.arities[n] for n in self.relations},
-            functions=functions,
-            booleans=frozenset(self.relations) | frozenset({"Halt", "Output"}),
-        )
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")

@@ -21,7 +21,7 @@ recorded and re-checked when a run starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from ..errors import ValidationError
 
@@ -41,7 +41,6 @@ __all__ = [
     "Term",
     "Update",
     "Var",
-    "Vocabulary",
     "check_program",
     "free_variables",
     "poly_eval",
@@ -129,20 +128,6 @@ class Par:
 Rule = Union[Skip, Update, Cond, Forall, Par]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Symbol table: arities plus the Boolean-flagged names."""
-
-    relations: Mapping[str, int]
-    functions: Mapping[str, int]
-    booleans: frozenset
-
-    def __post_init__(self):
-        overlap = set(self.relations) & set(self.functions)
-        if overlap:
-            raise ValidationError(f"symbols both relation and function: {sorted(overlap)}")
-
-
 def poly_eval(coeffs, n: int) -> int:
     """Value of the polynomial with the given coefficient vector at n."""
     total = 0
@@ -191,10 +176,6 @@ class Program:
     static_arity: Mapping[str, int] = field(default_factory=dict)
     boolean_static_uses: frozenset = frozenset()
 
-    @property
-    def requires_card(self) -> bool:
-        return self.bounds.card_enabled
-
 
 def free_variables(node) -> frozenset:
     if isinstance(node, Var):
@@ -233,9 +214,9 @@ def free_variables(node) -> frozenset:
 
 
 class _Checker:
-    """Arity, binding, Boolean-typing and comprehension-range validation
-    for programmatically built programs (the parser performs the same
-    checks with positions attached)."""
+    """Arity, binding, Boolean-typing, comprehension-range and Card checks.
+    The parser runs it on every program it builds, and its errors carry no
+    line or column: only the parser's own grammar errors are positioned."""
 
     def __init__(self, program: Program):
         self.program = program

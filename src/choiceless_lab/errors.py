@@ -36,7 +36,3 @@ class GuardExceeded(ChoicelessLabError):
         self.limit = limit
         self.requested = requested
         super().__init__(f"guard {guard!r}: requested {requested}, limit {limit}")
-
-
-class UnsupportedSymbolError(ChoicelessLabError):
-    """A builtin was evaluated while disabled (cardinality without the flag)."""

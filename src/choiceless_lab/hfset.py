@@ -4,10 +4,9 @@ A value is either an :class:`Atom` (an opaque urelement taken from an input
 structure) or an :class:`HfSet`, an immutable finite set of values.  All set
 construction funnels through a global interning table, so two values are
 extensionally equal exactly when they are the same Python object.  Equality
-is therefore an identity check, structure is shared aggressively, and values
-are safe to pass between threads once built (``dict.setdefault`` on the
-interning table is the single synchronization point: concurrent interning of
-equal values yields the identical canonical object).
+is therefore an identity check and structure is shared aggressively.  The
+package runs single-threaded: the table is a plain dict with no locking,
+and a set is built only when its member set is not interned yet.
 
 Canonical form: a set is interned on its member set, and its member tuple
 is sorted by creation serial.  Every atom and every set takes the next
@@ -129,8 +128,7 @@ def make_set(elems: Iterable[HfValue]) -> HfSet:
     key = frozenset(elems)
     found = _INTERN.get(key)
     if found is None:
-        # setdefault keeps interning race-free under concurrent callers
-        found = _INTERN.setdefault(key, HfSet(key))
+        found = _INTERN[key] = HfSet(key)
     return found
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from ..errors import ValidationError
 from .fields import FiniteField
 from .matrix import FieldMatrix, echelon
 
@@ -44,7 +45,7 @@ def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float
     stay cheap.  Deterministic for a fixed seed.
     """
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValidationError("trials must be positive")
     rng = random.Random(seed)
     q = field.order
     hits = 0

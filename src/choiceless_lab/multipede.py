@@ -335,6 +335,8 @@ def shoe_expansions(m3: Multipede3):
 def random_multipede(n_segments: int, n_hyperedges: int, seed) -> Multipede3:
     """Random valid 3-multipede: distinct random hyperedges, a uniformly
     chosen positivity class per hyperedge, and a shuffled segment order."""
+    if n_segments < 1 or n_hyperedges < 0:
+        raise ValidationError("need at least one segment and a nonnegative hyperedge count")
     if n_segments < 3 and n_hyperedges > 0:
         raise ValidationError("hyperedges need at least three segments")
     total = (

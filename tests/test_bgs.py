@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -18,9 +19,10 @@ from choiceless_lab.bgs import (
     Par,
     Program,
     RunBounds,
+    RunOutcome,
     Skip,
+    State,
     Update,
-    UpdateSet,
     Var,
     active_count,
     check_program,
@@ -33,9 +35,9 @@ from choiceless_lab.bgs import (
     run,
     write_structure,
 )
-from choiceless_lab.bgs.interp import initial_state
+from choiceless_lab.bgs.parser import MAX_NESTING
 from choiceless_lab.bgs.syntax import Forall
-from choiceless_lab.errors import ParseError, UnsupportedSymbolError
+from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, transitive_closure
 from choiceless_lab.linalg import mat_pow, zp
 from choiceless_lab.linalg.matrix import FieldMatrix
@@ -78,7 +80,7 @@ def test_power_program_is_par_of_three_conditionals():
     assert isinstance(prog.rule, Par)
     assert len(prog.rule.rules) == 3
     assert all(isinstance(r, Cond) for r in prog.rule.rules)
-    assert prog.requires_card
+    assert prog.bounds.card_enabled
 
 
 def test_parse_errors():
@@ -115,6 +117,194 @@ def test_parse_error_reports_position():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize(
+    "headers, line",
+    [
+        ("#steps 1.5\n#active 50 10\n", 1),
+        ("#steps 3\n#active x\n", 2),
+        ("// budgets\n#steps -1\n#active 5\n", 2),
+        ("#steps 3\n#active\n", 2),
+    ],
+)
+def test_malformed_budget_coefficient_is_a_parse_error(headers, line):
+    with pytest.raises(ParseError) as err:
+        parse_program(headers + "Halt := true")
+    assert err.value.line == line
+
+
+def test_readme_example_with_header_comments():
+    prog = parse_program(
+        "#steps 4 1          // step budget 4 + n\n"
+        "#active 20 3        // active-element budget 20 + 3n\n"
+        "#requires card      // enables the cardinality builtin\n"
+        "\n"
+        "do in parallel\n"
+        "  if Mode = 0 then\n"
+        "    do in parallel N := Card(Atoms); Mode := 1 enddo\n"
+        "  endif;\n"
+        "  if Mode = 1 then\n"
+        "    if 1 in N then\n"
+        "      N := Union(Union(N))\n"
+        "    else\n"
+        "      do in parallel Halt := true; Output := N = 1 enddo\n"
+        "    endif\n"
+        "  endif\n"
+        "enddo\n"
+    )
+    assert prog.bounds == RunBounds((4, 1), (20, 3), card_enabled=True)
+    assert run(prog, empty_structure(5)).verdict == "accept"
+    assert run(prog, empty_structure(4)).verdict == "reject"
+
+
+def nested_body(shape: str, depth: int) -> str:
+    """A program body whose deepest parser nesting is exactly ``depth``
+    levels: the update rule is one level and its value term another."""
+    k = depth - 2
+    if shape == "not":
+        return "Halt := " + "not " * k + "false"
+    if shape == "parentheses":
+        return "Halt := " + "(" * k + "true" + ")" * k
+    if shape == "and":
+        return "Halt := " + " and ".join(["true"] * (k + 1))
+    if shape == "or":
+        return "Halt := " + " or ".join(["false"] * (k + 1))
+    if shape == "arguments":
+        return "Halt := 0 in " + "Pair(0, " * k + "0" + ")" * k
+    if shape == "comprehension range":
+        return "Halt := 0 in " + "{ 0 : x in " * k + "Atoms" + " }" * k
+    if shape == "comprehension element":
+        return "Halt := 0 in " + "{ " * k + "0" + " : x in 1 }" * k
+    if shape == "if":
+        return "if true then " * k + "Halt := true" + " endif" * k
+    if shape == "forall":
+        return "do forall x in 1, " * k + "Halt := true" + " enddo" * k
+    if shape == "parallel":
+        return "do in parallel " * k + "Halt := true" + " enddo" * k
+    raise ValueError(shape)
+
+
+NESTED_SHAPES = [
+    "not",
+    "parentheses",
+    "and",
+    "or",
+    "arguments",
+    "comprehension range",
+    "comprehension element",
+    "if",
+    "forall",
+    "parallel",
+]
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_nesting_cap(shape):
+    prog = parse(nested_body(shape, MAX_NESTING))
+    outcome = run(prog, empty_structure(3))
+    assert outcome.verdict in ("accept", "reject", "bound-exceeded")
+    with pytest.raises(ParseError) as err:
+        parse(nested_body(shape, MAX_NESTING + 1))
+    assert "nesting" in str(err.value)
+    assert err.value.line == 3 and err.value.column is not None
+
+
+_BAD_COEFFICIENTS = ["1.5", "x", "-1", "2.0", ""]
+_LEAF_TERMS = [
+    "true", "false", "empty", "Atoms", "0", "1", "2", "x", "y", "A", "N", "E(x, y)", "F(x)",
+]
+_BINARY = ["and", "or", "=", "!=", "in", "notin"]
+_TOKENS = _LEAF_TERMS + _BINARY + [
+    "not", "(", ")", "{", "}", ":", ",", ";", ":=", "Pair", "Union", "TheUnique",
+    "Card", "skip", "if", "then", "else", "endif", "do", "forall", "parallel", "enddo",
+    "Halt", "Output", "B(x)",
+]
+
+terms = st.recursive(
+    st.sampled_from(_LEAF_TERMS),
+    lambda inner: st.one_of(
+        inner.map(lambda t: f"not {t}"),
+        inner.map(lambda t: f"({t})"),
+        st.tuples(inner, st.sampled_from(_BINARY), inner).map(" ".join),
+        st.tuples(st.sampled_from(["Union", "TheUnique", "Card"]), inner).map(
+            lambda a: f"{a[0]}({a[1]})"
+        ),
+        st.tuples(inner, inner).map(lambda a: f"Pair({a[0]}, {a[1]})"),
+        st.tuples(inner, st.sampled_from(["x", "y"]), inner, inner).map(
+            lambda a: f"{{ {a[0]} : {a[1]} in {a[2]} : {a[3]} }}"
+        ),
+    ),
+    max_leaves=8,
+)
+rules = st.recursive(
+    st.one_of(
+        st.just("skip"),
+        st.tuples(st.sampled_from(["Halt", "Output", "A", "N", "B(x)"]), terms).map(
+            lambda a: f"{a[0]} := {a[1]}"
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(terms, inner, st.none() | inner).map(
+            lambda a: f"if {a[0]} then {a[1]}" + (f" else {a[2]}" if a[2] else "") + " endif"
+        ),
+        st.tuples(st.sampled_from(["x", "y"]), terms, inner).map(
+            lambda a: f"do forall {a[0]} in {a[1]}, {a[2]} enddo"
+        ),
+        st.lists(inner, min_size=1, max_size=3).map(
+            lambda rs: "do in parallel " + "; ".join(rs) + " enddo"
+        ),
+    ),
+    max_leaves=6,
+)
+bodies = st.one_of(
+    rules,
+    st.tuples(
+        st.sampled_from(NESTED_SHAPES), st.integers(1, 2 * MAX_NESTING)
+    ).map(lambda a: nested_body(*a)),
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join),
+)
+
+
+@st.composite
+def program_texts(draw):
+    body = draw(bodies)
+    for _ in range(draw(st.integers(0, 2))):  # token-level damage
+        at = draw(st.integers(0, len(body)))
+        if draw(st.booleans()):
+            body = body[:at] + " " + draw(st.sampled_from(_TOKENS)) + " " + body[at:]
+        else:
+            body = body[:at] + body[at + draw(st.integers(1, 8)):]
+    steps = draw(st.sampled_from(["3", "2", "0 1"]))  # at most 3 steps on 3 atoms
+    active = draw(st.sampled_from(["50 10", "4", "0 1"]))
+    bad = draw(st.sampled_from([None] * 6 + _BAD_COEFFICIENTS))
+    if bad is not None:
+        steps, active = (bad, active) if draw(st.booleans()) else (steps, bad)
+    card = "#requires card\n" if draw(st.booleans()) else ""
+    return f"#steps {steps}\n#active {active}\n{card}{body}"
+
+
+_THREE_ATOMS = InputStructure.build(
+    ["a", "b", "c"],
+    relations={"E": [("a", "b"), ("b", "c")]},
+    functions={"F": {("a",): "b", ("b",): "c", ("c",): "a"}},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_texts())
+def test_parser_robustness(text):
+    try:
+        prog = parse_program(text)
+    except ParseError:
+        return
+    assert isinstance(prog, Program)
+    assert prog.bounds.max_steps(3) <= 3
+    try:
+        outcome = run(prog, _THREE_ATOMS)
+    except ValidationError:
+        return  # an input symbol the structure lacks
+    assert isinstance(outcome, RunOutcome)
+
+
 # ------------------------------------------------------------- evaluation
 
 
@@ -124,7 +314,7 @@ def five_atoms():
 
 
 def test_eval_builtins(five_atoms):
-    state = initial_state(five_atoms)
+    state = State(five_atoms)
     assert eval_term(state, {}, App("Card", (App("Atoms"),))) is ordinal(5)
     x = make_set([five_atoms.atoms[0]])
     env = {"x": x}
@@ -139,7 +329,7 @@ def test_eval_comprehension_existential_coding():
     structure = InputStructure.build(
         ["a", "b"], relations={"Loop": [("a",)]}, arities={"Loop": 1}
     )
-    state = initial_state(structure)
+    state = State(structure)
     some = App("in", (Lit(0), Compr(Lit(0), "v", App("Atoms"), App("Loop", (Var("v"),)))))
     assert eval_term(state, {}, some) is TRUE
     none = App(
@@ -149,19 +339,13 @@ def test_eval_comprehension_existential_coding():
     assert eval_term(state, {}, none) is TRUE
 
 
-def test_eval_card_gating(five_atoms):
-    state = initial_state(five_atoms)
-    with pytest.raises(UnsupportedSymbolError):
-        eval_term(state, {}, App("Card", (App("Atoms"),)), card_enabled=False)
-
-
 def test_off_domain_convention(five_atoms):
-    state = initial_state(five_atoms)
+    state = State(five_atoms)
     # relation applied to a set argument reads as 0
     structure = InputStructure.build(
         ["a"], relations={"P": [("a",)]}, arities={"P": 1}
     )
-    st2 = initial_state(structure)
+    st2 = State(structure)
     assert eval_term(st2, {}, App("P", (Lit(3),))) is EMPTY
     # logical connectives off 0/1 read as 0
     assert eval_term(state, {}, App("not", (Lit(2),))) is EMPTY
@@ -184,42 +368,42 @@ def build_program(rule, dynamics, statics=None, bounds=None):
 
 
 def test_collect_updates_by_rule_kind(five_atoms):
-    state = initial_state(five_atoms)
-    assert collect_updates(state, {}, Skip()).updates == frozenset()
+    state = State(five_atoms)
+    assert collect_updates(state, {}, Skip()) == frozenset()
     forall_empty = collect_updates(
         state, {}, Forall("v", App("empty"), Update("F", (Var("v"),), Lit(1)))
     )
-    assert forall_empty.updates == frozenset()
+    assert forall_empty == frozenset()
     par = Par((Update("F", (), Lit(1)), Update("G", (), Lit(2))))
     got = collect_updates(state, {}, par)
-    assert got.updates == frozenset(
+    assert got == frozenset(
         {("F", (), ordinal(1)), ("G", (), ordinal(2))}
     )
-    assert not got.has_clash()
+    assert fire(state, got) is not state
     clash = collect_updates(state, {}, Par((Update("F", (), Lit(1)), Update("F", (), Lit(0)))))
-    assert clash.has_clash()
+    assert fire(state, clash) is state
 
 
 def test_fire_semantics(five_atoms):
-    state = initial_state(five_atoms)
+    state = State(five_atoms)
     a = five_atoms.atoms[0]
     b = five_atoms.atoms[1]
-    ok = UpdateSet(frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))}))
+    ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
     new = fire(state, ok)
     assert new.read("F", (a,)) is ordinal(1)
     assert new.read("F", (b,)) is ordinal(1)
     assert state.read("F", (a,)) is EMPTY  # old state untouched
-    clash = UpdateSet(frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))}))
+    clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
     assert fire(state, clash) is state
 
 
 def test_active_count_examples(five_atoms):
     a = five_atoms.atoms[0]
     assert active_count([]) == 0
-    single = UpdateSet(frozenset({("F", (a,), make_set([a]))}))
+    single = frozenset({("F", (a,), make_set([a]))})
     assert active_count([single]) == 2
     for n in range(6):
-        upd = UpdateSet(frozenset({("F", (), ordinal(n))}))
+        upd = frozenset({("F", (), ordinal(n))})
         assert active_count([upd]) == n + 1
 
 
@@ -240,7 +424,7 @@ traced_updates = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(traced_updates, max_size=4), max_size=5))
 def test_active_count_matches_transitive_closure_union(trace):
-    trace = [UpdateSet(frozenset(step)) for step in trace]
+    trace = [frozenset(step) for step in trace]
     expected: set = set()
     for updates in trace:
         for _, args, value in updates:
@@ -293,19 +477,13 @@ def test_bound_monotonicity():
             tuple(c * 10 for c in prog.bounds.active),
             card_enabled=True,
         )
-        again = run(prog, empty_structure(n), wide)
+        again = run(dataclasses.replace(prog, bounds=wide), empty_structure(n))
         assert again.verdict == base.verdict
         assert again.steps == base.steps
     doubling = load_builtin_program("doubling")
     raised = RunBounds((2000,), (0, 4), card_enabled=False)
-    assert run(doubling, empty_structure(6), raised).verdict == "bound-exceeded"
-
-
-def test_requires_card_enforced_at_run():
-    prog = load_builtin_program("parity")
-    stripped = RunBounds(prog.bounds.steps, prog.bounds.active, card_enabled=False)
-    with pytest.raises(UnsupportedSymbolError):
-        run(prog, empty_structure(3), stripped)
+    raised_run = run(dataclasses.replace(doubling, bounds=raised), empty_structure(6))
+    assert raised_run.verdict == "bound-exceeded"
 
 
 def test_power_program_matches_mat_pow():
@@ -415,25 +593,6 @@ def test_structure_roundtrip():
     assert [a.name for a in structure.atoms] == ["a", "b", "c"]
     again = parse_structure(write_structure(structure))
     assert write_structure(again) == write_structure(structure)
-
-
-def test_vocabularies():
-    structure = parse_structure(
-        "atoms: a b\nrel E/2: (a,b)\nfun F/1: (a)->b (b)->a\n"
-    )
-    vocab = structure.vocabulary
-    assert vocab.relations == {"E": 2}
-    assert vocab.functions == {"F": 1}
-    assert vocab.booleans == frozenset({"E"})
-    prog = parse("Output := 0 in { 0 : v in Atoms : E(v, v) }")
-    full = structure.state_vocabulary(prog)
-    assert full.functions["Halt"] == 0 and full.functions["Output"] == 0
-    assert {"Halt", "Output"} <= set(full.booleans)
-    with pytest.raises(Exception):
-        # a symbol cannot be both a relation and a function
-        from choiceless_lab.bgs import Vocabulary
-
-        Vocabulary(relations={"X": 1}, functions={"X": 1}, booleans=frozenset())
 
 
 def test_structure_validation():

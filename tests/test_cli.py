@@ -332,6 +332,38 @@ def test_exit_statuses(tmp_path, capsys):
     assert code == EXIT_USAGE  # seed is mandatory
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "multipede", "--segments", "0", "--hyperedges", "0", "--seed", "1"],
+        ["gen", "multipede", "--segments", "0", "--hyperedges", "0", "--seed", "1", "--shoe"],
+        ["gen", "multipede", "--segments", "4", "--hyperedges", "-1", "--seed", "1"],
+        ["experiment", "det-frequency", "--q", "2", "--n", "3", "--trials", "0", "--seed", "1"],
+    ],
+)
+def test_out_of_range_counts_exit_parse_and_write_nothing(tmp_path, capsys, argv):
+    path = tmp_path / "m.str"
+    if argv[0] == "gen":
+        argv = argv + ["--file", str(path)]
+    code, report = invoke(argv, capsys)
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bgs_run_bad_budget_header_exits_parse(tmp_path, capsys):
+    program = tmp_path / "bad.bgs"
+    program.write_text("#steps 1.5\n#active 10\nHalt := true\n")
+    structure = tmp_path / "in.str"
+    structure.write_text("atoms: x\n")
+    code, report = invoke(
+        ["bgs", "run", "--program", str(program), "--input", str(structure)], capsys
+    )
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+    assert "line 1" in report["error"]["message"]
+
+
 def test_report_determinism_modulo_timing(tmp_path, capsys):
     path = tmp_path / "g.str"
     invoke(
