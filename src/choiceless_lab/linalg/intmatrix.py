@@ -11,10 +11,23 @@ primes (n the larger of |I| and the digit count) and asking whether any
 reduction is non-singular: the determinant's absolute value is at most
 ``n! * 2**(n**2) <= 2**(2 n**2)``, which is smaller than the product of the
 scanned primes, so a nonzero determinant must miss at least one of them.
+
+Each prime is decided by one of two routes.  The power sums
+``s_k = tr(M**k)``, k = 1 .. |I|, are computed once over Z.  For a prime
+p > |I| the determinant mod p is ``e_|I|`` from Newton's identities
+``k e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} s_i`` (Csanky, SIAM J. Comput.
+1976), which divide by every k <= |I|, and each such k is invertible mod
+p.  For p <= |I| some k is zero mod p, so those primes keep the
+group-order test on the reduction mod p.  A trace sums over the unordered
+diagonal, so no route chooses anything.  The integer products behind the
+power sums run over an internal numbering of I (its iteration order); a
+trace does not depend on the numbering, so the power sums, and every
+verdict, are the same under any of them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import ValidationError
@@ -93,14 +106,46 @@ def scan_width(m: IntMatrix) -> int:
     return max(len(m.index_set), m.digit_count)
 
 
+def _power_sums(m: IntMatrix) -> list:
+    """``tr(M**k)`` for k = 1 .. |I|, with |I| - 1 integer products."""
+    index = list(m.index_set)  # the internal numbering; see the module docstring
+    n = len(index)
+    position = {i: b for b, i in enumerate(index)}
+    base = [[0] * n for _ in index]
+    for (i, j), value in m.to_int_entries().items():
+        base[position[i]][position[j]] = value
+    columns = list(zip(*base))
+    power = base
+    sums = []
+    for k in range(n):
+        if k:
+            power = [[sum(map(operator.mul, row, col)) for col in columns] for row in power]
+        sums.append(sum(power[d][d] for d in range(n)))
+    return sums
+
+
+def _nonsingular_mod(m: IntMatrix, p: int, power_sums: list) -> bool:
+    """Whether the reduction of ``m`` modulo the prime ``p`` is non-singular.
+    ``power_sums`` is :func:`_power_sums` of ``m``."""
+    n = len(power_sums)
+    if p <= n:
+        return nonsingular_square(zp(p), m.reduce_mod(p))
+    e = [1]  # e_k mod p, by Newton's identities
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * power_sums[i - 1]
+            acc += term if i % 2 else -term
+        e.append(acc * pow(k, -1, p) % p)
+    return e[n] != 0
+
+
 def nonsingular_int(m: IntMatrix) -> bool:
     """True iff some reduction modulo the first ``2 n**2`` primes is
     non-singular."""
-    n = scan_width(m)
-    for p in sieve_first_primes(2 * n * n):
-        if nonsingular_square(zp(p), m.reduce_mod(p)):
-            return True
-    return False
+    sums = _power_sums(m)
+    primes = sieve_first_primes(2 * scan_width(m) ** 2)
+    return any(_nonsingular_mod(m, p, sums) for p in primes)
 
 
 def det_prime_divisors(m: IntMatrix) -> frozenset:
@@ -111,9 +156,6 @@ def det_prime_divisors(m: IntMatrix) -> frozenset:
     singular (determinant zero); compare the result against the full scan
     list to detect that case.
     """
-    n = scan_width(m)
-    divisors = set()
-    for p in sieve_first_primes(2 * n * n):
-        if not nonsingular_square(zp(p), m.reduce_mod(p)):
-            divisors.add(p)
-    return frozenset(divisors)
+    sums = _power_sums(m)
+    primes = sieve_first_primes(2 * scan_width(m) ** 2)
+    return frozenset(p for p in primes if not _nonsingular_mod(m, p, sums))

@@ -3,6 +3,9 @@
 A :class:`FieldMatrix` is a total function from ``rows x cols`` to field
 elements, stored sparsely (absent entries are zero).  Index sets carry no
 order; every verdict produced here is invariant under renaming the indices.
+Matrices built from outside input are validated entry by entry; the
+kernel's own results (products, powers, identities, transposes) are built
+valid and skip that check.
 
 Multiplication sums over an unordered index set: the (i, k) entry of
 ``M N`` is the field sum of ``M[i, j] * N[j, k]`` over the inner indices
@@ -11,6 +14,17 @@ number of common neighbours is odd".  Field addition is commutative and
 associative, so the order in which the inner indices are visited cannot
 influence the result.
 
+Powers over GF(2) run on packed bit rows (Albrecht, Bard and Hart,
+"Algorithm 898", ACM TOMS 2010).  The base matrix is packed once into one
+Python int per row, bit ``b`` standing for the ``b``-th index of an
+internal numbering of the index set; row i of ``P Q`` is the XOR of the
+rows of ``Q`` picked by the bits of row i of ``P``; the result is unpacked
+once.  The numbering is the index set's iteration order, and it decides
+nothing: the same numbering packs and unpacks, so the power returned is
+the same map ``rows x cols -> GF(2)`` under any numbering, and only the
+time the XORs take could depend on it.  Like ``hfset``'s serial order, it
+never leaves this module.
+
 Non-singularity of an I-square matrix is decided without elimination, by
 checking ``M**g == identity`` for ``g`` the order of the general linear
 group of that dimension: non-singular matrices have order dividing ``g``
@@ -18,13 +32,14 @@ group of that dimension: non-singular matrices have order dividing ``g``
 ordered Gaussian routines live alongside as the independent oracle and as
 the solver used by the multipede module; rank, solve and the frequency
 experiment share one forward elimination, :func:`echelon`, over the row
-operation the field supplies.
+operation the field supplies, and GF(2) rank on packed rows is
+:func:`_rank_bitrows`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import functools
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from .binnat import BinNat
@@ -68,6 +83,14 @@ class FieldMatrix:
         if self.square and self.rows != self.cols:
             raise ValidationError("square matrix needs rows == cols")
 
+    @classmethod
+    def _trusted(cls, field, rows, cols, entries, square=False) -> "FieldMatrix":
+        """A kernel result: ``entries`` are already nonzero field elements
+        on ``rows x cols``, so nothing is checked again."""
+        m = object.__new__(cls)
+        vars(m).update(field=field, rows=rows, cols=cols, entries=entries, square=square)
+        return m
+
     def entry(self, i, j):
         return self.entries.get((i, j), self.field.zero)
 
@@ -90,11 +113,12 @@ class FieldMatrix:
 
 def identity(field: FiniteField, index_set) -> FieldMatrix:
     idx = frozenset(index_set)
-    return FieldMatrix(field, idx, idx, {(i, i): field.one for i in idx}, square=True)
+    eye = {(i, i): field.one for i in idx}
+    return FieldMatrix._trusted(field, idx, idx, eye, square=True)
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(
+    return FieldMatrix._trusted(
         m.field,
         m.cols,
         m.rows,
@@ -127,30 +151,82 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
                     acc = add(acc, mul(a, b))
             if acc != zero:
                 out[(i, k)] = acc
-    return FieldMatrix(field, m.rows, n.cols, out, square=m.rows == n.cols)
+    return FieldMatrix._trusted(field, m.rows, n.cols, out, square=m.rows == n.cols)
 
 
 def mat_pow(field: FiniteField, m: FieldMatrix, r) -> FieldMatrix:
     """``m**r`` by repeated squaring over the bit set of ``r`` (r >= 1),
     consuming bits from the most significant; at most ``2 * (1 + max bit)``
-    multiplications."""
+    multiplications.  Over GF(2) they run on packed bit rows."""
     if isinstance(r, int):
         r = BinNat.from_int(r)
     if r.is_zero:
         raise ValidationError("exponent must be at least 1")
     if not m.square:
         raise ValidationError("powers need a square matrix")
-    bits = r.bits
-    power = m
-    # the leading bit is consumed by starting from m itself
+    if field.order == 2:
+        return _gf2_pow(field, m, r)
+    return _square_and_multiply(functools.partial(mat_mul, field), m, r)
+
+
+def _square_and_multiply(mul, base, r: BinNat):
+    power = base
+    # the leading bit is consumed by starting from the base itself
     for b in range(r.max_bit - 1, -1, -1):
-        power = mat_mul(field, power, power)
-        if b in bits:
-            power = mat_mul(field, power, m)
+        power = mul(power, power)
+        if b in r.bits:
+            power = mul(power, base)
     return power
 
 
-@lru_cache(maxsize=None)
+def _gf2_pow(field: FiniteField, m: FieldMatrix, r: BinNat) -> FieldMatrix:
+    """``m**r`` over GF(2): pack once, multiply packed rows, unpack once."""
+    index = list(m.rows)  # the internal numbering; see the module docstring
+    position = {i: b for b, i in enumerate(index)}
+    base = [0] * len(index)
+    for i, j in m.entries:  # every stored GF(2) entry is one
+        base[position[i]] |= 1 << position[j]
+    power = _square_and_multiply(_bitrows_mul, base, r)
+    entries = {
+        (i, j): 1
+        for i, row in zip(index, power)
+        for c, j in enumerate(index)
+        if row >> c & 1
+    }
+    return FieldMatrix._trusted(field, m.rows, m.rows, entries, square=True)
+
+
+def _bitrows_mul(p: list, q: list) -> list:
+    """Product of packed GF(2) matrices: row a of ``P Q`` is the XOR of the
+    rows of ``Q`` picked by the bits of row a of ``P``."""
+    out = []
+    for row in p:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= q[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _rank_bitrows(rows) -> int:
+    """Rank over GF(2) of rows packed as Python ints."""
+    pivots: dict = {}  # leading bit -> reduced row
+    rank = 0
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = row
+                rank += 1
+                break
+            row ^= other
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
 def gl_order(q: int, n: int) -> BinNat:
     """Order of the group of invertible n-by-n matrices over the field of
     order q: the product of ``q**n - q**i`` for ``i < n``."""
@@ -183,9 +259,7 @@ def nonsingular_rect(field: FiniteField, m: FieldMatrix) -> bool:
     matrix ``M M^t``, whose determinant is the square of M's."""
     if len(m.rows) != len(m.cols):
         raise ValidationError("row and column sets must have equal size")
-    gram = mat_mul(field, m, transpose(m))
-    gram = FieldMatrix(field, m.rows, m.rows, gram.entries, square=True)
-    return nonsingular_square(field, gram)
+    return nonsingular_square(field, mat_mul(field, m, transpose(m)))
 
 
 def _ordered_grid(field: FiniteField, m: FieldMatrix, row_order, col_order):

@@ -6,7 +6,7 @@ import random
 
 from ..errors import ValidationError
 from .fields import FiniteField
-from .matrix import FieldMatrix, echelon
+from .matrix import FieldMatrix, _rank_bitrows, echelon
 
 __all__ = ["random_matrix", "frequency_experiment"]
 
@@ -21,21 +21,6 @@ def random_matrix(field: FiniteField, n: int, seed) -> FieldMatrix:
     return FieldMatrix(field, idx, idx, entries, square=True)
 
 
-def _rank_bitrows(rows) -> int:
-    pivots: dict = {}  # leading bit -> reduced row
-    rank = 0
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            other = pivots.get(top)
-            if other is None:
-                pivots[top] = row
-                rank += 1
-                break
-            row ^= other
-    return rank
-
-
 def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float:
     """Fraction of uniformly random n-by-n matrices over the field that are
     non-singular.
@@ -46,6 +31,8 @@ def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if n < 0:
+        raise ValidationError("size must not be negative")
     rng = random.Random(seed)
     q = field.order
     hits = 0

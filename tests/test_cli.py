@@ -237,13 +237,13 @@ def test_solve_det_prime_divisors_scans_once(tmp_path, capsys, monkeypatch):
     from choiceless_lab.linalg import intmatrix
 
     calls = []
-    original = intmatrix.nonsingular_square
+    original = intmatrix._nonsingular_mod
 
-    def counting(field, m):
-        calls.append(field.order)
-        return original(field, m)
+    def counting(m, p, power_sums):
+        calls.append(p)
+        return original(m, p, power_sums)
 
-    monkeypatch.setattr(intmatrix, "nonsingular_square", counting)
+    monkeypatch.setattr(intmatrix, "_nonsingular_mod", counting)
     # singular, digit count 3: n = 3, so the scan covers the first 18 primes
     path = tmp_path / "sing.mat"
     path.write_text("ring Z\nrows i0 i1\nsquare\ni0 i0 2\ni0 i1 4\ni1 i0 1\ni1 i1 2\n")
@@ -339,6 +339,8 @@ def test_exit_statuses(tmp_path, capsys):
         ["gen", "multipede", "--segments", "0", "--hyperedges", "0", "--seed", "1", "--shoe"],
         ["gen", "multipede", "--segments", "4", "--hyperedges", "-1", "--seed", "1"],
         ["experiment", "det-frequency", "--q", "2", "--n", "3", "--trials", "0", "--seed", "1"],
+        ["experiment", "det-frequency", "--q", "2", "--n", "-1", "--trials", "5", "--seed", "1"],
+        ["experiment", "det-frequency", "--q", "3", "--n", "-3", "--trials", "5", "--seed", "1"],
     ],
 )
 def test_out_of_range_counts_exit_parse_and_write_nothing(tmp_path, capsys, argv):

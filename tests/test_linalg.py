@@ -31,6 +31,7 @@ from choiceless_lab.linalg import (
     transpose,
     zp,
 )
+from choiceless_lab.linalg import intmatrix
 from choiceless_lab.linalg.intmatrix import scan_width
 
 from oracles import (
@@ -157,6 +158,26 @@ def test_mat_mul_matches_naive_dot_product(q):
         assert got.entries == expected
 
 
+def test_kernel_results_are_not_validated_again(monkeypatch):
+    checked = []
+    original = FieldMatrix.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        original(self)
+
+    m = dense(GF3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    b = dense(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    monkeypatch.setattr(FieldMatrix, "__post_init__", counting)
+    nonsingular_square(GF3, m)
+    nonsingular_square(GF2, b)
+    transpose(mat_pow(GF3, m, 7))
+    assert checked == []
+    with pytest.raises(ValidationError):
+        FieldMatrix(GF3, m.rows, m.rows, {(0, 0): 3})
+    assert len(checked) == 1
+
+
 def test_mat_mul_dimension_mismatch():
     a = dense(GF2, [[1]])
     b = dense(GF2, [[1, 0], [0, 1]])
@@ -190,6 +211,37 @@ def test_mat_pow_matches_repeated_multiplication():
             for r in range(1, 9):
                 assert mat_pow(field, m, r) == acc
                 acc = mat_mul(field, acc, m)
+
+
+def _dict_pow(field, m, r):
+    """``m**r`` by dict products, least significant bit first."""
+    result, square = None, m
+    while True:
+        if r & 1:
+            result = square if result is None else mat_mul(field, result, square)
+        r >>= 1
+        if not r:
+            return result
+        square = mat_mul(field, square, square)
+
+
+def _bit_grid(n):
+    return st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_gf2_packed_power_matches_dict_products(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    grid = data.draw(_bit_grid(n))
+    r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_order(2, n).to_int())))
+    labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
+    expected = _dict_pow(GF2, dense(GF2, grid), r)
+    assert mat_pow(GF2, dense(GF2, grid), r) == expected
+    renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
+    assert mat_pow(GF2, dense(GF2, grid, labels), r).entries == renamed
 
 
 def test_mat_pow_rejects_zero_exponent():
@@ -408,6 +460,38 @@ def test_nonsingular_int_matches_exact_determinant():
             index_set=set(range(n)),
         )
         assert nonsingular_int(m) == (bareiss_det(rows) != 0)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_prime_decision_matches_group_order_and_leibniz(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    if data.draw(st.booleans()):  # make it singular over Z
+        dst = data.draw(st.integers(0, n - 1))
+        src = data.draw(st.integers(0, n - 1).filter(lambda k: k != dst or n == 1))
+        scale = 0 if src == dst else data.draw(st.integers(-3, 3))
+        rows[dst] = [scale * x for x in rows[src]]
+    labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
+    plain = IntMatrix.from_int_entries(
+        {(i, j): rows[i][j] for i in range(n) for j in range(n)}, index_set=range(n)
+    )
+    renamed = IntMatrix.from_int_entries(
+        {(labels[i], labels[j]): rows[i][j] for i in range(n) for j in range(n)},
+        index_set=labels,
+    )
+    sums = intmatrix._power_sums(plain)
+    assert intmatrix._power_sums(renamed) == sums
+    # 2 and 3 are at most |I| for the larger sizes, 5 .. 13 exceed it
+    for p in sieve_first_primes(6):
+        got = intmatrix._nonsingular_mod(plain, p, sums)
+        assert got == nonsingular_square(zp(p), plain.reduce_mod(p))
+        assert got == (leibniz_det_mod(rows, p) != 0)
+        assert intmatrix._nonsingular_mod(renamed, p, sums) == got
 
 
 def test_det_prime_divisors_examples():
