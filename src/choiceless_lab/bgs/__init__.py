@@ -9,7 +9,7 @@ needs the cardinality builtin.
 
 from importlib import resources
 
-from .interp import RunOutcome, State, active_count, collect_updates, eval_term, fire, run
+from .interp import RunOutcome, State, active_count, fire, run
 from .parser import parse_program
 from .structures import InputStructure, parse_structure, write_structure
 from .syntax import (
@@ -48,8 +48,6 @@ __all__ = [
     "Var",
     "active_count",
     "check_program",
-    "collect_updates",
-    "eval_term",
     "fire",
     "load_builtin_program",
     "parse_program",

@@ -1,10 +1,28 @@
-"""Evaluation of terms and rules, update firing, and budgeted runs.
+"""Set-machine runs: compile the program once per run, then fire it.
 
 A state is the input structure plus one table per dynamic symbol mapping
 argument tuples to values; absent locations read as ordinal 0, which also
 makes the initial state "constantly 0".  One step collects the update set
 of the whole program under the pre-step state and fires it: if two updates
-clash (same location, different values) nothing at all is applied.
+clash (same location, different values) nothing at all is applied.  All
+reads within a step see the pre-step state, including nested reads of
+dynamic symbols.
+
+A run first checks the program's vocabulary against the structure: every
+input symbol must be there with its arity, every input symbol in a Boolean
+position must be a relation, and no dynamic symbol (Halt and Output
+included) may be a relation or function of the structure, so each name
+means one thing for the whole run.  It then compiles the rule once into
+nested closures, in the manner of Feeley and Lapalme, "Using closures for
+code generation" (1987): a term becomes ``f(tables, env)`` and a rule
+``f(tables, env, out)``, adding its updates to ``out``.  Builtins and
+input symbols are resolved while compiling, so each closure already holds
+its relation set, function map or builtin, and the set of the atoms; only
+dynamic reads look up ``tables``, the pre-step tables.  A literal's
+ordinal is built the first time it is evaluated, so an unreached literal
+costs nothing.  Variables live in one list ``env`` allocated per run: a
+binder's slot is its nesting depth, the number of binders around it, so a
+shadowing binder takes a fresh slot and the outer binding survives.
 
 A run fires steps until Halt reads 1, then reports accept or reject from
 Output.  Two budgets police the run: a step polynomial, and an
@@ -12,9 +30,6 @@ active-element polynomial applied to the cumulative count of elements
 involved in updates so far, where "involved" closes off under membership
 (the transitive closure of every updated value and every argument).
 Exhausting either budget yields the bound-exceeded verdict.
-
-All reads within a step see the pre-step state, including nested reads of
-dynamic symbols.
 """
 
 from __future__ import annotations
@@ -25,7 +40,6 @@ from ..errors import ValidationError
 from ..hfset import (
     EMPTY,
     TRUE,
-    Atom,
     HfSet,
     HfValue,
     card,
@@ -54,8 +68,6 @@ __all__ = [
     "RunOutcome",
     "State",
     "active_count",
-    "collect_updates",
-    "eval_term",
     "fire",
     "run",
 ]
@@ -67,11 +79,6 @@ class State:
 
     structure: InputStructure
     tables: dict = field(default_factory=dict)
-    atoms_value: HfValue = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.atoms_value is None:
-            object.__setattr__(self, "atoms_value", make_set(self.structure.atoms))
 
     def read(self, symbol: str, args: tuple) -> HfValue:
         table = self.tables.get(symbol)
@@ -85,117 +92,270 @@ def _as_flag(value: HfValue) -> int:
     return 1 if value is TRUE else 0
 
 
-def eval_term(state: State, env: dict, term) -> HfValue:
-    """Evaluate a term under variable bindings from ``env``."""
-    if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise ValidationError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Lit):
-        return ordinal(term.value)
-    if isinstance(term, Compr):
-        source = eval_term(state, env, term.source)
-        collected = []
-        inner = dict(env)
-        for member in source.members:
-            inner[term.var] = member
-            if _as_flag(eval_term(state, inner, term.guard)):
-                collected.append(eval_term(state, inner, term.element))
-        return make_set(collected)
-    if not isinstance(term, App):
-        raise TypeError(f"not a term: {term!r}")
+def _constant(value: HfValue):
+    def constant(tables, env):
+        return value
 
-    symbol = term.symbol
-    if symbol == "true":
-        return TRUE
-    if symbol == "false":
-        return EMPTY
-    if symbol == "empty":
-        return EMPTY
-    if symbol == "Atoms":
-        return state.atoms_value
-
-    args = [eval_term(state, env, a) for a in term.args]
-
-    if symbol == "not":
-        (x,) = args
-        if x is TRUE:
-            return EMPTY
-        if x is EMPTY:
-            return TRUE
-        return EMPTY  # off-domain convention
-    if symbol == "and":
-        x, y = args
-        return TRUE if (x is TRUE and y is TRUE) else EMPTY
-    if symbol == "or":
-        x, y = args
-        ok = (x is TRUE or y is TRUE) and (x in (TRUE, EMPTY) and y in (TRUE, EMPTY))
-        return TRUE if ok else EMPTY
-    if symbol == "eq":
-        x, y = args
-        return TRUE if x is y else EMPTY
-    if symbol == "in":
-        x, y = args
-        return TRUE if (isinstance(y, HfSet) and x in y) else EMPTY
-    if symbol == "Union":
-        return union_all(args[0])
-    if symbol == "TheUnique":
-        return the_unique(args[0])
-    if symbol == "Pair":
-        return pair(args[0], args[1])
-    if symbol == "Card":
-        return card(args[0])
-
-    structure = state.structure
-    if symbol in structure.relations:
-        tup = tuple(args)
-        for a in tup:
-            if not isinstance(a, Atom):
-                return EMPTY  # off-universe arguments read as 0
-        return TRUE if tup in structure.relations[symbol] else EMPTY
-    if symbol in structure.functions:
-        tup = tuple(args)
-        return structure.functions[symbol].get(tup, EMPTY)
-    # dynamic symbol
-    return state.read(symbol, tuple(args))
+    return constant
 
 
-def collect_updates(state: State, env: dict, rule) -> frozenset:
-    """The update set a rule produces under the given bindings, as
-    (symbol, argument tuple, value) triples."""
+def _literal(n: int):
+    value = None
+
+    def literal(tables, env):
+        nonlocal value
+        if value is None:
+            value = ordinal(n)
+        return value
+
+    return literal
+
+
+class _Compiler:
+    """Turns terms and rules into closures against one structure, and
+    records in ``slots`` how long ``env`` must be."""
+
+    def __init__(self, structure: InputStructure):
+        self.relations = structure.relations
+        self.functions = structure.functions
+        self.atoms = make_set(structure.atoms)
+        self.slots = 0
+
+    def bind(self, scope: dict, name: str, depth: int) -> dict:
+        self.slots = max(self.slots, depth + 1)
+        return {**scope, name: depth}
+
+    def term(self, node, scope: dict, depth: int):
+        if isinstance(node, Var):
+            slot = scope.get(node.name)
+            if slot is None:
+                message = f"unbound variable {node.name!r}"
+
+                def unbound(tables, env):
+                    raise ValidationError(message)
+
+                return unbound
+
+            def var(tables, env):
+                return env[slot]
+
+            return var
+        if isinstance(node, Lit):
+            return _literal(node.value)
+        if isinstance(node, Compr):
+            return self.comprehension(node, scope, depth)
+        if isinstance(node, App):
+            return self.application(node, scope, depth)
+        raise TypeError(f"not a term: {node!r}")
+
+    def comprehension(self, node: Compr, scope: dict, depth: int):
+        source = self.term(node.source, scope, depth)
+        inner = self.bind(scope, node.var, depth)
+        element = self.term(node.element, inner, depth + 1)
+        guard = self.term(node.guard, inner, depth + 1)
+        slot = depth
+
+        def comprehension(tables, env):
+            collected = []
+            for member in source(tables, env).members:
+                env[slot] = member
+                if guard(tables, env) is TRUE:
+                    collected.append(element(tables, env))
+            return make_set(collected)
+
+        return comprehension
+
+    def arguments(self, nodes: tuple, scope: dict, depth: int):
+        """A closure building the argument tuple, left to right."""
+        if not nodes:
+            return _constant(())
+        slots = [scope.get(a.name) if isinstance(a, Var) else None for a in nodes]
+        if len(slots) <= 2 and None not in slots:  # read bound variables directly
+            if len(slots) == 1:
+                (s0,) = slots
+                return lambda tables, env: (env[s0],)
+            s0, s1 = slots
+            return lambda tables, env: (env[s0], env[s1])
+        fns = [self.term(a, scope, depth) for a in nodes]
+        return lambda tables, env: tuple([f(tables, env) for f in fns])
+
+    def application(self, node: App, scope: dict, depth: int):
+        symbol = node.symbol
+        if symbol == "true":
+            return _constant(TRUE)
+        if symbol in ("false", "empty"):
+            return _constant(EMPTY)
+        if symbol == "Atoms":
+            return _constant(self.atoms)
+        builtin = _BUILTINS.get(symbol)
+        if builtin is not None:
+            return builtin(*[self.term(a, scope, depth) for a in node.args])
+        key = self.arguments(node.args, scope, depth)
+        if symbol in self.relations:
+            relation = self.relations[symbol]
+            # a relation holds atom tuples only, so a tuple with a set in
+            # it is never a member: off-universe arguments read as 0
+            return lambda tables, env: TRUE if key(tables, env) in relation else EMPTY
+        if symbol in self.functions:
+            table = self.functions[symbol]
+            return lambda tables, env: table.get(key(tables, env), EMPTY)
+
+        def dynamic(tables, env):
+            table = tables.get(symbol)
+            return EMPTY if table is None else table.get(key(tables, env), EMPTY)
+
+        return dynamic
+
+    def rule(self, node, scope: dict, depth: int):
+        if isinstance(node, Skip):
+            return _skip
+        if isinstance(node, Update):
+            return self.update(node, scope, depth)
+        if isinstance(node, Cond):
+            guard = self.term(node.guard, scope, depth)
+            then_rule = self.rule(node.then_rule, scope, depth)
+            else_rule = self.rule(node.else_rule, scope, depth)
+
+            def cond(tables, env, out):
+                (then_rule if guard(tables, env) is TRUE else else_rule)(tables, env, out)
+
+            return cond
+        if isinstance(node, Forall):
+            source = self.term(node.source, scope, depth)
+            body = self.rule(node.body, self.bind(scope, node.var, depth), depth + 1)
+            slot = depth
+
+            def forall(tables, env, out):
+                for member in source(tables, env).members:
+                    env[slot] = member
+                    body(tables, env, out)
+
+            return forall
+        if isinstance(node, Par):
+            rules = [self.rule(r, scope, depth) for r in node.rules]
+
+            def par(tables, env, out):
+                for r in rules:
+                    r(tables, env, out)
+
+            return par
+        raise TypeError(f"not a rule: {node!r}")
+
+    def update(self, node: Update, scope: dict, depth: int):
+        symbol = node.symbol
+        key = self.arguments(node.args, scope, depth)
+        value = self.term(node.value, scope, depth)
+        if symbol not in BOOLEAN_DYNAMICS:
+            return lambda tables, env, out: out.add(
+                (symbol, key(tables, env), value(tables, env))
+            )
+        message = f"{symbol} assigned a non-Boolean value"
+
+        def boolean_update(tables, env, out):
+            args = key(tables, env)
+            v = value(tables, env)
+            if v is not TRUE and v is not EMPTY:
+                raise ValidationError(message)
+            out.add((symbol, args, v))
+
+        return boolean_update
+
+
+def _skip(tables, env, out):
+    pass
+
+
+def _not(x):
+    return lambda tables, env: TRUE if x(tables, env) is EMPTY else EMPTY
+
+
+def _and(x, y):
+    def conjunction(tables, env):
+        u = x(tables, env)
+        v = y(tables, env)
+        return TRUE if u is TRUE and v is TRUE else EMPTY
+
+    return conjunction
+
+
+def _or(x, y):
+    def disjunction(tables, env):
+        u = x(tables, env)
+        v = y(tables, env)
+        if u is TRUE:
+            return TRUE if v is TRUE or v is EMPTY else EMPTY
+        return TRUE if u is EMPTY and v is TRUE else EMPTY
+
+    return disjunction
+
+
+def _eq(x, y):
+    return lambda tables, env: TRUE if x(tables, env) is y(tables, env) else EMPTY
+
+
+def _in(x, y):
+    def member(tables, env):
+        u = x(tables, env)
+        v = y(tables, env)
+        return TRUE if isinstance(v, HfSet) and u in v else EMPTY
+
+    return member
+
+
+def _union(x):
+    return lambda tables, env: union_all(x(tables, env))
+
+
+def _the_unique(x):
+    return lambda tables, env: the_unique(x(tables, env))
+
+
+def _pair(x, y):
+    return lambda tables, env: pair(x(tables, env), y(tables, env))
+
+
+def _card(x):
+    return lambda tables, env: card(x(tables, env))
+
+
+# builtins with arguments: name -> closure over the argument closures
+_BUILTINS = {
+    "not": _not,
+    "and": _and,
+    "or": _or,
+    "eq": _eq,
+    "in": _in,
+    "Union": _union,
+    "TheUnique": _the_unique,
+    "Pair": _pair,
+    "Card": _card,
+}
+
+
+def _compile_rule(rule, structure: InputStructure) -> tuple:
+    """The closure ``f(tables, env, out)`` of a closed rule, and the length
+    of the ``env`` it needs."""
+    compiler = _Compiler(structure)
+    return compiler.rule(rule, {}, 0), compiler.slots
+
+
+def _compile_term(term, structure: InputStructure, names=()) -> tuple:
+    """The closure ``f(tables, env)`` of a term whose free variables
+    ``names`` sit in the first slots of ``env``, and the length of the
+    ``env`` it needs."""
+    compiler = _Compiler(structure)
+    compiler.slots = len(names)
+    scope = {name: slot for slot, name in enumerate(names)}
+    return compiler.term(term, scope, len(names)), compiler.slots
+
+
+def collect_updates(step, tables: dict, env: list) -> frozenset:
+    """The update set of one step, as (symbol, argument tuple, value)
+    triples: the compiled rule ``step`` run on the pre-step tables.  A
+    function of its own, so a step can be timed apart from ``fire``."""
     out: set = set()
-    _collect(state, env, rule, out)
+    step(tables, env, out)
     return frozenset(out)
-
-
-def _collect(state: State, env: dict, rule, out: set) -> None:
-    if isinstance(rule, Skip):
-        return
-    if isinstance(rule, Update):
-        args = tuple(eval_term(state, env, a) for a in rule.args)
-        value = eval_term(state, env, rule.value)
-        if rule.symbol in BOOLEAN_DYNAMICS and value not in (TRUE, EMPTY):
-            raise ValidationError(f"{rule.symbol} assigned a non-Boolean value")
-        out.add((rule.symbol, args, value))
-        return
-    if isinstance(rule, Cond):
-        flag = _as_flag(eval_term(state, env, rule.guard))
-        branch = rule.then_rule if flag else rule.else_rule
-        _collect(state, env, branch, out)
-        return
-    if isinstance(rule, Forall):
-        source = eval_term(state, env, rule.source)
-        inner = dict(env)
-        for member in source.members:
-            inner[rule.var] = member
-            _collect(state, inner, rule.body, out)
-        return
-    if isinstance(rule, Par):
-        for sub in rule.rules:
-            _collect(state, env, sub, out)
-        return
-    raise TypeError(f"not a rule: {rule!r}")
 
 
 def _has_clash(updates: frozenset) -> bool:
@@ -220,7 +380,7 @@ def fire(state: State, updates: frozenset) -> State:
             tables[symbol].pop(args, None)  # default reads are already 0
         else:
             tables[symbol][args] = value
-    return State(state.structure, tables, state.atoms_value)
+    return State(state.structure, tables)
 
 
 def active_count(trace) -> int:
@@ -270,11 +430,18 @@ def _vocabulary_check(program: Program, structure: InputStructure) -> None:
             raise ValidationError(
                 f"input symbol {name!r} used as a relation but is not one"
             )
+    for name in program.dynamic_arity:
+        if name in structure.relations or name in structure.functions:
+            raise ValidationError(
+                f"dynamic symbol {name!r} is also an input symbol of the structure"
+            )
 
 
 def run(program: Program, structure: InputStructure) -> RunOutcome:
     """Fire the program from the initial state under its own budgets."""
     _vocabulary_check(program, structure)
+    step, slots = _compile_rule(program.rule, structure)
+    env: list = [None] * slots
 
     n = len(structure.atoms)
     max_steps = program.bounds.max_steps(n)
@@ -292,7 +459,7 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
             return RunOutcome(
                 "bound-exceeded", steps, len(active), _as_flag(state.read("Output", ())), state
             )
-        updates = collect_updates(state, {}, program.rule)
+        updates = collect_updates(step, state.tables, env)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:

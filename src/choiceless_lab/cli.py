@@ -127,6 +127,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args leaves the parser as it found it
+_PARSER = _build_parser()
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -373,7 +377,7 @@ def dispatch(argv) -> tuple:
     started = time.monotonic()
     out_path = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         out_path = args.out
         result = _handle(args)
         report = dict(envelope)

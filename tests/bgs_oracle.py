@@ -1,0 +1,201 @@
+"""The tree-walking evaluator, kept as the differential oracle of the
+compiled interpreter in ``choiceless_lab.bgs.interp``.
+
+``eval_term`` and ``collect_updates`` walk the syntax tree on every
+evaluation, dispatching on node type, with variables in a dict copied at
+each binder.  ``run_oracle`` is ``interp.run`` with that walker in place
+of the compiled step: it shares the vocabulary check, ``fire`` and both
+budgets, so any difference between the two runs is the compiler's.
+"""
+
+from __future__ import annotations
+
+from choiceless_lab.bgs.interp import (
+    RunOutcome,
+    State,
+    _accumulate_active,
+    _vocabulary_check,
+    fire,
+)
+from choiceless_lab.bgs.structures import InputStructure
+from choiceless_lab.bgs.syntax import (
+    App,
+    BOOLEAN_DYNAMICS,
+    Compr,
+    Cond,
+    Forall,
+    Lit,
+    Par,
+    Program,
+    Skip,
+    Update,
+    Var,
+)
+from choiceless_lab.errors import ValidationError
+from choiceless_lab.hfset import (
+    EMPTY,
+    TRUE,
+    Atom,
+    HfSet,
+    HfValue,
+    card,
+    make_set,
+    ordinal,
+    pair,
+    the_unique,
+    union_all,
+)
+
+
+def _as_flag(value: HfValue) -> int:
+    """Interpret a value as a truth flag: 1 for ordinal 1, 0 otherwise."""
+    return 1 if value is TRUE else 0
+
+
+def eval_term(state: State, env: dict, term) -> HfValue:
+    """Evaluate a term under variable bindings from ``env``."""
+    if isinstance(term, Var):
+        try:
+            return env[term.name]
+        except KeyError:
+            raise ValidationError(f"unbound variable {term.name!r}") from None
+    if isinstance(term, Lit):
+        return ordinal(term.value)
+    if isinstance(term, Compr):
+        source = eval_term(state, env, term.source)
+        collected = []
+        inner = dict(env)
+        for member in source.members:
+            inner[term.var] = member
+            if _as_flag(eval_term(state, inner, term.guard)):
+                collected.append(eval_term(state, inner, term.element))
+        return make_set(collected)
+    if not isinstance(term, App):
+        raise TypeError(f"not a term: {term!r}")
+
+    symbol = term.symbol
+    if symbol == "true":
+        return TRUE
+    if symbol == "false":
+        return EMPTY
+    if symbol == "empty":
+        return EMPTY
+    if symbol == "Atoms":
+        return make_set(state.structure.atoms)
+
+    args = [eval_term(state, env, a) for a in term.args]
+
+    if symbol == "not":
+        (x,) = args
+        if x is TRUE:
+            return EMPTY
+        if x is EMPTY:
+            return TRUE
+        return EMPTY  # off-domain convention
+    if symbol == "and":
+        x, y = args
+        return TRUE if (x is TRUE and y is TRUE) else EMPTY
+    if symbol == "or":
+        x, y = args
+        ok = (x is TRUE or y is TRUE) and (x in (TRUE, EMPTY) and y in (TRUE, EMPTY))
+        return TRUE if ok else EMPTY
+    if symbol == "eq":
+        x, y = args
+        return TRUE if x is y else EMPTY
+    if symbol == "in":
+        x, y = args
+        return TRUE if (isinstance(y, HfSet) and x in y) else EMPTY
+    if symbol == "Union":
+        return union_all(args[0])
+    if symbol == "TheUnique":
+        return the_unique(args[0])
+    if symbol == "Pair":
+        return pair(args[0], args[1])
+    if symbol == "Card":
+        return card(args[0])
+
+    structure = state.structure
+    if symbol in structure.relations:
+        tup = tuple(args)
+        for a in tup:
+            if not isinstance(a, Atom):
+                return EMPTY  # off-universe arguments read as 0
+        return TRUE if tup in structure.relations[symbol] else EMPTY
+    if symbol in structure.functions:
+        tup = tuple(args)
+        return structure.functions[symbol].get(tup, EMPTY)
+    # dynamic symbol
+    return state.read(symbol, tuple(args))
+
+
+def collect_updates(state: State, env: dict, rule) -> frozenset:
+    """The update set a rule produces under the given bindings, as
+    (symbol, argument tuple, value) triples."""
+    out: set = set()
+    _collect(state, env, rule, out)
+    return frozenset(out)
+
+
+def _collect(state: State, env: dict, rule, out: set) -> None:
+    if isinstance(rule, Skip):
+        return
+    if isinstance(rule, Update):
+        args = tuple(eval_term(state, env, a) for a in rule.args)
+        value = eval_term(state, env, rule.value)
+        if rule.symbol in BOOLEAN_DYNAMICS and value not in (TRUE, EMPTY):
+            raise ValidationError(f"{rule.symbol} assigned a non-Boolean value")
+        out.add((rule.symbol, args, value))
+        return
+    if isinstance(rule, Cond):
+        flag = _as_flag(eval_term(state, env, rule.guard))
+        branch = rule.then_rule if flag else rule.else_rule
+        _collect(state, env, branch, out)
+        return
+    if isinstance(rule, Forall):
+        source = eval_term(state, env, rule.source)
+        inner = dict(env)
+        for member in source.members:
+            inner[rule.var] = member
+            _collect(state, inner, rule.body, out)
+        return
+    if isinstance(rule, Par):
+        for sub in rule.rules:
+            _collect(state, env, sub, out)
+        return
+    raise TypeError(f"not a rule: {rule!r}")
+
+
+def run_oracle(program: Program, structure: InputStructure) -> RunOutcome:
+    """``interp.run`` with the tree-walker collecting each step's updates."""
+    _vocabulary_check(program, structure)
+
+    n = len(structure.atoms)
+    max_steps = program.bounds.max_steps(n)
+    max_active = program.bounds.max_active(n)
+
+    state = State(structure)
+    active: set = set()
+    steps = 0
+    while True:
+        if state.read("Halt", ()) is TRUE:
+            out = state.read("Output", ())
+            verdict = "accept" if out is TRUE else "reject"
+            return RunOutcome(verdict, steps, len(active), _as_flag(out), state)
+        if steps >= max_steps:
+            return RunOutcome(
+                "bound-exceeded", steps, len(active), _as_flag(state.read("Output", ())), state
+            )
+        updates = collect_updates(state, {}, program.rule)
+        new_state = fire(state, updates)
+        steps += 1
+        if new_state is not state:
+            _accumulate_active(updates, active)
+            if len(active) > max_active:
+                return RunOutcome(
+                    "bound-exceeded",
+                    steps,
+                    len(active),
+                    _as_flag(new_state.read("Output", ())),
+                    new_state,
+                )
+        state = new_state

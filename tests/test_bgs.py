@@ -26,8 +26,6 @@ from choiceless_lab.bgs import (
     Var,
     active_count,
     check_program,
-    collect_updates,
-    eval_term,
     fire,
     load_builtin_program,
     parse_program,
@@ -35,13 +33,16 @@ from choiceless_lab.bgs import (
     run,
     write_structure,
 )
+from choiceless_lab.bgs import interp
 from choiceless_lab.bgs.parser import MAX_NESTING
 from choiceless_lab.bgs.syntax import Forall
 from choiceless_lab.errors import ParseError, ValidationError
-from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, transitive_closure
+from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, pair, transitive_closure
 from choiceless_lab.linalg import mat_pow, zp
 from choiceless_lab.linalg.matrix import FieldMatrix
 
+import bgs_oracle
+from bgs_oracle import run_oracle
 from fo_compile import compile_sentence, random_sentence
 from helpers import empty_structure, permuted_structure, power_structure, x_table
 from oracles import fo_model_check
@@ -305,7 +306,157 @@ def test_parser_robustness(text):
     assert isinstance(outcome, RunOutcome)
 
 
+# ------------------------------------------- compiled run against the oracle
+
+
+def outcome_key(outcome):
+    return (
+        outcome.verdict,
+        outcome.steps,
+        outcome.peak_active,
+        outcome.output,
+        outcome.final_state.tables,
+    )
+
+
+def assert_runs_agree(program, structure):
+    """``run`` and the tree-walking ``run_oracle`` give the same outcome and
+    final tables, or raise the same ``ValidationError``."""
+    try:
+        expected = outcome_key(run_oracle(program, structure))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            run(program, structure)
+        assert str(err.value) == str(exc)
+        return None
+    got = outcome_key(run(program, structure))
+    assert got == expected
+    return got
+
+
+# damaged texts seldom parse, so half the draws are grammar-built bodies
+_RUNNABLE_TEXTS = st.one_of(
+    program_texts(),
+    rules.map(lambda body: "#steps 3\n#active 50 10\n#requires card\n" + body),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RUNNABLE_TEXTS, st.integers(0, 2**32 - 1))
+def test_compiled_run_matches_oracle(text, seed):
+    try:
+        prog = parse_program(text)
+    except ParseError:
+        return
+    assert_runs_agree(prog, _THREE_ATOMS)
+    assert_runs_agree(prog, permuted_structure(_THREE_ATOMS, seed))
+
+
+def test_compiled_shadowed_binder():
+    prog = parse(
+        "do in parallel\n"
+        "  A := { { x : x in Atoms : true } : x in Pair(Atoms, empty) : true };\n"
+        "  N := { Pair({ x : x in Atoms : true }, x) : x in Pair(Atoms, empty) : true };\n"
+        "  do forall x in Atoms,\n"
+        "    D(x) := { { Pair(x, z) : z in Atoms : true } : x in Atoms : true }\n"
+        "  enddo;\n"
+        "  Halt := true\n"
+        "enddo"
+    )
+    structure = empty_structure(3)
+    tables = assert_runs_agree(prog, structure)[4]
+    atoms = make_set(structure.atoms)
+    assert tables["A"][()] is make_set([atoms])
+    assert tables["N"][()] is make_set([make_set([atoms]), make_set([atoms, EMPTY])])
+    # z sits one binder below the shadowing x, so their slots differ
+    grid = make_set(make_set(pair(b, z) for z in structure.atoms) for b in structure.atoms)
+    for a in structure.atoms:
+        assert tables["D"][(a,)] is grid
+
+
+def test_compiled_binder_after_nested_shadowing_binder():
+    # the second comprehension binds y at the depth where the first one
+    # shadowed x, so it reuses that slot; x must still read the forall's atom
+    prog = parse(
+        "do in parallel\n"
+        "  do forall x in Atoms,\n"
+        "    do in parallel\n"
+        "      A := { x : x in Atoms : true };\n"
+        "      B(x) := { y : y in Atoms : y = x };\n"
+        "      C(x) := Pair({ x : x in Atoms : true }, { y : y in Atoms : y = x })\n"
+        "    enddo\n"
+        "  enddo;\n"
+        "  Halt := true\n"
+        "enddo"
+    )
+    structure = empty_structure(3)
+    tables = assert_runs_agree(prog, structure)[4]
+    atoms = make_set(structure.atoms)
+    for a in structure.atoms:
+        assert tables["B"][(a,)] is make_set([a])
+        assert tables["C"][(a,)] is make_set([atoms, make_set([a])])
+
+
+def test_compiled_shipped_programs_match_oracle():
+    rng = random.Random(1010)
+    power = load_builtin_program("power")
+    for n in (4, 5, 6):
+        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        structure = power_structure(rows, rng.randrange(2, 64))
+        assert assert_runs_agree(power, structure)[0] == "accept"
+    parity = load_builtin_program("parity")
+    for n in (0, 1, 6, 9):
+        expected = "accept" if n % 2 else "reject"
+        assert assert_runs_agree(parity, empty_structure(n))[0] == expected
+    doubling = load_builtin_program("doubling")
+    for n in (2, 5):
+        assert assert_runs_agree(doubling, empty_structure(n))[0] == "bound-exceeded"
+
+
+_TWO_STEPS = (
+    "#steps 3\n#active 20 1\n"
+    "if Mode = 0 then\n"
+    "  do in parallel E := 1; Mode := 1 enddo\n"
+    "else\n"
+    "  do in parallel Output := E = 1; Halt := true enddo\n"
+    "endif\n"
+)
+
+
+@pytest.mark.parametrize(
+    "symbol_line",
+    ["rel E/0:", "rel E/0: ()", "fun Mode/0: ()->a", "rel Halt/0: ()", "rel Output/0:"],
+)
+def test_structure_may_not_interpret_a_dynamic_symbol(symbol_line):
+    prog = parse_program(_TWO_STEPS)
+    assert run(prog, parse_structure("atoms: a b\nrel Q/0:\n")).verdict == "accept"
+    structure = parse_structure(f"atoms: a b\n{symbol_line}\n")
+    name = symbol_line.split()[1].split("/")[0]
+    with pytest.raises(ValidationError, match=f"dynamic symbol '{name}'"):
+        run(prog, structure)
+    with pytest.raises(ValidationError, match=f"dynamic symbol '{name}'"):
+        run_oracle(prog, structure)
+
+
 # ------------------------------------------------------------- evaluation
+
+
+def compiled_eval(state, env, term):
+    """``eval_term``'s signature over the compiled path."""
+    fn, slots = interp._compile_term(term, state.structure, tuple(env))
+    return fn(state.tables, list(env.values()) + [None] * (slots - len(env)))
+
+
+def compiled_collect(state, env, rule):
+    """``collect_updates``' tree-walker signature over the compiled path."""
+    assert not env, "compiled rules are closed"
+    step, slots = interp._compile_rule(rule, state.structure)
+    return interp.collect_updates(step, state.tables, [None] * slots)
+
+
+# each evaluator test checks the tree-walking oracle and the compiled path
+EVALUATORS = (bgs_oracle.eval_term, compiled_eval)
+COLLECTORS = (bgs_oracle.collect_updates, compiled_collect)
 
 
 @pytest.fixture()
@@ -315,14 +466,15 @@ def five_atoms():
 
 def test_eval_builtins(five_atoms):
     state = State(five_atoms)
-    assert eval_term(state, {}, App("Card", (App("Atoms"),))) is ordinal(5)
     x = make_set([five_atoms.atoms[0]])
-    env = {"x": x}
-    got = eval_term(state, env, App("TheUnique", (App("Pair", (Var("x"), Var("x"))),)))
-    assert got is x
-    assert eval_term(state, {}, App("eq", (Lit(2), Lit(2)))) is TRUE
-    assert eval_term(state, {}, App("in", (Lit(1), Lit(3)))) is TRUE
-    assert eval_term(state, {}, App("in", (Lit(3), Lit(1)))) is EMPTY
+    for eval_term in EVALUATORS:
+        assert eval_term(state, {}, App("Card", (App("Atoms"),))) is ordinal(5)
+        env = {"x": x}
+        got = eval_term(state, env, App("TheUnique", (App("Pair", (Var("x"), Var("x"))),)))
+        assert got is x
+        assert eval_term(state, {}, App("eq", (Lit(2), Lit(2)))) is TRUE
+        assert eval_term(state, {}, App("in", (Lit(1), Lit(3)))) is TRUE
+        assert eval_term(state, {}, App("in", (Lit(3), Lit(1)))) is EMPTY
 
 
 def test_eval_comprehension_existential_coding():
@@ -331,57 +483,64 @@ def test_eval_comprehension_existential_coding():
     )
     state = State(structure)
     some = App("in", (Lit(0), Compr(Lit(0), "v", App("Atoms"), App("Loop", (Var("v"),)))))
-    assert eval_term(state, {}, some) is TRUE
     none = App(
         "in",
         (Lit(0), Compr(Lit(0), "v", App("Atoms"), App("not", (App("Loop", (Var("v"),)),)))),
     )
-    assert eval_term(state, {}, none) is TRUE
+    for eval_term in EVALUATORS:
+        assert eval_term(state, {}, some) is TRUE
+        assert eval_term(state, {}, none) is TRUE
 
 
 def test_off_domain_convention(five_atoms):
     state = State(five_atoms)
-    # relation applied to a set argument reads as 0
     structure = InputStructure.build(
         ["a"], relations={"P": [("a",)]}, arities={"P": 1}
     )
     st2 = State(structure)
-    assert eval_term(st2, {}, App("P", (Lit(3),))) is EMPTY
-    # logical connectives off 0/1 read as 0
-    assert eval_term(state, {}, App("not", (Lit(2),))) is EMPTY
-    assert eval_term(state, {}, App("and", (Lit(1), Lit(2)))) is EMPTY
-    assert eval_term(state, {}, App("Union", (Lit(4),))) is ordinal(3)
+    for eval_term in EVALUATORS:
+        # relation applied to a set argument reads as 0
+        assert eval_term(st2, {}, App("P", (Lit(3),))) is EMPTY
+        # logical connectives off 0/1 read as 0
+        assert eval_term(state, {}, App("not", (Lit(2),))) is EMPTY
+        assert eval_term(state, {}, App("and", (Lit(1), Lit(2)))) is EMPTY
+        assert eval_term(state, {}, App("Union", (Lit(4),))) is ordinal(3)
+
+
+def test_unbound_variable_is_reported_when_evaluated(five_atoms):
+    state = State(five_atoms)
+    term = App("Pair", (Var("y"), Var("z")))
+    for eval_term in EVALUATORS:
+        with pytest.raises(ValidationError, match="unbound variable 'y'"):
+            eval_term(state, {}, term)
+    for collect in COLLECTORS:
+        with pytest.raises(ValidationError, match="unbound variable 'u'"):
+            collect(state, {}, Update("F", (Var("u"),), Var("w")))
+        with pytest.raises(ValidationError, match="non-Boolean"):
+            collect(state, {}, Update("Halt", (), Lit(2)))
 
 
 # ----------------------------------------------------- updates and firing
 
 
-def build_program(rule, dynamics, statics=None, bounds=None):
-    return check_program(
-        Program(
-            rule=rule,
-            bounds=bounds or RunBounds((10, 1), (100, 10)),
-            dynamic_arity={"Halt": 0, "Output": 0, **dynamics},
-            static_arity=statics or {},
-        )
-    )
-
-
 def test_collect_updates_by_rule_kind(five_atoms):
     state = State(five_atoms)
-    assert collect_updates(state, {}, Skip()) == frozenset()
-    forall_empty = collect_updates(
-        state, {}, Forall("v", App("empty"), Update("F", (Var("v"),), Lit(1)))
-    )
-    assert forall_empty == frozenset()
-    par = Par((Update("F", (), Lit(1)), Update("G", (), Lit(2))))
-    got = collect_updates(state, {}, par)
-    assert got == frozenset(
-        {("F", (), ordinal(1)), ("G", (), ordinal(2))}
-    )
-    assert fire(state, got) is not state
-    clash = collect_updates(state, {}, Par((Update("F", (), Lit(1)), Update("F", (), Lit(0)))))
-    assert fire(state, clash) is state
+    for collect_updates in COLLECTORS:
+        assert collect_updates(state, {}, Skip()) == frozenset()
+        forall_empty = collect_updates(
+            state, {}, Forall("v", App("empty"), Update("F", (Var("v"),), Lit(1)))
+        )
+        assert forall_empty == frozenset()
+        par = Par((Update("F", (), Lit(1)), Update("G", (), Lit(2))))
+        got = collect_updates(state, {}, par)
+        assert got == frozenset(
+            {("F", (), ordinal(1)), ("G", (), ordinal(2))}
+        )
+        assert fire(state, got) is not state
+        clash = collect_updates(
+            state, {}, Par((Update("F", (), Lit(1)), Update("F", (), Lit(0))))
+        )
+        assert fire(state, clash) is state
 
 
 def test_fire_semantics(five_atoms):

@@ -303,6 +303,48 @@ def test_bgs_run_cli(tmp_path, capsys):
     assert report["result"]["steps"] == 1
 
 
+def test_bgs_run_dynamic_symbol_in_structure_exits_parse(tmp_path, capsys):
+    program = tmp_path / "mark.bgs"
+    program.write_text(
+        "#steps 3\n#active 10 2\ndo in parallel Mark := 1; Halt := true enddo\n"
+    )
+    structure = tmp_path / "in.str"
+    structure.write_text("atoms: x y\nrel Mark/0:\n")
+    code, report = invoke(
+        ["bgs", "run", "--program", str(program), "--input", str(structure)], capsys
+    )
+    assert code == EXIT_PARSE
+    assert "dynamic symbol 'Mark'" in report["error"]["message"]
+
+
+def test_one_parser_serves_every_dispatch(tmp_path, capsys, monkeypatch):
+    from choiceless_lab import cli
+
+    program = tmp_path / "flag.bgs"
+    program.write_text(
+        "#steps 3\n#active 10 2\ndo in parallel Output := true; Halt := true enddo\n"
+    )
+    structure = tmp_path / "in.str"
+    structure.write_text("atoms: x y\n")
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("field 2\nrows r0 r1\nsquare\nr0 r1 1\nr1 r0 1\n")
+    argvs = [
+        ["solve", "nonsense"],
+        ["bgs", "run", "--program", str(program), "--input", str(structure)],
+        ["solve", "det", "--matrix", str(matrix)],
+    ]
+    shared = [invoke(argv, capsys) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append(invoke(argv, capsys))
+    assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    for (code, report), (fresh_code, fresh_report) in zip(shared, fresh):
+        report.pop("timing_seconds")
+        fresh_report.pop("timing_seconds")
+        assert (code, report) == (fresh_code, fresh_report)
+
+
 def test_exit_statuses(tmp_path, capsys):
     code, report = invoke(["solve", "nonsense"], capsys)
     assert code == EXIT_USAGE
