@@ -271,9 +271,9 @@ def _not(x):
 
 def _and(x, y):
     def conjunction(tables, env):
-        u = x(tables, env)
-        v = y(tables, env)
-        return TRUE if u is TRUE and v is TRUE else EMPTY
+        # short-circuit: no term of a checked program raises, so skipping
+        # the right operand when the left one is not 1 changes no value
+        return TRUE if x(tables, env) is TRUE and y(tables, env) is TRUE else EMPTY
 
     return conjunction
 

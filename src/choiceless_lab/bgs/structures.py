@@ -11,10 +11,17 @@ File format, whitespace separated, ``//`` comments allowed::
 
 Symbol lines may list no tuples (empty relation).  The atom listing order
 is internal bookkeeping only; programs cannot observe it.
+
+:meth:`InputStructure.build` is the one check of a structure, whether it
+comes from a file or from code: unique names, tuple arities, known atoms
+and total functions.  :func:`parse_structure` checks only the text's
+grammar and name syntax, with line numbers, and reports what ``build``
+rejects as a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -29,88 +36,74 @@ class InputStructure:
     """Universe plus relation and function interpretations.
 
     ``arities`` records the declared arity of every symbol, which matters
-    for symbols whose interpretation happens to be empty.
+    for symbols whose interpretation happens to be empty.  Construct with
+    :meth:`build`, which checks what the fields promise.
     """
 
     atoms: tuple
     relations: dict
     functions: dict
     arities: dict
-    by_name: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        names = [a.name for a in self.atoms]
-        if len(set(names)) != len(names):
-            raise ValidationError("atom names must be unique")
-        object.__setattr__(self, "by_name", {a.name: a for a in self.atoms})
-        universe = set(self.atoms)
-        for name, tuples in self.relations.items():
-            arity = self.arities.get(name)
-            if arity is None:
-                raise ValidationError(f"relation {name} lacks a declared arity")
-            for tup in tuples:
-                if len(tup) != arity:
-                    raise ValidationError(f"relation {name} tuple arity mismatch")
-                if not set(tup) <= universe:
-                    raise ValidationError(f"relation {name} mentions foreign atoms")
-        for name, table in self.functions.items():
-            arity = self.arities.get(name)
-            if arity is None:
-                raise ValidationError(f"function {name} lacks a declared arity")
-            for args, out in table.items():
-                if len(args) != arity:
-                    raise ValidationError(f"function {name} tuple arity mismatch")
-                if not set(args) <= universe or out not in universe:
-                    raise ValidationError(f"function {name} mentions foreign atoms")
-            expected = len(self.atoms) ** arity
-            if len(table) != expected:
-                raise ValidationError(
-                    f"function {name} must be total on the universe"
-                    f" ({len(table)} of {expected} tuples)"
-                )
+    by_name: dict = field(repr=False)
 
     @staticmethod
     def build(atom_names, relations=None, functions=None, arities=None) -> "InputStructure":
         """Construct from plain names: relations as name -> iterable of name
-        tuples, functions as name -> dict of name tuple -> name."""
-        atoms = tuple(Atom(n) for n in atom_names)
+        tuples, functions as name -> dict of name tuple -> name.
+
+        This is the one check of a structure: names are unique, every tuple
+        has its symbol's arity (taken from the first tuple when undeclared),
+        every name is an atom, and every function is total.
+        """
+        atoms = tuple(map(Atom, atom_names))
         by_name = {a.name: a for a in atoms}
-        rels = {}
+        if len(by_name) != len(atoms):
+            raise ValidationError("atom names must be unique")
         declared = dict(arities or {})
-        for name, tuples in (relations or {}).items():
-            resolved = frozenset(
-                tuple(by_name[str(x)] for x in tup) for tup in tuples
-            )
-            rels[name] = resolved
-            if name not in declared:
+
+        def lookup(kind, name, tuples):
+            try:
+                return [tuple(map(by_name.__getitem__, tup)) for tup in tuples]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"{kind} {name} mentions unknown atom {exc.args[0]!r}"
+                ) from None
+
+        def resolve(kind, name, tuples):
+            resolved = lookup(kind, name, tuples)
+            arity = declared.get(name)
+            if arity is None:
                 if not resolved:
-                    raise ValidationError(
-                        f"empty relation {name} needs an explicit arity"
-                    )
-                declared[name] = len(next(iter(resolved)))
+                    raise ValidationError(f"empty {kind} {name} needs an explicit arity")
+                arity = declared[name] = len(resolved[0])
+            if any(len(tup) != arity for tup in resolved):
+                raise ValidationError(f"{kind} {name} tuple arity mismatch")
+            return resolved
+
+        rels = {
+            name: frozenset(resolve("relation", name, tuples))
+            for name, tuples in (relations or {}).items()
+        }
         funs = {}
         for name, table in (functions or {}).items():
-            resolved_f = {
-                tuple(by_name[str(x)] for x in args): by_name[str(out)]
-                for args, out in table.items()
-            }
-            funs[name] = resolved_f
-            if name not in declared:
-                if not resolved_f:
-                    raise ValidationError(
-                        f"empty function {name} needs an explicit arity"
-                    )
-                declared[name] = len(next(iter(resolved_f)))
-        return InputStructure(atoms, rels, funs, declared)
+            args = resolve("function", name, table)
+            expected = len(atoms) ** declared[name]
+            if len(args) != expected:
+                raise ValidationError(
+                    f"function {name} must be total on the universe"
+                    f" ({len(args)} of {expected} tuples)"
+                )
+            (values,) = lookup("function", name, [table.values()])
+            funs[name] = dict(zip(args, values))
+        return InputStructure(atoms, rels, funs, declared, by_name)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 
 
-def _check_name(name: str, line_no: int) -> str:
-    if not _NAME_RE.match(name):
-        raise ParseError(f"bad name {name!r}", line_no)
-    return name
+def _names(chunk: str) -> tuple:
+    """The comma-separated names inside one pair of parentheses."""
+    return tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
 
 
 def parse_structure(text: str) -> InputStructure:
@@ -125,38 +118,29 @@ def parse_structure(text: str) -> InputStructure:
         if line.startswith("atoms:"):
             if atom_names is not None:
                 raise ParseError("duplicate atoms line", line_no)
-            atom_names = [
-                _check_name(n, line_no) for n in line[len("atoms:"):].split()
-            ]
+            atom_names = line[len("atoms:"):].split()
+            bad = next(itertools.filterfalse(_NAME_RE.match, atom_names), None)
+            if bad is not None:
+                raise ParseError(f"bad name {bad!r}", line_no)
             continue
         m = re.match(r"(rel|fun)\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:(.*)$", line)
         if m is None:
             raise ParseError(f"unrecognized line {line!r}", line_no)
-        kind, name, arity_s, rest = m.groups()
-        arity = int(arity_s)
+        kind, name, arity, rest = m.groups()
         if name in declared:
             raise ParseError(f"duplicate symbol {name!r}", line_no)
-        declared[name] = arity
+        declared[name] = int(arity)
         if kind == "rel":
-            tuples = set()
-            for chunk in re.findall(r"\(([^()]*)\)", rest):
-                parts = [p.strip() for p in chunk.split(",")] if chunk.strip() else []
-                if len(parts) != arity:
-                    raise ParseError(f"tuple arity mismatch in {name}", line_no)
-                tuples.add(tuple(parts))
+            tuples = {_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)}
             leftover = re.sub(r"\([^()]*\)", "", rest).strip()
             if leftover:
                 raise ParseError(f"stray text {leftover!r} in {name}", line_no)
             relations[name] = tuples
         else:
-            table = {}
-            for args_chunk, out in re.findall(
-                r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest
-            ):
-                parts = [p.strip() for p in args_chunk.split(",")] if args_chunk.strip() else []
-                if len(parts) != arity:
-                    raise ParseError(f"tuple arity mismatch in {name}", line_no)
-                table[tuple(parts)] = out
+            table = {
+                _names(chunk): out
+                for chunk, out in re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
+            }
             leftover = re.sub(r"\([^()]*\)\s*->\s*[A-Za-z0-9_.+-]+", "", rest).strip()
             if leftover:
                 raise ParseError(f"stray text {leftover!r} in {name}", line_no)
@@ -165,8 +149,6 @@ def parse_structure(text: str) -> InputStructure:
         raise ParseError("missing atoms: line")
     try:
         return InputStructure.build(atom_names, relations, functions, declared)
-    except KeyError as exc:
-        raise ParseError(f"unknown atom {exc.args[0]!r}") from exc
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 

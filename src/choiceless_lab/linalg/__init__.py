@@ -6,7 +6,6 @@ verdict.  Where an order is genuinely part of the input contract (Gaussian
 elimination), it is an explicit argument.
 """
 
-from .binnat import BinNat
 from .fields import FiniteField, gf, zp
 from .intmatrix import IntMatrix, det_prime_divisors, nonsingular_int
 from .matrix import (
@@ -25,7 +24,6 @@ from .primes import sieve_first_primes
 from .sampling import frequency_experiment, random_matrix
 
 __all__ = [
-    "BinNat",
     "FiniteField",
     "FieldMatrix",
     "IntMatrix",

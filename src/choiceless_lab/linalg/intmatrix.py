@@ -47,25 +47,15 @@ class IntMatrix:
     digits: frozenset  # triples (i, j, s) with 0 <= s < digit_count
     positives: frozenset  # pairs (i, j) whose entry is positive
 
-    def __post_init__(self):
-        if self.digit_count < 1:
-            raise ValidationError("at least one digit position is required")
-        for (i, j, s) in self.digits:
-            if i not in self.index_set or j not in self.index_set:
-                raise ValidationError(f"digit triple {(i, j, s)} outside the index set")
-            if not 0 <= s < self.digit_count:
-                raise ValidationError(f"digit position {s} out of range")
-        seen = {(i, j) for (i, j, _) in self.digits}
-        for (i, j) in self.positives:
-            if (i, j) not in seen:
-                raise ValidationError(f"sign on zero entry {(i, j)}")
-
     @staticmethod
     def from_int_entries(entries: dict, index_set=None) -> "IntMatrix":
-        """Build from a dense/sparse dict ``(i, j) -> int``."""
-        if index_set is None:
-            index_set = {i for i, _ in entries} | {j for _, j in entries}
-        idx = frozenset(index_set)
+        """Build from a dense/sparse dict ``(i, j) -> int``, the only
+        constructor; every entry key must lie in ``index_set`` (by default
+        the indices the keys mention)."""
+        mentioned = {k for pair in entries for k in pair}
+        idx = frozenset(mentioned if index_set is None else index_set)
+        if not mentioned <= idx:
+            raise ValidationError("an entry lies outside the index set")
         digits = set()
         positives = set()
         width = 1

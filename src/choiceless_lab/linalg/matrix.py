@@ -39,10 +39,10 @@ operation the field supplies, and GF(2) rank on packed rows is
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from .binnat import BinNat
 from .fields import FiniteField
 
 __all__ = [
@@ -154,13 +154,12 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._trusted(field, m.rows, n.cols, out, square=m.rows == n.cols)
 
 
-def mat_pow(field: FiniteField, m: FieldMatrix, r) -> FieldMatrix:
-    """``m**r`` by repeated squaring over the bit set of ``r`` (r >= 1),
-    consuming bits from the most significant; at most ``2 * (1 + max bit)``
-    multiplications.  Over GF(2) they run on packed bit rows."""
-    if isinstance(r, int):
-        r = BinNat.from_int(r)
-    if r.is_zero:
+def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
+    """``m**r`` by repeated squaring over the binary digits of ``r``
+    (r >= 1), consuming them from the most significant; at most
+    ``2 * r.bit_length()`` multiplications.  Over GF(2) they run on packed
+    bit rows."""
+    if r < 1:
         raise ValidationError("exponent must be at least 1")
     if not m.square:
         raise ValidationError("powers need a square matrix")
@@ -169,17 +168,17 @@ def mat_pow(field: FiniteField, m: FieldMatrix, r) -> FieldMatrix:
     return _square_and_multiply(functools.partial(mat_mul, field), m, r)
 
 
-def _square_and_multiply(mul, base, r: BinNat):
+def _square_and_multiply(mul, base, r: int):
     power = base
     # the leading bit is consumed by starting from the base itself
-    for b in range(r.max_bit - 1, -1, -1):
+    for b in range(r.bit_length() - 2, -1, -1):
         power = mul(power, power)
-        if b in r.bits:
+        if r >> b & 1:
             power = mul(power, base)
     return power
 
 
-def _gf2_pow(field: FiniteField, m: FieldMatrix, r: BinNat) -> FieldMatrix:
+def _gf2_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
     """``m**r`` over GF(2): pack once, multiply packed rows, unpack once."""
     index = list(m.rows)  # the internal numbering; see the module docstring
     position = {i: b for b, i in enumerate(index)}
@@ -226,20 +225,12 @@ def _rank_bitrows(rows) -> int:
     return rank
 
 
-@functools.lru_cache(maxsize=None)
-def gl_order(q: int, n: int) -> BinNat:
+def gl_order(q: int, n: int) -> int:
     """Order of the group of invertible n-by-n matrices over the field of
     order q: the product of ``q**n - q**i`` for ``i < n``."""
     if n < 1:
         raise ValidationError("dimension must be at least 1")
-    base = BinNat.from_int(q)
-    qn = base.pow_int(n)
-    acc = BinNat.from_int(1)
-    qi = BinNat.from_int(1)
-    for _ in range(n):
-        acc = acc.mul(qn.sub(qi))
-        qi = qi.mul(base)
-    return acc
+    return math.prod(q**n - q**i for i in range(n))
 
 
 def nonsingular_square(field: FiniteField, m: FieldMatrix) -> bool:

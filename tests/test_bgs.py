@@ -334,10 +334,103 @@ def assert_runs_agree(program, structure):
     return got
 
 
-# damaged texts seldom parse, so half the draws are grammar-built bodies
+_VARS = ("x", "y", "z")
+
+
+@st.composite
+def closed_terms(draw, bound, depth):
+    leaves = ["empty", "Atoms", "0", "1", "2", "A"]
+    for v in sorted(bound):
+        leaves += [v, f"F({v})", f"B({v})"]
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(leaves))
+    kind = draw(st.sampled_from(["compr", "guard", "Pair", "Union", "TheUnique", "Card"]))
+    if kind == "compr":
+        v = draw(st.sampled_from(_VARS))
+        element = draw(closed_terms(bound | {v}, depth - 1))
+        guard = draw(closed_guards(bound | {v}, depth - 1, subject=v))
+        return f"{{ {element} : {v} in Atoms : {guard} }}"
+    if kind == "guard":
+        return draw(closed_guards(bound, depth - 1))
+    args = [draw(closed_terms(bound, depth - 1)) for _ in range(2 if kind == "Pair" else 1)]
+    return f"{kind}({', '.join(args)})"
+
+
+@st.composite
+def closed_guards(draw, bound, depth, subject=None):
+    """A Boolean term; with a ``subject``, its atoms are E, F and = of it."""
+    if subject is None:
+        atoms = ["true", "false", "Halt", "Output", "A = empty", "empty in A"]
+        atoms += [f"E({v}, F({v}))" for v in sorted(bound)]
+    else:
+        v = subject
+        atoms = [f"E({v}, {v})", f"E({v}, F({v}))", f"F({v}) = {v}"]
+        atoms += [f"E({v}, {w})" for w in sorted(bound - {v})]
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(atoms))
+    kinds = ["not", "and", "or", "term and"] + (["=", "in"] if subject is None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("=", "in"):
+        left, right = (draw(closed_terms(bound, depth - 1)) for _ in range(2))
+        return f"({left}) {kind} ({right})"
+    right = draw(closed_guards(bound, depth - 1, subject))
+    if kind == "not":
+        return f"not ({right})"
+    if kind == "term and":
+        return f"({draw(closed_terms(bound, depth - 1))}) and ({right})"
+    return f"({draw(closed_guards(bound, depth - 1, subject))}) {kind} ({right})"
+
+
+@st.composite
+def closed_rules(draw, bound, depth):
+    kinds = ["skip", "A", "Halt", "Output"] + (["B"] if bound else [])
+    kind = draw(st.sampled_from(kinds + (["if", "forall", "par"] if depth else [])))
+    if kind == "skip":
+        return "skip"
+    if kind in ("Halt", "Output"):
+        return f"{kind} := {draw(closed_guards(bound, depth))}"
+    if kind in ("A", "B"):
+        target = "A" if kind == "A" else f"B({draw(st.sampled_from(sorted(bound)))})"
+        return f"{target} := {draw(closed_terms(bound, depth))}"
+    if kind == "if":
+        guard = draw(closed_guards(bound, depth - 1))
+        then_rule, else_rule = (draw(closed_rules(bound, depth - 1)) for _ in range(2))
+        return f"if {guard} then {then_rule} else {else_rule} endif"
+    if kind == "forall":
+        v = draw(st.sampled_from(_VARS))
+        return f"do forall {v} in Atoms, {draw(closed_rules(bound | {v}, depth - 1))} enddo"
+    rules_ = draw(st.lists(closed_rules(bound, depth - 1), min_size=1, max_size=3))
+    return "do in parallel " + "; ".join(rules_) + " enddo"
+
+
+@st.composite
+def runnable_texts(draw):
+    """Closed programs that always parse: every guard is Boolean, every
+    comprehension ranges over Atoms under a guard about its variable, and
+    some ``and`` terms have a non-Boolean left operand.  A and B are always
+    assigned, so reading them never names an input symbol."""
+    a = draw(closed_terms(frozenset(), 2))
+    b = draw(closed_terms(frozenset({"x"}), 2))
+    halt = draw(closed_guards(frozenset(), 2))
+    rest = draw(closed_rules(frozenset(), 2))
+    return (
+        "#steps 3\n#active 50 10\n#requires card\ndo in parallel "
+        f"A := {a}; do forall x in Atoms, B(x) := {b} enddo; Halt := {halt}; {rest} enddo"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(runnable_texts())
+def test_runnable_texts_parse(text):
+    assert isinstance(parse_program(text), Program)
+
+
+# damaged texts seldom parse, so grammar-built bodies and closed programs
+# join them
 _RUNNABLE_TEXTS = st.one_of(
     program_texts(),
     rules.map(lambda body: "#steps 3\n#active 50 10\n#requires card\n" + body),
+    runnable_texts(),
 )
 
 
@@ -763,6 +856,57 @@ def test_structure_validation():
         parse_structure("atoms: a b\nfun F/1: (a)->b\n")  # not total
     with pytest.raises(ParseError):
         parse_structure("atoms: a\nrel E/1: (b)\n")  # unknown atom
+
+
+_BAD_STRUCTURE_TEXTS = {
+    "missing atoms line": "rel E/2: (a,b)\n",
+    "second atoms line": "atoms: a\natoms: b\n",
+    "bad name": "atoms: a 1b\n",
+    "duplicate name": "atoms: a a\n",
+    "unrecognized line": "atoms: a\nedge a a\n",
+    "duplicate symbol": "atoms: a\nrel E/1: (a)\nfun E/1: (a)->a\n",
+    "rel tuple arity": "atoms: a\nrel E/2: (a)\n",
+    "fun tuple arity": "atoms: a\nfun F/1: (a,a)->a\n",
+    "stray text in rel": "atoms: a\nrel E/1: (a) a\n",
+    "stray text in fun": "atoms: a\nfun F/1: (a)->a (a)\n",
+    "unknown atom in tuple": "atoms: a\nrel E/1: (b)\n",
+    "unknown atom in argument": "atoms: a\nfun F/1: (b)->a\n",
+    "unknown function value": "atoms: a\nfun F/1: (a)->b\n",
+    "function not total": "atoms: a b\nfun F/1: (a)->b\n",
+}
+
+_BAD_BUILDS = {
+    "duplicate names": (["a", "a"], {}),
+    "rel arity differs from declared": (
+        ["a"], {"relations": {"E": [("a",)]}, "arities": {"E": 2}}
+    ),
+    "fun arity differs from declared": (
+        ["a"], {"functions": {"F": {("a", "a"): "a"}}, "arities": {"F": 1}}
+    ),
+    "mixed rel arities": (["a"], {"relations": {"E": [("a",), ("a", "a")]}}),
+    "empty relation without arity": (["a"], {"relations": {"E": []}}),
+    "empty function without arity": (["a"], {"functions": {"F": {}}}),
+    "function not total": (["a", "b"], {"functions": {"F": {("a",): "b"}}}),
+    "unknown name in tuple": (["a"], {"relations": {"E": [("b",)]}}),
+    "unknown function value": (["a"], {"functions": {"F": {("a",): "b"}}}),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [("parse_structure", name) for name in _BAD_STRUCTURE_TEXTS]
+    + [("build", name) for name in _BAD_BUILDS],
+)
+def test_structure_rejections(reader, case):
+    """Every malformed ``.str`` text is a ``ParseError``; every malformed
+    ``build`` call is a ``ValidationError``."""
+    if reader == "parse_structure":
+        with pytest.raises(ParseError):
+            parse_structure(_BAD_STRUCTURE_TEXTS[case])
+    else:
+        names, kwargs = _BAD_BUILDS[case]
+        with pytest.raises(ValidationError):
+            InputStructure.build(names, **kwargs)
 
 
 def test_run_vocabulary_check():

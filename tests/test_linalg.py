@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from choiceless_lab.errors import ValidationError
 from choiceless_lab.linalg import (
-    BinNat,
     FieldMatrix,
     IntMatrix,
     det_prime_divisors,
@@ -104,29 +103,6 @@ def test_field_addition_is_order_independent():
 def test_zp_rejects_composite():
     with pytest.raises(ValidationError):
         zp(6)
-
-
-# ---------------------------------------------------------------- binnat
-
-
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=150, deadline=None)
-def test_binnat_add_mul(a, b):
-    x, y = BinNat.from_int(a), BinNat.from_int(b)
-    assert x.add(y).to_int() == a + b
-    assert x.mul(y).to_int() == a * b
-    if a >= b:
-        assert x.sub(y).to_int() == a - b
-
-
-def test_binnat_sub_negative_rejected():
-    with pytest.raises(ValueError):
-        BinNat.from_int(3).sub(BinNat.from_int(5))
-
-
-def test_binnat_pow():
-    assert BinNat.from_int(3).pow_int(4).to_int() == 81
-    assert BinNat.from_int(7).pow_int(0).to_int() == 1
 
 
 # ---------------------------------------------------------------- mat_mul
@@ -236,7 +212,7 @@ def _bit_grid(n):
 def test_gf2_packed_power_matches_dict_products(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     grid = data.draw(_bit_grid(n))
-    r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_order(2, n).to_int())))
+    r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_order(2, n))))
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     expected = _dict_pow(GF2, dense(GF2, grid), r)
     assert mat_pow(GF2, dense(GF2, grid), r) == expected
@@ -253,10 +229,10 @@ def test_mat_pow_rejects_zero_exponent():
 
 
 def test_gl_order_values():
-    assert gl_order(2, 1).to_int() == 1
-    assert gl_order(2, 2).to_int() == 6
-    assert gl_order(2, 3).to_int() == 168
-    assert gl_order(3, 2).to_int() == 48
+    assert gl_order(2, 1) == 1
+    assert gl_order(2, 2) == 6
+    assert gl_order(2, 3) == 168
+    assert gl_order(3, 2) == 48
 
 
 def test_gl_order_matches_brute_enumeration_n2():
@@ -267,14 +243,14 @@ def test_gl_order_matches_brute_enumeration_n2():
             rows = [[flat[0], flat[1]], [flat[2], flat[3]]]
             if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % q != 0:
                 count += 1
-        assert gl_order(q, 2).to_int() == count
+        assert gl_order(q, 2) == count
 
 
 def test_gl_order_bit_bound():
     for q, n in [(2, 3), (2, 5), (3, 3), (5, 2)]:
         g = gl_order(q, n)
         bound = n * n * max(1, (q - 1).bit_length()) + n
-        assert g.max_bit < bound
+        assert g.bit_length() - 1 < bound
 
 
 # ------------------------------------------------------- nonsingularity
@@ -441,6 +417,11 @@ def test_int_matrix_roundtrip():
     assert m.digit_count == 9
     assert scan_width(m) == 9
     assert (1, 0) not in m.positives
+
+
+def test_int_matrix_rejects_entry_outside_index_set():
+    with pytest.raises(ValidationError):
+        IntMatrix.from_int_entries({(0, 2): 1}, index_set={0, 1})
 
 
 def test_nonsingular_int_examples():
