@@ -137,10 +137,10 @@ def parse_structure(text: str) -> InputStructure:
                 raise ParseError(f"stray text {leftover!r} in {name}", line_no)
             relations[name] = tuples
         else:
-            table = {
-                _names(chunk): out
-                for chunk, out in re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
-            }
+            cells = re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
+            table = {_names(chunk): out for chunk, out in cells}
+            if len(table) != len(cells):
+                raise ParseError(f"function {name} lists an argument tuple twice", line_no)
             leftover = re.sub(r"\([^()]*\)\s*->\s*[A-Za-z0-9_.+-]+", "", rest).strip()
             if leftover:
                 raise ParseError(f"stray text {leftover!r} in {name}", line_no)

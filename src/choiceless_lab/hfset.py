@@ -35,7 +35,6 @@ __all__ = [
     "FALSE",
     "TRUE",
     "is_atom",
-    "is_set",
     "make_set",
     "pair",
     "ordered_pair",
@@ -117,10 +116,6 @@ _INTERN: dict = {}
 
 def is_atom(value: HfValue) -> bool:
     return isinstance(value, Atom)
-
-
-def is_set(value: HfValue) -> bool:
-    return isinstance(value, HfSet)
 
 
 def make_set(elems: Iterable[HfValue]) -> HfSet:

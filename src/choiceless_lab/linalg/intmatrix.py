@@ -1,10 +1,8 @@
-"""Integer square matrices in binary-digit form and the many-primes test.
+"""Integer square matrices and the many-primes test.
 
-An :class:`IntMatrix` is a two-sorted object: an unordered index set I and
-an ordered run of digit positions ``0 .. k``.  The matrix itself is the
-ternary relation "bit s of the absolute value of entry (i, j) is one",
-plus a sign relation holding the positive entries (normalized false on
-zero entries).
+An :class:`IntMatrix` maps pairs over an unordered index set I to
+integers, stored sparsely; its digit count is the largest binary length
+of an entry, so every entry is below ``2**digit_count`` in absolute value.
 
 Non-singularity is decided by reducing modulo each of the first ``2 n**2``
 primes (n the larger of |I| and the digit count) and asking whether any
@@ -40,12 +38,11 @@ __all__ = ["IntMatrix", "nonsingular_int", "det_prime_divisors", "scan_width"]
 
 @dataclass(frozen=True, eq=False)
 class IntMatrix:
-    """Square integer matrix as digit and sign relations over I x I."""
+    """Square integer matrix over I x I, stored sparsely."""
 
     index_set: frozenset
-    digit_count: int
-    digits: frozenset  # triples (i, j, s) with 0 <= s < digit_count
-    positives: frozenset  # pairs (i, j) whose entry is positive
+    entries: dict  # (i, j) -> nonzero int
+    digit_count: int  # the largest binary length of an entry, at least 1
 
     @staticmethod
     def from_int_entries(entries: dict, index_set=None) -> "IntMatrix":
@@ -56,39 +53,16 @@ class IntMatrix:
         idx = frozenset(mentioned if index_set is None else index_set)
         if not mentioned <= idx:
             raise ValidationError("an entry lies outside the index set")
-        digits = set()
-        positives = set()
-        width = 1
-        for (i, j), value in entries.items():
-            if value > 0:
-                positives.add((i, j))
-            mag = abs(value)
-            width = max(width, mag.bit_length())
-            for s in range(mag.bit_length()):
-                if (mag >> s) & 1:
-                    digits.add((i, j, s))
-        return IntMatrix(idx, width, frozenset(digits), frozenset(positives))
+        nonzero = {pair: value for pair, value in entries.items() if value}
+        width = max((abs(value).bit_length() for value in nonzero.values()), default=1)
+        return IntMatrix(idx, nonzero, width)
 
     def entry(self, i, j) -> int:
-        mag = sum(1 << s for (a, b, s) in self.digits if (a, b) == (i, j))
-        if mag == 0:
-            return 0
-        return mag if (i, j) in self.positives else -mag
-
-    def to_int_entries(self) -> dict:
-        mags: dict = {}
-        for (i, j, s) in self.digits:
-            mags[(i, j)] = mags.get((i, j), 0) + (1 << s)
-        return {
-            (i, j): (m if (i, j) in self.positives else -m) for (i, j), m in mags.items()
-        }
+        return self.entries.get((i, j), 0)
 
     def reduce_mod(self, p: int) -> FieldMatrix:
-        field = zp(p)
-        entries: dict = {}
-        for (i, j), value in self.to_int_entries().items():
-            entries[(i, j)] = value % p
-        return FieldMatrix(field, self.index_set, self.index_set, entries, square=True)
+        entries = {pair: value % p for pair, value in self.entries.items()}
+        return FieldMatrix(zp(p), self.index_set, self.index_set, entries)
 
 
 def scan_width(m: IntMatrix) -> int:
@@ -102,7 +76,7 @@ def _power_sums(m: IntMatrix) -> list:
     n = len(index)
     position = {i: b for b, i in enumerate(index)}
     base = [[0] * n for _ in index]
-    for (i, j), value in m.to_int_entries().items():
+    for (i, j), value in m.entries.items():
         base[position[i]][position[j]] = value
     columns = list(zip(*base))
     power = base

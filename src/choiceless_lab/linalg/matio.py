@@ -83,7 +83,7 @@ def parse_matrix(text: str):
         for (i, j), v in cells.items():
             if not 0 <= v < q:
                 raise ParseError(f"entry {v} is not an element index below {q}")
-        return "field", FieldMatrix(field, row_set, col_set, cells, square=square)
+        return "field", FieldMatrix(field, row_set, col_set, cells)
     if not square:
         raise ParseError("integer matrices must carry the square flag")
     return "int", IntMatrix.from_int_entries(cells, index_set=row_set)
@@ -102,7 +102,6 @@ def write_field_matrix(m: FieldMatrix) -> str:
 
 def write_int_matrix(m: IntMatrix) -> str:
     lines = ["ring Z", "rows " + " ".join(sorted(map(str, m.index_set))), "square"]
-    cells = m.to_int_entries()
-    for (i, j) in sorted(cells, key=lambda pair: (str(pair[0]), str(pair[1]))):
-        lines.append(f"{i} {j} {cells[(i, j)]}")
+    for (i, j) in sorted(m.entries, key=lambda pair: (str(pair[0]), str(pair[1]))):
+        lines.append(f"{i} {j} {m.entries[(i, j)]}")
     return "\n".join(lines) + "\n"

@@ -30,10 +30,10 @@ checking ``M**g == identity`` for ``g`` the order of the general linear
 group of that dimension: non-singular matrices have order dividing ``g``
 (Lagrange), while no power of a singular matrix is the identity.  The
 ordered Gaussian routines live alongside as the independent oracle and as
-the solver used by the multipede module; rank, solve and the frequency
-experiment share one forward elimination, :func:`echelon`, over the row
-operation the field supplies, and GF(2) rank on packed rows is
-:func:`_rank_bitrows`.
+``solve det --method gauss``; rank, solve and the frequency experiment
+share one forward elimination, :func:`echelon`, over the row operation the
+field supplies.  GF(2) rank on packed rows is :func:`_rank_bitrows`, which
+the frequency experiment and the multipede decisions read.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class FieldMatrix:
     rows: frozenset
     cols: frozenset
     entries: dict
-    square: bool = False
 
     def __post_init__(self):
         zero = self.field.zero
@@ -80,16 +79,19 @@ class FieldMatrix:
             if v != zero:
                 cleaned[(i, j)] = v
         object.__setattr__(self, "entries", cleaned)
-        if self.square and self.rows != self.cols:
-            raise ValidationError("square matrix needs rows == cols")
 
     @classmethod
-    def _trusted(cls, field, rows, cols, entries, square=False) -> "FieldMatrix":
+    def _trusted(cls, field, rows, cols, entries) -> "FieldMatrix":
         """A kernel result: ``entries`` are already nonzero field elements
         on ``rows x cols``, so nothing is checked again."""
         m = object.__new__(cls)
-        vars(m).update(field=field, rows=rows, cols=cols, entries=entries, square=square)
+        vars(m).update(field=field, rows=rows, cols=cols, entries=entries)
         return m
+
+    @property
+    def square(self) -> bool:
+        """Whether the matrix is I-square: its row and column sets agree."""
+        return self.rows == self.cols
 
     def entry(self, i, j):
         return self.entries.get((i, j), self.field.zero)
@@ -114,16 +116,12 @@ class FieldMatrix:
 def identity(field: FiniteField, index_set) -> FieldMatrix:
     idx = frozenset(index_set)
     eye = {(i, i): field.one for i in idx}
-    return FieldMatrix._trusted(field, idx, idx, eye, square=True)
+    return FieldMatrix._trusted(field, idx, idx, eye)
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._trusted(
-        m.field,
-        m.cols,
-        m.rows,
-        {(j, i): v for (i, j), v in m.entries.items()},
-        square=m.square,
+        m.field, m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()}
     )
 
 
@@ -151,7 +149,7 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
                     acc = add(acc, mul(a, b))
             if acc != zero:
                 out[(i, k)] = acc
-    return FieldMatrix._trusted(field, m.rows, n.cols, out, square=m.rows == n.cols)
+    return FieldMatrix._trusted(field, m.rows, n.cols, out)
 
 
 def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
@@ -192,7 +190,7 @@ def _gf2_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
         for c, j in enumerate(index)
         if row >> c & 1
     }
-    return FieldMatrix._trusted(field, m.rows, m.rows, entries, square=True)
+    return FieldMatrix._trusted(field, m.rows, m.rows, entries)
 
 
 def _bitrows_mul(p: list, q: list) -> list:

@@ -18,7 +18,7 @@ def random_matrix(field: FiniteField, n: int, seed) -> FieldMatrix:
     entries = {
         (i, j): rng.randrange(field.order) for i in range(n) for j in range(n)
     }
-    return FieldMatrix(field, idx, idx, entries, square=True)
+    return FieldMatrix(field, idx, idx, entries)
 
 
 def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float:

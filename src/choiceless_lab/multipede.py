@@ -1,4 +1,5 @@
-"""Segment/feet structures with hyperedges and positive foot triples.
+"""Segment/feet structures with hyperedges and positive foot triples
+(Gurevich and Shelah, "On finite rigid structures", JSL 1996).
 
 Each segment owns exactly two feet.  Hyperedges are 3-element segment
 sets; over each hyperedge the eight foot triples split into two classes
@@ -20,6 +21,11 @@ is declared left regardless).  Every candidate matching flips the base at
 some segment set avoiding the shoe's segment, and the positivity defects
 of the base matching give a GF(2) linear system whose solvability under
 that avoidance constraint decides isomorphism.
+
+All three decisions read ranks of the incidence matrix packed one int
+per hyperedge, with bit i for the segment at order position i.  A rank
+does not depend on the order of the rows, so no hyperedge order is
+chosen; the segment order is part of a 3-multipede.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
-from .linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
+from .linalg.matrix import _rank_bitrows
 
 __all__ = [
     "Multipede2",
@@ -48,8 +54,6 @@ __all__ = [
     "to_structure",
     "validate",
 ]
-
-_GF2 = zp(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,22 +198,11 @@ def validate(m: Multipede2) -> list:
     return out
 
 
-def _incidence_matrix(m: Multipede3):
-    """Hyperedge-by-segment incidence over GF(2), rows and columns keyed by
-    lexicographic hyperedge index triples and segment positions."""
-    seg_index = {s: i for i, s in enumerate(m.segment_order)}
-    rows = sorted(tuple(sorted(seg_index[s] for s in h)) for h in m.hyperedges)
-    entries = {}
-    for row in rows:
-        for col in row:
-            entries[(row, col)] = 1
-    matrix = FieldMatrix(
-        _GF2,
-        frozenset(rows),
-        frozenset(range(len(m.segment_order))),
-        entries,
-    )
-    return matrix, rows
+def _incidence_rows(m: Multipede3) -> dict:
+    """The hyperedge incidence matrix over GF(2) as packed rows: one int
+    per hyperedge, bit i standing for the segment at order position i."""
+    bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
+    return {h: sum(map(bit.__getitem__, h)) for h in m.hyperedges}
 
 
 def is_odd(m: Multipede3) -> bool:
@@ -217,22 +210,13 @@ def is_odd(m: Multipede3) -> bool:
     incidence matrix must have full column rank."""
     if not m.segments:
         raise ValidationError("a multipede needs at least one segment")
-    if not m.hyperedges:
-        return False
-    matrix, rows = _incidence_matrix(m)
-    n = len(m.segment_order)
-    return rank_gaussian(_GF2, matrix, rows, list(range(n))) == n
+    return _rank_bitrows(_incidence_rows(m).values()) == len(m.segment_order)
 
 
 def automorphism_count(m: Multipede3) -> int:
     """Number of automorphisms: two to the dimension of the incidence
     matrix's column kernel (foot flips meeting every hyperedge evenly)."""
-    n = len(m.segment_order)
-    if not m.hyperedges:
-        return 2**n
-    matrix, rows = _incidence_matrix(m)
-    rank = rank_gaussian(_GF2, matrix, rows, list(range(n)))
-    return 2 ** (n - rank)
+    return 2 ** (len(m.segment_order) - _rank_bitrows(_incidence_rows(m).values()))
 
 
 def flip_feet(m: Multipede3, segments_to_flip) -> Multipede3:
@@ -252,21 +236,6 @@ def flip_feet(m: Multipede3, segments_to_flip) -> Multipede3:
     )
 
 
-def _aligned_skeletons(a: ShodMultipede, b: ShodMultipede):
-    """Segment-level agreement under the order bijection; returns the
-    hyperedge rows (index triples) shared by both, or None."""
-    na, nb = len(a.pede.segment_order), len(b.pede.segment_order)
-    if na != nb:
-        return None
-    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
-    b_idx = {s: i for i, s in enumerate(b.pede.segment_order)}
-    a_rows = {tuple(sorted(a_idx[s] for s in h)) for h in a.pede.hyperedges}
-    b_rows = {tuple(sorted(b_idx[s] for s in h)) for h in b.pede.hyperedges}
-    if a_rows != b_rows:
-        return None
-    return sorted(a_rows)
-
-
 def _base_matching(a: ShodMultipede, b: ShodMultipede) -> dict:
     """Left feet to left feet, right to right, segment by order position."""
     mu = {}
@@ -276,23 +245,20 @@ def _base_matching(a: ShodMultipede, b: ShodMultipede) -> dict:
     return mu
 
 
-def _defect_vector(a: ShodMultipede, b: ShodMultipede, rows) -> dict:
-    """Per hyperedge (in lexicographic order): 0 when the base matching
-    preserves positivity there, 1 otherwise."""
-    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
+def _defect(a: ShodMultipede, b: ShodMultipede) -> dict:
+    """Per hyperedge of ``a``: 0 when the base matching preserves
+    positivity there, 1 otherwise."""
     mu = _base_matching(a, b)
     reps: dict = {}
     for p in a.pede.positives:
-        row = tuple(sorted(a_idx[a.pede.segment_of[f]] for f in p))
-        reps.setdefault(row, p)
-    vector = {}
-    for row in rows:
-        rep = reps.get(row)
+        reps.setdefault(frozenset(a.pede.segment_of[f] for f in p), p)
+    defect = {}
+    for h in a.pede.hyperedges:
+        rep = reps.get(h)
         if rep is None:
             raise ValidationError("hyperedge without positive triples; validate first")
-        image = frozenset(mu[f] for f in rep)
-        vector[row] = 0 if image in b.pede.positives else 1
-    return vector
+        defect[h] = int(frozenset(mu[f] for f in rep) not in b.pede.positives)
+    return defect
 
 
 def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
@@ -300,29 +266,20 @@ def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
 
     Candidate matchings are the base matching flipped at a segment set X;
     preserving positivity forces the incidence system A x = v, and keeping
-    the shoe fixed forces X to avoid the first segment, which enters the
-    system as one extra equation.
+    the shoe fixed forces X to avoid the first segment, the extra equation
+    x_0 = 0.  The segment orders align the two skeletons, which must have
+    the same incidence rows.  The system is solvable exactly when
+    appending v as bit n leaves the rank unchanged (Rouché–Capelli).
     """
-    rows = _aligned_skeletons(a, b)
-    if rows is None:
-        return False
-    if not rows:
-        return True  # no hyperedges, no positivity to respect
     n = len(a.pede.segment_order)
-    vector = _defect_vector(a, b, rows)
-    matrix_rows = frozenset(rows) | {("shoe",)}
-    entries = {}
-    for row in rows:
-        for col in row:
-            entries[(row, col)] = 1
-    entries[(("shoe",), 0)] = 1  # x_0 = 0 keeps the shoe on its foot
-    matrix = FieldMatrix(_GF2, matrix_rows, frozenset(range(n)), entries)
-    rhs = dict(vector)
-    rhs[("shoe",)] = 0
-    solution = solve_gaussian(
-        _GF2, matrix, rhs, sorted(matrix_rows, key=str), list(range(n))
-    )
-    return solution is not None
+    rows = _incidence_rows(a.pede)
+    skeleton = set(_incidence_rows(b.pede).values())
+    if n != len(b.pede.segment_order) or set(rows.values()) != skeleton:
+        return False
+    defect = _defect(a, b)
+    shoe = 1  # x_0 = 0 keeps the shoe on its foot
+    augmented = [row | defect[h] << n for h, row in rows.items()]
+    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*rows.values(), shoe])
 
 
 def shoe_expansions(m3: Multipede3):

@@ -89,7 +89,6 @@ def dense_matrix(field, rows):
         idx,
         idx,
         {(i, j): rows[i][j] for i in range(n) for j in range(n)},
-        square=True,
     )
 
 

@@ -756,7 +756,6 @@ def test_power_program_matches_mat_pow():
             idx,
             idx,
             {(i, j): rows[i][j] for i in range(n) for j in range(n)},
-            square=True,
         )
         expected = mat_pow(gf2, m, r)
         assert got == [[expected.entry(i, j) for j in range(n)] for i in range(n)]
@@ -873,6 +872,7 @@ _BAD_STRUCTURE_TEXTS = {
     "unknown atom in argument": "atoms: a\nfun F/1: (b)->a\n",
     "unknown function value": "atoms: a\nfun F/1: (a)->b\n",
     "function not total": "atoms: a b\nfun F/1: (a)->b\n",
+    "function argument twice": "atoms: a b\nfun F/1: (a)->a (b)->a (a)->b\n",
 }
 
 _BAD_BUILDS = {

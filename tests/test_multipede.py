@@ -6,8 +6,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiceless_lab.errors import ValidationError
+from choiceless_lab.linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
 from choiceless_lab.multipede import (
     Multipede2,
     Multipede3,
@@ -300,3 +303,109 @@ def test_structure_roundtrip():
     assert back.pede.positives == m.positives
     assert back.shoe == shod.shoe
     assert iso3_decide(shod, back)
+
+
+# ------------------------------------------- packed rows against elimination
+
+GF2 = zp(2)
+
+
+def incidence_triples(m: Multipede3) -> list:
+    """Hyperedges as sorted triples of segment order positions."""
+    position = {s: i for i, s in enumerate(m.segment_order)}
+    return sorted(tuple(sorted(position[s] for s in h)) for h in m.hyperedges)
+
+
+def incidence_field_matrix(rows, n) -> FieldMatrix:
+    """Each row, a tuple of column positions, holds ones there."""
+    return FieldMatrix(
+        GF2, frozenset(rows), frozenset(range(n)), {(row, c): 1 for row in rows for c in row}
+    )
+
+
+def rank_by_elimination(m: Multipede3) -> int:
+    rows = incidence_triples(m)
+    n = len(m.segment_order)
+    return rank_gaussian(GF2, incidence_field_matrix(rows, n), rows, list(range(n)))
+
+
+def iso_by_elimination(a: ShodMultipede, b: ShodMultipede) -> bool:
+    """The shod isomorphism system A x = v, x_0 = 0, solved by ordered
+    Gaussian elimination over GF(2)."""
+    n = len(a.pede.segment_order)
+    rows = incidence_triples(a.pede)
+    if n != len(b.pede.segment_order) or rows != incidence_triples(b.pede):
+        return False
+    mu = {}
+    for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
+        mu[a.left_foot(sa)] = b.left_foot(sb)
+        mu[a.right_foot(sa)] = b.right_foot(sb)
+    position = {s: i for i, s in enumerate(a.pede.segment_order)}
+    rhs = {}
+    for p in a.pede.positives:
+        # every triple of a positivity class has the same defect
+        row = tuple(sorted(position[a.pede.segment_of[f]] for f in p))
+        rhs[row] = int(frozenset(mu[f] for f in p) not in b.pede.positives)
+    rows.append((0,))  # x_0 = 0 keeps the shoe on its foot
+    system = incidence_field_matrix(rows, n)
+    return solve_gaussian(GF2, system, rhs, rows, list(range(n))) is not None
+
+
+def twist(m: Multipede3, hyperedges) -> Multipede3:
+    """Swap the positivity class on each of the given hyperedges."""
+    positives = set(m.positives)
+    for h in hyperedges:
+        f1, f2 = m.feet_of(min(h))
+        club = {p for p in positives if {m.segment_of[f] for f in p} == h}
+        positives -= club
+        positives |= {frozenset({f2 if f == f1 else f1 if f == f2 else f for f in p}) for p in club}
+    return Multipede3(
+        m.segments, m.feet, m.segment_of, m.hyperedges, frozenset(positives), m.segment_order
+    )
+
+
+def rename(shod: ShodMultipede, rng: random.Random) -> ShodMultipede:
+    """The same shod multipede under fresh segment and foot names, drawn
+    so that the names' string order is shuffled too."""
+    m = shod.pede
+    seg_names = rng.sample(range(100), len(m.segments))
+    foot_names = rng.sample(range(100), len(m.feet))
+    seg = {s: f"g{k}" for s, k in zip(m.segments, seg_names)}
+    foot = {f: f"f{k}" for f, k in zip(m.feet, foot_names)}
+    pede = Multipede3(
+        tuple(seg[s] for s in m.segments),
+        tuple(foot[f] for f in m.feet),
+        {foot[f]: seg[s] for f, s in m.segment_of.items()},
+        frozenset(frozenset(seg[s] for s in h) for h in m.hyperedges),
+        frozenset(frozenset(foot[f] for f in p) for p in m.positives),
+        tuple(seg[s] for s in m.segment_order),
+    )
+    return ShodMultipede(pede, foot[shod.shoe])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 20),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_packed_rank_matches_elimination_under_renaming(n, k, style, seed):
+    rng = random.Random(seed)
+    k = min(k, n * (n - 1) * (n - 2) // 6)
+    m = random_multipede(n, k, seed=rng.randrange(10**6))
+    a, a_other = shoe_expansions(m)
+    if style == 0:
+        b = a
+    elif style == 1:
+        b = ShodMultipede(flip_feet(m, [s for s in m.segments if rng.random() < 0.5]), a.shoe)
+    elif style == 2:
+        twisted = twist(m, [h for h in sorted(m.hyperedges, key=sorted) if rng.random() < 0.3])
+        b = ShodMultipede(flip_feet(twisted, rng.sample(m.segments, 1)), a.shoe)
+    else:
+        b = a_other
+    rank = rank_by_elimination(m)
+    verdicts = (is_odd(m), automorphism_count(m), iso3_decide(a, b))
+    assert verdicts == (rank == n, 2 ** (n - rank), iso_by_elimination(a, b))
+    a2, b2 = rename(a, rng), rename(b, rng)
+    assert (is_odd(a2.pede), automorphism_count(a2.pede), iso3_decide(a2, b2)) == verdicts
