@@ -18,11 +18,11 @@ code generation" (1987): a term becomes ``f(tables, env)`` and a rule
 ``f(tables, env, out)``, adding its updates to ``out``.  Builtins and
 input symbols are resolved while compiling, so each closure already holds
 its relation set, function map or builtin, and the set of the atoms; only
-dynamic reads look up ``tables``, the pre-step tables.  A literal's
-ordinal is built the first time it is evaluated, so an unreached literal
-costs nothing.  Variables live in one list ``env`` allocated per run: a
-binder's slot is its nesting depth, the number of binders around it, so a
-shadowing binder takes a fresh slot and the outer binding survives.
+dynamic reads look up ``tables``, the pre-step tables, and a literal is
+its ordinal, made once while compiling.  Variables live in one list
+``env`` allocated per run: a binder's slot is its nesting depth, the
+number of binders around it, so a shadowing binder takes a fresh slot and
+the outer binding survives.
 
 A run fires steps until Halt reads 1, then reports accept or reject from
 Output.  Two budgets police the run: a step polynomial, and an
@@ -42,6 +42,7 @@ from ..hfset import (
     TRUE,
     HfSet,
     HfValue,
+    Ordinal,
     card,
     make_set,
     ordinal,
@@ -99,18 +100,6 @@ def _constant(value: HfValue):
     return constant
 
 
-def _literal(n: int):
-    value = None
-
-    def literal(tables, env):
-        nonlocal value
-        if value is None:
-            value = ordinal(n)
-        return value
-
-    return literal
-
-
 class _Compiler:
     """Turns terms and rules into closures against one structure, and
     records in ``slots`` how long ``env`` must be."""
@@ -141,7 +130,7 @@ class _Compiler:
 
             return var
         if isinstance(node, Lit):
-            return _literal(node.value)
+            return _constant(ordinal(node.value))
         if isinstance(node, Compr):
             return self.comprehension(node, scope, depth)
         if isinstance(node, App):
@@ -400,8 +389,18 @@ def _accumulate_active(updates: frozenset, active: set) -> None:
         stack.extend(args)
     while stack:
         v = stack.pop()
-        if v not in active:
-            active.add(v)
+        if v in active:
+            continue
+        active.add(v)
+        if type(v) is Ordinal:
+            # the members of n are the ordinals below it, and each one
+            # counted brings every smaller one along
+            for k in range(v.n - 1, -1, -1):
+                o = ordinal(k)
+                if o in active:
+                    break
+                active.add(o)
+        else:
             stack.extend(v.members)
 
 

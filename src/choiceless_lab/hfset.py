@@ -2,25 +2,34 @@
 
 A value is either an :class:`Atom` (an opaque urelement taken from an input
 structure) or an :class:`HfSet`, an immutable finite set of values.  All set
-construction funnels through a global interning table, so two values are
-extensionally equal exactly when they are the same Python object.  Equality
-is therefore an identity check and structure is shared aggressively.  The
-package runs single-threaded: the table is a plain dict with no locking,
-and a set is built only when its member set is not interned yet.
-
-Canonical form: a set is interned on its member set, and its member tuple
-is sorted by creation serial.  Every atom and every set takes the next
-serial when it is created; a set is created after its members, so its
-serial exceeds theirs.  That order exists only inside this module; none of
-the exported operations reveal it, which is what keeps programs built on
-these values order-blind.
+construction funnels through :func:`make_set` and :func:`ordinal`, which
+hand out one object per set, so two values are extensionally equal exactly
+when they are the same Python object.  Equality is therefore an identity
+check and structure is shared aggressively.  The package runs
+single-threaded: the tables are plain dicts with no locking, and a set is
+built only when its member set is not held yet.
 
 Von Neumann ordinals serve as the natural numbers: ``ordinal(n)`` is the set
-``{0, 1, ..., n-1}``.  Ordinals 0 and 1 double as the truth values.  The
-convention for every operation applied off its natural domain (for example
-a member query on an atom) is to return ordinal 0.
-"""
+``{0, 1, ..., n-1}``.  Ordinals 0 and 1 double as the truth values.  An
+ordinal is held as its number, an :class:`Ordinal` kept in a table of its
+own, in the manner of the special forms for common values in Filliâtre and
+Conchon, "Type-safe modular hash-consing" (2006): making one, counting it,
+a member test on it and its union cost O(1), and its members are built only
+when something iterates them.  :func:`make_set` hands back the ordinal
+whenever the listed members are exactly ``0, ..., n-1``, so an ordinal has
+one object however it is built.
 
+Canonical form: any other set is interned on its member set, and its member
+tuple is sorted by creation serial.  Every atom and every set takes the
+next serial when it is created.  The serial is only a sort key: an ordinal
+is created when it is first asked for, so a set's serial need not exceed
+its members'.  That order exists only inside this module; none of the
+exported operations reveal it, which is what keeps programs built on these
+values order-blind.
+
+The convention for every operation applied off its natural domain (for
+example a member query on an atom) is to return ordinal 0.
+"""
 from __future__ import annotations
 
 import itertools
@@ -31,6 +40,7 @@ __all__ = [
     "Atom",
     "HfSet",
     "HfValue",
+    "Ordinal",
     "EMPTY",
     "FALSE",
     "TRUE",
@@ -109,9 +119,35 @@ class HfSet:
         return "{" + inner + "}"
 
 
+class Ordinal(HfSet):
+    """The von Neumann ordinal ``{0, 1, ..., n-1}``, held as ``n``.
+
+    Do not instantiate directly; use :func:`ordinal`.  The member tuple is
+    built each time it is read, so an ordinal that is only counted,
+    compared or tested for membership never costs more than its number.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+        self._serial = next(_serial)
+
+    @property
+    def members(self) -> tuple:
+        return tuple(map(ordinal, range(self.n)))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __contains__(self, value: "HfValue") -> bool:
+        return type(value) is Ordinal and value.n < self.n
+
+
 HfValue = Union[Atom, HfSet]
 
-_INTERN: dict = {}
+_INTERN: dict = {}  # member set -> the non-ordinal set with those members
+_ORDINALS: dict = {}  # n -> ordinal(n)
 
 
 def is_atom(value: HfValue) -> bool:
@@ -123,35 +159,34 @@ def make_set(elems: Iterable[HfValue]) -> HfSet:
     key = frozenset(elems)
     found = _INTERN.get(key)
     if found is None:
+        n = len(key)
+        for m in key:
+            if type(m) is not Ordinal or m.n >= n:
+                break
+        else:
+            # n distinct ordinals below n are exactly 0, ..., n-1
+            return ordinal(n)
         found = _INTERN[key] = HfSet(key)
     return found
 
 
-EMPTY = make_set(())
-
-_ORDINALS: list = [EMPTY]
-
-
-def ordinal(n: int) -> HfSet:
+def ordinal(n: int) -> Ordinal:
     """The von Neumann ordinal ``{0, 1, ..., n-1}``."""
-    if n < 0:
-        raise ValueError("ordinals are nonnegative")
-    while len(_ORDINALS) <= n:
-        prev = _ORDINALS[-1]
-        _ORDINALS.append(make_set(prev.members + (prev,)))
-    return _ORDINALS[n]
+    found = _ORDINALS.get(n)
+    if found is None:
+        if n < 0:
+            raise ValueError("ordinals are nonnegative")
+        found = _ORDINALS.setdefault(n, Ordinal(n))
+    return found
 
 
-FALSE = ordinal(0)
+EMPTY = FALSE = ordinal(0)
 TRUE = ordinal(1)
 
 
 def ordinal_value(value: HfValue) -> Optional[int]:
     """Decode a von Neumann ordinal to an int, or None for anything else."""
-    if not isinstance(value, HfSet):
-        return None
-    n = len(value.members)
-    return n if value is ordinal(n) else None
+    return value.n if type(value) is Ordinal else None
 
 
 def pair(x: HfValue, y: HfValue) -> HfSet:
@@ -167,6 +202,9 @@ def ordered_pair(x: HfValue, y: HfValue) -> HfSet:
 def union_all(x: HfValue) -> HfSet:
     """Union of all set members of ``x``; atoms contribute nothing and
     the union of an atom is the empty set."""
+    if type(x) is Ordinal:
+        # the union of n is its greatest member n - 1
+        return ordinal(x.n - 1) if x.n else EMPTY
     if isinstance(x, Atom):
         return EMPTY
     acc: list = []
@@ -178,7 +216,7 @@ def union_all(x: HfValue) -> HfSet:
 
 def the_unique(x: HfValue) -> HfValue:
     """The sole member of a singleton set, ordinal 0 otherwise."""
-    if isinstance(x, HfSet) and len(x.members) == 1:
+    if isinstance(x, HfSet) and len(x) == 1:
         return x.members[0]
     return EMPTY
 
@@ -187,7 +225,7 @@ def card(x: HfValue) -> HfSet:
     """Cardinality as a von Neumann ordinal; atoms count 0."""
     if isinstance(x, Atom):
         return EMPTY
-    return ordinal(len(x.members))
+    return ordinal(len(x))
 
 
 def transitive_closure(value: HfValue) -> frozenset:

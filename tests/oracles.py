@@ -67,13 +67,24 @@ def field_axiom_violations(field) -> list:
     return out
 
 
-def hf_model(value):
+def hf_model(value, memo=None):
     """A hereditarily finite value as nested Python frozensets: an atom is
     its name, a set is the frozenset of its members' models.  Atoms must
-    have distinct names for the model to tell them apart."""
+    have distinct names for the model to tell them apart.
+
+    ``memo`` maps each value modelled so far to its model, and each model
+    to itself, so a value shared inside ``value`` is modelled once and
+    equal models made through one memo are one object.  Without that,
+    modelling or comparing ordinal n would visit 2^n nodes."""
     if hasattr(value, "name"):
         return value.name
-    return frozenset(hf_model(m) for m in value.members)
+    if memo is None:
+        memo = {}
+    found = memo.get(value)
+    if found is None:
+        model = frozenset(hf_model(m, memo) for m in value.members)
+        found = memo[value] = memo.setdefault(model, model)
+    return found
 
 
 def linear_solutions(field, grid, rhs, width) -> list:

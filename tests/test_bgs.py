@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import choiceless_lab
 from choiceless_lab.bgs import (
     App,
     Compr,
@@ -661,8 +668,10 @@ def test_active_count_examples(five_atoms):
 
 _TRACE_ATOMS = [Atom(f"x{i}") for i in range(3)]
 
+# leaves are atoms and ordinals up to 40, so sets mix the two and the
+# active walk's ordinal shortcut meets ordinals inside other sets
 nested_values = st.recursive(
-    st.sampled_from(_TRACE_ATOMS),
+    st.sampled_from(_TRACE_ATOMS) | st.integers(0, 40).map(ordinal),
     lambda kids: st.lists(kids, max_size=4).map(make_set),
     max_leaves=10,
 )
@@ -704,6 +713,52 @@ def test_parity_hand_trace_five_atoms():
     outcome = run(prog, empty_structure(5))
     assert outcome.verdict == "accept"
     assert outcome.steps == 4
+
+
+@pytest.mark.parametrize(
+    "n, verdict, steps, peak_active",
+    [(5, "accept", 4, 6), (100, "reject", 52, 101), (401, "accept", 202, 402)],
+)
+def test_parity_run_counts(n, verdict, steps, peak_active):
+    # Card(Atoms) puts ordinals 0..n in play, and every later value is one
+    # of them, so the active count is n + 1 throughout
+    outcome = run(load_builtin_program("parity"), empty_structure(n))
+    assert (outcome.verdict, outcome.steps, outcome.peak_active) == (verdict, steps, peak_active)
+
+
+# the probe reports its own peak RSS as VmHWM, not ru_maxrss: on Linux,
+# exec carries the forking process's peak into ru_maxrss, so a child of a
+# large pytest process would report the parent's size
+_LARGE_LITERAL = """
+import json, re
+from choiceless_lab.bgs import InputStructure, parse_program, run
+program = parse_program("#steps 1\\n#active 0 1\\nOutput := 100000 = 0")
+outcome = run(program, InputStructure.build(["a"]))
+with open("/proc/self/status") as status:
+    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+print(json.dumps({"verdict": outcome.verdict, "peak_kb": peak_kb}))
+"""
+
+
+def test_large_literal_costs_no_memory():
+    # a literal is a number until something iterates it, so a program that
+    # only compares one stays small and fails on its budget, not on memory
+    src = str(Path(choiceless_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", _LARGE_LITERAL],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+        check=True,
+    )
+    elapsed = time.perf_counter() - start
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "bound-exceeded"
+    assert elapsed < 2.0
+    assert report["peak_kb"] < 60 * 1024
 
 
 def test_run_determinism():

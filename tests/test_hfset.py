@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import hfset
+from choiceless_lab.bgs import InputStructure, parse_program, run
 from choiceless_lab.hfset import (
     EMPTY,
     Atom,
@@ -299,3 +300,76 @@ def test_interning_agrees_with_nested_frozenset_model(p, r, seed):
     assert sp is q
     assert (sp is sr) == (hf_model(sp) == hf_model(sr))
     assert hf_model(sp) == described(p)
+
+
+def von_neumann_model(n, memo):
+    """The nested-frozenset model of ordinal n, k + 1 = k | {k} from the
+    empty set, each step made canonical in ``memo`` as ``hf_model`` does."""
+    model = memo.setdefault(frozenset(), frozenset())
+    for _ in range(n):
+        model = model | {model}
+        model = memo.setdefault(model, model)
+    return model
+
+
+def ordinal_by_comprehension(n):
+    """Ordinal n as the set-machine value ``{ x : x in n+1 : not (x = n) }``."""
+    program = parse_program(
+        f"#steps 2\n#active {n + 2}\n"
+        f"do in parallel N := {{ x : x in {n + 1} : not (x = {n}) }}; Halt := true enddo"
+    )
+    outcome = run(program, InputStructure.build(["a"]))
+    return outcome.final_state.read("N", ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 2**32))
+def test_ordinal_is_one_object_however_built(n, seed):
+    rng = random.Random(seed)
+    listed = [ordinal(k) for k in range(n)] + [ordinal(rng.randrange(n)) for _ in range(n and 3)]
+    rng.shuffle(listed)
+    atoms = [Atom(f"c{i}") for i in range(n)]
+    canonical = ordinal(n)
+    for built in (
+        make_set(listed),
+        union_all(ordinal(n + 1)),
+        card(make_set(atoms)),
+        ordinal_by_comprehension(n),
+    ):
+        assert built is canonical
+    assert ordinal_value(canonical) == n
+    memo: dict = {}
+    assert hf_model(canonical, memo) is von_neumann_model(n, memo)
+
+
+def test_ordinal_membership_compares_numbers():
+    for n in range(12):
+        for k in range(12):
+            assert (ordinal(k) in ordinal(n)) == (k < n)
+        assert Atom("z") not in ordinal(n)
+        assert make_set([ordinal(1)]) not in ordinal(n)
+
+
+def test_sets_of_ordinals_that_are_not_ordinals():
+    for members in ([ordinal(0), ordinal(2)], [ordinal(1)], [ordinal(5)]):
+        s = make_set(members)
+        assert ordinal_value(s) is None
+        assert repr(s).startswith("{")
+        assert make_set(reversed(members)) is s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 8), max_size=8), st.integers(0, 2**32))
+def test_sets_mixing_ordinals_and_atoms_intern_in_any_order(picks, seed):
+    # a negative pick names an atom, any other an ordinal
+    values = [_MODEL_ATOMS[-p - 1] if p < 0 else ordinal(p) for p in picks]
+    shuffled = values + values[:2]
+    random.Random(seed).shuffle(shuffled)
+    s = make_set(values)
+    assert make_set(shuffled) is s
+    assert hf_model(s) == frozenset(hf_model(v) for v in values)
+    numbers = set(picks)
+    if numbers == set(range(len(numbers))):
+        assert s is ordinal(len(numbers))
+    else:
+        assert ordinal_value(s) is None
