@@ -375,33 +375,30 @@ def fire(state: State, updates: frozenset) -> State:
 def active_count(trace) -> int:
     """Number of elements hereditarily involved in the traced update sets."""
     active: set = set()
+    ordinals = 0
     for updates in trace:
-        _accumulate_active(updates, active)
-    return len(active)
+        ordinals = _accumulate_active(updates, active, ordinals)
+    return len(active) + ordinals
 
 
-def _accumulate_active(updates: frozenset, active: set) -> None:
-    # active is closed under membership, so the walk stops at any element
-    # already counted: its members are counted too
+def _accumulate_active(updates: frozenset, active: set, ordinals: int) -> int:
+    """Add the non-ordinals that ``updates`` involve to ``active`` and return
+    the new count of active ordinals.  The active elements are closed under
+    membership, so the active ordinals are always 0, ..., ordinals - 1, and
+    the walk stops at any set already counted: its members are counted too."""
     stack: list = []
     for _, args, value in updates:
         stack.append(value)
         stack.extend(args)
     while stack:
         v = stack.pop()
-        if v in active:
-            continue
-        active.add(v)
         if type(v) is Ordinal:
-            # the members of n are the ordinals below it, and each one
-            # counted brings every smaller one along
-            for k in range(v.n - 1, -1, -1):
-                o = ordinal(k)
-                if o in active:
-                    break
-                active.add(o)
-        else:
+            if v.n >= ordinals:
+                ordinals = v.n + 1
+        elif v not in active:
+            active.add(v)
             stack.extend(v.members)
+    return ordinals
 
 
 @dataclass(frozen=True)
@@ -447,28 +444,24 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
     max_active = program.bounds.max_active(n)
 
     state = State(structure)
-    active: set = set()
+    active: set = set()  # the active non-ordinals
+    ordinals = 0  # the active ordinals are 0, ..., ordinals - 1
     steps = 0
     while True:
         if state.read("Halt", ()) is TRUE:
-            out = state.read("Output", ())
-            verdict = "accept" if out is TRUE else "reject"
-            return RunOutcome(verdict, steps, len(active), _as_flag(out), state)
+            verdict = "accept" if state.read("Output", ()) is TRUE else "reject"
+            break
         if steps >= max_steps:
-            return RunOutcome(
-                "bound-exceeded", steps, len(active), _as_flag(state.read("Output", ())), state
-            )
+            verdict = "bound-exceeded"
+            break
         updates = collect_updates(step, state.tables, env)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:
-            _accumulate_active(updates, active)
-            if len(active) > max_active:
-                return RunOutcome(
-                    "bound-exceeded",
-                    steps,
-                    len(active),
-                    _as_flag(new_state.read("Output", ())),
-                    new_state,
-                )
-        state = new_state
+            ordinals = _accumulate_active(updates, active, ordinals)
+            state = new_state
+            if len(active) + ordinals > max_active:
+                verdict = "bound-exceeded"
+                break
+    output = _as_flag(state.read("Output", ()))
+    return RunOutcome(verdict, steps, len(active) + ordinals, output, state)

@@ -19,21 +19,17 @@ when something iterates them.  :func:`make_set` hands back the ordinal
 whenever the listed members are exactly ``0, ..., n-1``, so an ordinal has
 one object however it is built.
 
-Canonical form: any other set is interned on its member set, and its member
-tuple is sorted by creation serial.  Every atom and every set takes the
-next serial when it is created.  The serial is only a sort key: an ordinal
-is created when it is first asked for, so a set's serial need not exceed
-its members'.  That order exists only inside this module; none of the
-exported operations reveal it, which is what keeps programs built on these
-values order-blind.
+Canonical form: any other set is interned on its member frozenset, which is
+all it holds.  Iterating a set follows that frozenset, an order set by
+memory addresses that no operation here depends on: every consumer collects
+what it visits into a set, which is what keeps programs built on these
+values order-blind.  Only ``repr`` shows members, and it sorts them.
 
 The convention for every operation applied off its natural domain (for
 example a member query on an atom) is to return ordinal 0.
 """
 from __future__ import annotations
 
-import itertools
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
@@ -56,29 +52,19 @@ __all__ = [
     "transitive_closure",
 ]
 
-_serial = itertools.count()
-_by_serial = attrgetter("_serial")
-
-
 class Atom:
     """An urelement from an input universe.
 
-    Atoms are never sets: membership queries on them are false and their
-    member tuple is empty.  Two atoms are equal only if they are the same
-    object, so distinct universes never collide.  The creation serial
-    orders canonical forms internally and is not observable through any
-    exported operation.
+    Atoms are never sets: membership queries on them are false and they
+    have no members.  Two atoms are equal only if they are the same object,
+    so distinct universes never collide.
     """
 
-    __slots__ = ("name", "_serial")
+    __slots__ = ("name",)
+    members = ()
 
     def __init__(self, name: str):
         self.name = str(name)
-        self._serial = next(_serial)
-
-    @property
-    def members(self) -> tuple:
-        return ()
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
@@ -93,12 +79,10 @@ class HfSet:
     with it.
     """
 
-    __slots__ = ("members", "_member_set", "_serial")
+    __slots__ = ("members",)
 
-    def __init__(self, member_set: frozenset):
-        self._member_set = member_set
-        self.members = tuple(sorted(member_set, key=_by_serial))
-        self._serial = next(_serial)
+    def __init__(self, members: frozenset):
+        self.members = members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -107,16 +91,14 @@ class HfSet:
         return iter(self.members)
 
     def __contains__(self, value: "HfValue") -> bool:
-        return value in self._member_set
+        return value in self.members
 
     def __repr__(self) -> str:
         n = ordinal_value(self)
         if n is not None:
             return f"ord({n})"
-        inner = ", ".join(
-            m.name if isinstance(m, Atom) else repr(m) for m in self.members
-        )
-        return "{" + inner + "}"
+        inner = sorted(m.name if isinstance(m, Atom) else repr(m) for m in self.members)
+        return "{" + ", ".join(inner) + "}"
 
 
 class Ordinal(HfSet):
@@ -131,7 +113,6 @@ class Ordinal(HfSet):
 
     def __init__(self, n: int):
         self.n = n
-        self._serial = next(_serial)
 
     @property
     def members(self) -> tuple:
@@ -217,7 +198,8 @@ def union_all(x: HfValue) -> HfSet:
 def the_unique(x: HfValue) -> HfValue:
     """The sole member of a singleton set, ordinal 0 otherwise."""
     if isinstance(x, HfSet) and len(x) == 1:
-        return x.members[0]
+        (member,) = x.members
+        return member
     return EMPTY
 
 

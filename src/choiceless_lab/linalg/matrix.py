@@ -22,8 +22,7 @@ rows of ``Q`` picked by the bits of row i of ``P``; the result is unpacked
 once.  The numbering is the index set's iteration order, and it decides
 nothing: the same numbering packs and unpacks, so the power returned is
 the same map ``rows x cols -> GF(2)`` under any numbering, and only the
-time the XORs take could depend on it.  Like ``hfset``'s serial order, it
-never leaves this module.
+time the XORs take could depend on it, so it never leaves this module.
 
 Non-singularity of an I-square matrix is decided without elimination, by
 checking ``M**g == identity`` for ``g`` the order of the general linear

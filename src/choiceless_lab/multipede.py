@@ -386,8 +386,8 @@ def from_structure_lenient(structure):
     segments = tuple(sorted(t[0].name for t in structure.relations["Segment"]))
     feet = tuple(sorted(t[0].name for t in structure.relations["Foot"]))
     segment_of = {f.name: s.name for (f, s) in structure.relations["S"]}
-    if set(segment_of) != set(feet):
-        raise ValidationError("S must assign a segment to every foot")
+    if set(segment_of) != set(feet) or len(segment_of) != len(structure.relations["S"]):
+        raise ValidationError("S must assign one segment to every foot")
     hyperedges = frozenset(
         frozenset(x.name for x in tup) for tup in structure.relations["Hyper"]
     )
@@ -397,9 +397,8 @@ def from_structure_lenient(structure):
     leq = {(x.name, y.name) for (x, y) in structure.relations["Leq"]}
     later_counts = Counter(x for (x, _) in leq)
     order = tuple(sorted(segments, key=lambda s: -later_counts[s]))
-    for i, s in enumerate(order):
-        if later_counts[s] != len(segments) - i:
-            raise ValidationError("Leq is not a linear order on segments")
+    if leq != {(s, t) for i, s in enumerate(order) for t in order[i:]}:
+        raise ValidationError("Leq is not a linear order on segments")
     shoes = [t[0].name for t in structure.relations["Shoe"]]
     if len(shoes) > 1:
         raise ValidationError("at most one shoe is allowed")

@@ -5,7 +5,10 @@ compiled interpreter in ``choiceless_lab.bgs.interp``.
 evaluation, dispatching on node type, with variables in a dict copied at
 each binder.  ``run_oracle`` is ``interp.run`` with that walker in place
 of the compiled step: it shares the vocabulary check, ``fire`` and both
-budgets, so any difference between the two runs is the compiler's.
+budgets, so any difference between the two runs is the compiler's or the
+active count's.  The oracle counts active elements member by member with
+``accumulate_active``, ordinals included, where ``interp`` holds the active
+ordinals as one number.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from choiceless_lab.bgs.interp import (
     RunOutcome,
     State,
-    _accumulate_active,
     _vocabulary_check,
     fire,
 )
@@ -165,6 +167,20 @@ def _collect(state: State, env: dict, rule, out: set) -> None:
     raise TypeError(f"not a rule: {rule!r}")
 
 
+def accumulate_active(updates: frozenset, active: set) -> None:
+    """Add every element hereditarily involved in ``updates`` to ``active``,
+    visiting the members of each value it has not counted yet."""
+    stack: list = []
+    for _, args, value in updates:
+        stack.append(value)
+        stack.extend(args)
+    while stack:
+        v = stack.pop()
+        if v not in active:
+            active.add(v)
+            stack.extend(v.members)
+
+
 def run_oracle(program: Program, structure: InputStructure) -> RunOutcome:
     """``interp.run`` with the tree-walker collecting each step's updates."""
     _vocabulary_check(program, structure)
@@ -189,7 +205,7 @@ def run_oracle(program: Program, structure: InputStructure) -> RunOutcome:
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:
-            _accumulate_active(updates, active)
+            accumulate_active(updates, active)
             if len(active) > max_active:
                 return RunOutcome(
                     "bound-exceeded",

@@ -729,36 +729,74 @@ def test_parity_run_counts(n, verdict, steps, peak_active):
 # the probe reports its own peak RSS as VmHWM, not ru_maxrss: on Linux,
 # exec carries the forking process's peak into ru_maxrss, so a child of a
 # large pytest process would report the parent's size
-_LARGE_LITERAL = """
-import json, re
+_PROBE = """
+import json, re, sys
 from choiceless_lab.bgs import InputStructure, parse_program, run
-program = parse_program("#steps 1\\n#active 0 1\\nOutput := 100000 = 0")
-outcome = run(program, InputStructure.build(["a"]))
+outcome = run(parse_program(sys.argv[1]), InputStructure.build(["a"]))
 with open("/proc/self/status") as status:
     peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
-print(json.dumps({"verdict": outcome.verdict, "peak_kb": peak_kb}))
+report = {"verdict": outcome.verdict, "peak_active": outcome.peak_active, "peak_kb": peak_kb}
+print(json.dumps(report))
 """
+
+
+def run_child(args, hash_seed="0") -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh process that imports this tree."""
+    src = str(Path(choiceless_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        timeout=60,
+        check=True,
+    )
+
+
+def probe(program_text: str) -> tuple:
+    """The probe's report on one run over one atom, and its wall time."""
+    start = time.perf_counter()
+    done = run_child(["-c", _PROBE, program_text])
+    return json.loads(done.stdout), time.perf_counter() - start
 
 
 def test_large_literal_costs_no_memory():
     # a literal is a number until something iterates it, so a program that
     # only compares one stays small and fails on its budget, not on memory
-    src = str(Path(choiceless_lab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", _LARGE_LITERAL],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-        check=True,
-    )
-    elapsed = time.perf_counter() - start
-    report = json.loads(done.stdout)
+    report, elapsed = probe("#steps 1\n#active 0 1\nOutput := 100000 = 0")
     assert report["verdict"] == "bound-exceeded"
     assert elapsed < 2.0
     assert report["peak_kb"] < 60 * 1024
+
+
+def test_large_update_counts_its_ordinals_without_making_them():
+    # the ordinals 0, ..., 10^7 all become active, and are counted as one
+    # number rather than made one by one
+    report, elapsed = probe("#steps 1\n#active 0 1\nN := 10000000")
+    assert (report["verdict"], report["peak_active"]) == ("bound-exceeded", 10000001)
+    assert elapsed < 2.0
+    assert report["peak_kb"] < 60 * 1024
+
+
+def test_bgs_run_result_is_identical_across_processes(tmp_path):
+    # set iteration follows memory addresses, which differ from process to
+    # process, so a result that read that order would differ between runs
+    cases = {
+        "power": power_structure(
+            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 5
+        ),
+        "parity": empty_structure(9),
+    }
+    for name, structure in cases.items():
+        program = Path(choiceless_lab.__file__).parent / "programs" / f"{name}.bgs"
+        inputs = tmp_path / f"{name}.str"
+        inputs.write_text(write_structure(structure))
+        argv = ["-c", "from choiceless_lab.cli import main; main()", "bgs", "run"]
+        argv += ["--program", str(program), "--input", str(inputs)]
+        results = [json.loads(run_child(argv, seed).stdout)["result"] for seed in "12"]
+        assert results[0] == results[1], name
+        assert results[0]["verdict"] in ("accept", "reject"), name
 
 
 def test_run_determinism():

@@ -143,6 +143,23 @@ def test_gen_multipede_validate_and_iso(tmp_path, capsys):
     assert report["result"]["isomorphic"] is True
 
 
+def test_validate_multipede_rejects_leq_that_is_not_the_segment_order(tmp_path, capsys):
+    # every segment has the right number of Leq successors, but s1 <= s1
+    # is replaced by s1 <= s0
+    path = tmp_path / "p.str"
+    path.write_text(
+        "atoms: s0 s1 s0a s0b s1a s1b\n"
+        "rel Segment/1: (s0) (s1)\n"
+        "rel Foot/1: (s0a) (s0b) (s1a) (s1b)\n"
+        "rel S/2: (s0a,s0) (s0b,s0) (s1a,s1) (s1b,s1)\n"
+        "rel Hyper/3:\nrel Positive/3:\nrel Shoe/1:\n"
+        "rel Leq/2: (s0,s0) (s0,s1) (s1,s0)\n"
+    )
+    code, report = invoke(["validate", "multipede", "--input", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert "Leq is not a linear order" in report["error"]["message"]
+
+
 def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):
     a = tmp_path / "a.str"
     code, report = invoke(

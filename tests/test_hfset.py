@@ -294,7 +294,7 @@ def described(desc):
 def test_interning_agrees_with_nested_frozenset_model(p, r, seed):
     rng = random.Random(seed)
     # q lists the same values as p in shuffled order, built first so that
-    # the sets new to this example take their serials in q's order
+    # the sets new to this example are interned from q's order
     q = build(p, rng)
     sp, sr = build(p), build(r)
     assert sp is q

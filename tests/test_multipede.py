@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiceless_lab.bgs import parse_structure, write_structure
 from choiceless_lab.errors import ValidationError
 from choiceless_lab.linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
 from choiceless_lab.multipede import (
@@ -18,6 +19,7 @@ from choiceless_lab.multipede import (
     automorphism_count,
     flip_feet,
     from_structure,
+    from_structure_lenient,
     is_odd,
     iso3_decide,
     random_multipede,
@@ -303,6 +305,38 @@ def test_structure_roundtrip():
     assert back.pede.positives == m.positives
     assert back.shoe == shod.shoe
     assert iso3_decide(shod, back)
+
+
+_SEGMENT_ORDER = "rel Leq/2: (s0,s0) (s0,s1) (s1,s1)\n"
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [
+        "(s0,s0) (s0,s1) (s1,s0)",  # s1 <= s0 in place of s1 <= s1
+        "(s0,s1) (s0,s0a) (s1,s1)",  # a foot in place of s0 <= s0
+        "(s0,s0) (s0,s1)",  # s1 <= s1 missing
+        "(s0,s0) (s0,s1) (s1,s0) (s1,s1)",  # both ways
+    ],
+)
+def test_leq_must_be_the_segment_order(leq):
+    text = write_structure(to_structure(pede_from(["s0", "s1"], [])))
+    assert _SEGMENT_ORDER in text
+    pede, _ = from_structure_lenient(parse_structure(text))
+    assert pede.segment_order == ("s0", "s1")
+    bad = text.replace(_SEGMENT_ORDER, f"rel Leq/2: {leq}\n")
+    with pytest.raises(ValidationError, match="Leq is not a linear order"):
+        from_structure_lenient(parse_structure(bad))
+
+
+def test_s_must_give_each_foot_one_segment():
+    # with a second segment for s0a, which one the decoder kept would
+    # follow the relation's iteration order
+    text = write_structure(to_structure(pede_from(["s0", "s1"], [])))
+    bad = text.replace("(s0a,s0)", "(s0a,s0) (s0a,s1)")
+    assert bad != text
+    with pytest.raises(ValidationError, match="S must assign one segment"):
+        from_structure_lenient(parse_structure(bad))
 
 
 # ------------------------------------------- packed rows against elimination
