@@ -28,12 +28,10 @@ __all__ = [
     "NOT_CFI",
     "BaseGraph",
     "GadgetGraph",
-    "PaddedStructure",
     "PreGraph",
     "automorphism_from_edges",
     "build_twisted",
     "complete_graph",
-    "distinguish_padded",
     "distinguish_structure",
     "from_structure",
     "isomorphic_gadgets",
@@ -44,6 +42,10 @@ __all__ = [
 ]
 
 NOT_CFI = "not-CFI"
+# a padded gadget has 2**(m*m) isolated vertices: m = 5 needs gigabytes
+PAD_MAX_M = 4
+# distinguish_structure tries 2**(m*(m+1)/2) choices of one vertex per pair
+DISTINGUISH_MAX_M = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +112,13 @@ class PreGraph:
     preorder: frozenset  # of (x, y) pairs meaning x is ordered no later
 
     def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
+        """Neighbour sets of the vertices on some edge; an isolated vertex
+        has no entry."""
+        adj: dict = {}
         for e in self.edges:
             a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
         return adj
 
 
@@ -209,28 +213,17 @@ def automorphism_from_edges(base: BaseGraph, twist, edge_subset) -> dict:
     return mapping
 
 
-@dataclass(frozen=True, eq=False)
-class PaddedStructure:
-    """A gadget graph plus order-free isolated padding vertices."""
-
-    core: GadgetGraph
-    padding: int
-
-    def structure(self) -> PreGraph:
-        inner = self.core.structure()
-        pads = tuple(f"pad{t}" for t in range(self.padding))
-        return PreGraph(inner.vertices + pads, inner.edges, inner.preorder)
-
-
-def pad(gadget: GadgetGraph, m: int, max_m: int = 5) -> PaddedStructure:
+def pad(gadget: GadgetGraph) -> PreGraph:
     """Adjoin 2**(m*m) isolated vertices to a gadget over the complete
     graph on m+1 vertices."""
-    if m > max_m:
-        raise GuardExceeded("pad.max_m", max_m, m)
-    expected = complete_graph(m + 1)
-    if len(gadget.base.vertices) != m + 1 or len(gadget.base.edges) != len(expected.edges):
-        raise ValidationError(f"gadget base is not the complete graph on {m + 1} vertices")
-    return PaddedStructure(gadget, 2 ** (m * m))
+    m = len(gadget.base.vertices) - 1
+    if 2 * len(gadget.base.edges) != m * (m + 1):
+        raise ValidationError("gadget base is not a complete graph")
+    if m > PAD_MAX_M:
+        raise GuardExceeded("pad.max_m", PAD_MAX_M, m)
+    inner = gadget.structure()
+    pads = tuple(f"pad{t}" for t in range(2 ** (m * m)))
+    return PreGraph(inner.vertices + pads, inner.edges, inner.preorder)
 
 
 # --------------------------------------------------------------- analysis
@@ -280,9 +273,9 @@ def _analyze(structure: PreGraph):
     class_of = {x: i for i, c in enumerate(classes) for x in c}
     block_set = set(class_of)
     others = [v for v in structure.vertices if v not in block_set]
-    isolated = [v for v in others if not adj[v]]
-    linked = [v for v in others if adj[v]]
-    if len(isolated) not in (0, 2 ** (m * m)):
+    linked = [v for v in others if v in adj]
+    isolated = len(others) - len(linked)
+    if isolated not in (0, 2 ** (m * m)):
         return None
     # group the linked extras into edge pairs by their incident class pair
     groups: dict = {}
@@ -304,7 +297,7 @@ def _analyze(structure: PreGraph):
     for ci, cls in enumerate(classes):
         touching = [key for key in pairs if ci in key]
         for x in cls:
-            neigh = adj[x]
+            neigh = adj.get(x, frozenset())
             if len(neigh) != len(touching):
                 return None
             for key in touching:
@@ -314,7 +307,7 @@ def _analyze(structure: PreGraph):
             if any(nb in block_set for nb in neigh):
                 return None
             pair_neighbours[x] = frozenset(neigh)
-    return _Shape(m, tuple(classes), class_of, pairs, pair_neighbours, len(isolated))
+    return _Shape(m, tuple(classes), class_of, pairs, pair_neighbours, isolated)
 
 
 def recognize_and_classify(structure: PreGraph, order):
@@ -367,15 +360,15 @@ def _twist_parity(shape: _Shape, position: dict):
     return bad % 2
 
 
-def distinguish_structure(structure: PreGraph, max_m: int = 4) -> int:
+def distinguish_structure(structure: PreGraph) -> int:
     """Exhaust all choices of one vertex per edge pair; report 0 when some
     choice leaves every block with a member adjacent to chosen vertices
     only, else 1."""
     shape = _analyze(structure)
     if shape is None:
         raise ValidationError("structure is not a twisted gadget")
-    if shape.m > max_m:
-        raise GuardExceeded("distinguish.max_m", max_m, shape.m)
+    if shape.m > DISTINGUISH_MAX_M:
+        raise GuardExceeded("distinguish.max_m", DISTINGUISH_MAX_M, shape.m)
     pair_keys = sorted(shape.pairs)
     options = [shape.pairs[key] for key in pair_keys]
     members = [list(cls) for cls in shape.classes]
@@ -386,10 +379,6 @@ def distinguish_structure(structure: PreGraph, max_m: int = 4) -> int:
         ):
             return 0
     return 1
-
-
-def distinguish_padded(padded: PaddedStructure, max_m: int = 4) -> int:
-    return distinguish_structure(padded.structure(), max_m=max_m)
 
 
 def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
@@ -432,10 +421,11 @@ def from_structure(structure) -> PreGraph:
     for name in ("Adj", "Pre"):
         if name not in structure.relations:
             raise ValidationError(f"structure lacks relation {name}")
+    adj = structure.relations["Adj"]
+    if any((b, a) not in adj for (a, b) in adj):
+        raise ValidationError("Adj is not symmetric")
     vertices = tuple(a.name for a in structure.atoms)
-    edges = frozenset(
-        frozenset({a.name, b.name}) for (a, b) in structure.relations["Adj"]
-    )
+    edges = frozenset(frozenset({a.name, b.name}) for (a, b) in adj)
     for e in edges:
         if len(e) != 2:
             raise ValidationError("adjacency contains a loop")

@@ -3,9 +3,7 @@
 Every invocation produces one JSON report on stdout (or at --out) that
 echoes the full invocation, so results are reproducible byte for byte
 apart from the timing field.  Randomized commands require an explicit
-seed.  Resource guards exit with a distinct status.  --force exists only
-on ``gen cfi``, where it lifts the padding guard ``pad.max_m`` (a warning
-goes to stderr).
+seed.  Resource guards exit with a distinct status; no option lifts them.
 
 Exit statuses: 0 ok, 2 usage, 3 parse/validation, 4 guard, 5 internal.
 """
@@ -14,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -26,6 +25,7 @@ from .linalg import (
     frequency_experiment,
     gf,
     nonsingular_int,
+    nonsingular_rect,
     nonsingular_square,
     random_matrix,
     rank_gaussian,
@@ -39,8 +39,6 @@ EXIT_PARSE = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
-_BIG = 10**9
-
 
 class _UsageError(Exception):
     pass
@@ -52,83 +50,80 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The command tree: every leaf names its handler."""
     parser = _Parser(prog="choiceless-lab")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bgs_cmd = sub.add_parser("bgs")
-    bgs_sub = bgs_cmd.add_subparsers(dest="action", required=True)
-    bgs_run = bgs_sub.add_parser("run")
+    def leaf(group, name, handler):
+        command = group.add_parser(name)
+        command.set_defaults(handler=handler)
+        return command
+
+    bgs_sub = sub.add_parser("bgs").add_subparsers(dest="action", required=True)
+    bgs_run = leaf(bgs_sub, "run", _cmd_bgs_run)
     bgs_run.add_argument("--program", required=True)
     bgs_run.add_argument("--input", required=True)
 
-    gen = sub.add_parser("gen")
-    gen_sub = gen.add_subparsers(dest="target", required=True)
-    g_cfi = gen_sub.add_parser("cfi")
+    gen_sub = sub.add_parser("gen").add_subparsers(dest="target", required=True)
+    g_cfi = leaf(gen_sub, "cfi", _cmd_gen_cfi)
     g_cfi.add_argument("--m", type=int, required=True)
     g_cfi.add_argument("--twist", required=True, help="even, odd, or a comma list of base vertices")
     g_cfi.add_argument("--pad", action="store_true")
-    g_cfi.add_argument("--force", action="store_true")
     g_cfi.add_argument("--file", required=True, help="structure file to write")
-    g_multi = gen_sub.add_parser("multipede")
+    g_multi = leaf(gen_sub, "multipede", _cmd_gen_multipede)
     g_multi.add_argument("--segments", type=int, required=True)
     g_multi.add_argument("--hyperedges", type=int, required=True)
     g_multi.add_argument("--seed", type=int, required=True)
     g_multi.add_argument("--shoe", action="store_true")
     g_multi.add_argument("--file", required=True)
-    g_bip = gen_sub.add_parser("bipartite")
+    g_bip = leaf(gen_sub, "bipartite", _cmd_gen_bipartite)
     g_bip.add_argument("--na", type=int, required=True)
     g_bip.add_argument("--nb", type=int, required=True)
     g_bip.add_argument("--density", type=float, default=0.5)
     g_bip.add_argument("--seed", type=int, required=True)
     g_bip.add_argument("--file", required=True)
-    g_mat = gen_sub.add_parser("matrix")
+    g_mat = leaf(gen_sub, "matrix", _cmd_gen_matrix)
     g_mat.add_argument("--q", type=int, help="field order (omit for ring Z)")
-    g_mat.add_argument("--ring", choices=["Z"], help="integer matrix instead of a field")
     g_mat.add_argument("--n", type=int, required=True)
     g_mat.add_argument("--max-abs", type=int, default=256)
     g_mat.add_argument("--seed", type=int, required=True)
     g_mat.add_argument("--file", required=True)
 
-    solve = sub.add_parser("solve")
-    solve_sub = solve.add_subparsers(dest="problem", required=True)
-    s_match = solve_sub.add_parser("matching")
+    solve_sub = sub.add_parser("solve").add_subparsers(dest="problem", required=True)
+    s_match = leaf(solve_sub, "matching", _cmd_solve_matching)
     s_match.add_argument("--input", required=True)
     s_match.add_argument("--max-size", action="store_true")
-    s_det = solve_sub.add_parser("det")
+    s_det = leaf(solve_sub, "det", _cmd_solve_det)
     s_det.add_argument("--matrix", required=True)
-    s_det.add_argument("--method", choices=["power", "gauss", "crt"])
+    s_det.add_argument("--method", choices=["power", "gauss"], help="field matrices only")
     s_det.add_argument("--prime-divisors", action="store_true")
-    s_cfi = solve_sub.add_parser("cfi-classify")
+    s_cfi = leaf(solve_sub, "cfi-classify", _cmd_solve_cfi_classify)
     s_cfi.add_argument("--input", required=True)
 
-    iso = sub.add_parser("iso")
-    iso_sub = iso.add_subparsers(dest="kind", required=True)
-    for kind in ("multipede3", "multipede4", "cfi"):
-        p = iso_sub.add_parser(kind)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
+    iso_sub = sub.add_parser("iso").add_subparsers(dest="kind", required=True)
+    # a 4-multipede's power-set sort is padding, so both kinds share a decider
+    for kind, handler in (
+        ("multipede3", _cmd_iso_multipede),
+        ("multipede4", _cmd_iso_multipede),
+        ("cfi", _cmd_iso_cfi),
+    ):
+        pair = leaf(iso_sub, kind, handler)
+        pair.add_argument("--a", required=True)
+        pair.add_argument("--b", required=True)
 
-    exp = sub.add_parser("experiment")
-    exp_sub = exp.add_subparsers(dest="experiment", required=True)
-    freq = exp_sub.add_parser("det-frequency")
+    exp_sub = sub.add_parser("experiment").add_subparsers(dest="experiment", required=True)
+    freq = leaf(exp_sub, "det-frequency", _cmd_experiment)
     freq.add_argument("--q", type=int, required=True)
     freq.add_argument("--n", type=int, required=True)
     freq.add_argument("--trials", type=int, required=True)
     freq.add_argument("--seed", type=int, required=True)
 
-    val = sub.add_parser("validate")
-    val_sub = val.add_subparsers(dest="what", required=True)
-    v_multi = val_sub.add_parser("multipede")
-    v_multi.add_argument("--input", required=True)
-    v_struct = val_sub.add_parser("structure")
-    v_struct.add_argument("--input", required=True)
+    val_sub = sub.add_parser("validate").add_subparsers(dest="what", required=True)
+    leaf(val_sub, "multipede", _cmd_validate_multipede).add_argument("--input", required=True)
+    leaf(val_sub, "structure", _cmd_validate_structure).add_argument("--input", required=True)
 
     return parser
-
-
-# built once per process: parse_args leaves the parser as it found it
-_PARSER = _build_parser()
 
 
 def _read(path: str) -> str:
@@ -137,6 +132,14 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 # ------------------------------------------------------------ subcommands
@@ -155,8 +158,6 @@ def _cmd_bgs_run(args) -> dict:
 
 
 def _cmd_gen_cfi(args) -> dict:
-    if args.force:
-        print("warning: resource guards lifted by --force", file=sys.stderr)
     base = cfi.complete_graph(args.m + 1)
     if args.twist == "even":
         twist = []
@@ -165,20 +166,12 @@ def _cmd_gen_cfi(args) -> dict:
     else:
         twist = [t.strip() for t in args.twist.split(",") if t.strip()]
     gadget = cfi.build_twisted(base, twist)
-    if args.pad:
-        padded = cfi.pad(gadget, args.m, max_m=_BIG if args.force else 5)
-        structure = padded.structure()
-        padding = padded.padding
-    else:
-        structure = gadget.structure()
-        padding = 0
-    encoded = cfi.to_structure(structure)
-    with open(args.file, "w", encoding="utf-8") as handle:
-        handle.write(write_structure(encoded))
+    structure = cfi.pad(gadget) if args.pad else gadget.structure()
+    _write(args.file, write_structure(cfi.to_structure(structure)))
     return {
         "file": args.file,
         "vertices": len(structure.vertices),
-        "padding": padding,
+        "padding": len(structure.vertices) - len(gadget.block_vertices + gadget.pair_vertices),
         "twist_size": len(twist),
     }
 
@@ -186,8 +179,7 @@ def _cmd_gen_cfi(args) -> dict:
 def _cmd_gen_multipede(args) -> dict:
     pede = multipede.random_multipede(args.segments, args.hyperedges, args.seed)
     emitted = multipede.shoe_expansions(pede)[0] if args.shoe else pede
-    with open(args.file, "w", encoding="utf-8") as handle:
-        handle.write(write_structure(multipede.to_structure(emitted)))
+    _write(args.file, write_structure(multipede.to_structure(emitted)))
     return {
         "file": args.file,
         "segments": args.segments,
@@ -198,36 +190,27 @@ def _cmd_gen_multipede(args) -> dict:
 
 
 def _cmd_gen_bipartite(args) -> dict:
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     a = [f"a{i}" for i in range(args.na)]
     b = [f"b{j}" for j in range(args.nb)]
     edges = [(x, y) for x in a for y in b if rng.random() < args.density]
     graph = matching.BipartiteGraph.build(a, b, edges)
-    with open(args.file, "w", encoding="utf-8") as handle:
-        handle.write(write_structure(matching.graph_to_structure(graph)))
+    _write(args.file, write_structure(matching.graph_to_structure(graph)))
     return {"file": args.file, "na": args.na, "nb": args.nb, "edges": len(edges)}
 
 
 def _cmd_gen_matrix(args) -> dict:
-    if (args.q is None) == (args.ring is None):
-        raise _UsageError("exactly one of --q and --ring is required")
-    import random as _random
-
     if args.q is not None:
-        m = random_matrix(gf(args.q), args.n, args.seed)
-        text = write_field_matrix(m)
+        text = write_field_matrix(random_matrix(gf(args.q), args.n, args.seed))
     else:
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         entries = {
             (f"i{i}", f"i{j}"): rng.randrange(-args.max_abs, args.max_abs + 1)
             for i in range(args.n)
             for j in range(args.n)
         }
         text = write_int_matrix(IntMatrix.from_int_entries(entries))
-    with open(args.file, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write(args.file, text)
     return {"file": args.file, "n": args.n}
 
 
@@ -241,10 +224,9 @@ def _cmd_solve_matching(args) -> dict:
 
 def _cmd_solve_det(args) -> dict:
     kind, m = parse_matrix(_read(args.matrix))
-    method = args.method or ("crt" if kind == "int" else "power")
     if kind == "int":
-        if method != "crt":
-            raise _UsageError("integer matrices support --method crt only")
+        if args.method:
+            raise _UsageError("--method needs a field matrix")
         if not args.prime_divisors:
             return {"method": "crt", "nonsingular": nonsingular_int(m)}
         divisors = det_prime_divisors(m)
@@ -259,14 +241,9 @@ def _cmd_solve_det(args) -> dict:
         }
     if args.prime_divisors:
         raise _UsageError("--prime-divisors needs an integer matrix")
-    if method == "crt":
-        raise _UsageError("--method crt needs an integer matrix")
-    if method == "power":
-        if not m.square:
-            from .linalg import nonsingular_rect
-
-            return {"method": "power", "nonsingular": nonsingular_rect(m.field, m)}
-        return {"method": "power", "nonsingular": nonsingular_square(m.field, m)}
+    if args.method != "gauss":
+        decide = nonsingular_square if m.square else nonsingular_rect
+        return {"method": "power", "nonsingular": decide(m.field, m)}
     rows = sorted(m.rows, key=str)
     cols = sorted(m.cols, key=str)
     rank = rank_gaussian(m.field, m, rows, cols)
@@ -284,14 +261,15 @@ def _cmd_solve_cfi_classify(args) -> dict:
     return {"class": verdict}
 
 
-def _cmd_iso(args) -> dict:
-    if args.kind == "cfi":
-        a = cfi.from_structure(parse_structure(_read(args.a)))
-        b = cfi.from_structure(parse_structure(_read(args.b)))
-        return {"isomorphic": cfi.isomorphic_gadgets(a, b)}
+def _cmd_iso_cfi(args) -> dict:
+    a = cfi.from_structure(parse_structure(_read(args.a)))
+    b = cfi.from_structure(parse_structure(_read(args.b)))
+    return {"isomorphic": cfi.isomorphic_gadgets(a, b)}
+
+
+def _cmd_iso_multipede(args) -> dict:
     shod_a = multipede.from_structure(parse_structure(_read(args.a)))
     shod_b = multipede.from_structure(parse_structure(_read(args.b)))
-    # a 4-multipede's power-set sort is padding, so both kinds share a decider
     return {"isomorphic": multipede.iso3_decide(shod_a, shod_b)}
 
 
@@ -330,39 +308,15 @@ def _cmd_validate_structure(args) -> dict:
     }
 
 
-def _handle(args) -> dict:
-    command = args.command
-    if command == "bgs":
-        return _cmd_bgs_run(args)
-    if command == "gen":
-        return {
-            "cfi": _cmd_gen_cfi,
-            "multipede": _cmd_gen_multipede,
-            "bipartite": _cmd_gen_bipartite,
-            "matrix": _cmd_gen_matrix,
-        }[args.target](args)
-    if command == "solve":
-        return {
-            "matching": _cmd_solve_matching,
-            "det": _cmd_solve_det,
-            "cfi-classify": _cmd_solve_cfi_classify,
-        }[args.problem](args)
-    if command == "iso":
-        return _cmd_iso(args)
-    if command == "experiment":
-        return _cmd_experiment(args)
-    if command == "validate":
-        if args.what == "multipede":
-            return _cmd_validate_multipede(args)
-        return _cmd_validate_structure(args)
-    raise _UsageError(f"unknown command {command!r}")
+# built once per process, after the handlers it names: parse_args leaves
+# the parser as it found it
+_PARSER = _build_parser()
 
 
 def _emit(report: dict, out_path):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -379,9 +333,7 @@ def dispatch(argv) -> tuple:
     try:
         args = _PARSER.parse_args(argv)
         out_path = args.out
-        result = _handle(args)
-        report = dict(envelope)
-        report["result"] = result
+        report = dict(envelope, result=args.handler(args))
         report["timing_seconds"] = round(time.monotonic() - started, 6)
         _emit(report, out_path)
         return EXIT_OK, report
@@ -403,7 +355,10 @@ def dispatch(argv) -> tuple:
     report = dict(envelope)
     report["error"] = {"kind": kind, "message": message}
     report["timing_seconds"] = round(time.monotonic() - started, 6)
-    _emit(report, out_path)
+    try:
+        _emit(report, out_path)
+    except ParseError:  # --out itself cannot be written
+        _emit(report, None)
     return code, report
 
 

@@ -16,7 +16,7 @@ from choiceless_lab.bgs import RunBounds, load_builtin_program, run
 from choiceless_lab.cfi import (
     build_twisted,
     complete_graph,
-    distinguish_padded,
+    distinguish_structure,
     isomorphic_gadgets,
     odd_boundary,
     pad,
@@ -144,11 +144,11 @@ def test_criterion_03_cfi_parity_law():
                 assert isomorphic_gadgets(s1, s2) == expected
                 pairs_checked += 1
     for m in (2, 3):
-        even = pad(build_twisted(complete_graph(m + 1), []), m)
+        even = pad(build_twisted(complete_graph(m + 1), []))
         first = complete_graph(m + 1).vertices[0]
-        odd = pad(build_twisted(complete_graph(m + 1), [first]), m)
-        assert distinguish_padded(even) == 0
-        assert distinguish_padded(odd) == 1
+        odd = pad(build_twisted(complete_graph(m + 1), [first]))
+        assert distinguish_structure(even) == 0
+        assert distinguish_structure(odd) == 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     record_criterion(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiceless_lab.bgs import InputStructure
 from choiceless_lab.cfi import (
     NOT_CFI,
     BaseGraph,
@@ -16,7 +17,6 @@ from choiceless_lab.cfi import (
     automorphism_from_edges,
     build_twisted,
     complete_graph,
-    distinguish_padded,
     distinguish_structure,
     from_structure,
     isomorphic_gadgets,
@@ -170,38 +170,41 @@ def test_automorphism_composition_is_symmetric_difference():
 
 
 def test_pad_counts():
-    assert pad(build_twisted(k(3), []), 2).padding == 16
-    assert pad(build_twisted(k(4), []), 3).padding == 512
-    padded = pad(build_twisted(k(3), []), 2)
-    structure = padded.structure()
+    for n, padding in ((3, 16), (4, 512), (5, 2**16)):
+        gadget = build_twisted(k(n), [])
+        structure = pad(gadget)
+        assert len(structure.vertices) == len(gadget.structure().vertices) + padding
+    structure = pad(build_twisted(k(3), []))
     adj = structure.adjacency()
     field_set = {x for p in structure.preorder for x in p}
     for t in range(16):
         name = f"pad{t}"
-        assert not adj[name]
+        assert name in structure.vertices
+        assert name not in adj
         assert name not in field_set
 
 
 def test_pad_guards():
     with pytest.raises(GuardExceeded):
-        pad(build_twisted(k(7), []), 6)
+        pad(build_twisted(k(6), []))  # m = 5
+    path = BaseGraph(("a", "b", "c"), frozenset({frozenset("ab"), frozenset("bc")}))
     with pytest.raises(ValidationError):
-        pad(build_twisted(k(3), []), 3)  # wrong base size
+        pad(build_twisted(path, []))  # base is not complete
 
 
 # ------------------------------------------------------------ distinguish
 
 
 def test_distinguish_padded_m2():
-    even = pad(build_twisted(k(3), []), 2)
-    odd = pad(build_twisted(k(3), ["v0"]), 2)
-    assert distinguish_padded(even) == 0
-    assert distinguish_padded(odd) == 1
+    even = pad(build_twisted(k(3), []))
+    odd = pad(build_twisted(k(3), ["v0"]))
+    assert distinguish_structure(even) == 0
+    assert distinguish_structure(odd) == 1
 
 
 def test_distinguish_invariant_under_renaming():
-    even = pad(build_twisted(k(3), ["v0", "v2"]), 2).structure()
-    odd = pad(build_twisted(k(3), ["v1"]), 2).structure()
+    even = pad(build_twisted(k(3), ["v0", "v2"]))
+    odd = pad(build_twisted(k(3), ["v1"]))
     for seed in range(4):
         assert distinguish_structure(renamed(even, seed)) == 0
         assert distinguish_structure(renamed(odd, seed)) == 1
@@ -252,7 +255,7 @@ def test_classify_rejects_malformed():
 
 
 def test_classify_accepts_padded():
-    padded = pad(build_twisted(k(3), ["v0", "v1"]), 2).structure()
+    padded = pad(build_twisted(k(3), ["v0", "v1"]))
     assert recognize_and_classify(padded, padded.vertices) == 0
     assert distinguish_structure(padded) == 0
 
@@ -261,7 +264,7 @@ def test_classify_accepts_padded():
 def test_classifier_and_choice_search_agree_on_padded(m):
     base = k(m + 1)
     for twist in ([], [base.vertices[0]], list(base.vertices[:2])):
-        padded = pad(build_twisted(base, twist), m).structure()
+        padded = pad(build_twisted(base, twist))
         by_classifier = recognize_and_classify(padded, padded.vertices)
         by_search = distinguish_structure(padded)
         assert by_classifier == by_search == len(twist) % 2
@@ -309,7 +312,7 @@ def test_isomorphism_matches_flip_search(data):
     for _ in range(2):
         gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
         padded = data.draw(st.booleans())
-        structure = pad(gadget, m).structure() if padded else gadget.structure()
+        structure = pad(gadget) if padded else gadget.structure()
         sides.append(renamed(structure, data.draw(st.integers(0, 2**32))))
     x, y = sides
     assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y)
@@ -353,3 +356,22 @@ def test_structure_roundtrip():
     assert back.edges == structure.edges
     assert back.preorder == structure.preorder
     assert recognize_and_classify(back, back.vertices) == 1
+
+
+def encode(structure: PreGraph, adj_pairs) -> InputStructure:
+    return InputStructure.build(
+        list(structure.vertices),
+        relations={"Adj": adj_pairs, "Pre": list(structure.preorder)},
+        arities={"Adj": 2, "Pre": 2},
+    )
+
+
+def test_from_structure_rejects_one_way_adjacency():
+    structure = build_twisted(k(3), ["v0"]).structure()
+    one_way = [tuple(sorted(e)) for e in structure.edges]
+    both = one_way + [(b, a) for a, b in one_way]
+    back = from_structure(encode(structure, both))
+    assert recognize_and_classify(back, back.vertices) == 1
+    for adj_pairs in (one_way, both[1:]):
+        with pytest.raises(ValidationError, match="Adj is not symmetric"):
+            from_structure(encode(structure, adj_pairs))

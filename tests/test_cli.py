@@ -377,12 +377,14 @@ def test_exit_statuses(tmp_path, capsys):
     assert code == EXIT_PARSE
 
     big = tmp_path / "big.str"
-    code, report = invoke(
-        ["gen", "cfi", "--m", "7", "--twist", "even", "--pad", "--file", str(big)],
-        capsys,
-    )
-    assert code == EXIT_GUARD
-    assert report["error"]["kind"] == "guard"
+    for m in ("5", "7"):
+        code, report = invoke(
+            ["gen", "cfi", "--m", m, "--twist", "even", "--pad", "--file", str(big)],
+            capsys,
+        )
+        assert code == EXIT_GUARD
+        assert report["error"]["kind"] == "guard"
+    assert not big.exists()
 
     code, report = invoke(
         ["gen", "bipartite", "--na", "2", "--nb", "2", "--file", str(tmp_path / "x.str")],
@@ -451,6 +453,77 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     loaded = json.loads(out.read_text())
     assert loaded["result"]["verdict"] in ("yes", "no")
+
+
+def test_out_to_missing_directory_reports_on_stdout(tmp_path, capsys):
+    path = tmp_path / "g.str"
+    invoke(
+        ["gen", "bipartite", "--na", "2", "--nb", "2", "--seed", "1", "--file", str(path)],
+        capsys,
+    )
+    out = tmp_path / "missing" / "report.json"
+    code, report = dispatch(["--out", str(out), "solve", "matching", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+    assert "cannot write" in report["error"]["message"]
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_gen_file_to_missing_directory_exits_parse(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["gen", "bipartite", "--na", "2", "--nb", "2", "--seed", "1"],
+        ["gen", "cfi", "--m", "2", "--twist", "odd"],
+        ["gen", "multipede", "--segments", "4", "--hyperedges", "3", "--seed", "9"],
+        ["gen", "matrix", "--q", "2", "--n", "3", "--seed", "1"],
+    ):
+        code, report = invoke(argv + ["--file", str(missing / "x")], capsys)
+        assert code == EXIT_PARSE
+        assert report["error"]["message"].startswith(f"cannot write {missing / 'x'}")
+    assert not missing.exists()
+
+
+def test_gen_matrix_without_q_is_an_integer_matrix(tmp_path, capsys):
+    path = tmp_path / "z.mat"
+    code, _ = invoke(["gen", "matrix", "--n", "3", "--seed", "1", "--file", str(path)], capsys)
+    assert code == EXIT_OK
+    assert path.read_text().startswith("ring Z\n")
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_OK
+    assert report["result"]["method"] == "crt"
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert code == EXIT_OK
+    assert report["result"]["method"] == "crt"
+    for method in ("crt", "power", "gauss"):
+        code, _ = invoke(["solve", "det", "--matrix", str(path), "--method", method], capsys)
+        assert code == EXIT_USAGE
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "x"
+    for argv in (
+        ["gen", "cfi", "--m", "2", "--twist", "even", "--pad", "--force", "--file", str(path)],
+        ["gen", "matrix", "--ring", "Z", "--n", "3", "--seed", "1", "--file", str(path)],
+    ):
+        code, report = invoke(argv, capsys)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in report["error"]["message"]
+    assert not path.exists()
+
+
+def test_solve_cfi_classify_rejects_one_way_adjacency(tmp_path, capsys):
+    path = tmp_path / "one_way.str"
+    invoke(["gen", "cfi", "--m", "2", "--twist", "odd", "--file", str(path)], capsys)
+    lines = path.read_text().splitlines(keepends=True)
+    (index,) = [i for i, line in enumerate(lines) if line.startswith("rel Adj/2:")]
+    tuples = lines[index].split(": ", 1)[1].split()
+    kept = [t for t in tuples if t[1:-1].split(",")[0] < t[1:-1].split(",")[1]]
+    assert len(kept) * 2 == len(tuples)
+    lines[index] = "rel Adj/2: " + " ".join(kept) + "\n"
+    path.write_text("".join(lines))
+    code, report = invoke(["solve", "cfi-classify", "--input", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert "Adj is not symmetric" in report["error"]["message"]
 
 
 def test_generated_multipede_file_reparses_bytewise(tmp_path, capsys):
