@@ -9,9 +9,16 @@ the block vertices only.  The twist set T decides, per base vertex,
 whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
-The classifier and the isomorphism test work purely structurally (from
-the edge and pre-order relations), so renaming vertices never changes a
-verdict.  Two gadgets are isomorphic exactly when they have the same m,
+The classifier and the isomorphism test read only the edge and pre-order
+relations, never the order in which vertices are listed, so renaming or
+relisting vertices never changes a verdict.  Two members of a block
+differ on a touching edge pair when they meet different vertices of it;
+in a coherent gadget the members of a block have distinct
+neighbourhoods and differ on an even number of pairs.  The twist parity
+is the number of edge pairs whose two end blocks' members meet different
+vertices of the pair, mod 2, with one member taken per block: any member
+gives the same count, because replacing it changes an even number of
+terms.  Two gadgets are isomorphic exactly when they have the same m,
 the same padding and the same twist parity; a structure that is not a
 coherent gadget is rejected (``ValidationError``, exit status 3 on the
 command line).
@@ -131,7 +138,7 @@ class GadgetGraph:
     block_vertices: tuple  # tokens (v, X) in construction order
     pair_vertices: tuple  # tokens (e, sign)
     edges: frozenset
-    rank: dict = field(repr=False)  # block vertex -> base vertex position
+    rank: dict = field(repr=False)  # block vertex -> index of its base vertex
 
     def structure(self) -> PreGraph:
         pre = frozenset(
@@ -233,23 +240,20 @@ def pad(gadget: GadgetGraph) -> PreGraph:
 class _Shape:
     m: int
     classes: tuple  # ordered tuple of frozensets of block vertices
-    class_of: dict
-    pairs: dict  # (ci, cj) with ci < cj -> tuple of the two pair vertices
+    pairs: dict  # (ci, cj) with ci < cj -> frozenset of the two pair vertices
     pair_neighbours: dict  # block vertex -> frozenset of its pair-vertex edges
     padding: int
 
 
 def _analyze(structure: PreGraph):
-    """Decompose into ordered blocks, edge pairs and padding; None when the
-    structure is not shaped like a twisted gadget over a complete base."""
+    """Decompose a coherent twisted gadget over a complete base into
+    ordered blocks, edge pairs and padding; None for anything else."""
     adj = structure.adjacency()
     field_set = {x for pair in structure.preorder for x in pair}
     if not field_set:
         return None
     before = {x: set() for x in field_set}  # everything x is ordered no later than
     for x, y in structure.preorder:
-        if y not in field_set:
-            return None
         before[x].add(y)
     # group by identical upward sets; a linear pre-order makes each class's
     # upward set exactly the union of itself and the later classes
@@ -263,16 +267,11 @@ def _analyze(structure: PreGraph):
         expected |= cls
         if set(key) != expected:
             return None
-    sizes = {len(c) for c in classes}
-    if len(sizes) != 1:
-        return None
-    block_size = sizes.pop()
     m = len(classes) - 1
-    if m < 1 or block_size != 2 ** (m - 1):
+    if m < 1 or any(len(c) != 2 ** (m - 1) for c in classes):
         return None
     class_of = {x: i for i, c in enumerate(classes) for x in c}
-    block_set = set(class_of)
-    others = [v for v in structure.vertices if v not in block_set]
+    others = [v for v in structure.vertices if v not in class_of]
     linked = [v for v in others if v in adj]
     isolated = len(others) - len(linked)
     if isolated not in (0, 2 ** (m * m)):
@@ -280,84 +279,50 @@ def _analyze(structure: PreGraph):
     # group the linked extras into edge pairs by their incident class pair
     groups: dict = {}
     for w in linked:
-        touched = set()
-        for nb in adj[w]:
-            if nb not in block_set:
-                return None
-            touched.add(class_of[nb])
-        if len(touched) != 2:
+        touched = {class_of.get(nb) for nb in adj[w]}
+        if None in touched or len(touched) != 2:
             return None
-        groups.setdefault(tuple(sorted(touched)), []).append(w)
+        groups.setdefault(tuple(sorted(touched)), set()).add(w)
     want_pairs = {(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)}
     if set(groups) != want_pairs or any(len(g) != 2 for g in groups.values()):
         return None
-    pairs = {key: tuple(sorted(g, key=str)) for key, g in groups.items()}
-    # every block vertex meets exactly one vertex of each touching pair
+    pairs = {key: frozenset(g) for key, g in groups.items()}
     pair_neighbours = {}
     for ci, cls in enumerate(classes):
-        touching = [key for key in pairs if ci in key]
+        touching = [p for key, p in pairs.items() if ci in key]
         for x in cls:
-            neigh = adj.get(x, frozenset())
-            if len(neigh) != len(touching):
+            # exactly one vertex of each touching pair, and nothing else
+            neigh = frozenset(adj.get(x, ()))
+            if len(neigh) != m or any(len(p & neigh) != 1 for p in touching):
                 return None
-            for key in touching:
-                hit = [w for w in pairs[key] if w in neigh]
-                if len(hit) != 1:
-                    return None
-            if any(nb in block_set for nb in neigh):
-                return None
-            pair_neighbours[x] = frozenset(neigh)
-    return _Shape(m, tuple(classes), class_of, pairs, pair_neighbours, isolated)
+            pair_neighbours[x] = neigh
+        # coherence: members meet different vertices on len(N(x) ^ N(y)) // 2
+        # pairs, and each two differ on a positive even number of them;
+        # parity is additive, so evenness against one member suffices
+        neighbourhoods = {pair_neighbours[x] for x in cls}
+        first = next(iter(neighbourhoods))
+        if len(neighbourhoods) != len(cls) or any(
+            len(n ^ first) % 4 for n in neighbourhoods
+        ):
+            return None
+    return _Shape(m, tuple(classes), pairs, pair_neighbours, isolated)
 
 
-def recognize_and_classify(structure: PreGraph, order):
+def recognize_and_classify(structure: PreGraph):
     """Decide whether the structure is an isomorph of a twisted gadget over
-    a complete base and return the twist parity (0 or 1), using the given
-    linear order of the vertices for the plus/minus labelling; anything
-    malformed yields ``"not-CFI"``."""
+    a complete base and return its twist parity (0 or 1); anything else
+    yields ``"not-CFI"``."""
     shape = _analyze(structure)
-    if shape is None:
-        return NOT_CFI
-    position = {v: i for i, v in enumerate(order)}
-    if len(position) != len(structure.vertices) or set(position) != set(structure.vertices):
-        raise ValidationError("order must enumerate the vertices")
-    return _twist_parity(shape, position)
+    return NOT_CFI if shape is None else _twist_parity(shape)
 
 
-def _twist_parity(shape: _Shape, position: dict):
-    """Twist parity (0 or 1) of an analysed structure, labelling the
-    earlier vertex of each edge pair (under ``position``) plus; ``NOT_CFI``
-    unless, in every class, each two members differ on a positive even
-    number of touching pairs.  Relabelling one pair flips the good/bad
-    status of exactly its two classes, so the parity does not depend on
-    ``position``."""
-    pair_keys = sorted(shape.pairs)
-    plus_of = {}
-    minus_of = {}
-    for key in pair_keys:
-        w1, w2 = shape.pairs[key]
-        if position[w1] > position[w2]:
-            w1, w2 = w2, w1
-        plus_of[key], minus_of[key] = w1, w2
-    # sign sequences per class, then the even-difference coherence law
-    for ci, cls in enumerate(shape.classes):
-        touching = [key for key in pair_keys if ci in key]
-        sequences = []
-        for x in cls:
-            seq = tuple(plus_of[key] in shape.pair_neighbours[x] for key in touching)
-            sequences.append(seq)
-        for s1, s2 in itertools.combinations(sequences, 2):
-            diff = sum(1 for u, v in zip(s1, s2) if u != v)
-            if diff == 0 or diff % 2 == 1:
-                return NOT_CFI
-    # choose every minus vertex; a block is good when some member is
-    # adjacent to chosen vertices only
-    chosen = {minus_of[key] for key in pair_keys}
-    bad = 0
-    for cls in shape.classes:
-        if not any(shape.pair_neighbours[x] <= chosen for x in cls):
-            bad += 1
-    return bad % 2
+def _twist_parity(shape: _Shape) -> int:
+    """The number of edge pairs whose two end blocks' members meet
+    different vertices of the pair, mod 2, for any one member per block:
+    members of one block differ on an even number of pairs."""
+    member = [next(iter(cls)) for cls in shape.classes]
+    meets = shape.pair_neighbours
+    return sum(not meets[member[i]] & meets[member[j]] for i, j in shape.pairs) % 2
 
 
 def distinguish_structure(structure: PreGraph) -> int:
@@ -369,13 +334,10 @@ def distinguish_structure(structure: PreGraph) -> int:
         raise ValidationError("structure is not a twisted gadget")
     if shape.m > DISTINGUISH_MAX_M:
         raise GuardExceeded("distinguish.max_m", DISTINGUISH_MAX_M, shape.m)
-    pair_keys = sorted(shape.pairs)
-    options = [shape.pairs[key] for key in pair_keys]
-    members = [list(cls) for cls in shape.classes]
-    for pick in itertools.product(*options):
+    for pick in itertools.product(*shape.pairs.values()):
         chosen = frozenset(pick)
         if all(
-            any(shape.pair_neighbours[x] <= chosen for x in cls) for cls in members
+            any(shape.pair_neighbours[x] <= chosen for x in cls) for cls in shape.classes
         ):
             return 0
     return 1
@@ -387,15 +349,10 @@ def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
     each edge pair to itself, and over a connected base such a map exists
     exactly when the parities agree.  Raises ``ValidationError`` unless
     both structures are coherent gadgets."""
-    sx = _analyze(x)
-    sy = _analyze(y)
-    px = py = NOT_CFI
-    if sx is not None and sy is not None:
-        px = _twist_parity(sx, {v: i for i, v in enumerate(x.vertices)})
-        py = _twist_parity(sy, {v: i for i, v in enumerate(y.vertices)})
-    if NOT_CFI in (px, py):
+    sx, sy = _analyze(x), _analyze(y)
+    if sx is None or sy is None:
         raise ValidationError("both structures must be twisted gadgets")
-    return sx.m == sy.m and sx.padding == sy.padding and px == py
+    return (sx.m, sx.padding, _twist_parity(sx)) == (sy.m, sy.padding, _twist_parity(sy))
 
 
 # ------------------------------------------------------------ structure io

@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     g_mat = leaf(gen_sub, "matrix", _cmd_gen_matrix)
     g_mat.add_argument("--q", type=int, help="field order (omit for ring Z)")
     g_mat.add_argument("--n", type=int, required=True)
-    g_mat.add_argument("--max-abs", type=int, default=256)
+    g_mat.add_argument("--max-abs", type=int, help="entry bound for ring Z (default 256)")
     g_mat.add_argument("--seed", type=int, required=True)
     g_mat.add_argument("--file", required=True)
 
@@ -158,6 +158,8 @@ def _cmd_bgs_run(args) -> dict:
 
 
 def _cmd_gen_cfi(args) -> dict:
+    if args.m < 1:
+        raise ValidationError("m must be at least 1")
     base = cfi.complete_graph(args.m + 1)
     if args.twist == "even":
         twist = []
@@ -172,7 +174,7 @@ def _cmd_gen_cfi(args) -> dict:
         "file": args.file,
         "vertices": len(structure.vertices),
         "padding": len(structure.vertices) - len(gadget.block_vertices + gadget.pair_vertices),
-        "twist_size": len(twist),
+        "twist_size": len(gadget.twist),
     }
 
 
@@ -190,6 +192,8 @@ def _cmd_gen_multipede(args) -> dict:
 
 
 def _cmd_gen_bipartite(args) -> dict:
+    if args.na < 0 or args.nb < 0:
+        raise ValidationError("side sizes must not be negative")
     rng = random.Random(args.seed)
     a = [f"a{i}" for i in range(args.na)]
     b = [f"b{j}" for j in range(args.nb)]
@@ -200,12 +204,19 @@ def _cmd_gen_bipartite(args) -> dict:
 
 
 def _cmd_gen_matrix(args) -> dict:
+    if args.q is not None and args.max_abs is not None:
+        raise _UsageError("--max-abs needs an integer matrix")
+    if args.n < 0:
+        raise ValidationError("size must not be negative")
     if args.q is not None:
         text = write_field_matrix(random_matrix(gf(args.q), args.n, args.seed))
     else:
+        max_abs = 256 if args.max_abs is None else args.max_abs
+        if max_abs < 0:
+            raise ValidationError("--max-abs must not be negative")
         rng = random.Random(args.seed)
         entries = {
-            (f"i{i}", f"i{j}"): rng.randrange(-args.max_abs, args.max_abs + 1)
+            (f"i{i}", f"i{j}"): rng.randrange(-max_abs, max_abs + 1)
             for i in range(args.n)
             for j in range(args.n)
         }
@@ -255,10 +266,8 @@ def _cmd_solve_det(args) -> dict:
 
 
 def _cmd_solve_cfi_classify(args) -> dict:
-    structure = parse_structure(_read(args.input))
-    pre = cfi.from_structure(structure)
-    verdict = cfi.recognize_and_classify(pre, [a.name for a in structure.atoms])
-    return {"class": verdict}
+    structure = cfi.from_structure(parse_structure(_read(args.input)))
+    return {"class": cfi.recognize_and_classify(structure)}
 
 
 def _cmd_iso_cfi(args) -> dict:

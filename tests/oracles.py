@@ -265,44 +265,48 @@ def stable_coloring_dense(a_side, b_side, edges) -> tuple:
         a_blocks, b_blocks = new
 
 
+def gadget_parts(g) -> tuple:
+    """``(adj, classes, pairs, padding)`` of a gadget-shaped structure
+    (``vertices``, ``edges`` as 2-sets, ``preorder`` pairs).  Classes
+    are the members of the pre-order with equal upward sets, largest
+    upward set first; ``pairs`` maps each set of classes touched by a
+    linked vertex outside the pre-order to those vertices (a neighbour
+    outside every class counts as class None); the isolated vertices
+    outside the pre-order are padding."""
+    adj = {v: set() for v in g.vertices}
+    for e in g.edges:
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    upward = {}
+    for a, b in g.preorder:
+        upward.setdefault(a, set()).add(b)
+        upward.setdefault(b, set())
+    by_upward = {}
+    for v, up in upward.items():
+        by_upward.setdefault(frozenset(up), []).append(v)
+    classes = [by_upward[key] for key in sorted(by_upward, key=len, reverse=True)]
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    pairs, padding = {}, 0
+    for v in g.vertices:
+        if v in class_of:
+            continue
+        if not adj[v]:
+            padding += 1
+            continue
+        key = frozenset(class_of.get(w) for w in adj[v])
+        pairs.setdefault(key, []).append(v)
+    return adj, classes, pairs, padding
+
+
 def gadget_iso_by_flips(x, y) -> bool:
-    """Isomorphism of two gadget-shaped structures (``vertices``, ``edges``
-    as 2-sets, ``preorder`` pairs) by the maps that keep every pre-order
-    class and every edge pair: try each straight/swapped choice per pair,
-    which works when, class by class, the multiset of image neighbourhoods
-    of x's members equals the multiset of y's neighbourhoods.  Classes come
-    from the upward sets of the pre-order, an edge pair is the linked
-    vertices outside the pre-order touching the same classes, and the
-    isolated vertices outside it are padding."""
-
-    def parts(g):
-        adj = {v: set() for v in g.vertices}
-        for e in g.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        upward = {}
-        for a, b in g.preorder:
-            upward.setdefault(a, set()).add(b)
-            upward.setdefault(b, set())
-        by_upward = {}
-        for v, up in upward.items():
-            by_upward.setdefault(frozenset(up), []).append(v)
-        classes = [by_upward[key] for key in sorted(by_upward, key=len, reverse=True)]
-        class_of = {v: i for i, cls in enumerate(classes) for v in cls}
-        pairs, padding = {}, 0
-        for v in g.vertices:
-            if v in class_of:
-                continue
-            if not adj[v]:
-                padding += 1
-                continue
-            key = frozenset(class_of[w] for w in adj[v])
-            pairs.setdefault(key, []).append(v)
-        return adj, classes, pairs, padding
-
-    adj_x, classes_x, pairs_x, padding_x = parts(x)
-    adj_y, classes_y, pairs_y, padding_y = parts(y)
+    """Isomorphism of two gadget-shaped structures by the maps that keep
+    every pre-order class and every edge pair (see ``gadget_parts``): try
+    each straight/swapped choice per pair, which works when, class by
+    class, the multiset of image neighbourhoods of x's members equals the
+    multiset of y's neighbourhoods."""
+    adj_x, classes_x, pairs_x, padding_x = gadget_parts(x)
+    adj_y, classes_y, pairs_y, padding_y = gadget_parts(y)
     if len(classes_x) != len(classes_y) or padding_x != padding_y:
         return False
     if pairs_x.keys() != pairs_y.keys():
@@ -322,6 +326,48 @@ def gadget_iso_by_flips(x, y) -> bool:
         ):
             return True
     return False
+
+
+def twist_parity_by_labelling(g, order):
+    """Twist parity (0 or 1) of a gadget over the complete graph on m+1
+    vertices by an ordered labelling, or ``"not-CFI"``.  The vertex of each
+    edge pair listed first in ``order`` is plus.  The structure must have
+    m+1 classes of 2^(m-1) members, an edge pair of two vertices for each
+    two classes, no padding or 2^(m*m) padding vertices, and every member
+    meeting exactly one vertex of each pair touching its class; every two
+    members of a class must differ in sign on a positive even number of
+    pairs.  Then choose every minus vertex and count, mod 2, the classes
+    with no member adjacent to chosen vertices only.  The pre-order is
+    taken to be linear, as in a gadget."""
+    adj, classes, pairs, padding = gadget_parts(g)
+    m = len(classes) - 1
+    want = {frozenset({i, j}) for i in range(m + 1) for j in range(i + 1, m + 1)}
+    if (
+        m < 1
+        or any(len(cls) != 2 ** (m - 1) for cls in classes)
+        or padding not in (0, 2 ** (m * m))
+        or set(pairs) != want
+        or any(len(p) != 2 for p in pairs.values())
+    ):
+        return "not-CFI"
+    position = {v: i for i, v in enumerate(order)}
+    plus, minus = {}, {}
+    for key, pair in pairs.items():
+        plus[key], minus[key] = sorted(pair, key=position.__getitem__)
+    for i, cls in enumerate(classes):
+        touching = [key for key in pairs if i in key]
+        signs = []
+        for v in cls:
+            if len(adj[v]) != m or any(len(adj[v] & set(pairs[key])) != 1 for key in touching):
+                return "not-CFI"
+            signs.append([plus[key] in adj[v] for key in touching])
+        for s1, s2 in itertools.combinations(signs, 2):
+            differ = sum(1 for a, b in zip(s1, s2) if a != b)
+            if differ == 0 or differ % 2 == 1:
+                return "not-CFI"
+    chosen = set(minus.values())
+    bad = sum(1 for cls in classes if not any(adj[v] <= chosen for v in cls))
+    return bad % 2
 
 
 def brute_force_iso(a, b) -> bool:

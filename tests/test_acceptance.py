@@ -137,7 +137,7 @@ def test_criterion_03_cfi_parity_law():
             for t in itertools.combinations(base.vertices, r):
                 gadgets[t] = build_twisted(base, t).structure()
         for t, structure in gadgets.items():
-            assert recognize_and_classify(structure, structure.vertices) == len(t) % 2
+            assert recognize_and_classify(structure) == len(t) % 2
         for t1, s1 in gadgets.items():
             for t2, s2 in gadgets.items():
                 expected = (len(t1) - len(t2)) % 2 == 0

@@ -43,6 +43,7 @@ from choiceless_lab.bgs import (
 from choiceless_lab.bgs import interp
 from choiceless_lab.bgs.parser import MAX_NESTING
 from choiceless_lab.bgs.syntax import Forall
+from choiceless_lab.cfi import build_twisted, complete_graph, pad, to_structure
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, pair, transitive_closure
 from choiceless_lab.linalg import mat_pow, zp
@@ -51,7 +52,7 @@ from choiceless_lab.linalg.matrix import FieldMatrix
 import bgs_oracle
 from bgs_oracle import run_oracle
 from fo_compile import compile_sentence, random_sentence
-from helpers import empty_structure, permuted_structure, power_structure, x_table
+from helpers import empty_structure, permuted_structure, power_structure, twin_gadget, x_table
 from oracles import fo_model_check
 
 HEADERS = "#steps 10 1\n#active 50 10\n"
@@ -780,23 +781,40 @@ def test_large_update_counts_its_ordinals_without_making_them():
 
 
 def test_bgs_run_result_is_identical_across_processes(tmp_path):
-    # set iteration follows memory addresses, which differ from process to
-    # process, so a result that read that order would differ between runs
-    cases = {
+    # set iteration follows memory addresses and string hashes, which differ
+    # from process to process, so a result that read that order would differ
+    # between runs; each case runs under two hash seeds
+    programs = Path(choiceless_lab.__file__).parent / "programs"
+    k4 = complete_graph(4)
+    inputs = {
         "power": power_structure(
             [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 5
         ),
         "parity": empty_structure(9),
+        "odd_padded": to_structure(pad(build_twisted(k4, ["v0", "v1", "v3"]))),
+        "twin": to_structure(twin_gadget()),
     }
-    for name, structure in cases.items():
-        program = Path(choiceless_lab.__file__).parent / "programs" / f"{name}.bgs"
-        inputs = tmp_path / f"{name}.str"
-        inputs.write_text(write_structure(structure))
-        argv = ["-c", "from choiceless_lab.cli import main; main()", "bgs", "run"]
-        argv += ["--program", str(program), "--input", str(inputs)]
+    for name, twist, seed in (("a", ["v1"], 1), ("b", ["v0", "v2", "v3"], 2)):
+        gadget = to_structure(build_twisted(k4, twist).structure())
+        inputs[name] = permuted_structure(gadget, seed)
+    path = {name: str(tmp_path / f"{name}.str") for name in inputs}
+    for name, structure in inputs.items():
+        Path(path[name]).write_text(write_structure(structure))
+    cases = [
+        (["bgs", "run", "--program", str(programs / f"{name}.bgs"), "--input", path[name]],
+         {"verdict": "accept"})
+        for name in ("power", "parity")
+    ]
+    cases += [
+        (["solve", "cfi-classify", "--input", path["odd_padded"]], {"class": 1}),
+        (["solve", "cfi-classify", "--input", path["twin"]], {"class": "not-CFI"}),
+        (["iso", "cfi", "--a", path["a"], "--b", path["b"]], {"isomorphic": True}),
+    ]
+    for argv, expected in cases:
+        argv = ["-c", "from choiceless_lab.cli import main; main()", *argv]
         results = [json.loads(run_child(argv, seed).stdout)["result"] for seed in "12"]
-        assert results[0] == results[1], name
-        assert results[0]["verdict"] in ("accept", "reject"), name
+        assert results[0] == results[1], argv
+        assert expected.items() <= results[0].items(), argv
 
 
 def test_run_determinism():

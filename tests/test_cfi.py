@@ -28,7 +28,7 @@ from choiceless_lab.cfi import (
 from choiceless_lab.errors import GuardExceeded, ValidationError
 
 from helpers import twin_gadget
-from oracles import gadget_iso_by_flips
+from oracles import gadget_iso_by_flips, twist_parity_by_labelling
 
 
 def k(n):
@@ -225,7 +225,7 @@ def test_classify_matches_twist_parity(m):
     for r in range(m + 2):
         for t in itertools.combinations(base.vertices, r):
             structure = build_twisted(base, t).structure()
-            assert recognize_and_classify(structure, structure.vertices) == len(t) % 2
+            assert recognize_and_classify(structure) == len(t) % 2
 
 
 def test_classify_order_independent():
@@ -234,10 +234,11 @@ def test_classify_order_independent():
     for _ in range(6):
         order = list(structure.vertices)
         rng.shuffle(order)
-        assert recognize_and_classify(structure, order) == 1
+        relisted = PreGraph(tuple(order), structure.edges, structure.preorder)
+        assert recognize_and_classify(relisted) == 1
     for seed in range(4):
         moved = renamed(structure, seed)
-        assert recognize_and_classify(moved, moved.vertices) == 1
+        assert recognize_and_classify(moved) == 1
 
 
 def test_classify_rejects_malformed():
@@ -249,15 +250,51 @@ def test_classify_rejects_malformed():
         frozenset(e for e in structure.edges if all(v in keep for v in e)),
         structure.preorder,
     )
-    assert recognize_and_classify(broken, broken.vertices) == NOT_CFI
+    assert recognize_and_classify(broken) == NOT_CFI
     lone = PreGraph(("x", "y"), frozenset(), frozenset({("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")}))
-    assert recognize_and_classify(lone, lone.vertices) == NOT_CFI
+    assert recognize_and_classify(lone) == NOT_CFI
 
 
 def test_classify_accepts_padded():
     padded = pad(build_twisted(k(3), ["v0", "v1"]))
-    assert recognize_and_classify(padded, padded.vertices) == 0
+    assert recognize_and_classify(padded) == 0
     assert distinguish_structure(padded) == 0
+
+
+def moved_edges(gadget, picks) -> PreGraph:
+    """The gadget with each picked block-pair edge moved to the other
+    vertex of its pair: the shape stays, coherence may break."""
+    plain = gadget.structure()
+    other = {}
+    for a, b in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2]):
+        other[a], other[b] = b, a
+    edges = set(plain.edges)
+    for e in picks:
+        x, w = sorted(e, key=lambda v: v in other)
+        edges.remove(e)
+        edges.add(frozenset({x, other[w]}))
+    return PreGraph(plain.vertices, frozenset(edges), plain.preorder)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classify_matches_ordered_labelling(data):
+    m = data.draw(st.sampled_from([1, 2, 3, 4]))
+    base = k(m + 1)
+    gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
+    edges = sorted(gadget.edges, key=sorted)
+    if data.draw(st.booleans()):  # moves at one vertex can make twins
+        at = data.draw(st.sampled_from(gadget.block_vertices))
+        edges = [e for e in edges if at in e]
+    picks = data.draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
+    if picks:
+        structure = moved_edges(gadget, picks)
+    else:
+        structure = pad(gadget) if data.draw(st.booleans()) else gadget.structure()
+    structure = renamed(structure, data.draw(st.integers(0, 2**32)))
+    order = list(structure.vertices)
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(order)
+    assert recognize_and_classify(structure) == twist_parity_by_labelling(structure, order)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -265,7 +302,7 @@ def test_classifier_and_choice_search_agree_on_padded(m):
     base = k(m + 1)
     for twist in ([], [base.vertices[0]], list(base.vertices[:2])):
         padded = pad(build_twisted(base, twist))
-        by_classifier = recognize_and_classify(padded, padded.vertices)
+        by_classifier = recognize_and_classify(padded)
         by_search = distinguish_structure(padded)
         assert by_classifier == by_search == len(twist) % 2
 
@@ -337,8 +374,10 @@ def test_isomorphism_matches_flip_search_m4(t1, t2):
 def test_isomorphism_rejects_twin_blocks():
     twin = twin_gadget()
     plain = build_twisted(k(5), []).structure()
-    assert recognize_and_classify(twin, twin.vertices) == NOT_CFI
+    assert recognize_and_classify(twin) == NOT_CFI
     assert not gadget_iso_by_flips(twin, plain)
+    with pytest.raises(ValidationError):
+        distinguish_structure(twin)
     with pytest.raises(ValidationError):
         isomorphic_gadgets(twin, plain)
     with pytest.raises(ValidationError):
@@ -355,7 +394,7 @@ def test_structure_roundtrip():
     assert set(back.vertices) == set(structure.vertices)
     assert back.edges == structure.edges
     assert back.preorder == structure.preorder
-    assert recognize_and_classify(back, back.vertices) == 1
+    assert recognize_and_classify(back) == 1
 
 
 def encode(structure: PreGraph, adj_pairs) -> InputStructure:
@@ -371,7 +410,7 @@ def test_from_structure_rejects_one_way_adjacency():
     one_way = [tuple(sorted(e)) for e in structure.edges]
     both = one_way + [(b, a) for a, b in one_way]
     back = from_structure(encode(structure, both))
-    assert recognize_and_classify(back, back.vertices) == 1
+    assert recognize_and_classify(back) == 1
     for adj_pairs in (one_way, both[1:]):
         with pytest.raises(ValidationError, match="Adj is not symmetric"):
             from_structure(encode(structure, adj_pairs))

@@ -72,15 +72,17 @@ def test_solve_matching_gang_instance(tmp_path, capsys):
 
 
 def test_gen_cfi_classify_roundtrip(tmp_path, capsys):
-    for twist, expected in (("even", 0), ("odd", 1), ("v0,v1", 0)):
-        path = tmp_path / f"cfi_{expected}_{twist[0]}.str"
-        code, _ = invoke(
+    # twist_size counts the twist set, so a repeated vertex counts once
+    for twist, size in (("even", 0), ("odd", 1), ("v0,v1", 2), ("v0,v0", 1), ("v1,v0,v1,v2", 3)):
+        path = tmp_path / f"cfi_{twist}.str"
+        code, report = invoke(
             ["gen", "cfi", "--m", "2", "--twist", twist, "--file", str(path)], capsys
         )
         assert code == EXIT_OK
+        assert report["result"]["twist_size"] == size
         code, report = invoke(["solve", "cfi-classify", "--input", str(path)], capsys)
         assert code == EXIT_OK
-        assert report["result"]["class"] == expected
+        assert report["result"]["class"] == size % 2
 
 
 def test_gen_cfi_padded_and_iso(tmp_path, capsys):
@@ -402,6 +404,12 @@ def test_exit_statuses(tmp_path, capsys):
         ["experiment", "det-frequency", "--q", "2", "--n", "3", "--trials", "0", "--seed", "1"],
         ["experiment", "det-frequency", "--q", "2", "--n", "-1", "--trials", "5", "--seed", "1"],
         ["experiment", "det-frequency", "--q", "3", "--n", "-3", "--trials", "5", "--seed", "1"],
+        ["gen", "cfi", "--m", "0", "--twist", "even"],
+        ["gen", "matrix", "--n", "3", "--max-abs", "-1", "--seed", "1"],
+        ["gen", "matrix", "--n", "-2", "--seed", "1"],
+        ["gen", "matrix", "--q", "2", "--n", "-2", "--seed", "1"],
+        ["gen", "bipartite", "--na", "-2", "--nb", "2", "--seed", "1"],
+        ["gen", "bipartite", "--na", "2", "--nb", "-2", "--seed", "1"],
     ],
 )
 def test_out_of_range_counts_exit_parse_and_write_nothing(tmp_path, capsys, argv):
@@ -497,6 +505,19 @@ def test_gen_matrix_without_q_is_an_integer_matrix(tmp_path, capsys):
     for method in ("crt", "power", "gauss"):
         code, _ = invoke(["solve", "det", "--matrix", str(path), "--method", method], capsys)
         assert code == EXIT_USAGE
+
+
+def test_max_abs_needs_an_integer_matrix(tmp_path, capsys):
+    path = tmp_path / "m.mat"
+    argv = ["gen", "matrix", "--n", "3", "--max-abs", "2", "--seed", "1", "--file", str(path)]
+    code, report = invoke(["gen", "matrix", "--q", "3"] + argv[2:], capsys)
+    assert code == EXIT_USAGE
+    assert report["error"]["message"] == "--max-abs needs an integer matrix"
+    assert not path.exists()
+    code, _ = invoke(argv, capsys)
+    assert code == EXIT_OK
+    entries = [int(line.split()[-1]) for line in path.read_text().splitlines()[3:]]
+    assert len(entries) <= 9 and all(abs(v) <= 2 for v in entries)
 
 
 def test_removed_options_are_usage_errors(tmp_path, capsys):
