@@ -12,7 +12,8 @@ Subpackages and modules:
 - ``multipede``: segment/feet structures with hyperedges, rigidity checks
   and the two isomorphism deciders.
 - ``linalg``: matrices over unordered index sets, finite fields as explicit
-  tables, group-order powering, prime sieve and integer matrix tests.
+  tables, powering to the exponent of the general linear group, prime
+  sieve and integer matrix tests.
 - ``cli``: the ``choiceless-lab`` command line front end.
 """
 

@@ -158,8 +158,8 @@ def _cmd_bgs_run(args) -> dict:
 
 
 def _cmd_gen_cfi(args) -> dict:
-    if args.m < 1:
-        raise ValidationError("m must be at least 1")
+    if args.m < 2:
+        raise ValidationError("m must be at least 2")  # K2 gadgets classify as not-CFI
     base = cfi.complete_graph(args.m + 1)
     if args.twist == "even":
         twist = []

@@ -10,7 +10,7 @@ from .fields import FiniteField, gf, zp
 from .intmatrix import IntMatrix, det_prime_divisors, nonsingular_int
 from .matrix import (
     FieldMatrix,
-    gl_order,
+    gl_exponent,
     identity,
     mat_mul,
     mat_pow,
@@ -30,7 +30,7 @@ __all__ = [
     "det_prime_divisors",
     "frequency_experiment",
     "gf",
-    "gl_order",
+    "gl_exponent",
     "identity",
     "mat_mul",
     "mat_pow",

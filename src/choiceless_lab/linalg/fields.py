@@ -8,12 +8,15 @@ polynomial arithmetic.  In both, the integers ``0 .. p-1`` are the prime
 subfield: the element ``r < p`` is ``1`` added to itself ``r`` times.
 
 This module is the only one that knows how a field is stored; the rest of
-the package uses ``add``, ``mul``, ``neg``, ``inv`` and the row operation
-``axpy``.  The field axioms of every fixture are checked by brute force in
-the test suite (``tests/oracles.py``), not at run time.
+the package uses ``add``, ``mul``, ``neg``, ``inv``, the row operation
+``axpy`` and the dense matrix product ``dense_mul``.  The field axioms of
+every fixture are checked by brute force in the test suite
+(``tests/oracles.py``), not at run time.
 """
 
 from __future__ import annotations
+
+import operator
 
 from ..errors import ValidationError
 
@@ -61,6 +64,12 @@ class _PrimeField(FiniteField):
         p = self.order
         return [(a + f * b) % p for a, b in zip(x, y)]
 
+    def dense_mul(self, a, b):
+        """The product of square matrices given as lists of rows."""
+        p = self.order
+        cols = list(zip(*b))
+        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
+
 
 class _TableField(FiniteField):
     """A field given by dense q-by-q addition and multiplication tables."""
@@ -90,6 +99,21 @@ class _TableField(FiniteField):
         """The row ``[x_k + f * y_k]`` for rows ``x`` and ``y``."""
         add, times_f = self.add_table, self.mul_table[f]
         return [add[a][times_f[b]] for a, b in zip(x, y)]
+
+    def dense_mul(self, a, b):
+        """The product of square matrices given as lists of rows."""
+        add, mul = self.add_table, self.mul_table
+        cols = list(zip(*b))
+        out = []
+        for row in a:
+            out_row = []
+            for col in cols:
+                acc = 0
+                for x, y in zip(row, col):
+                    acc = add[acc][mul[x][y]]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
 
 def _is_prime(n: int) -> bool:

@@ -16,7 +16,8 @@ p > |I| the determinant mod p is ``e_|I|`` from Newton's identities
 ``k e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} s_i`` (Csanky, SIAM J. Comput.
 1976), which divide by every k <= |I|, and each such k is invertible mod
 p.  For p <= |I| some k is zero mod p, so those primes keep the
-group-order test on the reduction mod p.  A trace sums over the unordered
+group-exponent test on the reduction mod p (``M**e == I`` for ``e`` the
+exponent of GL_|I|(p); see ``matrix``).  A trace sums over the unordered
 diagonal, so no route chooses anything.  The integer products behind the
 power sums run over an internal numbering of I (its iteration order); a
 trace does not depend on the numbering, so the power sums, and every

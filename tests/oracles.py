@@ -8,6 +8,7 @@ enumeration, fraction-free elimination), so the two sides can be compared.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -149,6 +150,14 @@ def leibniz_det_mod(rows, p) -> int:
             term *= rows[i][perm[i]]
         total += term
     return total % p
+
+
+def gl_order(q: int, n: int) -> int:
+    """Order of the group of invertible n-by-n matrices over the field of
+    order q: the product of ``q**n - q**i`` for ``i < n``."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    return math.prod(q**n - q**i for i in range(n))
 
 
 def max_matching_brute(a_side, edges) -> int:

@@ -27,7 +27,6 @@ from choiceless_lab.linalg import (
     IntMatrix,
     det_prime_divisors,
     frequency_experiment,
-    gl_order,
     identity,
     mat_mul,
     mat_pow,
@@ -58,7 +57,13 @@ from choiceless_lab.multipede import (
 
 from conftest import record_criterion
 from helpers import empty_structure, permuted_structure, power_structure, x_table
-from oracles import bareiss_det, brute_force_iso, hall_condition_direct, partial_product
+from oracles import (
+    bareiss_det,
+    brute_force_iso,
+    gl_order,
+    hall_condition_direct,
+    partial_product,
+)
 
 GF2 = zp(2)
 GF3 = zp(3)
@@ -234,7 +239,7 @@ def test_criterion_06_determinant_exhaustive_sweep():
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     assert checked == 16 + 512 + 81
-    record_criterion(6, "group-order test equals rank criterion", f"{checked} matrices, {elapsed:.1f}s")
+    record_criterion(6, "group-exponent test equals rank criterion", f"{checked} matrices, {elapsed:.1f}s")
 
 
 def test_criterion_07_nonsingular_frequency():

@@ -405,6 +405,7 @@ def test_exit_statuses(tmp_path, capsys):
         ["experiment", "det-frequency", "--q", "2", "--n", "-1", "--trials", "5", "--seed", "1"],
         ["experiment", "det-frequency", "--q", "3", "--n", "-3", "--trials", "5", "--seed", "1"],
         ["gen", "cfi", "--m", "0", "--twist", "even"],
+        ["gen", "cfi", "--m", "1", "--twist", "odd"],
         ["gen", "matrix", "--n", "3", "--max-abs", "-1", "--seed", "1"],
         ["gen", "matrix", "--n", "-2", "--seed", "1"],
         ["gen", "matrix", "--q", "2", "--n", "-2", "--seed", "1"],

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from choiceless_lab.linalg import (
     det_prime_divisors,
     frequency_experiment,
     gf,
-    gl_order,
+    gl_exponent,
     identity,
     mat_mul,
     mat_pow,
@@ -36,6 +38,7 @@ from choiceless_lab.linalg.intmatrix import scan_width
 from oracles import (
     bareiss_det,
     field_axiom_violations,
+    gl_order,
     leibniz_det_mod,
     linear_solutions,
     naive_mat_mul,
@@ -212,12 +215,30 @@ def _bit_grid(n):
 def test_gf2_packed_power_matches_dict_products(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     grid = data.draw(_bit_grid(n))
-    r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_order(2, n))))
+    r = data.draw(
+        st.one_of(st.integers(1, 300), st.just(gl_order(2, n)), st.just(gl_exponent(GF2, n)))
+    )
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     expected = _dict_pow(GF2, dense(GF2, grid), r)
     assert mat_pow(GF2, dense(GF2, grid), r) == expected
     renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
     assert mat_pow(GF2, dense(GF2, grid, labels), r).entries == renamed
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dense_power_matches_dict_products(data):
+    q = data.draw(st.sampled_from([3, 4, 7, 8, 9]))
+    field = gf(q)
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    element = st.one_of(st.just(0), st.integers(0, q - 1))
+    grid = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+    r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_exponent(field, n))))
+    labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
+    expected = _dict_pow(field, dense(field, grid), r)
+    assert mat_pow(field, dense(field, grid), r) == expected
+    renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
+    assert mat_pow(field, dense(field, grid, labels), r).entries == renamed
 
 
 def test_mat_pow_rejects_zero_exponent():
@@ -251,6 +272,77 @@ def test_gl_order_bit_bound():
         g = gl_order(q, n)
         bound = n * n * max(1, (q - 1).bit_length()) + n
         assert g.bit_length() - 1 < bound
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gl_exponent_divides_order(q):
+    for n in range(1, 7):
+        assert gl_order(q, n) % gl_exponent(gf(q), n) == 0
+
+
+def _bitrows_product(a, b):
+    out = []
+    for row in a:
+        acc = 0
+        for c, other in enumerate(b):
+            if row >> c & 1:
+                acc ^= other
+        out.append(acc)
+    return tuple(out)
+
+
+def _gl_over_gf2(n):
+    """Every invertible n-by-n matrix over GF(2) as packed rows, found as
+    the row tuples whose XOR combinations span all 2**n vectors."""
+    for rows in itertools.product(range(1 << n), repeat=n):
+        span = {0}
+        for row in rows:
+            span |= {v ^ row for v in span}
+        if len(span) == 1 << n:
+            yield rows
+
+
+def _gl2(field):
+    """Every invertible 2-by-2 matrix over ``field`` as a row tuple."""
+    els = range(field.order)
+    for a, b, c, d in itertools.product(els, repeat=4):
+        if field.add(field.mul(a, d), field.neg(field.mul(b, c))) != field.zero:
+            yield ((a, b), (c, d))
+
+
+def _gl2_product(field, x, y):
+    return tuple(
+        tuple(field.add(field.mul(x[i][0], y[0][k]), field.mul(x[i][1], y[1][k])) for k in range(2))
+        for i in range(2)
+    )
+
+
+def _element_orders(elements, product, one):
+    """The order of each group element, by multiplying until the identity."""
+    for m in elements:
+        power, order = m, 1
+        while power != one:
+            power, order = product(power, m), order + 1
+        yield order
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (5, 2), (2, 4)])
+def test_every_element_order_divides_gl_exponent(q, n):
+    """Enumerates all of GL_n(q): its size is the group order, and the
+    element orders have the exponent as their least common multiple, so
+    every one divides it and no smaller exponent would do."""
+    field = gf(q)
+    if q == 2:
+        elements = list(_gl_over_gf2(n))
+        one = tuple(1 << i for i in range(n))
+        orders = list(_element_orders(elements, _bitrows_product, one))
+    else:
+        elements = list(_gl2(field))
+        one = ((1, 0), (0, 1))
+        product = functools.partial(_gl2_product, field)
+        orders = list(_element_orders(elements, product, one))
+    assert len(elements) == gl_order(q, n)
+    assert math.lcm(*orders) == gl_exponent(field, n)
 
 
 # ------------------------------------------------------- nonsingularity
@@ -308,6 +400,25 @@ def test_verdicts_invariant_under_index_renaming():
             plain = dense(field, rows)
             renamed = dense(field, rows, labels=[f"x{i}" for i in range(n)])
             assert nonsingular_square(field, plain) == nonsingular_square(field, renamed)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_nonsingular_square_matches_rank_every_field(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = gf(q)
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    grid = data.draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        # a row that is a multiple of another makes the matrix singular
+        src, dst = data.draw(st.permutations(range(n)))[:2]
+        f = data.draw(st.integers(0, q - 1))
+        grid[dst] = field.axpy(f, [0] * n, grid[src])
+    labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
+    m = dense(field, grid, labels)
+    expected = rank_gaussian(field, m, labels, labels) == n
+    assert nonsingular_square(field, m) == expected
 
 
 # ---------------------------------------------------------------- gauss
