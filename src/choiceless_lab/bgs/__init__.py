@@ -26,7 +26,6 @@ from .syntax import (
     Term,
     Update,
     Var,
-    check_program,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "Update",
     "Var",
     "active_count",
-    "check_program",
     "fire",
     "load_builtin_program",
     "parse_program",

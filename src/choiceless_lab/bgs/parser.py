@@ -1,4 +1,4 @@
-"""Concrete syntax for set-machine program files.
+"""Concrete syntax for set-machine program files, and every static rule.
 
 Header lines (before the body):
 
@@ -22,14 +22,30 @@ Body grammar (keywords are reserved):
              "(" term ")" and comprehension "{" term ":" NAME "in" term
              [":" term] "}"
 
-``x != y`` and ``x notin y`` are sugar for negated ``eq`` / ``in``.  A bare
-name is a bound variable when a ``forall`` or comprehension binder is in
-scope, otherwise a nullary symbol.  Symbols ever assigned to are dynamic;
-all other non-builtin symbols are input symbols.  Unbound lowercase bare
-names that are never assigned are rejected as unbound variables (upper-case
-initials name input constants).
-
+``x != y`` and ``x notin y`` are sugar for negated ``eq`` / ``in``.
 Full-line comments start with ``//``.
+
+The parser is the only checker: a program it returns is closed and
+well-formed, and every error in the body names the line and column of
+the token where it happens.  The rules:
+
+- A bare name is a bound variable when a ``forall`` or comprehension
+  binder is in scope, otherwise a nullary symbol; an unbound lowercase
+  name that is never assigned is an unbound variable (upper-case
+  initials name input constants).  A variable cannot be applied.
+- A binder may not be read in its own range: ``do forall v in r`` and
+  ``{ t : v in r }`` reject an outer ``v`` read in ``r``, unless a binder
+  inside ``r`` rebinds it.
+- Symbols ever assigned to are dynamic, all other non-builtin symbols
+  are input symbols, and each symbol keeps one arity.  Builtins have
+  their fixed arity and cannot be assigned; ``Halt`` and ``Output`` are
+  nullary; ``Card`` needs ``#requires card``.
+- ``if`` guards, comprehension guards and the values given to ``Halt``
+  and ``Output`` are Boolean: an application of a logical builtin, a
+  membership test, ``Halt``, ``Output`` or an input symbol.  These are
+  decided when the parse ends, once every dynamic symbol is known; the
+  input symbols used so form ``Program.boolean_static_uses`` and must be
+  relations in any structure the program runs on.
 
 Nesting is capped at ``MAX_NESTING`` levels (each rule and each term is a
 level, and each ``not``, ``and`` and ``or`` adds one within its term), so
@@ -40,9 +56,11 @@ from __future__ import annotations
 
 import re
 
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError
 from .syntax import (
     App,
+    BOOLEAN_BUILTINS,
+    BOOLEAN_DYNAMICS,
     BUILTIN_ARITY,
     Compr,
     Cond,
@@ -54,7 +72,6 @@ from .syntax import (
     Skip,
     Update,
     Var,
-    check_program,
 )
 
 __all__ = ["MAX_NESTING", "parse_program"]
@@ -126,13 +143,20 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent over the body tokens.  ``bound`` maps each
+    variable in scope to None or, inside the range of a binder of the same
+    name, to that binder's kind ("forall" or "comprehension"): reading the
+    variable there is an error."""
+
+    def __init__(self, tokens, card_enabled):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.card_enabled = card_enabled
         self.assigned: dict = {}  # dynamic symbol -> arity
         self.applied: dict = {}  # any applied symbol -> arity (consistency)
         self.bare_lower: list = []  # (name, token) candidates for unbound vars
+        self.boolean_sites: list = []  # (term, first token, message)
 
     # -- token helpers -------------------------------------------------
 
@@ -233,6 +257,13 @@ class _Parser:
                 self.note_applied(tok, len(args))
                 return App(tok.text, tuple(args))
             if tok.text in bound:
+                kind = bound[tok.text]
+                if kind:
+                    raise ParseError(
+                        f"{kind} variable {tok.text!r} occurs free in its range",
+                        tok.line,
+                        tok.col,
+                    )
                 return Var(tok.text)
             self.note_applied(tok, 0)
             if tok.text[0].islower() and tok.text not in BUILTIN_ARITY:
@@ -276,14 +307,15 @@ class _Parser:
         if binder is None:
             raise ParseError("comprehension needs ': name in range'", open_tok.line, open_tok.col)
         self.pos = save
-        element = self.term(bound | {binder})
+        inner = {**bound, binder: None}
+        element = self.term(inner)
         self.expect(":")
         var_tok = self.advance()
         self.expect("in")
-        source = self.term(bound)
+        source = self.term(_range_scope(bound, binder, "comprehension"))
         if self.at(":"):
             self.advance()
-            guard = self.term(bound | {binder})
+            guard = self.boolean(inner, "comprehension guard must be Boolean")
         else:
             guard = App("true", ())
         self.expect("}")
@@ -299,7 +331,7 @@ class _Parser:
             node = Skip()
         elif tok.text == "if":
             self.advance()
-            guard = self.term(bound)
+            guard = self.boolean(bound, "conditional guard must be Boolean")
             self.expect("then")
             then_rule = self.rule(bound)
             if self.at("else"):
@@ -317,9 +349,9 @@ class _Parser:
                 if var_tok.kind != "name" or var_tok.text in _KEYWORDS:
                     raise ParseError("expected a variable name", var_tok.line, var_tok.col)
                 self.expect("in")
-                source = self.term(bound)
+                source = self.term(_range_scope(bound, var_tok.text, "forall"))
                 self.expect(",")
-                body = self.rule(bound | {var_tok.text})
+                body = self.rule({**bound, var_tok.text: None})
                 self.expect("enddo")
                 node = Forall(var_tok.text, source, body)
             else:
@@ -342,7 +374,10 @@ class _Parser:
                     f"expected ':=' after {tok.text!r}", assign.line, assign.col
                 )
             self.advance()
-            value = self.term(bound)
+            if tok.text in BOOLEAN_DYNAMICS:
+                value = self.boolean(bound, f"{tok.text} only takes Boolean values")
+            else:
+                value = self.term(bound)
             self.note_assigned(tok, len(args))
             node = Update(tok.text, tuple(args), value)
         else:
@@ -352,7 +387,24 @@ class _Parser:
 
     # -- symbol bookkeeping ----------------------------------------------
 
+    def boolean(self, bound, message):
+        """A term in a Boolean position; it is decided when the parse ends,
+        once every symbol is known to be dynamic or input."""
+        tok = self.peek()
+        node = self.term(bound)
+        self.boolean_sites.append((node, tok, message))
+        return node
+
     def note_applied(self, tok, arity):
+        if tok.text == "Card" and not self.card_enabled:
+            raise ParseError(
+                "Card used but the program does not enable it", tok.line, tok.col
+            )
+        fixed = 0 if tok.text in BOOLEAN_DYNAMICS else BUILTIN_ARITY.get(tok.text)
+        if fixed is not None and arity != fixed:
+            raise ParseError(
+                f"{tok.text} expects {fixed} arguments, got {arity}", tok.line, tok.col
+            )
         if tok.text in BUILTIN_ARITY:
             return
         prev = self.applied.setdefault(tok.text, arity)
@@ -370,6 +422,12 @@ class _Parser:
                 f"{tok.text!r} assigned with arities {prev} and {arity}", tok.line, tok.col
             )
         self.note_applied(tok, arity)
+
+
+def _range_scope(bound, var, kind):
+    """The scope of a binder's range: an outer ``var`` stays bound, so it
+    is not read as a symbol, but reading it is an error."""
+    return {**bound, var: kind} if var in bound else bound
 
 
 def _parse_headers(text: str):
@@ -405,31 +463,25 @@ def _parse_headers(text: str):
 def parse_program(text: str) -> Program:
     """Parse program text into a checked :class:`Program`."""
     bounds, body = _parse_headers(text)
-    parser = _Parser(_tokenize(body))
-    rule = parser.rule(frozenset())
+    parser = _Parser(_tokenize(body), bounds.card_enabled)
+    rule = parser.rule({})
     eof = parser.peek()
     if eof.kind != "eof":
         raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.col)
     for name, tok in parser.bare_lower:
         if name not in parser.assigned:
             raise ParseError(f"unbound variable {name!r}", tok.line, tok.col)
-    dynamic = dict(parser.assigned)
-    dynamic.setdefault("Halt", 0)
-    dynamic.setdefault("Output", 0)
-    if dynamic.get("Halt") != 0 or dynamic.get("Output") != 0:
-        raise ParseError("Halt and Output must be nullary")
+    dynamic = {"Halt": 0, "Output": 0, **parser.assigned}
     static = {
         name: arity
         for name, arity in parser.applied.items()
         if name not in dynamic
     }
-    program = Program(
-        rule=rule,
-        bounds=bounds,
-        dynamic_arity=dynamic,
-        static_arity=static,
-    )
-    try:
-        return check_program(program)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    boolean_static_uses = set()
+    for node, tok, message in parser.boolean_sites:
+        symbol = node.symbol if isinstance(node, App) else None
+        if symbol in static:
+            boolean_static_uses.add(symbol)
+        elif symbol not in BOOLEAN_BUILTINS and symbol not in BOOLEAN_DYNAMICS:
+            raise ParseError(message, tok.line, tok.col)
+    return Program(rule, bounds, dynamic, static, frozenset(boolean_static_uses))

@@ -51,6 +51,9 @@ __all__ = [
 NOT_CFI = "not-CFI"
 # a padded gadget has 2**(m*m) isolated vertices: m = 5 needs gigabytes
 PAD_MAX_M = 4
+# an unpadded gadget lists its pre-order pair by pair, quadratic in its
+# (m+1) * 2**(m-1) block vertices: m = 9 writes about 200 MB
+STRUCTURE_MAX_M = 8
 # distinguish_structure tries 2**(m*(m+1)/2) choices of one vertex per pair
 DISTINGUISH_MAX_M = 4
 
@@ -141,6 +144,9 @@ class GadgetGraph:
     rank: dict = field(repr=False)  # block vertex -> index of its base vertex
 
     def structure(self) -> PreGraph:
+        m = max(len(self.base.incident(v)) for v in self.base.vertices)
+        if m > STRUCTURE_MAX_M:
+            raise GuardExceeded("structure.max_m", STRUCTURE_MAX_M, m)
         pre = frozenset(
             (x, y)
             for x in self.block_vertices

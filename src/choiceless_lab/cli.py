@@ -194,6 +194,8 @@ def _cmd_gen_multipede(args) -> dict:
 def _cmd_gen_bipartite(args) -> dict:
     if args.na < 0 or args.nb < 0:
         raise ValidationError("side sizes must not be negative")
+    if not 0 <= args.density <= 1:  # NaN fails too
+        raise ValidationError("density must lie in [0, 1]")
     rng = random.Random(args.seed)
     a = [f"a{i}" for i in range(args.na)]
     b = [f"b{j}" for j in range(args.nb)]

@@ -2,63 +2,43 @@
 
 A sentence evaluates to a Boolean term using the existential coding
 ``0 in { 0 : v in Atoms : phi(v) }``; universal quantifiers go through
-double negation.  The compiled program writes the term to Output and
-halts immediately.
+double negation.  The compiled program is text, read by the parser like
+any program file: it writes the term to Output and halts immediately.
 """
 
 from __future__ import annotations
 
 import random
 
-from choiceless_lab.bgs import (
-    App,
-    Compr,
-    Lit,
-    Par,
-    Program,
-    RunBounds,
-    Update,
-    Var,
-    check_program,
-)
+from choiceless_lab.bgs import Program, parse_program
 
 
-def _term(node):
+def _term(node) -> str:
     tag = node[0]
     if tag == "ex":
-        return App(
-            "in",
-            (Lit(0), Compr(Lit(0), node[1], App("Atoms"), _term(node[2]))),
-        )
+        return f"0 in {{ 0 : {node[1]} in Atoms : {_term(node[2])} }}"
     if tag == "all":
         return _term(("not", ("ex", node[1], ("not", node[2]))))
     if tag == "not":
-        return App("not", (_term(node[1]),))
-    if tag == "and":
-        return App("and", (_term(node[1]), _term(node[2])))
-    if tag == "or":
-        return App("or", (_term(node[1]), _term(node[2])))
+        return f"not ({_term(node[1])})"
+    if tag in ("and", "or"):
+        return f"({_term(node[1])}) {tag} ({_term(node[2])})"
     if tag == "rel":
-        return App(node[1], tuple(Var(v) for v in node[2]))
+        return f"{node[1]}({', '.join(node[2])})"
     if tag == "eq":
-        return App("eq", (Var(node[1]), Var(node[2])))
+        return f"{node[1]} = {node[2]}"
     raise ValueError(f"bad sentence node {node!r}")
 
 
 def compile_sentence(sentence, relation_arities: dict) -> Program:
-    rule = Par(
-        (
-            Update("Output", (), _term(sentence)),
-            Update("Halt", (), App("true")),
-        )
+    """The one-step program for a sentence; its input symbols are the
+    relations the sentence mentions."""
+    program = parse_program(
+        "#steps 2\n#active 40 10\n"
+        f"do in parallel Output := {_term(sentence)}; Halt := true enddo\n"
     )
-    program = Program(
-        rule=rule,
-        bounds=RunBounds((2,), (40, 10)),
-        dynamic_arity={"Halt": 0, "Output": 0},
-        static_arity=dict(relation_arities),
-    )
-    return check_program(program)
+    assert program.static_arity.items() <= relation_arities.items()
+    return program
 
 
 def random_sentence(rng: random.Random, relation_arities: dict, depth: int = 3, scope=()):

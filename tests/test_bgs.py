@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -32,7 +33,6 @@ from choiceless_lab.bgs import (
     Update,
     Var,
     active_count,
-    check_program,
     fire,
     load_builtin_program,
     parse_program,
@@ -114,6 +114,47 @@ def test_parse_errors():
             "do forall v in Atoms, do forall v in Pair(v, v), skip enddo enddo"
         )  # binder free in its own range
     assert "range" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "body, fragment, line, column",
+    [
+        ("Output := Pair(1)", "Pair expects 2 arguments, got 1", 3, 11),
+        ("do forall x in Atoms,\n  Halt := true(x)\nenddo", "true expects 0", 4, 11),
+        ("do in parallel\n  N := Card(Atoms);\n  Halt := true\nenddo", "Card", 4, 8),
+        ("do in parallel\n  Halt := true;\n  if Atoms then skip endif\nenddo",
+         "conditional guard", 5, 6),
+        # A becomes dynamic only after the guard that reads it
+        ("do in parallel\n  if A then skip endif;\n  A := 1\nenddo", "conditional guard", 4, 6),
+        ("A := { x : x in Atoms : Pair(x, x) }", "comprehension guard", 3, 25),
+        ("Halt := Atoms", "Halt only takes Boolean values", 3, 9),
+        ("do in parallel Halt := true;\n  Output := 1 enddo", "Output only takes Boolean", 4, 13),
+        ("do forall v in Atoms,\n  do forall v in Pair(v, v), skip enddo\nenddo",
+         "forall variable 'v' occurs free in its range", 4, 23),
+        ("do forall v in Atoms,\n  A(v) := { v : v in Pair(v, v) }\nenddo",
+         "comprehension variable 'v' occurs free in its range", 4, 27),
+        ("if Halt(1) then skip endif", "Halt expects 0 arguments, got 1", 3, 4),
+    ],
+)
+def test_semantic_errors_carry_their_position(body, fragment, line, column):
+    with pytest.raises(ParseError, match=re.escape(fragment)) as err:
+        parse(body)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "body, boolean_uses",
+    [
+        # the inner v rebinds the name, so reading it in the range is fine
+        ("do forall v in Atoms,\n  do forall v in { v : v in Atoms }, A(v) := v enddo\nenddo",
+         set()),
+        ("do forall v in Atoms,\n  A(v) := { v : v in { v : v in Atoms } }\nenddo", set()),
+        ("if E(0, 1) then Halt := true endif", {"E"}),
+        ("Halt := 0 in { 0 : v in Atoms : P(v) }", {"P"}),
+    ],
+)
+def test_programs_that_still_parse(body, boolean_uses):
+    assert parse(body).boolean_static_uses == boolean_uses
 
 
 def test_parse_error_reports_position():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -388,6 +389,14 @@ def test_exit_statuses(tmp_path, capsys):
         assert report["error"]["kind"] == "guard"
     assert not big.exists()
 
+    # unpadded, the pre-order is quadratic in the block vertices
+    started = time.monotonic()
+    code, report = invoke(["gen", "cfi", "--m", "9", "--twist", "even", "--file", str(big)], capsys)
+    assert code == EXIT_GUARD
+    assert "structure.max_m" in report["error"]["message"]
+    assert time.monotonic() - started < 1
+    assert not big.exists()
+
     code, report = invoke(
         ["gen", "bipartite", "--na", "2", "--nb", "2", "--file", str(tmp_path / "x.str")],
         capsys,
@@ -411,6 +420,9 @@ def test_exit_statuses(tmp_path, capsys):
         ["gen", "matrix", "--q", "2", "--n", "-2", "--seed", "1"],
         ["gen", "bipartite", "--na", "-2", "--nb", "2", "--seed", "1"],
         ["gen", "bipartite", "--na", "2", "--nb", "-2", "--seed", "1"],
+        ["gen", "bipartite", "--na", "2", "--nb", "2", "--density", "2", "--seed", "1"],
+        ["gen", "bipartite", "--na", "2", "--nb", "2", "--density", "-1", "--seed", "1"],
+        ["gen", "bipartite", "--na", "2", "--nb", "2", "--density", "nan", "--seed", "1"],
     ],
 )
 def test_out_of_range_counts_exit_parse_and_write_nothing(tmp_path, capsys, argv):
