@@ -42,10 +42,13 @@ the token where it happens.  The rules:
   nullary; ``Card`` needs ``#requires card``.
 - ``if`` guards, comprehension guards and the values given to ``Halt``
   and ``Output`` are Boolean: an application of a logical builtin, a
-  membership test, ``Halt``, ``Output`` or an input symbol.  These are
-  decided when the parse ends, once every dynamic symbol is known; the
-  input symbols used so form ``Program.boolean_static_uses`` and must be
+  membership test, ``Halt``, ``Output`` or an input symbol.  The input
+  symbols used so form ``Program.boolean_static_uses`` and must be
   relations in any structure the program runs on.
+
+The assigned symbols are collected in one pass over the tokens before the
+parse, so every rule is decided as the parse meets it: a name at its own
+token, a Boolean position as soon as its term is read.
 
 Nesting is capped at ``MAX_NESTING`` levels (each rule and each term is a
 level, and each ``not``, ``and`` and ``or`` adds one within its term), so
@@ -153,10 +156,10 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.card_enabled = card_enabled
+        self.dynamic = _assigned_names(tokens)
         self.assigned: dict = {}  # dynamic symbol -> arity
         self.applied: dict = {}  # any applied symbol -> arity (consistency)
-        self.bare_lower: list = []  # (name, token) candidates for unbound vars
-        self.boolean_sites: list = []  # (term, first token, message)
+        self.boolean_static_uses: set = set()
 
     # -- token helpers -------------------------------------------------
 
@@ -248,6 +251,10 @@ class _Parser:
             if tok.text in _KEYWORDS:
                 self.fail(f"unexpected keyword {tok.text!r}")
             self.advance()
+            if tok.text == "Card" and not self.card_enabled:
+                raise ParseError(
+                    "Card used but the program does not enable it", tok.line, tok.col
+                )
             if self.at("("):
                 if tok.text in bound:
                     raise ParseError(
@@ -266,8 +273,9 @@ class _Parser:
                     )
                 return Var(tok.text)
             self.note_applied(tok, 0)
-            if tok.text[0].islower() and tok.text not in BUILTIN_ARITY:
-                self.bare_lower.append((tok.text, tok))
+            lower = tok.text[0].islower()
+            if lower and tok.text not in BUILTIN_ARITY and tok.text not in self.dynamic:
+                raise ParseError(f"unbound variable {tok.text!r}", tok.line, tok.col)
             return App(tok.text, ())
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
@@ -373,12 +381,12 @@ class _Parser:
                 raise ParseError(
                     f"expected ':=' after {tok.text!r}", assign.line, assign.col
                 )
+            self.note_assigned(tok, len(args))
             self.advance()
             if tok.text in BOOLEAN_DYNAMICS:
                 value = self.boolean(bound, f"{tok.text} only takes Boolean values")
             else:
                 value = self.term(bound)
-            self.note_assigned(tok, len(args))
             node = Update(tok.text, tuple(args), value)
         else:
             self.fail(f"expected a rule, found {tok.text or 'end of input'!r}")
@@ -388,18 +396,20 @@ class _Parser:
     # -- symbol bookkeeping ----------------------------------------------
 
     def boolean(self, bound, message):
-        """A term in a Boolean position; it is decided when the parse ends,
-        once every symbol is known to be dynamic or input."""
+        """A term in a Boolean position, rejected at its first token unless
+        it is a logical builtin, a membership test, ``Halt``, ``Output`` or
+        an input symbol."""
         tok = self.peek()
         node = self.term(bound)
-        self.boolean_sites.append((node, tok, message))
+        symbol = node.symbol if isinstance(node, App) else None
+        if symbol in BOOLEAN_BUILTINS or symbol in BOOLEAN_DYNAMICS:
+            return node
+        if symbol is None or symbol in BUILTIN_ARITY or symbol in self.dynamic:
+            raise ParseError(message, tok.line, tok.col)
+        self.boolean_static_uses.add(symbol)
         return node
 
     def note_applied(self, tok, arity):
-        if tok.text == "Card" and not self.card_enabled:
-            raise ParseError(
-                "Card used but the program does not enable it", tok.line, tok.col
-            )
         fixed = 0 if tok.text in BOOLEAN_DYNAMICS else BUILTIN_ARITY.get(tok.text)
         if fixed is not None and arity != fixed:
             raise ParseError(
@@ -422,6 +432,23 @@ class _Parser:
                 f"{tok.text!r} assigned with arities {prev} and {arity}", tok.line, tok.col
             )
         self.note_applied(tok, arity)
+
+
+def _assigned_names(tokens) -> frozenset:
+    """The names a program assigns: each name before ``:=``, or before the
+    balanced argument list that precedes ``:=``."""
+    names = set()
+    for k, tok in enumerate(tokens):
+        if tok.text != ":=":
+            continue
+        depth = 0
+        k -= 1
+        while k > 0 and (depth or tokens[k].text == ")"):
+            depth += (tokens[k].text == ")") - (tokens[k].text == "(")
+            k -= 1
+        if k >= 0 and tokens[k].kind == "name":
+            names.add(tokens[k].text)
+    return frozenset(names)
 
 
 def _range_scope(bound, var, kind):
@@ -468,20 +495,6 @@ def parse_program(text: str) -> Program:
     eof = parser.peek()
     if eof.kind != "eof":
         raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.col)
-    for name, tok in parser.bare_lower:
-        if name not in parser.assigned:
-            raise ParseError(f"unbound variable {name!r}", tok.line, tok.col)
     dynamic = {"Halt": 0, "Output": 0, **parser.assigned}
-    static = {
-        name: arity
-        for name, arity in parser.applied.items()
-        if name not in dynamic
-    }
-    boolean_static_uses = set()
-    for node, tok, message in parser.boolean_sites:
-        symbol = node.symbol if isinstance(node, App) else None
-        if symbol in static:
-            boolean_static_uses.add(symbol)
-        elif symbol not in BOOLEAN_BUILTINS and symbol not in BOOLEAN_DYNAMICS:
-            raise ParseError(message, tok.line, tok.col)
-    return Program(rule, bounds, dynamic, static, frozenset(boolean_static_uses))
+    static = {name: arity for name, arity in parser.applied.items() if name not in dynamic}
+    return Program(rule, bounds, dynamic, static, frozenset(parser.boolean_static_uses))

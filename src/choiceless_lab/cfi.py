@@ -39,7 +39,6 @@ __all__ = [
     "automorphism_from_edges",
     "build_twisted",
     "complete_graph",
-    "distinguish_structure",
     "from_structure",
     "isomorphic_gadgets",
     "odd_boundary",
@@ -54,8 +53,6 @@ PAD_MAX_M = 4
 # an unpadded gadget lists its pre-order pair by pair, quadratic in its
 # (m+1) * 2**(m-1) block vertices: m = 9 writes about 200 MB
 STRUCTURE_MAX_M = 8
-# distinguish_structure tries 2**(m*(m+1)/2) choices of one vertex per pair
-DISTINGUISH_MAX_M = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,24 +326,6 @@ def _twist_parity(shape: _Shape) -> int:
     member = [next(iter(cls)) for cls in shape.classes]
     meets = shape.pair_neighbours
     return sum(not meets[member[i]] & meets[member[j]] for i, j in shape.pairs) % 2
-
-
-def distinguish_structure(structure: PreGraph) -> int:
-    """Exhaust all choices of one vertex per edge pair; report 0 when some
-    choice leaves every block with a member adjacent to chosen vertices
-    only, else 1."""
-    shape = _analyze(structure)
-    if shape is None:
-        raise ValidationError("structure is not a twisted gadget")
-    if shape.m > DISTINGUISH_MAX_M:
-        raise GuardExceeded("distinguish.max_m", DISTINGUISH_MAX_M, shape.m)
-    for pick in itertools.product(*shape.pairs.values()):
-        chosen = frozenset(pick)
-        if all(
-            any(shape.pair_neighbours[x] <= chosen for x in cls) for cls in shape.classes
-        ):
-            return 0
-    return 1
 
 
 def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:

@@ -65,7 +65,7 @@ class _PrimeField(FiniteField):
         return [(a + f * b) % p for a, b in zip(x, y)]
 
     def dense_mul(self, a, b):
-        """The product of square matrices given as lists of rows."""
+        """The product of matrices given as lists of rows."""
         p = self.order
         cols = list(zip(*b))
         return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
@@ -101,7 +101,7 @@ class _TableField(FiniteField):
         return [add[a][times_f[b]] for a, b in zip(x, y)]
 
     def dense_mul(self, a, b):
-        """The product of square matrices given as lists of rows."""
+        """The product of matrices given as lists of rows."""
         add, mul = self.add_table, self.mul_table
         cols = list(zip(*b))
         out = []

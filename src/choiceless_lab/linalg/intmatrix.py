@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ..errors import ValidationError
 from .fields import zp
-from .matrix import FieldMatrix, nonsingular_square
+from .matrix import FieldMatrix, _dense_rows, nonsingular_square
 from .primes import sieve_first_primes
 
 __all__ = ["IntMatrix", "nonsingular_int", "det_prime_divisors", "scan_width"]
@@ -75,10 +75,7 @@ def _power_sums(m: IntMatrix) -> list:
     """``tr(M**k)`` for k = 1 .. |I|, with |I| - 1 integer products."""
     index = list(m.index_set)  # the internal numbering; see the module docstring
     n = len(index)
-    position = {i: b for b, i in enumerate(index)}
-    base = [[0] * n for _ in index]
-    for (i, j), value in m.entries.items():
-        base[position[i]][position[j]] = value
+    base = _dense_rows(m.entries, index, index)
     columns = list(zip(*base))
     power = base
     sums = []

@@ -9,28 +9,30 @@ Header declares the ring, then the index sets, then sparse entries::
     r0 c0 1
     r1 c1 1
 
-Omitted entries are zero.  Field entries are canonical element indices;
-ring entries are decimal integers (possibly negative).  Integer matrices
-must be square.
+Omitted entries are zero, and each header and each cell is listed at
+most once.  Field entries are canonical element indices; ring entries are
+decimal integers (possibly negative).  Integer matrices must be square.
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError
+from ..errors import ParseError, ValidationError
 from .fields import gf
 from .intmatrix import IntMatrix
 from .matrix import FieldMatrix
 
 __all__ = ["parse_matrix", "write_field_matrix", "write_int_matrix"]
 
+_HEADERS = ("field", "ring", "rows", "cols", "square")
+
 
 def parse_matrix(text: str):
-    """Returns ("field", FieldMatrix) or ("int", IntMatrix)."""
-    ring = None
-    q = None
-    rows = None
-    cols = None
+    """Returns ("field", FieldMatrix) or ("int", IntMatrix).  This is the
+    only check on a matrix from outside, so it checks the whole format;
+    every error that belongs to a line names it."""
+    ring = q = rows = cols = None
     square = False
+    header_line: dict = {}  # header -> line number
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
@@ -38,10 +40,20 @@ def parse_matrix(text: str):
             continue
         parts = line.split()
         head = parts[0]
+        if head in _HEADERS and (head != "square" or len(parts) == 1):
+            key = "ring" if head == "field" else head
+            if key in header_line:
+                first = header_line[key]
+                raise ParseError(f"second {key} header, after line {first}", line_no)
+            header_line[key] = line_no
         if head == "field":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError("field header needs one numeric order", line_no)
             ring, q = "field", int(parts[1])
+            try:
+                field = gf(q)
+            except ValidationError as exc:
+                raise ParseError(str(exc), line_no) from None
         elif head == "ring":
             if parts[1:] != ["Z"]:
                 raise ParseError("only ring Z is supported", line_no)
@@ -64,28 +76,29 @@ def parse_matrix(text: str):
         if not square:
             raise ParseError("missing cols header (or square flag)")
         cols = rows
-    if square and sorted(rows) != sorted(cols):
-        raise ParseError("square matrices need rows == cols")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ParseError("duplicate index names")
+    for head, names in (("rows", rows), ("cols", cols)):
+        if len(set(names)) != len(names):
+            raise ParseError("duplicate index names", header_line[head])
+    if square and set(rows) != set(cols):
+        raise ParseError("square matrices need rows == cols", header_line["square"])
+    if ring == "int" and not square:
+        raise ParseError("integer matrices must carry the square flag", header_line["ring"])
     row_set, col_set = frozenset(rows), frozenset(cols)
     cells = {}
     for i, j, v, line_no in entries:
         if i not in row_set or j not in col_set:
             raise ParseError(f"entry ({i}, {j}) outside the index sets", line_no)
+        if (i, j) in cells:
+            raise ParseError(f"entry ({i}, {j}) listed twice", line_no)
         try:
             value = int(v)
         except ValueError:
             raise ParseError(f"bad entry value {v!r}", line_no) from None
+        if ring == "field" and not 0 <= value < q:
+            raise ParseError(f"entry {value} is not an element index below {q}", line_no)
         cells[(i, j)] = value
     if ring == "field":
-        field = gf(q)
-        for (i, j), v in cells.items():
-            if not 0 <= v < q:
-                raise ParseError(f"entry {v} is not an element index below {q}")
         return "field", FieldMatrix(field, row_set, col_set, cells)
-    if not square:
-        raise ParseError("integer matrices must carry the square flag")
     return "int", IntMatrix.from_int_entries(cells, index_set=row_set)
 
 

@@ -3,28 +3,22 @@
 A :class:`FieldMatrix` is a total function from ``rows x cols`` to field
 elements, stored sparsely (absent entries are zero).  Index sets carry no
 order; every verdict produced here is invariant under renaming the indices.
-Matrices built from outside input are validated entry by entry; the
-kernel's own results (products, powers, identities, transposes) are built
-valid and skip that check.
+The constructor only drops zero entries: matrices from outside input are
+checked by ``parse_matrix``, and the rest are built valid.
 
-Multiplication sums over an unordered index set: the (i, k) entry of
-``M N`` is the field sum of ``M[i, j] * N[j, k]`` over the inner indices
-``j`` where both entries are nonzero.  Over Z/2 this is exactly "the
-number of common neighbours is odd".  Field addition is commutative and
-associative, so the order in which the inner indices are visited cannot
-influence the result.
-
-Powers run on dense rows: the base matrix is packed once under an internal
-numbering of the index set, the products multiply dense rows, and the
-result is unpacked once.  Over GF(2) a row is one Python int, bit ``b``
-standing for the ``b``-th index, and row i of ``P Q`` is the XOR of the
-rows of ``Q`` picked by the bits of row i of ``P`` (Albrecht, Bard and
-Hart, "Algorithm 898", ACM TOMS 2010); over the other fields a row is a
-list of elements and the field supplies the product (``dense_mul``).  The
-numbering is the index set's iteration order, and it decides nothing: the
-same numbering packs and unpacks, so the power returned is the same map
-``rows x cols -> field`` under any numbering, and only the time the
-products take could depend on it, so it never leaves this module.
+Products and powers run on dense rows, rectangular shapes included: the
+factors are laid out once under internal numberings of the row, inner and
+column index sets (:func:`_dense_rows`), the products multiply dense rows,
+and the result is read back once (:func:`_from_dense_rows`).  Over GF(2) a
+row is one Python int, bit ``b`` standing for the ``b``-th index, and row
+i of ``P Q`` is the XOR of the rows of ``Q`` picked by the bits of row i
+of ``P`` (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010); over
+the other fields a row is a list of elements and the field supplies the
+product (``dense_mul``).  Each entry of a product is a field sum over the
+inner indices, and field addition is commutative and associative, so the
+numberings decide nothing: the same numbering lays out and reads back, so
+the matrix returned is the same map under any numbering, and only the time
+the products take could depend on it, so it never leaves this module.
 
 Non-singularity of an I-square matrix is decided without elimination, by
 checking ``M**e == identity`` for ``e`` the exponent of GL_n(q), n = |I|:
@@ -79,24 +73,8 @@ class FieldMatrix:
     entries: dict
 
     def __post_init__(self):
-        zero = self.field.zero
-        cleaned = {}
-        for (i, j), v in self.entries.items():
-            if i not in self.rows or j not in self.cols:
-                raise ValidationError(f"entry {(i, j)} outside the index sets")
-            if not (0 <= v < self.field.order):
-                raise ValidationError(f"entry value {v} not a field element")
-            if v != zero:
-                cleaned[(i, j)] = v
-        object.__setattr__(self, "entries", cleaned)
-
-    @classmethod
-    def _trusted(cls, field, rows, cols, entries) -> "FieldMatrix":
-        """A kernel result: ``entries`` are already nonzero field elements
-        on ``rows x cols``, so nothing is checked again."""
-        m = object.__new__(cls)
-        vars(m).update(field=field, rows=rows, cols=cols, entries=entries)
-        return m
+        # equal maps have equal entry dicts: zero entries are never stored
+        object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
 
     @property
     def square(self) -> bool:
@@ -125,41 +103,54 @@ class FieldMatrix:
 
 def identity(field: FiniteField, index_set) -> FieldMatrix:
     idx = frozenset(index_set)
-    eye = {(i, i): field.one for i in idx}
-    return FieldMatrix._trusted(field, idx, idx, eye)
+    return FieldMatrix(field, idx, idx, {(i, i): field.one for i in idx})
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix._trusted(
-        m.field, m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()}
-    )
+    return FieldMatrix(m.field, m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def _dense_rows(entries: dict, row_index: list, col_index: list) -> list:
+    """``entries``, a map ``(i, j) -> value``, as one list of values per
+    index of ``row_index``, in the order of ``col_index``; absent entries
+    are zero."""
+    col_at = {j: b for b, j in enumerate(col_index)}
+    rows = {i: [0] * len(col_index) for i in row_index}
+    for (i, j), v in entries.items():
+        rows[i][col_at[j]] = v
+    return list(rows.values())
+
+
+def _from_dense_rows(field: FiniteField, row_index: list, col_index: list, rows) -> FieldMatrix:
+    """The matrix whose row ``row_index[a]`` is ``rows[a]``, read in the
+    order of ``col_index``."""
+    entries = {
+        (i, j): v for i, row in zip(row_index, rows) for j, v in zip(col_index, row) if v
+    }
+    return FieldMatrix(field, frozenset(row_index), frozenset(col_index), entries)
+
+
+def _pack(rows: list) -> list:
+    return [sum(1 << b for b, v in enumerate(row) if v) for row in rows]
+
+
+def _unpack(rows: list, width: int) -> list:
+    return [[row >> b & 1 for b in range(width)] for row in rows]
 
 
 def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
-    """Product as field sums over the common nonzero inner indices."""
+    """The product ``m n`` on dense rows; see the module docstring."""
     if m.cols != n.rows:
         raise ValidationError("inner index sets differ")
-    zero = field.zero
-    mul = field.mul
-    add = field.add
-    # nonzero columns of m per row, nonzero rows of n per column
-    by_row: dict = {}
-    for (i, j), v in m.entries.items():
-        by_row.setdefault(i, []).append((j, v))
-    by_col: dict = {}
-    for (j, k), v in n.entries.items():
-        by_col.setdefault(k, {})[j] = v
-    out = {}
-    for i, row in by_row.items():
-        for k, col in by_col.items():
-            acc = zero
-            for j, a in row:
-                b = col.get(j)
-                if b is not None:
-                    acc = add(acc, mul(a, b))
-            if acc != zero:
-                out[(i, k)] = acc
-    return FieldMatrix._trusted(field, m.rows, n.cols, out)
+    rows, inner, cols = list(m.rows), list(m.cols), list(n.cols)
+    a = _dense_rows(m.entries, rows, inner)
+    b = _dense_rows(n.entries, inner, cols)
+    if field.order == 2:
+        product = _unpack(_bitrows_mul(_pack(a), _pack(b)), len(cols))
+    else:
+        # with no inner index the rows come back empty, and read as zero
+        product = field.dense_mul(a, b)
+    return _from_dense_rows(field, rows, cols, product)
 
 
 def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
@@ -171,23 +162,12 @@ def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
     if not m.square:
         raise ValidationError("powers need a square matrix")
     index = list(m.rows)  # the internal numbering; see the module docstring
-    position = {i: b for b, i in enumerate(index)}
-    n = len(index)
+    base = _dense_rows(m.entries, index, index)
     if field.order == 2:
-        base = [0] * n
-        for i, j in m.entries:  # every stored GF(2) entry is one
-            base[position[i]] |= 1 << position[j]
-        power = _square_and_multiply(_bitrows_mul, base, r)
-        power = [[row >> c & 1 for c in range(n)] for row in power]
+        power = _unpack(_square_and_multiply(_bitrows_mul, _pack(base), r), len(index))
     else:
-        base = [[0] * n for _ in index]
-        for (i, j), v in m.entries.items():
-            base[position[i]][position[j]] = v
         power = _square_and_multiply(field.dense_mul, base, r)
-    entries = {
-        (i, j): v for i, row in zip(index, power) for j, v in zip(index, row) if v
-    }
-    return FieldMatrix._trusted(field, m.rows, m.rows, entries)
+    return _from_dense_rows(field, index, index, power)
 
 
 def _square_and_multiply(mul, base, r: int):
@@ -264,15 +244,14 @@ def nonsingular_rect(field: FiniteField, m: FieldMatrix) -> bool:
     return nonsingular_square(field, mat_mul(field, m, transpose(m)))
 
 
-def _ordered_grid(field: FiniteField, m: FieldMatrix, row_order, col_order):
+def _ordered_grid(m: FieldMatrix, row_order, col_order):
     rows = list(row_order)
     cols = list(col_order)
     if set(rows) != set(m.rows) or len(rows) != len(m.rows):
         raise ValidationError("row_order must enumerate the row set")
     if set(cols) != set(m.cols) or len(cols) != len(m.cols):
         raise ValidationError("col_order must enumerate the column set")
-    grid = [[m.entry(i, j) for j in cols] for i in rows]
-    return rows, cols, grid
+    return rows, cols, _dense_rows(m.entries, rows, cols)
 
 
 def echelon(field: FiniteField, rows: list, width: int) -> list:
@@ -310,7 +289,7 @@ def echelon(field: FiniteField, rows: list, width: int) -> list:
 
 def rank_gaussian(field: FiniteField, m: FieldMatrix, row_order, col_order) -> int:
     """Matrix rank by ordered Gaussian elimination (the oracle route)."""
-    _, _, grid = _ordered_grid(field, m, row_order, col_order)
+    _, _, grid = _ordered_grid(m, row_order, col_order)
     return len(echelon(field, grid, len(col_order)))
 
 
@@ -318,7 +297,7 @@ def solve_gaussian(field: FiniteField, m: FieldMatrix, rhs: dict, row_order, col
     """Solve ``m x = rhs`` over the field; returns a dict col -> element, or
     None when the system is inconsistent.  Columns that are not pivots in
     the given column order are set to zero, which makes the answer unique."""
-    rows, cols, grid = _ordered_grid(field, m, row_order, col_order)
+    rows, cols, grid = _ordered_grid(m, row_order, col_order)
     n = len(cols)
     for i, row in zip(rows, grid):
         row.append(rhs.get(i, field.zero))

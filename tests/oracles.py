@@ -308,6 +308,26 @@ def gadget_parts(g) -> tuple:
     return adj, classes, pairs, padding
 
 
+# distinguish_structure tries 2**(m*(m+1)/2) choices of one vertex per pair
+DISTINGUISH_MAX_M = 4
+
+
+def distinguish_structure(g) -> int:
+    """Twist parity of a gadget by search (see ``gadget_parts``): exhaust
+    all choices of one vertex per edge pair; report 0 when some choice
+    leaves every class with a member adjacent to chosen vertices only,
+    else 1.  Refuses gadgets with m above ``DISTINGUISH_MAX_M``."""
+    adj, classes, pairs, _ = gadget_parts(g)
+    m = len(classes) - 1
+    if m > DISTINGUISH_MAX_M:
+        raise ValueError(f"the search needs m <= {DISTINGUISH_MAX_M}, got {m}")
+    for pick in itertools.product(*pairs.values()):
+        chosen = frozenset(pick)
+        if all(any(adj[v] <= chosen for v in cls) for cls in classes):
+            return 0
+    return 1
+
+
 def gadget_iso_by_flips(x, y) -> bool:
     """Isomorphism of two gadget-shaped structures by the maps that keep
     every pre-order class and every edge pair (see ``gadget_parts``): try

@@ -16,7 +16,6 @@ from choiceless_lab.bgs import RunBounds, load_builtin_program, run
 from choiceless_lab.cfi import (
     build_twisted,
     complete_graph,
-    distinguish_structure,
     isomorphic_gadgets,
     odd_boundary,
     pad,
@@ -28,7 +27,6 @@ from choiceless_lab.linalg import (
     det_prime_divisors,
     frequency_experiment,
     identity,
-    mat_mul,
     mat_pow,
     nonsingular_int,
     nonsingular_square,
@@ -60,6 +58,7 @@ from helpers import empty_structure, permuted_structure, power_structure, x_tabl
 from oracles import (
     bareiss_det,
     brute_force_iso,
+    distinguish_structure,
     gl_order,
     hall_condition_direct,
     partial_product,

@@ -134,6 +134,11 @@ def test_parse_errors():
         ("do forall v in Atoms,\n  A(v) := { v : v in Pair(v, v) }\nenddo",
          "comprehension variable 'v' occurs free in its range", 4, 27),
         ("if Halt(1) then skip endif", "Halt expects 0 arguments, got 1", 3, 4),
+        # the first error in the text wins over a later one
+        ("do in parallel\nOutput := x = x;\nF(1) := 1;\nF(1, 2) := 1\nenddo",
+         "unbound variable 'x'", 4, 11),
+        ("do in parallel\nif Mode then Halt := true endif;\nMode := 1;\nX := Pair(1)\nenddo",
+         "conditional guard", 4, 4),
     ],
 )
 def test_semantic_errors_carry_their_position(body, fragment, line, column):

@@ -276,6 +276,47 @@ def test_solve_det_prime_divisors_scans_once(tmp_path, capsys, monkeypatch):
     assert report["result"]["prime_divisors"] == sorted(calls)
 
 
+# every .mat rejection: (text, line the error names, or None at end of input)
+_BAD_MATRIX_TEXTS = {
+    "missing ring header": ("rows a\nsquare\n", None),
+    "field order not a number": ("field two\nrows a\nsquare\n", 1),
+    "no field of that order": ("field 6\nrows a\nsquare\n", 1),
+    "ring other than Z": ("ring Q\nrows a\nsquare\n", 1),
+    "field then ring": ("field 2\nring Z\nrows a\nsquare\na a 3\n", 2),
+    "second field header": ("field 2\nfield 3\nrows a\nsquare\n", 2),
+    "second rows header": ("field 2\nrows a b\nrows a\nsquare\na a 1\n", 3),
+    "second cols header": ("field 2\nrows a\ncols a\ncols b\nb b 1\n", 4),
+    "second square flag": ("field 2\nrows a\nsquare\nsquare\n", 4),
+    "missing rows header": ("field 2\nsquare\n", None),
+    "missing cols header": ("field 2\nrows a\n", None),
+    "row name twice": ("field 2\nrows a a\nsquare\n", 2),
+    "column name twice": ("field 2\nrows a b\ncols x x\n", 3),
+    "square flag with other columns": ("field 2\nrows a\ncols b\nsquare\n", 4),
+    "integer matrix not square": ("ring Z\nrows a\ncols a\n", 1),
+    "unrecognized line": ("field 2\nrows a\nsquare\na a\n", 4),
+    "entry outside the index sets": ("field 2\nrows a\nsquare\na b 1\n", 4),
+    "entry not a number": ("field 3\nrows a\nsquare\na a x\n", 4),
+    "entry not below the order": ("field 3\nrows a b\nsquare\nb b 5\n", 4),
+    "negative field entry": ("field 3\nrows a\nsquare\na a -1\n", 4),
+    "field cell listed twice": ("field 2\nrows a\nsquare\na a 1\na a 0\n", 5),
+    "integer cell listed twice": ("ring Z\nrows a\nsquare\na a 1\na a 2\n", 5),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MATRIX_TEXTS))
+def test_malformed_matrix_files_exit_parse_at_their_line(tmp_path, capsys, case):
+    text, line = _BAD_MATRIX_TEXTS[case]
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert code == EXIT_PARSE
+    message = report["error"]["message"]
+    if line is None:
+        assert " at line " not in message
+    else:
+        assert message.endswith(f" at line {line}"), message
+
+
 def test_gen_matrix_and_experiment(tmp_path, capsys):
     path = tmp_path / "r.mat"
     code, _ = invoke(

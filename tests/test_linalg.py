@@ -65,6 +65,12 @@ def as_rows(field, m, order):
     return [[m.entry(i, j) for j in order] for i in order]
 
 
+def naive_product(field, m, n):
+    """``m n`` by the ordered dot-product oracle, as a matrix."""
+    entries = naive_mat_mul(field, m, n, m.rows, m.cols, n.cols)
+    return FieldMatrix(field, m.rows, n.cols, entries)
+
+
 # ---------------------------------------------------------------- fields
 
 
@@ -137,24 +143,32 @@ def test_mat_mul_matches_naive_dot_product(q):
         assert got.entries == expected
 
 
-def test_kernel_results_are_not_validated_again(monkeypatch):
-    checked = []
-    original = FieldMatrix.__post_init__
+def _random_matrix_on(data, field, rows, cols):
+    cells = list(itertools.product(rows, cols))
+    element = st.integers(0, field.order - 1)
+    values = data.draw(st.lists(element, min_size=len(cells), max_size=len(cells)))
+    return FieldMatrix(field, frozenset(rows), frozenset(cols), dict(zip(cells, values)))
 
-    def counting(self):
-        checked.append(self)
-        original(self)
 
-    m = dense(GF3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
-    b = dense(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    monkeypatch.setattr(FieldMatrix, "__post_init__", counting)
-    nonsingular_square(GF3, m)
-    nonsingular_square(GF2, b)
-    transpose(mat_pow(GF3, m, 7))
-    assert checked == []
-    with pytest.raises(ValidationError):
-        FieldMatrix(GF3, m.rows, m.rows, {(0, 0): 3})
-    assert len(checked) == 1
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mat_mul_matches_naive_on_every_shape_and_field(data):
+    """Rows, inner and column sets of 0 to 4 indices each, under random
+    names: the dense kernel agrees with the ordered dot product, and
+    ``nonsingular_rect`` with the rank on the same draws."""
+    field = gf(data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    sizes = [data.draw(st.integers(0, 4)) for _ in range(3)]
+    names = data.draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=12, max_size=12, unique=True)
+    )
+    rows, inner, cols = (names[4 * k : 4 * k + size] for k, size in enumerate(sizes))
+    a = _random_matrix_on(data, field, rows, inner)
+    b = _random_matrix_on(data, field, inner, cols)
+    assert mat_mul(field, a, b) == naive_product(field, a, b)
+    for m in (a, b):
+        if len(m.rows) == len(m.cols):
+            by_rank = rank_gaussian(field, m, list(m.rows), list(m.cols)) == len(m.rows)
+            assert nonsingular_rect(field, m) == by_rank
 
 
 def test_mat_mul_dimension_mismatch():
@@ -189,19 +203,19 @@ def test_mat_pow_matches_repeated_multiplication():
             acc = m
             for r in range(1, 9):
                 assert mat_pow(field, m, r) == acc
-                acc = mat_mul(field, acc, m)
+                acc = naive_product(field, acc, m)
 
 
 def _dict_pow(field, m, r):
-    """``m**r`` by dict products, least significant bit first."""
+    """``m**r`` by ordered dot products, least significant bit first."""
     result, square = None, m
     while True:
         if r & 1:
-            result = square if result is None else mat_mul(field, result, square)
+            result = square if result is None else naive_product(field, result, square)
         r >>= 1
         if not r:
             return result
-        square = mat_mul(field, square, square)
+        square = naive_product(field, square, square)
 
 
 def _bit_grid(n):
@@ -387,7 +401,7 @@ def test_singularity_absorbs_in_powers():
             for _ in range(4):
                 assert rank_gaussian(GF2, power, order, order) < n
                 assert power != identity(GF2, m.rows)
-                power = mat_mul(GF2, power, m)
+                power = naive_product(GF2, power, m)
 
 
 def test_verdicts_invariant_under_index_renaming():
