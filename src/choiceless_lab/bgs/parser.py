@@ -27,7 +27,9 @@ Full-line comments start with ``//``.
 
 The parser is the only checker: a program it returns is closed and
 well-formed, and every error in the body names the line and column of
-the token where it happens.  The rules:
+the token where it happens.  A broken rule is recorded and the parse goes
+on until the text ends or its syntax fails; of the errors met by then,
+the first in the text is raised.  The rules:
 
 - A bare name is a bound variable when a ``forall`` or comprehension
   binder is in scope, otherwise a nullary symbol; an unbound lowercase
@@ -48,7 +50,9 @@ the token where it happens.  The rules:
 
 The assigned symbols are collected in one pass over the tokens before the
 parse, so every rule is decided as the parse meets it: a name at its own
-token, a Boolean position as soon as its term is read.
+token, an application's arity once its arguments are read, a Boolean
+position as soon as its term is read.  The last two are reported at the
+term's first token, ahead of any error inside the term.
 
 Nesting is capped at ``MAX_NESTING`` levels (each rule and each term is a
 level, and each ``not``, ``and`` and ``or`` adds one within its term), so
@@ -130,8 +134,10 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            # a character no token starts with; the parser stops at it
+            tokens.append(_Token("bad", text[pos], line, pos - line_start + 1))
+            pos += 1
+            continue
         kind = m.lastgroup
         chunk = m.group()
         if kind not in ("ws", "comment"):
@@ -160,13 +166,18 @@ class _Parser:
         self.assigned: dict = {}  # dynamic symbol -> arity
         self.applied: dict = {}  # any applied symbol -> arity (consistency)
         self.boolean_static_uses: set = set()
+        self.errors: list = []  # the rule violations met so far
 
     # -- token helpers -------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok.kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+        return tok
 
     def advance(self) -> _Token:
+        """The token just peeked at, consumed."""
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -183,6 +194,11 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def report(self, message: str, tok: _Token) -> None:
+        """Record a broken rule at its token and parse on, so that an error
+        found later but sitting earlier in the text can still come first."""
+        self.errors.append(ParseError(message, tok.line, tok.col))
 
     def descend(self):
         self.depth += 1
@@ -252,30 +268,22 @@ class _Parser:
                 self.fail(f"unexpected keyword {tok.text!r}")
             self.advance()
             if tok.text == "Card" and not self.card_enabled:
-                raise ParseError(
-                    "Card used but the program does not enable it", tok.line, tok.col
-                )
+                self.report("Card used but the program does not enable it", tok)
             if self.at("("):
                 if tok.text in bound:
-                    raise ParseError(
-                        f"variable {tok.text!r} cannot be applied", tok.line, tok.col
-                    )
+                    self.report(f"variable {tok.text!r} cannot be applied", tok)
                 args = self.arguments(bound)
                 self.note_applied(tok, len(args))
                 return App(tok.text, tuple(args))
             if tok.text in bound:
                 kind = bound[tok.text]
                 if kind:
-                    raise ParseError(
-                        f"{kind} variable {tok.text!r} occurs free in its range",
-                        tok.line,
-                        tok.col,
-                    )
+                    self.report(f"{kind} variable {tok.text!r} occurs free in its range", tok)
                 return Var(tok.text)
             self.note_applied(tok, 0)
             lower = tok.text[0].islower()
             if lower and tok.text not in BUILTIN_ARITY and tok.text not in self.dynamic:
-                raise ParseError(f"unbound variable {tok.text!r}", tok.line, tok.col)
+                self.report(f"unbound variable {tok.text!r}", tok)
             return App(tok.text, ())
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
@@ -353,9 +361,10 @@ class _Parser:
             self.advance()
             if self.at("forall"):
                 self.advance()
-                var_tok = self.advance()
+                var_tok = self.peek()
                 if var_tok.kind != "name" or var_tok.text in _KEYWORDS:
                     raise ParseError("expected a variable name", var_tok.line, var_tok.col)
+                self.advance()
                 self.expect("in")
                 source = self.term(_range_scope(bound, var_tok.text, "forall"))
                 self.expect(",")
@@ -405,33 +414,29 @@ class _Parser:
         if symbol in BOOLEAN_BUILTINS or symbol in BOOLEAN_DYNAMICS:
             return node
         if symbol is None or symbol in BUILTIN_ARITY or symbol in self.dynamic:
-            raise ParseError(message, tok.line, tok.col)
-        self.boolean_static_uses.add(symbol)
+            self.report(message, tok)
+        else:
+            self.boolean_static_uses.add(symbol)
         return node
 
     def note_applied(self, tok, arity):
         fixed = 0 if tok.text in BOOLEAN_DYNAMICS else BUILTIN_ARITY.get(tok.text)
         if fixed is not None and arity != fixed:
-            raise ParseError(
-                f"{tok.text} expects {fixed} arguments, got {arity}", tok.line, tok.col
-            )
-        if tok.text in BUILTIN_ARITY:
-            return
-        prev = self.applied.setdefault(tok.text, arity)
-        if prev != arity:
-            raise ParseError(
-                f"{tok.text!r} used with arities {prev} and {arity}", tok.line, tok.col
-            )
+            self.report(f"{tok.text} expects {fixed} arguments, got {arity}", tok)
+        elif tok.text not in BUILTIN_ARITY:
+            prev = self.applied.setdefault(tok.text, arity)
+            if prev != arity:
+                self.report(f"{tok.text!r} used with arities {prev} and {arity}", tok)
 
     def note_assigned(self, tok, arity):
         if tok.text in BUILTIN_ARITY:
-            raise ParseError(f"cannot assign to builtin {tok.text!r}", tok.line, tok.col)
+            self.report(f"cannot assign to builtin {tok.text!r}", tok)
+            return
         prev = self.assigned.setdefault(tok.text, arity)
         if prev != arity:
-            raise ParseError(
-                f"{tok.text!r} assigned with arities {prev} and {arity}", tok.line, tok.col
-            )
-        self.note_applied(tok, arity)
+            self.report(f"{tok.text!r} assigned with arities {prev} and {arity}", tok)
+        else:
+            self.note_applied(tok, arity)
 
 
 def _assigned_names(tokens) -> frozenset:
@@ -491,10 +496,15 @@ def parse_program(text: str) -> Program:
     """Parse program text into a checked :class:`Program`."""
     bounds, body = _parse_headers(text)
     parser = _Parser(_tokenize(body), bounds.card_enabled)
-    rule = parser.rule({})
-    eof = parser.peek()
-    if eof.kind != "eof":
-        raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.col)
+    try:
+        rule = parser.rule({})
+        eof = parser.peek()
+        if eof.kind != "eof":
+            raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.col)
+    except ParseError as exc:  # a syntax error: the parse stops here
+        parser.errors.append(exc)
+    if parser.errors:
+        raise min(parser.errors, key=lambda exc: (exc.line, exc.column))
     dynamic = {"Halt": 0, "Output": 0, **parser.assigned}
     static = {name: arity for name, arity in parser.applied.items() if name not in dynamic}
     return Program(rule, bounds, dynamic, static, frozenset(parser.boolean_static_uses))

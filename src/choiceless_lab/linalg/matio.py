@@ -102,19 +102,31 @@ def parse_matrix(text: str):
     return "int", IntMatrix.from_int_entries(cells, index_set=row_set)
 
 
+def _index_line(head: str, names) -> str:
+    """The header line listing an index set, once every name is one that
+    ``parse_matrix`` reads back as that name."""
+    texts = sorted(map(str, names))
+    for text in texts:
+        if text in _HEADERS or "//" in text or text.split() != [text]:
+            raise ValidationError(f"index name {text!r} cannot be written to a matrix file")
+    if len(set(texts)) < len(texts):
+        raise ValidationError(f"two {head} names would be written alike")
+    return " ".join([head, *texts])
+
+
 def write_field_matrix(m: FieldMatrix) -> str:
-    lines = [f"field {m.field.order}", "rows " + " ".join(sorted(map(str, m.rows)))]
+    lines = [f"field {m.field.order}", _index_line("rows", m.rows)]
     if m.square:
         lines.append("square")
     else:
-        lines.append("cols " + " ".join(sorted(map(str, m.cols))))
+        lines.append(_index_line("cols", m.cols))
     for (i, j) in sorted(m.entries, key=lambda pair: (str(pair[0]), str(pair[1]))):
         lines.append(f"{i} {j} {m.entries[(i, j)]}")
     return "\n".join(lines) + "\n"
 
 
 def write_int_matrix(m: IntMatrix) -> str:
-    lines = ["ring Z", "rows " + " ".join(sorted(map(str, m.index_set))), "square"]
+    lines = ["ring Z", _index_line("rows", m.index_set), "square"]
     for (i, j) in sorted(m.entries, key=lambda pair: (str(pair[0]), str(pair[1]))):
         lines.append(f"{i} {j} {m.entries[(i, j)]}")
     return "\n".join(lines) + "\n"

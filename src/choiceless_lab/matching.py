@@ -15,13 +15,23 @@ neighbours in B_j, and each of B_j the same number in A_i, so a flow f
 spread evenly over each linked pair's e_ij edges loads a vertex of A_i
 with sum_j f_ij / |A_i| <= 1, and one of B_j likewise: a fractional
 matching of value |f|, and the bipartite matching polytope is integral.
+
+The coloring refines by splitters: each round reads only the neighbours
+of the smaller children of the blocks that split in the round before,
+never those of a split block's largest child, so it reads O((n + m) log n)
+adjacency entries in all.  The blocks and their canonical order are those
+of recomputing every vertex's full count vector each round
+(``stable_coloring`` says why).  The flow starts from a greedy pass over
+the linked pairs, which leaves few augmenting paths to search.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -141,42 +151,139 @@ def path_algorithm(graph: BipartiteGraph, order) -> tuple:
     return True, frozenset(matched_of_a.items())
 
 
-def _refine(blocks, opposite_blocks, adjacency) -> tuple:
-    """One refinement round of one side against the opposite partition.
+class _Block:
+    """A block of the current partition: its members, and the start of the
+    range of positions it holds in the canonical order."""
 
-    A vertex's signature, its neighbours' negated block indices in
-    descending order, orders exactly as its count vector into all opposite
-    blocks: where two vectors first differ, at block i, the smaller count's
-    run of -i ends first, at a later block's smaller entry or at the end.
+    __slots__ = ("start", "members")
+
+    def __init__(self, start: int, members: set):
+        self.start = start
+        self.members = members
+
+
+_UNTOUCHED = (0,)  # the key of the zero vector
+
+
+def _touched_keys(splits, adjacency) -> dict:
+    """Every vertex that a split of last round touches, mapped to its key.
+
+    A split is a block's children in their new order and the child it skips,
+    its largest.  The vertex's vector holds, at the start of each unskipped
+    child, its number of neighbours in that child, and at the skipped
+    child's start minus the sum of those numbers.  Its key lists the
+    nonzero entries in position order, c at position p as 1, -p, c if c > 0
+    and as -1, p, c if c < 0, and ends with 0; compared as tuples, keys
+    order exactly as the vectors do, with zeros implied.
     """
-    block_of = {u: -i for i, ob in enumerate(opposite_blocks) for u in ob}
-    new_blocks: list = []
-    for block in blocks:
-        by_signature: dict = {}
-        for v in block:
-            signature = tuple(sorted([block_of[u] for u in adjacency[v]], reverse=True))
-            by_signature.setdefault(signature, []).append(v)
-        new_blocks.extend(frozenset(by_signature[s]) for s in sorted(by_signature))
-    return tuple(new_blocks)
+    entries = defaultdict(list)  # vertex -> [(position, sign, ±position, count)]
+    for children, skipped in splits:
+        counts = Counter(
+            [
+                (v, child.start)
+                for child in children
+                if child is not skipped
+                for u in child.members
+                for v in adjacency[u]
+            ]
+        )
+        totals: dict = {}
+        for (v, p), count in counts.items():
+            entries[v].append((p, 1, -p, count))
+            totals[v] = totals.get(v, 0) + count
+        p = skipped.start
+        for v, count in totals.items():
+            entries[v].append((p, -1, p, -count))
+    keys = {}
+    for v, listed in entries.items():
+        listed.sort()
+        key = []
+        for _, sign, signed_position, count in listed:
+            key += sign, signed_position, count
+        key.append(0)
+        keys[v] = tuple(key)
+    return keys
+
+
+def _split(keys, block_of) -> list:
+    """Split every block that holds a touched vertex by its members' keys,
+    the untouched ones keeping the zero key, and return the splits made.
+
+    The subblocks take the block's range in ascending key order.  Only the
+    touched vertices move: the untouched rest keeps the block's record.
+    """
+    by_block: dict = {}
+    for v, key in keys.items():
+        by_block.setdefault(block_of[v], {}).setdefault(key, []).append(v)
+    splits = []
+    for block, groups in by_block.items():
+        if len(groups) == 1 and sum(map(len, groups.values())) == len(block.members):
+            continue  # every member has the one key: the block stays whole
+        for moved in groups.values():
+            block.members.difference_update(moved)
+        if block.members:
+            groups[_UNTOUCHED] = block.members
+        children = []
+        start = block.start
+        for key in sorted(groups):
+            members = groups[key]
+            if members is block.members:
+                child = block
+                block.start = start
+            else:
+                child = _Block(start, set(members))
+                block_of.update(dict.fromkeys(members, child))
+            children.append(child)
+            start += len(members)
+        splits.append((children, max(children, key=lambda c: len(c.members))))
+    return splits
 
 
 def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     """Coarsest stable coloring, refining both sides simultaneously.
 
-    Vertices get their edge counts into the opposite side's current blocks;
-    a block splits into subblocks ordered by those counts, and subblocks
-    inherit their parent's position.  Rounds repeat until neither side
-    gains a block; every earlier round adds one, so the loop ends.
+    Round r refines each side's blocks by their members' edge counts into
+    the opposite side's blocks after round r - 1: a block splits into
+    subblocks in ascending order of those count vectors, in the block's own
+    position.  Rounds repeat until neither side gains a block.
+
+    Round r reads only the neighbours of the smaller children of the blocks
+    that split in round r - 1, skipping each split block's largest child
+    (Hopcroft's rule; Paige and Tarjan, SICOMP 1987; Berkholz, Bonsma and
+    Grohe, ESA 2013).  The order stays that of the full count vectors: a
+    block after round r - 1 has uniform counts into every opposite block
+    after round r - 2, so its members' vectors differ only on the children
+    of split blocks, and at a skipped child they differ by minus the sum
+    over its siblings, its count being that fixed total minus the sum.
+    The first round reads degrees only, and later a vertex is read only
+    from a child at most half its parent's size, so the rounds read
+    O((n + m) log n) adjacency entries in all, and a split moves only the
+    vertices read next to it.
     """
     adjacency = graph.adjacency
-    a_blocks = (frozenset(graph.a_side),) if graph.a_side else ()
-    b_blocks = (frozenset(graph.b_side),) if graph.b_side else ()
-    while True:
-        new_a = _refine(a_blocks, b_blocks, adjacency)
-        new_b = _refine(b_blocks, a_blocks, adjacency)
-        if len(new_a) == len(a_blocks) and len(new_b) == len(b_blocks):
-            return StableColoring(a_blocks, b_blocks)
-        a_blocks, b_blocks = new_a, new_b
+    block_of: dict = {}
+    first_splits = []
+    for side in (graph.a_side, graph.b_side):
+        block = _Block(0, set(side))
+        block_of.update(dict.fromkeys(side, block))
+        # round 1 counts edges into the whole opposite side: the degree,
+        # keyed as the one entry at position 0
+        degrees = {v: (1, 0, len(adjacency[v]), 0) for v in side if adjacency[v]}
+        first_splits.append(_split(degrees, block_of))
+    a_splits, b_splits = first_splits
+    while a_splits or b_splits:
+        a_keys = _touched_keys(b_splits, adjacency)
+        b_keys = _touched_keys(a_splits, adjacency)
+        a_splits, b_splits = _split(a_keys, block_of), _split(b_keys, block_of)
+    return StableColoring(
+        *(
+            tuple(
+                frozenset(block.members)
+                for block in sorted({block_of[v] for v in side}, key=attrgetter("start"))
+            )
+            for side in (graph.a_side, graph.b_side)
+        )
+    )
 
 
 def saturate(graph: BipartiteGraph, coloring: StableColoring) -> frozenset:
@@ -225,19 +332,25 @@ def decide_complete_matching(graph: BipartiteGraph) -> bool:
 
 def max_matching_size(graph: BipartiteGraph) -> int:
     """Largest matching cardinality: the block network's maximum flow (module
-    docstring), by breadth-first augmenting paths in canonical block order."""
+    docstring).  A greedy pass over the linked pairs in canonical order
+    starts the flow, and breadth-first augmenting paths in canonical block
+    order complete it."""
     coloring = stable_coloring(graph)
     a_left = [len(block) for block in coloring.a_blocks]
     b_left = [len(block) for block in coloring.b_blocks]
     forward: list = [[] for _ in a_left]
     into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
     for i, j in sorted(_linked_blocks(graph, coloring)):
+        push = min(a_left[i], b_left[j])
+        a_left[i] -= push
+        b_left[j] -= push
         forward[i].append(j)
-        into[j][i] = 0
+        into[j][i] = push
+    spare = [i for i, left in enumerate(a_left) if left]
     while True:
         # a reached A-block maps to the arc (i, j) by which the search came
         # to take back its flow into j, or to None if it has spare capacity
-        reached = [i for i, left in enumerate(a_left) if left]
+        reached = spare[:]
         via = dict.fromkeys(reached)
         seen_b: set = set()
         for i in reached:  # appended to while read, so breadth first
@@ -262,6 +375,8 @@ def max_matching_size(graph: BipartiteGraph) -> int:
         push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
         a_left[a_root] -= push
         b_left[b_end] -= push
+        if not a_left[a_root]:
+            spare.remove(a_root)
         for i, j in path:
             into[j][i] += push
         for i, j in returned:

@@ -139,6 +139,12 @@ def test_parse_errors():
          "unbound variable 'x'", 4, 11),
         ("do in parallel\nif Mode then Halt := true endif;\nMode := 1;\nX := Pair(1)\nenddo",
          "conditional guard", 4, 4),
+        # an application's own fault sits at its token, ahead of its arguments
+        ("X := Pair(x)", "Pair expects 2 arguments, got 1", 3, 6),
+        ("if { x : y in Atoms } then skip endif", "conditional guard", 3, 4),
+        ("Pair(x) := 1", "cannot assign to builtin 'Pair'", 3, 1),
+        # a character no token starts with is an error where it stands
+        ("Output := x = x $", "unbound variable 'x'", 3, 11),
     ],
 )
 def test_semantic_errors_carry_their_position(body, fragment, line, column):

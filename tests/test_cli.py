@@ -72,6 +72,25 @@ def test_solve_matching_gang_instance(tmp_path, capsys):
     assert report["result"]["max_matching"] == 3
 
 
+def test_solve_matching_on_a_long_path_stays_fast(tmp_path, capsys):
+    # a path needs a refinement round per vertex pair, so a coloring that
+    # reads every vertex each round is quadratic here
+    n = 4000
+    atoms = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+    edges = [(f"a{i}", f"b{i}") for i in range(n)] + [(f"a{i + 1}", f"b{i}") for i in range(n - 1)]
+    path = tmp_path / "path.str"
+    path.write_text(
+        f"atoms: {' '.join(atoms)}\n"
+        f"rel InA/1: {' '.join(f'({a})' for a in atoms[:n])}\n"
+        f"rel InB/1: {' '.join(f'({b})' for b in atoms[n:])}\n"
+        f"rel R/2: {' '.join(f'({a},{b})' for a, b in edges)}\n"
+    )
+    started = time.monotonic()
+    code, report = invoke(["solve", "matching", "--input", str(path), "--max-size"], capsys)
+    assert time.monotonic() - started < 2
+    assert (code, report["result"]["max_matching"]) == (EXIT_OK, n)
+
+
 def test_gen_cfi_classify_roundtrip(tmp_path, capsys):
     # twist_size counts the twist set, so a repeated vertex counts once
     for twist, size in (("even", 0), ("odd", 1), ("v0,v1", 2), ("v0,v0", 1), ("v1,v0,v1,v2", 3)):

@@ -34,6 +34,7 @@ from choiceless_lab.linalg import (
 )
 from choiceless_lab.linalg import intmatrix
 from choiceless_lab.linalg.intmatrix import scan_width
+from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 from oracles import (
     bareiss_det,
@@ -656,6 +657,52 @@ def test_det_prime_divisors_matches_trial_division():
         d = bareiss_det(rows)
         listed = sieve_first_primes(2 * scan_width(m) ** 2)
         assert det_prime_divisors(m) == {p for p in listed if d % p == 0}
+
+
+# ------------------------------------------------------------ matrix files
+
+# names a writer must refuse, one of each kind
+_UNWRITABLE_NAMES = ["field", "ring", "rows", "cols", "square", "a b", "a\tb", "x\n", "a//b", ""]
+
+_legal_names = st.text(alphabet="abrsw/-_:.019Rq", min_size=1, max_size=6).filter(
+    lambda name: name not in _UNWRITABLE_NAMES and "//" not in name
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_files_round_trip_legal_names(data):
+    rows = data.draw(st.sets(_legal_names, min_size=1, max_size=4))
+    square = data.draw(st.booleans())
+    cols = rows if square else data.draw(st.sets(_legal_names, min_size=1, max_size=4))
+    cells = st.tuples(st.sampled_from(sorted(rows)), st.sampled_from(sorted(cols)))
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    field_entries = data.draw(st.dictionaries(cells, st.integers(0, q - 1)))
+    m = FieldMatrix(gf(q), frozenset(rows), frozenset(cols), field_entries)
+    assert parse_matrix(write_field_matrix(m)) == ("field", m)
+    square_cells = st.tuples(st.sampled_from(sorted(rows)), st.sampled_from(sorted(rows)))
+    int_entries = data.draw(st.dictionaries(square_cells, st.integers(-300, 300)))
+    kind, back = parse_matrix(write_int_matrix(IntMatrix.from_int_entries(int_entries, rows)))
+    nonzero = {cell: value for cell, value in int_entries.items() if value}
+    assert (kind, back.index_set, back.entries) == ("int", rows, nonzero)
+
+
+@pytest.mark.parametrize("name", _UNWRITABLE_NAMES)
+def test_matrix_writers_refuse_names_their_reader_misreads(name):
+    field_matrix = FieldMatrix(gf(2), frozenset({name, "b"}), frozenset({"b"}), {(name, "b"): 1})
+    with pytest.raises(ValidationError, match="cannot be written"):
+        write_field_matrix(field_matrix)
+    with pytest.raises(ValidationError, match="cannot be written"):
+        write_field_matrix(FieldMatrix(gf(2), frozenset({"b"}), frozenset({name}), {}))
+    with pytest.raises(ValidationError, match="cannot be written"):
+        write_int_matrix(IntMatrix.from_int_entries({(name, "b"): 1}, {name, "b"}))
+
+
+def test_matrix_writers_refuse_names_written_alike():
+    with pytest.raises(ValidationError, match="written alike"):
+        write_field_matrix(FieldMatrix(gf(2), frozenset({1, "1"}), frozenset({"x"}), {}))
+    with pytest.raises(ValidationError, match="written alike"):
+        write_int_matrix(IntMatrix.from_int_entries({}, {1, "1"}))
 
 
 # ---------------------------------------------------------- rectangular

@@ -234,6 +234,76 @@ def test_stable_coloring_matches_dense_reference(example):
         assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(*sides)
 
 
+def path_graph(n, extra=False):
+    """a0 - b0 - a1 - b1 - ... - a(n-1) - b(n-1), then a(n) if extra."""
+    a = [f"a{i}" for i in range(n + extra)]
+    b = [f"b{i}" for i in range(n)]
+    return a, b, [(a[i], b[i]) for i in range(n)] + [(a[i + 1], b[i]) for i in range(n - 1 + extra)]
+
+
+def even_cycle(n):
+    a, b, edges = path_graph(n)
+    return a, b, edges + [(a[0], b[n - 1])]
+
+
+def disjoint_union(*graphs):
+    """Sides and edges of the graphs side by side, names tagged by part."""
+    out = ([], [], [])
+    for k, (a, b, edges) in enumerate(graphs):
+        out[0].extend(f"{v}.{k}" for v in a)
+        out[1].extend(f"{v}.{k}" for v in b)
+        out[2].extend((f"{x}.{k}", f"{y}.{k}") for x, y in edges)
+    return out
+
+
+def spider(legs):
+    """A centre a-vertex with legs of the given lengths: leg k alternates
+    b, a, b, ... away from the centre."""
+    a, b, edges = ["c"], [], []
+    for k, length in enumerate(legs):
+        previous = "c"
+        for step in range(length):
+            vertex = f"l{k}.{step}"
+            (b if step % 2 == 0 else a).append(vertex)
+            edges.append((previous, vertex) if step % 2 == 0 else (vertex, previous))
+            previous = vertex
+    return a, b, edges
+
+
+def crown(n):
+    """K_{n,n} minus a perfect matching."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{j}" for j in range(n)]
+    return a, b, [(a[i], b[j]) for i in range(n) for j in range(n) if i != j]
+
+
+def many_round_graphs():
+    for n in range(1, 41):
+        yield path_graph(n)
+        yield path_graph(n, extra=True)
+    for n in range(2, 31):
+        yield even_cycle(n)
+    for lengths in ([1, 2], [3, 5], [2, 2, 7], [4, 9, 1, 6], [10, 11], [6, 6, 13]):
+        yield disjoint_union(*(path_graph(n) for n in lengths))
+        yield disjoint_union(*(path_graph(n, extra=n % 2 == 0) for n in lengths))
+    for legs in ([1], [2, 2], [1, 2, 3], [3, 3, 4], [2, 4, 6, 8], [5, 5, 5], [1, 7, 12]):
+        yield spider(legs)
+    for n in range(1, 9):
+        yield crown(n)
+
+
+def test_stable_coloring_matches_dense_reference_over_many_rounds():
+    # the regime where few blocks split per round, under a random renaming
+    rng = random.Random(29)
+    for a, b, edges in many_round_graphs():
+        names = a + b
+        mapping = dict(zip(names, rng.sample(names, len(names))))
+        example = (a, b, edges, mapping)
+        for sides in both_namings(example):
+            c = stable_coloring(graph(*sides))
+            assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(*sides)
+
+
 # -------------------------------------------------------------- saturation
 
 
@@ -361,8 +431,8 @@ def test_decision_matches_path_algorithm_on_expanded_quotient(example):
 
 def test_max_matching_size_takes_flow_back(monkeypatch):
     # any stable partition in any order gives the same flow value; in this
-    # order the first search sends y to p, so x's search must take that
-    # unit back and move y to q, and it can move only the one unit
+    # order the greedy first pass sends y to p, so x's search must take
+    # that unit back and move y to q, and it can move only the one unit
     g = graph(
         ["x1", "x2", "y"],
         ["p", "q1", "q2"],
