@@ -7,8 +7,7 @@ Subpackages and modules:
   polynomial step/active budgets and an optional cardinality builtin.
 - ``matching``: bipartite matching via stable coloring and a maximum flow
   over its blocks, plus the ordered path algorithm.
-- ``cfi``: twisted gadget graphs, their automorphisms, padding, and the
-  parity classifier.
+- ``cfi``: twisted gadget graphs, padding, and the parity classifier.
 - ``multipede``: segment/feet structures with hyperedges, rigidity checks
   and the two isomorphism deciders.
 - ``linalg``: matrices over unordered index sets, finite fields as explicit

@@ -7,9 +7,7 @@ carries its polynomial step and active-element budgets and whether it
 needs the cardinality builtin.
 """
 
-from importlib import resources
-
-from .interp import RunOutcome, State, active_count, fire, run
+from .interp import RunOutcome, State, fire, run
 from .parser import parse_program
 from .structures import InputStructure, parse_structure, write_structure
 from .syntax import (
@@ -45,22 +43,10 @@ __all__ = [
     "Term",
     "Update",
     "Var",
-    "active_count",
     "fire",
-    "load_builtin_program",
     "parse_program",
     "parse_structure",
     "run",
     "write_structure",
 ]
 
-
-def load_builtin_program(name: str) -> Program:
-    """Parse one of the programs shipped with the package (by stem name)."""
-    text = (
-        resources.files("choiceless_lab")
-        .joinpath("programs")
-        .joinpath(f"{name}.bgs")
-        .read_text()
-    )
-    return parse_program(text)

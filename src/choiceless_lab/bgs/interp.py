@@ -17,12 +17,14 @@ nested closures, in the manner of Feeley and Lapalme, "Using closures for
 code generation" (1987): a term becomes ``f(tables, env)`` and a rule
 ``f(tables, env, out)``, adding its updates to ``out``.  Builtins and
 input symbols are resolved while compiling, so each closure already holds
-its relation set, function map or builtin, and the set of the atoms; only
-dynamic reads look up ``tables``, the pre-step tables, and a literal is
-its ordinal, made once while compiling.  Variables live in one list
-``env`` allocated per run: a binder's slot is its nesting depth, the
-number of binders around it, so a shadowing binder takes a fresh slot and
-the outer binding survives.
+its relation set, function map or builtin, and the set of the atoms.  The
+structure holds names; the atoms are its ``by_name`` atoms, and each
+input symbol the program reads is mapped onto them once, when it is
+compiled.  Only dynamic reads look up ``tables``, the pre-step tables,
+and a literal is its ordinal, made once while compiling.  Variables live
+in one list ``env`` allocated per run: a binder's slot is its nesting
+depth, the number of binders around it, so a shadowing binder takes a
+fresh slot and the outer binding survives.
 
 A run fires steps until Halt reads 1, then reports accept or reject from
 Output.  Two budgets police the run: a step polynomial, and an
@@ -68,7 +70,6 @@ from .syntax import (
 __all__ = [
     "RunOutcome",
     "State",
-    "active_count",
     "fire",
     "run",
 ]
@@ -105,10 +106,27 @@ class _Compiler:
     records in ``slots`` how long ``env`` must be."""
 
     def __init__(self, structure: InputStructure):
-        self.relations = structure.relations
-        self.functions = structure.functions
-        self.atoms = make_set(structure.atoms)
+        self.structure = structure
+        self.atoms = make_set(structure.by_name.values())
+        self.inputs: dict = {}  # input symbol -> its interpretation over atoms
         self.slots = 0
+
+    def interpretation(self, symbol: str):
+        """An input symbol's relation or function over the run's atoms,
+        made when the program first reads the symbol."""
+        found = self.inputs.get(symbol)
+        if found is None:
+            atom = self.structure.by_name.__getitem__
+            relation = self.structure.relations.get(symbol)
+            if relation is not None:
+                found = frozenset(tuple(map(atom, tup)) for tup in relation)
+            else:
+                found = {
+                    tuple(map(atom, args)): atom(value)
+                    for args, value in self.structure.functions[symbol].items()
+                }
+            self.inputs[symbol] = found
+        return found
 
     def bind(self, scope: dict, name: str, depth: int) -> dict:
         self.slots = max(self.slots, depth + 1)
@@ -180,13 +198,13 @@ class _Compiler:
         if builtin is not None:
             return builtin(*[self.term(a, scope, depth) for a in node.args])
         key = self.arguments(node.args, scope, depth)
-        if symbol in self.relations:
-            relation = self.relations[symbol]
+        if symbol in self.structure.relations:
+            relation = self.interpretation(symbol)
             # a relation holds atom tuples only, so a tuple with a set in
             # it is never a member: off-universe arguments read as 0
             return lambda tables, env: TRUE if key(tables, env) in relation else EMPTY
-        if symbol in self.functions:
-            table = self.functions[symbol]
+        if symbol in self.structure.functions:
+            table = self.interpretation(symbol)
             return lambda tables, env: table.get(key(tables, env), EMPTY)
 
         def dynamic(tables, env):
@@ -370,15 +388,6 @@ def fire(state: State, updates: frozenset) -> State:
         else:
             tables[symbol][args] = value
     return State(state.structure, tables)
-
-
-def active_count(trace) -> int:
-    """Number of elements hereditarily involved in the traced update sets."""
-    active: set = set()
-    ordinals = 0
-    for updates in trace:
-        ordinals = _accumulate_active(updates, active, ordinals)
-    return len(active) + ordinals
 
 
 def _accumulate_active(updates: frozenset, active: set, ordinals: int) -> int:

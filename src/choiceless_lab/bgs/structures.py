@@ -1,7 +1,12 @@
 """Finite input structures and their on-disk ``.str`` form.
 
-A structure is a finite universe of atoms with named relations (sets of
-atom tuples) and named functions (total maps from atom tuples to atoms).
+A structure is names: a finite universe of atom names with named
+relations (sets of name tuples) and named functions (total maps from name
+tuples to names).  Atoms belong to the set machine.  A structure makes
+them on first use, one :class:`~choiceless_lab.hfset.Atom` per name, and
+keeps them in :attr:`InputStructure.by_name`, so every run on one
+structure shares its atoms and ``by_name`` names a run's atoms.  The
+deciders read names only and never make an atom.
 
 File format, whitespace separated, ``//`` comments allowed::
 
@@ -21,9 +26,10 @@ rejects as a :class:`ParseError`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ParseError, ValidationError
 from ..hfset import Atom
@@ -33,7 +39,8 @@ __all__ = ["InputStructure", "parse_structure", "write_structure"]
 
 @dataclass(frozen=True, eq=False)
 class InputStructure:
-    """Universe plus relation and function interpretations.
+    """Atom names in listing order, plus relation and function
+    interpretations over those names.
 
     ``arities`` records the declared arity of every symbol, which matters
     for symbols whose interpretation happens to be empty.  Construct with
@@ -44,7 +51,23 @@ class InputStructure:
     relations: dict
     functions: dict
     arities: dict
-    by_name: dict = field(repr=False)
+
+    @functools.cached_property
+    def by_name(self) -> dict:
+        """Name -> :class:`Atom`, made on first use and then kept: the
+        atoms of every set-machine run on this structure."""
+        return dict(zip(self.atoms, map(Atom, self.atoms)))
+
+    def relations_with(self, arities: dict) -> list:
+        """The tuples of each relation named in ``arities``, in that order,
+        after checking that all are there with those arities."""
+        for name in arities:
+            if name not in self.relations:
+                raise ValidationError(f"structure lacks relation {name}")
+        for name, arity in arities.items():
+            if self.arities[name] != arity:
+                raise ValidationError(f"relation {name} must have arity {arity}")
+        return [self.relations[name] for name in arities]
 
     @staticmethod
     def build(atom_names, relations=None, functions=None, arities=None) -> "InputStructure":
@@ -55,30 +78,28 @@ class InputStructure:
         has its symbol's arity (taken from the first tuple when undeclared),
         every name is an atom, and every function is total.
         """
-        atoms = tuple(map(Atom, atom_names))
-        by_name = {a.name: a for a in atoms}
-        if len(by_name) != len(atoms):
+        atoms = tuple(map(str, atom_names))
+        known = frozenset(atoms)
+        if len(known) != len(atoms):
             raise ValidationError("atom names must be unique")
         declared = dict(arities or {})
 
-        def lookup(kind, name, tuples):
-            try:
-                return [tuple(map(by_name.__getitem__, tup)) for tup in tuples]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"{kind} {name} mentions unknown atom {exc.args[0]!r}"
-                ) from None
+        def check_known(kind, name, tuples):
+            if not known.issuperset(itertools.chain.from_iterable(tuples)):
+                unknown = next(x for x in itertools.chain.from_iterable(tuples) if x not in known)
+                raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}")
 
         def resolve(kind, name, tuples):
-            resolved = lookup(kind, name, tuples)
+            tuples = list(map(tuple, tuples))
+            check_known(kind, name, tuples)
             arity = declared.get(name)
             if arity is None:
-                if not resolved:
+                if not tuples:
                     raise ValidationError(f"empty {kind} {name} needs an explicit arity")
-                arity = declared[name] = len(resolved[0])
-            if any(len(tup) != arity for tup in resolved):
+                arity = declared[name] = len(tuples[0])
+            if not set(map(len, tuples)) <= {arity}:
                 raise ValidationError(f"{kind} {name} tuple arity mismatch")
-            return resolved
+            return tuples
 
         rels = {
             name: frozenset(resolve("relation", name, tuples))
@@ -93,9 +114,10 @@ class InputStructure:
                     f"function {name} must be total on the universe"
                     f" ({len(args)} of {expected} tuples)"
                 )
-            (values,) = lookup("function", name, [table.values()])
+            values = tuple(table.values())
+            check_known("function", name, [values])
             funs[name] = dict(zip(args, values))
-        return InputStructure(atoms, rels, funs, declared, by_name)
+        return InputStructure(atoms, rels, funs, declared)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
@@ -104,6 +126,22 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 def _names(chunk: str) -> tuple:
     """The comma-separated names inside one pair of parentheses."""
     return tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
+
+
+def _relation_tuples(rest: str, arity: int, name: str, line_no: int) -> set:
+    """The name tuples listed after a relation's colon."""
+    if arity:
+        # the written layout "(a,b) (c,d)": split the line once, and keep
+        # the split when writing it back gives the line
+        flat = rest.replace("(", " ").replace(")", " ").replace(",", " ").split()
+        tuples = list(zip(*[iter(flat)] * arity))
+        if tuples and "(" + ") (".join(map(",".join, tuples)) + ")" == rest.strip():
+            return set(tuples)
+    tuples = {_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)}
+    leftover = re.sub(r"\([^()]*\)", "", rest).strip()
+    if leftover:
+        raise ParseError(f"stray text {leftover!r} in {name}", line_no)
+    return tuples
 
 
 def parse_structure(text: str) -> InputStructure:
@@ -131,11 +169,7 @@ def parse_structure(text: str) -> InputStructure:
             raise ParseError(f"duplicate symbol {name!r}", line_no)
         declared[name] = int(arity)
         if kind == "rel":
-            tuples = {_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)}
-            leftover = re.sub(r"\([^()]*\)", "", rest).strip()
-            if leftover:
-                raise ParseError(f"stray text {leftover!r} in {name}", line_no)
-            relations[name] = tuples
+            relations[name] = _relation_tuples(rest, declared[name], name, line_no)
         else:
             cells = re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
             table = {_names(chunk): out for chunk, out in cells}
@@ -155,18 +189,15 @@ def parse_structure(text: str) -> InputStructure:
 
 def write_structure(structure: InputStructure) -> str:
     """Deterministic ``.str`` serialization (sorted symbols and tuples)."""
-    lines = ["atoms: " + " ".join(a.name for a in structure.atoms)]
+    lines = ["atoms: " + " ".join(structure.atoms)]
     for name in sorted(structure.relations):
         tuples = structure.relations[name]
         arity = structure.arities[name]
-        cells = sorted("(" + ",".join(a.name for a in tup) + ")" for tup in tuples)
+        cells = sorted("(" + ",".join(tup) + ")" for tup in tuples)
         lines.append(f"rel {name}/{arity}:" + ("" if not cells else " " + " ".join(cells)))
     for name in sorted(structure.functions):
         table = structure.functions[name]
         arity = structure.arities[name]
-        cells = sorted(
-            "(" + ",".join(a.name for a in args) + ")->" + out.name
-            for args, out in table.items()
-        )
+        cells = sorted("(" + ",".join(args) + ")->" + out for args, out in table.items())
         lines.append(f"fun {name}/{arity}:" + ("" if not cells else " " + " ".join(cells)))
     return "\n".join(lines) + "\n"

@@ -36,12 +36,10 @@ __all__ = [
     "BaseGraph",
     "GadgetGraph",
     "PreGraph",
-    "automorphism_from_edges",
     "build_twisted",
     "complete_graph",
     "from_structure",
     "isomorphic_gadgets",
-    "odd_boundary",
     "pad",
     "recognize_and_classify",
     "to_structure",
@@ -185,44 +183,6 @@ def build_twisted(base: BaseGraph, twist) -> GadgetGraph:
     )
 
 
-def odd_boundary(base: BaseGraph, edge_subset) -> frozenset:
-    """Base vertices meeting an odd number of the given edges."""
-    edge_subset = frozenset(edge_subset)
-    if not edge_subset <= base.edges:
-        raise ValidationError("edge subset leaves the base graph")
-    return frozenset(
-        v
-        for v in base.vertices
-        if sum(1 for e in edge_subset if v in e) % 2 == 1
-    )
-
-
-def automorphism_from_edges(base: BaseGraph, twist, edge_subset) -> dict:
-    """The vertex map induced by an edge set: swap the pair vertices of the
-    chosen edges and twist every block vertex by its incident chosen edges.
-    Maps the twist-T graph onto the graph twisted at T xor the odd
-    boundary."""
-    edge_subset = frozenset(edge_subset)
-    source = build_twisted(base, twist)
-    mapping = {}
-    for e in base.edges:
-        flip = e in edge_subset
-        mapping[_pair_token(e, True)] = _pair_token(e, not flip)
-        mapping[_pair_token(e, False)] = _pair_token(e, flip)
-    for v in base.vertices:
-        incident = base.incident(v)
-        local = incident & edge_subset
-        want_odd = v in frozenset(twist)
-        for r in range(len(incident) + 1):
-            for combo in itertools.combinations(sorted(incident, key=_edge_token), r):
-                if (len(combo) % 2 == 1) != want_odd:
-                    continue
-                x_set = frozenset(combo)
-                mapping[_block_token(v, x_set)] = _block_token(v, x_set ^ local)
-    assert set(mapping) >= set(source.block_vertices + source.pair_vertices)
-    return mapping
-
-
 def pad(gadget: GadgetGraph) -> PreGraph:
     """Adjoin 2**(m*m) isolated vertices to a gadget over the complete
     graph on m+1 vertices."""
@@ -343,6 +303,9 @@ def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
 # ------------------------------------------------------------ structure io
 
 
+_ARITIES = {"Adj": 2, "Pre": 2}
+
+
 def to_structure(structure: PreGraph):
     """Encode as a structure with symmetric Adj and the pre-order Pre."""
     from .bgs import InputStructure
@@ -355,21 +318,16 @@ def to_structure(structure: PreGraph):
     return InputStructure.build(
         list(structure.vertices),
         relations={"Adj": adj_pairs, "Pre": list(structure.preorder)},
-        arities={"Adj": 2, "Pre": 2},
+        arities=_ARITIES,
     )
 
 
 def from_structure(structure) -> PreGraph:
-    for name in ("Adj", "Pre"):
-        if name not in structure.relations:
-            raise ValidationError(f"structure lacks relation {name}")
-    adj = structure.relations["Adj"]
+    adj, preorder = structure.relations_with(_ARITIES)
     if any((b, a) not in adj for (a, b) in adj):
         raise ValidationError("Adj is not symmetric")
-    vertices = tuple(a.name for a in structure.atoms)
-    edges = frozenset(frozenset({a.name, b.name}) for (a, b) in adj)
+    edges = frozenset(map(frozenset, adj))
     for e in edges:
         if len(e) != 2:
             raise ValidationError("adjacency contains a loop")
-    preorder = frozenset((a.name, b.name) for (a, b) in structure.relations["Pre"])
-    return PreGraph(vertices, edges, preorder)
+    return PreGraph(structure.atoms, edges, preorder)

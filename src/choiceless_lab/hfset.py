@@ -40,10 +40,8 @@ __all__ = [
     "EMPTY",
     "FALSE",
     "TRUE",
-    "is_atom",
     "make_set",
     "pair",
-    "ordered_pair",
     "union_all",
     "the_unique",
     "card",
@@ -131,10 +129,6 @@ _INTERN: dict = {}  # member set -> the non-ordinal set with those members
 _ORDINALS: dict = {}  # n -> ordinal(n)
 
 
-def is_atom(value: HfValue) -> bool:
-    return isinstance(value, Atom)
-
-
 def make_set(elems: Iterable[HfValue]) -> HfSet:
     """Build the canonical set of the given values (duplicates collapse)."""
     key = frozenset(elems)
@@ -173,11 +167,6 @@ def ordinal_value(value: HfValue) -> Optional[int]:
 def pair(x: HfValue, y: HfValue) -> HfSet:
     """The unordered pair ``{x, y}`` (a singleton when x = y)."""
     return make_set((x, y))
-
-
-def ordered_pair(x: HfValue, y: HfValue) -> HfSet:
-    """The coded ordered pair ``{{x}, {x, y}}``."""
-    return make_set((make_set((x,)), make_set((x, y))))
 
 
 def union_all(x: HfValue) -> HfSet:

@@ -383,15 +383,13 @@ def max_matching_size(graph: BipartiteGraph) -> int:
             into[j][i] -= push
 
 
+_ARITIES = {"InA": 1, "InB": 1, "R": 2}
+
+
 def graph_from_structure(structure) -> BipartiteGraph:
     """Read a graph from a structure with unary InA/InB and binary R."""
-    for name in ("InA", "InB", "R"):
-        if name not in structure.relations:
-            raise ValidationError(f"structure lacks relation {name}")
-    a_side = frozenset(t[0].name for t in structure.relations["InA"])
-    b_side = frozenset(t[0].name for t in structure.relations["InB"])
-    edges = frozenset((x.name, y.name) for (x, y) in structure.relations["R"])
-    return BipartiteGraph(a_side, b_side, edges)
+    in_a, in_b, edges = structure.relations_with(_ARITIES)
+    return BipartiteGraph(frozenset(t[0] for t in in_a), frozenset(t[0] for t in in_b), edges)
 
 
 def graph_to_structure(graph: BipartiteGraph):
@@ -406,5 +404,5 @@ def graph_to_structure(graph: BipartiteGraph):
             "InB": [(str(b),) for b in graph.b_side],
             "R": [(str(a), str(b)) for (a, b) in graph.edges],
         },
-        arities={"InA": 1, "InB": 1, "R": 2},
+        arities=_ARITIES,
     )

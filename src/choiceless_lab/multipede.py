@@ -22,7 +22,7 @@ some segment set avoiding the shoe's segment, and the positivity defects
 of the base matching give a GF(2) linear system whose solvability under
 that avoidance constraint decides isomorphism.
 
-All three decisions read ranks of the incidence matrix packed one int
+Both decisions read ranks of the incidence matrix packed one int
 per hyperedge, with bit i for the segment at order position i.  A rank
 does not depend on the order of the rows, so no hyperedge order is
 chosen; the segment order is part of a 3-multipede.
@@ -43,8 +43,6 @@ __all__ = [
     "Multipede2",
     "Multipede3",
     "ShodMultipede",
-    "automorphism_count",
-    "flip_feet",
     "from_structure",
     "from_structure_lenient",
     "is_odd",
@@ -213,29 +211,6 @@ def is_odd(m: Multipede3) -> bool:
     return _rank_bitrows(_incidence_rows(m).values()) == len(m.segment_order)
 
 
-def automorphism_count(m: Multipede3) -> int:
-    """Number of automorphisms: two to the dimension of the incidence
-    matrix's column kernel (foot flips meeting every hyperedge evenly)."""
-    return 2 ** (len(m.segment_order) - _rank_bitrows(_incidence_rows(m).values()))
-
-
-def flip_feet(m: Multipede3, segments_to_flip) -> Multipede3:
-    """The multipede with the two feet of the chosen segments exchanged in
-    every positive triple (same carrier, twisted positivity)."""
-    flip = frozenset(segments_to_flip)
-    swap = {}
-    for s in m.segments:
-        f1, f2 = m.feet_of(s)
-        if s in flip:
-            swap[f1], swap[f2] = f2, f1
-        else:
-            swap[f1], swap[f2] = f1, f2
-    positives = frozenset(frozenset(swap[f] for f in p) for p in m.positives)
-    return Multipede3(
-        m.segments, m.feet, m.segment_of, m.hyperedges, positives, m.segment_order
-    )
-
-
 def _base_matching(a: ShodMultipede, b: ShodMultipede) -> dict:
     """Left feet to left feet, right to right, segment by order position."""
     mu = {}
@@ -327,6 +302,9 @@ def random_multipede(n_segments: int, n_hyperedges: int, seed) -> Multipede3:
 # ------------------------------------------------------------ structure io
 
 
+_ARITIES = {"Segment": 1, "Foot": 1, "S": 2, "Hyper": 3, "Positive": 3, "Leq": 2, "Shoe": 1}
+
+
 def to_structure(pede_or_shod):
     """Encode as a structure: sorts via Segment/Foot, the foot map S, the
     symmetric ternary Hyper and Positive, the segment order Leq, and the
@@ -364,42 +342,26 @@ def to_structure(pede_or_shod):
             "Leq": leq,
             "Shoe": shoes,
         },
-        arities={
-            "Segment": 1,
-            "Foot": 1,
-            "S": 2,
-            "Hyper": 3,
-            "Positive": 3,
-            "Leq": 2,
-            "Shoe": 1,
-        },
+        arities=_ARITIES,
     )
 
 
 def from_structure_lenient(structure):
     """Decode the carrier without enforcing the axioms; returns the bare
     3-multipede and the shoe name (or None)."""
-    needed = ("Segment", "Foot", "S", "Hyper", "Positive", "Leq", "Shoe")
-    for name in needed:
-        if name not in structure.relations:
-            raise ValidationError(f"structure lacks relation {name}")
-    segments = tuple(sorted(t[0].name for t in structure.relations["Segment"]))
-    feet = tuple(sorted(t[0].name for t in structure.relations["Foot"]))
-    segment_of = {f.name: s.name for (f, s) in structure.relations["S"]}
-    if set(segment_of) != set(feet) or len(segment_of) != len(structure.relations["S"]):
+    segment, foot, s, hyper, positive, leq, shoe = structure.relations_with(_ARITIES)
+    segments = tuple(sorted(t[0] for t in segment))
+    feet = tuple(sorted(t[0] for t in foot))
+    segment_of = dict(s)
+    if set(segment_of) != set(feet) or len(segment_of) != len(s):
         raise ValidationError("S must assign one segment to every foot")
-    hyperedges = frozenset(
-        frozenset(x.name for x in tup) for tup in structure.relations["Hyper"]
-    )
-    positives = frozenset(
-        frozenset(x.name for x in tup) for tup in structure.relations["Positive"]
-    )
-    leq = {(x.name, y.name) for (x, y) in structure.relations["Leq"]}
+    hyperedges = frozenset(map(frozenset, hyper))
+    positives = frozenset(map(frozenset, positive))
     later_counts = Counter(x for (x, _) in leq)
     order = tuple(sorted(segments, key=lambda s: -later_counts[s]))
     if leq != {(s, t) for i, s in enumerate(order) for t in order[i:]}:
         raise ValidationError("Leq is not a linear order on segments")
-    shoes = [t[0].name for t in structure.relations["Shoe"]]
+    shoes = [t[0] for t in shoe]
     if len(shoes) > 1:
         raise ValidationError("at most one shoe is allowed")
     pede = Multipede3(segments, feet, segment_of, hyperedges, positives, order)

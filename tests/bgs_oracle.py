@@ -83,7 +83,7 @@ def eval_term(state: State, env: dict, term) -> HfValue:
     if symbol == "empty":
         return EMPTY
     if symbol == "Atoms":
-        return make_set(state.structure.atoms)
+        return make_set(state.structure.by_name.values())
 
     args = [eval_term(state, env, a) for a in term.args]
 
@@ -118,16 +118,26 @@ def eval_term(state: State, env: dict, term) -> HfValue:
 
     structure = state.structure
     if symbol in structure.relations:
-        tup = tuple(args)
-        for a in tup:
-            if not isinstance(a, Atom):
-                return EMPTY  # off-universe arguments read as 0
-        return TRUE if tup in structure.relations[symbol] else EMPTY
+        names = _names_of(structure, args)
+        if names is None:
+            return EMPTY  # off-universe arguments read as 0
+        return TRUE if names in structure.relations[symbol] else EMPTY
     if symbol in structure.functions:
-        tup = tuple(args)
-        return structure.functions[symbol].get(tup, EMPTY)
+        names = _names_of(structure, args)
+        value = None if names is None else structure.functions[symbol].get(names)
+        return EMPTY if value is None else structure.by_name[value]
     # dynamic symbol
     return state.read(symbol, tuple(args))
+
+
+def _names_of(structure: InputStructure, args) -> tuple | None:
+    """The names of the structure's atoms ``args``, or None when some
+    argument is not one of them."""
+    by_name = structure.by_name
+    for a in args:
+        if not isinstance(a, Atom) or by_name.get(a.name) is not a:
+            return None
+    return tuple(a.name for a in args)
 
 
 def collect_updates(state: State, env: dict, rule) -> frozenset:

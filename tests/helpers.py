@@ -36,19 +36,19 @@ def permuted_structure(structure: InputStructure, seed) -> InputStructure:
     """An isomorphic copy: atom names shuffled across both the listing
     order and every relation/function tuple."""
     rng = random.Random(seed)
-    names = [a.name for a in structure.atoms]
+    names = list(structure.atoms)
     shuffled = names[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(names, shuffled))
     listing = names[:]
     rng.shuffle(listing)
     relations = {
-        name: [tuple(mapping[a.name] for a in tup) for tup in tuples]
+        name: [tuple(mapping[a] for a in tup) for tup in tuples]
         for name, tuples in structure.relations.items()
     }
     functions = {
         name: {
-            tuple(mapping[a.name] for a in args): mapping[out.name]
+            tuple(mapping[a] for a in args): mapping[out]
             for args, out in table.items()
         }
         for name, table in structure.functions.items()

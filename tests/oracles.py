@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 from fractions import Fraction
+from importlib import resources
+
+from choiceless_lab.bgs import parse_program
+from choiceless_lab.bgs.interp import _accumulate_active
+from choiceless_lab.cfi import _block_token, _edge_token, _pair_token, build_twisted
+from choiceless_lab.errors import ParseError, ValidationError
+from choiceless_lab.hfset import Atom, make_set
+from choiceless_lab.multipede import Multipede3
 
 
 def naive_mat_mul(field, m, n, row_order, inner_order, col_order):
@@ -429,3 +438,205 @@ def brute_force_iso(a, b) -> bool:
         ):
             return True
     return False
+
+
+# ------------------------------------------- helpers the library dropped
+
+
+def load_builtin_program(name: str):
+    """Parse one of the programs shipped with the package (by stem name)."""
+    text = resources.files("choiceless_lab").joinpath("programs", f"{name}.bgs").read_text()
+    return parse_program(text)
+
+
+def active_count(trace) -> int:
+    """Number of elements hereditarily involved in the traced update sets,
+    counted by the interpreter's own active walk."""
+    active: set = set()
+    ordinals = 0
+    for updates in trace:
+        ordinals = _accumulate_active(updates, active, ordinals)
+    return len(active) + ordinals
+
+
+def is_atom(value) -> bool:
+    return isinstance(value, Atom)
+
+
+def ordered_pair(x, y):
+    """The coded ordered pair ``{{x}, {x, y}}``."""
+    return make_set((make_set((x,)), make_set((x, y))))
+
+
+def odd_boundary(base, edge_subset) -> frozenset:
+    """Base vertices meeting an odd number of the given edges."""
+    edge_subset = frozenset(edge_subset)
+    if not edge_subset <= base.edges:
+        raise ValidationError("edge subset leaves the base graph")
+    return frozenset(
+        v for v in base.vertices if sum(1 for e in edge_subset if v in e) % 2 == 1
+    )
+
+
+def automorphism_from_edges(base, twist, edge_subset) -> dict:
+    """The vertex map induced by an edge set: swap the pair vertices of the
+    chosen edges and twist every block vertex by its incident chosen edges.
+    Maps the twist-T graph onto the graph twisted at T xor the odd
+    boundary."""
+    edge_subset = frozenset(edge_subset)
+    source = build_twisted(base, twist)
+    mapping = {}
+    for e in base.edges:
+        flip = e in edge_subset
+        mapping[_pair_token(e, True)] = _pair_token(e, not flip)
+        mapping[_pair_token(e, False)] = _pair_token(e, flip)
+    for v in base.vertices:
+        incident = base.incident(v)
+        local = incident & edge_subset
+        want_odd = v in frozenset(twist)
+        for r in range(len(incident) + 1):
+            for combo in itertools.combinations(sorted(incident, key=_edge_token), r):
+                if (len(combo) % 2 == 1) != want_odd:
+                    continue
+                x_set = frozenset(combo)
+                mapping[_block_token(v, x_set)] = _block_token(v, x_set ^ local)
+    assert set(mapping) >= set(source.block_vertices + source.pair_vertices)
+    return mapping
+
+
+def automorphism_count(m) -> int:
+    """Number of automorphisms of a 3-multipede: two to the dimension of
+    the foot flips meeting every hyperedge evenly, the column kernel of the
+    incidence matrix, by elimination on one bit row per hyperedge."""
+    bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
+    pivots: dict = {}  # leading bit -> reduced row
+    for h in m.hyperedges:
+        row = sum(bit[s] for s in h)
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return 2 ** (len(bit) - len(pivots))
+
+
+def flip_feet(m, segments_to_flip):
+    """The multipede with the two feet of the chosen segments exchanged in
+    every positive triple (same carrier, twisted positivity)."""
+    flip = frozenset(segments_to_flip)
+    swap = {}
+    for s in m.segments:
+        f1, f2 = m.feet_of(s)
+        if s in flip:
+            swap[f1], swap[f2] = f2, f1
+        else:
+            swap[f1], swap[f2] = f1, f2
+    positives = frozenset(frozenset(swap[f] for f in p) for p in m.positives)
+    return Multipede3(
+        m.segments, m.feet, m.segment_of, m.hyperedges, positives, m.segment_order
+    )
+
+
+# ------------------------------------------------ the atom-making reader
+
+AtomStructure = namedtuple("AtomStructure", "atoms relations functions arities by_name")
+
+
+def _build_atoms(atom_names, relations, functions, declared) -> AtomStructure:
+    """The structure check as it was when the reader made one atom per
+    name and mapped every tuple onto atoms."""
+    atoms = tuple(map(Atom, atom_names))
+    by_name = {a.name: a for a in atoms}
+    if len(by_name) != len(atoms):
+        raise ValidationError("atom names must be unique")
+
+    def lookup(kind, name, tuples):
+        try:
+            return [tuple(map(by_name.__getitem__, tup)) for tup in tuples]
+        except KeyError as exc:
+            raise ValidationError(
+                f"{kind} {name} mentions unknown atom {exc.args[0]!r}"
+            ) from None
+
+    def resolve(kind, name, tuples):
+        resolved = lookup(kind, name, tuples)
+        arity = declared.get(name)
+        if arity is None:
+            if not resolved:
+                raise ValidationError(f"empty {kind} {name} needs an explicit arity")
+            arity = declared[name] = len(resolved[0])
+        if any(len(tup) != arity for tup in resolved):
+            raise ValidationError(f"{kind} {name} tuple arity mismatch")
+        return resolved
+
+    rels = {
+        name: frozenset(resolve("relation", name, tuples)) for name, tuples in relations.items()
+    }
+    funs = {}
+    for name, table in functions.items():
+        args = resolve("function", name, table)
+        expected = len(atoms) ** declared[name]
+        if len(args) != expected:
+            raise ValidationError(
+                f"function {name} must be total on the universe"
+                f" ({len(args)} of {expected} tuples)"
+            )
+        (values,) = lookup("function", name, [table.values()])
+        funs[name] = dict(zip(args, values))
+    return AtomStructure(atoms, rels, funs, declared, by_name)
+
+
+_ATOM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
+
+
+def _tuple_names(chunk: str) -> tuple:
+    return tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
+
+
+def parse_structure_atoms(text: str) -> AtomStructure:
+    """The ``.str`` reader that made one atom per listed name, kept as the
+    differential oracle of ``parse_structure``: it reads every tuple the
+    general way, chunk by chunk, and maps it onto atoms."""
+    atom_names = None
+    relations: dict = {}
+    functions: dict = {}
+    declared: dict = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("atoms:"):
+            if atom_names is not None:
+                raise ParseError("duplicate atoms line", line_no)
+            atom_names = line[len("atoms:"):].split()
+            bad = next(itertools.filterfalse(_ATOM_NAME_RE.match, atom_names), None)
+            if bad is not None:
+                raise ParseError(f"bad name {bad!r}", line_no)
+            continue
+        m = re.match(r"(rel|fun)\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:(.*)$", line)
+        if m is None:
+            raise ParseError(f"unrecognized line {line!r}", line_no)
+        kind, name, arity, rest = m.groups()
+        if name in declared:
+            raise ParseError(f"duplicate symbol {name!r}", line_no)
+        declared[name] = int(arity)
+        if kind == "rel":
+            tuples = {_tuple_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)}
+            leftover = re.sub(r"\([^()]*\)", "", rest).strip()
+            if leftover:
+                raise ParseError(f"stray text {leftover!r} in {name}", line_no)
+            relations[name] = tuples
+        else:
+            cells = re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
+            table = {_tuple_names(chunk): out for chunk, out in cells}
+            if len(table) != len(cells):
+                raise ParseError(f"function {name} lists an argument tuple twice", line_no)
+            leftover = re.sub(r"\([^()]*\)\s*->\s*[A-Za-z0-9_.+-]+", "", rest).strip()
+            if leftover:
+                raise ParseError(f"stray text {leftover!r} in {name}", line_no)
+            functions[name] = table
+    if atom_names is None:
+        raise ParseError("missing atoms: line")
+    try:
+        return _build_atoms(atom_names, relations, functions, declared)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc

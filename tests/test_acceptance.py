@@ -12,12 +12,11 @@ import time
 
 import pytest
 
-from choiceless_lab.bgs import RunBounds, load_builtin_program, run
+from choiceless_lab.bgs import RunBounds, run
 from choiceless_lab.cfi import (
     build_twisted,
     complete_graph,
     isomorphic_gadgets,
-    odd_boundary,
     pad,
     recognize_and_classify,
 )
@@ -45,8 +44,6 @@ from choiceless_lab.matching import (
 )
 from choiceless_lab.multipede import (
     ShodMultipede,
-    automorphism_count,
-    flip_feet,
     is_odd,
     iso3_decide,
     random_multipede,
@@ -56,11 +53,15 @@ from choiceless_lab.multipede import (
 from conftest import record_criterion
 from helpers import empty_structure, permuted_structure, power_structure, x_table
 from oracles import (
+    automorphism_count,
     bareiss_det,
     brute_force_iso,
     distinguish_structure,
+    flip_feet,
     gl_order,
     hall_condition_direct,
+    load_builtin_program,
+    odd_boundary,
     partial_product,
 )
 

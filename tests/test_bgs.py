@@ -32,9 +32,7 @@ from choiceless_lab.bgs import (
     State,
     Update,
     Var,
-    active_count,
     fire,
-    load_builtin_program,
     parse_program,
     parse_structure,
     run,
@@ -53,7 +51,7 @@ import bgs_oracle
 from bgs_oracle import run_oracle
 from fo_compile import compile_sentence, random_sentence
 from helpers import empty_structure, permuted_structure, power_structure, twin_gadget, x_table
-from oracles import fo_model_check
+from oracles import active_count, fo_model_check, load_builtin_program
 
 HEADERS = "#steps 10 1\n#active 50 10\n"
 
@@ -518,12 +516,13 @@ def test_compiled_shadowed_binder():
     )
     structure = empty_structure(3)
     tables = assert_runs_agree(prog, structure)[4]
-    atoms = make_set(structure.atoms)
+    atoms = make_set(structure.by_name.values())
     assert tables["A"][()] is make_set([atoms])
     assert tables["N"][()] is make_set([make_set([atoms]), make_set([atoms, EMPTY])])
     # z sits one binder below the shadowing x, so their slots differ
-    grid = make_set(make_set(pair(b, z) for z in structure.atoms) for b in structure.atoms)
-    for a in structure.atoms:
+    listed = list(structure.by_name.values())
+    grid = make_set(make_set(pair(b, z) for z in listed) for b in listed)
+    for a in listed:
         assert tables["D"][(a,)] is grid
 
 
@@ -544,8 +543,8 @@ def test_compiled_binder_after_nested_shadowing_binder():
     )
     structure = empty_structure(3)
     tables = assert_runs_agree(prog, structure)[4]
-    atoms = make_set(structure.atoms)
-    for a in structure.atoms:
+    atoms = make_set(structure.by_name.values())
+    for a in structure.by_name.values():
         assert tables["B"][(a,)] is make_set([a])
         assert tables["C"][(a,)] is make_set([atoms, make_set([a])])
 
@@ -619,7 +618,7 @@ def five_atoms():
 
 def test_eval_builtins(five_atoms):
     state = State(five_atoms)
-    x = make_set([five_atoms.atoms[0]])
+    x = make_set([five_atoms.by_name["a0"]])
     for eval_term in EVALUATORS:
         assert eval_term(state, {}, App("Card", (App("Atoms"),))) is ordinal(5)
         env = {"x": x}
@@ -698,8 +697,8 @@ def test_collect_updates_by_rule_kind(five_atoms):
 
 def test_fire_semantics(five_atoms):
     state = State(five_atoms)
-    a = five_atoms.atoms[0]
-    b = five_atoms.atoms[1]
+    a = five_atoms.by_name["a0"]
+    b = five_atoms.by_name["a1"]
     ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
     new = fire(state, ok)
     assert new.read("F", (a,)) is ordinal(1)
@@ -710,7 +709,7 @@ def test_fire_semantics(five_atoms):
 
 
 def test_active_count_examples(five_atoms):
-    a = five_atoms.atoms[0]
+    a = five_atoms.by_name["a0"]
     assert active_count([]) == 0
     single = frozenset({("F", (a,), make_set([a]))})
     assert active_count([single]) == 2
@@ -1004,7 +1003,7 @@ def test_first_order_simulation_binary():
 def test_structure_roundtrip():
     text = "atoms: a b c\nrel E/2: (a,b) (b,c)\nrel P/1: (a)\nfun F/1: (a)->b (b)->c (c)->a\n"
     structure = parse_structure(text)
-    assert [a.name for a in structure.atoms] == ["a", "b", "c"]
+    assert [a.name for a in structure.by_name.values()] == ["a", "b", "c"]
     again = parse_structure(write_structure(structure))
     assert write_structure(again) == write_structure(structure)
 

@@ -14,12 +14,10 @@ from choiceless_lab.cfi import (
     NOT_CFI,
     BaseGraph,
     PreGraph,
-    automorphism_from_edges,
     build_twisted,
     complete_graph,
     from_structure,
     isomorphic_gadgets,
-    odd_boundary,
     pad,
     recognize_and_classify,
     to_structure,
@@ -27,7 +25,13 @@ from choiceless_lab.cfi import (
 from choiceless_lab.errors import GuardExceeded, ValidationError
 
 from helpers import twin_gadget
-from oracles import distinguish_structure, gadget_iso_by_flips, twist_parity_by_labelling
+from oracles import (
+    automorphism_from_edges,
+    distinguish_structure,
+    gadget_iso_by_flips,
+    odd_boundary,
+    twist_parity_by_labelling,
+)
 
 
 def k(n):

@@ -19,6 +19,7 @@ from choiceless_lab.cli import (
 )
 
 from helpers import twin_gadget
+from oracles import flip_feet
 
 
 def invoke(argv, capsys):
@@ -203,7 +204,7 @@ def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["result"]["odd"] is True  # rigid, so a first-segment flip is no isomorphism
     shod = multipede.from_structure(parse_structure(a.read_text()))
-    flipped = multipede.flip_feet(shod.pede, [shod.pede.first_segment])
+    flipped = flip_feet(shod.pede, [shod.pede.first_segment])
     b = tmp_path / "b.str"
     b.write_text(
         write_structure(multipede.to_structure(multipede.ShodMultipede(flipped, shod.shoe)))

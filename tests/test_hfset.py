@@ -15,9 +15,7 @@ from choiceless_lab.hfset import (
     EMPTY,
     Atom,
     card,
-    is_atom,
     make_set,
-    ordered_pair,
     ordinal,
     ordinal_value,
     pair,
@@ -26,7 +24,7 @@ from choiceless_lab.hfset import (
     union_all,
 )
 
-from oracles import hf_model
+from oracles import hf_model, is_atom, ordered_pair
 
 
 @pytest.fixture()

@@ -16,8 +16,6 @@ from choiceless_lab.multipede import (
     Multipede2,
     Multipede3,
     ShodMultipede,
-    automorphism_count,
-    flip_feet,
     from_structure,
     from_structure_lenient,
     is_odd,
@@ -28,7 +26,7 @@ from choiceless_lab.multipede import (
     validate,
 )
 
-from oracles import brute_force_iso
+from oracles import automorphism_count, brute_force_iso, flip_feet
 
 
 def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
