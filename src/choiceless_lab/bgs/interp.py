@@ -14,17 +14,32 @@ position must be a relation, and no dynamic symbol (Halt and Output
 included) may be a relation or function of the structure, so each name
 means one thing for the whole run.  It then compiles the rule once into
 nested closures, in the manner of Feeley and Lapalme, "Using closures for
-code generation" (1987): a term becomes ``f(tables, env)`` and a rule
-``f(tables, env, out)``, adding its updates to ``out``.  Builtins and
-input symbols are resolved while compiling, so each closure already holds
-its relation set, function map or builtin, and the set of the atoms.  The
-structure holds names; the atoms are its ``by_name`` atoms, and each
-input symbol the program reads is mapped onto them once, when it is
-compiled.  Only dynamic reads look up ``tables``, the pre-step tables,
-and a literal is its ordinal, made once while compiling.  Variables live
-in one list ``env`` allocated per run: a binder's slot is its nesting
-depth, the number of binders around it, so a shadowing binder takes a
-fresh slot and the outer binding survives.
+code generation" (1987): a term becomes ``f(tables, env)``, a guard a
+predicate ``f(tables, env) -> bool`` that tells whether the term reads 1,
+and a rule ``f(tables, env, out)``, adding its updates to ``out``.  The
+logical builtins compile to predicates (``and`` to Python's ``and``,
+``eq`` to ``is``) and are boxed into ordinals 0 and 1 only where a value is
+needed.  Builtins and input symbols are resolved while compiling, so each
+closure already holds its relation, function map or builtin, and the
+set of the atoms.  The structure holds names; the atoms are its
+``by_name`` atoms, and each input symbol the program reads is mapped onto
+them once, when it is compiled.  Only dynamic reads look up ``tables``,
+the pre-step tables, and a literal is its ordinal, made once while
+compiling.  Variables live in one list ``env`` allocated per run: a
+binder's slot is its nesting depth, the number of binders around it, so a
+shadowing binder takes a fresh slot and the outer binding survives.
+
+A comprehension over ``Atoms`` whose guard starts with a lookup of its
+binder (an input relation, or a dynamic symbol read as a nonzero literal)
+visits only the atoms that lookup can hold, through an index of the
+relation made once per run or of the dynamic table remade when the table
+changes.  ``Card({ v : v in S : g })`` counts what passes, and
+``x in { e : v in S : g }`` searches and stops at the first hit; neither
+builds the set.  No value can change and no order can leak: every
+comprehension ends as a set, a count or a yes/no answer, so which members
+are visited first, or whether one that fails the guard is visited at all,
+cannot show, and no term of a checked program raises, so a term left
+unevaluated changes nothing.
 
 A run fires steps until Halt reads 1, then reports accept or reject from
 Output.  Two budgets police the run: a step polynomial, and an
@@ -55,7 +70,9 @@ from ..hfset import (
 from .structures import InputStructure
 from .syntax import (
     App,
+    BOOLEAN_BUILTINS,
     BOOLEAN_DYNAMICS,
+    BUILTIN_ARITY,
     Compr,
     Cond,
     Forall,
@@ -101,6 +118,9 @@ def _constant(value: HfValue):
     return constant
 
 
+_NO_TABLE: dict = {}  # read for a dynamic symbol with no table yet; never written
+
+
 class _Compiler:
     """Turns terms and rules into closures against one structure, and
     records in ``slots`` how long ``env`` must be."""
@@ -109,17 +129,19 @@ class _Compiler:
         self.structure = structure
         self.atoms = make_set(structure.by_name.values())
         self.inputs: dict = {}  # input symbol -> its interpretation over atoms
+        self.indexes: dict = {}  # (symbol, argument position) -> its index
         self.slots = 0
 
     def interpretation(self, symbol: str):
-        """An input symbol's relation or function over the run's atoms,
-        made when the program first reads the symbol."""
+        """An input symbol's function over the run's atoms, or its relation
+        as a table reading 1 at each of its tuples, made when the program
+        first reads the symbol."""
         found = self.inputs.get(symbol)
         if found is None:
             atom = self.structure.by_name.__getitem__
             relation = self.structure.relations.get(symbol)
             if relation is not None:
-                found = frozenset(tuple(map(atom, tup)) for tup in relation)
+                found = dict.fromkeys((tuple(map(atom, tup)) for tup in relation), TRUE)
             else:
                 found = {
                     tuple(map(atom, args)): atom(value)
@@ -131,6 +153,15 @@ class _Compiler:
     def bind(self, scope: dict, name: str, depth: int) -> dict:
         self.slots = max(self.slots, depth + 1)
         return {**scope, name: depth}
+
+    def is_boolean(self, node) -> bool:
+        """Whether a term reads 0 or 1 by its outermost symbol: a logical
+        builtin, a membership test, Halt, Output or an input relation."""
+        return isinstance(node, App) and (
+            node.symbol in BOOLEAN_BUILTINS
+            or node.symbol in BOOLEAN_DYNAMICS
+            or node.symbol in self.structure.relations
+        )
 
     def term(self, node, scope: dict, depth: int):
         if isinstance(node, Var):
@@ -155,29 +186,228 @@ class _Compiler:
             return self.application(node, scope, depth)
         raise TypeError(f"not a term: {node!r}")
 
-    def comprehension(self, node: Compr, scope: dict, depth: int):
-        source = self.term(node.source, scope, depth)
+    def test(self, node, scope: dict, depth: int):
+        """The closure ``f(tables, env) -> bool`` telling whether a term
+        reads 1: what guards compile to, with no truth value boxed."""
+        symbol = node.symbol if isinstance(node, App) else None
+        if symbol in ("true", "false"):
+            holds = symbol == "true"
+            return lambda tables, env: holds
+        if symbol == "and":
+            x, y = (self.test(a, scope, depth) for a in node.args)
+            # short-circuit: no term of a checked program raises, so skipping
+            # the right operand when the left one is not 1 changes no value
+            return lambda tables, env: x(tables, env) and y(tables, env)
+        if symbol == "or":
+            return self.disjunction(*node.args, scope, depth)
+        if symbol == "not":
+            x = self.term(node.args[0], scope, depth)
+            return lambda tables, env: x(tables, env) is EMPTY
+        if symbol == "eq":
+            return self.equality(*node.args, scope, depth)
+        if symbol == "in":
+            return self.membership(*node.args, scope, depth)
+        if symbol in self.structure.relations:
+            relation = self.interpretation(symbol)
+            key = self.arguments(node.args, scope, depth)
+            # a relation holds atom tuples only, so a tuple with a set in
+            # it is never a member: off-universe arguments read as 0
+            return lambda tables, env: key(tables, env) in relation
+        x = self.term(node, scope, depth)
+        return lambda tables, env: x(tables, env) is TRUE
+
+    def disjunction(self, left, right, scope: dict, depth: int):
+        # "or" reads 1 when one operand reads 1 and neither reads anything
+        # but 0 or 1, so its operands are not Boolean positions: "true or 5"
+        # reads 0.  A Boolean right operand reads 0 or 1, so a left operand
+        # of 1 decides and the right one is skipped, which changes no value
+        # because no term of a checked program raises.
+        x = self.term(left, scope, depth)
+        if self.is_boolean(right):
+            y = self.test(right, scope, depth)
+
+            def disjunction(tables, env):
+                u = x(tables, env)
+                return u is TRUE or (u is EMPTY and y(tables, env))
+
+            return disjunction
+        z = self.term(right, scope, depth)
+
+        def disjunction_of_terms(tables, env):
+            u = x(tables, env)
+            v = z(tables, env)
+            if u is TRUE:
+                return v is TRUE or v is EMPTY
+            return u is EMPTY and v is TRUE
+
+        return disjunction_of_terms
+
+    def equality(self, left, right, scope: dict, depth: int):
+        if isinstance(left, Lit):
+            left, right = right, left
+        x = self.term(left, scope, depth)
+        if isinstance(right, Lit):
+            k = ordinal(right.value)
+            return lambda tables, env: x(tables, env) is k
+        y = self.term(right, scope, depth)
+        return lambda tables, env: x(tables, env) is y(tables, env)
+
+    def membership(self, left, right, scope: dict, depth: int):
+        if isinstance(right, Compr):
+            return self.search(left, right, scope, depth)
+        y = self.term(right, scope, depth)
+        if isinstance(left, Lit):
+            k = left.value
+            literal = ordinal(k)
+
+            def holds_literal(tables, env):
+                v = y(tables, env)
+                # ordinal n holds the literals below n; an atom's members are ()
+                return v.n > k if type(v) is Ordinal else literal in v.members
+
+            return holds_literal
+        x = self.term(left, scope, depth)
+
+        def member(tables, env):
+            u = x(tables, env)
+            v = y(tables, env)
+            return isinstance(v, HfSet) and u in v
+
+        return member
+
+    def ranged(self, node: Compr, scope: dict, depth: int) -> tuple:
+        """A comprehension's parts: the closure listing the members its
+        binder visits, the binder's slot, its guard as a test and its
+        element."""
         inner = self.bind(scope, node.var, depth)
+        guard = self.test(node.guard, inner, depth + 1)
         element = self.term(node.element, inner, depth + 1)
-        guard = self.term(node.guard, inner, depth + 1)
-        slot = depth
+        members = self.lookup(node, scope, depth)
+        if members is None:
+            source = self.term(node.source, scope, depth)
+            members = lambda tables, env: source(tables, env).members  # noqa: E731
+        return members, depth, guard, element
+
+    def comprehension(self, node: Compr, scope: dict, depth: int):
+        members, slot, guard, element = self.ranged(node, scope, depth)
 
         def comprehension(tables, env):
             collected = []
-            for member in source(tables, env).members:
+            for member in members(tables, env):
                 env[slot] = member
-                if guard(tables, env) is TRUE:
+                if guard(tables, env):
                     collected.append(element(tables, env))
             return make_set(collected)
 
         return comprehension
 
+    def count(self, node: Compr, scope: dict, depth: int):
+        """``Card({ v : v in S : g })`` with no set built: the members of S
+        are distinct, so the count is how many of them pass."""
+        members, slot, guard, _ = self.ranged(node, scope, depth)
+
+        def count(tables, env):
+            n = 0
+            for member in members(tables, env):
+                env[slot] = member
+                if guard(tables, env):
+                    n += 1
+            return ordinal(n)
+
+        return count
+
+    def search(self, left, node: Compr, scope: dict, depth: int):
+        """``x in { e : v in S : g }`` with no set built: whether some v in
+        S passes g with e(v) = x, stopping at the first found."""
+        x = self.term(left, scope, depth)
+        members, slot, guard, element = self.ranged(node, scope, depth)
+
+        def search(tables, env):
+            wanted = x(tables, env)
+            for member in members(tables, env):
+                env[slot] = member
+                if guard(tables, env) and element(tables, env) is wanted:
+                    return True
+            return False
+
+        return search
+
+    def lookup(self, node: Compr, scope: dict, depth: int):
+        """For a comprehension over Atoms, the closure listing only the
+        atoms that the first conjunct of its guard can hold, or None.
+
+        That conjunct must read an input relation, a dynamic symbol
+        ``= k`` with k not 0, or a dynamic symbol as a truth value (= 1),
+        with the binder as exactly one argument and bound variables or
+        literals as the others.  An atom the lookup does not hold fails the
+        guard, so the index nested-loop join of Selinger et al., "Access
+        path selection in a relational database management system" (1979),
+        visits fewer atoms and gives the same set; each visited atom is
+        still tested against the whole guard."""
+        if node.source != App("Atoms"):
+            return None
+        first = node.guard
+        while isinstance(first, App) and first.symbol == "and":
+            first = first.args[0]
+        wanted = TRUE
+        if isinstance(first, App) and first.symbol == "eq":
+            first, k = first.args
+            if isinstance(first, Lit):
+                first, k = k, first
+            if not isinstance(k, Lit) or k.value == 0:
+                return None
+            wanted = ordinal(k.value)
+        if (
+            not isinstance(first, App)
+            or first.symbol in BUILTIN_ARITY
+            or first.symbol in self.structure.functions
+            or first.args.count(Var(node.var)) != 1
+        ):
+            return None
+        p = first.args.index(Var(node.var))
+        rest = first.args[:p] + first.args[p + 1:]
+        if not all(isinstance(a, Lit) or (isinstance(a, Var) and a.name in scope) for a in rest):
+            return None
+        key = self.arguments(rest, scope, depth)
+        symbol = first.symbol
+        index_of = self.table_index(symbol, p)
+        if symbol in self.structure.relations:
+            relation = self.interpretation(symbol)  # one table all run: indexed once
+            return lambda tables, env: index_of(relation).get((key(tables, env), wanted), ())
+        return lambda tables, env: index_of(tables.get(symbol, _NO_TABLE)).get(
+            (key(tables, env), wanted), ()
+        )
+
+    def table_index(self, symbol: str, p: int):
+        """The function taking a table of ``symbol`` to its atoms at
+        argument ``p`` by the other arguments and the value, remade only
+        when it is handed a table other than the last one.  ``fire``
+        copies a table before it writes to it, so the last table is
+        unchanged; holding it keeps any other dict from taking its
+        identity."""
+        found = self.indexes.get((symbol, p))
+        if found is None:
+            atoms = self.atoms.members
+            last = [None, None]  # the table last indexed, and its index
+
+            def found(table):
+                if table is not last[0]:
+                    index: dict = {}
+                    for args, value in table.items():
+                        if args[p] in atoms:  # the binder ranges over atoms only
+                            index.setdefault((args[:p] + args[p + 1:], value), []).append(args[p])
+                    last[:] = table, index
+                return last[1]
+
+            self.indexes[(symbol, p)] = found
+        return found
+
     def arguments(self, nodes: tuple, scope: dict, depth: int):
         """A closure building the argument tuple, left to right."""
-        if not nodes:
+        slots = _bound_slots(nodes, scope)
+        if slots == ():
             return _constant(())
-        slots = [scope.get(a.name) if isinstance(a, Var) else None for a in nodes]
-        if len(slots) <= 2 and None not in slots:  # read bound variables directly
+        if slots is not None:  # read bound variables directly
             if len(slots) == 1:
                 (s0,) = slots
                 return lambda tables, env: (env[s0],)
@@ -194,24 +424,32 @@ class _Compiler:
             return _constant(EMPTY)
         if symbol == "Atoms":
             return _constant(self.atoms)
+        if symbol in BOOLEAN_BUILTINS or symbol in self.structure.relations:
+            holds = self.test(node, scope, depth)
+            return lambda tables, env: TRUE if holds(tables, env) else EMPTY
+        if symbol == "Card":
+            (arg,) = node.args
+            if isinstance(arg, Compr) and arg.element == Var(arg.var):
+                return self.count(arg, scope, depth)
         builtin = _BUILTINS.get(symbol)
         if builtin is not None:
             return builtin(*[self.term(a, scope, depth) for a in node.args])
-        key = self.arguments(node.args, scope, depth)
-        if symbol in self.structure.relations:
-            relation = self.interpretation(symbol)
-            # a relation holds atom tuples only, so a tuple with a set in
-            # it is never a member: off-universe arguments read as 0
-            return lambda tables, env: TRUE if key(tables, env) in relation else EMPTY
         if symbol in self.structure.functions:
             table = self.interpretation(symbol)
+            key = self.arguments(node.args, scope, depth)
             return lambda tables, env: table.get(key(tables, env), EMPTY)
-
-        def dynamic(tables, env):
-            table = tables.get(symbol)
-            return EMPTY if table is None else table.get(key(tables, env), EMPTY)
-
-        return dynamic
+        # a dynamic read: reads of at most two bound variables take one call
+        slots = _bound_slots(node.args, scope)
+        if slots is None:
+            key = self.arguments(node.args, scope, depth)
+            return lambda tables, env: tables.get(symbol, _NO_TABLE).get(key(tables, env), EMPTY)
+        if not slots:
+            return lambda tables, env: tables.get(symbol, _NO_TABLE).get((), EMPTY)
+        if len(slots) == 1:
+            (s0,) = slots
+            return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY)
+        s0, s1 = slots
+        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY)
 
     def rule(self, node, scope: dict, depth: int):
         if isinstance(node, Skip):
@@ -219,12 +457,12 @@ class _Compiler:
         if isinstance(node, Update):
             return self.update(node, scope, depth)
         if isinstance(node, Cond):
-            guard = self.term(node.guard, scope, depth)
+            guard = self.test(node.guard, scope, depth)
             then_rule = self.rule(node.then_rule, scope, depth)
             else_rule = self.rule(node.else_rule, scope, depth)
 
             def cond(tables, env, out):
-                (then_rule if guard(tables, env) is TRUE else else_rule)(tables, env, out)
+                (then_rule if guard(tables, env) else else_rule)(tables, env, out)
 
             return cond
         if isinstance(node, Forall):
@@ -268,45 +506,15 @@ class _Compiler:
         return boolean_update
 
 
+def _bound_slots(nodes: tuple, scope: dict):
+    """The ``env`` slots of ``nodes`` when they are at most two bound
+    variables, else None."""
+    slots = tuple(scope.get(a.name) if isinstance(a, Var) else None for a in nodes)
+    return slots if len(slots) <= 2 and None not in slots else None
+
+
 def _skip(tables, env, out):
     pass
-
-
-def _not(x):
-    return lambda tables, env: TRUE if x(tables, env) is EMPTY else EMPTY
-
-
-def _and(x, y):
-    def conjunction(tables, env):
-        # short-circuit: no term of a checked program raises, so skipping
-        # the right operand when the left one is not 1 changes no value
-        return TRUE if x(tables, env) is TRUE and y(tables, env) is TRUE else EMPTY
-
-    return conjunction
-
-
-def _or(x, y):
-    def disjunction(tables, env):
-        u = x(tables, env)
-        v = y(tables, env)
-        if u is TRUE:
-            return TRUE if v is TRUE or v is EMPTY else EMPTY
-        return TRUE if u is EMPTY and v is TRUE else EMPTY
-
-    return disjunction
-
-
-def _eq(x, y):
-    return lambda tables, env: TRUE if x(tables, env) is y(tables, env) else EMPTY
-
-
-def _in(x, y):
-    def member(tables, env):
-        u = x(tables, env)
-        v = y(tables, env)
-        return TRUE if isinstance(v, HfSet) and u in v else EMPTY
-
-    return member
 
 
 def _union(x):
@@ -325,13 +533,9 @@ def _card(x):
     return lambda tables, env: card(x(tables, env))
 
 
-# builtins with arguments: name -> closure over the argument closures
+# builtins with arguments that are not truth values: name -> closure over
+# the argument closures
 _BUILTINS = {
-    "not": _not,
-    "and": _and,
-    "or": _or,
-    "eq": _eq,
-    "in": _in,
     "Union": _union,
     "TheUnique": _the_unique,
     "Pair": _pair,

@@ -121,6 +121,7 @@ class InputStructure:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
+_SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 def _names(chunk: str) -> tuple:
@@ -161,7 +162,7 @@ def parse_structure(text: str) -> InputStructure:
             if bad is not None:
                 raise ParseError(f"bad name {bad!r}", line_no)
             continue
-        m = re.match(r"(rel|fun)\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:(.*)$", line)
+        m = re.match(rf"(rel|fun)\s+({_SYMBOL})/(\d+)\s*:(.*)$", line)
         if m is None:
             raise ParseError(f"unrecognized line {line!r}", line_no)
         kind, name, arity, rest = m.groups()
@@ -188,7 +189,18 @@ def parse_structure(text: str) -> InputStructure:
 
 
 def write_structure(structure: InputStructure) -> str:
-    """Deterministic ``.str`` serialization (sorted symbols and tuples)."""
+    """Deterministic ``.str`` serialization (sorted symbols and tuples),
+    once every name is one that :func:`parse_structure` reads back as that
+    name."""
+    bad = next(itertools.filterfalse(_NAME_RE.fullmatch, structure.atoms), None)
+    if bad is not None:
+        raise ValidationError(f"atom name {bad!r} cannot be written to a structure file")
+    for name in itertools.chain(structure.relations, structure.functions):
+        if not re.fullmatch(_SYMBOL, name):
+            raise ValidationError(f"symbol name {name!r} cannot be written to a structure file")
+    both = structure.relations.keys() & structure.functions.keys()
+    if both:
+        raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
     lines = ["atoms: " + " ".join(structure.atoms)]
     for name in sorted(structure.relations):
         tuples = structure.relations[name]

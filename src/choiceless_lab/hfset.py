@@ -22,8 +22,9 @@ one object however it is built.
 Canonical form: any other set is interned on its member frozenset, which is
 all it holds.  Iterating a set follows that frozenset, an order set by
 memory addresses that no operation here depends on: every consumer collects
-what it visits into a set, which is what keeps programs built on these
-values order-blind.  Only ``repr`` shows members, and it sorts them.
+what it visits into a set, counts it, or asks whether some member
+qualifies, which is what keeps programs built on these values
+order-blind.  Only ``repr`` shows members, and it sorts them.
 
 The convention for every operation applied off its natural domain (for
 example a member query on an atom) is to return ordinal 0.

@@ -565,6 +565,175 @@ def test_compiled_shipped_programs_match_oracle():
         assert assert_runs_agree(doubling, empty_structure(n))[0] == "bound-exceeded"
 
 
+# ------------------------------------------ fast paths against the oracle
+
+# Step 1 of a two-step program fills D/2, U/1 and B/1, some entries at
+# set-valued keys; step 2 reads them through each fast path of the
+# compiler: comprehensions over Atoms whose first conjunct is an indexed
+# lookup, Card counts, "x in { ... }" searches, literal membership and
+# "or" with Boolean and non-Boolean right operands.
+_FILL_VALUES = ("0", "1", "2", "2", "true", "x", "Pair(x, y)", "{ z : z in Atoms : E(x, z) }")
+_FILL_CONDITIONS = ("true", "E(x, y)", "not E(x, y)", "F(x) = y", "x = y", "E(y, x) or F(y) = x")
+# what y ranges over while step 2 reads: atoms, and sets and numbers too
+_OUTER_RANGES = ("Atoms", "Pair(Atoms, 1)", "Union(Pair(Atoms, Pair(2, Atoms)))")
+
+
+# where atoms recur in one argument position of E, so an index bucket
+# holds several atoms
+_DENSE_ATOMS = InputStructure.build(
+    ["a", "b", "c", "d"],
+    relations={"E": [("a", "b"), ("a", "c"), ("b", "b"), ("c", "b"), ("d", "b"), ("d", "d")]},
+    functions={"F": {("a",): "b", ("b",): "c", ("c",): "a", ("d",): "d"}},
+)
+
+
+@st.composite
+def _fill_rules(draw):
+    value = lambda: draw(st.sampled_from(_FILL_VALUES))  # noqa: E731
+    cond = lambda: draw(st.sampled_from(_FILL_CONDITIONS))  # noqa: E731
+    pairwise = [
+        f"if {cond()} then D(x, y) := {value()} endif",
+        f"if {cond()} then D(Pair(x, y), y) := {value()} endif",
+    ]
+    single = [
+        f"if {cond().replace('y', 'x')} then U(x) := {value().replace('y', 'x')} endif",
+        f"U(Pair(x, x)) := {value().replace('y', 'x')}",
+        f"B(x) := {draw(st.sampled_from(['true', 'false', '1', '2', 'F(x)', 'E(x, F(x))']))}",
+        f"D(Atoms, x) := {draw(st.sampled_from(['1', '2', 'x']))}",
+    ]
+    return (
+        "do forall x in Atoms, do in parallel "
+        f"do forall y in Atoms, do in parallel {'; '.join(pairwise)} enddo enddo; "
+        f"{'; '.join(single)} enddo enddo"
+    )
+
+
+@st.composite
+def _indexed_guards(draw, v, o):
+    """A guard on binder ``v`` whose first conjunct is a lookup the
+    compiler may index, with ``o`` as the other argument."""
+    k = draw(st.sampled_from(["0", "1", "2"]))
+    first = draw(
+        st.sampled_from(
+            [
+                f"E({o}, {v})", f"E({v}, {o})", f"E({v}, {v})", f"E({v}, 1)",
+                f"D({o}, {v}) = {k}", f"{k} = D({v}, {o})", f"D({v}, {v}) = {k}",
+                f"D(Pair({o}, {o}), {v}) = {k}", f"D({v}, 2) = {k}", f"D(Atoms, {v}) = {k}",
+                f"B({v})", f"U({v}) = {k}", f"{k} = U({v})", f"U({v})",
+                # the binder inside another argument: no index can serve
+                f"D(F({v}), {v}) = {k}", f"E({v}, F({v}))",
+            ]
+        )
+    )
+    more = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    "true", f"not E({v}, {o})", f"not D({o}, {v})", f"F({v}) = {o}",
+                    f"D({v}, {o}) = 1",
+                    f"1 in D({o}, {v})", f"0 in U({v})", f"2 in B({v})",
+                    f"(E({v}, {o}) or D({o}, {v}) = 1)", f"(D({o}, {v}) or 2)",
+                    f"(D({v}, {o}) or B({v}))", f"({o} in {{ F(w) : w in Atoms : E({v}, w) }})",
+                    f"Card({{ w : w in Atoms : D({v}, w) = 1 }}) = 1",
+                    # binders that shadow v and o
+                    f"1 = Card({{ {v} : {v} in Atoms : D({v}, {o}) = 1 }})",
+                    f"{{ {o} : {o} in Atoms : E({v}, {o}) }} = empty",
+                ]
+            ),
+            max_size=2,
+        )
+    )
+    if not more and first in (f"B({v})", f"U({v})"):
+        more = ["true"]  # a dynamic symbol is no guard on its own
+    return " and ".join([first, *more])
+
+
+@st.composite
+def _reads(draw, o):
+    """A term reading the step-1 tables with ``o`` bound."""
+    v = draw(st.sampled_from(["v", "w", "x"]))  # "x" may shadow o
+    guard = draw(_indexed_guards(v, o))
+    element = draw(st.sampled_from([v, o, f"F({v})", f"Pair({v}, {o})", "0", f"D({o}, {v})"]))
+    wanted = draw(st.sampled_from([o, "0", "1", f"F({o})", f"Pair({o}, {o})"]))
+    return draw(
+        st.sampled_from(
+            [
+                f"{{ {element} : {v} in Atoms : {guard} }}",
+                f"Card({{ {v} : {v} in Atoms : {guard} }})",
+                f"Card({{ {element} : {v} in Atoms : {guard} }})",
+                f"{wanted} in {{ {element} : {v} in Atoms : {guard} }}",
+                f"1 in D({o}, {o})", f"2 in U({o})", f"0 in B({o})",
+                f"D({o}, {o}) or B({o})", f"E({o}, {o}) or 2", f"U({o}) or E({o}, F({o}))",
+                f"not U({o})", f"not B({o}) and not (1 in U({o}))",
+            ]
+        )
+    )
+
+
+@st.composite
+def two_step_programs(draw):
+    fill = draw(_fill_rules())
+    outer = draw(st.sampled_from(_OUTER_RANGES))
+    reads = draw(st.lists(_reads("y"), min_size=1, max_size=3))
+    body = "; ".join(f"R{i}(x, y) := {t}" for i, t in enumerate(reads))
+    halt = draw(_indexed_guards("v", "x"))
+    return (
+        "#steps 3\n#active 200 20\n#requires card\n"
+        f"if Mode = 0 then do in parallel {fill}; Mode := 1 enddo\n"
+        "else do in parallel\n"
+        f"  do forall x in Atoms, do forall y in {outer},\n"
+        f"    do in parallel {body} enddo\n"
+        "  enddo enddo;\n"
+        f"  Output := 0 in {{ 0 : x in Atoms : 0 in {{ 0 : v in Atoms : {halt} }} }};\n"
+        "  Halt := true\n"
+        "enddo endif\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_step_programs(), st.integers(0, 2**32 - 1))
+def test_fast_paths_match_oracle(text, seed):
+    prog = parse_program(text)
+    got = assert_runs_agree(prog, _THREE_ATOMS)
+    assert got is not None and got[0] in ("accept", "reject"), text
+    assert_runs_agree(prog, permuted_structure(_THREE_ATOMS, seed))
+    assert_runs_agree(prog, permuted_structure(_DENSE_ATOMS, seed))
+
+
+def test_indexed_table_read_after_it_changes():
+    """One comprehension reads D through its index in every step while D
+    changes from empty to E to E's transpose; an index kept from an
+    earlier step would repeat that step's set."""
+    prog = parse(
+        "do in parallel\n"
+        "  do forall x in Atoms,\n"
+        "    do in parallel\n"
+        "      R(x, Mode) := { v : v in Atoms : D(x, v) = 1 };\n"
+        "      N(x, Mode) := Card({ v : v in Atoms : D(v, x) = 1 and true })\n"
+        "    enddo\n"
+        "  enddo;\n"
+        "  do forall x in Atoms,\n"
+        "    do forall y in Atoms,\n"
+        "      if Mode = 0 then D(x, y) := E(x, y) else D(x, y) := D(y, x) endif\n"
+        "    enddo\n"
+        "  enddo;\n"
+        "  if Mode = 0 then Mode := 1 endif;\n"
+        "  if Mode = 1 then Mode := 2 endif;\n"
+        "  if Mode = 2 then Halt := true endif\n"
+        "enddo",
+        HEADERS + "#requires card\n",
+    )
+    tables = assert_runs_agree(prog, _THREE_ATOMS)[4]
+    a, b, c = (_THREE_ATOMS.by_name[name] for name in "abc")
+    one, two = ordinal(1), ordinal(2)
+    read = lambda symbol, *args: tables[symbol].get(args, EMPTY)  # noqa: E731
+    # E is (a, b) and (b, c): step 2 reads E, step 3 its transpose
+    assert [read("R", x, one) for x in (a, b, c)] == [make_set([b]), make_set([c]), EMPTY]
+    assert [read("R", x, two) for x in (a, b, c)] == [EMPTY, make_set([a]), make_set([b])]
+    assert [read("N", x, one) for x in (a, b, c)] == [EMPTY, one, one]
+    assert [read("N", x, two) for x in (a, b, c)] == [one, one, EMPTY]
+
+
 _TWO_STEPS = (
     "#steps 3\n#active 20 1\n"
     "if Mode = 0 then\n"

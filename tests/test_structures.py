@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import hfset
-from choiceless_lab.bgs import parse_structure, run, write_structure
+from choiceless_lab.bgs import InputStructure, parse_structure, run, write_structure
 from choiceless_lab.cli import EXIT_OK, EXIT_PARSE, dispatch
-from choiceless_lab.errors import ParseError
+from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import TRUE
 
 from helpers import power_structure
@@ -146,6 +146,67 @@ def test_reader_matches_atom_reader(case):
     }
     assert new.arities == old.arities
     assert parse_structure(write_structure(new)).relations == new.relations
+
+
+# ------------------------------------------------------------- writing back
+
+# names the reader reads, and text it splits, drops or misreads
+ANY_NAMES = st.one_of(NAMES, st.text(st.sampled_from("ab9_.,:()/ \t\n->$"), max_size=4))
+ANY_SYMBOLS = st.one_of(SYMBOLS, NAMES, st.text(st.sampled_from("Eb9_.,/ \n"), max_size=3))
+
+
+@st.composite
+def built_structures(draw):
+    """The arguments of ``InputStructure.build``: any names, relations of
+    arity 0 to 2 and total functions of arity 0 or 1."""
+    atoms = draw(st.lists(ANY_NAMES, unique=True, max_size=4))
+    relations, functions, arities = {}, {}, {}
+    for symbol in draw(st.lists(ANY_SYMBOLS, max_size=4)):
+        if draw(st.booleans()) or not atoms:
+            arity = draw(st.integers(0, 2))
+            universe = list(itertools.product(atoms, repeat=arity))
+            relations[symbol] = draw(st.lists(st.sampled_from(universe))) if universe else []
+        else:
+            arity = draw(st.integers(0, 1))
+            functions[symbol] = {
+                args: draw(st.sampled_from(atoms))
+                for args in itertools.product(atoms, repeat=arity)
+            }
+        arities[symbol] = arity
+    return atoms, relations, functions, arities
+
+
+@settings(max_examples=400, deadline=None)
+@given(built_structures())
+def test_written_structures_read_back(args):
+    """``write_structure`` refuses what it cannot write faithfully, and
+    everything else reads back as the same structure."""
+    try:
+        structure = InputStructure.build(*args)
+    except ValidationError:
+        return
+    try:
+        text = write_structure(structure)
+    except ValidationError:
+        return
+    again = parse_structure(text)
+    assert again.atoms == structure.atoms, text
+    assert again.relations == structure.relations, text
+    assert again.functions == structure.functions, text
+    assert again.arities == structure.arities, text
+
+
+def test_writer_refuses_names_its_reader_misreads():
+    spaced = InputStructure.build(["a b", "c"], relations={"E": [("a b", "c")]})
+    with pytest.raises(ValidationError, match="atom name 'a b'"):
+        write_structure(spaced)
+    with pytest.raises(ValidationError, match="atom name 'a\\\\n'"):
+        write_structure(InputStructure.build(["a\n", "b"]))  # the line would end after "a"
+    with pytest.raises(ValidationError, match="symbol name 'E.1'"):
+        write_structure(InputStructure.build(["a"], relations={"E.1": [("a",)]}))
+    both = InputStructure.build(["a"], relations={"E": [("a",)]}, functions={"E": {("a",): "a"}})
+    with pytest.raises(ValidationError, match="both a relation and a function"):
+        write_structure(both)
 
 
 # ------------------------------------------------------------ atom identity
