@@ -634,7 +634,7 @@ def _vocabulary_check(program: Program, structure: InputStructure) -> None:
             raise ValidationError(
                 f"input symbol {name!r} has arity {declared}, program uses {arity}"
             )
-    for name in program.boolean_static_uses:
+    for name in sorted(program.boolean_static_uses):
         if name not in structure.relations:
             raise ValidationError(
                 f"input symbol {name!r} used as a relation but is not one"

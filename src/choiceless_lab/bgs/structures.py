@@ -18,10 +18,10 @@ Symbol lines may list no tuples (empty relation).  The atom listing order
 is internal bookkeeping only; programs cannot observe it.
 
 :meth:`InputStructure.build` is the one check of a structure, whether it
-comes from a file or from code: unique names, tuple arities, known atoms
-and total functions.  :func:`parse_structure` checks only the text's
-grammar and name syntax, with line numbers, and reports what ``build``
-rejects as a :class:`ParseError`.
+comes from a file or from code: unique names, one kind per symbol, tuple
+arities, known atoms and total functions.  :func:`parse_structure` checks
+only the text's grammar and name syntax, with line numbers, and reports
+what ``build`` rejects as a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -74,19 +74,23 @@ class InputStructure:
         """Construct from plain names: relations as name -> iterable of name
         tuples, functions as name -> dict of name tuple -> name.
 
-        This is the one check of a structure: names are unique, every tuple
-        has its symbol's arity (taken from the first tuple when undeclared),
-        every name is an atom, and every function is total.
+        This is the one check of a structure: names are unique, no symbol
+        is both a relation and a function, every tuple has its symbol's
+        arity (taken from the first tuple when undeclared), every name is an
+        atom (the least unknown one is named), and every function is total.
         """
         atoms = tuple(map(str, atom_names))
         known = frozenset(atoms)
         if len(known) != len(atoms):
             raise ValidationError("atom names must be unique")
+        both = (relations or {}).keys() & (functions or {}).keys()
+        if both:
+            raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
         declared = dict(arities or {})
 
         def check_known(kind, name, tuples):
             if not known.issuperset(itertools.chain.from_iterable(tuples)):
-                unknown = next(x for x in itertools.chain.from_iterable(tuples) if x not in known)
+                unknown = min(x for x in itertools.chain.from_iterable(tuples) if x not in known)
                 raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}")
 
         def resolve(kind, name, tuples):
@@ -198,9 +202,6 @@ def write_structure(structure: InputStructure) -> str:
     for name in itertools.chain(structure.relations, structure.functions):
         if not re.fullmatch(_SYMBOL, name):
             raise ValidationError(f"symbol name {name!r} cannot be written to a structure file")
-    both = structure.relations.keys() & structure.functions.keys()
-    if both:
-        raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
     lines = ["atoms: " + " ".join(structure.atoms)]
     for name in sorted(structure.relations):
         tuples = structure.relations[name]

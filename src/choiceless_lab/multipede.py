@@ -26,17 +26,27 @@ Both decisions read ranks of the incidence matrix packed one int
 per hyperedge, with bit i for the segment at order position i.  A rank
 does not depend on the order of the rows, so no hyperedge order is
 chosen; the segment order is part of a 3-multipede.
+
+The random generator samples hyperedges as positions in the listing of
+all segment triples and unranks each position to its triple, so it never
+lists them.  Flipping two feet keeps the parity of a triple's count of
+``b`` feet, so a hyperedge's positivity class is the four triples whose
+count has the parity of three random sides.  Its output's structure lists
+the segment order pair by pair, so ``STRUCTURE_MAX_TUPLES`` bounds the
+tuples it would list, and a larger request raises ``GuardExceeded``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ValidationError
+from .errors import GuardExceeded, ValidationError
 from .linalg.matrix import _rank_bitrows
 
 __all__ = [
@@ -52,6 +62,12 @@ __all__ = [
     "to_structure",
     "validate",
 ]
+
+# a generated file lists 5n tuples for its n segments, their feet and S,
+# n(n+1)/2 for the segment order and 30 per hyperedge (Hyper and Positive
+# are symmetric): the largest files admitted, 994 segments, or 100 segments
+# with 16,481 hyperedges, take under 2 s to write on a 2-core VM
+STRUCTURE_MAX_TUPLES = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,42 +91,6 @@ class Multipede2:
         for f in sorted(self.feet, key=str):
             by_segment.setdefault(self.segment_of[f], []).append(f)
         return {s: tuple(feet) for s, feet in by_segment.items()}
-
-    @staticmethod
-    def from_representatives(segments, hyperedges, representatives) -> "Multipede2":
-        """Build with feet named ``<segment>a`` / ``<segment>b``, expanding
-        one representative triple per hyperedge into its full positivity
-        class (the triples of even symmetric difference)."""
-        segments = tuple(segments)
-        feet = tuple(f"{s}{side}" for s in segments for side in ("a", "b"))
-        segment_of = {f"{s}{side}": s for s in segments for side in ("a", "b")}
-        positives: set = set()
-        for edge, rep in representatives.items():
-            edge = frozenset(edge)
-            positives.update(_positivity_class(edge, frozenset(rep), segment_of))
-        return Multipede2(segments, feet, segment_of, frozenset(map(frozenset, hyperedges)), frozenset(positives))
-
-
-def _positivity_class(edge, rep, segment_of) -> set:
-    """The four triples with even symmetric difference from the given one."""
-    by_segment = {segment_of[f]: f for f in rep}
-    if frozenset(by_segment) != edge:
-        raise ValidationError(f"representative {set(rep)} does not cover {set(edge)}")
-    pair_of = {}
-    for f, s in segment_of.items():
-        if s in by_segment:
-            pair_of.setdefault(s, set()).add(f)
-    out = set()
-    segs = sorted(edge, key=str)
-    for flip_two in [()] + list(itertools.combinations(segs, 2)):
-        triple = set()
-        for s in segs:
-            chosen = by_segment[s]
-            if s in flip_two:
-                (chosen,) = pair_of[s] - {chosen}
-            triple.add(chosen)
-        out.add(frozenset(triple))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +136,8 @@ class ShodMultipede:
 
 
 def validate(m: Multipede2) -> list:
-    """All axiom violations, each tagged with a name and witnesses."""
+    """All axiom violations, each tagged with a name and witnesses, sorted
+    so that no report depends on the iteration order of a set."""
     out = []
     segments = set(m.segments)
     feet_per_segment = Counter(m.segment_of[f] for f in m.feet)
@@ -170,18 +151,16 @@ def validate(m: Multipede2) -> list:
     for h in m.hyperedges:
         if len(h) != 3 or not h <= segments:
             out.append(("hyperedge-shape", tuple(sorted(h, key=str))))
-    for p in m.positives:
-        if len(p) != 3:
-            out.append(("positive-shape", tuple(sorted(p, key=str))))
-            continue
-        image = frozenset(m.segment_of[f] for f in p)
-        if len(image) != 3 or image not in m.hyperedges:
-            out.append(("positive-image", tuple(sorted(p, key=str))))
     by_edge: dict = {}
     for p in m.positives:
         image = frozenset(m.segment_of[f] for f in p)
-        if len(image) == 3 and image in m.hyperedges:
+        on_edge = len(image) == 3 and image in m.hyperedges
+        if on_edge:
             by_edge.setdefault(image, set()).add(p)
+        if len(p) != 3:
+            out.append(("positive-shape", tuple(sorted(p, key=str))))
+        elif not on_edge:
+            out.append(("positive-image", tuple(sorted(p, key=str))))
     for h in m.hyperedges:
         club = by_edge.get(h, set())
         if len(club) != 4:
@@ -193,7 +172,7 @@ def validate(m: Multipede2) -> list:
                 out.append(
                     ("even-difference", tuple(sorted(p1, key=str)), tuple(sorted(p2, key=str)))
                 )
-    return out
+    return sorted(out)
 
 
 def _incidence_rows(m: Multipede3) -> dict:
@@ -264,37 +243,55 @@ def shoe_expansions(m3: Multipede3):
     return ShodMultipede(m3, f1), ShodMultipede(m3, f2)
 
 
+def _triple_at(rank: int, n: int) -> tuple:
+    """The triple (a, b, c) that ``itertools.combinations(range(n), 3)``
+    lists at position ``rank``.  C(n-1-a, 3) + C(n-1-b, 2) + (n-1-c)
+    triples follow it, and each term is the largest of its form that fits."""
+    later = math.comb(n, 3) - 1 - rank
+    triple = []
+    for size in (3, 2, 1):
+        x = bisect.bisect_right(range(n), later, key=lambda x: math.comb(x, size)) - 1
+        later -= math.comb(x, size)
+        triple.append(n - 1 - x)
+    return tuple(triple)
+
+
 def random_multipede(n_segments: int, n_hyperedges: int, seed) -> Multipede3:
     """Random valid 3-multipede: distinct random hyperedges, a uniformly
-    chosen positivity class per hyperedge, and a shuffled segment order."""
+    chosen positivity class per hyperedge, and a shuffled segment order,
+    made in one pass as the module docstring describes."""
     if n_segments < 1 or n_hyperedges < 0:
         raise ValidationError("need at least one segment and a nonnegative hyperedge count")
     if n_segments < 3 and n_hyperedges > 0:
         raise ValidationError("hyperedges need at least three segments")
-    total = (
-        n_segments * (n_segments - 1) * (n_segments - 2) // 6 if n_segments >= 3 else 0
-    )
+    total = math.comb(n_segments, 3)
     if n_hyperedges > total:
         raise ValidationError(
             f"requested {n_hyperedges} hyperedges, only {total} exist"
         )
+    tuples = 5 * n_segments + n_segments * (n_segments + 1) // 2 + 30 * n_hyperedges
+    if tuples > STRUCTURE_MAX_TUPLES:
+        raise GuardExceeded("multipede.max_tuples", STRUCTURE_MAX_TUPLES, tuples)
     rng = random.Random(seed)
     segments = [f"s{i:02d}" for i in range(n_segments)]
-    combos = list(itertools.combinations(segments, 3))
-    hyperedges = [frozenset(c) for c in rng.sample(combos, n_hyperedges)]
-    representatives = {}
-    for h in hyperedges:
-        rep = frozenset(f"{s}{rng.choice('ab')}" for s in h)
-        representatives[h] = rep
+    hyperedges, positives = [], []
+    for rank in rng.sample(range(total), n_hyperedges):
+        edge = [segments[i] for i in _triple_at(rank, n_segments)]
+        parity = [rng.choice("ab") for _ in edge].count("b") % 2
+        hyperedges.append(frozenset(edge))
+        positives.extend(
+            frozenset(map(str.__add__, edge, sides))
+            for sides in itertools.product("ab", repeat=3)
+            if sides.count("b") % 2 == parity
+        )
     order = segments[:]
     rng.shuffle(order)
-    base = Multipede2.from_representatives(segments, hyperedges, representatives)
     return Multipede3(
-        base.segments,
-        base.feet,
-        base.segment_of,
-        base.hyperedges,
-        base.positives,
+        tuple(segments),
+        tuple(f"{s}{side}" for s in segments for side in "ab"),
+        {f"{s}{side}": s for s in segments for side in "ab"},
+        frozenset(hyperedges),
+        frozenset(positives),
         tuple(order),
     )
 
@@ -318,13 +315,8 @@ def to_structure(pede_or_shod):
         m = pede_or_shod
         shoes = []
     names = [str(s) for s in m.segments] + [str(f) for f in m.feet]
-    seg_pos = {s: i for i, s in enumerate(m.segment_order)}
-    leq = [
-        (str(s), str(t))
-        for s in m.segments
-        for t in m.segments
-        if seg_pos[s] <= seg_pos[t]
-    ]
+    order = m.segment_order
+    leq = [(str(s), str(t)) for i, s in enumerate(order) for t in order[i:]]
     hyper = [
         perm for h in m.hyperedges for perm in itertools.permutations(sorted(h, key=str))
     ]

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import choiceless_lab
 from choiceless_lab.bgs import InputStructure
 from choiceless_lab.cfi import PreGraph, build_twisted, complete_graph
 
@@ -94,3 +99,17 @@ def twin_gadget() -> PreGraph:
     for i, v in enumerate(block):
         edges |= {frozenset({v, pair[i >= len(block) // 2]}) for pair in pairs}
     return PreGraph(plain.vertices, frozenset(edges), plain.preorder)
+
+
+def run_child(args, hash_seed="0", check=True) -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh process that imports this tree."""
+    src = str(Path(choiceless_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        timeout=60,
+        check=check,
+    )

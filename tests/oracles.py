@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -19,7 +20,7 @@ from choiceless_lab.bgs.interp import _accumulate_active
 from choiceless_lab.cfi import _block_token, _edge_token, _pair_token, build_twisted
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import Atom, make_set
-from choiceless_lab.multipede import Multipede3
+from choiceless_lab.multipede import Multipede2, Multipede3
 
 
 def naive_mat_mul(field, m, n, row_order, inner_order, col_order):
@@ -640,3 +641,78 @@ def parse_structure_atoms(text: str) -> AtomStructure:
         return _build_atoms(atom_names, relations, functions, declared)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------- the listing multipede generator
+
+
+def _from_representatives(segments, hyperedges, representatives) -> Multipede2:
+    """Build with feet named ``<segment>a`` / ``<segment>b``, expanding
+    one representative triple per hyperedge into its full positivity
+    class (the triples of even symmetric difference)."""
+    segments = tuple(segments)
+    feet = tuple(f"{s}{side}" for s in segments for side in ("a", "b"))
+    segment_of = {f"{s}{side}": s for s in segments for side in ("a", "b")}
+    positives: set = set()
+    for edge, rep in representatives.items():
+        edge = frozenset(edge)
+        positives.update(_positivity_class(edge, frozenset(rep), segment_of))
+    return Multipede2(segments, feet, segment_of, frozenset(map(frozenset, hyperedges)), frozenset(positives))
+
+
+def _positivity_class(edge, rep, segment_of) -> set:
+    """The four triples with even symmetric difference from the given one."""
+    by_segment = {segment_of[f]: f for f in rep}
+    if frozenset(by_segment) != edge:
+        raise ValidationError(f"representative {set(rep)} does not cover {set(edge)}")
+    pair_of = {}
+    for f, s in segment_of.items():
+        if s in by_segment:
+            pair_of.setdefault(s, set()).add(f)
+    out = set()
+    segs = sorted(edge, key=str)
+    for flip_two in [()] + list(itertools.combinations(segs, 2)):
+        triple = set()
+        for s in segs:
+            chosen = by_segment[s]
+            if s in flip_two:
+                (chosen,) = pair_of[s] - {chosen}
+            triple.add(chosen)
+        out.add(frozenset(triple))
+    return out
+
+
+def random_multipede_listing(n_segments: int, n_hyperedges: int, seed) -> Multipede3:
+    """The generator that lists every segment triple to sample from and
+    expands one representative triple per hyperedge, kept as the
+    differential oracle of ``random_multipede``."""
+    if n_segments < 1 or n_hyperedges < 0:
+        raise ValidationError("need at least one segment and a nonnegative hyperedge count")
+    if n_segments < 3 and n_hyperedges > 0:
+        raise ValidationError("hyperedges need at least three segments")
+    total = (
+        n_segments * (n_segments - 1) * (n_segments - 2) // 6 if n_segments >= 3 else 0
+    )
+    if n_hyperedges > total:
+        raise ValidationError(
+            f"requested {n_hyperedges} hyperedges, only {total} exist"
+        )
+    rng = random.Random(seed)
+    segments = [f"s{i:02d}" for i in range(n_segments)]
+    combos = list(itertools.combinations(segments, 3))
+    hyperedges = [frozenset(c) for c in rng.sample(combos, n_hyperedges)]
+    representatives = {}
+    for h in hyperedges:
+        rep = frozenset(f"{s}{rng.choice('ab')}" for s in h)
+        representatives[h] = rep
+    order = segments[:]
+    rng.shuffle(order)
+    base = _from_representatives(segments, hyperedges, representatives)
+    return Multipede3(
+        base.segments,
+        base.feet,
+        base.segment_of,
+        base.hyperedges,
+        base.positives,
+        tuple(order),
+    )

@@ -5,11 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 import random
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -50,7 +47,14 @@ from choiceless_lab.linalg.matrix import FieldMatrix
 import bgs_oracle
 from bgs_oracle import run_oracle
 from fo_compile import compile_sentence, random_sentence
-from helpers import empty_structure, permuted_structure, power_structure, twin_gadget, x_table
+from helpers import (
+    empty_structure,
+    permuted_structure,
+    power_structure,
+    run_child,
+    twin_gadget,
+    x_table,
+)
 from oracles import active_count, fo_model_check, load_builtin_program
 
 HEADERS = "#steps 10 1\n#active 50 10\n"
@@ -959,20 +963,6 @@ with open("/proc/self/status") as status:
 report = {"verdict": outcome.verdict, "peak_active": outcome.peak_active, "peak_kb": peak_kb}
 print(json.dumps(report))
 """
-
-
-def run_child(args, hash_seed="0") -> subprocess.CompletedProcess:
-    """Run ``python args...`` in a fresh process that imports this tree."""
-    src = str(Path(choiceless_lab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
-        timeout=60,
-        check=True,
-    )
 
 
 def probe(program_text: str) -> tuple:

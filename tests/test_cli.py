@@ -18,7 +18,7 @@ from choiceless_lab.cli import (
     dispatch,
 )
 
-from helpers import twin_gadget
+from helpers import run_child, twin_gadget
 from oracles import flip_feet
 
 
@@ -463,6 +463,96 @@ def test_exit_statuses(tmp_path, capsys):
         capsys,
     )
     assert code == EXIT_USAGE  # seed is mandatory
+
+
+def _gen_multipede(tmp_path, capsys, segments, hyperedges):
+    path = tmp_path / "m.str"
+    argv = ["gen", "multipede", "--segments", str(segments), "--hyperedges", str(hyperedges)]
+    code, report = invoke(argv + ["--seed", "1", "--file", str(path)], capsys)
+    return code, report, path
+
+
+def test_gen_multipede_guard_bounds_the_tuples_written(tmp_path, capsys, monkeypatch):
+    # 6 segments list 5 * 6 + 21 tuples before their hyperedges, 30 each
+    monkeypatch.setattr(multipede, "STRUCTURE_MAX_TUPLES", 5 * 6 + 21 + 30 * 10)
+    code, report, path = _gen_multipede(tmp_path, capsys, 6, 10)
+    assert code == EXIT_OK
+    path.unlink()
+    code, report, path = _gen_multipede(tmp_path, capsys, 6, 11)
+    assert code == EXIT_GUARD
+    assert "multipede.max_tuples" in report["error"]["message"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("segments", [100, 994, 995])
+def test_gen_multipede_one_step_past_the_guard_exits_at_once(tmp_path, capsys, segments):
+    """The largest request the guard admits on this many segments, plus
+    one hyperedge (995 segments admit none)."""
+    fixed = 5 * segments + segments * (segments + 1) // 2
+    hyperedges = (multipede.STRUCTURE_MAX_TUPLES - fixed) // 30 + 1
+    started = time.monotonic()
+    code, report, path = _gen_multipede(tmp_path, capsys, segments, max(hyperedges, 0))
+    assert code == EXIT_GUARD
+    assert report["error"]["kind"] == "guard"
+    assert time.monotonic() - started < 1
+    assert not path.exists()
+
+
+def _broken_multipede_text() -> str:
+    """A shod multipede missing one positive triple on each of four
+    hyperedges: four violations, which sets hold in no fixed order."""
+    m = multipede.random_multipede(8, 12, seed=5)
+    positives = set(m.positives)
+    for h in sorted(m.hyperedges, key=sorted)[:4]:
+        on_h = [p for p in positives if {m.segment_of[f] for f in p} == h]
+        positives.remove(min(on_h, key=sorted))
+    broken = multipede.Multipede3(
+        m.segments, m.feet, m.segment_of, m.hyperedges, frozenset(positives), m.segment_order
+    )
+    shoe = m.feet_of(m.first_segment)[0]
+    return write_structure(multipede.to_structure(multipede.ShodMultipede(broken, shoe)))
+
+
+_FUNCTIONS_AS_GUARDS = """#steps 2
+#active 10
+do in parallel
+  if F then Halt := true endif;
+  if G then Halt := true endif;
+  if H then Output := true endif
+enddo
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """A report that names one of several faults names the same one, and
+    lists several in the same order, under every hash seed."""
+    files = {
+        "pede.str": _broken_multipede_text(),
+        "unknown.str": "atoms: a b\nrel E/2: (a,x1) (a,x2) (b,x3) (x4,b) (x5,a)\n",
+        "fgh.str": "atoms: a b\nfun F/0: ()->a\nfun G/0: ()->a\nfun H/0: ()->b\n",
+        "fgh.bgs": _FUNCTIONS_AS_GUARDS,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    pede, unknown, fgh, program = (str(tmp_path / name) for name in files)
+    commands = [
+        (["validate", "multipede", "--input", pede], "four-of-eight"),
+        (["iso", "multipede3", "--a", pede, "--b", pede], "four-of-eight"),
+        (["validate", "structure", "--input", unknown], "unknown atom 'x1'"),
+        (["bgs", "run", "--program", program, "--input", fgh], "symbol 'F' used as a relation"),
+    ]
+    first = {}
+    for argv, expected in commands:
+        reports = []
+        for seed in "01234":
+            child = ["-c", "from choiceless_lab.cli import main; main()", *argv]
+            report = json.loads(run_child(child, seed, check=False).stdout)
+            report.pop("timing_seconds")
+            reports.append(report)
+        assert all(report == reports[0] for report in reports), argv
+        assert expected in json.dumps(reports[0]), argv
+        first[argv[1]] = reports[0]
+    assert len(first["multipede"]["result"]["violations"]) == 4
 
 
 @pytest.mark.parametrize(

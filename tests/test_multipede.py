@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,9 @@ from choiceless_lab.bgs import parse_structure, write_structure
 from choiceless_lab.errors import ValidationError
 from choiceless_lab.linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
 from choiceless_lab.multipede import (
-    Multipede2,
     Multipede3,
     ShodMultipede,
+    _triple_at,
     from_structure,
     from_structure_lenient,
     is_odd,
@@ -26,23 +30,29 @@ from choiceless_lab.multipede import (
     validate,
 )
 
-from oracles import automorphism_count, brute_force_iso, flip_feet
+from helpers import run_child
+from oracles import automorphism_count, brute_force_iso, flip_feet, random_multipede_listing
 
 
 def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
-    """Deterministic multipede with given hyperedges; representative
-    triples chosen by a seeded generator."""
+    """Deterministic multipede with given hyperedges; each positivity class
+    is the four triples whose count of ``b`` feet has the parity of three
+    sides drawn by a seeded generator."""
     rng = random.Random(seed)
-    reps = {
-        frozenset(h): frozenset(f"{s}{rng.choice('ab')}" for s in h) for h in hyperedges
-    }
-    base = Multipede2.from_representatives(segments, [frozenset(h) for h in hyperedges], reps)
+    positives = set()
+    for h in hyperedges:
+        parity = [rng.choice("ab") for _ in h].count("b") % 2
+        positives.update(
+            frozenset(map(str.__add__, h, sides))
+            for sides in itertools.product("ab", repeat=3)
+            if sides.count("b") % 2 == parity
+        )
     return Multipede3(
-        base.segments,
-        base.feet,
-        base.segment_of,
-        base.hyperedges,
-        base.positives,
+        tuple(segments),
+        tuple(f"{s}{side}" for s in segments for side in "ab"),
+        {f"{s}{side}": s for s in segments for side in "ab"},
+        frozenset(map(frozenset, hyperedges)),
+        frozenset(positives),
         tuple(order or segments),
     )
 
@@ -67,6 +77,68 @@ def test_generator_determinism():
 def test_generator_infeasible_parameters():
     with pytest.raises(ValidationError):
         random_multipede(4, 5, seed=0)  # only four 3-subsets exist
+
+
+def test_triple_at_unranks_the_listing():
+    for n in range(16):
+        listing = list(itertools.combinations(range(n), 3))
+        assert [_triple_at(rank, n) for rank in range(len(listing))] == listing
+
+
+def _sweep():
+    """(n, k, seed) over n = 1..12, 20, 40 and 80, from no hyperedge to
+    every triple where there are at most 240, and seeds 0 to 5."""
+    for n in [*range(1, 13), 20, 40, 80]:
+        total = math.comb(n, 3)
+        ks = {0, 1, n // 2, n, 2 * n, 3 * n, total // 2, total}
+        for k in sorted(k for k in ks if k <= min(total, 240)):
+            for seed in range(6):
+                yield n, k, seed
+
+
+def _digest(m) -> list:
+    text = write_structure(to_structure(m))
+    return [hashlib.sha256(text.encode()).hexdigest(), is_odd(m)]
+
+
+_SWEEP_CHILD = """
+import hashlib, json, sys
+from choiceless_lab.bgs import write_structure
+from choiceless_lab.multipede import is_odd, random_multipede, to_structure
+out = []
+for n, k, seed in json.loads(sys.argv[1]):
+    m = random_multipede(n, k, seed)
+    text = write_structure(to_structure(m))
+    out.append([hashlib.sha256(text.encode()).hexdigest(), is_odd(m)])
+print(json.dumps(out))
+"""
+
+
+def test_generator_matches_the_listing_generator():
+    """Unranking sampled positions and picking classes by parity writes
+    the file that listing every triple and expanding representatives
+    wrote, under any hash seed."""
+    cases = list(_sweep())
+    expected = []
+    for n, k, seed in cases:
+        m, old = random_multipede(n, k, seed), random_multipede_listing(n, k, seed)
+        assert write_structure(to_structure(m)) == write_structure(to_structure(old)), (n, k, seed)
+        assert is_odd(m) == is_odd(old), (n, k, seed)
+        assert shoe_expansions(m)[0].shoe == shoe_expansions(old)[0].shoe
+        expected.append(_digest(old))
+    for hash_seed in "01":
+        child = run_child(["-c", _SWEEP_CHILD, json.dumps(cases)], hash_seed)
+        assert json.loads(child.stdout) == expected, hash_seed
+
+
+def test_generator_lists_no_triples():
+    tracemalloc.start()
+    try:
+        random_multipede(300, 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_validate_four_of_eight_violation():

@@ -204,9 +204,8 @@ def test_writer_refuses_names_its_reader_misreads():
         write_structure(InputStructure.build(["a\n", "b"]))  # the line would end after "a"
     with pytest.raises(ValidationError, match="symbol name 'E.1'"):
         write_structure(InputStructure.build(["a"], relations={"E.1": [("a",)]}))
-    both = InputStructure.build(["a"], relations={"E": [("a",)]}, functions={"E": {("a",): "a"}})
     with pytest.raises(ValidationError, match="both a relation and a function"):
-        write_structure(both)
+        InputStructure.build(["a"], relations={"E": [("a",)]}, functions={"E": {("a",): "a"}})
 
 
 # ------------------------------------------------------------ atom identity
