@@ -21,7 +21,6 @@ from .bgs import parse_program, parse_structure, run, write_structure
 from .errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
 from .linalg import (
     IntMatrix,
-    det_prime_divisors,
     frequency_experiment,
     gf,
     nonsingular_int,
@@ -30,7 +29,7 @@ from .linalg import (
     random_matrix,
     rank_gaussian,
 )
-from .linalg.intmatrix import scan_width
+from .linalg.intmatrix import determinant, scanned_primes
 from .linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 EXIT_OK = 0
@@ -242,15 +241,13 @@ def _cmd_solve_det(args) -> dict:
             raise _UsageError("--method needs a field matrix")
         if not args.prime_divisors:
             return {"method": "crt", "nonsingular": nonsingular_int(m)}
-        divisors = det_prime_divisors(m)
-        n = scan_width(m)
-        # the determinant is zero exactly when all 2 n**2 scanned primes divide it
-        zero = len(divisors) == 2 * n * n
+        primes = scanned_primes(m)  # the guard, before any arithmetic
+        det = determinant(m)
         return {
             "method": "crt",
-            "nonsingular": not zero,
-            "prime_divisors": sorted(divisors),
-            "determinant_zero": zero,
+            "nonsingular": det != 0,
+            "prime_divisors": [p for p in primes if det % p == 0],
+            "determinant_zero": det == 0,
         }
     if args.prime_divisors:
         raise _UsageError("--prime-divisors needs an integer matrix")

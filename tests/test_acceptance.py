@@ -282,7 +282,7 @@ def test_criterion_09_integer_crt_test():
             index_set=set(range(n)),
         )
         assert nonsingular_int(m) == (bareiss_det(rows) != 0)
-    # engineered singular instances keep the full scan honest
+    # engineered singular instances: the determinant must come out exactly 0
     for n in (2, 3):
         rows = [[rng.randrange(-7, 8) for _ in range(n)] for _ in range(n - 1)]
         rows.append(rows[0][:])
@@ -307,7 +307,7 @@ def test_criterion_09_integer_crt_test():
     assert elapsed < 30.0
     record_criterion(
         9,
-        "prime-scan singularity test matches the exact determinant",
+        "integer singularity and prime divisors match the Bareiss determinant",
         f"200 + {divisor_checks} matrices, {elapsed:.1f}s",
     )
 

@@ -17,6 +17,7 @@ from choiceless_lab.cli import (
     EXIT_USAGE,
     dispatch,
 )
+from choiceless_lab.linalg import intmatrix, sieve_first_primes
 
 from helpers import run_child, twin_gadget
 from oracles import flip_feet
@@ -183,6 +184,23 @@ def test_validate_multipede_rejects_leq_that_is_not_the_segment_order(tmp_path, 
     assert "Leq is not a linear order" in report["error"]["message"]
 
 
+def test_positive_on_a_non_foot_is_a_violation(tmp_path, capsys):
+    """A Positive tuple naming a segment is reported, not looked up."""
+    path = tmp_path / "p.str"
+    argv = ["gen", "multipede", "--segments", "3", "--hyperedges", "1", "--seed", "1"]
+    code, _ = invoke(argv + ["--shoe", "--file", str(path)], capsys)
+    assert code == EXIT_OK
+    text = path.read_text().replace("rel Positive/3:", "rel Positive/3: (s00,s01a,s02a)")
+    path.write_text(text)
+    code, report = invoke(["validate", "multipede", "--input", str(path)], capsys)
+    assert code == EXIT_OK
+    assert report["result"]["valid"] is False
+    assert report["result"]["violations"] == [["positive-image", "('s00', 's01a', 's02a')"]]
+    code, report = invoke(["iso", "multipede3", "--a", str(path), "--b", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert "positive-image" in report["error"]["message"]
+
+
 def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):
     a = tmp_path / "a.str"
     code, report = invoke(
@@ -274,16 +292,14 @@ def test_solve_det_integer_crt(tmp_path, capsys):
 
 
 def test_solve_det_prime_divisors_scans_once(tmp_path, capsys, monkeypatch):
-    from choiceless_lab.linalg import intmatrix
-
     calls = []
-    original = intmatrix._nonsingular_mod
+    original = intmatrix._power_sums
 
-    def counting(m, p, power_sums):
-        calls.append(p)
-        return original(m, p, power_sums)
+    def counting(m):
+        calls.append(m)
+        return original(m)
 
-    monkeypatch.setattr(intmatrix, "_nonsingular_mod", counting)
+    monkeypatch.setattr(intmatrix, "_power_sums", counting)
     # singular, digit count 3: n = 3, so the scan covers the first 18 primes
     path = tmp_path / "sing.mat"
     path.write_text("ring Z\nrows i0 i1\nsquare\ni0 i0 2\ni0 i1 4\ni1 i0 1\ni1 i1 2\n")
@@ -292,8 +308,74 @@ def test_solve_det_prime_divisors_scans_once(tmp_path, capsys, monkeypatch):
     assert list(report["result"]) == ["method", "nonsingular", "prime_divisors", "determinant_zero"]
     assert report["result"]["determinant_zero"] is True
     assert report["result"]["nonsingular"] is False
-    assert len(calls) == 2 * 3 * 3
-    assert report["result"]["prime_divisors"] == sorted(calls)
+    assert len(calls) == 1
+    assert report["result"]["prime_divisors"] == sieve_first_primes(2 * 3 * 3)
+    calls.clear()
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert report["result"] == {"method": "crt", "nonsingular": False}
+    assert len(calls) == 1
+
+
+def _write_int_matrix(path, rows):
+    lines = ["ring Z", "rows " + " ".join(f"i{k}" for k in range(len(rows))), "square"]
+    for i, row in enumerate(rows):
+        lines += [f"i{i} i{j} {v}" for j, v in enumerate(row) if v]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_solve_det_decides_wide_entries_at_once(tmp_path, capsys):
+    """A singular 2x2 matrix of 1000-bit entries: the verdict sieves no
+    primes, where a scan of this width would list 2 * 1000**2 of them."""
+    big = 2**1000 - 3
+    path = tmp_path / "wide.mat"
+    _write_int_matrix(path, [[big, 2 * big], [big + 1, 2 * big + 2]])
+    started = time.monotonic()
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert time.monotonic() - started < 1
+    assert code == EXIT_OK
+    assert report["result"] == {"method": "crt", "nonsingular": False}
+
+
+def test_prime_divisors_guard_bounds_the_scan_width(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(intmatrix, "SCAN_MAX_WIDTH", 4)
+    path = tmp_path / "z.mat"
+    _write_int_matrix(path, [[15, 0], [0, 1]])  # digit count 4
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_OK
+    assert report["result"]["prime_divisors"] == [3, 5]
+    _write_int_matrix(path, [[16, 0], [0, 1]])  # digit count 5
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_GUARD
+    assert "det.scan_width" in report["error"]["message"]
+    # the verdict alone scans no primes, so the guard does not apply
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert code == EXIT_OK
+    assert report["result"] == {"method": "crt", "nonsingular": True}
+
+
+@pytest.mark.parametrize("past", ["digits", "dimension"])
+def test_prime_divisors_one_step_past_the_guard_exits_at_once(tmp_path, capsys, past):
+    width = intmatrix.SCAN_MAX_WIDTH + 1
+    if past == "digits":
+        rows = [[2**width - 1]]
+    else:
+        rows = [[int(i == j) for j in range(width)] for i in range(width)]
+    path = tmp_path / "z.mat"
+    _write_int_matrix(path, rows)
+    started = time.monotonic()
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_GUARD
+    assert report["error"]["kind"] == "guard"
+    assert time.monotonic() - started < 1
+
+
+def test_prime_divisors_at_the_guard_lists_the_whole_scan(tmp_path, capsys):
+    path = tmp_path / "z.mat"
+    _write_int_matrix(path, [[2**intmatrix.SCAN_MAX_WIDTH - 1]])
+    code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+    assert code == EXIT_OK
+    # 2**256 - 1 is the product of the Fermat numbers F0 .. F7
+    assert report["result"]["prime_divisors"][:3] == [3, 5, 17]
 
 
 # every .mat rejection: (text, line the error names, or None at end of input)

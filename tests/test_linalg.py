@@ -32,8 +32,7 @@ from choiceless_lab.linalg import (
     transpose,
     zp,
 )
-from choiceless_lab.linalg import intmatrix
-from choiceless_lab.linalg.intmatrix import scan_width
+from choiceless_lab.linalg.intmatrix import determinant, scan_width
 from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 from oracles import (
@@ -571,11 +570,10 @@ def test_nonsingular_int_matches_exact_determinant():
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_prime_decision_matches_group_order_and_leibniz(data):
-    n = data.draw(st.integers(min_value=1, max_value=4))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(-(2**40), 2**40)
     rows = data.draw(
-        st.lists(
-            st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=n, max_size=n
-        )
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
     if data.draw(st.booleans()):  # make it singular over Z
         dst = data.draw(st.integers(0, n - 1))
@@ -590,14 +588,15 @@ def test_prime_decision_matches_group_order_and_leibniz(data):
         {(labels[i], labels[j]): rows[i][j] for i in range(n) for j in range(n)},
         index_set=labels,
     )
-    sums = intmatrix._power_sums(plain)
-    assert intmatrix._power_sums(renamed) == sums
-    # 2 and 3 are at most |I| for the larger sizes, 5 .. 13 exceed it
+    det = determinant(plain)
+    assert det == bareiss_det(rows)
+    assert determinant(renamed) == det
+    # the exact determinant against the field route: 2 and 3 are at most
+    # |I| for the larger sizes, where Newton's identities mod p would fail
     for p in sieve_first_primes(6):
-        got = intmatrix._nonsingular_mod(plain, p, sums)
-        assert got == nonsingular_square(zp(p), plain.reduce_mod(p))
-        assert got == (leibniz_det_mod(rows, p) != 0)
-        assert intmatrix._nonsingular_mod(renamed, p, sums) == got
+        assert nonsingular_square(zp(p), plain.reduce_mod(p)) == (det % p != 0)
+        assert nonsingular_square(zp(p), renamed.reduce_mod(p)) == (det % p != 0)
+        assert leibniz_det_mod(rows, p) == det % p
 
 
 def test_det_prime_divisors_examples():
