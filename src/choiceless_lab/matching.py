@@ -61,9 +61,9 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.a_side & self.b_side:
             raise ValidationError("the two sides must be disjoint")
-        for a, b in self.edges:
-            if a not in self.a_side or b not in self.b_side:
-                raise ValidationError(f"edge {(a, b)} leaves the vertex sets")
+        bad = [(a, b) for a, b in self.edges if a not in self.a_side or b not in self.b_side]
+        if bad:
+            raise ValidationError(f"edge {min(bad)} leaves the vertex sets")
 
     @staticmethod
     def build(a_side, b_side, edges) -> "BipartiteGraph":

@@ -15,12 +15,15 @@ triviality of the GF(2) column kernel of the hyperedge incidence matrix;
 the automorphisms are exactly the foot flips along kernel vectors, so odd
 structures are rigid.
 
-Isomorphism with shoes: a base matching pairs left feet with left feet
-(an auxiliary fixed order on foot names separates the two feet; the shoe
-is declared left regardless).  Every candidate matching flips the base at
-some segment set avoiding the shoe's segment, and the positivity defects
-of the base matching give a GF(2) linear system whose solvability under
-that avoidance constraint decides isomorphism.
+Isomorphism with shoes: the four positive triples over a hyperedge differ
+two feet at a time, so they agree on the parity of their right feet (an
+auxiliary fixed order on foot names separates the two feet; the shoe is
+declared left regardless).  That one bit per hyperedge is all a shod
+multipede holds beyond its skeleton.  Flipping the feet at a segment set
+X changes each hyperedge's bit by the parity of its overlap with X, so
+isomorphism, with X avoiding the shoe's segment, is the solvability of a
+GF(2) linear system whose right-hand side is the XOR of the two
+multipedes' bits.
 
 Both decisions read ranks of the incidence matrix packed one int
 per hyperedge, with bit i for the segment at order position i.  A rank
@@ -121,19 +124,6 @@ class ShodMultipede:
         if self.pede.segment_of[self.shoe] != self.pede.first_segment:
             raise ValidationError("the shoe must sit on the first segment")
 
-    def left_foot(self, segment) -> str:
-        """The auxiliary-order-first foot, except that the shoe is always
-        the left foot of its segment."""
-        f1, f2 = self.pede.feet_of(segment)
-        if self.shoe in (f1, f2):
-            return self.shoe
-        return f1
-
-    def right_foot(self, segment) -> str:
-        f1, f2 = self.pede.feet_of(segment)
-        left = self.left_foot(segment)
-        return f2 if left == f1 else f1
-
 
 def validate(m: Multipede2) -> list:
     """All axiom violations, each tagged with a name and witnesses, sorted
@@ -175,65 +165,50 @@ def validate(m: Multipede2) -> list:
     return sorted(out)
 
 
-def _incidence_rows(m: Multipede3) -> dict:
-    """The hyperedge incidence matrix over GF(2) as packed rows: one int
-    per hyperedge, bit i standing for the segment at order position i."""
-    bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
-    return {h: sum(map(bit.__getitem__, h)) for h in m.hyperedges}
-
-
 def is_odd(m: Multipede3) -> bool:
     """Whether every nonempty segment set meets some hyperedge oddly: the
     incidence matrix must have full column rank."""
     if not m.segments:
         raise ValidationError("a multipede needs at least one segment")
-    return _rank_bitrows(_incidence_rows(m).values()) == len(m.segment_order)
+    bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
+    rows = [sum(map(bit.__getitem__, h)) for h in m.hyperedges]
+    return _rank_bitrows(rows) == len(m.segment_order)
 
 
-def _base_matching(a: ShodMultipede, b: ShodMultipede) -> dict:
-    """Left feet to left feet, right to right, segment by order position."""
-    mu = {}
-    for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
-        mu[a.left_foot(sa)] = b.left_foot(sb)
-        mu[a.right_foot(sa)] = b.right_foot(sb)
-    return mu
-
-
-def _defect(a: ShodMultipede, b: ShodMultipede) -> dict:
-    """Per hyperedge of ``a``: 0 when the base matching preserves
-    positivity there, 1 otherwise."""
-    mu = _base_matching(a, b)
-    reps: dict = {}
-    for p in a.pede.positives:
-        reps.setdefault(frozenset(a.pede.segment_of[f] for f in p), p)
-    defect = {}
-    for h in a.pede.hyperedges:
-        rep = reps.get(h)
-        if rep is None:
-            raise ValidationError("hyperedge without positive triples; validate first")
-        defect[h] = int(frozenset(mu[f] for f in rep) not in b.pede.positives)
-    return defect
+def _parities(shod: ShodMultipede) -> dict:
+    """Each hyperedge's incidence row, bit i for the segment at order
+    position i, mapped to the parity of the right feet in its positive
+    triples.  The left foot of a segment is the shoe on the shoe's segment
+    and the name-first foot everywhere else."""
+    m = shod.pede
+    right = {m.feet_of(s)[1] for s in m.segment_order[1:]}
+    right.update(f for f in m.feet_of(m.first_segment) if f != shod.shoe)
+    # a foot weighs 4 times its segment's bit, plus 1 for a right foot, so a
+    # triple's total is 4 times its row plus its count of right feet (< 4)
+    position = {s: i for i, s in enumerate(m.segment_order)}
+    weight = {f: 4 << position[m.segment_of[f]] | (f in right) for f in m.feet}
+    totals = (sum(map(weight.__getitem__, p)) for p in m.positives)
+    return {total >> 2: total & 1 for total in totals}
 
 
 def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
     """Isomorphism of shod 3-multipedes by one GF(2) linear system.
 
-    Candidate matchings are the base matching flipped at a segment set X;
-    preserving positivity forces the incidence system A x = v, and keeping
-    the shoe fixed forces X to avoid the first segment, the extra equation
-    x_0 = 0.  The segment orders align the two skeletons, which must have
-    the same incidence rows.  The system is solvable exactly when
-    appending v as bit n leaves the rank unchanged (Rouché–Capelli).
+    The segment orders align the two skeletons, which must have the same
+    incidence rows.  Matching left feet to left feet, except at a segment
+    set X, preserves positivity exactly when A x = v, where v is the XOR of
+    the two multipedes' parity bits; keeping the shoe fixed forces X to
+    avoid the first segment, the extra equation x_0 = 0.  The system is
+    solvable exactly when appending v as bit n leaves the rank unchanged
+    (Rouché–Capelli).
     """
     n = len(a.pede.segment_order)
-    rows = _incidence_rows(a.pede)
-    skeleton = set(_incidence_rows(b.pede).values())
-    if n != len(b.pede.segment_order) or set(rows.values()) != skeleton:
+    pa, pb = _parities(a), _parities(b)
+    if n != len(b.pede.segment_order) or pa.keys() != pb.keys():
         return False
-    defect = _defect(a, b)
     shoe = 1  # x_0 = 0 keeps the shoe on its foot
-    augmented = [row | defect[h] << n for h, row in rows.items()]
-    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*rows.values(), shoe])
+    augmented = [row | (pa[row] ^ pb[row]) << n for row in pa]
+    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*pa, shoe])
 
 
 def shoe_expansions(m3: Multipede3):

@@ -20,6 +20,7 @@ from choiceless_lab.bgs.interp import _accumulate_active
 from choiceless_lab.cfi import _block_token, _edge_token, _pair_token, build_twisted
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import Atom, make_set
+from choiceless_lab.linalg.matrix import _rank_bitrows
 from choiceless_lab.multipede import Multipede2, Multipede3
 
 
@@ -409,6 +410,23 @@ def twist_parity_by_labelling(g, order):
     return bad % 2
 
 
+def left_foot(shod, segment):
+    """The name-first foot of a segment, except that the shoe is always
+    the left foot of its segment."""
+    m = shod.pede
+    f1, f2 = sorted((f for f in m.feet if m.segment_of[f] == segment), key=str)
+    if shod.shoe in (f1, f2):
+        return shod.shoe
+    return f1
+
+
+def right_foot(shod, segment):
+    m = shod.pede
+    f1, f2 = sorted((f for f in m.feet if m.segment_of[f] == segment), key=str)
+    left = left_foot(shod, segment)
+    return f2 if left == f1 else f1
+
+
 def brute_force_iso(a, b) -> bool:
     """Isomorphism of two shod multipedes by exhaustive matching search,
     shoe to shoe: flip any subset of the non-first segments of the base
@@ -428,8 +446,8 @@ def brute_force_iso(a, b) -> bool:
     for bits in itertools.product((0, 1), repeat=n - 1):
         mapping = {}
         for pos, (sa, sb) in enumerate(zip(a.pede.segment_order, b_order)):
-            la, ra = a.left_foot(sa), a.right_foot(sa)
-            lb, rb = b.left_foot(sb), b.right_foot(sb)
+            la, ra = left_foot(a, sa), right_foot(a, sa)
+            lb, rb = left_foot(b, sb), right_foot(b, sb)
             if pos > 0 and bits[pos - 1]:
                 lb, rb = rb, lb
             mapping[la], mapping[ra] = lb, rb
@@ -439,6 +457,52 @@ def brute_force_iso(a, b) -> bool:
         ):
             return True
     return False
+
+
+def _incidence_rows(m) -> dict:
+    bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
+    return {h: sum(map(bit.__getitem__, h)) for h in m.hyperedges}
+
+
+def _base_matching(a, b) -> dict:
+    """Left feet to left feet, right to right, segment by order position."""
+    mu = {}
+    for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
+        mu[left_foot(a, sa)] = left_foot(b, sb)
+        mu[right_foot(a, sa)] = right_foot(b, sb)
+    return mu
+
+
+def _defect(a, b) -> dict:
+    """Per hyperedge of ``a``: 0 when the base matching preserves
+    positivity there, 1 otherwise."""
+    mu = _base_matching(a, b)
+    reps: dict = {}
+    for p in a.pede.positives:
+        reps.setdefault(frozenset(a.pede.segment_of[f] for f in p), p)
+    defect = {}
+    for h in a.pede.hyperedges:
+        rep = reps.get(h)
+        if rep is None:
+            raise ValidationError("hyperedge without positive triples; validate first")
+        defect[h] = int(frozenset(mu[f] for f in rep) not in b.pede.positives)
+    return defect
+
+
+def iso3_by_base_matching(a, b) -> bool:
+    """Isomorphism of shod 3-multipedes from an explicit foot-to-foot base
+    matching: one representative image triple per hyperedge gives the
+    defect vector v of the system A x = v, x_0 = 0, kept as the
+    differential oracle of the parity-bit decider."""
+    n = len(a.pede.segment_order)
+    rows = _incidence_rows(a.pede)
+    skeleton = set(_incidence_rows(b.pede).values())
+    if n != len(b.pede.segment_order) or set(rows.values()) != skeleton:
+        return False
+    defect = _defect(a, b)
+    shoe = 1  # x_0 = 0 keeps the shoe on its foot
+    augmented = [row | defect[h] << n for h, row in rows.items()]
+    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*rows.values(), shoe])
 
 
 # ------------------------------------------- helpers the library dropped

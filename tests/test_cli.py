@@ -613,15 +613,20 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "unknown.str": "atoms: a b\nrel E/2: (a,x1) (a,x2) (b,x3) (x4,b) (x5,a)\n",
         "fgh.str": "atoms: a b\nfun F/0: ()->a\nfun G/0: ()->a\nfun H/0: ()->b\n",
         "fgh.bgs": _FUNCTIONS_AS_GUARDS,
+        "edges.str": (
+            "atoms: a1 a2 b1 b2 c1 c2\nrel InA/1: (a1) (a2)\nrel InB/1: (b1) (b2)\n"
+            "rel R/2: (a1,b1) (b1,a1) (c1,c2) (a2,c1) (b2,a2) (c2,b2)\n"
+        ),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    pede, unknown, fgh, program = (str(tmp_path / name) for name in files)
+    pede, unknown, fgh, program, edges = (str(tmp_path / name) for name in files)
     commands = [
         (["validate", "multipede", "--input", pede], "four-of-eight"),
         (["iso", "multipede3", "--a", pede, "--b", pede], "four-of-eight"),
         (["validate", "structure", "--input", unknown], "unknown atom 'x1'"),
         (["bgs", "run", "--program", program, "--input", fgh], "symbol 'F' used as a relation"),
+        (["solve", "matching", "--input", edges], "edge ('a2', 'c1') leaves"),
     ]
     first = {}
     for argv, expected in commands:

@@ -31,7 +31,15 @@ from choiceless_lab.multipede import (
 )
 
 from helpers import run_child
-from oracles import automorphism_count, brute_force_iso, flip_feet, random_multipede_listing
+from oracles import (
+    automorphism_count,
+    brute_force_iso,
+    flip_feet,
+    iso3_by_base_matching,
+    left_foot,
+    random_multipede_listing,
+    right_foot,
+)
 
 
 def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
@@ -442,8 +450,8 @@ def iso_by_elimination(a: ShodMultipede, b: ShodMultipede) -> bool:
         return False
     mu = {}
     for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
-        mu[a.left_foot(sa)] = b.left_foot(sb)
-        mu[a.right_foot(sa)] = b.right_foot(sb)
+        mu[left_foot(a, sa)] = left_foot(b, sb)
+        mu[right_foot(a, sa)] = right_foot(b, sb)
     position = {s: i for i, s in enumerate(a.pede.segment_order)}
     rhs = {}
     for p in a.pede.positives:
@@ -513,3 +521,31 @@ def test_packed_rank_matches_elimination_under_renaming(n, k, style, seed):
     assert verdicts == (rank == n, 2 ** (n - rank), iso_by_elimination(a, b))
     a2, b2 = rename(a, rng), rename(b, rng)
     assert (is_odd(a2.pede), automorphism_count(a2.pede), iso3_decide(a2, b2)) == verdicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 20),
+    st.sampled_from(["flip", "shoe", "twist"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_parity_bits_match_the_base_matching_under_renaming(n, k, style, seed):
+    """b is a with the feet flipped on random segments, the other shoe
+    expansion, or a with one hyperedge's positive class switched; fresh
+    names reverse the two feet's name order on random segments."""
+    rng = random.Random(seed)
+    m = random_multipede(n, min(k, math.comb(n, 3)), seed=rng.randrange(10**6))
+    a, a_other = shoe_expansions(m)
+    if style == "flip":
+        b = ShodMultipede(flip_feet(m, [s for s in m.segments if rng.random() < 0.5]), a.shoe)
+    elif style == "shoe":
+        b = a_other
+    else:
+        hyperedges = sorted(m.hyperedges, key=sorted)
+        b = ShodMultipede(twist(m, rng.sample(hyperedges, min(1, len(hyperedges)))), a.shoe)
+    a, b = rename(a, rng), rename(b, rng)
+    verdict = iso3_decide(a, b)
+    assert verdict == iso3_by_base_matching(a, b)
+    if n <= 6:
+        assert verdict == brute_force_iso(a, b)
