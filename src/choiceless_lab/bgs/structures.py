@@ -6,7 +6,9 @@ tuples to names).  Atoms belong to the set machine.  A structure makes
 them on first use, one :class:`~choiceless_lab.hfset.Atom` per name, and
 keeps them in :attr:`InputStructure.by_name`, so every run on one
 structure shares its atoms and ``by_name`` names a run's atoms.  The
-deciders read names only and never make an atom.
+deciders read names only and never make an atom.  A structure holds one
+string per atom: every name in its relation tuples and function tables is
+the very string in :attr:`InputStructure.atoms`.
 
 File format, whitespace separated, ``//`` comments allowed::
 
@@ -22,6 +24,9 @@ comes from a file or from code: unique names, one kind per symbol, tuple
 arities, known atoms and total functions.  :func:`parse_structure` checks
 only the text's grammar and name syntax, with line numbers, and reports
 what ``build`` rejects as a :class:`ParseError`.
+
+:func:`preorder_classes` reads a total pre-order listed pair by pair, a
+gadget's ``Pre`` or a multipede's ``Leq``, from its degree counts.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import ParseError, ValidationError
 from ..hfset import Atom
 
-__all__ = ["InputStructure", "parse_structure", "write_structure"]
+__all__ = ["InputStructure", "parse_structure", "preorder_classes", "write_structure"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,24 +85,28 @@ class InputStructure:
         is both a relation and a function, every tuple has its symbol's
         arity (taken from the first tuple when undeclared), every name is an
         atom (the least unknown one is named), and every function is total.
+        The lookup that checks a name also swaps it for the atom's string.
         """
         atoms = tuple(map(str, atom_names))
-        known = frozenset(atoms)
-        if len(known) != len(atoms):
+        shared = dict(zip(atoms, atoms))  # each name -> the atoms tuple's own string
+        if len(shared) != len(atoms):
             raise ValidationError("atom names must be unique")
         both = (relations or {}).keys() & (functions or {}).keys()
         if both:
             raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
         declared = dict(arities or {})
 
-        def check_known(kind, name, tuples):
-            if not known.issuperset(itertools.chain.from_iterable(tuples)):
-                unknown = min(x for x in itertools.chain.from_iterable(tuples) if x not in known)
-                raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}")
+        def share(kind, name, tuples) -> list:
+            """Every name in the tuples, swapped for the atom's string."""
+            try:
+                return list(map(shared.__getitem__, itertools.chain.from_iterable(tuples)))
+            except KeyError:
+                unknown = min(x for x in itertools.chain.from_iterable(tuples) if x not in shared)
+                raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}") from None
 
         def resolve(kind, name, tuples):
             tuples = list(map(tuple, tuples))
-            check_known(kind, name, tuples)
+            names = share(kind, name, tuples)
             arity = declared.get(name)
             if arity is None:
                 if not tuples:
@@ -103,7 +114,7 @@ class InputStructure:
                 arity = declared[name] = len(tuples[0])
             if not set(map(len, tuples)) <= {arity}:
                 raise ValidationError(f"{kind} {name} tuple arity mismatch")
-            return tuples
+            return list(zip(*[iter(names)] * arity)) if arity else tuples
 
         rels = {
             name: frozenset(resolve("relation", name, tuples))
@@ -118,14 +129,39 @@ class InputStructure:
                     f"function {name} must be total on the universe"
                     f" ({len(args)} of {expected} tuples)"
                 )
-            values = tuple(table.values())
-            check_known("function", name, [values])
-            funs[name] = dict(zip(args, values))
+            funs[name] = dict(zip(args, share("function", name, [table.values()])))
         return InputStructure(atoms, rels, funs, declared)
+
+
+def preorder_classes(pairs):
+    """The classes, earliest first, of the total pre-order whose pairs
+    (x, y), x no later than y, are the set ``pairs``; None if there is none
+    on the elements they mention.  Linear in the pairs: the elements are
+    grouped by out-degree, and each class's out- and in-degree must be the
+    staircase's, which no other 0/1 relation has (see :mod:`choiceless_lab.cfi`)."""
+    out = Counter(map(itemgetter(0), pairs))
+    into = Counter(map(itemgetter(1), pairs))
+    if out.keys() != into.keys():
+        return None
+    by_out: dict = {}
+    for x, degree in out.items():
+        by_out.setdefault(degree, []).append(x)
+    classes = []
+    earlier = 0  # elements in the earlier classes
+    for degree in sorted(by_out, reverse=True):
+        cls = by_out[degree]
+        if degree != len(out) - earlier:
+            return None
+        earlier += len(cls)
+        if set(map(into.__getitem__, cls)) != {earlier}:
+            return None
+        classes.append(frozenset(cls))
+    return classes
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 _SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
+_SEPARATORS = str.maketrans("(),", "   ")
 
 
 def _names(chunk: str) -> tuple:
@@ -133,16 +169,15 @@ def _names(chunk: str) -> tuple:
     return tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
 
 
-def _relation_tuples(rest: str, arity: int, name: str, line_no: int) -> set:
-    """The name tuples listed after a relation's colon."""
+def _relation_tuples(rest: str, arity: int, name: str, line_no: int) -> list:
+    """The name tuples listed after a relation's colon, in listing order."""
     if arity:
         # the written layout "(a,b) (c,d)": split the line once, and keep
         # the split when writing it back gives the line
-        flat = rest.replace("(", " ").replace(")", " ").replace(",", " ").split()
-        tuples = list(zip(*[iter(flat)] * arity))
+        tuples = list(zip(*[iter(rest.translate(_SEPARATORS).split())] * arity))
         if tuples and "(" + ") (".join(map(",".join, tuples)) + ")" == rest.strip():
-            return set(tuples)
-    tuples = {_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)}
+            return tuples
+    tuples = [_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)]
     leftover = re.sub(r"\([^()]*\)", "", rest).strip()
     if leftover:
         raise ParseError(f"stray text {leftover!r} in {name}", line_no)

@@ -11,7 +11,14 @@ parity of |T| matters, and the two parities give non-isomorphic graphs.
 
 The classifier and the isomorphism test read only the edge and pre-order
 relations, never the order in which vertices are listed, so renaming or
-relisting vertices never changes a verdict.  Two members of a block
+relisting vertices never changes a verdict.  The pre-order's classes are
+read from two degree counts: a vertex in class i (earliest first) is
+ordered no later than the vertices of classes i and on, and no earlier
+than those of classes up to i.  Grouping by out-degree and checking both
+degrees of every class against these sums is exact, because a 0/1
+relation is the staircase of a total pre-order as soon as it has the
+staircase's row and column sums (Ryser 1957: the staircase has no 2x2
+switch, so no other relation shares its sums).  Two members of a block
 differ on a touching edge pair when they meet different vertices of it;
 in a coherent gadget the members of a block have distinct
 neighbourhoods and differ on an even number of pairs.  The twist parity
@@ -29,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .bgs.structures import preorder_classes
 from .errors import GuardExceeded, ValidationError
 
 __all__ = [
@@ -110,7 +118,9 @@ def _pair_token(edge, sign) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PreGraph:
-    """Bare structure: vertices, undirected edges, pre-order pairs."""
+    """Bare structure: vertices, undirected edges, pre-order pairs.  Every
+    vertex on an edge or in a pre-order pair is listed once in
+    ``vertices``."""
 
     vertices: tuple
     edges: frozenset  # of 2-element frozensets
@@ -212,31 +222,17 @@ def _analyze(structure: PreGraph):
     """Decompose a coherent twisted gadget over a complete base into
     ordered blocks, edge pairs and padding; None for anything else."""
     adj = structure.adjacency()
-    field_set = {x for pair in structure.preorder for x in pair}
-    if not field_set:
+    classes = preorder_classes(structure.preorder)
+    if not classes:
         return None
-    before = {x: set() for x in field_set}  # everything x is ordered no later than
-    for x, y in structure.preorder:
-        before[x].add(y)
-    # group by identical upward sets; a linear pre-order makes each class's
-    # upward set exactly the union of itself and the later classes
-    by_upward: dict = {}
-    for x in field_set:
-        by_upward.setdefault(frozenset(before[x]), set()).add(x)
-    ordered_keys = sorted(by_upward, key=len, reverse=True)
-    classes = [frozenset(by_upward[key]) for key in ordered_keys]
-    expected: set = set()
-    for key, cls in zip(reversed(ordered_keys), reversed(classes)):
-        expected |= cls
-        if set(key) != expected:
-            return None
     m = len(classes) - 1
     if m < 1 or any(len(c) != 2 ** (m - 1) for c in classes):
         return None
     class_of = {x: i for i, c in enumerate(classes) for x in c}
-    others = [v for v in structure.vertices if v not in class_of]
-    linked = [v for v in others if v in adj]
-    isolated = len(others) - len(linked)
+    # a PreGraph lists every vertex on an edge or in the pre-order, so the
+    # vertices on neither are the isolated ones
+    linked = adj.keys() - class_of.keys()
+    isolated = len(structure.vertices) - len(class_of) - len(linked)
     if isolated not in (0, 2 ** (m * m)):
         return None
     # group the linked extras into edge pairs by their incident class pair

@@ -25,6 +25,11 @@ isomorphism, with X avoiding the shoe's segment, is the solvability of a
 GF(2) linear system whose right-hand side is the XOR of the two
 multipedes' bits.
 
+A structure lists the segment order ``Leq`` pair by pair, n(n+1)/2 pairs.
+It is read, exactly and in time linear in the pairs, from the segments'
+degree counts as a total pre-order whose classes are the single segments
+(:func:`~choiceless_lab.bgs.structures.preorder_classes`).
+
 Both decisions read ranks of the incidence matrix packed one int
 per hyperedge, with bit i for the segment at order position i.  A rank
 does not depend on the order of the rows, so no hyperedge order is
@@ -49,6 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bgs.structures import preorder_classes
 from .errors import GuardExceeded, ValidationError
 from .linalg.matrix import _rank_bitrows
 
@@ -324,9 +330,9 @@ def from_structure_lenient(structure):
         raise ValidationError("S must assign one segment to every foot")
     hyperedges = frozenset(map(frozenset, hyper))
     positives = frozenset(map(frozenset, positive))
-    later_counts = Counter(x for (x, _) in leq)
-    order = tuple(sorted(segments, key=lambda s: -later_counts[s]))
-    if leq != {(s, t) for i, s in enumerate(order) for t in order[i:]}:
+    classes = preorder_classes(leq)
+    order = tuple(s for cls in classes or () for s in cls)
+    if classes is None or len(order) != len(classes) or sorted(order) != list(segments):
         raise ValidationError("Leq is not a linear order on segments")
     shoes = [t[0] for t in shoe]
     if len(shoes) > 1:

@@ -707,6 +707,47 @@ def parse_structure_atoms(text: str) -> AtomStructure:
         raise ParseError(str(exc)) from exc
 
 
+# ------------------------------------------------ the set-based order readers
+
+
+def preorder_classes_by_upward_sets(preorder):
+    """The pre-order grouping ``cfi._analyze`` made before it read degree
+    counts, verbatim: each element's upward set is built, the elements are
+    grouped by identical upward sets, and every group's set must be itself
+    and the later groups.  The classes earliest first, or None."""
+    field_set = {x for pair in preorder for x in pair}
+    if not field_set:
+        return None
+    before = {x: set() for x in field_set}  # everything x is ordered no later than
+    for x, y in preorder:
+        before[x].add(y)
+    # group by identical upward sets; a linear pre-order makes each class's
+    # upward set exactly the union of itself and the later classes
+    by_upward: dict = {}
+    for x in field_set:
+        by_upward.setdefault(frozenset(before[x]), set()).add(x)
+    ordered_keys = sorted(by_upward, key=len, reverse=True)
+    classes = [frozenset(by_upward[key]) for key in ordered_keys]
+    expected: set = set()
+    for key, cls in zip(reversed(ordered_keys), reversed(classes)):
+        expected |= cls
+        if set(key) != expected:
+            return None
+    return classes
+
+
+def leq_order_by_pair_set(segments, leq):
+    """The segment order ``multipede.from_structure_lenient`` read before it
+    read degree counts, verbatim: sort by the count of later segments and
+    compare ``Leq`` with the n(n+1)/2 pairs of that order.  The order, or
+    None when ``Leq`` is not a linear order on the segments."""
+    later_counts = Counter(x for (x, _) in leq)
+    order = tuple(sorted(segments, key=lambda s: -later_counts[s]))
+    if leq != {(s, t) for i, s in enumerate(order) for t in order[i:]}:
+        return None
+    return order
+
+
 # ---------------------------------------- the listing multipede generator
 
 

@@ -3,9 +3,11 @@
 The reader is checked against the atom-making reader it replaced, kept as
 ``oracles.parse_structure_atoms``: over random ``.str`` texts, with and
 without one injected fault, both accept and reject the same texts with the
-same error, and read the same tuples.  The deciders must make no atom at
-all, and a set-machine run makes one atom per listed name, the very atoms
-``InputStructure.by_name`` hands out.
+same error, and read the same tuples.  A read or built structure holds one
+string per atom.  The deciders must make no atom at all, and a set-machine
+run makes one atom per listed name, the very atoms ``InputStructure.by_name``
+hands out.  The order recognizer, which reads a listed total pre-order from
+its degree counts, is checked against the set-based readers it replaced.
 """
 
 from __future__ import annotations
@@ -17,14 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiceless_lab import hfset
+from choiceless_lab import cfi, hfset, multipede
 from choiceless_lab.bgs import InputStructure, parse_structure, run, write_structure
+from choiceless_lab.bgs.structures import preorder_classes
 from choiceless_lab.cli import EXIT_OK, EXIT_PARSE, dispatch
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import TRUE
 
 from helpers import power_structure
-from oracles import load_builtin_program, parse_structure_atoms
+from oracles import (
+    leq_order_by_pair_set,
+    load_builtin_program,
+    parse_structure_atoms,
+    preorder_classes_by_upward_sets,
+)
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.+-]{0,3}", fullmatch=True)
 SYMBOLS = st.from_regex(r"[A-Z][a-z0-9_]{0,2}", fullmatch=True)
@@ -206,6 +214,157 @@ def test_writer_refuses_names_its_reader_misreads():
         write_structure(InputStructure.build(["a"], relations={"E.1": [("a",)]}))
     with pytest.raises(ValidationError, match="both a relation and a function"):
         InputStructure.build(["a"], relations={"E": [("a",)]}, functions={"E": {("a",): "a"}})
+
+
+# ------------------------------------------------------------ name sharing
+
+
+def _copy(name: str) -> str:
+    """An equal string that is a different object."""
+    return (name + "!")[:-1]
+
+
+def _with_function(structure: InputStructure) -> InputStructure:
+    """The structure rebuilt from copies of every name, with a unary
+    function added."""
+    atoms = structure.atoms
+    successor = {(_copy(a),): _copy(b) for a, b in zip(atoms, atoms[1:] + atoms[:1])}
+    return InputStructure.build(
+        list(map(_copy, atoms)),
+        {name: [tuple(map(_copy, t)) for t in ts] for name, ts in structure.relations.items()},
+        {"Next": successor},
+        dict(structure.arities, Next=1),
+    )
+
+
+def _assert_names_are_atoms(structure: InputStructure):
+    own = dict(zip(structure.atoms, structure.atoms))
+    tuples = itertools.chain.from_iterable(structure.relations.values())
+    names = list(itertools.chain.from_iterable(tuples))
+    for table in structure.functions.values():
+        names += itertools.chain.from_iterable(table)
+        names += table.values()
+    assert len(names) > len(own)
+    assert all(own[x] is x for x in names)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        cfi.to_structure(cfi.pad(cfi.build_twisted(cfi.complete_graph(4), ["v0"]))),
+        multipede.to_structure(multipede.shoe_expansions(multipede.random_multipede(12, 20, 3))[1]),
+    ],
+    ids=["padded-gadget-m3", "multipede"],
+)
+def test_structures_hold_one_string_per_atom(structure):
+    """Every name in a relation tuple, a function argument and a function
+    value is the string in ``atoms``, after ``build`` and after reading."""
+    built = _with_function(structure)
+    _assert_names_are_atoms(built)
+    read = parse_structure(write_structure(built))
+    assert read.relations == built.relations and read.functions == built.functions
+    _assert_names_are_atoms(read)
+
+
+# ------------------------------------------------------------ listed orders
+
+ORDER_CHANGES = (None, "drop", "add", "reverse", "move", "outside")
+
+
+@st.composite
+def listed_orders(draw, linear: bool):
+    """The pairs of a total pre-order with 1-6 classes, or of a linear
+    order, over shuffled names, perhaps with one change: a pair dropped,
+    added or reversed, an element moved to another class with the pair
+    count kept, or a pair added that names an element outside the field.
+    Returns the pairs and the names of the order's field."""
+    sizes = draw(st.lists(st.integers(1, 1 if linear else 3), min_size=1, max_size=6))
+    names = draw(st.permutations([f"e{i}" for i in range(sum(sizes))]))
+    rank, start = {}, 0
+    for i, size in enumerate(sizes):
+        rank.update((x, i) for x in names[start:start + size])
+        start += size
+    pairs = {(x, y) for x in names for y in names if rank[x] <= rank[y]}
+    absent = sorted(set(itertools.product(names, repeat=2)) - pairs)
+    change = draw(st.sampled_from(ORDER_CHANGES))
+    if change == "drop":
+        pairs.remove(draw(st.sampled_from(sorted(pairs))))
+    elif change == "add" and absent:
+        pairs.add(draw(st.sampled_from(absent)))
+    elif change == "reverse" and absent:
+        y, x = draw(st.sampled_from(absent))  # x is in an earlier class than y
+        pairs.remove((x, y))
+        pairs.add((y, x))
+    elif change == "move" and len(sizes) > 1:
+        x = draw(st.sampled_from(names))
+        rank[x] = draw(st.sampled_from([i for i in range(len(sizes)) if i != rank[x]]))
+        moved = {(a, b) for a in names for b in names if rank[a] <= rank[b]}
+        # then drop pairs of it, or add absent ones, to keep the count
+        surplus = len(moved) - len(pairs)
+        pool = moved if surplus > 0 else set(itertools.product(names, repeat=2)) - moved
+        pairs = moved ^ set(draw(st.permutations(sorted(pool)))[: abs(surplus)])
+    elif change == "outside":
+        x = draw(st.sampled_from(names))
+        pairs.add(draw(st.sampled_from([(x, "out"), ("out", x)])))
+    return frozenset(pairs), names
+
+
+def _renamed(pairs, names, draw):
+    """A random renaming of the pairs' elements onto fresh names."""
+    field = sorted({x for pair in pairs for x in pair} | set(names))
+    to = dict(zip(field, draw(st.permutations([f"z{i}" for i in range(len(field))]))))
+    return frozenset((to[x], to[y]) for x, y in pairs), to
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.data())
+def test_preorder_classes_match_upward_sets(linear, data):
+    """The degree-count recognizer returns the set-based grouping's ordered
+    classes, or rejects where it rejects, and commutes with renaming."""
+    pairs, names = data.draw(listed_orders(linear))
+    classes = preorder_classes(pairs)
+    assert (classes or None) == preorder_classes_by_upward_sets(pairs)
+    renamed, to = _renamed(pairs, names, data.draw)
+    again = preorder_classes(renamed)
+    assert (again or None) == preorder_classes_by_upward_sets(renamed)
+    if classes is not None:
+        assert again == [frozenset(map(to.__getitem__, c)) for c in classes]
+
+
+def test_preorder_classes_need_both_degree_counts():
+    """Everything is before x, y and z; each of a, b and c is before the
+    other two, and x, y and z are before a, b and c in turn.  The in-degrees,
+    3 for a, b, c and 6 for x, y, z, are those of {a, b, c} < {x, y, z}, but
+    the out-degrees are 5 and 4, not 6 and 3: no pre-order."""
+    pairs = {(u, v) for u in "abcxyz" for v in "xyz"}
+    pairs |= {(u, v) for u in "abc" for v in "abc" if u != v}
+    pairs |= {("x", "a"), ("y", "b"), ("z", "c")}
+    assert preorder_classes(pairs) is None
+    assert preorder_classes_by_upward_sets(pairs) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_leq_is_read_as_the_pair_set_reads_it(linear, data):
+    """``from_structure_lenient`` reads the segment order the set-based
+    comparison reads, or rejects ``Leq`` where it rejects, under renaming."""
+    pairs, names = data.draw(listed_orders(linear))
+    leq, to = _renamed(pairs, names, data.draw)
+    segments = sorted(map(to.__getitem__, names))
+    structure = InputStructure.build(
+        sorted(to.values()),
+        {name: [] for name in multipede._ARITIES} | {
+            "Segment": [(s,) for s in segments], "Leq": leq,
+        },
+        arities=multipede._ARITIES,
+    )
+    expected = leq_order_by_pair_set(segments, structure.relations["Leq"])
+    try:
+        pede, _ = multipede.from_structure_lenient(structure)
+    except ValidationError as exc:
+        assert expected is None and "Leq is not a linear order" in str(exc)
+    else:
+        assert pede.segment_order == expected
 
 
 # ------------------------------------------------------------ atom identity
