@@ -21,9 +21,15 @@ is internal bookkeeping only; programs cannot observe it.
 
 :meth:`InputStructure.build` is the one check of a structure, whether it
 comes from a file or from code: unique names, one kind per symbol, tuple
-arities, known atoms and total functions.  :func:`parse_structure` checks
-only the text's grammar and name syntax, with line numbers, and reports
-what ``build`` rejects as a :class:`ParseError`.
+arities, known atoms and total functions.  It flattens its callers' tuples
+and hands them to the routine that checks flat name lists, and
+:func:`parse_structure` hands its name lists to that routine directly.
+The reader checks only the text's grammar and name syntax, with line
+numbers, and reports what the check rejects as a :class:`ParseError`.  A
+relation line in the written layout ``(a,b) (c,d)`` is read in one pass:
+split once into names, its punctuation compared as a whole, and each name
+looked up once; an ``atoms:`` line of well-formed names is checked as a
+whole.  Other layouts go through the general reader, cell by cell.
 
 :func:`preorder_classes` reads a total pre-order listed pair by pair, a
 gadget's ``Pre`` or a multipede's ``Leq``, from its degree counts.
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -87,50 +94,75 @@ class InputStructure:
         atom (the least unknown one is named), and every function is total.
         The lookup that checks a name also swaps it for the atom's string.
         """
-        atoms = tuple(map(str, atom_names))
-        shared = dict(zip(atoms, atoms))  # each name -> the atoms tuple's own string
-        if len(shared) != len(atoms):
-            raise ValidationError("atom names must be unique")
-        both = (relations or {}).keys() & (functions or {}).keys()
-        if both:
-            raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
         declared = dict(arities or {})
-
-        def share(kind, name, tuples) -> list:
-            """Every name in the tuples, swapped for the atom's string."""
-            try:
-                return list(map(shared.__getitem__, itertools.chain.from_iterable(tuples)))
-            except KeyError:
-                unknown = min(x for x in itertools.chain.from_iterable(tuples) if x not in shared)
-                raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}") from None
-
-        def resolve(kind, name, tuples):
-            tuples = list(map(tuple, tuples))
-            names = share(kind, name, tuples)
-            arity = declared.get(name)
-            if arity is None:
-                if not tuples:
-                    raise ValidationError(f"empty {kind} {name} needs an explicit arity")
-                arity = declared[name] = len(tuples[0])
-            if not set(map(len, tuples)) <= {arity}:
-                raise ValidationError(f"{kind} {name} tuple arity mismatch")
-            return list(zip(*[iter(names)] * arity)) if arity else tuples
-
-        rels = {
-            name: frozenset(resolve("relation", name, tuples))
-            for name, tuples in (relations or {}).items()
+        rels = {name: _flat(name, tuples, declared) for name, tuples in (relations or {}).items()}
+        funs = {
+            name: (*_flat(name, table, declared), table.values())
+            for name, table in (functions or {}).items()
         }
-        funs = {}
-        for name, table in (functions or {}).items():
-            args = resolve("function", name, table)
-            expected = len(atoms) ** declared[name]
-            if len(args) != expected:
-                raise ValidationError(
-                    f"function {name} must be total on the universe"
-                    f" ({len(args)} of {expected} tuples)"
-                )
-            funs[name] = dict(zip(args, share("function", name, [table.values()])))
-        return InputStructure(atoms, rels, funs, declared)
+        return _from_flat(tuple(map(str, atom_names)), rels, funs, declared)
+
+
+def _flat(name, tuples, arities) -> tuple:
+    """A symbol's tuples as its names one after another and the tuple
+    count, None when some tuple's length is not the symbol's arity.  An
+    undeclared arity is taken from the first tuple."""
+    tuples = list(tuples)
+    if tuples:
+        arities.setdefault(name, len(tuples[0]))
+    uniform = set(map(len, tuples)) <= {arities.get(name)}
+    return list(itertools.chain.from_iterable(tuples)), len(tuples) if uniform else None
+
+
+def _from_flat(atoms: tuple, relations: dict, functions: dict, arities: dict) -> InputStructure:
+    """The check behind :meth:`InputStructure.build`, on flat name lists:
+    each relation is (names, count) and each function (names, count,
+    values), as :func:`_flat` gives them.  A symbol missing from
+    ``arities`` is an empty one whose arity was never declared."""
+    shared = dict(zip(atoms, atoms))  # each name -> the atoms tuple's own string
+    if len(shared) != len(atoms):
+        raise ValidationError("atom names must be unique")
+    both = relations.keys() & functions.keys()
+    if both:
+        raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
+
+    def share(kind, name, names) -> list:
+        """Every name, swapped for the atom's string."""
+        try:
+            return list(map(shared.__getitem__, names))
+        except KeyError:
+            unknown = min(x for x in names if x not in shared)
+            raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}") from None
+
+    def group(kind, name, names, count):
+        """The shared names, grouped into the symbol's tuples."""
+        names = share(kind, name, names)
+        arity = arities.get(name)
+        if arity is None:
+            raise ValidationError(f"empty {kind} {name} needs an explicit arity")
+        if count is None:
+            raise ValidationError(f"{kind} {name} tuple arity mismatch")
+        # no tuples, or tuples of no names: never a list as long as the arity
+        return zip(*[iter(names)] * arity) if arity and count else [()] * count
+
+    rels = {
+        name: frozenset(group("relation", name, names, count))
+        for name, (names, count) in relations.items()
+    }
+    funs = {}
+    for name, (names, count, values) in functions.items():
+        args = group("function", name, names, count)
+        size, arity = len(atoms), arities[name]
+        # size ** arity > count once 2 ** arity is: past arity 64 it is
+        # neither computed nor printed
+        huge = size > 1 and arity > max(64, count.bit_length())
+        if huge or count != size**arity:
+            expected = f"{size}^{arity}" if huge else size**arity
+            raise ValidationError(
+                f"function {name} must be total on the universe ({count} of {expected} tuples)"
+            )
+        funs[name] = dict(zip(args, share("function", name, values)))
+    return InputStructure(atoms, rels, funs, arities)
 
 
 def preorder_classes(pairs):
@@ -159,9 +191,13 @@ def preorder_classes(pairs):
     return classes
 
 
+_NAME_CHARS = string.ascii_letters + string.digits + "_.+-"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 _SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
 _SEPARATORS = str.maketrans("(),", "   ")
+_DROP_NAMES = str.maketrans("", "", _NAME_CHARS)
+_DROP_NAMES_AND_BLANKS = str.maketrans("", "", _NAME_CHARS + " \t")
+_BAD_START = re.compile(r"[ \t][0-9.+-]")
 
 
 def _names(chunk: str) -> tuple:
@@ -169,19 +205,47 @@ def _names(chunk: str) -> tuple:
     return tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
 
 
-def _relation_tuples(rest: str, arity: int, name: str, line_no: int) -> list:
-    """The name tuples listed after a relation's colon, in listing order."""
-    if arity:
-        # the written layout "(a,b) (c,d)": split the line once, and keep
-        # the split when writing it back gives the line
-        tuples = list(zip(*[iter(rest.translate(_SEPARATORS).split())] * arity))
-        if tuples and "(" + ") (".join(map(",".join, tuples)) + ")" == rest.strip():
-            return tuples
+def _atom_names(rest: str, line_no: int) -> list:
+    """The names listed after ``atoms:``; the first one that is not a name
+    is rejected.  A line of name characters and blanks on which no name
+    starts with a digit, ``.``, ``+`` or ``-`` needs no check name by name."""
+    names = rest.split()
+    if rest.translate(_DROP_NAMES_AND_BLANKS) or _BAD_START.search(" " + rest):
+        bad = next(itertools.filterfalse(_NAME_RE.match, names), None)
+        if bad is not None:
+            raise ParseError(f"bad name {bad!r}", line_no)
+    return names
+
+
+def _relation_names(rest: str, name: str, arities: dict, line_no: int) -> tuple:
+    """The names of the tuples listed after a relation's colon, one after
+    another, and the tuple count (see :func:`_flat`)."""
+    arity = arities[name]
+    body = rest.strip()
+    if arity and body:
+        # The written layout "(a,b) (c,d)", checked without building tuples:
+        # a name holds no "(", ")", "," or blank, so with the names deleted
+        # the line is k cells "(,)" of the arity, single-spaced.  Name
+        # characters may then stand only inside the cells, if the line
+        # starts and ends with a cell and no ") (" has one between; and no
+        # cell has an empty slot if there are k * arity names.
+        punctuation = body.translate(_DROP_NAMES)
+        count = (len(punctuation) + 1) // (arity + 2)
+        names = body.translate(_SEPARATORS).split()
+        if (
+            count
+            and len(names) == count * arity
+            and punctuation + " " == ("(" + "," * (arity - 1) + ") ") * count
+            and body[0] == "("
+            and body[-1] == ")"
+            and body.count(") (") == count - 1
+        ):
+            return names, count
     tuples = [_names(chunk) for chunk in re.findall(r"\(([^()]*)\)", rest)]
     leftover = re.sub(r"\([^()]*\)", "", rest).strip()
     if leftover:
         raise ParseError(f"stray text {leftover!r} in {name}", line_no)
-    return tuples
+    return _flat(name, tuples, arities)
 
 
 def parse_structure(text: str) -> InputStructure:
@@ -196,10 +260,7 @@ def parse_structure(text: str) -> InputStructure:
         if line.startswith("atoms:"):
             if atom_names is not None:
                 raise ParseError("duplicate atoms line", line_no)
-            atom_names = line[len("atoms:"):].split()
-            bad = next(itertools.filterfalse(_NAME_RE.match, atom_names), None)
-            if bad is not None:
-                raise ParseError(f"bad name {bad!r}", line_no)
+            atom_names = _atom_names(line[len("atoms:"):], line_no)
             continue
         m = re.match(rf"(rel|fun)\s+({_SYMBOL})/(\d+)\s*:(.*)$", line)
         if m is None:
@@ -209,7 +270,7 @@ def parse_structure(text: str) -> InputStructure:
             raise ParseError(f"duplicate symbol {name!r}", line_no)
         declared[name] = int(arity)
         if kind == "rel":
-            relations[name] = _relation_tuples(rest, declared[name], name, line_no)
+            relations[name] = _relation_names(rest, name, declared, line_no)
         else:
             cells = re.findall(r"\(([^()]*)\)\s*->\s*([A-Za-z0-9_.+-]+)", rest)
             table = {_names(chunk): out for chunk, out in cells}
@@ -218,11 +279,11 @@ def parse_structure(text: str) -> InputStructure:
             leftover = re.sub(r"\([^()]*\)\s*->\s*[A-Za-z0-9_.+-]+", "", rest).strip()
             if leftover:
                 raise ParseError(f"stray text {leftover!r} in {name}", line_no)
-            functions[name] = table
+            functions[name] = (*_flat(name, table, declared), table.values())
     if atom_names is None:
         raise ParseError("missing atoms: line")
     try:
-        return InputStructure.build(atom_names, relations, functions, declared)
+        return _from_flat(tuple(atom_names), relations, functions, declared)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 

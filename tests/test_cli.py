@@ -742,6 +742,37 @@ def test_gen_file_to_missing_directory_exits_parse(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["validate", "structure", "--input"], b"atoms: a \xff b\n"),
+        (["solve", "det", "--matrix"], b"field 2\nrows a \xff\nsquare\na a 1\n"),
+    ],
+    ids=["structure", "matrix"],
+)
+def test_input_that_is_not_utf8_exits_parse(tmp_path, capsys, argv, data):
+    path = tmp_path / "in"
+    path.write_bytes(data)
+    code, report = invoke(argv + [str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert report["error"]["message"].startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("arity", [3_000_000, 30_000_000])
+def test_function_of_huge_arity_is_not_total_at_once(tmp_path, capsys, arity):
+    """3^arity tuples are needed; the count is never raised to the arity,
+    and the message shows the power unevaluated."""
+    path = tmp_path / "f.str"
+    path.write_text(f"atoms: a b c\nfun F/{arity}:\n")
+    started = time.monotonic()
+    code, report = invoke(["validate", "structure", "--input", str(path)], capsys)
+    assert time.monotonic() - started < 1
+    assert code == EXIT_PARSE
+    assert report["error"]["message"] == (
+        f"function F must be total on the universe (0 of 3^{arity} tuples)"
+    )
+
+
 def test_gen_matrix_without_q_is_an_integer_matrix(tmp_path, capsys):
     path = tmp_path / "z.mat"
     code, _ = invoke(["gen", "matrix", "--n", "3", "--seed", "1", "--file", str(path)], capsys)

@@ -13,6 +13,7 @@ its degree counts, is checked against the set-based readers it replaced.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -40,17 +41,28 @@ SYMBOLS = st.from_regex(r"[A-Z][a-z0-9_]{0,2}", fullmatch=True)
 INNER_SPACE = st.sampled_from(["", "", "", " ", "\t", "  "])
 # between tuples, mostly the written single space
 OUTER_SPACE = st.sampled_from([" ", " ", " ", "  ", "\t"])
-FAULTS = (
-    None,
-    "bad name",
-    "unknown name",
-    "arity mismatch",
-    "duplicate symbol",
-    "duplicate atoms line",
-    "stray text",
-    "repeated function cell",
-    "non-total function",
-)
+# each fault injected into a text, and whether the text must be rejected
+FAULTS = {
+    None: False,
+    "bad name": True,
+    "bad first character deep in a long atoms line": True,
+    "unknown name": True,
+    "arity mismatch": True,
+    "misaligned cells": True,
+    "empty slot": True,
+    "name outside the cells": True,
+    "duplicate symbol": True,
+    "duplicate atoms line": True,
+    "stray text": True,
+    "repeated function cell": True,
+    "non-total function": True,
+    # str.split and str.strip take these for blanks; str.splitlines ends a
+    # line at the file separator
+    "no-break space": False,
+    "em space": False,
+    "file separator": True,
+}
+ODD_BLANKS = {"no-break space": "\xa0", "em space": "\u2003", "file separator": "\x1c"}
 
 
 def _cell(draw, names) -> str:
@@ -71,7 +83,9 @@ def structure_texts(draw):
     """A rendered structure and the fault injected into it, if any."""
     atoms = draw(st.lists(NAMES, unique=True, max_size=4))
     symbols = draw(st.lists(SYMBOLS, unique=True, max_size=4))
-    fault = draw(st.sampled_from(FAULTS))
+    fault = draw(st.sampled_from(list(FAULTS)))
+    if fault in ODD_BLANKS and not atoms:
+        atoms.append("v")  # a blank between two atoms
     some_atom = draw(st.sampled_from(atoms)) if atoms else None
     lines = []  # symbol lines, rendered
     for symbol in symbols:
@@ -93,12 +107,29 @@ def structure_texts(draw):
     if fault == "bad name":
         bad = draw(st.sampled_from(["9z", "a$", ".b", "+", "x/y"]))
         atoms.insert(draw(st.integers(0, len(atoms))), bad)
+    elif fault == "bad first character deep in a long atoms line":
+        filler = [f"w{i}" for i in range(400) if f"w{i}" not in atoms]
+        bad = draw(st.sampled_from(["9z", "0", ".b", "+", "-a"]))
+        atoms += filler[:200] + [bad] + filler[200:]
     elif fault == "unknown name":
         stranger = next(f"q{i}" for i in itertools.count() if f"q{i}" not in atoms)
         lines.append(_line(draw, "rel", unused, 1, [_cell(draw, (stranger,))]))
     elif fault == "arity mismatch":
         wrong = (known, known) if atoms else ()
         lines.append(_line(draw, "rel", unused, 1, [_cell(draw, wrong)]))
+    elif fault == "misaligned cells":
+        lines.append(f"rel {unused}/2: ({known},{known},{known}) ({known})")
+    elif fault == "empty slot":
+        cells = [f"(,{known})"]  # with no atoms, '' is the least unknown name
+        if atoms:
+            cells = [f"({known},{known})", draw(st.sampled_from([f"(,{known})", f"({known},)"]))]
+        lines.append(f"rel {unused}/2: " + " ".join(cells))
+    elif fault == "name outside the cells":
+        # as many names as slots, one of them outside the cells
+        k = known
+        bodies = [f"{k}(,{k}) ({k},{k})", f"({k},{k}){k} (,{k})"]
+        bodies += [f"({k},{k}) {k}(,{k})", f"(,{k}) ({k},{k}){k}"]
+        lines.append(f"rel {unused}/2: " + draw(st.sampled_from(bodies)))
     elif fault == "duplicate symbol":
         again = draw(st.sampled_from(symbols)) if symbols else unused
         if not symbols:
@@ -117,7 +148,12 @@ def structure_texts(draw):
         # one argument tuple short: a missing atom, or the one empty tuple
         cells = [f"({a})->{known}" for a in atoms[1:]]
         lines.append(_line(draw, "fun", unused, 1 if atoms else 0, cells))
-    atoms_line = "atoms:" + "".join(draw(OUTER_SPACE) + a for a in atoms)
+    blanks = [draw(OUTER_SPACE) for _ in atoms]
+    if fault in ODD_BLANKS:
+        blank = ODD_BLANKS[fault]
+        blanks[draw(st.integers(0, len(atoms) - 1))] = blank
+        lines.append(f"rel {unused}/1: ({known}){blank}({known})")
+    atoms_line = "atoms:" + "".join(map(str.__add__, blanks, atoms))
     lines.insert(draw(st.integers(0, len(lines))), atoms_line)
     if fault == "duplicate atoms line":
         lines.insert(draw(st.integers(0, len(lines))), "atoms: " + known)
@@ -142,7 +178,7 @@ def test_reader_matches_atom_reader(case):
     new, new_error = _outcome(parse_structure, text)
     old, old_error = _outcome(parse_structure_atoms, text)
     assert new_error == old_error, text
-    assert (new_error is None) == (fault is None), text
+    assert (new_error is not None) == FAULTS[fault], text
     if new is None:
         return
     names = lambda tup: tuple(a.name for a in tup)  # noqa: E731
@@ -154,6 +190,20 @@ def test_reader_matches_atom_reader(case):
     }
     assert new.arities == old.arities
     assert parse_structure(write_structure(new)).relations == new.relations
+
+
+def test_empty_relation_of_huge_arity_costs_no_memory():
+    """An empty relation's names are never grouped into tuples, so nothing
+    as long as its arity is made."""
+    tracemalloc.start()
+    try:
+        read = parse_structure("atoms: a\nrel R/10000000:\n")
+        built = InputStructure.build(["a"], relations={"R": []}, arities={"R": 10**7})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.relations == built.relations == {"R": frozenset()}
+    assert peak < 1_000_000
 
 
 # ------------------------------------------------------------- writing back
