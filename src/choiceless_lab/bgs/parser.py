@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import ParseError
+from ..errors import ParseError, read_decimal
 from .syntax import (
     App,
     BOOLEAN_BUILTINS,
@@ -255,7 +255,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Lit(int(tok.text))
+            return Lit(read_decimal(tok.text, "literal", tok.line, tok.col))
         if tok.text == "(":
             self.advance()
             inner = self.term(bound)
@@ -474,9 +474,9 @@ def _parse_headers(text: str):
                 raise ParseError("empty header line", line_no)
             head, rest = parts[0], parts[1:]
             if head in ("steps", "active"):
-                if not rest or not all(x.isascii() and x.isdigit() for x in rest):
+                if not rest:
                     raise ParseError("budget coefficients must be nonnegative integers", line_no)
-                budgets[head] = tuple(int(x) for x in rest)
+                budgets[head] = tuple(read_decimal(x, "budget coefficient", line_no) for x in rest)
             elif head == "requires":
                 if rest != ["card"]:
                     raise ParseError(f"unknown requirement {rest!r}", line_no)

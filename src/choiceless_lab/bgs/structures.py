@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, ValidationError, read_decimal
 from ..hfset import Atom
 
 __all__ = ["InputStructure", "parse_structure", "preorder_classes", "write_structure"]
@@ -268,7 +268,7 @@ def parse_structure(text: str) -> InputStructure:
         kind, name, arity, rest = m.groups()
         if name in declared:
             raise ParseError(f"duplicate symbol {name!r}", line_no)
-        declared[name] = int(arity)
+        declared[name] = read_decimal(arity, f"arity of {name}", line_no)
         if kind == "rel":
             relations[name] = _relation_names(rest, name, declared, line_no)
         else:

@@ -9,26 +9,29 @@ the block vertices only.  The twist set T decides, per base vertex,
 whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
-The classifier and the isomorphism test read only the edge and pre-order
-relations, never the order in which vertices are listed, so renaming or
-relisting vertices never changes a verdict.  The pre-order's classes are
-read from two degree counts: a vertex in class i (earliest first) is
-ordered no later than the vertices of classes i and on, and no earlier
-than those of classes up to i.  Grouping by out-degree and checking both
-degrees of every class against these sums is exact, because a 0/1
-relation is the staircase of a total pre-order as soon as it has the
-staircase's row and column sums (Ryser 1957: the staircase has no 2x2
-switch, so no other relation shares its sums).  Two members of a block
-differ on a touching edge pair when they meet different vertices of it;
-in a coherent gadget the members of a block have distinct
-neighbourhoods and differ on an even number of pairs.  The twist parity
-is the number of edge pairs whose two end blocks' members meet different
-vertices of the pair, mod 2, with one member taken per block: any member
-gives the same count, because replacing it changes an even number of
-terms.  Two gadgets are isomorphic exactly when they have the same m,
-the same padding and the same twist parity; a structure that is not a
-coherent gadget is rejected (``ValidationError``, exit status 3 on the
-command line).
+The classifier and the isomorphism test read one invariant of a
+structure, the triple (m, padding, twist parity), from the edge and
+pre-order relations only, never from the order in which vertices are
+listed, so renaming or relisting vertices never changes a verdict.  The
+pre-order's classes are read from two degree counts: a vertex in class i
+(earliest first) is ordered no later than the vertices of classes i and
+on, and no earlier than those of classes up to i.  Grouping by
+out-degree and checking both degrees of every class against these sums
+is exact, because a 0/1 relation is the staircase of a total pre-order
+as soon as it has the staircase's row and column sums (Ryser 1957: the
+staircase has no 2x2 switch, so no other relation shares its sums).  Two
+members of a block differ on a touching edge pair when they meet
+different vertices of it; in a coherent gadget the members of a block
+have distinct neighbourhoods and differ on an even number of pairs.  The
+twist parity is the number of edge pairs whose two end blocks' members
+meet different vertices of the pair, mod 2, with one member taken per
+block: any member gives the same count, because replacing it changes an
+even number of terms.  Over a complete base the triple is a gadget's
+isomorphism type: the classifier reports its parity, and two gadgets are
+isomorphic exactly when their triples are equal.  A structure that is not
+a coherent gadget has no triple: the classifier calls it ``"not-CFI"``
+and the isomorphism test rejects it (``ValidationError``, exit status 3
+on the command line).
 """
 
 from __future__ import annotations
@@ -209,18 +212,9 @@ def pad(gadget: GadgetGraph) -> PreGraph:
 # --------------------------------------------------------------- analysis
 
 
-@dataclass(frozen=True, eq=False)
-class _Shape:
-    m: int
-    classes: tuple  # ordered tuple of frozensets of block vertices
-    pairs: dict  # (ci, cj) with ci < cj -> frozenset of the two pair vertices
-    pair_neighbours: dict  # block vertex -> frozenset of its pair-vertex edges
-    padding: int
-
-
-def _analyze(structure: PreGraph):
-    """Decompose a coherent twisted gadget over a complete base into
-    ordered blocks, edge pairs and padding; None for anything else."""
+def _invariants(structure: PreGraph):
+    """The isomorphism invariant (m, padding, twist parity) of a coherent
+    twisted gadget over a complete base; None for anything else."""
     adj = structure.adjacency()
     classes = preorder_classes(structure.preorder)
     if not classes:
@@ -232,56 +226,46 @@ def _analyze(structure: PreGraph):
     # a PreGraph lists every vertex on an edge or in the pre-order, so the
     # vertices on neither are the isolated ones
     linked = adj.keys() - class_of.keys()
-    isolated = len(structure.vertices) - len(class_of) - len(linked)
-    if isolated not in (0, 2 ** (m * m)):
+    padding = len(structure.vertices) - len(class_of) - len(linked)
+    if padding not in (0, 2 ** (m * m)):
         return None
     # group the linked extras into edge pairs by their incident class pair
-    groups: dict = {}
+    pairs: dict = {}
     for w in linked:
         touched = {class_of.get(nb) for nb in adj[w]}
-        if None in touched or len(touched) != 2:
+        if None in touched:
             return None
-        groups.setdefault(tuple(sorted(touched)), set()).add(w)
+        pairs.setdefault(tuple(sorted(touched)), set()).add(w)
     want_pairs = {(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)}
-    if set(groups) != want_pairs or any(len(g) != 2 for g in groups.values()):
+    if set(pairs) != want_pairs or any(len(p) != 2 for p in pairs.values()):
         return None
-    pairs = {key: frozenset(g) for key, g in groups.items()}
-    pair_neighbours = {}
     for ci, cls in enumerate(classes):
         touching = [p for key, p in pairs.items() if ci in key]
+        neighbourhoods = set()
         for x in cls:
             # exactly one vertex of each touching pair, and nothing else
             neigh = frozenset(adj.get(x, ()))
             if len(neigh) != m or any(len(p & neigh) != 1 for p in touching):
                 return None
-            pair_neighbours[x] = neigh
+            neighbourhoods.add(neigh)
         # coherence: members meet different vertices on len(N(x) ^ N(y)) // 2
         # pairs, and each two differ on a positive even number of them;
         # parity is additive, so evenness against one member suffices
-        neighbourhoods = {pair_neighbours[x] for x in cls}
         first = next(iter(neighbourhoods))
-        if len(neighbourhoods) != len(cls) or any(
-            len(n ^ first) % 4 for n in neighbourhoods
-        ):
+        if len(neighbourhoods) != len(cls) or any(len(n ^ first) % 4 for n in neighbourhoods):
             return None
-    return _Shape(m, tuple(classes), pairs, pair_neighbours, isolated)
+    # the edge pairs whose two end blocks' members meet different vertices
+    # of the pair, counted for any one member per block
+    meets = [adj[next(iter(cls))] for cls in classes]
+    return m, padding, sum(not meets[i] & meets[j] for i, j in pairs) % 2
 
 
 def recognize_and_classify(structure: PreGraph):
     """Decide whether the structure is an isomorph of a twisted gadget over
     a complete base and return its twist parity (0 or 1); anything else
     yields ``"not-CFI"``."""
-    shape = _analyze(structure)
-    return NOT_CFI if shape is None else _twist_parity(shape)
-
-
-def _twist_parity(shape: _Shape) -> int:
-    """The number of edge pairs whose two end blocks' members meet
-    different vertices of the pair, mod 2, for any one member per block:
-    members of one block differ on an even number of pairs."""
-    member = [next(iter(cls)) for cls in shape.classes]
-    meets = shape.pair_neighbours
-    return sum(not meets[member[i]] & meets[member[j]] for i, j in shape.pairs) % 2
+    invariants = _invariants(structure)
+    return NOT_CFI if invariants is None else invariants[2]
 
 
 def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
@@ -290,10 +274,10 @@ def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
     each edge pair to itself, and over a connected base such a map exists
     exactly when the parities agree.  Raises ``ValidationError`` unless
     both structures are coherent gadgets."""
-    sx, sy = _analyze(x), _analyze(y)
-    if sx is None or sy is None:
+    ix, iy = _invariants(x), _invariants(y)
+    if ix is None or iy is None:
         raise ValidationError("both structures must be twisted gadgets")
-    return (sx.m, sx.padding, _twist_parity(sx)) == (sy.m, sy.padding, _twist_parity(sy))
+    return ix == iy
 
 
 # ------------------------------------------------------------ structure io

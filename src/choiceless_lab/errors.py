@@ -1,4 +1,5 @@
-"""Shared exception types.
+"""Shared exception types, and the one rule by which input files write
+a decimal.
 
 The CLI maps these onto distinct exit statuses, so library code should
 raise the most specific one that applies.
@@ -36,3 +37,21 @@ class GuardExceeded(ChoicelessLabError):
         self.limit = limit
         self.requested = requested
         super().__init__(f"guard {guard!r}: requested {requested}, limit {limit}")
+
+
+# Python's default limit on the digits ``int`` converts from a string
+DECIMAL_MAX_DIGITS = 4300
+
+
+def read_decimal(text: str, what: str, line: int | None = None, column: int | None = None) -> int:
+    """The value of a decimal read from an input file: ASCII digits only,
+    at most ``DECIMAL_MAX_DIGITS`` of them; anything else is a
+    ``ParseError`` naming the ``what`` at its place."""
+    if not (text.isascii() and text.isdigit()) or len(text) > DECIMAL_MAX_DIGITS:
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ParseError(
+            f"{what} {shown} is not a decimal of at most {DECIMAL_MAX_DIGITS} ASCII digits",
+            line,
+            column,
+        )
+    return int(text)

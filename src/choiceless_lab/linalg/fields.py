@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from ..errors import ValidationError
+from ..errors import GuardExceeded, ValidationError
 
 
 class FiniteField:
@@ -116,14 +116,32 @@ class _TableField(FiniteField):
         return out
 
 
+# Miller-Rabin on the twelve primes up to 37 as bases is exact below 2**64
+# (Sorenson and Webster, Math. Comp. 2017), so no larger order is read
+FIELD_MAX_ORDER = 2**64 - 1
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for ``n <= FIELD_MAX_ORDER``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -134,6 +152,8 @@ def zp(p: int) -> FiniteField:
     """The prime field of integers modulo ``p``."""
     field = _ZP_CACHE.get(p)
     if field is None:
+        if p > FIELD_MAX_ORDER:
+            raise GuardExceeded("field.max_order", FIELD_MAX_ORDER, p)
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
         field = _PrimeField(p)
@@ -198,13 +218,14 @@ def gf(q: int) -> FiniteField:
     field = _GF_CACHE.get(q)
     if field is not None:
         return field
-    if _is_prime(q):
-        field = zp(q)
-    elif q in _GF_MODULI:
+    if q in _GF_MODULI:
         p, modulus = _GF_MODULI[q]
         e = len(modulus) - 1
         field = _poly_field(p, e, modulus)
     else:
-        raise ValidationError(f"no field fixture of order {q}")
+        try:
+            field = zp(q)
+        except ValidationError:
+            raise ValidationError(f"no field fixture of order {q}") from None
     _GF_CACHE[q] = field
     return field

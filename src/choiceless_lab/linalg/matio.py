@@ -12,11 +12,13 @@ Header declares the ring, then the index sets, then sparse entries::
 Omitted entries are zero, and each header and each cell is listed at
 most once.  Field entries are canonical element indices; ring entries are
 decimal integers (possibly negative).  Integer matrices must be square.
+Every decimal (the field order, an entry) is ASCII digits, at most 4,300
+of them, with a ``-`` before a negative entry.
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, ValidationError, read_decimal
 from .fields import gf
 from .intmatrix import IntMatrix
 from .matrix import FieldMatrix
@@ -47,9 +49,9 @@ def parse_matrix(text: str):
                 raise ParseError(f"second {key} header, after line {first}", line_no)
             header_line[key] = line_no
         if head == "field":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2:
                 raise ParseError("field header needs one numeric order", line_no)
-            ring, q = "field", int(parts[1])
+            ring, q = "field", read_decimal(parts[1], "field order", line_no)
             try:
                 field = gf(q)
             except ValidationError as exc:
@@ -90,10 +92,10 @@ def parse_matrix(text: str):
             raise ParseError(f"entry ({i}, {j}) outside the index sets", line_no)
         if (i, j) in cells:
             raise ParseError(f"entry ({i}, {j}) listed twice", line_no)
-        try:
-            value = int(v)
-        except ValueError:
-            raise ParseError(f"bad entry value {v!r}", line_no) from None
+        digits = v[1:] if v.startswith("-") else v  # ring entries may be negative
+        value = read_decimal(digits, "entry value", line_no)
+        if digits != v:
+            value = -value
         if ring == "field" and not 0 <= value < q:
             raise ParseError(f"entry {value} is not an element index below {q}", line_no)
         cells[(i, j)] = value

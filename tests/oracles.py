@@ -12,6 +12,7 @@ import math
 import random
 import re
 from collections import Counter, namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -20,7 +21,6 @@ from choiceless_lab.bgs.interp import _accumulate_active
 from choiceless_lab.cfi import _block_token, _edge_token, _pair_token, build_twisted
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import Atom, make_set
-from choiceless_lab.linalg.matrix import _rank_bitrows
 from choiceless_lab.multipede import Multipede2, Multipede3
 
 
@@ -489,6 +489,23 @@ def _defect(a, b) -> dict:
     return defect
 
 
+def _rank_gf2(rows, width) -> int:
+    """Rank over GF(2) of rows packed as ints of ``width`` bits, by plain
+    elimination on lists of bits, one column at a time."""
+    grid = [[row >> k & 1 for k in range(width)] for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        for r in range(len(grid)):
+            if r != rank and grid[r][col]:
+                grid[r] = [x ^ y for x, y in zip(grid[r], grid[rank])]
+        rank += 1
+    return rank
+
+
 def iso3_by_base_matching(a, b) -> bool:
     """Isomorphism of shod 3-multipedes from an explicit foot-to-foot base
     matching: one representative image triple per hyperedge gives the
@@ -502,7 +519,8 @@ def iso3_by_base_matching(a, b) -> bool:
     defect = _defect(a, b)
     shoe = 1  # x_0 = 0 keeps the shoe on its foot
     augmented = [row | defect[h] << n for h, row in rows.items()]
-    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*rows.values(), shoe])
+    width = n + 1
+    return _rank_gf2(augmented + [shoe], width) == _rank_gf2([*rows.values(), shoe], width)
 
 
 # ------------------------------------------- helpers the library dropped
@@ -821,3 +839,83 @@ def random_multipede_listing(n_segments: int, n_hyperedges: int, seed) -> Multip
         base.positives,
         tuple(order),
     )
+
+
+# ------------------------------------------------ the shape-record classifier
+
+
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    m: int
+    classes: tuple  # ordered tuple of frozensets of block vertices
+    pairs: dict  # (ci, cj) with ci < cj -> frozenset of the two pair vertices
+    pair_neighbours: dict  # block vertex -> frozenset of its pair-vertex edges
+    padding: int
+
+
+def _analyze(structure):
+    """Decompose a coherent twisted gadget over a complete base into
+    ordered blocks, edge pairs and padding; None for anything else."""
+    adj = structure.adjacency()
+    classes = preorder_classes_by_upward_sets(structure.preorder)
+    if not classes:
+        return None
+    m = len(classes) - 1
+    if m < 1 or any(len(c) != 2 ** (m - 1) for c in classes):
+        return None
+    class_of = {x: i for i, c in enumerate(classes) for x in c}
+    # a PreGraph lists every vertex on an edge or in the pre-order, so the
+    # vertices on neither are the isolated ones
+    linked = adj.keys() - class_of.keys()
+    isolated = len(structure.vertices) - len(class_of) - len(linked)
+    if isolated not in (0, 2 ** (m * m)):
+        return None
+    # group the linked extras into edge pairs by their incident class pair
+    groups: dict = {}
+    for w in linked:
+        touched = {class_of.get(nb) for nb in adj[w]}
+        if None in touched or len(touched) != 2:
+            return None
+        groups.setdefault(tuple(sorted(touched)), set()).add(w)
+    want_pairs = {(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)}
+    if set(groups) != want_pairs or any(len(g) != 2 for g in groups.values()):
+        return None
+    pairs = {key: frozenset(g) for key, g in groups.items()}
+    pair_neighbours = {}
+    for ci, cls in enumerate(classes):
+        touching = [p for key, p in pairs.items() if ci in key]
+        for x in cls:
+            # exactly one vertex of each touching pair, and nothing else
+            neigh = frozenset(adj.get(x, ()))
+            if len(neigh) != m or any(len(p & neigh) != 1 for p in touching):
+                return None
+            pair_neighbours[x] = neigh
+        # coherence: members meet different vertices on len(N(x) ^ N(y)) // 2
+        # pairs, and each two differ on a positive even number of them;
+        # parity is additive, so evenness against one member suffices
+        neighbourhoods = {pair_neighbours[x] for x in cls}
+        first = next(iter(neighbourhoods))
+        if len(neighbourhoods) != len(cls) or any(
+            len(n ^ first) % 4 for n in neighbourhoods
+        ):
+            return None
+    return _Shape(m, tuple(classes), pairs, pair_neighbours, isolated)
+
+
+def _twist_parity(shape: _Shape) -> int:
+    """The number of edge pairs whose two end blocks' members meet
+    different vertices of the pair, mod 2, for any one member per block:
+    members of one block differ on an even number of pairs."""
+    member = [next(iter(cls)) for cls in shape.classes]
+    meets = shape.pair_neighbours
+    return sum(not meets[member[i]] & meets[member[j]] for i, j in shape.pairs) % 2
+
+
+def classify_by_shape(structure):
+    """The (m, padding, twist parity) of a coherent gadget, or None, read
+    through the shape record ``cfi`` built before it returned the triple
+    directly: ordered classes, edge pairs and every block vertex's
+    neighbourhood, kept as the differential oracle of ``cfi._invariants``.
+    The pre-order is read from upward sets, not degree counts."""
+    shape = _analyze(structure)
+    return None if shape is None else (shape.m, shape.padding, _twist_parity(shape))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from choiceless_lab.errors import GuardExceeded, ValidationError
 from helpers import twin_gadget
 from oracles import (
     automorphism_from_edges,
+    classify_by_shape,
     distinguish_structure,
     gadget_iso_by_flips,
     odd_boundary,
@@ -383,6 +385,130 @@ def test_isomorphism_rejects_twin_blocks():
         isomorphic_gadgets(twin, plain)
     with pytest.raises(ValidationError):
         isomorphic_gadgets(plain, twin)
+
+
+_FAULTS = (
+    "drop-adj",
+    "add-adj",
+    "move-adj",
+    "rewire",
+    "triangle",
+    "reverse-pre",
+    "move-block",
+    "drop-pair",
+    "isolated",
+)
+
+
+def faulted(gadget, structure: PreGraph, fault, rng) -> PreGraph:
+    """The gadget's structure (padded or not) with one fault of the named
+    kind at a place ``rng`` picks; None leaves it whole.  ``move-adj``
+    moves one or two edges at one block vertex, mostly to the other vertex
+    of their pair (coherence or twins may break, or the twist may change).
+    Two faults keep every degree: ``rewire`` drops one pair edge at each of
+    two block vertices of different classes and joins the two, and
+    ``triangle`` joins block vertices of three classes and moves one edge
+    of each to the other vertex of its pair.  ``isolated`` drops a padding
+    vertex or adds one."""
+    vertices, edges, pre = list(structure.vertices), set(structure.edges), set(structure.preorder)
+    pairs = gadget.pair_vertices
+    other = {**dict(zip(pairs[::2], pairs[1::2])), **dict(zip(pairs[1::2], pairs[::2]))}
+
+    def at(x) -> list:
+        return sorted((e for e in edges if x in e), key=sorted)
+
+    def move(e, x, to):
+        edges.remove(e)
+        edges.add(frozenset({x, to}))
+
+    def members(count) -> list:
+        """One block vertex from each of ``count`` distinct classes."""
+        ranks = rng.sample(sorted(set(gadget.rank.values())), count)
+        blocks = gadget.block_vertices
+        return [rng.choice([x for x in blocks if gadget.rank[x] == r]) for r in ranks]
+
+    if fault == "move-adj":
+        x = rng.choice(gadget.block_vertices)
+        for e in rng.sample(at(x), rng.choice([1, 2])):
+            (w,) = e - {x}
+            anywhere = rng.choice([v for v in vertices if v != x])
+            move(e, x, other[w] if rng.random() < 0.7 else anywhere)
+    elif fault == "rewire":
+        x, y = members(2)
+        edges -= {rng.choice(at(x)), rng.choice(at(y))}
+        edges.add(frozenset({x, y}))
+    elif fault == "triangle":
+        triangle = members(3)
+        for x in triangle:
+            e = rng.choice(at(x))
+            (w,) = e - {x}
+            move(e, x, other[w])
+        edges |= {frozenset(p) for p in itertools.combinations(triangle, 2)}
+    elif fault == "isolated":
+        pads = [v for v in vertices if v.startswith("pad")]
+        if pads:
+            vertices.remove(rng.choice(pads))
+        else:
+            vertices.append("extra")
+    elif fault == "drop-adj":
+        edges.remove(rng.choice(sorted(edges, key=sorted)))
+    elif fault == "add-adj":
+        edge = frozenset(rng.sample(vertices, 2))
+        while edge in edges:
+            edge = frozenset(rng.sample(vertices, 2))
+        edges.add(edge)
+    elif fault == "reverse-pre":
+        a, b = rng.choice(sorted(pre))
+        pre.remove((a, b))
+        pre.add((b, a))
+    elif fault == "move-block":
+        x = rng.choice(gadget.block_vertices)
+        others = sorted(set(gadget.rank.values()) - {gadget.rank[x]})
+        rank = {**gadget.rank, x: rng.choice(others)}
+        pre = {(a, b) for a in rank for b in rank if rank[a] <= rank[b]}
+    elif fault == "drop-pair":
+        w = rng.choice(gadget.pair_vertices)
+        vertices.remove(w)
+        edges = {e for e in edges if w not in e}
+    return PreGraph(tuple(vertices), frozenset(edges), frozenset(pre))
+
+
+@functools.lru_cache(maxsize=None)
+def built(m, twist, padded) -> tuple:
+    gadget = build_twisted(k(m + 1), twist)
+    return gadget, pad(gadget) if padded else gadget.structure()
+
+
+def drawn_gadget(data, m=None, padded=None) -> PreGraph:
+    """A renamed gadget over K_{m+1}, m = 2-5, padded only for m <= 3, with
+    a random twist and, half the time, one injected fault."""
+    if m is None:
+        m = data.draw(st.integers(2, 5))
+    if padded is None:
+        padded = m <= 3 and data.draw(st.booleans())
+    twist = data.draw(st.sets(st.sampled_from(k(m + 1).vertices)))
+    gadget, structure = built(m, frozenset(twist), padded)
+    fault = data.draw(st.sampled_from(_FAULTS)) if data.draw(st.booleans()) else None
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    return renamed(faulted(gadget, structure, fault, rng), rng.random())
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.data())
+def test_invariants_match_the_shape_record(data):
+    x = drawn_gadget(data)
+    tx = classify_by_shape(x)
+    assert recognize_and_classify(x) == (NOT_CFI if tx is None else tx[2])
+    if data.draw(st.booleans()):
+        y = drawn_gadget(data)
+    else:  # the same m and padding, so that the parity decides
+        y = drawn_gadget(data, m=tx[0] if tx else 3, padded=bool(tx and tx[1]))
+    ty = classify_by_shape(y)
+    if tx is None or ty is None:
+        with pytest.raises(ValidationError):
+            isomorphic_gadgets(x, y)
+    else:
+        assert isomorphic_gadgets(x, y) == (tx == ty)
 
 
 # ------------------------------------------------------------ structure io

@@ -686,6 +686,59 @@ def test_bgs_run_bad_budget_header_exits_parse(tmp_path, capsys):
     assert "line 1" in report["error"]["message"]
 
 
+_LONG = "9" * 5000
+
+# input file suffix, text, and where the error must say it is
+_BAD_DECIMALS = {
+    "arity of 5,000 digits": (".str", f"atoms: a\nrel R/{_LONG}:\n", " at line 2"),
+    "field order of 5,000 digits": (".mat", f"field {_LONG}\nrows a\nsquare\n", " at line 1"),
+    "field order not an ASCII digit": (".mat", "field \u00b2\nrows a\nsquare\n", " at line 1"),
+    "budget of 5,000 digits": (".bgs", f"#steps {_LONG}\n#active 9\nHalt := true\n", " at line 1"),
+    "literal of 5,000 digits": (".bgs", f"#steps 1\n#active 9\nN := {_LONG}\n", " at line 3, column 6"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_DECIMALS))
+def test_decimals_past_the_digit_rule_exit_parse_at_their_place(tmp_path, capsys, case):
+    suffix, text, where = _BAD_DECIMALS[case]
+    path = tmp_path / f"in{suffix}"
+    path.write_text(text, encoding="utf-8")
+    structure = tmp_path / "atoms.str"
+    structure.write_text("atoms: x\n")
+    argv = {
+        ".str": ["validate", "structure", "--input", str(path)],
+        ".mat": ["solve", "det", "--matrix", str(path)],
+        ".bgs": ["bgs", "run", "--program", str(path), "--input", str(structure)],
+    }[suffix]
+    code, report = invoke(argv, capsys)
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+    assert "at most 4300 ASCII digits" in report["error"]["message"]
+    assert report["error"]["message"].endswith(where)
+
+
+@pytest.mark.parametrize(
+    "order, status",
+    [
+        ("1000000000000000003", EXIT_OK),  # a prime
+        ("1000000016000000063", EXIT_PARSE),  # 1000000007 * 1000000009
+        ("18446744073709551557", EXIT_OK),  # the largest prime below 2**64
+        ("18446744073709551616", EXIT_GUARD),  # 2**64
+    ],
+)
+def test_field_order_is_decided_at_once(tmp_path, capsys, order, status):
+    path = tmp_path / "m.mat"
+    path.write_text(f"field {order}\nrows a\nsquare\na a 5\n")
+    started = time.monotonic()
+    code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
+    assert time.monotonic() - started < 1
+    assert code == status
+    if status == EXIT_OK:
+        assert report["result"]["nonsingular"] is True
+    elif status == EXIT_GUARD:
+        assert "field.max_order" in report["error"]["message"]
+
+
 def test_report_determinism_modulo_timing(tmp_path, capsys):
     path = tmp_path / "g.str"
     invoke(

@@ -32,6 +32,7 @@ from choiceless_lab.linalg import (
     transpose,
     zp,
 )
+from choiceless_lab.linalg.fields import _is_prime
 from choiceless_lab.linalg.intmatrix import determinant, scan_width
 from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
@@ -527,6 +528,16 @@ def test_sieve_examples():
     assert sieve_first_primes(8)[-1] == 19
     assert sieve_first_primes(32)[-1] == 131
     assert sieve_first_primes(1)[0] == 2
+
+
+def test_field_orders_are_tested_by_miller_rabin():
+    primes = set(sieve_first_primes(10_000))  # every prime below 104,730
+    assert all(_is_prime(n) == (n in primes) for n in range(104_730))
+    # strong pseudoprimes to the first 4, 9 and 11 prime bases, a Carmichael
+    # number, a Mersenne prime and the largest prime below 2**64
+    assert not any(map(_is_prime, [3215031751, 3825123056546413051, 561]))
+    assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+    assert not _is_prime((2**32 - 5) * (2**32 - 17))
 
 
 # ---------------------------------------------------------- int matrices
