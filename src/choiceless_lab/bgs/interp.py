@@ -27,13 +27,20 @@ them once, when it is compiled.  Only dynamic reads look up ``tables``,
 the pre-step tables, and a literal is its ordinal, made once while
 compiling.  Variables live in one list ``env`` allocated per run: a
 binder's slot is its nesting depth, the number of binders around it, so a
-shadowing binder takes a fresh slot and the outer binding survives.
+shadowing binder takes a fresh slot and the outer binding survives.  A
+read of a dynamic symbol at no more than two bound variables makes no call
+of its own where a test reads it as a truth value, compares it with a
+literal or asks whether it holds a literal: the consumer's closure reads
+the table itself, as an update's closure builds its key.
 
 A comprehension over ``Atoms`` whose guard starts with a lookup of its
 binder (an input relation, or a dynamic symbol read as a nonzero literal)
 visits only the atoms that lookup can hold, through an index of the
 relation made once per run or of the dynamic table remade when the table
-changes.  ``Card({ v : v in S : g })`` counts what passes, and
+changes.  The index holds exactly the atoms at which that first conjunct
+reads the wanted value, so the visited atoms are tested against the rest
+of the guard only, and a count with no rest is the length of the index
+entry.  ``Card({ v : v in S : g })`` counts what passes, and
 ``x in { e : v in S : g }`` searches and stops at the first hit; neither
 builds the set.  No value can change and no order can leak: every
 comprehension ends as a set, a count or a yes/no answer, so which members
@@ -190,9 +197,10 @@ class _Compiler:
         """The closure ``f(tables, env) -> bool`` telling whether a term
         reads 1: what guards compile to, with no truth value boxed."""
         symbol = node.symbol if isinstance(node, App) else None
-        if symbol in ("true", "false"):
-            holds = symbol == "true"
-            return lambda tables, env: holds
+        if symbol == "true":
+            return _true
+        if symbol == "false":
+            return lambda tables, env: False
         if symbol == "and":
             x, y = (self.test(a, scope, depth) for a in node.args)
             # short-circuit: no term of a checked program raises, so skipping
@@ -209,12 +217,31 @@ class _Compiler:
             return self.membership(*node.args, scope, depth)
         if symbol in self.structure.relations:
             relation = self.interpretation(symbol)
-            key = self.arguments(node.args, scope, depth)
             # a relation holds atom tuples only, so a tuple with a set in
             # it is never a member: off-universe arguments read as 0
+            slots = _bound_slots(node.args, scope)
+            if slots is not None and len(slots) == 2:  # the key built inline
+                s0, s1 = slots
+                return lambda tables, env: (env[s0], env[s1]) in relation
+            key = self.arguments(node.args, scope, depth)
             return lambda tables, env: key(tables, env) in relation
+        slots = self.read_slots(node, scope)
+        if slots is not None:
+            return _read_is(symbol, slots, TRUE)
         x = self.term(node, scope, depth)
         return lambda tables, env: x(tables, env) is TRUE
+
+    def read_slots(self, node, scope: dict):
+        """The ``env`` slots of a dynamic read of at most two bound
+        variables, which its consumer reads inline, or None."""
+        if (
+            not isinstance(node, App)
+            or node.symbol in BUILTIN_ARITY
+            or node.symbol in self.structure.relations
+            or node.symbol in self.structure.functions
+        ):
+            return None
+        return _bound_slots(node.args, scope)
 
     def disjunction(self, left, right, scope: dict, depth: int):
         # "or" reads 1 when one operand reads 1 and neither reads anything
@@ -245,18 +272,25 @@ class _Compiler:
     def equality(self, left, right, scope: dict, depth: int):
         if isinstance(left, Lit):
             left, right = right, left
-        x = self.term(left, scope, depth)
         if isinstance(right, Lit):
             k = ordinal(right.value)
+            slots = self.read_slots(left, scope)
+            if slots is not None:
+                return _read_is(left.symbol, slots, k)
+            x = self.term(left, scope, depth)
             return lambda tables, env: x(tables, env) is k
+        x = self.term(left, scope, depth)
         y = self.term(right, scope, depth)
         return lambda tables, env: x(tables, env) is y(tables, env)
 
     def membership(self, left, right, scope: dict, depth: int):
         if isinstance(right, Compr):
             return self.search(left, right, scope, depth)
-        y = self.term(right, scope, depth)
         if isinstance(left, Lit):
+            slots = self.read_slots(right, scope)
+            if slots is not None:
+                return _read_holds(right.symbol, slots, left.value)
+            y = self.term(right, scope, depth)
             k = left.value
             literal = ordinal(k)
 
@@ -267,6 +301,7 @@ class _Compiler:
 
             return holds_literal
         x = self.term(left, scope, depth)
+        y = self.term(right, scope, depth)
 
         def member(tables, env):
             u = x(tables, env)
@@ -277,16 +312,15 @@ class _Compiler:
 
     def ranged(self, node: Compr, scope: dict, depth: int) -> tuple:
         """A comprehension's parts: the closure listing the members its
-        binder visits, the binder's slot, its guard as a test and its
-        element."""
+        binder visits, the binder's slot, the guard those members must
+        still pass as a test, and its element."""
         inner = self.bind(scope, node.var, depth)
-        guard = self.test(node.guard, inner, depth + 1)
         element = self.term(node.element, inner, depth + 1)
-        members = self.lookup(node, scope, depth)
+        members, guard = self.lookup(node, scope, depth) or (None, node.guard)
         if members is None:
             source = self.term(node.source, scope, depth)
             members = lambda tables, env: source(tables, env).members  # noqa: E731
-        return members, depth, guard, element
+        return members, depth, self.test(guard, inner, depth + 1), element
 
     def comprehension(self, node: Compr, scope: dict, depth: int):
         members, slot, guard, element = self.ranged(node, scope, depth)
@@ -305,6 +339,8 @@ class _Compiler:
         """``Card({ v : v in S : g })`` with no set built: the members of S
         are distinct, so the count is how many of them pass."""
         members, slot, guard, _ = self.ranged(node, scope, depth)
+        if guard is _true:
+            return lambda tables, env: ordinal(len(members(tables, env)))
 
         def count(tables, env):
             n = 0
@@ -334,16 +370,20 @@ class _Compiler:
 
     def lookup(self, node: Compr, scope: dict, depth: int):
         """For a comprehension over Atoms, the closure listing only the
-        atoms that the first conjunct of its guard can hold, or None.
+        atoms at which the first conjunct of its guard holds, and the rest
+        of the guard (``true`` when nothing is left); or None.
 
         That conjunct must read an input relation, a dynamic symbol
         ``= k`` with k not 0, or a dynamic symbol as a truth value (= 1),
         with the binder as exactly one argument and bound variables or
-        literals as the others.  An atom the lookup does not hold fails the
-        guard, so the index nested-loop join of Selinger et al., "Access
-        path selection in a relational database management system" (1979),
-        visits fewer atoms and gives the same set; each visited atom is
-        still tested against the whole guard."""
+        literals as the others.  The index holds exactly the atoms at which
+        the conjunct reads the wanted value: a relation's tuples are all
+        atoms, and a table holds no 0, so an atom outside the index reads
+        something else there.  So the index nested-loop join of Selinger et
+        al., "Access path selection in a relational database management
+        system" (1979), visits fewer atoms and gives the same set, and a
+        visited atom is tested against the rest of the guard only: the
+        conjunct the index answered is not tested again."""
         if node.source != App("Atoms"):
             return None
         first = node.guard
@@ -368,15 +408,25 @@ class _Compiler:
         rest = first.args[:p] + first.args[p + 1:]
         if not all(isinstance(a, Lit) or (isinstance(a, Var) and a.name in scope) for a in rest):
             return None
-        key = self.arguments(rest, scope, depth)
         symbol = first.symbol
         index_of = self.table_index(symbol, p)
+        guard = _without_first_conjunct(node.guard)
+        slots = _bound_slots(rest, scope)
         if symbol in self.structure.relations:
-            relation = self.interpretation(symbol)  # one table all run: indexed once
-            return lambda tables, env: index_of(relation).get((key(tables, env), wanted), ())
-        return lambda tables, env: index_of(tables.get(symbol, _NO_TABLE)).get(
-            (key(tables, env), wanted), ()
-        )
+            index = index_of(self.interpretation(symbol))  # one table all run: indexed once
+            key = self.arguments(rest, scope, depth)
+            return (lambda tables, env: index.get((key(tables, env), wanted), ())), guard
+        if slots is not None and len(slots) == 1:  # the key built inline
+            (s0,) = slots
+            return (
+                lambda tables, env: index_of(tables.get(symbol, _NO_TABLE))
+                .get(((env[s0],), wanted), ())
+            ), guard
+        key = self.arguments(rest, scope, depth)
+        return (
+            lambda tables, env: index_of(tables.get(symbol, _NO_TABLE))
+            .get((key(tables, env), wanted), ())
+        ), guard
 
     def table_index(self, symbol: str, p: int):
         """The function taking a table of ``symbol`` to its atoms at
@@ -439,7 +489,7 @@ class _Compiler:
             key = self.arguments(node.args, scope, depth)
             return lambda tables, env: table.get(key(tables, env), EMPTY)
         # a dynamic read: reads of at most two bound variables take one call
-        slots = _bound_slots(node.args, scope)
+        slots = self.read_slots(node, scope)
         if slots is None:
             key = self.arguments(node.args, scope, depth)
             return lambda tables, env: tables.get(symbol, _NO_TABLE).get(key(tables, env), EMPTY)
@@ -460,6 +510,14 @@ class _Compiler:
             guard = self.test(node.guard, scope, depth)
             then_rule = self.rule(node.then_rule, scope, depth)
             else_rule = self.rule(node.else_rule, scope, depth)
+
+            if else_rule is _skip:
+
+                def when(tables, env, out):
+                    if guard(tables, env):
+                        then_rule(tables, env, out)
+
+                return when
 
             def cond(tables, env, out):
                 (then_rule if guard(tables, env) else else_rule)(tables, env, out)
@@ -488,8 +546,19 @@ class _Compiler:
 
     def update(self, node: Update, scope: dict, depth: int):
         symbol = node.symbol
-        key = self.arguments(node.args, scope, depth)
         value = self.term(node.value, scope, depth)
+        slots = _bound_slots(node.args, scope)
+        if symbol not in BOOLEAN_DYNAMICS and slots is not None:  # the key built inline
+            if not slots:
+                return lambda tables, env, out: out.add((symbol, (), value(tables, env)))
+            if len(slots) == 1:
+                (s0,) = slots
+                return lambda tables, env, out: out.add((symbol, (env[s0],), value(tables, env)))
+            s0, s1 = slots
+            return lambda tables, env, out: out.add(
+                (symbol, (env[s0], env[s1]), value(tables, env))
+            )
+        key = self.arguments(node.args, scope, depth)
         if symbol not in BOOLEAN_DYNAMICS:
             return lambda tables, env, out: out.add(
                 (symbol, key(tables, env), value(tables, env))
@@ -511,6 +580,59 @@ def _bound_slots(nodes: tuple, scope: dict):
     variables, else None."""
     slots = tuple(scope.get(a.name) if isinstance(a, Var) else None for a in nodes)
     return slots if len(slots) <= 2 and None not in slots else None
+
+
+def _without_first_conjunct(guard):
+    """A guard with its leftmost conjunct dropped, ``true`` if it had one."""
+    if not (isinstance(guard, App) and guard.symbol == "and"):
+        return App("true")
+    left, right = guard.args
+    rest = _without_first_conjunct(left)
+    return right if rest == App("true") else App("and", (rest, right))
+
+
+def _true(tables, env):
+    return True
+
+
+def _read_is(symbol: str, slots: tuple, k: HfValue):
+    """The test that ``symbol`` at the bound variables ``slots`` reads
+    ``k``, the table read inline."""
+    if not slots:
+        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((), EMPTY) is k
+    if len(slots) == 1:
+        (s0,) = slots
+        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY) is k
+    s0, s1 = slots
+    return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY) is k
+
+
+def _read_holds(symbol: str, slots: tuple, k: int):
+    """The test ``k in symbol(...)`` for a literal k and the bound
+    variables ``slots``, the table read inline; ordinal n holds the
+    literals below n, and an atom's members are ()."""
+    literal = ordinal(k)
+    if not slots:
+
+        def holds(tables, env):
+            v = tables.get(symbol, _NO_TABLE).get((), EMPTY)
+            return v.n > k if type(v) is Ordinal else literal in v.members
+
+    elif len(slots) == 1:
+        (s0,) = slots
+
+        def holds(tables, env):
+            v = tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY)
+            return v.n > k if type(v) is Ordinal else literal in v.members
+
+    else:
+        s0, s1 = slots
+
+        def holds(tables, env):
+            v = tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY)
+            return v.n > k if type(v) is Ordinal else literal in v.members
+
+    return holds
 
 
 def _skip(tables, env, out):
@@ -560,49 +682,58 @@ def _compile_term(term, structure: InputStructure, names=()) -> tuple:
     return compiler.term(term, scope, len(names)), compiler.slots
 
 
-def collect_updates(step, tables: dict, env: list) -> frozenset:
+def collect_updates(step, tables: dict, env: list) -> set:
     """The update set of one step, as (symbol, argument tuple, value)
     triples: the compiled rule ``step`` run on the pre-step tables.  A
     function of its own, so a step can be timed apart from ``fire``."""
     out: set = set()
     step(tables, env, out)
-    return frozenset(out)
+    return out
 
 
-def _has_clash(updates: frozenset) -> bool:
-    seen: dict = {}
-    for symbol, args, value in updates:
-        if seen.setdefault((symbol, args), value) is not value:
-            return True
-    return False
+def fire(state: State, updates) -> State:
+    """Apply all updates simultaneously; a clash leaves the state as is.
 
-
-def fire(state: State, updates: frozenset) -> State:
-    """Apply all updates simultaneously; a clash leaves the state as is."""
-    if not updates or _has_clash(updates):
+    One pass over the updates groups them by symbol and stops at the
+    first location given two values; each written table is then its old
+    table with the step's writes laid over it, and the locations written
+    0 taken out, since absent locations already read 0."""
+    if not updates:
         return state
-    tables = dict(state.tables)
-    touched: set = set()
+    writes: dict = {}  # symbol -> {args: value} of this step
+    zeros: list = []  # the (symbol, args) written 0
     for symbol, args, value in updates:
-        if symbol not in touched:
-            tables[symbol] = dict(tables.get(symbol, ()))
-            touched.add(symbol)
+        written = writes.get(symbol)
+        if written is None:
+            written = writes[symbol] = {}
+        if written.setdefault(args, value) is not value:
+            return state
         if value is EMPTY:
-            tables[symbol].pop(args, None)  # default reads are already 0
-        else:
-            tables[symbol][args] = value
+            zeros.append((symbol, args))
+    tables = dict(state.tables)
+    for symbol, written in writes.items():
+        tables[symbol] = {**tables.get(symbol, _NO_TABLE), **written}
+    for symbol, args in zeros:
+        del tables[symbol][args]
     return State(state.structure, tables)
 
 
-def _accumulate_active(updates: frozenset, active: set, ordinals: int) -> int:
+def _accumulate_active(updates, active: set, ordinals: int) -> int:
     """Add the non-ordinals that ``updates`` involve to ``active`` and return
     the new count of active ordinals.  The active elements are closed under
     membership, so the active ordinals are always 0, ..., ordinals - 1, and
-    the walk stops at any set already counted: its members are counted too."""
+    nothing already counted is walked again: not an argument tuple whose
+    members are all counted, nor a set whose members are counted with it."""
+    counted = active.issuperset
     stack: list = []
     for _, args, value in updates:
-        stack.append(value)
-        stack.extend(args)
+        if not counted(args):
+            stack.extend(args)
+        if type(value) is Ordinal:
+            if value.n >= ordinals:
+                ordinals = value.n + 1
+        elif value not in active:
+            stack.append(value)
     while stack:
         v = stack.pop()
         if type(v) is Ordinal:

@@ -102,18 +102,23 @@ _KEYWORDS = {
     "not",
 }
 
+# one match per token, the whitespace and ``//`` comments before it
+# skipped inside the match: every character starts some token, a "bad"
+# one if nothing else, and the empty token at the end is "eof"
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<assign>:=)
-  | (?P<noteq>!=)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[(){},;:=])
-    """,
-    re.VERBOSE,
+    r"((?:\s+|//[^\n]*)*)(:=|!=|\d+|[A-Za-z_][A-Za-z0-9_]*|[(){},;:=]|.|\Z)",
+    re.DOTALL,
 )
+# a token's kind by its text, else by its first character; any other
+# token of digits is a "num" of non-ASCII digits, and the rest are "bad"
+_KINDS = {
+    ":=": "assign",
+    "!=": "noteq",
+    "": "eof",
+    **dict.fromkeys("(){},;:=", "punct"),
+    **dict.fromkeys("0123456789", "num"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"),
+}
 
 
 class _Token:
@@ -127,28 +132,24 @@ class _Token:
 
 
 def _tokenize(text: str):
+    """The tokens of a program body, each with its line and column, in
+    one regex pass; the last token is "eof".  Only skipped text holds a
+    newline, so a token's line and column follow from the lengths of the
+    tokens and skips before it."""
     tokens = []
     line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # a character no token starts with; the parser stops at it
-            tokens.append(_Token("bad", text[pos], line, pos - line_start + 1))
-            pos += 1
-            continue
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    line_start = 0  # where the current line begins
+    pos = 0  # where the current token begins
+    for skipped, chunk in _TOKEN_RE.findall(text):
+        pos += len(skipped)
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = pos - len(skipped) + skipped.rindex("\n") + 1
+        kind = _KINDS.get(chunk) or _KINDS.get(chunk[0]) or ("num" if chunk.isdecimal() else "bad")
+        tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
+        if not chunk:
+            return tokens
+        pos += len(chunk)
 
 
 class _Parser:

@@ -7,6 +7,8 @@ raise the most specific one that applies.
 
 from __future__ import annotations
 
+import sys
+
 
 class ChoicelessLabError(Exception):
     """Base class for all package-specific failures."""
@@ -43,14 +45,25 @@ class GuardExceeded(ChoicelessLabError):
 DECIMAL_MAX_DIGITS = 4300
 
 
+def _max_digits() -> int:
+    """``DECIMAL_MAX_DIGITS``, or the interpreter's own limit on the digits
+    ``int`` converts (``PYTHONINTMAXSTRDIGITS``) when that is lower; 0
+    there means no limit, and an interpreter older than the limit has
+    none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit, DECIMAL_MAX_DIGITS) if limit else DECIMAL_MAX_DIGITS
+
+
 def read_decimal(text: str, what: str, line: int | None = None, column: int | None = None) -> int:
     """The value of a decimal read from an input file: ASCII digits only,
-    at most ``DECIMAL_MAX_DIGITS`` of them; anything else is a
-    ``ParseError`` naming the ``what`` at its place."""
-    if not (text.isascii() and text.isdigit()) or len(text) > DECIMAL_MAX_DIGITS:
+    at most ``DECIMAL_MAX_DIGITS`` of them, or fewer if the interpreter
+    converts fewer; anything else is a ``ParseError`` naming the ``what``
+    at its place."""
+    most = _max_digits()
+    if not (text.isascii() and text.isdigit()) or len(text) > most:
         shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
         raise ParseError(
-            f"{what} {shown} is not a decimal of at most {DECIMAL_MAX_DIGITS} ASCII digits",
+            f"{what} {shown} is not a decimal of at most {most} ASCII digits",
             line,
             column,
         )

@@ -1,23 +1,27 @@
 """The tree-walking evaluator, kept as the differential oracle of the
-compiled interpreter in ``choiceless_lab.bgs.interp``.
+compiled interpreter in ``choiceless_lab.bgs.interp``, and the
+match-per-token tokenizer, kept as the oracle of the parser's one-pass
+tokenizer.
 
 ``eval_term`` and ``collect_updates`` walk the syntax tree on every
 evaluation, dispatching on node type, with variables in a dict copied at
 each binder.  ``run_oracle`` is ``interp.run`` with that walker in place
-of the compiled step: it shares the vocabulary check, ``fire`` and both
-budgets, so any difference between the two runs is the compiler's or the
-active count's.  The oracle counts active elements member by member with
-``accumulate_active``, ordinals included, where ``interp`` holds the active
-ordinals as one number.
+of the compiled step and a plain ``fire`` of its own: it shares only the
+vocabulary check and both budgets, so any difference between the two
+runs is the compiler's, ``fire``'s or the active count's.  The oracle
+counts active elements member by member with ``accumulate_active``,
+ordinals included, where ``interp`` holds the active ordinals as one
+number.
 """
 
 from __future__ import annotations
+
+import re
 
 from choiceless_lab.bgs.interp import (
     RunOutcome,
     State,
     _vocabulary_check,
-    fire,
 )
 from choiceless_lab.bgs.structures import InputStructure
 from choiceless_lab.bgs.syntax import (
@@ -47,6 +51,47 @@ from choiceless_lab.hfset import (
     the_unique,
     union_all,
 )
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<assign>:=)
+  | (?P<noteq>!=)
+  | (?P<num>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[(){},;:=])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(text: str) -> list:
+    """The (kind, text, line, column) of each token of a program body, one
+    ``match`` per token and per run of whitespace or comment; a character
+    no token starts with is a "bad" token, and the last token is "eof"."""
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            tokens.append(("bad", text[pos], line, pos - line_start + 1))
+            pos += 1
+            continue
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, chunk, line, pos - line_start + 1))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + chunk.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 def _as_flag(value: HfValue) -> int:
@@ -175,6 +220,26 @@ def _collect(state: State, env: dict, rule, out: set) -> None:
             _collect(state, env, sub, out)
         return
     raise TypeError(f"not a rule: {rule!r}")
+
+
+def fire(state: State, updates) -> State:
+    """Apply all updates simultaneously, or none if two of them give one
+    location different values: check every location first, then copy the
+    tables and write, dropping the locations written 0."""
+    values: dict = {}
+    for symbol, args, value in updates:
+        if values.setdefault((symbol, args), value) is not value:
+            return state
+    if not values:
+        return state
+    tables = {symbol: dict(table) for symbol, table in state.tables.items()}
+    for (symbol, args), value in values.items():
+        table = tables.setdefault(symbol, {})
+        if value is EMPTY:
+            table.pop(args, None)
+        else:
+            table[args] = value
+    return State(state.structure, tables)
 
 
 def accumulate_active(updates: frozenset, active: set) -> None:

@@ -101,15 +101,16 @@ def twin_gadget() -> PreGraph:
     return PreGraph(plain.vertices, frozenset(edges), plain.preorder)
 
 
-def run_child(args, hash_seed="0", check=True) -> subprocess.CompletedProcess:
-    """Run ``python args...`` in a fresh process that imports this tree."""
+def run_child(args, hash_seed="0", check=True, env=()) -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh process that imports this tree,
+    with the variables ``env`` added to the environment."""
     src = str(Path(choiceless_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        env={**os.environ, **dict(env), "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
         timeout=60,
         check=check,
     )

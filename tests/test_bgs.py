@@ -36,6 +36,7 @@ from choiceless_lab.bgs import (
     write_structure,
 )
 from choiceless_lab.bgs import interp
+from choiceless_lab.bgs import parser as parser_module
 from choiceless_lab.bgs.parser import MAX_NESTING
 from choiceless_lab.bgs.syntax import Forall
 from choiceless_lab.cfi import build_twisted, complete_graph, pad, to_structure
@@ -325,6 +326,28 @@ bodies = st.one_of(
     ).map(lambda a: nested_body(*a)),
     st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join),
 )
+
+
+# characters of every token kind, whitespace of several kinds, non-ASCII
+# digits and letters, and characters no token starts with
+_TOKEN_PIECES = st.sampled_from(
+    list("aZ_09 \t\r\n\x0b\u2028(){},;:=!/#\u00e9\u0663\u00b2")
+    + ["//", ":=", "!=", "// c\n", "x1", "12"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_TOKEN_PIECES, max_size=40).map("".join), st.text(max_size=40)))
+def test_tokenizer_matches_match_per_token_tokenizer(text):
+    got = [(t.kind, t.text, t.line, t.col) for t in parser_module._tokenize(text)]
+    assert got == bgs_oracle.tokenize(text)
+
+
+def test_tokenizer_on_shipped_programs():
+    for name in ("power", "parity", "doubling"):
+        text = (Path(choiceless_lab.__file__).parent / "programs" / f"{name}.bgs").read_text()
+        got = [(t.kind, t.text, t.line, t.col) for t in parser_module._tokenize(text)]
+        assert got == bgs_oracle.tokenize(text)
 
 
 @st.composite
@@ -738,6 +761,120 @@ def test_indexed_table_read_after_it_changes():
     assert [read("N", x, two) for x in (a, b, c)] == [one, one, EMPTY]
 
 
+# Each shape the compiler fuses, against the oracle under renamings:
+# comprehensions, counts and searches whose first conjunct an index
+# answers (a relation, a dynamic "= k" or a dynamic truth value) and is
+# not tested again, followed by 0, 1 or 2 more conjuncts; "= k" and
+# "k in" on reads of two bound variables; updates with zero, one and two
+# bound argument slots, values 0 among them; and clashing update sets.
+_FUSED_ATOMS = InputStructure.build(
+    ["a", "b", "c", "d", "e"],
+    relations={
+        "E": [("a", "b"), ("a", "c"), ("b", "b"), ("c", "b"), ("d", "b"), ("d", "e"), ("e", "a")],
+        "P": [("a",), ("c",), ("d",)],
+    },
+    functions={"F": {("a",): "b", ("b",): "c", ("c",): "a", ("d",): "d", ("e",): "a"}},
+)
+_FUSED_VALUES = ("0", "1", "1", "2", "true", "x", "Pair(x, y)", "F(y)")
+
+
+@st.composite
+def _fused_guards(draw, v, o):
+    """A guard on binder ``v`` with ``o`` bound outside: a first conjunct
+    an index may answer and 0, 1 or 2 more."""
+    k = lambda: draw(st.sampled_from(["0", "1", "2"]))  # noqa: E731
+    first = draw(
+        st.sampled_from(
+            [
+                f"E({o}, {v})", f"E({v}, {o})", f"E({v}, {o}) = {k()}",
+                f"P({v})", f"P({v}) = {k()}",
+                f"D({o}, {v}) = {k()}", f"{k()} = D({v}, {o})", f"U({v}) = {k()}",
+                f"D({v}, {o})", f"B({v})", f"U({v})",
+            ]
+        )
+    )
+    more = [
+        f"E({v}, {o})", f"not B({v})", f"D({v}, {o}) = {k()}", f"{k()} in D({o}, {v})",
+        f"B({v})", f"F({v}) = {o}", f"P({v})", f"{k()} in U({v})", "true",
+    ]
+    more = draw(st.lists(st.sampled_from(more), max_size=2))
+    if not more and first in (f"D({v}, {o})", f"B({v})", f"U({v})"):
+        more = ["true"]  # a dynamic symbol is no guard on its own
+    return " and ".join([first, *more])
+
+
+@st.composite
+def _fused_reads(draw, o):
+    """A term with ``x`` and ``o`` bound that reads the step-1 tables."""
+    v = draw(st.sampled_from(["v", "w"]))
+    guard = draw(_fused_guards(v, o))
+    element = draw(st.sampled_from([v, "0", f"F({v})", f"Pair({v}, {o})"]))
+    wanted = draw(st.sampled_from([o, "0", "x", f"F({o})"]))
+    k = draw(st.sampled_from(["0", "1", "2"]))
+    return draw(
+        st.sampled_from(
+            [
+                f"{{ {element} : {v} in Atoms : {guard} }}",
+                f"Card({{ {v} : {v} in Atoms : {guard} }})",
+                f"{wanted} in {{ {element} : {v} in Atoms : {guard} }}",
+                f"D(x, {o}) = {k}", f"{k} = D({o}, x)", f"{k} in D(x, {o})", f"{k} in D({o}, {o})",
+                f"D({o}, x)", f"{k} in U({o})", f"U({o}) = {k}",
+            ]
+        )
+    )
+
+
+@st.composite
+def fused_shape_programs(draw):
+    value = lambda: draw(st.sampled_from(_FUSED_VALUES))  # noqa: E731
+    conditions = ["true", "E(x, y)", "not E(y, x)", "P(y)", "F(x) = y"]
+    cond = lambda: draw(st.sampled_from(conditions))  # noqa: E731
+    pairs = draw(st.lists(_fused_reads("y"), min_size=1, max_size=3))
+    singles = draw(st.lists(_fused_reads("x"), max_size=2))
+    step2 = "; ".join(
+        [
+            "do forall y in Atoms, do in parallel "
+            + "; ".join(f"R{i}(x, y) := {t}" for i, t in enumerate(pairs))
+            + " enddo enddo",
+            *(f"S{i}(x) := {t}" for i, t in enumerate(singles)),
+        ]
+    )
+    step2 = f"do forall x in Atoms, do in parallel {step2} enddo enddo"
+    if draw(st.booleans()):  # a clash when two atoms pass
+        clash = draw(_fused_guards("x", "x"))
+        step2 += f"; do forall x in Atoms, if {clash} then C := x endif enddo"
+    output = draw(_fused_guards("y", "x"))
+    output = f"0 in {{ 0 : x in Atoms : 0 in {{ 0 : y in Atoms : {output} }} }}"
+    fill_b = draw(st.sampled_from(["true", "false", "2", "P(x)", "E(x, F(x))"]))
+    return (
+        "#steps 4\n#active 600 60\n#requires card\n"
+        "if Mode = 0 then do in parallel\n"
+        "  do forall x in Atoms, do in parallel\n"
+        f"    do forall y in Atoms, if {cond()} then D(x, y) := {value()} endif enddo;\n"
+        f"    if {cond().replace('y', 'x')} then U(x) := {value().replace('y', 'x')} endif;\n"
+        f"    B(x) := {fill_b}\n"
+        "  enddo enddo;\n"
+        "  Mode := 1\n"
+        "enddo else if Mode = 1 then do in parallel\n"
+        f"  {step2};\n"
+        "  Mode := 2\n"
+        "enddo else do in parallel\n"
+        f"  Output := {output};\n"
+        "  Halt := true\n"
+        "enddo endif endif\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(fused_shape_programs(), st.integers(0, 2**32 - 1))
+def test_fused_shapes_match_oracle(text, seed):
+    prog = parse_program(text)
+    got = assert_runs_agree(prog, _FUSED_ATOMS)
+    # a clash in step 2 leaves Mode at 1 until the step budget runs out
+    assert got is not None and (got[0] in ("accept", "reject") or "C := x" in text), text
+    assert_runs_agree(prog, permuted_structure(_FUSED_ATOMS, seed))
+
+
 _TWO_STEPS = (
     "#steps 3\n#active 20 1\n"
     "if Mode = 0 then\n"
@@ -872,13 +1009,38 @@ def test_fire_semantics(five_atoms):
     state = State(five_atoms)
     a = five_atoms.by_name["a0"]
     b = five_atoms.by_name["a1"]
-    ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
-    new = fire(state, ok)
-    assert new.read("F", (a,)) is ordinal(1)
-    assert new.read("F", (b,)) is ordinal(1)
-    assert state.read("F", (a,)) is EMPTY  # old state untouched
-    clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
-    assert fire(state, clash) is state
+    for fire_ in (fire, bgs_oracle.fire):
+        ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
+        new = fire_(state, ok)
+        assert new.read("F", (a,)) is ordinal(1)
+        assert new.read("F", (b,)) is ordinal(1)
+        assert state.read("F", (a,)) is EMPTY  # old state untouched
+        clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
+        assert fire_(state, clash) is state
+
+
+_FIRE_ATOMS = [Atom(f"f{i}") for i in range(3)]
+_fire_updates = st.tuples(
+    st.sampled_from(["F", "G", "N"]),
+    st.lists(st.sampled_from(_FIRE_ATOMS), max_size=2).map(tuple),
+    st.sampled_from([EMPTY, TRUE, ordinal(2), _FIRE_ATOMS[0]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(_fire_updates, max_size=6), max_size=4))
+def test_fire_matches_oracle_fire(steps):
+    """``fire`` and the oracle's plain ``fire`` agree step by step on
+    writes, writes of 0, clashes and empty update sets, and neither
+    changes the state it is given."""
+    got = want = State(empty_structure(0))
+    for updates in steps:
+        before = {symbol: dict(table) for symbol, table in got.tables.items()}
+        new_got, new_want = fire(got, updates), bgs_oracle.fire(want, updates)
+        assert (new_got is got) == (new_want is want)
+        assert new_got.tables == new_want.tables
+        assert got.tables == before
+        got, want = new_got, new_want
 
 
 def test_active_count_examples(five_atoms):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -715,6 +716,26 @@ def test_decimals_past_the_digit_rule_exit_parse_at_their_place(tmp_path, capsys
     assert report["error"]["kind"] == "parse"
     assert "at most 4300 ASCII digits" in report["error"]["message"]
     assert report["error"]["message"].endswith(where)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="an interpreter with no limit on int digits"
+)
+def test_decimal_past_the_interpreters_own_limit_exits_parse(tmp_path):
+    """Under ``PYTHONINTMAXSTRDIGITS=640``, ``int`` converts at most 640
+    digits, so a 1,000-digit entry is a parse error at its line, not an
+    internal error; without the variable the same file is read."""
+    path = tmp_path / "m.mat"
+    path.write_text(f"ring Z\nrows a\nsquare\na a {'7' * 1000}\n")
+    child = ["-c", "from choiceless_lab.cli import main; main()", "solve", "det", "--matrix", str(path)]
+    done = run_child(child, check=False, env={"PYTHONINTMAXSTRDIGITS": "640"})
+    report = json.loads(done.stdout)
+    assert done.returncode == EXIT_PARSE, done.stdout + done.stderr
+    assert report["error"]["kind"] == "parse"
+    assert "at most 640 ASCII digits" in report["error"]["message"]
+    assert report["error"]["message"].endswith(" at line 4")
+    done = run_child(child, check=False)
+    assert done.returncode == EXIT_OK, done.stdout + done.stderr
 
 
 @pytest.mark.parametrize(
