@@ -672,16 +672,6 @@ def _compile_rule(rule, structure: InputStructure) -> tuple:
     return compiler.rule(rule, {}, 0), compiler.slots
 
 
-def _compile_term(term, structure: InputStructure, names=()) -> tuple:
-    """The closure ``f(tables, env)`` of a term whose free variables
-    ``names`` sit in the first slots of ``env``, and the length of the
-    ``env`` it needs."""
-    compiler = _Compiler(structure)
-    compiler.slots = len(names)
-    scope = {name: slot for slot, name in enumerate(names)}
-    return compiler.term(term, scope, len(names)), compiler.slots
-
-
 def collect_updates(step, tables: dict, env: list) -> set:
     """The update set of one step, as (symbol, argument tuple, value)
     triples: the compiled rule ``step`` run on the pre-step tables.  A

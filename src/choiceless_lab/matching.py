@@ -19,7 +19,9 @@ matching of value |f|, and the bipartite matching polytope is integral.
 The coloring refines by splitters: each round reads only the neighbours
 of the smaller children of the blocks that split in the round before,
 never those of a split block's largest child, so it reads O((n + m) log n)
-adjacency entries in all.  The blocks and their canonical order are those
+adjacency entries in all.  It counts and keys only the vertices that share
+their block, since a singleton cannot split, which leaves both that bound
+and the order unchanged.  The blocks and their canonical order are those
 of recomputing every vertex's full count vector each round
 (``stable_coloring`` says why).  The flow starts from a greedy pass over
 the linked pairs, which leaves few augmenting paths to search.
@@ -28,7 +30,6 @@ the linked pairs, which leaves few augmenting paths to search.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -165,8 +166,9 @@ class _Block:
 _UNTOUCHED = (0,)  # the key of the zero vector
 
 
-def _touched_keys(splits, adjacency) -> dict:
-    """Every vertex that a split of last round touches, mapped to its key.
+def _touched_keys(splits, adjacency, block_of) -> dict:
+    """Every vertex that a split of last round touches and that shares its
+    block, mapped to its key.
 
     A split is a block's children in their new order and the child it skips,
     its largest.  The vertex's vector holds, at the start of each unskipped
@@ -174,23 +176,30 @@ def _touched_keys(splits, adjacency) -> dict:
     child's start minus the sum of those numbers.  Its key lists the
     nonzero entries in position order, c at position p as 1, -p, c if c > 0
     and as -1, p, c if c < 0, and ends with 0; compared as tuples, keys
-    order exactly as the vectors do, with zeros implied.
+    order exactly as the vectors do, with zeros implied.  A vertex alone in
+    its block after last round is neither counted nor keyed: a singleton
+    cannot split.
     """
-    entries = defaultdict(list)  # vertex -> [(position, sign, ±position, count)]
+    entries: dict = {}  # vertex -> [(position, sign, ±position, count)]
     for children, skipped in splits:
-        counts = Counter(
-            [
-                (v, child.start)
-                for child in children
-                if child is not skipped
-                for u in child.members
-                for v in adjacency[u]
-            ]
-        )
         totals: dict = {}
-        for (v, p), count in counts.items():
-            entries[v].append((p, 1, -p, count))
-            totals[v] = totals.get(v, 0) + count
+        for child in children:
+            if child is skipped:
+                continue
+            counts: dict = {}
+            for u in child.members:
+                for v in adjacency[u]:
+                    if len(block_of[v].members) > 1:
+                        counts[v] = counts.get(v, 0) + 1
+            p = child.start
+            for v, count in counts.items():
+                entry = (p, 1, -p, count)
+                listed = entries.get(v)
+                if listed is None:
+                    entries[v] = [entry]
+                else:
+                    listed.append(entry)
+                totals[v] = totals.get(v, 0) + count
         p = skipped.start
         for v, count in totals.items():
             entries[v].append((p, -1, p, -count))
@@ -214,7 +223,16 @@ def _split(keys, block_of) -> list:
     """
     by_block: dict = {}
     for v, key in keys.items():
-        by_block.setdefault(block_of[v], {}).setdefault(key, []).append(v)
+        block = block_of[v]
+        groups = by_block.get(block)
+        if groups is None:
+            by_block[block] = {key: [v]}
+        else:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [v]
+            else:
+                group.append(v)
     splits = []
     for block, groups in by_block.items():
         if len(groups) == 1 and sum(map(len, groups.values())) == len(block.members):
@@ -224,6 +242,7 @@ def _split(keys, block_of) -> list:
         if block.members:
             groups[_UNTOUCHED] = block.members
         children = []
+        largest, most = None, 0
         start = block.start
         for key in sorted(groups):
             members = groups[key]
@@ -232,10 +251,14 @@ def _split(keys, block_of) -> list:
                 block.start = start
             else:
                 child = _Block(start, set(members))
-                block_of.update(dict.fromkeys(members, child))
+                for v in members:
+                    block_of[v] = child
             children.append(child)
-            start += len(members)
-        splits.append((children, max(children, key=lambda c: len(c.members))))
+            size = len(members)
+            if size > most:  # so the first of largest size is skipped
+                largest, most = child, size
+            start += size
+        splits.append((children, largest))
     return splits
 
 
@@ -258,7 +281,11 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     The first round reads degrees only, and later a vertex is read only
     from a child at most half its parent's size, so the rounds read
     O((n + m) log n) adjacency entries in all, and a split moves only the
-    vertices read next to it.
+    vertices read next to it.  Of those neighbours, only the ones that
+    share their block after round r - 1 are counted and keyed: a singleton
+    never splits, so skipping it changes neither the blocks nor their
+    order.  On a tie for a split block's largest child, any choice gives
+    the same blocks, and the first is skipped.
     """
     adjacency = graph.adjacency
     block_of: dict = {}
@@ -272,8 +299,8 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
         first_splits.append(_split(degrees, block_of))
     a_splits, b_splits = first_splits
     while a_splits or b_splits:
-        a_keys = _touched_keys(b_splits, adjacency)
-        b_keys = _touched_keys(a_splits, adjacency)
+        a_keys = _touched_keys(b_splits, adjacency, block_of)
+        b_keys = _touched_keys(a_splits, adjacency, block_of)
         a_splits, b_splits = _split(a_keys, block_of), _split(b_keys, block_of)
     return StableColoring(
         *(

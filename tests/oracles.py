@@ -205,16 +205,17 @@ def hall_condition_direct(a_side, edges) -> bool:
     return True
 
 
-def max_matching_by_padding(a_side, b_side, edges) -> int:
+def max_matching_by_padding(a_side, b_side, edges, hall=hall_condition_direct) -> int:
     """Maximum matching size as |A| minus the fewest B-vertices adjacent
-    to all of A whose addition satisfies Hall's condition."""
+    to all of A whose addition satisfies Hall's condition, which
+    ``hall(a_side, edges)`` decides: by default over every subset of A."""
     pad_tag = "pad"
     while any(isinstance(b, tuple) and b and b[0] == pad_tag for b in b_side):
         pad_tag = pad_tag + "_"
     for s in range(len(a_side) + 1):
         pads = [(pad_tag, t) for t in range(s)]
         padded = set(edges) | {(a, p) for a in a_side for p in pads}
-        if hall_condition_direct(a_side, padded):
+        if hall(a_side, padded):
             return len(a_side) - s
     raise AssertionError("padding with |A| vertices always satisfies Hall's condition")
 

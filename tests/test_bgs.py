@@ -904,9 +904,12 @@ def test_structure_may_not_interpret_a_dynamic_symbol(symbol_line):
 
 
 def compiled_eval(state, env, term):
-    """``eval_term``'s signature over the compiled path."""
-    fn, slots = interp._compile_term(term, state.structure, tuple(env))
-    return fn(state.tables, list(env.values()) + [None] * (slots - len(env)))
+    """``eval_term``'s signature over the compiled path: ``env``'s variables
+    sit in the first slots of the closure's ``env``."""
+    compiler = interp._Compiler(state.structure)
+    compiler.slots = len(env)
+    fn = compiler.term(term, {name: slot for slot, name in enumerate(env)}, len(env))
+    return fn(state.tables, list(env.values()) + [None] * (compiler.slots - len(env)))
 
 
 def compiled_collect(state, env, rule):

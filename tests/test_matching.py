@@ -304,6 +304,70 @@ def test_stable_coloring_matches_dense_reference_over_many_rounds():
             assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(*sides)
 
 
+def sparse_random_graph(rng, na, nb):
+    """na and nb vertices, each edge present with probability 4 / max(na, nb),
+    as in the benchmark's random family."""
+    a = [f"a{i}" for i in range(na)]
+    b = [f"b{j}" for j in range(nb)]
+    p = 4 / max(na, nb)
+    return a, b, [(x, y) for x in a for y in b if rng.random() < p]
+
+
+def hall_by_path_algorithm(a_side, edges):
+    """Hall's condition for A, decided by the ordered path algorithm."""
+    g = graph(a_side, {y for _, y in edges}, edges)
+    return path_algorithm(g, sorted(g.a_side | g.b_side, key=repr))[0]
+
+
+@st.composite
+def sparse_graphs_with_renaming(draw):
+    """A sparse random graph, alone or beside a path, even cycle or crown
+    whose blocks keep splitting while its own are already singletons."""
+    rng = draw(st.randoms(use_true_random=False))
+    parts = [sparse_random_graph(rng, draw(st.integers(10, 40)), draw(st.integers(10, 40)))]
+    companion = draw(st.sampled_from([None, "path", "path+", "cycle", "crown"]))
+    if companion == "crown":
+        parts.append(crown(draw(st.integers(2, 8))))
+    elif companion is not None:
+        n = draw(st.integers(2, 40))
+        parts.append(even_cycle(n) if companion == "cycle" else path_graph(n, companion == "path+"))
+    a, b, edges = disjoint_union(*parts)
+    names = a + b
+    return a, b, edges, dict(zip(names, rng.sample(names, len(names))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs_with_renaming())
+def test_sparse_graphs_match_dense_reference_and_padding(example):
+    for a, b, edges in both_namings(example):
+        g = graph(a, b, edges)
+        c = stable_coloring(g)
+        assert (c.a_blocks, c.b_blocks) == stable_coloring_dense(a, b, edges)
+        assert max_matching_size(g) == max_matching_by_padding(
+            a, b, edges, hall=hall_by_path_algorithm
+        )
+
+
+def test_stable_coloring_keys_no_vertex_alone_in_its_block(monkeypatch):
+    # a graph like the benchmark's random ones: its coloring ends nearly
+    # discrete, so later rounds reach many vertices already alone
+    a, b, edges = sparse_random_graph(random.Random(5), 120, 120)
+    keyed_alone = []
+    split = matching._split
+
+    def spy(keys, block_of):
+        # both key sets are built before either side splits, so block_of
+        # still holds the blocks the keys were built against
+        keyed_alone.append(sum(len(block_of[v].members) == 1 for v in keys))
+        return split(keys, block_of)
+
+    monkeypatch.setattr(matching, "_split", spy)
+    c = stable_coloring(graph(a, b, edges))
+    assert sum(len(block) == 1 for block in c.a_blocks + c.b_blocks) > 200
+    assert len(keyed_alone) > 6
+    assert keyed_alone == [0] * len(keyed_alone)
+
+
 # -------------------------------------------------------------- saturation
 
 
