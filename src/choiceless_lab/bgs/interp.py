@@ -19,28 +19,28 @@ predicate ``f(tables, env) -> bool`` that tells whether the term reads 1,
 and a rule ``f(tables, env, out)``, adding its updates to ``out``.  The
 logical builtins compile to predicates (``and`` to Python's ``and``,
 ``eq`` to ``is``) and are boxed into ordinals 0 and 1 only where a value is
-needed.  Builtins and input symbols are resolved while compiling, so each
-closure already holds its relation, function map or builtin, and the
-set of the atoms.  The structure holds names; the atoms are its
-``by_name`` atoms, and each input symbol the program reads is mapped onto
-them once, when it is compiled.  Only dynamic reads look up ``tables``,
-the pre-step tables, and a literal is its ordinal, made once while
-compiling.  Variables live in one list ``env`` allocated per run: a
+needed.  Builtins, ``Atoms`` and literals are resolved while compiling.
+Every other symbol is read as ``tables[symbol]``, from the one dict of
+tables each step gets: the input's relations and functions are the
+static part of the vocabulary, made into tables once per run over the
+structure's ``by_name`` atoms (a relation reads 1 at its tuples), and
+each dynamic symbol has the pre-step table, or a shared empty one until
+first written.  Variables live in one list ``env`` allocated per run: a
 binder's slot is its nesting depth, the number of binders around it, so a
 shadowing binder takes a fresh slot and the outer binding survives.  A
-read of a dynamic symbol at no more than two bound variables makes no call
-of its own where a test reads it as a truth value, compares it with a
-literal or asks whether it holds a literal: the consumer's closure reads
-the table itself, as an update's closure builds its key.
+read at no more than two bound variables makes no call of its own where
+a test reads it as a truth value, compares it with a literal or asks
+whether it holds a literal: the consumer's closure reads the table
+itself, as an update's closure builds its key.
 
 A comprehension over ``Atoms`` whose guard starts with a lookup of its
-binder (an input relation, or a dynamic symbol read as a nonzero literal)
-visits only the atoms that lookup can hold, through an index of the
-relation made once per run or of the dynamic table remade when the table
-changes.  The index holds exactly the atoms at which that first conjunct
-reads the wanted value, so the visited atoms are tested against the rest
-of the guard only, and a count with no rest is the length of the index
-entry.  ``Card({ v : v in S : g })`` counts what passes, and
+binder (a symbol read as a truth value or as a nonzero literal) visits
+only the atoms that lookup can hold, through an index of the symbol's
+table, remade when the table changes, which an input table never does.
+The index holds exactly the atoms at which that first conjunct reads the
+wanted value, so the visited atoms are tested against the rest of the
+guard only, and a count with no rest is the length of the index entry.
+``Card({ v : v in S : g })`` counts what passes, and
 ``x in { e : v in S : g }`` searches and stops at the first hit; neither
 builds the set.  No value can change and no order can leak: every
 comprehension ends as a set, a count or a yes/no answer, so which members
@@ -125,7 +125,7 @@ def _constant(value: HfValue):
     return constant
 
 
-_NO_TABLE: dict = {}  # read for a dynamic symbol with no table yet; never written
+_NO_TABLE: dict = {}  # the table of a dynamic symbol not yet written; never written
 
 
 class _Compiler:
@@ -135,27 +135,8 @@ class _Compiler:
     def __init__(self, structure: InputStructure):
         self.structure = structure
         self.atoms = make_set(structure.by_name.values())
-        self.inputs: dict = {}  # input symbol -> its interpretation over atoms
         self.indexes: dict = {}  # (symbol, argument position) -> its index
         self.slots = 0
-
-    def interpretation(self, symbol: str):
-        """An input symbol's function over the run's atoms, or its relation
-        as a table reading 1 at each of its tuples, made when the program
-        first reads the symbol."""
-        found = self.inputs.get(symbol)
-        if found is None:
-            atom = self.structure.by_name.__getitem__
-            relation = self.structure.relations.get(symbol)
-            if relation is not None:
-                found = dict.fromkeys((tuple(map(atom, tup)) for tup in relation), TRUE)
-            else:
-                found = {
-                    tuple(map(atom, args)): atom(value)
-                    for args, value in self.structure.functions[symbol].items()
-                }
-            self.inputs[symbol] = found
-        return found
 
     def bind(self, scope: dict, name: str, depth: int) -> dict:
         self.slots = max(self.slots, depth + 1)
@@ -215,33 +196,11 @@ class _Compiler:
             return self.equality(*node.args, scope, depth)
         if symbol == "in":
             return self.membership(*node.args, scope, depth)
-        if symbol in self.structure.relations:
-            relation = self.interpretation(symbol)
-            # a relation holds atom tuples only, so a tuple with a set in
-            # it is never a member: off-universe arguments read as 0
-            slots = _bound_slots(node.args, scope)
-            if slots is not None and len(slots) == 2:  # the key built inline
-                s0, s1 = slots
-                return lambda tables, env: (env[s0], env[s1]) in relation
-            key = self.arguments(node.args, scope, depth)
-            return lambda tables, env: key(tables, env) in relation
-        slots = self.read_slots(node, scope)
+        slots = _read_slots(node, scope)
         if slots is not None:
             return _read_is(symbol, slots, TRUE)
         x = self.term(node, scope, depth)
         return lambda tables, env: x(tables, env) is TRUE
-
-    def read_slots(self, node, scope: dict):
-        """The ``env`` slots of a dynamic read of at most two bound
-        variables, which its consumer reads inline, or None."""
-        if (
-            not isinstance(node, App)
-            or node.symbol in BUILTIN_ARITY
-            or node.symbol in self.structure.relations
-            or node.symbol in self.structure.functions
-        ):
-            return None
-        return _bound_slots(node.args, scope)
 
     def disjunction(self, left, right, scope: dict, depth: int):
         # "or" reads 1 when one operand reads 1 and neither reads anything
@@ -274,7 +233,7 @@ class _Compiler:
             left, right = right, left
         if isinstance(right, Lit):
             k = ordinal(right.value)
-            slots = self.read_slots(left, scope)
+            slots = _read_slots(left, scope)
             if slots is not None:
                 return _read_is(left.symbol, slots, k)
             x = self.term(left, scope, depth)
@@ -287,7 +246,7 @@ class _Compiler:
         if isinstance(right, Compr):
             return self.search(left, right, scope, depth)
         if isinstance(left, Lit):
-            slots = self.read_slots(right, scope)
+            slots = _read_slots(right, scope)
             if slots is not None:
                 return _read_holds(right.symbol, slots, left.value)
             y = self.term(right, scope, depth)
@@ -373,15 +332,14 @@ class _Compiler:
         atoms at which the first conjunct of its guard holds, and the rest
         of the guard (``true`` when nothing is left); or None.
 
-        That conjunct must read an input relation, a dynamic symbol
-        ``= k`` with k not 0, or a dynamic symbol as a truth value (= 1),
-        with the binder as exactly one argument and bound variables or
-        literals as the others.  The index holds exactly the atoms at which
-        the conjunct reads the wanted value: a relation's tuples are all
-        atoms, and a table holds no 0, so an atom outside the index reads
-        something else there.  So the index nested-loop join of Selinger et
-        al., "Access path selection in a relational database management
-        system" (1979), visits fewer atoms and gives the same set, and a
+        That conjunct must read a symbol ``= k`` with k not 0, or as a
+        truth value (= 1), with the binder as exactly one argument and
+        bound variables or literals as the others.  The index holds exactly
+        the atoms at which the conjunct reads the wanted value: a table
+        holds no 0, so an atom outside the index reads something else
+        there.  So the index nested-loop join of Selinger et al., "Access
+        path selection in a relational database management system"
+        (1979), visits fewer atoms and gives the same set, and a
         visited atom is tested against the rest of the guard only: the
         conjunct the index answered is not tested again."""
         if node.source != App("Atoms"):
@@ -400,7 +358,6 @@ class _Compiler:
         if (
             not isinstance(first, App)
             or first.symbol in BUILTIN_ARITY
-            or first.symbol in self.structure.functions
             or first.args.count(Var(node.var)) != 1
         ):
             return None
@@ -412,29 +369,25 @@ class _Compiler:
         index_of = self.table_index(symbol, p)
         guard = _without_first_conjunct(node.guard)
         slots = _bound_slots(rest, scope)
-        if symbol in self.structure.relations:
-            index = index_of(self.interpretation(symbol))  # one table all run: indexed once
-            key = self.arguments(rest, scope, depth)
-            return (lambda tables, env: index.get((key(tables, env), wanted), ())), guard
         if slots is not None and len(slots) == 1:  # the key built inline
             (s0,) = slots
             return (
-                lambda tables, env: index_of(tables.get(symbol, _NO_TABLE))
+                lambda tables, env: index_of(tables[symbol])
                 .get(((env[s0],), wanted), ())
             ), guard
         key = self.arguments(rest, scope, depth)
         return (
-            lambda tables, env: index_of(tables.get(symbol, _NO_TABLE))
+            lambda tables, env: index_of(tables[symbol])
             .get((key(tables, env), wanted), ())
         ), guard
 
     def table_index(self, symbol: str, p: int):
         """The function taking a table of ``symbol`` to its atoms at
         argument ``p`` by the other arguments and the value, remade only
-        when it is handed a table other than the last one.  ``fire``
-        copies a table before it writes to it, so the last table is
-        unchanged; holding it keeps any other dict from taking its
-        identity."""
+        when it is handed a table other than the last one.  An input
+        table is the same dict all run, and ``fire`` copies a table before
+        it writes to it, so the last table is unchanged; holding it keeps
+        any other dict from taking its identity."""
         found = self.indexes.get((symbol, p))
         if found is None:
             atoms = self.atoms.members
@@ -474,7 +427,7 @@ class _Compiler:
             return _constant(EMPTY)
         if symbol == "Atoms":
             return _constant(self.atoms)
-        if symbol in BOOLEAN_BUILTINS or symbol in self.structure.relations:
+        if symbol in BOOLEAN_BUILTINS:
             holds = self.test(node, scope, depth)
             return lambda tables, env: TRUE if holds(tables, env) else EMPTY
         if symbol == "Card":
@@ -484,22 +437,18 @@ class _Compiler:
         builtin = _BUILTINS.get(symbol)
         if builtin is not None:
             return builtin(*[self.term(a, scope, depth) for a in node.args])
-        if symbol in self.structure.functions:
-            table = self.interpretation(symbol)
-            key = self.arguments(node.args, scope, depth)
-            return lambda tables, env: table.get(key(tables, env), EMPTY)
-        # a dynamic read: reads of at most two bound variables take one call
-        slots = self.read_slots(node, scope)
+        # a symbol's read: reads of at most two bound variables take one call
+        slots = _read_slots(node, scope)
         if slots is None:
             key = self.arguments(node.args, scope, depth)
-            return lambda tables, env: tables.get(symbol, _NO_TABLE).get(key(tables, env), EMPTY)
+            return lambda tables, env: tables[symbol].get(key(tables, env), EMPTY)
         if not slots:
-            return lambda tables, env: tables.get(symbol, _NO_TABLE).get((), EMPTY)
+            return lambda tables, env: tables[symbol].get((), EMPTY)
         if len(slots) == 1:
             (s0,) = slots
-            return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY)
+            return lambda tables, env: tables[symbol].get((env[s0],), EMPTY)
         s0, s1 = slots
-        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY)
+        return lambda tables, env: tables[symbol].get((env[s0], env[s1]), EMPTY)
 
     def rule(self, node, scope: dict, depth: int):
         if isinstance(node, Skip):
@@ -575,6 +524,14 @@ class _Compiler:
         return boolean_update
 
 
+def _read_slots(node, scope: dict):
+    """The ``env`` slots of a symbol's read at no more than two bound
+    variables, which its consumer reads inline, or None."""
+    if not isinstance(node, App) or node.symbol in BUILTIN_ARITY:
+        return None
+    return _bound_slots(node.args, scope)
+
+
 def _bound_slots(nodes: tuple, scope: dict):
     """The ``env`` slots of ``nodes`` when they are at most two bound
     variables, else None."""
@@ -599,12 +556,12 @@ def _read_is(symbol: str, slots: tuple, k: HfValue):
     """The test that ``symbol`` at the bound variables ``slots`` reads
     ``k``, the table read inline."""
     if not slots:
-        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((), EMPTY) is k
+        return lambda tables, env: tables[symbol].get((), EMPTY) is k
     if len(slots) == 1:
         (s0,) = slots
-        return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY) is k
+        return lambda tables, env: tables[symbol].get((env[s0],), EMPTY) is k
     s0, s1 = slots
-    return lambda tables, env: tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY) is k
+    return lambda tables, env: tables[symbol].get((env[s0], env[s1]), EMPTY) is k
 
 
 def _read_holds(symbol: str, slots: tuple, k: int):
@@ -615,21 +572,21 @@ def _read_holds(symbol: str, slots: tuple, k: int):
     if not slots:
 
         def holds(tables, env):
-            v = tables.get(symbol, _NO_TABLE).get((), EMPTY)
+            v = tables[symbol].get((), EMPTY)
             return v.n > k if type(v) is Ordinal else literal in v.members
 
     elif len(slots) == 1:
         (s0,) = slots
 
         def holds(tables, env):
-            v = tables.get(symbol, _NO_TABLE).get((env[s0],), EMPTY)
+            v = tables[symbol].get((env[s0],), EMPTY)
             return v.n > k if type(v) is Ordinal else literal in v.members
 
     else:
         s0, s1 = slots
 
         def holds(tables, env):
-            v = tables.get(symbol, _NO_TABLE).get((env[s0], env[s1]), EMPTY)
+            v = tables[symbol].get((env[s0], env[s1]), EMPTY)
             return v.n > k if type(v) is Ordinal else literal in v.members
 
     return holds
@@ -663,13 +620,6 @@ _BUILTINS = {
     "Pair": _pair,
     "Card": _card,
 }
-
-
-def _compile_rule(rule, structure: InputStructure) -> tuple:
-    """The closure ``f(tables, env, out)`` of a closed rule, and the length
-    of the ``env`` it needs."""
-    compiler = _Compiler(structure)
-    return compiler.rule(rule, {}, 0), compiler.slots
 
 
 def collect_updates(step, tables: dict, env: list) -> set:
@@ -767,11 +717,34 @@ def _vocabulary_check(program: Program, structure: InputStructure) -> None:
             )
 
 
+def _input_tables(structure: InputStructure, symbols) -> dict:
+    """Each input symbol's table over the run's atoms: a function's map,
+    or a relation's tuples reading 1.  A relation holds atom tuples only,
+    so a tuple with a set in it reads 0."""
+    atom = structure.by_name.__getitem__
+    relations, functions = structure.relations, structure.functions
+    return {
+        symbol: dict.fromkeys((tuple(map(atom, t)) for t in relations[symbol]), TRUE)
+        if symbol in relations
+        else {tuple(map(atom, args)): atom(v) for args, v in functions[symbol].items()}
+        for symbol in symbols
+    }
+
+
 def run(program: Program, structure: InputStructure) -> RunOutcome:
     """Fire the program from the initial state under its own budgets."""
     _vocabulary_check(program, structure)
-    step, slots = _compile_rule(program.rule, structure)
-    env: list = [None] * slots
+    compiler = _Compiler(structure)
+    step = compiler.rule(program.rule, {}, 0)
+    env: list = [None] * compiler.slots
+    # the tables a step reads, {**unwritten, **inputs, **state.tables}: an
+    # empty one for each dynamic symbol, then each input symbol's (a key set
+    # disjoint from the first by the vocabulary check), then the state's,
+    # laid over them after each step that changes the state
+    tables = {
+        **dict.fromkeys(program.dynamic_arity, _NO_TABLE),
+        **_input_tables(structure, program.static_arity),
+    }
 
     n = len(structure.atoms)
     max_steps = program.bounds.max_steps(n)
@@ -788,12 +761,13 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
         if steps >= max_steps:
             verdict = "bound-exceeded"
             break
-        updates = collect_updates(step, state.tables, env)
+        updates = collect_updates(step, tables, env)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:
             ordinals = _accumulate_active(updates, active, ordinals)
             state = new_state
+            tables.update(state.tables)
             if len(active) + ordinals > max_active:
                 verdict = "bound-exceeded"
                 break

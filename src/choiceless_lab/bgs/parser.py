@@ -6,7 +6,8 @@ Header lines (before the body):
     #active <c0> <c1> ...      active-element budget polynomial
     #requires card             enables the cardinality builtin
 
-A header line may end in a ``//`` comment.
+A header line may end in a ``//`` comment, and each header appears at most
+once.
 
 Body grammar (keywords are reserved):
 
@@ -465,7 +466,7 @@ def _range_scope(bound, var, kind):
 
 def _parse_headers(text: str):
     budgets: dict = {}
-    card = False
+    header_line: dict = {}  # header -> line number
     body_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -474,6 +475,9 @@ def _parse_headers(text: str):
             if not parts:
                 raise ParseError("empty header line", line_no)
             head, rest = parts[0], parts[1:]
+            if head in header_line:
+                raise ParseError(f"second {head} header, after line {header_line[head]}", line_no)
+            header_line[head] = line_no
             if head in ("steps", "active"):
                 if not rest:
                     raise ParseError("budget coefficients must be nonnegative integers", line_no)
@@ -481,7 +485,6 @@ def _parse_headers(text: str):
             elif head == "requires":
                 if rest != ["card"]:
                     raise ParseError(f"unknown requirement {rest!r}", line_no)
-                card = True
             else:
                 raise ParseError(f"unknown header {head!r}", line_no)
             body_lines.append("")
@@ -489,7 +492,7 @@ def _parse_headers(text: str):
             body_lines.append(raw)
     if len(budgets) < 2:
         raise ParseError("program needs #steps and #active headers")
-    bounds = RunBounds(budgets["steps"], budgets["active"], card_enabled=card)
+    bounds = RunBounds(budgets["steps"], budgets["active"], card_enabled="requires" in header_line)
     return bounds, "\n".join(body_lines)
 
 

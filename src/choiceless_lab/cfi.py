@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .bgs.structures import preorder_classes
+from .bgs.structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
 
 __all__ = [
@@ -288,8 +288,6 @@ _ARITIES = {"Adj": 2, "Pre": 2}
 
 def to_structure(structure: PreGraph):
     """Encode as a structure with symmetric Adj and the pre-order Pre."""
-    from .bgs import InputStructure
-
     adj_pairs = []
     for e in structure.edges:
         a, b = tuple(e)

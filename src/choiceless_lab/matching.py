@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
+from .bgs.structures import InputStructure
 from .errors import ValidationError
 
 __all__ = [
@@ -421,8 +422,6 @@ def graph_from_structure(structure) -> BipartiteGraph:
 
 def graph_to_structure(graph: BipartiteGraph):
     """Encode as a structure with unary InA/InB and binary R."""
-    from .bgs import InputStructure
-
     names = sorted(str(v) for v in graph.a_side | graph.b_side)
     return InputStructure.build(
         names,

@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bgs.structures import preorder_classes
+from .bgs.structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
 from .linalg.matrix import _rank_bitrows
 
@@ -287,8 +287,6 @@ def to_structure(pede_or_shod):
     """Encode as a structure: sorts via Segment/Foot, the foot map S, the
     symmetric ternary Hyper and Positive, the segment order Leq, and the
     Shoe marker (empty for a bare multipede)."""
-    from .bgs import InputStructure
-
     if isinstance(pede_or_shod, ShodMultipede):
         m = pede_or_shod.pede
         shoes = [(str(pede_or_shod.shoe),)]

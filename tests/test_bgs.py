@@ -196,6 +196,20 @@ def test_malformed_budget_coefficient_is_a_parse_error(headers, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "headers, head, line, first",
+    [
+        ("#steps 1\n#active 2\n#steps 7 1\n", "steps", 3, 1),
+        ("#steps 1\n// budgets\n#active 2\n#active 3\n", "active", 4, 3),
+        ("#requires card\n#steps 1\n#active 2\n#requires card // again\n", "requires", 4, 1),
+    ],
+)
+def test_repeated_header_is_a_parse_error(headers, head, line, first):
+    with pytest.raises(ParseError, match=f"second {head} header, after line {first}") as err:
+        parse_program(headers + "Halt := true")
+    assert err.value.line == line
+
+
 def test_readme_example_with_header_comments():
     prog = parse_program(
         "#steps 4 1          // step budget 4 + n\n"
@@ -767,13 +781,24 @@ def test_indexed_table_read_after_it_changes():
 # not tested again, followed by 0, 1 or 2 more conjuncts; "= k" and
 # "k in" on reads of two bound variables; updates with zero, one and two
 # bound argument slots, values 0 among them; and clashing update sets.
+# Input symbols are read from the same tables as dynamic ones: the
+# ternary T at three bound variables, the function F as an indexed first
+# conjunct, and the nullary Q and G.
 _FUSED_ATOMS = InputStructure.build(
     ["a", "b", "c", "d", "e"],
     relations={
         "E": [("a", "b"), ("a", "c"), ("b", "b"), ("c", "b"), ("d", "b"), ("d", "e"), ("e", "a")],
         "P": [("a",), ("c",), ("d",)],
+        "T": [
+            ("a", "b", "c"), ("a", "b", "b"), ("b", "b", "a"), ("c", "a", "b"),
+            ("d", "e", "a"), ("e", "a", "e"), ("b", "c", "d"), ("d", "b", "b"), ("c", "c", "c"),
+        ],
+        "Q": [()],
     },
-    functions={"F": {("a",): "b", ("b",): "c", ("c",): "a", ("d",): "d", ("e",): "a"}},
+    functions={
+        "F": {("a",): "b", ("b",): "c", ("c",): "a", ("d",): "d", ("e",): "a"},
+        "G": {(): "c"},
+    },
 )
 _FUSED_VALUES = ("0", "1", "1", "2", "true", "x", "Pair(x, y)", "F(y)")
 
@@ -790,16 +815,19 @@ def _fused_guards(draw, v, o):
                 f"P({v})", f"P({v}) = {k()}",
                 f"D({o}, {v}) = {k()}", f"{k()} = D({v}, {o})", f"U({v}) = {k()}",
                 f"D({v}, {o})", f"B({v})", f"U({v})",
+                f"T({o}, {v}, x)", f"T({v}, x, {o}) = {k()}",
+                f"F({v})", f"F({v}) = {k()}", f"{k()} = F({v})",
             ]
         )
     )
     more = [
         f"E({v}, {o})", f"not B({v})", f"D({v}, {o}) = {k()}", f"{k()} in D({o}, {v})",
         f"B({v})", f"F({v}) = {o}", f"P({v})", f"{k()} in U({v})", "true",
+        f"T(x, {o}, {v})", f"not T({v}, {v}, {o})", "Q", f"F({v}) = G",
     ]
     more = draw(st.lists(st.sampled_from(more), max_size=2))
-    if not more and first in (f"D({v}, {o})", f"B({v})", f"U({v})"):
-        more = ["true"]  # a dynamic symbol is no guard on its own
+    if not more and first in (f"D({v}, {o})", f"B({v})", f"U({v})", f"F({v})"):
+        more = ["true"]  # a dynamic symbol or a function is no guard on its own
     return " and ".join([first, *more])
 
 
@@ -819,6 +847,7 @@ def _fused_reads(draw, o):
                 f"{wanted} in {{ {element} : {v} in Atoms : {guard} }}",
                 f"D(x, {o}) = {k}", f"{k} = D({o}, x)", f"{k} in D(x, {o})", f"{k} in D({o}, {o})",
                 f"D({o}, x)", f"{k} in U({o})", f"U({o}) = {k}",
+                f"T(x, {o}, {o})", "Q", f"Pair(G, {o})", f"F(G) = {o}",
             ]
         )
     )
@@ -827,7 +856,7 @@ def _fused_reads(draw, o):
 @st.composite
 def fused_shape_programs(draw):
     value = lambda: draw(st.sampled_from(_FUSED_VALUES))  # noqa: E731
-    conditions = ["true", "E(x, y)", "not E(y, x)", "P(y)", "F(x) = y"]
+    conditions = ["true", "E(x, y)", "not E(y, x)", "P(y)", "F(x) = y", "T(x, y, y)", "Q"]
     cond = lambda: draw(st.sampled_from(conditions))  # noqa: E731
     pairs = draw(st.lists(_fused_reads("y"), min_size=1, max_size=3))
     singles = draw(st.lists(_fused_reads("x"), max_size=2))
@@ -845,7 +874,7 @@ def fused_shape_programs(draw):
         step2 += f"; do forall x in Atoms, if {clash} then C := x endif enddo"
     output = draw(_fused_guards("y", "x"))
     output = f"0 in {{ 0 : x in Atoms : 0 in {{ 0 : y in Atoms : {output} }} }}"
-    fill_b = draw(st.sampled_from(["true", "false", "2", "P(x)", "E(x, F(x))"]))
+    fill_b = draw(st.sampled_from(["true", "false", "2", "P(x)", "E(x, F(x))", "Q", "G"]))
     return (
         "#steps 4\n#active 600 60\n#requires card\n"
         "if Mode = 0 then do in parallel\n"
@@ -903,20 +932,33 @@ def test_structure_may_not_interpret_a_dynamic_symbol(symbol_line):
 # ------------------------------------------------------------- evaluation
 
 
+class _StepTables(dict):
+    """The tables a compiled closure reads: the structure's input tables
+    under the state's, and an empty table for a symbol not yet written."""
+
+    def __init__(self, state):
+        structure = state.structure
+        super().__init__(interp._input_tables(structure, structure.arities), **state.tables)
+
+    def __missing__(self, symbol):
+        return {}
+
+
 def compiled_eval(state, env, term):
     """``eval_term``'s signature over the compiled path: ``env``'s variables
     sit in the first slots of the closure's ``env``."""
     compiler = interp._Compiler(state.structure)
     compiler.slots = len(env)
     fn = compiler.term(term, {name: slot for slot, name in enumerate(env)}, len(env))
-    return fn(state.tables, list(env.values()) + [None] * (compiler.slots - len(env)))
+    return fn(_StepTables(state), list(env.values()) + [None] * (compiler.slots - len(env)))
 
 
 def compiled_collect(state, env, rule):
     """``collect_updates``' tree-walker signature over the compiled path."""
     assert not env, "compiled rules are closed"
-    step, slots = interp._compile_rule(rule, state.structure)
-    return interp.collect_updates(step, state.tables, [None] * slots)
+    compiler = interp._Compiler(state.structure)
+    step = compiler.rule(rule, {}, 0)
+    return interp.collect_updates(step, _StepTables(state), [None] * compiler.slots)
 
 
 # each evaluator test checks the tree-walking oracle and the compiled path
