@@ -1,0 +1,149 @@
+#!/usr/bin/env bash
+# End-to-end checks of the choiceless-lab console script: run in an empty directory
+# with choiceless-lab on PATH (or the README's shim); a failed check prints its report.
+set -eo pipefail
+# rename IN OUT: IN with the atoms on its first line renamed z<n> down to z1
+rename() { python3 -c 'import re, sys; t = sys.stdin.read(); names = t.split("\n", 1)[0].split()[1:]; new = {a: f"z{len(names) - i}" for i, a in enumerate(names)}; print(re.sub(r"[A-Za-z_][A-Za-z0-9_.+-]*", lambda x: new.get(x.group(), x.group()), t), end="")' < "$1" > "$2"; }
+# ... | expect EXPR: the Python expression EXPR holds of the JSON r on stdin
+expect() {
+  local out="$(cat)"
+  python3 -c 'import json, sys; r = json.load(sys.stdin); assert eval(sys.argv[1])' "$1" <<< "$out" || { echo "expected $1 of:"; echo "$out"; exit 1; }
+}
+# exits CODE OUT CMD...: CMD exits with status CODE, its report written to OUT
+exits() {
+  local code=$1 out=$2 status=0
+  "${@:3}" > "$out" || status=$?
+  test "$status" = "$code" || { echo "${*:3} exited $status, not $code:"; cat "$out"; exit 1; }
+}
+# same EXPR 'SEED:IN...' CMD...: CMD, with a leading @ in its arguments read
+# as IN, gives one result under each PYTHONHASHSEED=SEED, and EXPR holds of it
+same() {
+  local want=$1 runs=$2 run first=
+  shift 2
+  for run in $runs; do
+    : "${first:=${run/:/-}.json}"
+    PYTHONHASHSEED="${run%%:*}" "${@/#@/${run#*:}}" | python3 -c 'import json, sys; out = sys.stdin.read(); r = json.loads(out); print(json.dumps(r["result"], sort_keys=True)) if "result" in r else sys.exit(out)' > "${run/:/-}.json"
+    cmp "$first" "${run/:/-}.json" || { cat "$first" "${run/:/-}.json"; exit 1; }
+  done
+  expect "$want" < "$first"
+}
+# agree M: solve det gives the matrix M one verdict by power and by gauss
+agree() {
+  local power gauss
+  power="$(choiceless-lab solve det --matrix "$1" --method power | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
+  gauss="$(choiceless-lab solve det --matrix "$1" --method gauss | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
+  test "$power" = "$gauss" || { echo "$1: power says $power, gauss says $gauss"; exit 1; }
+}
+
+choiceless-lab gen bipartite --na 300 --nb 300 --density 0.02 --seed 1 --file g.str
+choiceless-lab solve matching --input g.str --max-size | expect '"max_matching" in r["result"]'
+python3 -c 'n = 3000; a = [f"a{i}" for i in range(n)]; b = [f"b{i}" for i in range(n)]; r = [f"({a[i]},{b[i]})" for i in range(n)] + [f"({a[i + 1]},{b[i]})" for i in range(n - 1)]; print("atoms:", *a, *b); print("rel InA/1:", *(f"({v})" for v in a)); print("rel InB/1:", *(f"({v})" for v in b)); print("rel R/2:", *r)' > path.str
+timeout 10 choiceless-lab solve matching --input path.str --max-size | expect 'r["result"]["max_matching"] == 3000'
+# a large sparse random graph, whose coloring ends nearly discrete:
+# its maximum matching may depend on neither hash order nor names
+choiceless-lab gen bipartite --na 3000 --nb 3000 --density 0.0013 --seed 2 --file sparse.str > /dev/null
+rename sparse.str renamed-sparse.str
+same '"max_matching" in r' '1:sparse 2:sparse 1:renamed-sparse' timeout 10 choiceless-lab solve matching --input @.str --max-size
+printf 'atoms: a b c d e\n' > five.str
+programs="$(python3 -c 'import importlib.resources as r; print(r.files("choiceless_lab") / "programs")')"
+choiceless-lab bgs run --program "$programs/parity.bgs" --input five.str | expect 'r["result"]["verdict"] == "accept"'
+python3 -c 'print("atoms: " + " ".join(f"a{i}" for i in range(3001)))' > many.str
+timeout 30 choiceless-lab bgs run --program "$programs/parity.bgs" --input many.str | expect 'r["result"]["verdict"] == "accept" and r["result"]["peak_active"] == 3002'
+printf '#steps 1\n#active 0 1\nN := 10000000\n' > literal.bgs
+printf 'atoms: a\n' > one.str
+timeout 10 choiceless-lab bgs run --program literal.bgs --input one.str | expect 'r["result"]["verdict"] == "bound-exceeded" and r["result"]["peak_active"] == 10000001'
+printf 'atoms: a b c\n' > three.str
+printf '#steps 3\n#active 10\nif Atoms then Halt := true endif\n' > guard.bgs
+exits 3 guard.json choiceless-lab bgs run --program guard.bgs --input three.str
+expect '"line 3" in r["error"]["message"]' < guard.json
+choiceless-lab bgs run --program "$programs/doubling.bgs" --input three.str | expect 'r["result"]["verdict"] == "bound-exceeded"'
+# power.bgs visits its comprehensions' indexed atoms in hash and
+# address order: the result may not depend on either; each run
+# has 10 s, so an interpreter slowdown fails here too
+python3 -c 'import random; rng = random.Random(7); n = 24; m = [f"m{i}" for i in range(n)]; print("atoms:", *m, "d0 d1 d2"); print("rel Arc/2:", *(f"({a},{b})" for a in m for b in m if rng.random() < 0.5)); print("rel InC/1: (d0) (d2)"); print("rel DLess/2: (d0,d1) (d0,d2) (d1,d2)")' > power24.str
+rename power24.str renamed24.str
+same 'r["verdict"] == "accept"' '1:power24 2:power24 1:renamed24' timeout 10 choiceless-lab bgs run --program "$programs/power.bgs" --input @.str
+# input relations and functions are read from the same tables as
+# dynamic symbols: T at three bound variables, F as the indexed
+# first conjunct of a comprehension over Atoms
+python3 -c 'import random; rng = random.Random(5); u = [f"u{i}" for i in range(12)]; print("atoms:", *u); print("fun F/1:", *(f"({a})->{rng.choice(u)}" for a in u)); print("rel T/3:", *(f"({a},{b},{c})" for a in u for b in u for c in u if rng.random() < 0.05))' > inputs.str
+rename inputs.str renamed-inputs.str
+printf '%s\n' '#steps 3' '#active 0 2' 'if Mode = 0 then do in parallel' \
+  '  do forall x in Atoms, do forall y in Atoms, do forall z in Atoms,' \
+  '    if T(x, y, z) and F(x) = z then W(x, y) := z endif' \
+  '  enddo enddo enddo;' '  Mode := 1' 'enddo else do in parallel' \
+  '  Output := { v : v in Atoms : F(v) and T(v, v, v) } = empty' \
+  '    and 0 in { 0 : x in Atoms : F(x) != x and 0 in { 0 : y in Atoms : W(x, y) = F(x) } };' \
+  '  Halt := true' 'enddo endif' > inputs.bgs
+same 'r["verdict"] == "accept"' '1:inputs 2:inputs 1:renamed-inputs' timeout 10 choiceless-lab bgs run --program inputs.bgs --input @.str
+choiceless-lab gen matrix --q 2 --n 24 --seed 3 --file m.mat
+agree m.mat
+for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done
+printf 'field 2\nrows a b\ncols x y\na y 1\nb x 1\nb y 1\n' > rect2.mat
+printf 'field 3\nrows a b\ncols x y\na x 1\na y 2\nb x 2\nb y 1\n' > rect3.mat
+for q in 2 3; do agree "rect$q.mat"; done
+printf 'ring Z\nrows a b c\nsquare\na a 1\na b 2\na c 3\nb a 4\nb b 5\nb c 6\nc a 1\nc b 2\nc c 3\n' > z.mat
+choiceless-lab solve det --matrix z.mat --prime-divisors | expect 'r["result"]["determinant_zero"] is True'
+choiceless-lab gen matrix --n 3 --seed 1 --file zgen.mat
+head -n 1 zgen.mat | grep -qx 'ring Z'
+choiceless-lab solve det --matrix zgen.mat --prime-divisors | expect 'r["result"]["method"] == "crt"'
+# a singular 2x2 matrix of 1000-bit entries: the verdict sieves no primes
+python3 -c 'b = 2**1000 - 3; print(f"ring Z\nrows a b\nsquare\na a {b}\na b {2 * b}\nb a {b + 1}\nb b {2 * b + 2}")' > wide.mat
+timeout 5 choiceless-lab solve det --matrix wide.mat | expect 'r["result"]["nonsingular"] is False'
+# one digit past the --prime-divisors guard on the scan width (256)
+python3 -c 'print(f"ring Z\nrows a\nsquare\na a {2**257 - 1}")' > past256.mat
+exits 4 past256.json choiceless-lab solve det --matrix past256.mat --prime-divisors
+exits 3 lost.json choiceless-lab --out missing/report.json solve det --matrix zgen.mat
+expect '"cannot write" in r["error"]["message"]' < lost.json
+printf 'atoms: a a\n' > twice.str
+exits 3 twice.json choiceless-lab validate structure --input twice.str
+expect 'r["error"]["kind"] == "parse"' < twice.json
+choiceless-lab gen multipede --segments 40 --hyperedges 60 --seed 1 --shoe --file p.str
+choiceless-lab validate multipede --input p.str | expect 'r["result"]["valid"] is True and isinstance(r["result"]["odd"], bool)'
+for kind in multipede3 multipede4; do choiceless-lab iso "$kind" --a p.str --b p.str | expect 'r["result"]["isomorphic"] is True'; done
+# swap the a/b suffix of every foot name, the shoe's included: a
+# renaming, so isomorphic, that reverses the feet's name order on
+# every segment
+python3 -c 'import re, sys; print(re.sub(r"\b(s\d+)([ab])\b", lambda x: x.group(1) + "ba"[x.group(2) == "b"], sys.stdin.read()), end="")' < p.str > q.str
+iso3() { choiceless-lab iso multipede3 --a "${1%,*}.str" --b "${1#*,}.str"; }
+same 'r["isomorphic"] is True' '1:p,q 1:q,p 2:p,q 2:q,p' iso3 @
+# the largest multipede the tuple guard admits, and one hyperedge more
+timeout 10 choiceless-lab gen multipede --segments 100 --hyperedges 16481 --seed 1 --shoe --file big.str | expect 'r["result"]["hyperedges"] == 16481'
+exits 4 past.json choiceless-lab gen multipede --segments 100 --hyperedges 16482 --seed 1 --file past.str
+test ! -e past.str
+# drop the positive triples on the feet s00a and s01a: several
+# hyperedges break, and the violations may not follow set order
+python3 -c 'import re, sys; print("".join(re.sub(r" \([^()]*\bs0[01]a\b[^()]*\)", "", l) if l.startswith("rel Positive/3:") else l for l in sys.stdin), end="")' < p.str > broken.str
+same 'len(r["violations"]) > 1' '1:broken 2:broken' choiceless-lab validate multipede --input @.str
+choiceless-lab gen cfi --m 3 --twist v1,v1 --pad --file c.str | expect 'r["result"]["twist_size"] == 1'
+same 'r["class"] == 1' '1:c 2:c' choiceless-lab solve cfi-classify --input @.str
+# the padded m = 4 gadget: 65,596 atoms on one line
+choiceless-lab gen cfi --m 4 --twist odd --pad --file c4.str > /dev/null
+timeout 5 choiceless-lab solve cfi-classify --input c4.str | expect 'r["result"]["class"] == 1'
+# a function of huge arity, and a file that is not UTF-8
+printf 'atoms: a b c\nfun F/3000000:\n' > huge.str
+printf 'atoms: a \377 b\n' > latin.str
+for f in huge latin; do exits 3 "$f.json" timeout 5 choiceless-lab validate structure --input "$f.str"; done
+# 80,200 Leq pairs, read from their degree counts
+choiceless-lab gen multipede --segments 400 --hyperedges 600 --seed 1 --shoe --file long.str
+timeout 10 choiceless-lab iso multipede3 --a long.str --b long.str | expect 'r["result"]["isomorphic"] is True'
+# one Leq pair (s,t), s != t, reversed: no longer a linear order
+python3 -c 'import re, sys; print("".join(re.sub(r"\(([^(),]+),(?!\1\))([^(),]+)\)", r"(\2,\1)", l, count=1) if l.startswith("rel Leq/2:") else l for l in sys.stdin), end="")' < long.str > reversed.str
+exits 3 reversed.json choiceless-lab validate multipede --input reversed.str
+# one Pre pair whose reverse is absent, reversed: no longer a pre-order
+choiceless-lab gen cfi --m 3 --twist odd --file c3.str
+python3 -c 'import re, sys; lines = sys.stdin.read().split("\n"); i = next(i for i, l in enumerate(lines) if l.startswith("rel Pre/2:")); pairs = re.findall(r"\(([^(),]+),([^(),]+)\)", lines[i]); x, y = next(p for p in pairs if p[::-1] not in pairs); lines[i] = lines[i].replace(f"({x},{y})", f"({y},{x})"); print("\n".join(lines), end="")' < c3.str > c3r.str
+choiceless-lab solve cfi-classify --input c3r.str | expect 'r["result"]["class"] == "not-CFI"'
+# the odd gadget and its copy with every atom renamed are
+# isomorphic; the even gadget is not
+rename c3.str c3z.str
+choiceless-lab gen cfi --m 3 --twist even --file e3.str > /dev/null
+choiceless-lab iso cfi --a c3.str --b c3z.str | expect 'r["result"]["isomorphic"] is True'
+choiceless-lab iso cfi --a c3z.str --b e3.str | expect 'r["result"]["isomorphic"] is False'
+# an arity of 5,000 digits, and a field order of two 30-bit primes
+python3 -c 'print("atoms: a"); print("rel R/" + "9" * 5000 + ":")' > arity.str
+exits 3 arity.json choiceless-lab validate structure --input arity.str
+printf 'field 1000000016000000063\nrows a\nsquare\na a 5\n' > semiprime.mat
+exits 3 semiprime.json timeout 5 choiceless-lab solve det --matrix semiprime.mat
+exits 3 neg.json choiceless-lab gen matrix --n -2 --seed 1 --file neg.mat
+test ! -e neg.mat

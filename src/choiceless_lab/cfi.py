@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bgs.structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
@@ -88,16 +89,24 @@ class BaseGraph:
         frontier = [self.vertices[0]]
         while frontier:
             v = frontier.pop()
-            for e in self.edges:
-                if v in e:
-                    (w,) = e - {v}
-                    if w not in reached:
-                        reached.add(w)
-                        frontier.append(w)
+            for e in self.incident(v):
+                (w,) = e - {v}
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
         return len(reached) == len(self.vertices)
 
     def incident(self, v) -> frozenset:
-        return frozenset(e for e in self.edges if v in e)
+        """The edges at ``v``; none when ``v`` is not a base vertex."""
+        return self._incidence.get(v, frozenset())
+
+    @cached_property
+    def _incidence(self) -> dict:
+        at: dict = {v: set() for v in self.vertices}
+        for e in self.edges:
+            for v in e:
+                at[v].add(e)
+        return {v: frozenset(edges) for v, edges in at.items()}
 
 
 def complete_graph(n: int) -> BaseGraph:

@@ -373,3 +373,7 @@ def dispatch(argv) -> tuple:
 def main() -> None:
     code, _ = dispatch(sys.argv[1:])
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

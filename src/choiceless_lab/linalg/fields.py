@@ -145,19 +145,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_ZP_CACHE: dict = {}
+# every field made so far, by order: zp's prime fields and gf's tables
+_FIELDS: dict = {}
 
 
 def zp(p: int) -> FiniteField:
     """The prime field of integers modulo ``p``."""
-    field = _ZP_CACHE.get(p)
-    if field is None:
+    field = _FIELDS.get(p)
+    if field is None or p in _GF_MODULI:  # a table field's order is not prime
         if p > FIELD_MAX_ORDER:
             raise GuardExceeded("field.max_order", FIELD_MAX_ORDER, p)
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        field = _PrimeField(p)
-        _ZP_CACHE[p] = field
+        field = _FIELDS[p] = _PrimeField(p)
     return field
 
 
@@ -203,8 +203,6 @@ def _poly_field(p: int, e: int, modulus: tuple) -> FiniteField:
     return _TableField(q, p, add_table, mul_table)
 
 
-_GF_CACHE: dict = {}
-
 # irreducible moduli (low-degree-first coefficients) for the shipped fixtures
 _GF_MODULI = {
     4: (2, (1, 1, 1)),      # x^2 + x + 1 over Z/2
@@ -215,17 +213,13 @@ _GF_MODULI = {
 
 def gf(q: int) -> FiniteField:
     """A field of order q: prime orders arithmetically, 4/8/9 from tables."""
-    field = _GF_CACHE.get(q)
-    if field is not None:
-        return field
-    if q in _GF_MODULI:
-        p, modulus = _GF_MODULI[q]
-        e = len(modulus) - 1
-        field = _poly_field(p, e, modulus)
-    else:
+    if q not in _GF_MODULI:
         try:
-            field = zp(q)
+            return zp(q)
         except ValidationError:
             raise ValidationError(f"no field fixture of order {q}") from None
-    _GF_CACHE[q] = field
+    field = _FIELDS.get(q)
+    if field is None:
+        p, modulus = _GF_MODULI[q]
+        field = _FIELDS[q] = _poly_field(p, len(modulus) - 1, modulus)
     return field

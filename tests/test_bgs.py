@@ -1228,7 +1228,7 @@ def test_bgs_run_result_is_identical_across_processes(tmp_path):
         (["iso", "cfi", "--a", path["a"], "--b", path["b"]], {"isomorphic": True}),
     ]
     for argv, expected in cases:
-        argv = ["-c", "from choiceless_lab.cli import main; main()", *argv]
+        argv = ["-m", "choiceless_lab", *argv]
         results = [json.loads(run_child(argv, seed).stdout)["result"] for seed in "12"]
         assert results[0] == results[1], argv
         assert expected.items() <= results[0].items(), argv

@@ -91,6 +91,14 @@ def test_base_graph_validation():
         build_twisted(k(3), ["zz"])
 
 
+def test_incidence_matches_an_edge_scan():
+    path = BaseGraph(tuple("abcde"), frozenset(map(frozenset, ["ab", "bc", "cd", "de"])))
+    for base in [complete_graph(n) for n in range(1, 7)] + [path]:
+        for v in base.vertices:
+            assert base.incident(v) == frozenset(e for e in base.edges if v in e)
+        assert base.incident("zz") == frozenset()
+
+
 # ------------------------------------------------------------ odd boundary
 
 

@@ -548,6 +548,18 @@ def test_exit_statuses(tmp_path, capsys):
     assert code == EXIT_USAGE  # seed is mandatory
 
 
+@pytest.mark.parametrize("module", ["choiceless_lab", "choiceless_lab.cli"])
+def test_module_forms_run_the_console_script(tmp_path, module):
+    path = tmp_path / "s.str"
+    path.write_text("atoms: a b\n")
+    done = run_child(["-m", module, "validate", "structure", "--input", str(path)], check=False)
+    assert done.returncode == EXIT_OK, done.stdout + done.stderr
+    assert json.loads(done.stdout)["result"]["atoms"] == 2
+    done = run_child(["-m", module], check=False)
+    assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
+    assert json.loads(done.stdout)["error"]["kind"] == "usage"
+
+
 def _gen_multipede(tmp_path, capsys, segments, hyperedges):
     path = tmp_path / "m.str"
     argv = ["gen", "multipede", "--segments", str(segments), "--hyperedges", str(hyperedges)]
@@ -633,7 +645,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     for argv, expected in commands:
         reports = []
         for seed in "01234":
-            child = ["-c", "from choiceless_lab.cli import main; main()", *argv]
+            child = ["-m", "choiceless_lab", *argv]
             report = json.loads(run_child(child, seed, check=False).stdout)
             report.pop("timing_seconds")
             reports.append(report)
@@ -727,7 +739,7 @@ def test_decimal_past_the_interpreters_own_limit_exits_parse(tmp_path):
     internal error; without the variable the same file is read."""
     path = tmp_path / "m.mat"
     path.write_text(f"ring Z\nrows a\nsquare\na a {'7' * 1000}\n")
-    child = ["-c", "from choiceless_lab.cli import main; main()", "solve", "det", "--matrix", str(path)]
+    child = ["-m", "choiceless_lab", "solve", "det", "--matrix", str(path)]
     done = run_child(child, check=False, env={"PYTHONINTMAXSTRDIGITS": "640"})
     report = json.loads(done.stdout)
     assert done.returncode == EXIT_PARSE, done.stdout + done.stderr

@@ -113,6 +113,17 @@ def test_field_addition_is_order_independent():
 def test_zp_rejects_composite():
     with pytest.raises(ValidationError):
         zp(6)
+    for q in (4, 8, 9):  # a table field in the shared cache is not Z/q
+        assert gf(q).order == q
+        with pytest.raises(ValidationError, match=f"{q} is not prime"):
+            zp(q)
+
+
+def test_prime_fields_are_cached_once():
+    for p in (2, 3, 5, 7):
+        assert gf(p) is zp(p)
+    with pytest.raises(ValidationError, match="no field fixture of order 6"):
+        gf(6)
 
 
 # ---------------------------------------------------------------- mat_mul
@@ -528,6 +539,12 @@ def test_sieve_examples():
     assert sieve_first_primes(8)[-1] == 19
     assert sieve_first_primes(32)[-1] == 131
     assert sieve_first_primes(1)[0] == 2
+
+
+def test_short_sieves_are_prefixes_of_a_long_one():
+    # Rosser's bound sizes the sieve from k = 6 on, a fixed 13 below
+    primes = sieve_first_primes(10_000)
+    assert all(sieve_first_primes(k) == primes[:k] for k in range(1, 2001))
 
 
 def test_field_orders_are_tested_by_miller_rabin():
