@@ -76,6 +76,20 @@ printf '%s\n' '#steps 3' '#active 0 2' 'if Mode = 0 then do in parallel' \
   '    and 0 in { 0 : x in Atoms : F(x) != x and 0 in { 0 : y in Atoms : W(x, y) = F(x) } };' \
   '  Halt := true' 'enddo endif' > inputs.bgs
 same 'r["verdict"] == "accept"' '1:inputs 2:inputs 1:renamed-inputs' timeout 10 choiceless-lab bgs run --program inputs.bgs --input @.str
+# identities that hold on every structure, through the forms compiled
+# one way: "or" with a non-Boolean right operand, "k in" and "= k" on
+# terms that are not reads, and each of Union, TheUnique, Pair and Card
+python3 -c 'import random; rng = random.Random(9); u = [f"u{i}" for i in range(12)]; print("atoms:", *u); print("fun F/1:", *(f"({a})->{rng.choice(u)}" for a in u)); print("rel E/2:", *(f"({a},{b})" for a in u for b in u if rng.random() < 0.2))' > ors.str
+rename ors.str renamed-ors.str
+printf '%s\n' '#steps 3' '#active 0 4' '#requires card' 'if Mode = 0 then do in parallel' \
+  '  do forall x in Atoms, N(x) := Card({ y : y in Atoms : E(x, y) }) enddo;' '  Mode := 1' 'enddo else do in parallel' \
+  '  Output := { x : x in Atoms : not (not (E(x, F(x)) or 2) and 1 in Union(Pair(N(x), 2))' \
+  '    and TheUnique(Pair(x, x)) = x and TheUnique(Pair(x, Pair(x, x))) = 0' \
+  '    and (Card(Pair(x, F(x))) = 1) = (F(x) = x)' \
+  '    and Card({ y : y in Atoms : E(x, y) or N(y) })' \
+  '      = Card({ y : y in Atoms : (E(x, y) and N(y) in 2) or (not E(x, y) and N(y) = 1) })) } = empty;' \
+  '  Halt := true' 'enddo endif' > ors.bgs
+same 'r["verdict"] == "accept"' '1:ors 2:ors 1:renamed-ors' timeout 10 choiceless-lab bgs run --program ors.bgs --input @.str
 choiceless-lab gen matrix --q 2 --n 24 --seed 3 --file m.mat
 agree m.mat
 for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done
@@ -147,3 +161,7 @@ printf 'field 1000000016000000063\nrows a\nsquare\na a 5\n' > semiprime.mat
 exits 3 semiprime.json timeout 5 choiceless-lab solve det --matrix semiprime.mat
 exits 3 neg.json choiceless-lab gen matrix --n -2 --seed 1 --file neg.mat
 test ! -e neg.mat
+# the largest matrix the entry guard admits, and one row and column more
+timeout 10 choiceless-lab gen matrix --n 800 --seed 1 --file big.mat | expect 'r["result"]["n"] == 800'
+exits 4 past-matrix.json timeout 5 choiceless-lab gen matrix --n 801 --seed 1 --file past.mat
+test ! -e past.mat

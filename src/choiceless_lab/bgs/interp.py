@@ -27,11 +27,16 @@ structure's ``by_name`` atoms (a relation reads 1 at its tuples), and
 each dynamic symbol has the pre-step table, or a shared empty one until
 first written.  Variables live in one list ``env`` allocated per run: a
 binder's slot is its nesting depth, the number of binders around it, so a
-shadowing binder takes a fresh slot and the outer binding survives.  A
-read at no more than two bound variables makes no call of its own where
-a test reads it as a truth value, compares it with a literal or asks
-whether it holds a literal: the consumer's closure reads the table
-itself, as an update's closure builds its key.
+shadowing binder takes a fresh slot and the outer binding survives.
+
+A construct compiles one way, except where programs spend their steps:
+fused forms exist only for reads at up to two bound variables, and for
+comprehensions, counts and searches, and a conditional with no else
+branch calls none.  A read at no more than two bound variables
+makes no call of its own where a test reads it as a truth value,
+compares it with a literal or asks whether it holds a literal: the
+consumer's closure reads the table itself, as an update's closure builds
+its key.
 
 A comprehension over ``Atoms`` whose guard starts with a lookup of its
 binder (a symbol read as a truth value or as a nonzero literal) visits
@@ -133,7 +138,6 @@ class _Compiler:
     records in ``slots`` how long ``env`` must be."""
 
     def __init__(self, structure: InputStructure):
-        self.structure = structure
         self.atoms = make_set(structure.by_name.values())
         self.indexes: dict = {}  # (symbol, argument position) -> its index
         self.slots = 0
@@ -141,15 +145,6 @@ class _Compiler:
     def bind(self, scope: dict, name: str, depth: int) -> dict:
         self.slots = max(self.slots, depth + 1)
         return {**scope, name: depth}
-
-    def is_boolean(self, node) -> bool:
-        """Whether a term reads 0 or 1 by its outermost symbol: a logical
-        builtin, a membership test, Halt, Output or an input relation."""
-        return isinstance(node, App) and (
-            node.symbol in BOOLEAN_BUILTINS
-            or node.symbol in BOOLEAN_DYNAMICS
-            or node.symbol in self.structure.relations
-        )
 
     def term(self, node, scope: dict, depth: int):
         if isinstance(node, Var):
@@ -188,7 +183,19 @@ class _Compiler:
             # the right operand when the left one is not 1 changes no value
             return lambda tables, env: x(tables, env) and y(tables, env)
         if symbol == "or":
-            return self.disjunction(*node.args, scope, depth)
+            # "or" reads 1 when one operand reads 1 and neither reads
+            # anything but 0 or 1, so its operands are not Boolean
+            # positions: "true or 5" reads 0
+            x, y = (self.term(a, scope, depth) for a in node.args)
+
+            def disjunction(tables, env):
+                u = x(tables, env)
+                v = y(tables, env)
+                if u is TRUE:
+                    return v is TRUE or v is EMPTY
+                return u is EMPTY and v is TRUE
+
+            return disjunction
         if symbol == "not":
             x = self.term(node.args[0], scope, depth)
             return lambda tables, env: x(tables, env) is EMPTY
@@ -202,42 +209,12 @@ class _Compiler:
         x = self.term(node, scope, depth)
         return lambda tables, env: x(tables, env) is TRUE
 
-    def disjunction(self, left, right, scope: dict, depth: int):
-        # "or" reads 1 when one operand reads 1 and neither reads anything
-        # but 0 or 1, so its operands are not Boolean positions: "true or 5"
-        # reads 0.  A Boolean right operand reads 0 or 1, so a left operand
-        # of 1 decides and the right one is skipped, which changes no value
-        # because no term of a checked program raises.
-        x = self.term(left, scope, depth)
-        if self.is_boolean(right):
-            y = self.test(right, scope, depth)
-
-            def disjunction(tables, env):
-                u = x(tables, env)
-                return u is TRUE or (u is EMPTY and y(tables, env))
-
-            return disjunction
-        z = self.term(right, scope, depth)
-
-        def disjunction_of_terms(tables, env):
-            u = x(tables, env)
-            v = z(tables, env)
-            if u is TRUE:
-                return v is TRUE or v is EMPTY
-            return u is EMPTY and v is TRUE
-
-        return disjunction_of_terms
-
     def equality(self, left, right, scope: dict, depth: int):
         if isinstance(left, Lit):
             left, right = right, left
-        if isinstance(right, Lit):
-            k = ordinal(right.value)
-            slots = _read_slots(left, scope)
-            if slots is not None:
-                return _read_is(left.symbol, slots, k)
-            x = self.term(left, scope, depth)
-            return lambda tables, env: x(tables, env) is k
+        slots = _read_slots(left, scope) if isinstance(right, Lit) else None
+        if slots is not None:
+            return _read_is(left.symbol, slots, ordinal(right.value))
         x = self.term(left, scope, depth)
         y = self.term(right, scope, depth)
         return lambda tables, env: x(tables, env) is y(tables, env)
@@ -245,20 +222,9 @@ class _Compiler:
     def membership(self, left, right, scope: dict, depth: int):
         if isinstance(right, Compr):
             return self.search(left, right, scope, depth)
-        if isinstance(left, Lit):
-            slots = _read_slots(right, scope)
-            if slots is not None:
-                return _read_holds(right.symbol, slots, left.value)
-            y = self.term(right, scope, depth)
-            k = left.value
-            literal = ordinal(k)
-
-            def holds_literal(tables, env):
-                v = y(tables, env)
-                # ordinal n holds the literals below n; an atom's members are ()
-                return v.n > k if type(v) is Ordinal else literal in v.members
-
-            return holds_literal
+        slots = _read_slots(right, scope) if isinstance(left, Lit) else None
+        if slots is not None:
+            return _read_holds(right.symbol, slots, left.value)
         x = self.term(left, scope, depth)
         y = self.term(right, scope, depth)
 
@@ -410,10 +376,7 @@ class _Compiler:
         slots = _bound_slots(nodes, scope)
         if slots == ():
             return _constant(())
-        if slots is not None:  # read bound variables directly
-            if len(slots) == 1:
-                (s0,) = slots
-                return lambda tables, env: (env[s0],)
+        if slots is not None:  # a lookup's key at two bound variables, read directly
             s0, s1 = slots
             return lambda tables, env: (env[s0], env[s1])
         fns = [self.term(a, scope, depth) for a in nodes]
@@ -596,29 +559,19 @@ def _skip(tables, env, out):
     pass
 
 
-def _union(x):
-    return lambda tables, env: union_all(x(tables, env))
-
-
-def _the_unique(x):
-    return lambda tables, env: the_unique(x(tables, env))
-
-
-def _pair(x, y):
-    return lambda tables, env: pair(x(tables, env), y(tables, env))
-
-
-def _card(x):
-    return lambda tables, env: card(x(tables, env))
+def _lifted(f):
+    """A one-argument builtin as the function taking its argument's
+    closure to the closure of its application."""
+    return lambda x: lambda tables, env: f(x(tables, env))
 
 
 # builtins with arguments that are not truth values: name -> closure over
 # the argument closures
 _BUILTINS = {
-    "Union": _union,
-    "TheUnique": _the_unique,
-    "Pair": _pair,
-    "Card": _card,
+    "Union": _lifted(union_all),
+    "TheUnique": _lifted(the_unique),
+    "Card": _lifted(card),
+    "Pair": lambda x, y: lambda tables, env: pair(x(tables, env), y(tables, env)),
 }
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from ..errors import ValidationError
-
 __all__ = [
     "BUILTIN_ARITY",
     "BOOLEAN_BUILTINS",
@@ -143,11 +141,6 @@ class RunBounds:
     steps: tuple
     active: tuple
     card_enabled: bool = False
-
-    def __post_init__(self):
-        for coeffs in (self.steps, self.active):
-            if not coeffs or any(c < 0 for c in coeffs):
-                raise ValidationError("budget polynomials need nonnegative coefficients")
 
     def max_steps(self, n: int) -> int:
         return poly_eval(self.steps, n)

