@@ -30,8 +30,8 @@ same() {
 # agree M: solve det gives the matrix M one verdict by power and by gauss
 agree() {
   local power gauss
-  power="$(choiceless-lab solve det --matrix "$1" --method power | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
-  gauss="$(choiceless-lab solve det --matrix "$1" --method gauss | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
+  power="$(timeout 10 choiceless-lab solve det --matrix "$1" --method power | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
+  gauss="$(timeout 10 choiceless-lab solve det --matrix "$1" --method gauss | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["nonsingular"])')"
   test "$power" = "$gauss" || { echo "$1: power says $power, gauss says $gauss"; exit 1; }
 }
 
@@ -90,7 +90,8 @@ printf '%s\n' '#steps 3' '#active 0 4' '#requires card' 'if Mode = 0 then do in 
   '      = Card({ y : y in Atoms : (E(x, y) and N(y) in 2) or (not E(x, y) and N(y) = 1) })) } = empty;' \
   '  Halt := true' 'enddo endif' > ors.bgs
 same 'r["verdict"] == "accept"' '1:ors 2:ors 1:renamed-ors' timeout 10 choiceless-lab bgs run --program ors.bgs --input @.str
-choiceless-lab gen matrix --q 2 --n 24 --seed 3 --file m.mat
+# GF(2) rows of 64 bits span three 30-bit digits of the packed matrix
+choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat
 for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done
 printf 'field 2\nrows a b\ncols x y\na y 1\nb x 1\nb y 1\n' > rect2.mat
@@ -165,3 +166,8 @@ test ! -e neg.mat
 timeout 10 choiceless-lab gen matrix --n 800 --seed 1 --file big.mat | expect 'r["result"]["n"] == 800'
 exits 4 past-matrix.json timeout 5 choiceless-lab gen matrix --n 801 --seed 1 --file past.mat
 test ! -e past.mat
+# n = 800 with a four-digit --max-abs is past the digit guard, and a
+# det-frequency matrix one row and column past the entry guard is refused
+exits 4 past-digits.json timeout 5 choiceless-lab gen matrix --n 800 --max-abs 1000 --seed 1 --file past.mat
+test ! -e past.mat
+exits 4 past-frequency.json timeout 5 choiceless-lab experiment det-frequency --q 3 --n 801 --trials 1 --seed 1

@@ -38,9 +38,14 @@ EXIT_PARSE = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
-# gen matrix draws and writes n^2 entries: the largest matrix admitted,
-# n = 800, takes 1.1 s over GF(2) and 2.2 s over Z on a 2-core VM
+# gen matrix draws and writes n^2 entries, and each trial of experiment
+# det-frequency draws as many: the largest matrix admitted, n = 800, is
+# written in 1.1 s over GF(2) and 2.2 s over Z on a 2-core VM
 MATRIX_MAX_ENTRIES = 640_000
+# over Z an entry has up to as many digits as --max-abs: n^2 times that
+# digit count admits n = 800 at the default bound of 256 (8.8 MB, 2.9 s on
+# a 2-core VM), and n = 21 at the 4,300 digits --max-abs takes (1.9 MB)
+MATRIX_MAX_DIGITS = 1_920_000
 
 
 class _UsageError(Exception):
@@ -208,19 +213,28 @@ def _cmd_gen_bipartite(args) -> dict:
     return {"file": args.file, "na": args.na, "nb": args.nb, "edges": len(edges)}
 
 
+def _check_matrix_size(n: int) -> None:
+    """Refuse, before anything is drawn, an n-by-n matrix whose n^2 entries
+    ``matrix.max_entries`` does not admit."""
+    if n < 0:
+        raise ValidationError("size must not be negative")
+    if n**2 > MATRIX_MAX_ENTRIES:
+        raise GuardExceeded("matrix.max_entries", MATRIX_MAX_ENTRIES, n**2)
+
+
 def _cmd_gen_matrix(args) -> dict:
     if args.q is not None and args.max_abs is not None:
         raise _UsageError("--max-abs needs an integer matrix")
-    if args.n < 0:
-        raise ValidationError("size must not be negative")
-    if args.n**2 > MATRIX_MAX_ENTRIES:
-        raise GuardExceeded("matrix.max_entries", MATRIX_MAX_ENTRIES, args.n**2)
+    _check_matrix_size(args.n)
     if args.q is not None:
         text = write_field_matrix(random_matrix(gf(args.q), args.n, args.seed))
     else:
         max_abs = 256 if args.max_abs is None else args.max_abs
         if max_abs < 0:
             raise ValidationError("--max-abs must not be negative")
+        digits = args.n**2 * len(str(max_abs))
+        if digits > MATRIX_MAX_DIGITS:
+            raise GuardExceeded("matrix.max_digits", MATRIX_MAX_DIGITS, digits)
         rng = random.Random(args.seed)
         entries = {
             (f"i{i}", f"i{j}"): rng.randrange(-max_abs, max_abs + 1)
@@ -288,6 +302,7 @@ def _cmd_iso_multipede(args) -> dict:
 
 
 def _cmd_experiment(args) -> dict:
+    _check_matrix_size(args.n)  # every trial draws n^2 entries
     fraction = frequency_experiment(gf(args.q), args.n, args.trials, args.seed)
     return {"fraction": fraction, "trials": args.trials}
 

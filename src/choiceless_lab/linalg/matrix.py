@@ -6,16 +6,26 @@ order; every verdict produced here is invariant under renaming the indices.
 The constructor only drops zero entries: matrices from outside input are
 checked by ``parse_matrix``, and the rest are built valid.
 
-Products and powers run on dense rows, rectangular shapes included: the
-factors are laid out once under internal numberings of the row, inner and
-column index sets (:func:`_dense_rows`), the products multiply dense rows,
-and the result is read back once (:func:`_from_dense_rows`).  Over GF(2) a
-row is one Python int, bit ``b`` standing for the ``b``-th index, and row
-i of ``P Q`` is the XOR of the rows of ``Q`` picked by the bits of row i
-of ``P`` (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010); over
-the other fields a row is a list of elements and the field supplies the
-product (``dense_mul``).  Each entry of a product is a field sum over the
-inner indices, and field addition is commutative and associative, so the
+Products and powers run on a dense layout, rectangular shapes included:
+the factors are laid out once under internal numberings of the row, inner
+and column index sets, the products run on the layout, and the result is
+read back once.  Over GF(2) a whole matrix is one Python int
+(:func:`_to_bits`): entry (a, b) under the numberings is bit
+``a * s + b``, with one stride ``s = max(|inner|, |cols|)`` shared by both
+factors and the product.  For each inner index k, ``(P >> k) & COL``, with
+``COL`` one bit at the start of each row, marks the rows of P whose bit k
+is set, and multiplying it by row k of Q drops a copy of that row into
+each of them; the copies are ``|cols| <= s`` bits wide and never carry
+into each other, and ``P Q`` is the XOR of these |inner| products: a few
+big-int operations per inner index (word-parallel arithmetic: Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).  On
+square matrices this beats XORing the rows of Q picked by each row of P up
+to n = 200 to 250 (7 to 9 times faster at n = 40, 1.8 to 2.6 times slower
+at n = 400, over three runs on a 2-core VM); at n = 200 one power test
+already makes about 18,000 products.  Over the other fields a row is a
+list of elements (:func:`_dense_rows`) and the field supplies the product
+(``dense_mul``).  Each entry of a product is a field sum over the inner
+indices, and field addition is commutative and associative, so the
 numberings decide nothing: the same numbering lays out and reads back, so
 the matrix returned is the same map under any numbering, and only the time
 the products take could depend on it, so it never leaves this module.
@@ -130,43 +140,77 @@ def _from_dense_rows(field: FiniteField, row_index: list, col_index: list, rows)
     return FieldMatrix(field, frozenset(row_index), frozenset(col_index), entries)
 
 
-def _pack(rows: list) -> list:
-    return [sum(1 << b for b, v in enumerate(row) if v) for row in rows]
+def _to_bits(entries: dict, row_index: list, col_index: list, stride: int) -> int:
+    """The GF(2) matrix ``entries`` as one int: entry ``(row_index[a],
+    col_index[b])`` is bit ``a * stride + b``."""
+    row_at = {i: a * stride for a, i in enumerate(row_index)}
+    col_at = {j: b for b, j in enumerate(col_index)}
+    # digits[t] is bit t, and one spare digit reads an empty layout as 0
+    digits = bytearray(b"0" * (len(row_index) * stride + 1))
+    for i, j in entries:
+        digits[row_at[i] + col_at[j]] = ord("1")
+    return int(digits[::-1], 2)
 
 
-def _unpack(rows: list, width: int) -> list:
-    return [[row >> b & 1 for b in range(width)] for row in rows]
+def _from_bits(field: FiniteField, row_index: list, col_index: list, stride: int, bits: int):
+    """The matrix that :func:`_to_bits` lays out as ``bits``."""
+    digits = format(bits, "b")[::-1]  # digits[t] is bit t
+    entries = {
+        (row_index[t // stride], col_index[t % stride]): 1 for t, d in enumerate(digits) if d == "1"
+    }
+    return FieldMatrix(field, frozenset(row_index), frozenset(col_index), entries)
+
+
+def _bits_mul(rows: int, inner: int, cols: int, stride: int):
+    """The product of a ``rows x inner`` and an ``inner x cols`` matrix,
+    both laid out by :func:`_to_bits` at a stride of at least ``inner``
+    and ``cols``.  For each inner index k, P's column k, read as one bit at
+    the start of each row, times Q's row k drops a copy of that row into
+    every row of P whose bit k is set; the copies are ``cols <= stride``
+    bits wide, so they never carry into each other."""
+    column = sum(1 << a * stride for a in range(rows))
+    row = (1 << cols) - 1
+
+    def mul(p: int, q: int) -> int:
+        acc = 0
+        for k in range(inner):
+            acc ^= (p >> k & column) * (q >> k * stride & row)
+        return acc
+
+    return mul
 
 
 def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
-    """The product ``m n`` on dense rows; see the module docstring."""
+    """The product ``m n`` on the dense layout; see the module docstring."""
     if m.cols != n.rows:
         raise ValidationError("inner index sets differ")
     rows, inner, cols = list(m.rows), list(m.cols), list(n.cols)
+    if field.order == 2:
+        stride = max(len(inner), len(cols))
+        mul = _bits_mul(len(rows), len(inner), len(cols), stride)
+        a = _to_bits(m.entries, rows, inner, stride)
+        b = _to_bits(n.entries, inner, cols, stride)
+        return _from_bits(field, rows, cols, stride, mul(a, b))
     a = _dense_rows(m.entries, rows, inner)
     b = _dense_rows(n.entries, inner, cols)
-    if field.order == 2:
-        product = _unpack(_bitrows_mul(_pack(a), _pack(b)), len(cols))
-    else:
-        # with no inner index the rows come back empty, and read as zero
-        product = field.dense_mul(a, b)
-    return _from_dense_rows(field, rows, cols, product)
+    # with no inner index the rows come back empty, and read as zero
+    return _from_dense_rows(field, rows, cols, field.dense_mul(a, b))
 
 
 def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
     """``m**r`` by repeated squaring over the binary digits of ``r``
     (r >= 1), consuming them from the most significant; at most
-    ``2 * r.bit_length()`` multiplications, on dense rows."""
+    ``2 * r.bit_length()`` multiplications, on the dense layout."""
     if r < 1:
         raise ValidationError("exponent must be at least 1")
     if not m.square:
         raise ValidationError("powers need a square matrix")
     index = list(m.rows)  # the internal numbering; see the module docstring
-    base = _dense_rows(m.entries, index, index)
     if field.order == 2:
-        power = _unpack(_square_and_multiply(_bitrows_mul, _pack(base), r), len(index))
-    else:
-        power = _square_and_multiply(field.dense_mul, base, r)
+        n = len(index)
+        power = _square_and_multiply(_bits_mul(n, n, n, n), _to_bits(m.entries, index, index, n), r)
+        return _from_bits(field, index, index, n, power)
+    power = _square_and_multiply(field.dense_mul, _dense_rows(m.entries, index, index), r)
     return _from_dense_rows(field, index, index, power)
 
 
@@ -178,20 +222,6 @@ def _square_and_multiply(mul, base, r: int):
         if r >> b & 1:
             power = mul(power, base)
     return power
-
-
-def _bitrows_mul(p: list, q: list) -> list:
-    """Product of packed GF(2) matrices: row a of ``P Q`` is the XOR of the
-    rows of ``Q`` picked by the bits of row a of ``P``."""
-    out = []
-    for row in p:
-        acc = 0
-        while row:
-            low = row & -row
-            acc ^= q[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
 
 
 def _rank_bitrows(rows) -> int:

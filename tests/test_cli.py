@@ -624,6 +624,60 @@ def test_gen_matrix_one_past_the_guard_exits_at_once(tmp_path, capsys, ring):
     assert not path.exists()
 
 
+def test_gen_matrix_digit_guard_bounds_the_digits_written(tmp_path, capsys, monkeypatch):
+    """n^2 times the digit count of --max-abs: 4 x 4 entries of 3 digits
+    are admitted at a bound of 48 and refused at 47, and of 4 digits at 48."""
+    monkeypatch.setattr(cli, "MATRIX_MAX_DIGITS", 48)
+    code, _, path = _gen_matrix(tmp_path, capsys, 4, "--max-abs", "999")
+    assert code == EXIT_OK
+    path.unlink()
+    code, report, path = _gen_matrix(tmp_path, capsys, 4, "--max-abs", "1000")
+    assert code == EXIT_GUARD
+    assert "matrix.max_digits" in report["error"]["message"]
+    assert not path.exists()
+    monkeypatch.setattr(cli, "MATRIX_MAX_DIGITS", 47)
+    code, _, path = _gen_matrix(tmp_path, capsys, 4)  # the default bound, 256
+    assert code == EXIT_GUARD
+    assert not path.exists()
+
+
+def test_gen_matrix_one_past_the_digit_guard_exits_at_once(tmp_path, capsys):
+    """n = 800 at the default bound is admitted; one more digit is not, and
+    neither is the widest --max-abs argparse reads, 4,300 digits, at n = 22."""
+    assert 800**2 * len("256") <= cli.MATRIX_MAX_DIGITS < 800**2 * len("1000")
+    for n, max_abs in ((800, "1000"), (22, "9" * 4300)):
+        started = time.monotonic()
+        code, report, path = _gen_matrix(tmp_path, capsys, n, "--max-abs", max_abs)
+        assert code == EXIT_GUARD
+        assert report["error"]["kind"] == "guard"
+        assert time.monotonic() - started < 1
+        assert not path.exists()
+
+
+def _experiment(capsys, n):
+    argv = ["experiment", "det-frequency", "--q", "3", "--n", str(n), "--trials", "1"]
+    return invoke(argv + ["--seed", "1"], capsys)
+
+
+def test_experiment_guard_admits_the_largest_matrix(capsys, monkeypatch):
+    """The largest n the entry guard admits reaches the experiment, which
+    is stubbed: one trial at n = 800 would eliminate for minutes."""
+    drawn = []
+    monkeypatch.setattr(cli, "frequency_experiment", lambda field, n, *rest: drawn.append(n) or 0.0)
+    n = math.isqrt(cli.MATRIX_MAX_ENTRIES)
+    code, _ = _experiment(capsys, n)
+    assert code == EXIT_OK
+    assert drawn == [n]
+
+
+def test_experiment_one_past_the_guard_exits_at_once(capsys):
+    started = time.monotonic()
+    code, report = _experiment(capsys, math.isqrt(cli.MATRIX_MAX_ENTRIES) + 1)
+    assert code == EXIT_GUARD
+    assert "matrix.max_entries" in report["error"]["message"]
+    assert time.monotonic() - started < 1
+
+
 def _broken_multipede_text() -> str:
     """A shod multipede missing one positive triple on each of four
     hyperedges: four violations, which sets hold in no fixed order."""

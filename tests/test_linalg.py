@@ -183,6 +183,36 @@ def test_mat_mul_matches_naive_on_every_shape_and_field(data):
             assert nonsingular_rect(field, m) == by_rank
 
 
+def _random_gf2(rng, rows, cols):
+    entries = {(i, j): rng.randrange(2) for i in rows for j in cols}
+    return FieldMatrix(GF2, frozenset(rows), frozenset(cols), entries)
+
+
+def _renamed(m, names):
+    entries = {(names[i], names[j]): v for (i, j), v in m.entries.items()}
+    return FieldMatrix(m.field, frozenset(map(names.get, m.rows)),
+                       frozenset(map(names.get, m.cols)), entries)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_gf2_products_match_naive_across_digits(data):
+    """GF(2) shapes of 0 to 40 indices per side with |inner| != |cols|, so
+    a row spans several 30-bit digits and is narrower than the stride in
+    one factor: the product agrees with the ordered dot product, on the
+    factors and on a random renaming of their indices."""
+    sizes = [data.draw(st.integers(0, 40)) for _ in range(2)]
+    sizes.append(data.draw(st.integers(0, 40).filter(lambda c: c != sizes[1])))
+    rows, inner, cols = ([f"{side}{k}" for k in range(size)] for side, size in zip("rkc", sizes))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b = _random_gf2(rng, rows, inner), _random_gf2(rng, inner, cols)
+    expected = naive_product(GF2, a, b)
+    assert mat_mul(GF2, a, b) == expected
+    everything = rows + inner + cols
+    names = dict(zip(everything, rng.sample(range(len(everything)), len(everything))))
+    assert mat_mul(GF2, _renamed(a, names), _renamed(b, names)) == _renamed(expected, names)
+
+
 def test_mat_mul_dimension_mismatch():
     a = dense(GF2, [[1]])
     b = dense(GF2, [[1, 0], [0, 1]])
@@ -445,6 +475,28 @@ def test_nonsingular_square_matches_rank_every_field(data):
     m = dense(field, grid, labels)
     expected = rank_gaussian(field, m, labels, labels) == n
     assert nonsingular_square(field, m) == expected
+
+
+@pytest.mark.parametrize("n", [20, 31, 32, 45, 64])
+def test_gf2_nonsingular_square_matches_rank_across_digits(n):
+    """Rows of up to 64 bits span up to three 30-bit digits: a random
+    non-singular matrix, and that matrix with one row copied onto another,
+    decide as their rank does, and so do random renamings of them."""
+    rng = random.Random(n)
+    index = list(range(n))
+    while True:
+        m = _random_gf2(rng, index, index)
+        if rank_gaussian(GF2, m, index, index) == n:
+            break
+    src, dst = rng.sample(index, 2)
+    copied = {(i, j): v for (i, j), v in m.entries.items() if i != dst}
+    copied.update({(dst, j): v for (i, j), v in m.entries.items() if i == src})
+    singular = FieldMatrix(GF2, m.rows, m.cols, copied)
+    assert rank_gaussian(GF2, singular, index, index) < n
+    names = dict(zip(index, rng.sample([f"x{k}" for k in index], n)))
+    for matrix, expected in ((m, True), (singular, False)):
+        assert nonsingular_square(GF2, matrix) is expected
+        assert nonsingular_square(GF2, _renamed(matrix, names)) is expected
 
 
 # ---------------------------------------------------------------- gauss
