@@ -130,6 +130,12 @@ test ! -e past.str
 # hyperedges break, and the violations may not follow set order
 python3 -c 'import re, sys; print("".join(re.sub(r" \([^()]*\bs0[01]a\b[^()]*\)", "", l) if l.startswith("rel Positive/3:") else l for l in sys.stdin), end="")' < p.str > broken.str
 same 'len(r["violations"]) > 1' '1:broken 2:broken' choiceless-lab validate multipede --input @.str
+# Hyper listing each hyperedge in one ordering only: refused, not read
+# as the same hyperedges
+python3 -c 'import re, sys; print("".join(re.sub(r" \(([^(),]+),([^(),]+),([^(),]+)\)", lambda t: t.group() if list(t.groups()) == sorted(t.groups()) else "", l) if l.startswith("rel Hyper/3:") else l for l in sys.stdin), end="")' < p.str > one-way.str
+exits 3 one-way.json choiceless-lab validate multipede --input one-way.str
+expect '"Hyper must list every ordering" in r["error"]["message"]' < one-way.json
+exits 3 one-way-iso.json choiceless-lab iso multipede3 --a p.str --b one-way.str
 choiceless-lab gen cfi --m 3 --twist v1,v1 --pad --file c.str | expect 'r["result"]["twist_size"] == 1'
 same 'r["class"] == 1' '1:c 2:c' choiceless-lab solve cfi-classify --input @.str
 # the padded m = 4 gadget: 65,596 atoms on one line

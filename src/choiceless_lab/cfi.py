@@ -9,6 +9,11 @@ the block vertices only.  The twist set T decides, per base vertex,
 whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
+A gadget is the :class:`~choiceless_lab.bgs.structures.InputStructure`
+that files and programs read: the block vertices, pair vertices and any
+padding as atoms, in that order, ``Adj`` listing every edge both ways and
+``Pre`` the block pre-order pair by pair.
+
 The classifier and the isomorphism test read one invariant of a
 structure, the triple (m, padding, twist parity), from the edge and
 pre-order relations only, never from the order in which vertices are
@@ -47,14 +52,12 @@ __all__ = [
     "NOT_CFI",
     "BaseGraph",
     "GadgetGraph",
-    "PreGraph",
     "build_twisted",
     "complete_graph",
     "from_structure",
     "isomorphic_gadgets",
     "pad",
     "recognize_and_classify",
-    "to_structure",
 ]
 
 NOT_CFI = "not-CFI"
@@ -63,6 +66,7 @@ PAD_MAX_M = 4
 # an unpadded gadget lists its pre-order pair by pair, quadratic in its
 # (m+1) * 2**(m-1) block vertices: m = 9 writes about 200 MB
 STRUCTURE_MAX_M = 8
+_ARITIES = {"Adj": 2, "Pre": 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,27 +133,6 @@ def _pair_token(edge, sign) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class PreGraph:
-    """Bare structure: vertices, undirected edges, pre-order pairs.  Every
-    vertex on an edge or in a pre-order pair is listed once in
-    ``vertices``."""
-
-    vertices: tuple
-    edges: frozenset  # of 2-element frozensets
-    preorder: frozenset  # of (x, y) pairs meaning x is ordered no later
-
-    def adjacency(self) -> dict:
-        """Neighbour sets of the vertices on some edge; an isolated vertex
-        has no entry."""
-        adj: dict = {}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return adj
-
-
-@dataclass(frozen=True, eq=False)
 class GadgetGraph:
     """A twisted gadget graph remembering its construction data."""
 
@@ -160,17 +143,24 @@ class GadgetGraph:
     edges: frozenset
     rank: dict = field(repr=False)  # block vertex -> index of its base vertex
 
-    def structure(self) -> PreGraph:
+    def structure(self) -> InputStructure:
+        """The gadget as a structure: ``Adj`` lists each edge both ways and
+        ``Pre`` orders the block vertices by their base vertices."""
+        return self._structure(())
+
+    def _structure(self, pads: tuple) -> InputStructure:
+        """The structure with the isolated vertices ``pads`` listed last."""
         m = max(len(self.base.incident(v)) for v in self.base.vertices)
         if m > STRUCTURE_MAX_M:
             raise GuardExceeded("structure.max_m", STRUCTURE_MAX_M, m)
-        pre = frozenset(
-            (x, y)
-            for x in self.block_vertices
-            for y in self.block_vertices
-            if self.rank[x] <= self.rank[y]
+        adj = [pair for a, b in self.edges for pair in ((a, b), (b, a))]
+        blocks = self.block_vertices
+        pre = [(x, y) for x in blocks for y in blocks if self.rank[x] <= self.rank[y]]
+        return InputStructure.build(
+            blocks + self.pair_vertices + pads,
+            relations={"Adj": adj, "Pre": pre},
+            arities=_ARITIES,
         )
-        return PreGraph(self.block_vertices + self.pair_vertices, self.edges, pre)
 
 
 def build_twisted(base: BaseGraph, twist) -> GadgetGraph:
@@ -183,10 +173,9 @@ def build_twisted(base: BaseGraph, twist) -> GadgetGraph:
     blocks = []
     rank = {}
     edges = set()
-    pair_vertices = []
-    for e in sorted(base.edges, key=_edge_token):
-        pair_vertices.append(_pair_token(e, True))
-        pair_vertices.append(_pair_token(e, False))
+    pair_vertices = tuple(
+        _pair_token(e, sign) for e in sorted(base.edges, key=_edge_token) for sign in (True, False)
+    )
     for v in base.vertices:
         incident = sorted(base.incident(v), key=_edge_token)
         want_odd = v in twist
@@ -200,61 +189,66 @@ def build_twisted(base: BaseGraph, twist) -> GadgetGraph:
                 rank[token] = rank_of[v]
                 for e in incident:
                     edges.add(frozenset({token, _pair_token(e, e in x_set)}))
-    return GadgetGraph(
-        base, twist, tuple(blocks), tuple(pair_vertices), frozenset(edges), rank
-    )
+    return GadgetGraph(base, twist, tuple(blocks), pair_vertices, frozenset(edges), rank)
 
 
-def pad(gadget: GadgetGraph) -> PreGraph:
-    """Adjoin 2**(m*m) isolated vertices to a gadget over the complete
-    graph on m+1 vertices."""
+def pad(gadget: GadgetGraph) -> InputStructure:
+    """The gadget's structure with 2**(m*m) isolated vertices adjoined,
+    for a gadget over the complete graph on m+1 vertices."""
     m = len(gadget.base.vertices) - 1
     if 2 * len(gadget.base.edges) != m * (m + 1):
         raise ValidationError("gadget base is not a complete graph")
     if m > PAD_MAX_M:
         raise GuardExceeded("pad.max_m", PAD_MAX_M, m)
-    inner = gadget.structure()
-    pads = tuple(f"pad{t}" for t in range(2 ** (m * m)))
-    return PreGraph(inner.vertices + pads, inner.edges, inner.preorder)
+    return gadget._structure(tuple(f"pad{t}" for t in range(2 ** (m * m))))
 
 
 # --------------------------------------------------------------- analysis
 
 
-def _invariants(structure: PreGraph):
+def _invariants(structure: InputStructure):
     """The isomorphism invariant (m, padding, twist parity) of a coherent
-    twisted gadget over a complete base; None for anything else."""
-    adj = structure.adjacency()
-    classes = preorder_classes(structure.preorder)
+    twisted gadget over a complete base; None for anything else.  ``Adj``
+    must list each edge both ways, as :func:`from_structure` checks."""
+    adj_pairs, pre = structure.relations_with(_ARITIES)
+    adj: dict = {}  # the vertices on some edge -> their neighbours
+    for a, b in adj_pairs:
+        adj.setdefault(a, set()).add(b)
+    classes = preorder_classes(pre)
     if not classes:
         return None
     m = len(classes) - 1
     if m < 1 or any(len(c) != 2 ** (m - 1) for c in classes):
         return None
     class_of = {x: i for i, c in enumerate(classes) for x in c}
-    # a PreGraph lists every vertex on an edge or in the pre-order, so the
-    # vertices on neither are the isolated ones
+    # every name in a relation is an atom, so the atoms on no edge and in
+    # no pre-order pair are the isolated ones
     linked = adj.keys() - class_of.keys()
-    padding = len(structure.vertices) - len(class_of) - len(linked)
+    padding = len(structure.atoms) - len(class_of) - len(linked)
     if padding not in (0, 2 ** (m * m)):
         return None
-    # group the linked extras into edge pairs by their incident class pair
+    # group the linked extras into edge pairs by their incident class pair,
+    # and list each pair at its classes as it is made
     pairs: dict = {}
+    touching: list = [[] for _ in classes]
     for w in linked:
         touched = {class_of.get(nb) for nb in adj[w]}
         if None in touched:
             return None
-        pairs.setdefault(tuple(sorted(touched)), set()).add(w)
+        pair = pairs.setdefault(tuple(sorted(touched)), set())
+        if not pair:
+            for ci in touched:
+                touching[ci].append(pair)
+        pair.add(w)
     want_pairs = {(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)}
     if set(pairs) != want_pairs or any(len(p) != 2 for p in pairs.values()):
         return None
-    for ci, cls in enumerate(classes):
-        touching = [p for key, p in pairs.items() if ci in key]
+    for cls, at_class in zip(classes, touching):
         neighbourhoods = set()
         for x in cls:
             # exactly one vertex of each touching pair, and nothing else
             neigh = frozenset(adj.get(x, ()))
-            if len(neigh) != m or any(len(p & neigh) != 1 for p in touching):
+            if len(neigh) != m or any(len(p & neigh) != 1 for p in at_class):
                 return None
             neighbourhoods.add(neigh)
         # coherence: members meet different vertices on len(N(x) ^ N(y)) // 2
@@ -269,7 +263,7 @@ def _invariants(structure: PreGraph):
     return m, padding, sum(not meets[i] & meets[j] for i, j in pairs) % 2
 
 
-def recognize_and_classify(structure: PreGraph):
+def recognize_and_classify(structure: InputStructure):
     """Decide whether the structure is an isomorph of a twisted gadget over
     a complete base and return its twist parity (0 or 1); anything else
     yields ``"not-CFI"``."""
@@ -277,7 +271,7 @@ def recognize_and_classify(structure: PreGraph):
     return NOT_CFI if invariants is None else invariants[2]
 
 
-def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
+def isomorphic_gadgets(x: InputStructure, y: InputStructure) -> bool:
     """Isomorphism of two twisted gadgets: same m, same padding and same
     twist parity.  A pre-order-preserving map sends class i to class i and
     each edge pair to itself, and over a connected base such a map exists
@@ -292,29 +286,12 @@ def isomorphic_gadgets(x: PreGraph, y: PreGraph) -> bool:
 # ------------------------------------------------------------ structure io
 
 
-_ARITIES = {"Adj": 2, "Pre": 2}
-
-
-def to_structure(structure: PreGraph):
-    """Encode as a structure with symmetric Adj and the pre-order Pre."""
-    adj_pairs = []
-    for e in structure.edges:
-        a, b = tuple(e)
-        adj_pairs.append((a, b))
-        adj_pairs.append((b, a))
-    return InputStructure.build(
-        list(structure.vertices),
-        relations={"Adj": adj_pairs, "Pre": list(structure.preorder)},
-        arities=_ARITIES,
-    )
-
-
-def from_structure(structure) -> PreGraph:
-    adj, preorder = structure.relations_with(_ARITIES)
+def from_structure(structure: InputStructure) -> InputStructure:
+    """The structure itself, once its ``Adj`` and ``Pre`` are binary and
+    ``Adj`` lists every edge both ways and no loop."""
+    adj, _ = structure.relations_with(_ARITIES)
     if any((b, a) not in adj for (a, b) in adj):
         raise ValidationError("Adj is not symmetric")
-    edges = frozenset(map(frozenset, adj))
-    for e in edges:
-        if len(e) != 2:
-            raise ValidationError("adjacency contains a loop")
-    return PreGraph(structure.atoms, edges, preorder)
+    if any(a == b for a, b in adj):
+        raise ValidationError("adjacency contains a loop")
+    return structure

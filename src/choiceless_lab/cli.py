@@ -177,11 +177,11 @@ def _cmd_gen_cfi(args) -> dict:
         twist = [t.strip() for t in args.twist.split(",") if t.strip()]
     gadget = cfi.build_twisted(base, twist)
     structure = cfi.pad(gadget) if args.pad else gadget.structure()
-    _write(args.file, write_structure(cfi.to_structure(structure)))
+    _write(args.file, write_structure(structure))
     return {
         "file": args.file,
-        "vertices": len(structure.vertices),
-        "padding": len(structure.vertices) - len(gadget.block_vertices + gadget.pair_vertices),
+        "vertices": len(structure.atoms),
+        "padding": len(structure.atoms) - len(gadget.block_vertices + gadget.pair_vertices),
         "twist_size": len(gadget.twist),
     }
 

@@ -58,13 +58,15 @@ def read_decimal(text: str, what: str, line: int | None = None, column: int | No
     """The value of a decimal read from an input file: ASCII digits only,
     at most ``DECIMAL_MAX_DIGITS`` of them, or fewer if the interpreter
     converts fewer; anything else is a ``ParseError`` naming the ``what``
-    at its place."""
-    most = _max_digits()
-    if not (text.isascii() and text.isdigit()) or len(text) > most:
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ParseError(
-            f"{what} {shown} is not a decimal of at most {most} ASCII digits",
-            line,
-            column,
-        )
-    return int(text)
+    at its place.  ``int`` enforces a lower limit of the interpreter's."""
+    if text.isascii() and text.isdigit() and len(text) <= DECIMAL_MAX_DIGITS:
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's lower limit
+            pass
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise ParseError(
+        f"{what} {shown} is not a decimal of at most {_max_digits()} ASCII digits",
+        line,
+        column,
+    )

@@ -25,6 +25,9 @@ isomorphism, with X avoiding the shoe's segment, is the solvability of a
 GF(2) linear system whose right-hand side is the XOR of the two
 multipedes' bits.
 
+``Hyper`` and ``Positive`` list every ordering of each triple; a file
+that lists fewer is refused, not read as the sets they would collapse to.
+
 A structure lists the segment order ``Leq`` pair by pair, n(n+1)/2 pairs.
 It is read, exactly and in time linear in the pairs, from the segments'
 degree counts as a total pre-order whose classes are the single segments
@@ -313,17 +316,30 @@ def to_structure(pede_or_shod):
     )
 
 
+def _member_sets(name, tuples) -> frozenset:
+    """The member sets of the ternary relation ``name``.  It must list
+    every ordering of each triple: all orderings of its triples a <= b <= c
+    (one per member multiset, so no two share one) and no other tuple."""
+    increasing = [t for t in tuples if t[0] <= t[1] <= t[2]]
+    sets = list(map(frozenset, increasing))
+    listed = all(map(tuples.issuperset, map(itertools.permutations, increasing)))
+    # a triple of 1, 2 or 3 distinct members has 1, 3 or 6 orderings
+    if not listed or sum((0, 1, 3, 6)[len(s)] for s in sets) != len(tuples):
+        raise ValidationError(f"{name} must list every ordering of each of its triples")
+    return frozenset(sets)
+
+
 def from_structure_lenient(structure):
-    """Decode the carrier without enforcing the axioms; returns the bare
-    3-multipede and the shoe name (or None)."""
+    """Decode the carrier, with symmetric ``Hyper`` and ``Positive``, without
+    enforcing the axioms; returns the bare 3-multipede and the shoe name (or None)."""
     segment, foot, s, hyper, positive, leq, shoe = structure.relations_with(_ARITIES)
     segments = tuple(sorted(t[0] for t in segment))
     feet = tuple(sorted(t[0] for t in foot))
     segment_of = dict(s)
     if set(segment_of) != set(feet) or len(segment_of) != len(s):
         raise ValidationError("S must assign one segment to every foot")
-    hyperedges = frozenset(map(frozenset, hyper))
-    positives = frozenset(map(frozenset, positive))
+    hyperedges = _member_sets("Hyper", hyper)
+    positives = _member_sets("Positive", positive)
     classes = preorder_classes(leq)
     order = tuple(s for cls in classes or () for s in cls)
     if classes is None or len(order) != len(classes) or sorted(order) != list(segments):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import choiceless_lab
 from choiceless_lab.bgs import InputStructure
-from choiceless_lab.cfi import PreGraph, build_twisted, complete_graph
+from choiceless_lab.cfi import build_twisted, complete_graph
 
 
 def empty_structure(n: int) -> InputStructure:
@@ -48,7 +48,7 @@ def permuted_structure(structure: InputStructure, seed) -> InputStructure:
     listing = names[:]
     rng.shuffle(listing)
     relations = {
-        name: [tuple(mapping[a] for a in tup) for tup in tuples]
+        name: [tuple(map(mapping.__getitem__, tup)) for tup in tuples]
         for name, tuples in structure.relations.items()
     }
     functions = {
@@ -80,25 +80,40 @@ def x_table(outcome, idx_names):
     return grid
 
 
-def twin_gadget() -> PreGraph:
+def gadget_structure(vertices, edges, pre) -> InputStructure:
+    """A gadget-shaped structure on ``vertices``: ``Adj`` lists each of the
+    2-element sets ``edges`` both ways, and ``Pre`` is the pairs ``pre``."""
+    return InputStructure.build(
+        vertices,
+        relations={"Adj": [(a, b) for e in edges for a in e for b in e if a != b], "Pre": pre},
+        arities={"Adj": 2, "Pre": 2},
+    )
+
+
+def edge_sets(structure) -> set:
+    """The edges of a gadget-shaped structure as 2-element sets."""
+    return set(map(frozenset, structure.relations["Adj"]))
+
+
+def twin_gadget() -> InputStructure:
     """The untwisted gadget over K5 with its first block rewired: the four
     name-first block vertices meet the name-first vertex of every edge pair
     touching the block, the other four meet the second vertex.  Every other
     edge and the pre-order stay, so the structure is gadget-shaped but its
     first block holds two sets of four twins."""
     gadget = build_twisted(complete_graph(5), [])
-    plain = gadget.structure()
-    adj = plain.adjacency()
     block = sorted((v for v in gadget.block_vertices if gadget.rank[v] == 0), key=str)
+    edges = {e for e in gadget.edges if e.isdisjoint(block)}
+    met = {w for e in gadget.edges - edges for w in e}
     pairs = [
         sorted(pair, key=str)
         for pair in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2])
-        if not adj[pair[0]].isdisjoint(block)
+        if pair[0] in met
     ]
-    edges = {e for e in plain.edges if e.isdisjoint(block)}
     for i, v in enumerate(block):
         edges |= {frozenset({v, pair[i >= len(block) // 2]}) for pair in pairs}
-    return PreGraph(plain.vertices, frozenset(edges), plain.preorder)
+    plain = gadget.structure()
+    return gadget_structure(plain.atoms, edges, plain.relations["Pre"])
 
 
 def run_child(args, hash_seed="0", check=True, env=()) -> subprocess.CompletedProcess:

@@ -288,19 +288,18 @@ def stable_coloring_dense(a_side, b_side, edges) -> tuple:
 
 def gadget_parts(g) -> tuple:
     """``(adj, classes, pairs, padding)`` of a gadget-shaped structure
-    (``vertices``, ``edges`` as 2-sets, ``preorder`` pairs).  Classes
+    (its ``atoms``, the edges ``Adj`` and the pre-order ``Pre``).  Classes
     are the members of the pre-order with equal upward sets, largest
     upward set first; ``pairs`` maps each set of classes touched by a
     linked vertex outside the pre-order to those vertices (a neighbour
     outside every class counts as class None); the isolated vertices
     outside the pre-order are padding."""
-    adj = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = tuple(e)
+    adj = {v: set() for v in g.atoms}
+    for a, b in g.relations["Adj"]:
         adj[a].add(b)
         adj[b].add(a)
     upward = {}
-    for a, b in g.preorder:
+    for a, b in g.relations["Pre"]:
         upward.setdefault(a, set()).add(b)
         upward.setdefault(b, set())
     by_upward = {}
@@ -309,7 +308,7 @@ def gadget_parts(g) -> tuple:
     classes = [by_upward[key] for key in sorted(by_upward, key=len, reverse=True)]
     class_of = {v: i for i, cls in enumerate(classes) for v in cls}
     pairs, padding = {}, 0
-    for v in g.vertices:
+    for v in g.atoms:
         if v in class_of:
             continue
         if not adj[v]:
@@ -857,18 +856,21 @@ class _Shape:
 def _analyze(structure):
     """Decompose a coherent twisted gadget over a complete base into
     ordered blocks, edge pairs and padding; None for anything else."""
-    adj = structure.adjacency()
-    classes = preorder_classes_by_upward_sets(structure.preorder)
+    adj: dict = {}
+    for a, b in structure.relations["Adj"]:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    classes = preorder_classes_by_upward_sets(structure.relations["Pre"])
     if not classes:
         return None
     m = len(classes) - 1
     if m < 1 or any(len(c) != 2 ** (m - 1) for c in classes):
         return None
     class_of = {x: i for i, c in enumerate(classes) for x in c}
-    # a PreGraph lists every vertex on an edge or in the pre-order, so the
-    # vertices on neither are the isolated ones
+    # every vertex on an edge or in the pre-order is an atom, so the atoms
+    # on neither are the isolated ones
     linked = adj.keys() - class_of.keys()
-    isolated = len(structure.vertices) - len(class_of) - len(linked)
+    isolated = len(structure.atoms) - len(class_of) - len(linked)
     if isolated not in (0, 2 ** (m * m)):
         return None
     # group the linked extras into edge pairs by their incident class pair

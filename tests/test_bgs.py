@@ -39,7 +39,7 @@ from choiceless_lab.bgs import interp
 from choiceless_lab.bgs import parser as parser_module
 from choiceless_lab.bgs.parser import MAX_NESTING
 from choiceless_lab.bgs.syntax import Forall
-from choiceless_lab.cfi import build_twisted, complete_graph, pad, to_structure
+from choiceless_lab.cfi import build_twisted, complete_graph, pad
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, pair, transitive_closure
 from choiceless_lab.linalg import mat_pow, zp
@@ -1214,11 +1214,11 @@ def test_bgs_run_result_is_identical_across_processes(tmp_path):
             [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 5
         ),
         "parity": empty_structure(9),
-        "odd_padded": to_structure(pad(build_twisted(k4, ["v0", "v1", "v3"]))),
-        "twin": to_structure(twin_gadget()),
+        "odd_padded": pad(build_twisted(k4, ["v0", "v1", "v3"])),
+        "twin": twin_gadget(),
     }
     for name, twist, seed in (("a", ["v1"], 1), ("b", ["v0", "v2", "v3"], 2)):
-        gadget = to_structure(build_twisted(k4, twist).structure())
+        gadget = build_twisted(k4, twist).structure()
         inputs[name] = permuted_structure(gadget, seed)
     path = {name: str(tmp_path / f"{name}.str") for name in inputs}
     for name, structure in inputs.items():

@@ -10,22 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiceless_lab.bgs import InputStructure
+from choiceless_lab.bgs import InputStructure, parse_structure, write_structure
 from choiceless_lab.cfi import (
     NOT_CFI,
     BaseGraph,
-    PreGraph,
     build_twisted,
     complete_graph,
     from_structure,
     isomorphic_gadgets,
     pad,
     recognize_and_classify,
-    to_structure,
 )
 from choiceless_lab.errors import GuardExceeded, ValidationError
 
-from helpers import twin_gadget
+from helpers import edge_sets, gadget_structure, permuted_structure, twin_gadget
 from oracles import (
     automorphism_from_edges,
     classify_by_shape,
@@ -38,21 +36,6 @@ from oracles import (
 
 def k(n):
     return complete_graph(n)
-
-
-def renamed(structure: PreGraph, seed) -> PreGraph:
-    rng = random.Random(seed)
-    names = list(structure.vertices)
-    shuffled = names[:]
-    rng.shuffle(shuffled)
-    mapping = dict(zip(names, shuffled))
-    listing = names[:]
-    rng.shuffle(listing)
-    return PreGraph(
-        tuple(mapping[v] for v in listing),
-        frozenset(frozenset(mapping[v] for v in e) for e in structure.edges),
-        frozenset((mapping[a], mapping[b]) for a, b in structure.preorder),
-    )
 
 
 # ------------------------------------------------------------ construction
@@ -137,11 +120,14 @@ def test_every_even_set_is_a_boundary_k4():
 # ----------------------------------------------------------- automorphisms
 
 
-def apply_mapping(structure: PreGraph, mapping) -> PreGraph:
-    return PreGraph(
-        tuple(mapping[v] for v in structure.vertices),
-        frozenset(frozenset(mapping[v] for v in e) for e in structure.edges),
-        frozenset((mapping[a], mapping[b]) for a, b in structure.preorder),
+def apply_mapping(structure: InputStructure, mapping) -> InputStructure:
+    return InputStructure.build(
+        [mapping[v] for v in structure.atoms],
+        relations={
+            name: [tuple(map(mapping.__getitem__, t)) for t in tuples]
+            for name, tuples in structure.relations.items()
+        },
+        arities=structure.arities,
     )
 
 
@@ -158,9 +144,8 @@ def test_automorphism_maps_between_twists():
     source = build_twisted(base, []).structure()
     target = build_twisted(base, odd_boundary(base, [e01])).structure()
     moved = apply_mapping(source, mapping)
-    assert set(moved.vertices) == set(target.vertices)
-    assert moved.edges == target.edges
-    assert moved.preorder == target.preorder
+    assert set(moved.atoms) == set(target.atoms)
+    assert moved.relations == target.relations
 
 
 def test_automorphism_composition_is_symmetric_difference():
@@ -186,15 +171,12 @@ def test_pad_counts():
     for n, padding in ((3, 16), (4, 512), (5, 2**16)):
         gadget = build_twisted(k(n), [])
         structure = pad(gadget)
-        assert len(structure.vertices) == len(gadget.structure().vertices) + padding
+        assert structure.atoms[:-padding] == gadget.structure().atoms
     structure = pad(build_twisted(k(3), []))
-    adj = structure.adjacency()
-    field_set = {x for p in structure.preorder for x in p}
-    for t in range(16):
-        name = f"pad{t}"
-        assert name in structure.vertices
-        assert name not in adj
-        assert name not in field_set
+    named = {x for pairs in structure.relations.values() for pair in pairs for x in pair}
+    pads = tuple(f"pad{t}" for t in range(16))
+    assert structure.atoms[-16:] == pads
+    assert named.isdisjoint(pads)
 
 
 def test_pad_guards():
@@ -219,8 +201,8 @@ def test_distinguish_invariant_under_renaming():
     even = pad(build_twisted(k(3), ["v0", "v2"]))
     odd = pad(build_twisted(k(3), ["v1"]))
     for seed in range(4):
-        assert distinguish_structure(renamed(even, seed)) == 0
-        assert distinguish_structure(renamed(odd, seed)) == 1
+        assert distinguish_structure(permuted_structure(even, seed)) == 0
+        assert distinguish_structure(permuted_structure(odd, seed)) == 1
 
 
 def test_distinguish_guard():
@@ -245,26 +227,26 @@ def test_classify_order_independent():
     structure = build_twisted(k(3), ["v0"]).structure()
     rng = random.Random(5)
     for _ in range(6):
-        order = list(structure.vertices)
+        order = list(structure.atoms)
         rng.shuffle(order)
-        relisted = PreGraph(tuple(order), structure.edges, structure.preorder)
+        relisted = InputStructure.build(order, structure.relations, arities=structure.arities)
         assert recognize_and_classify(relisted) == 1
     for seed in range(4):
-        moved = renamed(structure, seed)
+        moved = permuted_structure(structure, seed)
         assert recognize_and_classify(moved) == 1
 
 
 def test_classify_rejects_malformed():
     structure = build_twisted(k(3), []).structure()
     # drop one pair vertex: blocks no longer pair up
-    keep = tuple(v for v in structure.vertices if not v.endswith("_p"))
-    broken = PreGraph(
+    keep = tuple(v for v in structure.atoms if not v.endswith("_p"))
+    broken = gadget_structure(
         keep,
-        frozenset(e for e in structure.edges if all(v in keep for v in e)),
-        structure.preorder,
+        {e for e in edge_sets(structure) if e <= set(keep)},
+        structure.relations["Pre"],
     )
     assert recognize_and_classify(broken) == NOT_CFI
-    lone = PreGraph(("x", "y"), frozenset(), frozenset({("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")}))
+    lone = gadget_structure(("x", "y"), (), {("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")})
     assert recognize_and_classify(lone) == NOT_CFI
 
 
@@ -274,19 +256,19 @@ def test_classify_accepts_padded():
     assert distinguish_structure(padded) == 0
 
 
-def moved_edges(gadget, picks) -> PreGraph:
+def moved_edges(gadget, picks) -> InputStructure:
     """The gadget with each picked block-pair edge moved to the other
     vertex of its pair: the shape stays, coherence may break."""
     plain = gadget.structure()
     other = {}
     for a, b in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2]):
         other[a], other[b] = b, a
-    edges = set(plain.edges)
+    edges = set(gadget.edges)
     for e in picks:
         x, w = sorted(e, key=lambda v: v in other)
         edges.remove(e)
         edges.add(frozenset({x, other[w]}))
-    return PreGraph(plain.vertices, frozenset(edges), plain.preorder)
+    return gadget_structure(plain.atoms, edges, plain.relations["Pre"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,8 +286,8 @@ def test_classify_matches_ordered_labelling(data):
         structure = moved_edges(gadget, picks)
     else:
         structure = pad(gadget) if data.draw(st.booleans()) else gadget.structure()
-    structure = renamed(structure, data.draw(st.integers(0, 2**32)))
-    order = list(structure.vertices)
+    structure = permuted_structure(structure, data.draw(st.integers(0, 2**32)))
+    order = list(structure.atoms)
     random.Random(data.draw(st.integers(0, 2**32))).shuffle(order)
     assert recognize_and_classify(structure) == twist_parity_by_labelling(structure, order)
 
@@ -337,9 +319,9 @@ def test_isomorphism_criterion_k3():
 
 def test_isomorphism_survives_renaming():
     s1 = build_twisted(k(3), ["v0"]).structure()
-    s2 = renamed(build_twisted(k(3), ["v0", "v1", "v2"]).structure(), 11)
+    s2 = permuted_structure(build_twisted(k(3), ["v0", "v1", "v2"]).structure(), 11)
     assert isomorphic_gadgets(s1, s2)
-    s3 = renamed(build_twisted(k(3), []).structure(), 12)
+    s3 = permuted_structure(build_twisted(k(3), []).structure(), 12)
     assert not isomorphic_gadgets(s1, s3)
 
 
@@ -348,7 +330,7 @@ def test_isomorphism_criterion_large_bases(m):
     base = k(m + 1)
     even = build_twisted(base, []).structure()
     odd = build_twisted(base, base.vertices[:1]).structure()
-    odd_too = renamed(build_twisted(base, base.vertices[1:4]).structure(), m)
+    odd_too = permuted_structure(build_twisted(base, base.vertices[1:4]).structure(), m)
     assert not isomorphic_gadgets(even, odd)
     assert isomorphic_gadgets(odd, odd_too)
 
@@ -363,7 +345,7 @@ def test_isomorphism_matches_flip_search(data):
         gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
         padded = data.draw(st.booleans())
         structure = pad(gadget) if padded else gadget.structure()
-        sides.append(renamed(structure, data.draw(st.integers(0, 2**32))))
+        sides.append(permuted_structure(structure, data.draw(st.integers(0, 2**32))))
     x, y = sides
     assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y)
 
@@ -379,7 +361,7 @@ def test_isomorphism_matches_flip_search(data):
 )
 def test_isomorphism_matches_flip_search_m4(t1, t2):
     x = build_twisted(k(5), t1).structure()
-    y = renamed(build_twisted(k(5), t2).structure(), 4)
+    y = permuted_structure(build_twisted(k(5), t2).structure(), 4)
     expected = len(t1) % 2 == len(t2) % 2
     assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y) == expected
 
@@ -408,7 +390,7 @@ _FAULTS = (
 )
 
 
-def faulted(gadget, structure: PreGraph, fault, rng) -> PreGraph:
+def faulted(gadget, structure: InputStructure, fault, rng) -> InputStructure:
     """The gadget's structure (padded or not) with one fault of the named
     kind at a place ``rng`` picks; None leaves it whole.  ``move-adj``
     moves one or two edges at one block vertex, mostly to the other vertex
@@ -417,8 +399,8 @@ def faulted(gadget, structure: PreGraph, fault, rng) -> PreGraph:
     two block vertices of different classes and joins the two, and
     ``triangle`` joins block vertices of three classes and moves one edge
     of each to the other vertex of its pair.  ``isolated`` drops a padding
-    vertex or adds one."""
-    vertices, edges, pre = list(structure.vertices), set(structure.edges), set(structure.preorder)
+    vertex or adds one.  Last, the atoms are renamed and relisted."""
+    vertices, edges, pre = list(structure.atoms), edge_sets(structure), set(structure.relations["Pre"])
     pairs = gadget.pair_vertices
     other = {**dict(zip(pairs[::2], pairs[1::2])), **dict(zip(pairs[1::2], pairs[::2]))}
 
@@ -478,7 +460,13 @@ def faulted(gadget, structure: PreGraph, fault, rng) -> PreGraph:
         w = rng.choice(gadget.pair_vertices)
         vertices.remove(w)
         edges = {e for e in edges if w not in e}
-    return PreGraph(tuple(vertices), frozenset(edges), frozenset(pre))
+    name = dict(zip(vertices, rng.sample(vertices, len(vertices))))
+    rng.shuffle(vertices)
+    return gadget_structure(
+        [name[v] for v in vertices],
+        [[name[v] for v in e] for e in edges],
+        [(name[a], name[b]) for a, b in pre],
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,7 +475,7 @@ def built(m, twist, padded) -> tuple:
     return gadget, pad(gadget) if padded else gadget.structure()
 
 
-def drawn_gadget(data, m=None, padded=None) -> PreGraph:
+def drawn_gadget(data, m=None, padded=None) -> InputStructure:
     """A renamed gadget over K_{m+1}, m = 2-5, padded only for m <= 3, with
     a random twist and, half the time, one injected fault."""
     if m is None:
@@ -498,7 +486,7 @@ def drawn_gadget(data, m=None, padded=None) -> PreGraph:
     gadget, structure = built(m, frozenset(twist), padded)
     fault = data.draw(st.sampled_from(_FAULTS)) if data.draw(st.booleans()) else None
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    return renamed(faulted(gadget, structure, fault, rng), rng.random())
+    return faulted(gadget, structure, fault, rng)
 
 
 @settings(max_examples=2000, deadline=None)
@@ -523,29 +511,33 @@ def test_invariants_match_the_shape_record(data):
 
 
 def test_structure_roundtrip():
-    structure = build_twisted(k(3), ["v1"]).structure()
-    encoded = to_structure(structure)
-    back = from_structure(encoded)
-    assert set(back.vertices) == set(structure.vertices)
-    assert back.edges == structure.edges
-    assert back.preorder == structure.preorder
-    assert recognize_and_classify(back) == 1
+    for structure in (build_twisted(k(3), ["v1"]).structure(), pad(build_twisted(k(3), ["v2"]))):
+        back = from_structure(parse_structure(write_structure(structure)))
+        assert back.relations == structure.relations
+        assert recognize_and_classify(back) == recognize_and_classify(structure) == 1
 
 
-def encode(structure: PreGraph, adj_pairs) -> InputStructure:
+def encode(structure: InputStructure, adj_pairs) -> InputStructure:
     return InputStructure.build(
-        list(structure.vertices),
-        relations={"Adj": adj_pairs, "Pre": list(structure.preorder)},
+        list(structure.atoms),
+        relations={"Adj": adj_pairs, "Pre": structure.relations["Pre"]},
         arities={"Adj": 2, "Pre": 2},
     )
 
 
 def test_from_structure_rejects_one_way_adjacency():
     structure = build_twisted(k(3), ["v0"]).structure()
-    one_way = [tuple(sorted(e)) for e in structure.edges]
+    one_way = [(a, b) for a, b in structure.relations["Adj"] if a < b]
     both = one_way + [(b, a) for a, b in one_way]
     back = from_structure(encode(structure, both))
     assert recognize_and_classify(back) == 1
     for adj_pairs in (one_way, both[1:]):
         with pytest.raises(ValidationError, match="Adj is not symmetric"):
             from_structure(encode(structure, adj_pairs))
+
+
+def test_from_structure_rejects_a_loop():
+    structure = build_twisted(k(3), ["v0"]).structure()
+    loop = (structure.atoms[0],) * 2
+    with pytest.raises(ValidationError, match="adjacency contains a loop"):
+        from_structure(encode(structure, [*structure.relations["Adj"], loop]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 import sys
@@ -11,7 +13,6 @@ import pytest
 
 from choiceless_lab import cli, multipede
 from choiceless_lab.bgs import parse_structure, write_structure
-from choiceless_lab.cfi import to_structure
 from choiceless_lab.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -109,6 +110,33 @@ def test_gen_cfi_classify_roundtrip(tmp_path, capsys):
         assert report["result"]["class"] == size % 2
 
 
+# sha256 of the files `gen cfi --m M --twist TWIST [--pad]` writes: a change
+# to the construction or to the writer that moves a byte of them fails here
+_GADGET_FILE_DIGESTS = {
+    (2, "even", False): "3e348c604c2c47c4f54e2e8a349d45d0820e16e6c021a68b56a78746ca852940",
+    (2, "even", True): "9ca50f8460936c745ea148536aa2b4fc99b1e07cc311efc2fa0f8e66f935b8ca",
+    (2, "odd", False): "0bc855f7fdf64bc5249ce497172a1e00875387d77ab92de0eaf42f54168184c4",
+    (2, "odd", True): "5556d2640deea917d7c7814a60f27693b86d0bbe3246d16fd61dd4da3d0e928b",
+    (3, "even", False): "a0f9e9494dd704c87e60d3b77a791753eecd31e04855957d9c14a7cb38f9a33d",
+    (3, "even", True): "f56477f0ad4df6e49f2d3825eedbbb6c3e1115bff45ee9f642ed16dc3978986f",
+    (3, "odd", False): "d1b378784e183dad9779d7356336bb1923913affeb5d93fc3942298ac2688f08",
+    (3, "odd", True): "00c835db628459b0f1eecdb63b9a0fff5ae184df01c3cccdb7e07998d473b955",
+    (4, "even", False): "ff14f52d4ef9a96a8945bbcc7a0c3be00ffadbbcc0610786785683f724541681",
+    (4, "even", True): "a16877743bf7ebec4127d1c042604ea122aefc3c23116d96b58436c54b5ab133",
+    (4, "odd", False): "ded6760e34dd9bfc08f8ee3c0bcecf86003a18cc83faa424a09b54693b518b29",
+    (4, "odd", True): "70b4c3ab96469346f53778d9b7685472628edcc3163cea8d6295044ee65d2c64",
+}
+
+
+def test_gen_cfi_files_are_pinned(tmp_path, capsys):
+    path = tmp_path / "g.str"
+    for (m, twist, padded), digest in _GADGET_FILE_DIGESTS.items():
+        pad = ["--pad"] if padded else []
+        code, _ = invoke(["gen", "cfi", "--m", str(m), "--twist", twist, *pad, "--file", str(path)], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (m, twist, padded)
+
+
 def test_gen_cfi_padded_and_iso(tmp_path, capsys):
     a = tmp_path / "a.str"
     b = tmp_path / "b.str"
@@ -131,7 +159,7 @@ def test_gen_cfi_padded_and_iso(tmp_path, capsys):
 def test_iso_cfi_rejects_twin_blocks(tmp_path, capsys):
     twin = tmp_path / "twin.str"
     plain = tmp_path / "plain.str"
-    twin.write_text(write_structure(to_structure(twin_gadget())))
+    twin.write_text(write_structure(twin_gadget()))
     invoke(["gen", "cfi", "--m", "4", "--twist", "even", "--file", str(plain)], capsys)
     code, report = invoke(["iso", "cfi", "--a", str(twin), "--b", str(plain)], capsys)
     assert code == EXIT_PARSE
@@ -192,7 +220,8 @@ def test_positive_on_a_non_foot_is_a_violation(tmp_path, capsys):
     argv = ["gen", "multipede", "--segments", "3", "--hyperedges", "1", "--seed", "1"]
     code, _ = invoke(argv + ["--shoe", "--file", str(path)], capsys)
     assert code == EXIT_OK
-    text = path.read_text().replace("rel Positive/3:", "rel Positive/3: (s00,s01a,s02a)")
+    orderings = " ".join(f"({','.join(t)})" for t in itertools.permutations(("s00", "s01a", "s02a")))
+    text = path.read_text().replace("rel Positive/3:", f"rel Positive/3: {orderings}")
     path.write_text(text)
     code, report = invoke(["validate", "multipede", "--input", str(path)], capsys)
     assert code == EXIT_OK
@@ -201,6 +230,30 @@ def test_positive_on_a_non_foot_is_a_violation(tmp_path, capsys):
     code, report = invoke(["iso", "multipede3", "--a", str(path), "--b", str(path)], capsys)
     assert code == EXIT_PARSE
     assert "positive-image" in report["error"]["message"]
+
+
+def test_multipede_listing_a_triple_one_way_exits_parse(tmp_path, capsys):
+    """``Hyper`` with one ordering per hyperedge, and ``Positive`` with one
+    ordering missing, are refused by ``validate`` and ``iso``."""
+    path = tmp_path / "m.str"
+    argv = ["gen", "multipede", "--segments", "6", "--hyperedges", "6", "--seed", "3", "--shoe"]
+    code, _ = invoke(argv + ["--file", str(path)], capsys)
+    assert code == EXIT_OK
+    lines = path.read_text().splitlines(keepends=True)
+    for name in ("Hyper", "Positive"):
+        (index,) = [i for i, line in enumerate(lines) if line.startswith(f"rel {name}/3:")]
+        tuples = lines[index].split(": ", 1)[1].split()
+        if name == "Hyper":
+            kept = [t for t in tuples if t[1:-1].split(",") == sorted(t[1:-1].split(","))]
+            assert len(kept) * 6 == len(tuples) == 36
+        else:
+            kept = tuples[1:]
+        one_way = tmp_path / f"{name}.str"
+        one_way.write_text("".join(lines[:index] + [f"rel {name}/3: {' '.join(kept)}\n"] + lines[index + 1 :]))
+        for check in (["validate", "multipede", "--input"], ["iso", "multipede3", "--b", str(path), "--a"]):
+            code, report = invoke(check + [str(one_way)], capsys)
+            assert code == EXIT_PARSE, (name, check)
+            assert f"{name} must list every ordering" in report["error"]["message"]
 
 
 def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):

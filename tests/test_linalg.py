@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiceless_lab.errors import ValidationError
+from choiceless_lab import errors
+from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.linalg import (
     FieldMatrix,
     IntMatrix,
@@ -764,6 +765,19 @@ def test_matrix_files_round_trip_legal_names(data):
     kind, back = parse_matrix(write_int_matrix(IntMatrix.from_int_entries(int_entries, rows)))
     nonzero = {cell: value for cell, value in int_entries.items() if value}
     assert (kind, back.index_set, back.entries) == ("int", rows, nonzero)
+
+
+def test_matrix_entries_look_up_no_digit_limit(monkeypatch):
+    """``read_decimal`` looks up the interpreter's digit limit only to
+    report an error, not once per entry."""
+    calls = []
+    monkeypatch.setattr(errors, "_max_digits", lambda: calls.append(1) or 4300)
+    text = "ring Z\nrows a b\nsquare\n" + "".join(f"{r} {c} 12\n" for r in "ab" for c in "ab")
+    assert parse_matrix(text)[1].entries == {(r, c): 12 for r in "ab" for c in "ab"}
+    assert calls == []
+    with pytest.raises(ParseError, match="at most 4300 ASCII digits at line 4"):
+        parse_matrix(text.replace(" 12\n", " 1_2\n", 1))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("name", _UNWRITABLE_NAMES)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiceless_lab.bgs import parse_structure, write_structure
+from choiceless_lab.bgs import InputStructure, parse_structure, write_structure
 from choiceless_lab.errors import ValidationError
 from choiceless_lab.linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
 from choiceless_lab.multipede import (
@@ -415,6 +415,38 @@ def test_s_must_give_each_foot_one_segment():
     assert bad != text
     with pytest.raises(ValidationError, match="S must assign one segment"):
         from_structure_lenient(parse_structure(bad))
+
+
+def relisted(structure, name, tuples):
+    """``structure`` with the relation ``name`` listing ``tuples``."""
+    relations = {**structure.relations, name: tuples}
+    return InputStructure.build(structure.atoms, relations, arities=structure.arities)
+
+
+def test_hyper_and_positive_must_list_every_ordering():
+    structure = to_structure(shoe_expansions(random_multipede(6, 6, seed=3))[0])
+    hyper, positive = structure.relations["Hyper"], structure.relations["Positive"]
+    assert (len(hyper), len(positive)) == (36, 144)
+    one_way = [t for t in hyper if list(t) == sorted(t)]
+    for name, tuples in (("Hyper", one_way), ("Positive", sorted(positive)[1:])):
+        with pytest.raises(ValidationError, match=f"{name} must list every ordering"):
+            from_structure_lenient(relisted(structure, name, tuples))
+
+
+def test_repeated_members_listed_every_way_reach_validate():
+    """A triple with a repeated member, in each of its orderings, is read
+    as its member set and reported by ``validate``; one ordering short, it
+    is refused."""
+    structure = to_structure(pede_from(["s0", "s1", "s2"], [("s0", "s1", "s2")]))
+    degenerate = {"Hyper": ("s0", "s0", "s1"), "Positive": ("s0a", "s1b", "s1b")}
+    for name, triple in degenerate.items():
+        orderings = set(itertools.permutations(triple))
+        tuples = structure.relations[name] | orderings
+        pede, _ = from_structure_lenient(relisted(structure, name, tuples))
+        shape = "hyperedge-shape" if name == "Hyper" else "positive-shape"
+        assert (shape, tuple(sorted(set(triple)))) in validate(pede)
+        with pytest.raises(ValidationError, match=f"{name} must list every ordering"):
+            from_structure_lenient(relisted(structure, name, tuples - {min(orderings)}))
 
 
 # ------------------------------------------- packed rows against elimination

@@ -301,7 +301,7 @@ def _assert_names_are_atoms(structure: InputStructure):
 @pytest.mark.parametrize(
     "structure",
     [
-        cfi.to_structure(cfi.pad(cfi.build_twisted(cfi.complete_graph(4), ["v0"]))),
+        cfi.pad(cfi.build_twisted(cfi.complete_graph(4), ["v0"])),
         multipede.to_structure(multipede.shoe_expansions(multipede.random_multipede(12, 20, 3))[1]),
     ],
     ids=["padded-gadget-m3", "multipede"],
