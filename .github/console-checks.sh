@@ -141,6 +141,12 @@ same 'r["class"] == 1' '1:c 2:c' choiceless-lab solve cfi-classify --input @.str
 # the padded m = 4 gadget: 65,596 atoms on one line
 choiceless-lab gen cfi --m 4 --twist odd --pad --file c4.str > /dev/null
 timeout 5 choiceless-lab solve cfi-classify --input c4.str | expect 'r["result"]["class"] == 1'
+# gadgets past the size guards are refused before anything is built
+exits 4 cfi20.json timeout 5 choiceless-lab gen cfi --m 20 --twist even --file cfi20.str
+expect '"structure.max_m" in r["error"]["message"]' < cfi20.json
+exits 4 cfi2000.json timeout 5 choiceless-lab gen cfi --m 2000 --twist even --pad --file cfi2000.str
+expect '"pad.max_m" in r["error"]["message"]' < cfi2000.json
+test ! -e cfi20.str && test ! -e cfi2000.str
 # a function of huge arity, and a file that is not UTF-8
 printf 'atoms: a b c\nfun F/3000000:\n' > huge.str
 printf 'atoms: a \377 b\n' > latin.str

@@ -9,10 +9,11 @@ the block vertices only.  The twist set T decides, per base vertex,
 whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
-A gadget is the :class:`~choiceless_lab.bgs.structures.InputStructure`
-that files and programs read: the block vertices, pair vertices and any
-padding as atoms, in that order, ``Adj`` listing every edge both ways and
-``Pre`` the block pre-order pair by pair.
+:func:`build_twisted` returns a gadget as the
+:class:`~choiceless_lab.bgs.structures.InputStructure` that files and
+programs read, and :func:`pad` a padded copy of one: the block vertices,
+pair vertices and any padding as atoms, in that order, ``Adj`` listing
+every edge both ways and ``Pre`` the block pre-order pair by pair.
 
 The classifier and the isomorphism test read one invariant of a
 structure, the triple (m, padding, twist parity), from the edge and
@@ -42,7 +43,7 @@ on the command line).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bgs.structures import InputStructure, preorder_classes
@@ -51,8 +52,8 @@ from .errors import GuardExceeded, ValidationError
 __all__ = [
     "NOT_CFI",
     "BaseGraph",
-    "GadgetGraph",
     "build_twisted",
+    "check_m",
     "complete_graph",
     "from_structure",
     "isomorphic_gadgets",
@@ -132,75 +133,62 @@ def _pair_token(edge, sign) -> str:
     return f"w_{_edge_token(edge)}_{'p' if sign else 'm'}"
 
 
-@dataclass(frozen=True, eq=False)
-class GadgetGraph:
-    """A twisted gadget graph remembering its construction data."""
-
-    base: BaseGraph
-    twist: frozenset
-    block_vertices: tuple  # tokens (v, X) in construction order
-    pair_vertices: tuple  # tokens (e, sign)
-    edges: frozenset
-    rank: dict = field(repr=False)  # block vertex -> index of its base vertex
-
-    def structure(self) -> InputStructure:
-        """The gadget as a structure: ``Adj`` lists each edge both ways and
-        ``Pre`` orders the block vertices by their base vertices."""
-        return self._structure(())
-
-    def _structure(self, pads: tuple) -> InputStructure:
-        """The structure with the isolated vertices ``pads`` listed last."""
-        m = max(len(self.base.incident(v)) for v in self.base.vertices)
-        if m > STRUCTURE_MAX_M:
-            raise GuardExceeded("structure.max_m", STRUCTURE_MAX_M, m)
-        adj = [pair for a, b in self.edges for pair in ((a, b), (b, a))]
-        blocks = self.block_vertices
-        pre = [(x, y) for x in blocks for y in blocks if self.rank[x] <= self.rank[y]]
-        return InputStructure.build(
-            blocks + self.pair_vertices + pads,
-            relations={"Adj": adj, "Pre": pre},
-            arities=_ARITIES,
-        )
+def check_m(m: int, padded: bool = False) -> None:
+    """Refuse, before any of it is built, a gadget whose base has largest
+    degree ``m``: ``pad.max_m`` first when it is to be padded, then
+    ``structure.max_m``."""
+    if padded and m > PAD_MAX_M:
+        raise GuardExceeded("pad.max_m", PAD_MAX_M, m)
+    if m > STRUCTURE_MAX_M:
+        raise GuardExceeded("structure.max_m", STRUCTURE_MAX_M, m)
 
 
-def build_twisted(base: BaseGraph, twist) -> GadgetGraph:
-    """The induced gadget graph keeping (v, X) when |X| is odd exactly for
-    twisted base vertices."""
+def build_twisted(base: BaseGraph, twist) -> InputStructure:
+    """The gadget keeping (v, X) when |X| is odd exactly for twisted base
+    vertices: its block vertices in construction order, then its pair
+    vertices, ``Adj`` listing each edge both ways and ``Pre`` ordering the
+    block vertices by their base vertices."""
     twist = frozenset(twist)
     if not twist <= set(base.vertices):
         raise ValidationError("twist set must consist of base vertices")
-    rank_of = {v: i for i, v in enumerate(base.vertices)}
-    blocks = []
-    rank = {}
-    edges = set()
-    pair_vertices = tuple(
+    check_m(max(len(base.incident(v)) for v in base.vertices))
+    pair_vertices = [
         _pair_token(e, sign) for e in sorted(base.edges, key=_edge_token) for sign in (True, False)
-    )
+    ]
+    blocks, starts = [], []  # each block vertex, and where its block starts
+    adj = []
     for v in base.vertices:
+        start = len(blocks)
         incident = sorted(base.incident(v), key=_edge_token)
-        want_odd = v in twist
-        for r in range(len(incident) + 1):
-            for combo in itertools.combinations(incident, r):
-                if (len(combo) % 2 == 1) != want_odd:
-                    continue
-                x_set = frozenset(combo)
+        for r in range(v in twist, len(incident) + 1, 2):  # odd sizes when twisted
+            for x_set in map(frozenset, itertools.combinations(incident, r)):
                 token = _block_token(v, x_set)
                 blocks.append(token)
-                rank[token] = rank_of[v]
+                starts.append(start)
                 for e in incident:
-                    edges.add(frozenset({token, _pair_token(e, e in x_set)}))
-    return GadgetGraph(base, twist, tuple(blocks), pair_vertices, frozenset(edges), rank)
+                    w = _pair_token(e, e in x_set)
+                    adj += ((token, w), (w, token))
+    pre = [(x, y) for x, start in zip(blocks, starts) for y in blocks[start:]]
+    return InputStructure.build(
+        blocks + pair_vertices, relations={"Adj": adj, "Pre": pre}, arities=_ARITIES
+    )
 
 
-def pad(gadget: GadgetGraph) -> InputStructure:
-    """The gadget's structure with 2**(m*m) isolated vertices adjoined,
-    for a gadget over the complete graph on m+1 vertices."""
-    m = len(gadget.base.vertices) - 1
-    if 2 * len(gadget.base.edges) != m * (m + 1):
-        raise ValidationError("gadget base is not a complete graph")
-    if m > PAD_MAX_M:
-        raise GuardExceeded("pad.max_m", PAD_MAX_M, m)
-    return gadget._structure(tuple(f"pad{t}" for t in range(2 ** (m * m))))
+def pad(structure: InputStructure) -> InputStructure:
+    """The unpadded gadget ``structure`` over the complete graph on m+1
+    vertices with 2**(m*m) isolated vertices adjoined, listed last;
+    anything else is a ``ValidationError``."""
+    invariants = _invariants(from_structure(structure))
+    if invariants is None or invariants[1]:
+        raise ValidationError("only an unpadded gadget over a complete base can be padded")
+    m = invariants[0]
+    check_m(m, padded=True)
+    return InputStructure.build(
+        structure.atoms + tuple(f"pad{t}" for t in range(2 ** (m * m))),
+        relations=structure.relations,
+        functions=structure.functions,
+        arities=structure.arities,
+    )
 
 
 # --------------------------------------------------------------- analysis

@@ -168,6 +168,7 @@ def _cmd_bgs_run(args) -> dict:
 def _cmd_gen_cfi(args) -> dict:
     if args.m < 2:
         raise ValidationError("m must be at least 2")  # K2 gadgets classify as not-CFI
+    cfi.check_m(args.m, args.pad)
     base = cfi.complete_graph(args.m + 1)
     if args.twist == "even":
         twist = []
@@ -175,14 +176,16 @@ def _cmd_gen_cfi(args) -> dict:
         twist = [base.vertices[0]]
     else:
         twist = [t.strip() for t in args.twist.split(",") if t.strip()]
-    gadget = cfi.build_twisted(base, twist)
-    structure = cfi.pad(gadget) if args.pad else gadget.structure()
+    structure = cfi.build_twisted(base, twist)
+    unpadded = len(structure.atoms)
+    if args.pad:
+        structure = cfi.pad(structure)
     _write(args.file, write_structure(structure))
     return {
         "file": args.file,
         "vertices": len(structure.atoms),
-        "padding": len(structure.atoms) - len(gadget.block_vertices + gadget.pair_vertices),
-        "twist_size": len(gadget.twist),
+        "padding": len(structure.atoms) - unpadded,
+        "twist_size": len(set(twist)),
     }
 
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import choiceless_lab
 from choiceless_lab.bgs import InputStructure
@@ -95,25 +96,52 @@ def edge_sets(structure) -> set:
     return set(map(frozenset, structure.relations["Adj"]))
 
 
+class GadgetLayout(NamedTuple):
+    """A built gadget's parts, read from its structure in atom listing
+    order: the block vertices, a pre-order class at a time, then the pair
+    vertices, each pair's two listed together, then any padding."""
+
+    structure: InputStructure
+    blocks: tuple  # the atoms in Pre, in listing order
+    rank: dict  # block vertex -> its class, earliest first
+    pairs: tuple  # the atoms between the blocks and the padding
+    edges: tuple  # each edge once as a sorted name pair, sorted
+    pre: tuple  # the Pre pairs, sorted
+
+
+def gadget_layout(structure, padding=0) -> GadgetLayout:
+    """The layout of a built gadget whose last ``padding`` atoms pad it."""
+    pre = structure.relations["Pre"]
+    blocks = tuple(x for x in structure.atoms if (x, x) in pre)
+    rank = {}
+    for before, x in zip((None, *blocks), blocks):
+        rank[x] = 0 if before is None else rank[before] + ((x, before) not in pre)
+    pairs = structure.atoms[len(blocks) : len(structure.atoms) - padding]
+    edges = tuple(sorted((a, b) for a, b in structure.relations["Adj"] if a < b))
+    return GadgetLayout(structure, blocks, rank, pairs, edges, tuple(sorted(pre)))
+
+
+def partners(pairs) -> dict:
+    """Each pair vertex of a layout -> the other vertex of its pair."""
+    return {**dict(zip(pairs[::2], pairs[1::2])), **dict(zip(pairs[1::2], pairs[::2]))}
+
+
 def twin_gadget() -> InputStructure:
     """The untwisted gadget over K5 with its first block rewired: the four
     name-first block vertices meet the name-first vertex of every edge pair
     touching the block, the other four meet the second vertex.  Every other
     edge and the pre-order stay, so the structure is gadget-shaped but its
     first block holds two sets of four twins."""
-    gadget = build_twisted(complete_graph(5), [])
-    block = sorted((v for v in gadget.block_vertices if gadget.rank[v] == 0), key=str)
-    edges = {e for e in gadget.edges if e.isdisjoint(block)}
-    met = {w for e in gadget.edges - edges for w in e}
+    parts = gadget_layout(build_twisted(complete_graph(5), []))
+    block = sorted(x for x in parts.blocks if parts.rank[x] == 0)
+    edges = {e for e in parts.edges if set(block).isdisjoint(e)}
+    met = {w for e in set(parts.edges) - edges for w in e}
     pairs = [
-        sorted(pair, key=str)
-        for pair in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2])
-        if pair[0] in met
+        sorted(pair) for pair in zip(parts.pairs[::2], parts.pairs[1::2]) if pair[0] in met
     ]
     for i, v in enumerate(block):
-        edges |= {frozenset({v, pair[i >= len(block) // 2]}) for pair in pairs}
-    plain = gadget.structure()
-    return gadget_structure(plain.atoms, edges, plain.relations["Pre"])
+        edges |= {(v, pair[i >= len(block) // 2]) for pair in pairs}
+    return gadget_structure(parts.structure.atoms, edges, parts.pre)
 
 
 def run_child(args, hash_seed="0", check=True, env=()) -> subprocess.CompletedProcess:

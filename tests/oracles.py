@@ -583,7 +583,7 @@ def automorphism_from_edges(base, twist, edge_subset) -> dict:
                     continue
                 x_set = frozenset(combo)
                 mapping[_block_token(v, x_set)] = _block_token(v, x_set ^ local)
-    assert set(mapping) >= set(source.block_vertices + source.pair_vertices)
+    assert set(mapping) >= set(source.atoms)
     return mapping
 
 

@@ -140,7 +140,7 @@ def test_criterion_03_cfi_parity_law():
         gadgets = {}
         for r in range(m + 2):
             for t in itertools.combinations(base.vertices, r):
-                gadgets[t] = build_twisted(base, t).structure()
+                gadgets[t] = build_twisted(base, t)
         for t, structure in gadgets.items():
             assert recognize_and_classify(structure) == len(t) % 2
         for t1, s1 in gadgets.items():
@@ -374,8 +374,8 @@ def test_criterion_11_lower_bounds_not_computed():
     # rigidity of odd multipedes.
     reference = partial_product(2.0, terms=64)
     assert abs(reference - 0.288788) < 1e-6
-    even = build_twisted(complete_graph(3), []).structure()
-    odd = build_twisted(complete_graph(3), ["v0"]).structure()
+    even = build_twisted(complete_graph(3), [])
+    odd = build_twisted(complete_graph(3), ["v0"])
     assert not isomorphic_gadgets(even, odd)
     rng = random.Random(20240611)
     m = _odd_instances(1, 8, rng)[0]

@@ -1218,7 +1218,7 @@ def test_bgs_run_result_is_identical_across_processes(tmp_path):
         "twin": twin_gadget(),
     }
     for name, twist, seed in (("a", ["v1"], 1), ("b", ["v0", "v2", "v3"], 2)):
-        gadget = build_twisted(k4, twist).structure()
+        gadget = build_twisted(k4, twist)
         inputs[name] = permuted_structure(gadget, seed)
     path = {name: str(tmp_path / f"{name}.str") for name in inputs}
     for name, structure in inputs.items():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiceless_lab import cfi
 from choiceless_lab.bgs import InputStructure, parse_structure, write_structure
 from choiceless_lab.cfi import (
     NOT_CFI,
@@ -23,7 +24,15 @@ from choiceless_lab.cfi import (
 )
 from choiceless_lab.errors import GuardExceeded, ValidationError
 
-from helpers import edge_sets, gadget_structure, permuted_structure, twin_gadget
+from helpers import (
+    GadgetLayout,
+    edge_sets,
+    gadget_layout,
+    gadget_structure,
+    partners,
+    permuted_structure,
+    twin_gadget,
+)
 from oracles import (
     automorphism_from_edges,
     classify_by_shape,
@@ -42,14 +51,14 @@ def k(n):
 
 
 def test_build_twisted_counts_k3():
-    plain = build_twisted(k(3), [])
+    plain = gadget_layout(build_twisted(k(3), []))
     # two even subsets per degree-2 vertex, two vertices per edge
-    assert len(plain.block_vertices) == 6
-    assert len(plain.pair_vertices) == 6
-    assert len(plain.block_vertices) + len(plain.pair_vertices) == 12
-    twisted = build_twisted(k(3), ["v1"])
-    assert len(twisted.block_vertices) == len(plain.block_vertices)
-    odd_names = [t for t in twisted.block_vertices if t.startswith("u_v1")]
+    assert len(plain.blocks) == 6
+    assert len(plain.pairs) == 6
+    assert len(plain.structure.atoms) == 12
+    twisted = gadget_layout(build_twisted(k(3), ["v1"]))
+    assert len(twisted.blocks) == len(plain.blocks)
+    odd_names = [t for t in twisted.blocks if t.startswith("u_v1")]
     assert len(odd_names) == 2
     assert all("none" not in t for t in odd_names)  # odd subsets are singletons
 
@@ -58,7 +67,7 @@ def test_build_twisted_counts_k3():
 def test_block_count_independent_of_twist(m):
     base = k(m + 1)
     sizes = {
-        len(build_twisted(base, t).block_vertices)
+        len(gadget_layout(build_twisted(base, t)).blocks)
         for r in range(m + 2)
         for t in itertools.combinations(base.vertices, r)
     }
@@ -141,8 +150,8 @@ def test_automorphism_maps_between_twists():
     base = k(3)
     e01 = frozenset({"v0", "v1"})
     mapping = automorphism_from_edges(base, [], [e01])
-    source = build_twisted(base, []).structure()
-    target = build_twisted(base, odd_boundary(base, [e01])).structure()
+    source = build_twisted(base, [])
+    target = build_twisted(base, odd_boundary(base, [e01]))
     moved = apply_mapping(source, mapping)
     assert set(moved.atoms) == set(target.atoms)
     assert moved.relations == target.relations
@@ -160,7 +169,7 @@ def test_automorphism_composition_is_symmetric_difference():
         second = automorphism_from_edges(base, t_mid, s2)
         combined = automorphism_from_edges(base, [], s1 ^ s2)
         source = build_twisted(base, [])
-        for v in source.block_vertices + source.pair_vertices:
+        for v in source.atoms:
             assert second[first[v]] == combined[v]
 
 
@@ -171,7 +180,8 @@ def test_pad_counts():
     for n, padding in ((3, 16), (4, 512), (5, 2**16)):
         gadget = build_twisted(k(n), [])
         structure = pad(gadget)
-        assert structure.atoms[:-padding] == gadget.structure().atoms
+        assert structure.atoms[:-padding] == gadget.atoms
+        assert structure.relations == gadget.relations
     structure = pad(build_twisted(k(3), []))
     named = {x for pairs in structure.relations.values() for pair in pairs for x in pair}
     pads = tuple(f"pad{t}" for t in range(16))
@@ -180,11 +190,47 @@ def test_pad_counts():
 
 
 def test_pad_guards():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="pad.max_m"):
         pad(build_twisted(k(6), []))  # m = 5
     path = BaseGraph(("a", "b", "c"), frozenset({frozenset("ab"), frozenset("bc")}))
     with pytest.raises(ValidationError):
         pad(build_twisted(path, []))  # base is not complete
+    with pytest.raises(ValidationError):
+        pad(pad(build_twisted(k(3), ["v1"])))
+    with pytest.raises(ValidationError):
+        pad(twin_gadget())
+    for twist in ([], ["v0"]):  # a gadget over K2 classifies as not-CFI
+        with pytest.raises(ValidationError):
+            pad(build_twisted(k(2), twist))
+    with pytest.raises(ValidationError):  # Adj one way
+        pad(InputStructure.build(["a", "b"], {"Adj": [("a", "b")]}, arities={"Adj": 2, "Pre": 2}))
+    with pytest.raises(ValidationError):  # no Adj or Pre
+        pad(InputStructure.build(["a", "b"]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pad_of_a_renamed_gadget_is_a_renamed_padded_gadget(m):
+    base = k(m + 1)
+    for r in range(m + 2):
+        for seed, twist in enumerate(itertools.combinations(base.vertices, r)):
+            gadget = build_twisted(base, twist)
+            renamed = permuted_structure(gadget, seed)
+            padded = permuted_structure(pad(gadget), seed)
+            assert recognize_and_classify(pad(renamed)) == recognize_and_classify(padded)
+            assert recognize_and_classify(padded) == len(twist) % 2
+            assert isomorphic_gadgets(pad(renamed), padded)
+
+
+def test_build_twisted_refuses_degree_nine_before_making_a_block(monkeypatch):
+    made = []
+    monkeypatch.setattr(cfi, "_block_token", lambda *args: made.append(args))
+    with pytest.raises(GuardExceeded, match="structure.max_m"):
+        build_twisted(k(10), [])  # m = 9
+    leaves = tuple(f"s{i}" for i in range(1, 10))
+    star = BaseGraph(("s0", *leaves), frozenset(frozenset({"s0", s}) for s in leaves))
+    with pytest.raises(GuardExceeded, match="structure.max_m"):
+        build_twisted(star, ["s0"])
+    assert made == []
 
 
 # ------------------------------------------------------------ distinguish
@@ -206,7 +252,7 @@ def test_distinguish_invariant_under_renaming():
 
 
 def test_distinguish_guard():
-    big = build_twisted(k(6), []).structure()
+    big = build_twisted(k(6), [])
     with pytest.raises(ValueError):
         distinguish_structure(big)
 
@@ -219,12 +265,12 @@ def test_classify_matches_twist_parity(m):
     base = k(m + 1)
     for r in range(m + 2):
         for t in itertools.combinations(base.vertices, r):
-            structure = build_twisted(base, t).structure()
+            structure = build_twisted(base, t)
             assert recognize_and_classify(structure) == len(t) % 2
 
 
 def test_classify_order_independent():
-    structure = build_twisted(k(3), ["v0"]).structure()
+    structure = build_twisted(k(3), ["v0"])
     rng = random.Random(5)
     for _ in range(6):
         order = list(structure.atoms)
@@ -237,7 +283,7 @@ def test_classify_order_independent():
 
 
 def test_classify_rejects_malformed():
-    structure = build_twisted(k(3), []).structure()
+    structure = build_twisted(k(3), [])
     # drop one pair vertex: blocks no longer pair up
     keep = tuple(v for v in structure.atoms if not v.endswith("_p"))
     broken = gadget_structure(
@@ -256,19 +302,26 @@ def test_classify_accepts_padded():
     assert distinguish_structure(padded) == 0
 
 
-def moved_edges(gadget, picks) -> InputStructure:
+def moved_edges(parts: GadgetLayout, picks) -> InputStructure:
     """The gadget with each picked block-pair edge moved to the other
     vertex of its pair: the shape stays, coherence may break."""
-    plain = gadget.structure()
-    other = {}
-    for a, b in zip(gadget.pair_vertices[::2], gadget.pair_vertices[1::2]):
-        other[a], other[b] = b, a
-    edges = set(gadget.edges)
+    other = partners(parts.pairs)
+    edges = set(parts.edges)
     for e in picks:
         x, w = sorted(e, key=lambda v: v in other)
         edges.remove(e)
-        edges.add(frozenset({x, other[w]}))
-    return gadget_structure(plain.atoms, edges, plain.relations["Pre"])
+        edges.add(tuple(sorted((x, other[w]))))
+    return gadget_structure(parts.structure.atoms, edges, parts.pre)
+
+
+def with_pads(structure: InputStructure, m) -> InputStructure:
+    """The structure with the 2**(m*m) isolated vertices that ``pad`` lists
+    last, made here because ``pad`` refuses a gadget over K2, which
+    classifies as not-CFI."""
+    pads = tuple(f"pad{t}" for t in range(2 ** (m * m)))
+    return InputStructure.build(
+        structure.atoms + pads, structure.relations, arities=structure.arities
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,16 +329,16 @@ def moved_edges(gadget, picks) -> InputStructure:
 def test_classify_matches_ordered_labelling(data):
     m = data.draw(st.sampled_from([1, 2, 3, 4]))
     base = k(m + 1)
-    gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
-    edges = sorted(gadget.edges, key=sorted)
+    parts = built(m, frozenset(data.draw(st.sets(st.sampled_from(base.vertices)))), False)
+    edges = parts.edges
     if data.draw(st.booleans()):  # moves at one vertex can make twins
-        at = data.draw(st.sampled_from(gadget.block_vertices))
+        at = data.draw(st.sampled_from(parts.blocks))
         edges = [e for e in edges if at in e]
     picks = data.draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
     if picks:
-        structure = moved_edges(gadget, picks)
+        structure = moved_edges(parts, picks)
     else:
-        structure = pad(gadget) if data.draw(st.booleans()) else gadget.structure()
+        structure = with_pads(parts.structure, m) if data.draw(st.booleans()) else parts.structure
     structure = permuted_structure(structure, data.draw(st.integers(0, 2**32)))
     order = list(structure.atoms)
     random.Random(data.draw(st.integers(0, 2**32))).shuffle(order)
@@ -310,7 +363,7 @@ def test_isomorphism_criterion_k3():
     structures = {}
     for r in range(4):
         for t in itertools.combinations(base.vertices, r):
-            structures[t] = build_twisted(base, t).structure()
+            structures[t] = build_twisted(base, t)
     for t1, s1 in structures.items():
         for t2, s2 in structures.items():
             expected = (len(t1) % 2) == (len(t2) % 2)
@@ -318,19 +371,19 @@ def test_isomorphism_criterion_k3():
 
 
 def test_isomorphism_survives_renaming():
-    s1 = build_twisted(k(3), ["v0"]).structure()
-    s2 = permuted_structure(build_twisted(k(3), ["v0", "v1", "v2"]).structure(), 11)
+    s1 = build_twisted(k(3), ["v0"])
+    s2 = permuted_structure(build_twisted(k(3), ["v0", "v1", "v2"]), 11)
     assert isomorphic_gadgets(s1, s2)
-    s3 = permuted_structure(build_twisted(k(3), []).structure(), 12)
+    s3 = permuted_structure(build_twisted(k(3), []), 12)
     assert not isomorphic_gadgets(s1, s3)
 
 
 @pytest.mark.parametrize("m", [5, 6])
 def test_isomorphism_criterion_large_bases(m):
     base = k(m + 1)
-    even = build_twisted(base, []).structure()
-    odd = build_twisted(base, base.vertices[:1]).structure()
-    odd_too = permuted_structure(build_twisted(base, base.vertices[1:4]).structure(), m)
+    even = build_twisted(base, [])
+    odd = build_twisted(base, base.vertices[:1])
+    odd_too = permuted_structure(build_twisted(base, base.vertices[1:4]), m)
     assert not isomorphic_gadgets(even, odd)
     assert isomorphic_gadgets(odd, odd_too)
 
@@ -344,7 +397,7 @@ def test_isomorphism_matches_flip_search(data):
     for _ in range(2):
         gadget = build_twisted(base, data.draw(st.sets(st.sampled_from(base.vertices))))
         padded = data.draw(st.booleans())
-        structure = pad(gadget) if padded else gadget.structure()
+        structure = pad(gadget) if padded else gadget
         sides.append(permuted_structure(structure, data.draw(st.integers(0, 2**32))))
     x, y = sides
     assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y)
@@ -360,15 +413,15 @@ def test_isomorphism_matches_flip_search(data):
     ],
 )
 def test_isomorphism_matches_flip_search_m4(t1, t2):
-    x = build_twisted(k(5), t1).structure()
-    y = permuted_structure(build_twisted(k(5), t2).structure(), 4)
+    x = build_twisted(k(5), t1)
+    y = permuted_structure(build_twisted(k(5), t2), 4)
     expected = len(t1) % 2 == len(t2) % 2
     assert isomorphic_gadgets(x, y) == gadget_iso_by_flips(x, y) == expected
 
 
 def test_isomorphism_rejects_twin_blocks():
     twin = twin_gadget()
-    plain = build_twisted(k(5), []).structure()
+    plain = build_twisted(k(5), [])
     assert recognize_and_classify(twin) == NOT_CFI
     assert not gadget_iso_by_flips(twin, plain)
     with pytest.raises(ValidationError):
@@ -390,50 +443,52 @@ _FAULTS = (
 )
 
 
-def faulted(gadget, structure: InputStructure, fault, rng) -> InputStructure:
-    """The gadget's structure (padded or not) with one fault of the named
-    kind at a place ``rng`` picks; None leaves it whole.  ``move-adj``
-    moves one or two edges at one block vertex, mostly to the other vertex
-    of their pair (coherence or twins may break, or the twist may change).
-    Two faults keep every degree: ``rewire`` drops one pair edge at each of
-    two block vertices of different classes and joins the two, and
+def faulted(parts: GadgetLayout, fault, rng) -> InputStructure:
+    """The built gadget (padded or not) with one fault of the named kind
+    at a place ``rng`` picks; None leaves it whole.  ``move-adj`` moves one
+    or two edges at one block vertex, mostly to the other vertex of their
+    pair (coherence or twins may break, or the twist may change).  Two
+    faults keep every degree: ``rewire`` drops one pair edge at each of two
+    block vertices of different classes and joins the two, and
     ``triangle`` joins block vertices of three classes and moves one edge
     of each to the other vertex of its pair.  ``isolated`` drops a padding
-    vertex or adds one.  Last, the atoms are renamed and relisted."""
-    vertices, edges, pre = list(structure.atoms), edge_sets(structure), set(structure.relations["Pre"])
-    pairs = gadget.pair_vertices
-    other = {**dict(zip(pairs[::2], pairs[1::2])), **dict(zip(pairs[1::2], pairs[::2]))}
+    vertex or adds one.  Last, the atoms are renamed and relisted.  A fault
+    edits the layout's name lists, and one map renames them."""
+    vertices, edges, pre = list(parts.structure.atoms), set(parts.edges), parts.pre
+    other = partners(parts.pairs)
+
+    def edge(x, y) -> tuple:
+        return (x, y) if x < y else (y, x)
 
     def at(x) -> list:
-        return sorted((e for e in edges if x in e), key=sorted)
+        return sorted(e for e in edges if x in e)
 
     def move(e, x, to):
         edges.remove(e)
-        edges.add(frozenset({x, to}))
+        edges.add(edge(x, to))
 
     def members(count) -> list:
         """One block vertex from each of ``count`` distinct classes."""
-        ranks = rng.sample(sorted(set(gadget.rank.values())), count)
-        blocks = gadget.block_vertices
-        return [rng.choice([x for x in blocks if gadget.rank[x] == r]) for r in ranks]
+        ranks = rng.sample(sorted(set(parts.rank.values())), count)
+        return [rng.choice([x for x in parts.blocks if parts.rank[x] == r]) for r in ranks]
 
     if fault == "move-adj":
-        x = rng.choice(gadget.block_vertices)
+        x = rng.choice(parts.blocks)
         for e in rng.sample(at(x), rng.choice([1, 2])):
-            (w,) = e - {x}
+            (w,) = set(e) - {x}
             anywhere = rng.choice([v for v in vertices if v != x])
             move(e, x, other[w] if rng.random() < 0.7 else anywhere)
     elif fault == "rewire":
         x, y = members(2)
         edges -= {rng.choice(at(x)), rng.choice(at(y))}
-        edges.add(frozenset({x, y}))
+        edges.add(edge(x, y))
     elif fault == "triangle":
         triangle = members(3)
         for x in triangle:
             e = rng.choice(at(x))
-            (w,) = e - {x}
+            (w,) = set(e) - {x}
             move(e, x, other[w])
-        edges |= {frozenset(p) for p in itertools.combinations(triangle, 2)}
+        edges |= {edge(*p) for p in itertools.combinations(triangle, 2)}
     elif fault == "isolated":
         pads = [v for v in vertices if v.startswith("pad")]
         if pads:
@@ -441,38 +496,45 @@ def faulted(gadget, structure: InputStructure, fault, rng) -> InputStructure:
         else:
             vertices.append("extra")
     elif fault == "drop-adj":
-        edges.remove(rng.choice(sorted(edges, key=sorted)))
+        edges.remove(rng.choice(parts.edges))
     elif fault == "add-adj":
-        edge = frozenset(rng.sample(vertices, 2))
-        while edge in edges:
-            edge = frozenset(rng.sample(vertices, 2))
-        edges.add(edge)
+        e = edge(*rng.sample(vertices, 2))
+        while e in edges:
+            e = edge(*rng.sample(vertices, 2))
+        edges.add(e)
     elif fault == "reverse-pre":
-        a, b = rng.choice(sorted(pre))
+        a, b = rng.choice(pre)
+        pre = set(pre)
         pre.remove((a, b))
         pre.add((b, a))
     elif fault == "move-block":
-        x = rng.choice(gadget.block_vertices)
-        others = sorted(set(gadget.rank.values()) - {gadget.rank[x]})
-        rank = {**gadget.rank, x: rng.choice(others)}
-        pre = {(a, b) for a in rank for b in rank if rank[a] <= rank[b]}
+        x = rng.choice(parts.blocks)
+        others = sorted(set(parts.rank.values()) - {parts.rank[x]})
+        rank = {**parts.rank, x: rng.choice(others)}
+        pre = [(a, b) for a in rank for b in rank if rank[a] <= rank[b]]
     elif fault == "drop-pair":
-        w = rng.choice(gadget.pair_vertices)
+        w = rng.choice(parts.pairs)
         vertices.remove(w)
         edges = {e for e in edges if w not in e}
-    name = dict(zip(vertices, rng.sample(vertices, len(vertices))))
+    name = dict(zip(vertices, rng.sample(vertices, len(vertices)))).__getitem__
     rng.shuffle(vertices)
-    return gadget_structure(
-        [name[v] for v in vertices],
-        [[name[v] for v in e] for e in edges],
-        [(name[a], name[b]) for a, b in pre],
+
+    def renamed(pairs) -> list:
+        names = map(name, itertools.chain.from_iterable(pairs))
+        return list(zip(names, names))
+
+    adj = renamed(edges)
+    return InputStructure.build(
+        list(map(name, vertices)),
+        relations={"Adj": adj + [(b, a) for a, b in adj], "Pre": renamed(pre)},
+        arities={"Adj": 2, "Pre": 2},
     )
 
 
 @functools.lru_cache(maxsize=None)
-def built(m, twist, padded) -> tuple:
+def built(m, twist, padded) -> GadgetLayout:
     gadget = build_twisted(k(m + 1), twist)
-    return gadget, pad(gadget) if padded else gadget.structure()
+    return gadget_layout(pad(gadget), 2 ** (m * m)) if padded else gadget_layout(gadget)
 
 
 def drawn_gadget(data, m=None, padded=None) -> InputStructure:
@@ -483,10 +545,10 @@ def drawn_gadget(data, m=None, padded=None) -> InputStructure:
     if padded is None:
         padded = m <= 3 and data.draw(st.booleans())
     twist = data.draw(st.sets(st.sampled_from(k(m + 1).vertices)))
-    gadget, structure = built(m, frozenset(twist), padded)
+    parts = built(m, frozenset(twist), padded)
     fault = data.draw(st.sampled_from(_FAULTS)) if data.draw(st.booleans()) else None
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    return faulted(gadget, structure, fault, rng)
+    return faulted(parts, fault, rng)
 
 
 @settings(max_examples=2000, deadline=None)
@@ -511,7 +573,7 @@ def test_invariants_match_the_shape_record(data):
 
 
 def test_structure_roundtrip():
-    for structure in (build_twisted(k(3), ["v1"]).structure(), pad(build_twisted(k(3), ["v2"]))):
+    for structure in (build_twisted(k(3), ["v1"]), pad(build_twisted(k(3), ["v2"]))):
         back = from_structure(parse_structure(write_structure(structure)))
         assert back.relations == structure.relations
         assert recognize_and_classify(back) == recognize_and_classify(structure) == 1
@@ -526,7 +588,7 @@ def encode(structure: InputStructure, adj_pairs) -> InputStructure:
 
 
 def test_from_structure_rejects_one_way_adjacency():
-    structure = build_twisted(k(3), ["v0"]).structure()
+    structure = build_twisted(k(3), ["v0"])
     one_way = [(a, b) for a, b in structure.relations["Adj"] if a < b]
     both = one_way + [(b, a) for a, b in one_way]
     back = from_structure(encode(structure, both))
@@ -537,7 +599,7 @@ def test_from_structure_rejects_one_way_adjacency():
 
 
 def test_from_structure_rejects_a_loop():
-    structure = build_twisted(k(3), ["v0"]).structure()
+    structure = build_twisted(k(3), ["v0"])
     loop = (structure.atoms[0],) * 2
     with pytest.raises(ValidationError, match="adjacency contains a loop"):
         from_structure(encode(structure, [*structure.relations["Adj"], loop]))

@@ -602,6 +602,20 @@ def test_exit_statuses(tmp_path, capsys):
     assert code == EXIT_USAGE  # seed is mandatory
 
 
+@pytest.mark.parametrize("m", [13, 20, 2000])
+@pytest.mark.parametrize("pad, guard", [([], "structure.max_m"), (["--pad"], "pad.max_m")])
+def test_gen_cfi_refuses_m_before_building(tmp_path, capsys, m, pad, guard):
+    # at m = 13 building the gadget before the check took seconds, and the
+    # time doubles per m
+    path = tmp_path / "g.str"
+    started = time.monotonic()
+    code, report = invoke(["gen", "cfi", "--m", str(m), "--twist", "even", *pad, "--file", str(path)], capsys)
+    assert time.monotonic() - started < 1
+    assert code == EXIT_GUARD
+    assert f"guard '{guard}': requested {m}" in report["error"]["message"]
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("module", ["choiceless_lab", "choiceless_lab.cli"])
 def test_module_forms_run_the_console_script(tmp_path, module):
     path = tmp_path / "s.str"
