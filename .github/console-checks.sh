@@ -94,6 +94,9 @@ same 'r["verdict"] == "accept"' '1:ors 2:ors 1:renamed-ors' timeout 10 choiceles
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat
 for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done
+# field powers that took 3 to 7 s on one list or table product per entry:
+# GF(4) and GF(8) now run on GF(2), and GF(3) in byte slots
+for qn in 4:40 8:30 3:40; do choiceless-lab gen matrix --q "${qn%:*}" --n "${qn#*:}" --seed 3 --file "m$qn.mat"; agree "m$qn.mat"; done
 printf 'field 2\nrows a b\ncols x y\na y 1\nb x 1\nb y 1\n' > rect2.mat
 printf 'field 3\nrows a b\ncols x y\na x 1\na y 2\nb x 2\nb y 1\n' > rect3.mat
 for q in 2 3; do agree "rect$q.mat"; done
@@ -183,3 +186,9 @@ test ! -e past.mat
 exits 4 past-digits.json timeout 5 choiceless-lab gen matrix --n 800 --max-abs 1000 --seed 1 --file past.mat
 test ! -e past.mat
 exits 4 past-frequency.json timeout 5 choiceless-lab experiment det-frequency --q 3 --n 801 --trials 1 --seed 1
+# 2000 x 2000 at density 0.5 drew and wrote for 7.8 s; one atom past the
+# bound on atoms plus expected edges is refused too, though it draws nothing
+exits 4 past-bipartite.json timeout 5 choiceless-lab gen bipartite --na 2000 --nb 2000 --density 0.5 --seed 1 --file past.str
+test ! -e past.str
+exits 4 past-atoms.json timeout 5 choiceless-lab gen bipartite --na 150001 --nb 0 --seed 1 --file past.str
+test ! -e past.str

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -46,6 +47,13 @@ MATRIX_MAX_ENTRIES = 640_000
 # digit count admits n = 800 at the default bound of 256 (8.8 MB, 2.9 s on
 # a 2-core VM), and n = 21 at the 4,300 digits --max-abs takes (1.9 MB)
 MATRIX_MAX_DIGITS = 1_920_000
+# gen bipartite draws one number per pair of sides, then builds and writes
+# every atom and every edge drawn: a draw costs about 0.08 us, an atom 6 us
+# and an edge 3 us, so the draws and the atoms plus expected edges are
+# bounded apart; the largest request both admit takes about 2 s on a
+# 2-core VM (10 million draws, 150,000 atoms)
+BIPARTITE_MAX_DRAWS = 10_000_000
+BIPARTITE_MAX_WRITTEN = 150_000
 
 
 class _UsageError(Exception):
@@ -207,6 +215,12 @@ def _cmd_gen_bipartite(args) -> dict:
         raise ValidationError("side sizes must not be negative")
     if not 0 <= args.density <= 1:  # NaN fails too
         raise ValidationError("density must lie in [0, 1]")
+    draws = args.na * args.nb
+    if draws > BIPARTITE_MAX_DRAWS:
+        raise GuardExceeded("bipartite.max_draws", BIPARTITE_MAX_DRAWS, draws)
+    written = args.na + args.nb + math.ceil(draws * args.density)  # expected
+    if written > BIPARTITE_MAX_WRITTEN:
+        raise GuardExceeded("bipartite.max_written", BIPARTITE_MAX_WRITTEN, written)
     rng = random.Random(args.seed)
     a = [f"a{i}" for i in range(args.na)]
     b = [f"b{j}" for j in range(args.nb)]

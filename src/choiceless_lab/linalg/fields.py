@@ -9,8 +9,17 @@ subfield: the element ``r < p`` is ``1`` added to itself ``r`` times.
 
 This module is the only one that knows how a field is stored; the rest of
 the package uses ``add``, ``mul``, ``neg``, ``inv``, the row operation
-``axpy`` and the dense matrix product ``dense_mul``.  The field axioms of
-every fixture are checked by brute force in the test suite
+``axpy`` and the regular representation: a field of order ``p**d`` has
+``degree`` d, and ``block(a)`` is the d-by-d matrix over the integers
+modulo p of ``x -> a x`` in the basis ``1, x, .., x**(d-1)``, as a tuple
+of rows.  Column 0 of ``block(a)`` holds the coordinates of ``a`` itself,
+which are its base-p digits, lowest first.  ``a -> block(a)`` is an
+injective ring homomorphism (Lidl and Niederreiter, *Finite Fields*,
+ch. 2), so matrix products over any field can run over its prime field;
+a prime field has degree 1, ``block(a) = ((a,),)``, and a list product
+``dense_mul`` for the products whose sums do not fit a packed slot.  There
+is no table product.  The field axioms of every fixture, and the
+homomorphism, are checked by brute force in the test suite
 (``tests/oracles.py``), not at run time.
 """
 
@@ -26,6 +35,7 @@ class FiniteField:
 
     zero = 0
     one = 1
+    degree = 1
 
     def __init__(self, q, characteristic):
         self.order = q
@@ -64,6 +74,9 @@ class _PrimeField(FiniteField):
         p = self.order
         return [(a + f * b) % p for a, b in zip(x, y)]
 
+    def block(self, a):
+        return ((a,),)
+
     def dense_mul(self, a, b):
         """The product of matrices given as lists of rows."""
         p = self.order
@@ -80,6 +93,16 @@ class _TableField(FiniteField):
         self.mul_table = mul_table
         self._neg = tuple(row.index(0) for row in add_table)
         self._inv = (None,) + tuple(row.index(1) for row in mul_table[1:])
+        p = characteristic
+        powers = [1]  # the basis 1, x, .., x**(d-1): x**j is the element p**j
+        while powers[-1] * p < q:
+            powers.append(powers[-1] * p)
+        self.degree = len(powers)
+        # block(a)[i][j] is digit i of a * x**j
+        self._blocks = tuple(
+            tuple(tuple(mul_table[a][x] // y % p for x in powers) for y in powers)
+            for a in range(q)
+        )
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -100,20 +123,8 @@ class _TableField(FiniteField):
         add, times_f = self.add_table, self.mul_table[f]
         return [add[a][times_f[b]] for a, b in zip(x, y)]
 
-    def dense_mul(self, a, b):
-        """The product of matrices given as lists of rows."""
-        add, mul = self.add_table, self.mul_table
-        cols = list(zip(*b))
-        out = []
-        for row in a:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for x, y in zip(row, col):
-                    acc = add[acc][mul[x][y]]
-                out_row.append(acc)
-            out.append(out_row)
-        return out
+    def block(self, a):
+        return self._blocks[a]
 
 
 # Miller-Rabin on the twelve primes up to 37 as bases is exact below 2**64

@@ -6,29 +6,63 @@ order; every verdict produced here is invariant under renaming the indices.
 The constructor only drops zero entries: matrices from outside input are
 checked by ``parse_matrix``, and the rest are built valid.
 
-Products and powers run on a dense layout, rectangular shapes included:
-the factors are laid out once under internal numberings of the row, inner
-and column index sets, the products run on the layout, and the result is
-read back once.  Over GF(2) a whole matrix is one Python int
-(:func:`_to_bits`): entry (a, b) under the numberings is bit
-``a * s + b``, with one stride ``s = max(|inner|, |cols|)`` shared by both
-factors and the product.  For each inner index k, ``(P >> k) & COL``, with
-``COL`` one bit at the start of each row, marks the rows of P whose bit k
-is set, and multiplying it by row k of Q drops a copy of that row into
-each of them; the copies are ``|cols| <= s`` bits wide and never carry
-into each other, and ``P Q`` is the XOR of these |inner| products: a few
-big-int operations per inner index (word-parallel arithmetic: Lamport,
-"Multiple byte processing with full-word instructions", CACM 1975).  On
-square matrices this beats XORing the rows of Q picked by each row of P up
-to n = 200 to 250 (7 to 9 times faster at n = 40, 1.8 to 2.6 times slower
-at n = 400, over three runs on a 2-core VM); at n = 200 one power test
-already makes about 18,000 products.  Over the other fields a row is a
-list of elements (:func:`_dense_rows`) and the field supplies the product
-(``dense_mul``).  Each entry of a product is a field sum over the inner
-indices, and field addition is commutative and associative, so the
-numberings decide nothing: the same numbering lays out and reads back, so
-the matrix returned is the same map under any numbering, and only the time
-the products take could depend on it, so it never leaves this module.
+Products and powers run on a dense layout, rectangular shapes included
+(:class:`_Layout`): the factors are laid out once under internal
+numberings of the row, inner and column index sets, the products run on
+the layout, and the result is read back once.  Every field runs over its
+prime field GF(p).  A field of order ``p**d`` supplies its regular
+representation (:mod:`.fields`): ``block(a)`` is the d-by-d GF(p) matrix
+of ``x -> a x``.  A matrix over I x J is laid out as the GF(p) matrix over
+``(I x {0..d-1}) x (J x {0..d-1})`` made of the blocks of its entries,
+and a product is read back from column 0 of each block, which holds the
+entry's base-p digits.  The lift is an injective ring homomorphism, so
+``lift(M N) = lift(M) lift(N)`` and ``lift(M)**e = lift(M**e)``:
+``M**e`` is the identity iff ``lift(M)**e`` is, with the same exponent and
+the same number of products.  GF(4) and GF(8) thus run on GF(2), GF(9) on
+GF(3), and a prime field (d = 1) is its own lift.
+
+A GF(p) matrix is one Python int of w-bit slots: entry (a, b) under the
+numberings is slot ``a * s + b``, with one stride
+``s = max(|inner|, |cols|) * d`` shared by both factors and the product.
+For each inner index k, ``(P >> k w) & COL``, with ``COL`` one full slot
+at the start of each row, is column k of P, and multiplying it by row k of
+Q drops a copy of that row, scaled, into every row of P; the copies are
+``|cols| <= s`` slots wide and never overlap, and ``P Q`` is the sum of
+these |inner| products: a few big-int operations per inner index
+(word-parallel arithmetic: Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975; many small products in one big-int
+product, as in Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symb. Comp. 2009).  Over GF(2), w = 1 and the
+sum is an XOR, so nothing carries.  On square matrices this beats XORing
+the rows of Q picked by each row of P up to n = 200 to 250 (7 to 9 times
+faster at n = 40, 1.8 to 2.6 times slower at n = 400, over three runs on
+a 2-core VM); at n = 200 one power test already makes about 18,000
+products.
+
+Over odd p the slots must not carry either.  An entry is below p, so a
+slot that holds a reduced entry plus k products of entries holds at most
+``(p - 1) + k (p - 1)**2``.  For p <= 16 one product fits a byte with room
+to spare, so w = 8, and every ``(255 - (p - 1)) // (p - 1)**2`` inner
+indices (63 for p = 3, 6 for p = 7, 1 for p = 13) the sum is reduced
+modulo p by one byte-translation pass (``bytes.translate``) over its
+slots.  A larger p takes w = 16 while a slot holds all ``n (p - 1)**2``, n
+the inner count over GF(p), and reduces once per product, reading and
+writing the slots with :mod:`struct`.  Past that the layout is a list of
+rows and GF(p) supplies the list product (``dense_mul``): 32-bit slots
+were no reliable gain at n = 40 (0.6 to 1.2 times its time per product
+over GF(251), GF(257) and GF(1021), across runs on a 2-core VM).  Byte
+slots with reduction runs beat 16-bit slots with one pass wherever both
+apply: their multiplications are a quarter the size (1.1 against 4.1 ms
+per product over GF(3) at n = 64).  Over GF(9) the lift makes a product of
+d**3 = 8 times the entry operations; it runs at about the speed of a
+product entry by entry through GF(9)'s tables at n = 40 (2.8 against 2.9
+ms per product) and faster below (0.9 against 1.3 ms at n = 30).
+
+Each entry of a product is a field sum over the inner indices, and field
+addition is commutative and associative, so the numberings decide
+nothing: the same numbering lays out and reads back, so the matrix
+returned is the same map under any numbering, and only the time the
+products take could depend on it, so it never leaves this module.
 
 Non-singularity of an I-square matrix is decided without elimination, by
 checking ``M**e == identity`` for ``e`` the exponent of GL_n(q), n = |I|:
@@ -53,11 +87,13 @@ decisions read.
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from .fields import FiniteField
+from .fields import FiniteField, zp
 
 __all__ = [
     "FieldMatrix",
@@ -131,53 +167,139 @@ def _dense_rows(entries: dict, row_index: list, col_index: list) -> list:
     return list(rows.values())
 
 
-def _from_dense_rows(field: FiniteField, row_index: list, col_index: list, rows) -> FieldMatrix:
-    """The matrix whose row ``row_index[a]`` is ``rows[a]``, read in the
-    order of ``col_index``."""
-    entries = {
-        (i, j): v for i, row in zip(row_index, rows) for j, v in zip(col_index, row) if v
-    }
-    return FieldMatrix(field, frozenset(row_index), frozenset(col_index), entries)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # slot values 0, 1 as binary digits
+_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _to_bits(entries: dict, row_index: list, col_index: list, stride: int) -> int:
-    """The GF(2) matrix ``entries`` as one int: entry ``(row_index[a],
-    col_index[b])`` is bit ``a * stride + b``."""
-    row_at = {i: a * stride for a, i in enumerate(row_index)}
-    col_at = {j: b for b, j in enumerate(col_index)}
-    # digits[t] is bit t, and one spare digit reads an empty layout as 0
-    digits = bytearray(b"0" * (len(row_index) * stride + 1))
-    for i, j in entries:
-        digits[row_at[i] + col_at[j]] = ord("1")
-    return int(digits[::-1], 2)
+def _slots_mul(p: int, width: int, run: int, rows: int, inner: int, cols: int, stride: int):
+    """The product of a ``rows x inner`` and an ``inner x cols`` matrix
+    over GF(p), both packed into ``width``-bit slots by :meth:`_Layout.pack`
+    at a stride of at least ``inner`` and ``cols``.  For each inner index
+    k, P's column k, read as one slot at the start of each row, times Q's
+    row k drops a copy of that row, scaled, into every row of P; the copies
+    are ``cols <= stride`` slots wide, so they never overlap.  Over GF(2)
+    the copies are XORed.  Otherwise they are added, and each slot is
+    reduced modulo p after every ``run`` inner indices, few enough that a
+    slot never carries."""
+    column = sum(((1 << width) - 1) << a * stride * width for a in range(rows))
+    row = (1 << cols * width) - 1
+    shifts = [(k * width, k * stride * width) for k in range(inner)]
+    if width == 1:
 
+        def xor_mul(x: int, y: int) -> int:
+            acc = 0
+            for at, row_at in shifts:
+                acc ^= (x >> at & column) * (y >> row_at & row)
+            return acc
 
-def _from_bits(field: FiniteField, row_index: list, col_index: list, stride: int, bits: int):
-    """The matrix that :func:`_to_bits` lays out as ``bits``."""
-    digits = format(bits, "b")[::-1]  # digits[t] is bit t
-    entries = {
-        (row_index[t // stride], col_index[t % stride]): 1 for t, d in enumerate(digits) if d == "1"
-    }
-    return FieldMatrix(field, frozenset(row_index), frozenset(col_index), entries)
+        return xor_mul
+    runs = [shifts[k : k + run] for k in range(0, inner, run)]
+    size = rows * stride * width // 8
+    if width == 8:
+        table = (bytes(range(p)) * (256 // p + 1))[:256]  # byte v -> v % p
 
+        def reduce(acc: int) -> int:
+            return int.from_bytes(acc.to_bytes(size, "little").translate(table), "little")
 
-def _bits_mul(rows: int, inner: int, cols: int, stride: int):
-    """The product of a ``rows x inner`` and an ``inner x cols`` matrix,
-    both laid out by :func:`_to_bits` at a stride of at least ``inner``
-    and ``cols``.  For each inner index k, P's column k, read as one bit at
-    the start of each row, times Q's row k drops a copy of that row into
-    every row of P whose bit k is set; the copies are ``cols <= stride``
-    bits wide, so they never carry into each other."""
-    column = sum(1 << a * stride for a in range(rows))
-    row = (1 << cols) - 1
+    else:
+        slots = struct.Struct(f"<{size // 2}H")
 
-    def mul(p: int, q: int) -> int:
+        def reduce(acc: int) -> int:
+            values = slots.unpack(acc.to_bytes(size, "little"))
+            return int.from_bytes(slots.pack(*[v % p for v in values]), "little")
+
+    def mul(x: int, y: int) -> int:
         acc = 0
-        for k in range(inner):
-            acc ^= (p >> k & column) * (q >> k * stride & row)
+        for part in runs:
+            for at, row_at in part:
+                acc += (x >> at & column) * (y >> row_at & row)
+            acc = reduce(acc)
         return acc
 
     return mul
+
+
+class _Layout:
+    """The dense layout of a ``rows x inner`` and an ``inner x cols``
+    matrix over ``field``, and of their product, as matrices over its prime
+    field GF(p): a matrix is packed once (:meth:`pack`), multiplied any
+    number of times (``mul``) and read back once (:meth:`unpack`); see the
+    module docstring."""
+
+    def __init__(self, field: FiniteField, rows: int, inner: int, cols: int):
+        self.field = field
+        d = self.degree = field.degree
+        p = field.characteristic
+        s = self.stride = max(inner, cols) * d
+        rows, inner, cols = rows * d, inner * d, cols * d  # over GF(p)
+        # a slot holds an entry below p plus `run` products of such entries
+        if p == 2:
+            self.width, run = 1, inner
+        elif p - 1 + (p - 1) ** 2 < 1 << 8:
+            self.width, run = 8, (255 - (p - 1)) // (p - 1) ** 2
+        elif max(inner, 1) * (p - 1) ** 2 < 1 << 16:
+            self.width, run = 16, max(inner, 1)
+        else:
+            self.width = None
+        if self.width is None:
+            self.mul = zp(p).dense_mul
+        else:
+            self.mul = _slots_mul(p, self.width, run, rows, inner, cols, s)
+
+    def pack(self, entries: dict, row_index: list, col_index: list):
+        """``entries`` with the block of the entry at ``(row_index[a],
+        col_index[b])`` from GF(p) row ``a * d`` and column ``b * d`` on,
+        and GF(p) entry (r, c) in slot ``r * stride + c``."""
+        d, s = self.degree, self.stride
+        rows = len(row_index) * d
+        slots = [0] * (rows * s)
+        row_at = {i: a * d * s for a, i in enumerate(row_index)}
+        col_at = {j: b * d for b, j in enumerate(col_index)}
+        if d == 1:  # a prime field is its own regular representation
+            for (i, j), v in entries.items():
+                slots[row_at[i] + col_at[j]] = v
+        else:
+            block = self.field.block
+            for (i, j), v in entries.items():
+                at = row_at[i] + col_at[j]
+                for line in block(v):
+                    slots[at : at + d] = line
+                    at += s
+        if self.width is None:
+            return [slots[r * s : r * s + s] for r in range(rows)]
+        if self.width == 1:
+            # slots[t] is bit t, and one spare digit reads an empty layout as 0
+            return int(bytes(slots[::-1]).translate(_DIGITS) or b"0", 2)
+        if self.width == 8:
+            return int.from_bytes(bytes(slots), "little")
+        return int.from_bytes(struct.pack(f"<{len(slots)}H", *slots), "little")
+
+    def unpack(self, row_index: list, col_index: list, packed) -> FieldMatrix:
+        """The matrix that :meth:`pack` lays out as ``packed``: the entry at
+        ``(row_index[a], col_index[b])`` is the element whose base-p digits
+        column 0 of its block holds."""
+        d, s, w = self.degree, self.stride, self.width
+        if w is None:
+            slots = itertools.chain.from_iterable(packed)
+        elif w == 1:
+            slots = format(packed, "b").encode()[::-1].translate(_VALUES)
+        else:
+            count = len(row_index) * d * s
+            slots = packed.to_bytes(count * w // 8, "little")
+            slots = struct.unpack(f"<{count}H", slots) if w == 16 else slots
+        if d == 1:
+            entries = {
+                (row_index[t // s], col_index[t % s]): v for t, v in enumerate(slots) if v
+            }
+        else:
+            p = self.field.characteristic
+            entries = {}
+            for t, v in enumerate(slots):
+                if v and not t % s % d:
+                    r, c = divmod(t, s)
+                    key = row_index[r // d], col_index[c // d]
+                    entries[key] = entries.get(key, 0) + v * p ** (r % d)
+        return FieldMatrix(self.field, frozenset(row_index), frozenset(col_index), entries)
 
 
 def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
@@ -185,16 +307,9 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
     if m.cols != n.rows:
         raise ValidationError("inner index sets differ")
     rows, inner, cols = list(m.rows), list(m.cols), list(n.cols)
-    if field.order == 2:
-        stride = max(len(inner), len(cols))
-        mul = _bits_mul(len(rows), len(inner), len(cols), stride)
-        a = _to_bits(m.entries, rows, inner, stride)
-        b = _to_bits(n.entries, inner, cols, stride)
-        return _from_bits(field, rows, cols, stride, mul(a, b))
-    a = _dense_rows(m.entries, rows, inner)
-    b = _dense_rows(n.entries, inner, cols)
-    # with no inner index the rows come back empty, and read as zero
-    return _from_dense_rows(field, rows, cols, field.dense_mul(a, b))
+    layout = _Layout(field, len(rows), len(inner), len(cols))
+    product = layout.mul(layout.pack(m.entries, rows, inner), layout.pack(n.entries, inner, cols))
+    return layout.unpack(rows, cols, product)
 
 
 def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
@@ -206,12 +321,9 @@ def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
     if not m.square:
         raise ValidationError("powers need a square matrix")
     index = list(m.rows)  # the internal numbering; see the module docstring
-    if field.order == 2:
-        n = len(index)
-        power = _square_and_multiply(_bits_mul(n, n, n, n), _to_bits(m.entries, index, index, n), r)
-        return _from_bits(field, index, index, n, power)
-    power = _square_and_multiply(field.dense_mul, _dense_rows(m.entries, index, index), r)
-    return _from_dense_rows(field, index, index, power)
+    layout = _Layout(field, len(index), len(index), len(index))
+    power = _square_and_multiply(layout.mul, layout.pack(m.entries, index, index), r)
+    return layout.unpack(index, index, power)
 
 
 def _square_and_multiply(mul, base, r: int):

@@ -37,6 +37,15 @@ def naive_mat_mul(field, m, n, row_order, inner_order, col_order):
     return out
 
 
+def mat_mul_mod(p: int, a, b) -> list:
+    """The product of two matrices over the integers modulo ``p``, given as
+    lists of rows, by the schoolbook triple loop."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def field_axiom_violations(field) -> list:
     """Every field axiom that fails on ``field``, by brute force over all
     elements (q**3 triples): identities, inverses, commutativity,

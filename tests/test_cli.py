@@ -745,6 +745,63 @@ def test_experiment_one_past_the_guard_exits_at_once(capsys):
     assert time.monotonic() - started < 1
 
 
+def _gen_bipartite(tmp_path, capsys, na, nb, density, seed=1):
+    path = tmp_path / "g.str"
+    argv = ["gen", "bipartite", "--na", str(na), "--nb", str(nb), "--density", str(density)]
+    code, report = invoke(argv + ["--seed", str(seed), "--file", str(path)], capsys)
+    return code, report, path
+
+
+# sha256 of the files `gen bipartite --na NA --nb NB --density D --seed S`
+# writes, as they were before its guards: admitted arguments keep them
+_BIPARTITE_FILE_DIGESTS = {
+    (300, 300, 0.02, 1): "568addab4fa0f0795f503e39e1d708ace6dade8560772549d7e46f68062e695e",
+    (40, 60, 0.3, 5): "85c2f530b70dab1208cafee89116f7d43d4f29674b747bc400c89504e17333df",
+    (7, 0, 0.5, 2): "b794c6fa30142d8a8de46baa281dae4cb7e57c5f2f65235c3ed7f6fd8c534cef",
+}
+
+
+def test_gen_bipartite_files_are_pinned(tmp_path, capsys):
+    for args, digest in _BIPARTITE_FILE_DIGESTS.items():
+        code, _, path = _gen_bipartite(tmp_path, capsys, *args)
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, args
+
+
+def test_gen_bipartite_guards_admit_their_bounds(tmp_path, capsys):
+    """na * nb draws at the draw bound, and na + nb atoms plus the expected
+    na * nb * density edges at the bound on what is written."""
+    assert cli.BIPARTITE_MAX_DRAWS == 2000 * 5000
+    code, report, path = _gen_bipartite(tmp_path, capsys, 2000, 5000, 0)
+    assert code == EXIT_OK
+    assert report["result"]["edges"] == 0
+    path.unlink()
+    assert cli.BIPARTITE_MAX_WRITTEN == 2 + 74_999 + 2 * 74_999 // 2
+    code, report, path = _gen_bipartite(tmp_path, capsys, 2, 74_999, 0.5)
+    assert code == EXIT_OK
+    assert 0 < report["result"]["edges"] < 2 * 74_999
+    assert path.exists()
+
+
+@pytest.mark.parametrize(
+    "na, nb, density, guard",
+    [
+        (1, cli.BIPARTITE_MAX_DRAWS + 1, 0, "bipartite.max_draws"),
+        (2, 74_999, 0.500001, "bipartite.max_written"),  # one expected edge past
+        (0, cli.BIPARTITE_MAX_WRITTEN + 1, 0, "bipartite.max_written"),
+        (1, 1_000_000, 0, "bipartite.max_written"),  # a million atoms, no draw past
+        (2000, 2000, 0.5, "bipartite.max_written"),  # 7.8 s before the guard
+    ],
+)
+def test_gen_bipartite_past_a_guard_exits_at_once(tmp_path, capsys, na, nb, density, guard):
+    started = time.monotonic()
+    code, report, path = _gen_bipartite(tmp_path, capsys, na, nb, density)
+    assert code == EXIT_GUARD
+    assert guard in report["error"]["message"]
+    assert time.monotonic() - started < 1
+    assert not path.exists()
+
+
 def _broken_multipede_text() -> str:
     """A shod multipede missing one positive triple on each of four
     hyperedges: four violations, which sets hold in no fixed order."""

@@ -35,6 +35,7 @@ from choiceless_lab.linalg import (
 )
 from choiceless_lab.linalg.fields import _is_prime
 from choiceless_lab.linalg.intmatrix import determinant, scan_width
+from choiceless_lab.linalg.matrix import _Layout
 from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 from oracles import (
@@ -43,12 +44,14 @@ from oracles import (
     gl_order,
     leibniz_det_mod,
     linear_solutions,
+    mat_mul_mod,
     naive_mat_mul,
     partial_product,
 )
 
 GF2 = zp(2)
 GF3 = zp(3)
+MERSENNE61 = 2**61 - 1
 
 
 def dense(field, rows, labels=None):
@@ -95,6 +98,33 @@ def test_field_fixtures_satisfy_axioms(q):
     for f in els:
         expected = [field.add(x, field.mul(f, y)) for x, y in zip(xs, ys)]
         assert field.axpy(f, xs, ys) == expected
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_regular_representation_is_an_injective_ring_homomorphism(q):
+    """``a -> block(a)``, checked against the schoolbook product modulo p
+    on every pair of elements; column 0 of a block holds the element's
+    base-p digits, which is where products are read back from."""
+    field = gf(q)
+    p, d = field.characteristic, field.degree
+    assert p**d == q
+    block = {a: [list(row) for row in field.block(a)] for a in field.elements}
+    assert all(len(m) == d and all(len(row) == d for row in m) for m in block.values())
+    assert block[field.one] == [[int(i == j) for j in range(d)] for i in range(d)]
+    assert len({repr(m) for m in block.values()}) == q
+    for a, b in itertools.product(field.elements, repeat=2):
+        assert mat_mul_mod(p, block[a], block[b]) == block[field.mul(a, b)]
+        summed = [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(block[a], block[b])]
+        assert summed == block[field.add(a, b)]
+    for a in field.elements:
+        assert [row[0] for row in block[a]] == [a // p**i % p for i in range(d)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, MERSENNE61])
+def test_prime_field_is_its_own_regular_representation(p):
+    field = zp(p)
+    assert field.degree == 1
+    assert [field.block(a) for a in (0, 1, p - 1)] == [((0,),), ((1,),), ((p - 1,),)]
 
 
 def test_field_addition_is_order_independent():
@@ -214,6 +244,74 @@ def test_gf2_products_match_naive_across_digits(data):
     assert mat_mul(GF2, _renamed(a, names), _renamed(b, names)) == _renamed(expected, names)
 
 
+def _random_over(rng, field, rows, cols):
+    """Entries drawn from zero, the largest element and uniformly, so that
+    full rows reach the largest slot sums."""
+    top = field.order - 1
+    entries = {(i, j): rng.choice((0, top, rng.randrange(top + 1))) for i in rows for j in cols}
+    return FieldMatrix(field, frozenset(rows), frozenset(cols), entries)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_naive_over_odd_and_table_fields(data):
+    """Shapes of 0 to 10 indices per side with |inner| != |cols|, over odd
+    primes in byte slots with one run or several, in 16-bit slots and past
+    them, and over GF(4), GF(8) and GF(9) through their prime fields: the
+    product agrees with the ordered dot product, on the factors and on a
+    random renaming of their indices."""
+    fields = [3, 5, 7, 11, 13, 17, 101, 251, 257, MERSENNE61, 4, 8, 9]
+    field = gf(data.draw(st.sampled_from(fields)))
+    sizes = [data.draw(st.integers(0, 10)) for _ in range(2)]
+    sizes.append(data.draw(st.integers(0, 10).filter(lambda c: c != sizes[1])))
+    rows, inner, cols = ([f"{side}{k}" for k in range(size)] for side, size in zip("rkc", sizes))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b = _random_over(rng, field, rows, inner), _random_over(rng, field, inner, cols)
+    expected = naive_product(field, a, b)
+    assert mat_mul(field, a, b) == expected
+    everything = rows + inner + cols
+    names = dict(zip(everything, rng.sample(range(len(everything)), len(everything))))
+    assert mat_mul(field, _renamed(a, names), _renamed(b, names)) == _renamed(expected, names)
+
+
+# (q, n, slot width) on both sides of each bound.  Over GF(p), n counted
+# over GF(p), a byte holds a reduced entry plus (255 - (p - 1)) // (p - 1)**2
+# products, and a product reduces its slots after every that many inner
+# indices: 6 for p = 7 and 63 for p = 3.  Primes past 16 take 16-bit slots
+# while a slot holds all n (p - 1)**2, and a list product past that.
+SLOT_WIDTHS = [
+    (4, 3, 1),
+    (7, 6, 8),  # one run of 6
+    (7, 7, 8),  # two runs
+    (9, 31, 8),  # 62 over GF(3): one run of 63
+    (9, 32, 8),  # 64: two runs
+    (13, 1, 8),  # 12 + 144 = 156: one product per run
+    (13, 2, 8),
+    (17, 1, 16),  # 16 + 256 does not fit a byte
+    (101, 6, 16),  # 60,000
+    (101, 7, None),  # 70,000
+    (251, 1, 16),  # 62,500
+    (251, 2, None),  # 125,000
+    (257, 1, None),  # 65,536
+    (MERSENNE61, 1, None),
+]
+
+
+@pytest.mark.parametrize("q, n, width", SLOT_WIDTHS)
+def test_slot_width_follows_the_largest_slot_sum(q, n, width):
+    """The selection on both sides of each bound, and on each side a
+    product and a power of full and of random matrices that agree with
+    ordered dot products."""
+    field = gf(q)
+    assert _Layout(field, n, n, n).width == width
+    labels = [f"x{k}" for k in range(n)]
+    full = dense(field, [[q - 1] * n] * n, labels)
+    drawn = _random_over(random.Random(q * n), field, labels, labels)
+    for m in (full, drawn):
+        assert mat_mul(field, m, m) == naive_product(field, m, m)
+        assert mat_pow(field, m, 5) == _dict_pow(field, m, 5)
+
+
 def test_mat_mul_dimension_mismatch():
     a = dense(GF2, [[1]])
     b = dense(GF2, [[1, 0], [0, 1]])
@@ -285,7 +383,7 @@ def test_gf2_packed_power_matches_dict_products(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_dense_power_matches_dict_products(data):
-    q = data.draw(st.sampled_from([3, 4, 7, 8, 9]))
+    q = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9, 251, 257, MERSENNE61]))
     field = gf(q)
     n = data.draw(st.integers(min_value=1, max_value=6))
     element = st.one_of(st.just(0), st.integers(0, q - 1))
