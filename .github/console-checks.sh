@@ -111,6 +111,11 @@ timeout 5 choiceless-lab solve det --matrix wide.mat | expect 'r["result"]["nons
 # one digit past the --prime-divisors guard on the scan width (256)
 python3 -c 'print(f"ring Z\nrows a\nsquare\na a {2**257 - 1}")' > past256.mat
 exits 4 past256.json choiceless-lab solve det --matrix past256.mat --prime-divisors
+# one size past the determinant's work guard at the default entry bound
+# (9-bit entries admit n <= 52): refused before any product is made
+choiceless-lab gen matrix --n 53 --seed 1 --file past-work.mat > /dev/null
+exits 4 past-work.json timeout 5 choiceless-lab solve det --matrix past-work.mat
+expect '"det.max_work" in r["error"]["message"]' < past-work.json
 exits 3 lost.json choiceless-lab --out missing/report.json solve det --matrix zgen.mat
 expect '"cannot write" in r["error"]["message"]' < lost.json
 printf 'atoms: a a\n' > twice.str

@@ -16,16 +16,13 @@ of rows.  Column 0 of ``block(a)`` holds the coordinates of ``a`` itself,
 which are its base-p digits, lowest first.  ``a -> block(a)`` is an
 injective ring homomorphism (Lidl and Niederreiter, *Finite Fields*,
 ch. 2), so matrix products over any field can run over its prime field;
-a prime field has degree 1, ``block(a) = ((a,),)``, and a list product
-``dense_mul`` for the products whose sums do not fit a packed slot.  There
-is no table product.  The field axioms of every fixture, and the
-homomorphism, are checked by brute force in the test suite
-(``tests/oracles.py``), not at run time.
+a prime field has degree 1 and ``block(a) = ((a,),)``.  A field carries
+no matrix product: every product runs in :mod:`.matrix`.  The field
+axioms of every fixture, and the homomorphism, are checked by brute force
+in the test suite (``tests/oracles.py``), not at run time.
 """
 
 from __future__ import annotations
-
-import operator
 
 from ..errors import GuardExceeded, ValidationError
 
@@ -76,12 +73,6 @@ class _PrimeField(FiniteField):
 
     def block(self, a):
         return ((a,),)
-
-    def dense_mul(self, a, b):
-        """The product of matrices given as lists of rows."""
-        p = self.order
-        cols = list(zip(*b))
-        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
 
 
 class _TableField(FiniteField):

@@ -9,9 +9,14 @@ polynomial up to sign, from the power sums ``s_k = tr(M**k)``, k = 1 .. |I|,
 by Newton's identities ``k e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} s_i``
 (Csanky, SIAM J. Comput. 1976).  Every ``e_k`` is an integer, so each
 division by k is exact over Z and no prime or field is needed.  The integer
-products run over an internal numbering of I (its iteration order); a trace
-sums over the unordered diagonal and does not depend on it, so neither does
-any verdict.
+products are :func:`.matrix._list_mul`, shared with the large primes, on an
+internal numbering of I (its iteration order); a trace sums over the
+unordered diagonal and does not depend on it, so neither does any verdict.
+
+Their time grows with |I|**5 and about the square of the digit count, and
+``det.max_work`` refuses a shape whose :func:`determinant_work` passes
+``DET_MAX_WORK`` before the first product; it reads |I| and the digit
+count alone, so renaming the indices does not move it.
 
 :func:`det_prime_divisors` lists which of the first ``2 n**2`` primes (n the
 larger of |I| and the digit count) divide the determinant; the sieve grows
@@ -20,21 +25,23 @@ with n squared, so ``SCAN_MAX_WIDTH`` bounds n.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from ..errors import GuardExceeded, ValidationError
 from .fields import zp
 # nonsingular_square is not called here: bench/tests/test_bench.py checks
 # that its tracer rebinds this from-import
-from .matrix import FieldMatrix, _dense_rows, nonsingular_square  # noqa: F401
+from .matrix import FieldMatrix, _dense_rows, _list_mul, nonsingular_square  # noqa: F401
 from .primes import sieve_first_primes
 
-__all__ = ["IntMatrix", "det_prime_divisors", "determinant", "nonsingular_int", "scan_width",
-           "scanned_primes"]
+__all__ = ["IntMatrix", "det_prime_divisors", "determinant", "determinant_work",
+           "nonsingular_int", "scan_width", "scanned_primes"]
 
 # sieving the first 2 * 256**2 primes takes 0.05-0.09 s on one Xeon core (0.4 s at 512)
 SCAN_MAX_WIDTH = 256
+# the largest shapes this admits took 0.7 to 2.1 s on one core of a 2-core
+# Xeon VM: 2.1 s at n = 14 with 2048-bit entries, 1.6 s at n = 58 with 1 bit
+DET_MAX_WORK = 2_500_000_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,20 +91,34 @@ def _power_sums(m: IntMatrix) -> list:
     """``tr(M**k)`` for k = 1 .. |I|, with |I| - 1 integer products."""
     index = list(m.index_set)  # the internal numbering; see the module docstring
     n = len(index)
-    base = _dense_rows(m.entries, index, index)
-    columns = list(zip(*base))
-    power = base
+    base = power = _dense_rows(m.entries, index, index)
     sums = []
     for k in range(n):
         if k:
-            power = [[sum(map(operator.mul, row, col)) for col in columns] for row in power]
+            power = _list_mul(power, base)
         sums.append(sum(power[d][d] for d in range(n)))
     return sums
 
 
+def determinant_work(n: int, digit_count: int) -> int:
+    """A model of the time :func:`determinant` takes on an n-by-n matrix:
+    ``n**3`` multiply-adds in each of n - 1 products, the k-th of entries
+    of about ``k (b + log2 n)`` bits by entries of ``b`` bits, b the digit
+    count; the added 8 and 256 bits are the fixed costs of one
+    multiply-add.  It is within a factor 1.5 of timings from n = 6 to 72
+    and b = 1 to 14,284."""
+    b = digit_count
+    return n**4 * (n - 1) * (b + n.bit_length() + 8) * (b + 256)
+
+
 def determinant(m: IntMatrix) -> int:
     """``det M`` over Z, as ``e_|I|`` from the power sums by Newton's
-    identities (1 for the empty matrix)."""
+    identities (1 for the empty matrix); a shape whose
+    :func:`determinant_work` passes ``DET_MAX_WORK`` raises
+    ``GuardExceeded`` before any product is made."""
+    work = determinant_work(len(m.index_set), m.digit_count)
+    if work > DET_MAX_WORK:
+        raise GuardExceeded("det.max_work", DET_MAX_WORK, work)
     sums = _power_sums(m)
     e = [1]  # e_0 .. e_{k-1}: the characteristic polynomial, up to sign
     for k in range(1, len(sums) + 1):

@@ -48,7 +48,7 @@ modulo p by one byte-translation pass (``bytes.translate``) over its
 slots.  A larger p takes w = 16 while a slot holds all ``n (p - 1)**2``, n
 the inner count over GF(p), and reduces once per product, reading and
 writing the slots with :mod:`struct`.  Past that the layout is a list of
-rows and GF(p) supplies the list product (``dense_mul``): 32-bit slots
+rows and the list product :func:`_list_mul`, shared with Z: 32-bit slots
 were no reliable gain at n = 40 (0.6 to 1.2 times its time per product
 over GF(251), GF(257) and GF(1021), across runs on a 2-core VM).  Byte
 slots with reduction runs beat 16-bit slots with one pass wherever both
@@ -89,11 +89,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from .fields import FiniteField, zp
+from .fields import FiniteField
 
 __all__ = [
     "FieldMatrix",
@@ -165,6 +166,13 @@ def _dense_rows(entries: dict, row_index: list, col_index: list) -> list:
     for (i, j), v in entries.items():
         rows[i][col_at[j]] = v
     return list(rows.values())
+
+
+def _list_mul(a: list, b: list, p: int = 0) -> list:
+    """The product of matrices as lists of rows: over Z, or modulo ``p``."""
+    cols = list(zip(*b))
+    product = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    return [[v % p for v in row] for row in product] if p else product
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # slot values 0, 1 as binary digits
@@ -242,7 +250,7 @@ class _Layout:
         else:
             self.width = None
         if self.width is None:
-            self.mul = zp(p).dense_mul
+            self.mul = lambda x, y: _list_mul(x, y, p)
         else:
             self.mul = _slots_mul(p, self.width, run, rows, inner, cols, s)
 

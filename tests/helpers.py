@@ -12,10 +12,20 @@ from typing import NamedTuple
 import choiceless_lab
 from choiceless_lab.bgs import InputStructure
 from choiceless_lab.cfi import build_twisted, complete_graph
+from choiceless_lab.linalg import intmatrix
 
 
 def empty_structure(n: int) -> InputStructure:
     return InputStructure.build([f"a{i}" for i in range(n)])
+
+
+def largest_admitted(digit_count: int) -> int:
+    """The largest n whose determinant ``det.max_work`` admits at this
+    digit count."""
+    n = 1
+    while intmatrix.determinant_work(n + 1, digit_count) <= intmatrix.DET_MAX_WORK:
+        n += 1
+    return n
 
 
 def power_structure(rows, r: int) -> InputStructure:

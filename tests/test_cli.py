@@ -22,7 +22,7 @@ from choiceless_lab.cli import (
 )
 from choiceless_lab.linalg import intmatrix, sieve_first_primes
 
-from helpers import run_child, twin_gadget
+from helpers import largest_admitted, run_child, twin_gadget
 from oracles import flip_feet
 
 
@@ -431,6 +431,23 @@ def test_prime_divisors_at_the_guard_lists_the_whole_scan(tmp_path, capsys):
     assert code == EXIT_OK
     # 2**256 - 1 is the product of the Fermat numbers F0 .. F7
     assert report["result"]["prime_divisors"][:3] == [3, 5, 17]
+
+
+@pytest.mark.parametrize("digits", [9, intmatrix.SCAN_MAX_WIDTH])
+def test_determinant_one_step_past_the_work_guard_exits_at_once(tmp_path, capsys, digits):
+    """The first n the determinant's work guard refuses, at the default
+    entry bound of ``gen matrix`` and at the widest entries the prime scan
+    admits: a verdict would take seconds, and both routes refuse it at
+    once."""
+    n = largest_admitted(digits) + 1
+    path = tmp_path / "z.mat"
+    _write_int_matrix(path, [[2 ** (digits - 1) + i + j for j in range(n)] for i in range(n)])
+    for extra in ([], ["--prime-divisors"]):
+        started = time.monotonic()
+        code, report = invoke(["solve", "det", "--matrix", str(path), *extra], capsys)
+        assert time.monotonic() - started < 1
+        assert code == EXIT_GUARD
+        assert "det.max_work" in report["error"]["message"]
 
 
 # every .mat rejection: (text, line the error names, or None at end of input)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import errors
-from choiceless_lab.errors import ParseError, ValidationError
+from choiceless_lab.errors import GuardExceeded, ParseError, ValidationError
 from choiceless_lab.linalg import (
     FieldMatrix,
     IntMatrix,
@@ -21,6 +21,7 @@ from choiceless_lab.linalg import (
     gf,
     gl_exponent,
     identity,
+    intmatrix,
     mat_mul,
     mat_pow,
     nonsingular_int,
@@ -34,10 +35,11 @@ from choiceless_lab.linalg import (
     zp,
 )
 from choiceless_lab.linalg.fields import _is_prime
-from choiceless_lab.linalg.intmatrix import determinant, scan_width
+from choiceless_lab.linalg.intmatrix import determinant, determinant_work, scan_width
 from choiceless_lab.linalg.matrix import _Layout
 from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
+from helpers import largest_admitted
 from oracles import (
     bareiss_det,
     field_axiom_violations,
@@ -835,6 +837,38 @@ def test_det_prime_divisors_matches_trial_division():
         d = bareiss_det(rows)
         listed = sieve_first_primes(2 * scan_width(m) ** 2)
         assert det_prime_divisors(m) == {p for p in listed if d % p == 0}
+
+
+def _diagonal(names, digit_count):
+    top = 2**digit_count - 1
+    return IntMatrix.from_int_entries({(i, i): top for i in names}, index_set=names)
+
+
+@pytest.mark.parametrize("digits", [1, 9, 64, 1024, 14_284])
+def test_determinant_guard_admits_its_boundary(monkeypatch, digits):
+    """The largest admitted n passes the check and n + 1 does not, under
+    any names; a shape whose work is the limit itself passes.  The products
+    are stubbed out, so only the check runs."""
+    monkeypatch.setattr(intmatrix, "_power_sums", lambda m: [0] * len(m.index_set))
+    n = largest_admitted(digits)
+    for names in (range(n), [f"z{n - k}" for k in range(n)]):
+        assert determinant(_diagonal(names, digits)) == 0
+    for names in (range(n + 1), [f"z{n - k}" for k in range(n + 1)]):
+        with pytest.raises(GuardExceeded, match="det.max_work"):
+            determinant(_diagonal(names, digits))
+    at = determinant_work(n + 1, digits)
+    monkeypatch.setattr(intmatrix, "DET_MAX_WORK", at)
+    assert determinant(_diagonal(range(n + 1), digits)) == 0
+    monkeypatch.setattr(intmatrix, "DET_MAX_WORK", at - 1)
+    with pytest.raises(GuardExceeded, match="det.max_work"):
+        nonsingular_int(_diagonal(range(n + 1), digits))
+
+
+def test_determinant_guard_admits_the_shapes_in_use():
+    """The benchmark's integer requests (n <= 6, entries of 6 bits) and the
+    1000-bit 2x2 and 257-bit 1x1 matrices of the console checks."""
+    for n, digits in [(6, 6), (2, 1000), (1, 257)]:
+        assert determinant_work(n, digits) <= intmatrix.DET_MAX_WORK
 
 
 # ------------------------------------------------------------ matrix files
