@@ -100,6 +100,13 @@ for qn in 4:40 8:30 3:40; do choiceless-lab gen matrix --q "${qn%:*}" --n "${qn#
 printf 'field 2\nrows a b\ncols x y\na y 1\nb x 1\nb y 1\n' > rect2.mat
 printf 'field 3\nrows a b\ncols x y\na x 1\na y 2\nb x 2\nb y 1\n' > rect3.mat
 for q in 2 3; do agree "rect$q.mat"; done
+# |I| != |J|: no inverse, so both methods say singular
+printf 'field 2\nrows a b\ncols x y z\na x 1\nb y 1\nb z 1\n' > wide2.mat
+printf 'field 3\nrows a b c\ncols x y\na x 1\nb y 2\nc x 1\n' > tall3.mat
+for m in wide2 tall3; do
+  agree "$m.mat"
+  choiceless-lab solve det --matrix "$m.mat" --method power | expect 'r["result"]["nonsingular"] is False'
+done
 printf 'ring Z\nrows a b c\nsquare\na a 1\na b 2\na c 3\nb a 4\nb b 5\nb c 6\nc a 1\nc b 2\nc c 3\n' > z.mat
 choiceless-lab solve det --matrix z.mat --prime-divisors | expect 'r["result"]["determinant_zero"] is True'
 choiceless-lab gen matrix --n 3 --seed 1 --file zgen.mat
@@ -116,6 +123,9 @@ exits 4 past256.json choiceless-lab solve det --matrix past256.mat --prime-divis
 choiceless-lab gen matrix --n 53 --seed 1 --file past-work.mat > /dev/null
 exits 4 past-work.json timeout 5 choiceless-lab solve det --matrix past-work.mat
 expect '"det.max_work" in r["error"]["message"]' < past-work.json
+# and with --prime-divisors, refused before the prime sieve runs
+exits 4 past-work-scan.json timeout 5 choiceless-lab solve det --matrix past-work.mat --prime-divisors
+expect '"det.max_work" in r["error"]["message"]' < past-work-scan.json
 exits 3 lost.json choiceless-lab --out missing/report.json solve det --matrix zgen.mat
 expect '"cannot write" in r["error"]["message"]' < lost.json
 printf 'atoms: a a\n' > twice.str

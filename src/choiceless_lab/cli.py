@@ -30,7 +30,7 @@ from .linalg import (
     random_matrix,
     rank_gaussian,
 )
-from .linalg.intmatrix import determinant, scanned_primes
+from .linalg.intmatrix import prime_scan
 from .linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 EXIT_OK = 0
@@ -278,22 +278,21 @@ def _cmd_solve_det(args) -> dict:
             raise _UsageError("--method needs a field matrix")
         if not args.prime_divisors:
             return {"method": "crt", "nonsingular": nonsingular_int(m)}
-        primes = scanned_primes(m)  # the guard, before any arithmetic
-        det = determinant(m)
+        det, divisors = prime_scan(m)
         return {
             "method": "crt",
             "nonsingular": det != 0,
-            "prime_divisors": [p for p in primes if det % p == 0],
+            "prime_divisors": divisors,
             "determinant_zero": det == 0,
         }
     if args.prime_divisors:
         raise _UsageError("--prime-divisors needs an integer matrix")
     if args.method != "gauss":
         decide = nonsingular_square if m.square else nonsingular_rect
-        return {"method": "power", "nonsingular": decide(m.field, m)}
+        return {"method": "power", "nonsingular": decide(m)}
     rows = sorted(m.rows, key=str)
     cols = sorted(m.cols, key=str)
-    rank = rank_gaussian(m.field, m, rows, cols)
+    rank = rank_gaussian(m, rows, cols)
     return {
         "method": "gauss",
         "rank": rank,

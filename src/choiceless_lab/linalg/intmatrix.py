@@ -18,9 +18,9 @@ Their time grows with |I|**5 and about the square of the digit count, and
 ``DET_MAX_WORK`` before the first product; it reads |I| and the digit
 count alone, so renaming the indices does not move it.
 
-:func:`det_prime_divisors` lists which of the first ``2 n**2`` primes (n the
-larger of |I| and the digit count) divide the determinant; the sieve grows
-with n squared, so ``SCAN_MAX_WIDTH`` bounds n.
+:func:`prime_scan` lists which of the first ``2 n**2`` primes (n the larger
+of |I| and the digit count) divide the determinant; the sieve grows with n
+squared, so ``SCAN_MAX_WIDTH`` bounds n, and both guards run before it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .matrix import FieldMatrix, _dense_rows, _list_mul, nonsingular_square  # n
 from .primes import sieve_first_primes
 
 __all__ = ["IntMatrix", "det_prime_divisors", "determinant", "determinant_work",
-           "nonsingular_int", "scan_width", "scanned_primes"]
+           "nonsingular_int", "prime_scan", "scan_width"]
 
 # sieving the first 2 * 256**2 primes takes 0.05-0.09 s on one Xeon core (0.4 s at 512)
 SCAN_MAX_WIDTH = 256
@@ -76,15 +76,6 @@ class IntMatrix:
 def scan_width(m: IntMatrix) -> int:
     """The parameter n bounding both the dimension and the digit run."""
     return max(len(m.index_set), m.digit_count)
-
-
-def scanned_primes(m: IntMatrix) -> list:
-    """The first ``2 n**2`` primes, n = :func:`scan_width`; a width past
-    ``SCAN_MAX_WIDTH`` raises ``GuardExceeded`` before the sieve runs."""
-    width = scan_width(m)
-    if width > SCAN_MAX_WIDTH:
-        raise GuardExceeded("det.scan_width", SCAN_MAX_WIDTH, width)
-    return sieve_first_primes(2 * width * width)
 
 
 def _power_sums(m: IntMatrix) -> list:
@@ -132,9 +123,18 @@ def nonsingular_int(m: IntMatrix) -> bool:
     return determinant(m) != 0
 
 
-def det_prime_divisors(m: IntMatrix) -> frozenset:
-    """The scanned primes (:func:`scanned_primes`) that divide the
-    determinant: all of them exactly when it is zero."""
-    primes = scanned_primes(m)
+def prime_scan(m: IntMatrix) -> tuple:
+    """The determinant, and which of the first ``2 n**2`` primes divide it
+    in increasing order (all of them exactly when it is zero), n =
+    :func:`scan_width`.  Both guards run before the sieve: ``det.scan_width``
+    first, then ``det.max_work`` in :func:`determinant`."""
+    width = scan_width(m)
+    if width > SCAN_MAX_WIDTH:
+        raise GuardExceeded("det.scan_width", SCAN_MAX_WIDTH, width)
     det = determinant(m)
-    return frozenset(p for p in primes if det % p == 0)
+    return det, [p for p in sieve_first_primes(2 * width * width) if det % p == 0]
+
+
+def det_prime_divisors(m: IntMatrix) -> frozenset:
+    """The scanned primes that divide the determinant (:func:`prime_scan`)."""
+    return frozenset(prime_scan(m)[1])

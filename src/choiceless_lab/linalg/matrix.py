@@ -1,10 +1,12 @@
 """Matrices over unordered index sets and the group-exponent singularity test.
 
 A :class:`FieldMatrix` is a total function from ``rows x cols`` to field
-elements, stored sparsely (absent entries are zero).  Index sets carry no
-order; every verdict produced here is invariant under renaming the indices.
-The constructor only drops zero entries: matrices from outside input are
-checked by ``parse_matrix``, and the rest are built valid.
+elements, stored sparsely (absent entries are zero).  It holds the only
+copy of its field, which every question about it reads; :func:`mat_mul`,
+alone given a field too, refuses factors over another.  Index sets carry
+no order; every verdict produced here is invariant under renaming the
+indices.  The constructor only drops zero entries: matrices from outside
+input are checked by ``parse_matrix``, and the rest are built valid.
 
 Products and powers run on a dense layout, rectangular shapes included
 (:class:`_Layout`): the factors are laid out once under internal
@@ -110,7 +112,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FieldMatrix:
     """A total map ``rows x cols -> field``; zero entries may be omitted."""
 
@@ -130,16 +132,6 @@ class FieldMatrix:
 
     def entry(self, i, j):
         return self.entries.get((i, j), self.field.zero)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return (
-            self.field.order == other.field.order
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
     def __repr__(self):
         return (
@@ -311,7 +303,9 @@ class _Layout:
 
 
 def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
-    """The product ``m n`` on the dense layout; see the module docstring."""
+    """The product ``m n`` of matrices over ``field``, on the dense layout."""
+    if m.field is not field or n.field is not field:
+        raise ValidationError("the factors must be over the given field")
     if m.cols != n.rows:
         raise ValidationError("inner index sets differ")
     rows, inner, cols = list(m.rows), list(m.cols), list(n.cols)
@@ -320,7 +314,7 @@ def mat_mul(field: FiniteField, m: FieldMatrix, n: FieldMatrix) -> FieldMatrix:
     return layout.unpack(rows, cols, product)
 
 
-def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
+def mat_pow(m: FieldMatrix, r: int) -> FieldMatrix:
     """``m**r`` by repeated squaring over the binary digits of ``r``
     (r >= 1), consuming them from the most significant; at most
     ``2 * r.bit_length()`` multiplications, on the dense layout."""
@@ -329,7 +323,7 @@ def mat_pow(field: FiniteField, m: FieldMatrix, r: int) -> FieldMatrix:
     if not m.square:
         raise ValidationError("powers need a square matrix")
     index = list(m.rows)  # the internal numbering; see the module docstring
-    layout = _Layout(field, len(index), len(index), len(index))
+    layout = _Layout(m.field, len(index), len(index), len(index))
     power = _square_and_multiply(layout.mul, layout.pack(m.entries, index, index), r)
     return layout.unpack(index, index, power)
 
@@ -373,7 +367,7 @@ def gl_exponent(field: FiniteField, n: int) -> int:
     return unipotent * math.lcm(*(q**k - 1 for k in range(1, n + 1)))
 
 
-def nonsingular_square(field: FiniteField, m: FieldMatrix) -> bool:
+def nonsingular_square(m: FieldMatrix) -> bool:
     """True iff ``m**e`` is the identity for ``e`` the exponent of the
     general linear group of its dimension.  Empty matrices are non-singular
     by convention."""
@@ -382,16 +376,16 @@ def nonsingular_square(field: FiniteField, m: FieldMatrix) -> bool:
     n = len(m.rows)
     if n == 0:
         return True
-    e = gl_exponent(field, n)
-    return mat_pow(field, m, e) == identity(field, m.rows)
+    e = gl_exponent(m.field, n)
+    return mat_pow(m, e) == identity(m.field, m.rows)
 
 
-def nonsingular_rect(field: FiniteField, m: FieldMatrix) -> bool:
-    """Non-singularity of an I-by-J matrix with |I| = |J| via the square
-    matrix ``M M^t``, whose determinant is the square of M's."""
+def nonsingular_rect(m: FieldMatrix) -> bool:
+    """Non-singularity of an I-by-J matrix: none if |I| != |J|, else that
+    of ``M M^t``, whose determinant is the square of M's."""
     if len(m.rows) != len(m.cols):
-        raise ValidationError("row and column sets must have equal size")
-    return nonsingular_square(field, mat_mul(field, m, transpose(m)))
+        return False
+    return nonsingular_square(mat_mul(m.field, m, transpose(m)))
 
 
 def _ordered_grid(m: FieldMatrix, row_order, col_order):
@@ -404,10 +398,10 @@ def _ordered_grid(m: FieldMatrix, row_order, col_order):
     return rows, cols, _dense_rows(m.entries, rows, cols)
 
 
-def echelon(field: FiniteField, rows: list, width: int) -> list:
+def echelon(field: FiniteField, rows: list) -> list:
     """Forward elimination in place.
 
-    ``rows`` are lists of ``width`` field elements, in a caller-chosen
+    ``rows`` are lists of field elements of one length, in a caller-chosen
     order.  Afterwards the first ``k`` rows are in row echelon form and the
     rest are zero; returns the ``k`` pivot columns in row order.  Column
     ``c`` is a pivot exactly when it is not a combination of the columns
@@ -415,7 +409,7 @@ def echelon(field: FiniteField, rows: list, width: int) -> list:
     """
     pivots = []
     r = 0
-    for c in range(width):
+    for c in range(len(rows[0]) if rows else 0):
         if r == len(rows):
             break
         for rr in range(r, len(rows)):
@@ -437,21 +431,22 @@ def echelon(field: FiniteField, rows: list, width: int) -> list:
     return pivots
 
 
-def rank_gaussian(field: FiniteField, m: FieldMatrix, row_order, col_order) -> int:
+def rank_gaussian(m: FieldMatrix, row_order, col_order) -> int:
     """Matrix rank by ordered Gaussian elimination (the oracle route)."""
     _, _, grid = _ordered_grid(m, row_order, col_order)
-    return len(echelon(field, grid, len(col_order)))
+    return len(echelon(m.field, grid))
 
 
-def solve_gaussian(field: FiniteField, m: FieldMatrix, rhs: dict, row_order, col_order):
+def solve_gaussian(m: FieldMatrix, rhs: dict, row_order, col_order):
     """Solve ``m x = rhs`` over the field; returns a dict col -> element, or
     None when the system is inconsistent.  Columns that are not pivots in
     the given column order are set to zero, which makes the answer unique."""
+    field = m.field
     rows, cols, grid = _ordered_grid(m, row_order, col_order)
     n = len(cols)
     for i, row in zip(rows, grid):
         row.append(rhs.get(i, field.zero))
-    pivots = echelon(field, grid, n + 1)
+    pivots = echelon(field, grid)
     if pivots and pivots[-1] == n:
         return None  # a pivot in the right-hand side reads 0 = nonzero
     x = [field.zero] * n

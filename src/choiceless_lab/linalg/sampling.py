@@ -45,6 +45,6 @@ def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float
     else:
         for _ in range(trials):
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if len(echelon(field, rows, n)) == n:
+            if len(echelon(field, rows)) == n:
                 hits += 1
     return hits / trials

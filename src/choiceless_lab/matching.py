@@ -25,6 +25,7 @@ and the order unchanged.  The blocks and their canonical order are those
 of recomputing every vertex's full count vector each round
 (``stable_coloring`` says why).  The flow starts from a greedy pass over
 the linked pairs, which leaves few augmenting paths to search.
+``saturate`` and ``quotient`` compute the coloring of the graph they get.
 """
 
 from __future__ import annotations
@@ -314,9 +315,10 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     )
 
 
-def saturate(graph: BipartiteGraph, coloring: StableColoring) -> frozenset:
+def saturate(graph: BipartiteGraph) -> frozenset:
     """Complete the edge relation to full block products wherever it meets
-    a block pair."""
+    a pair of blocks of the graph's stable coloring."""
+    coloring = stable_coloring(graph)
     out: set = set()
     for i, j in _linked_blocks(graph, coloring):
         out.update(itertools.product(coloring.a_blocks[i], coloring.b_blocks[j]))
@@ -335,10 +337,11 @@ def _linked_blocks(graph: BipartiteGraph, coloring: StableColoring) -> set:
     return {(block_of[a], block_of[b]) for a, b in graph.edges}
 
 
-def quotient(graph: BipartiteGraph, coloring: StableColoring) -> QuotientGraph:
-    """Replace each block by numbered triples; block adjacency becomes the
-    edge relation.  The result is identical, not merely isomorphic, for
-    isomorphic inputs."""
+def quotient(graph: BipartiteGraph) -> QuotientGraph:
+    """Replace each block of the graph's stable coloring by numbered
+    triples; block adjacency becomes the edge relation.  The result is
+    identical, not merely isomorphic, for isomorphic inputs."""
+    coloring = stable_coloring(graph)
     a_vertices, b_vertices = (
         tuple((side, i, r) for i, block in enumerate(blocks) for r in range(len(block)))
         for side, blocks in enumerate((coloring.a_blocks, coloring.b_blocks))

@@ -1291,7 +1291,7 @@ def test_power_program_matches_mat_pow():
             idx,
             {(i, j): rows[i][j] for i in range(n) for j in range(n)},
         )
-        expected = mat_pow(gf2, m, r)
+        expected = mat_pow(m, r)
         assert got == [[expected.entry(i, j) for j in range(n)] for i in range(n)]
 
 

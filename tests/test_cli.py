@@ -327,6 +327,53 @@ def test_solve_det_field_methods(tmp_path, capsys):
     assert report["result"]["nonsingular"] is True
 
 
+def _write_field_matrix(path, q, rows, cols, entries):
+    lines = [f"field {q}", "rows " + " ".join(rows), "cols " + " ".join(cols)]
+    lines += [f"{i} {j} {v}" for (i, j), v in entries.items()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _both_methods(path, capsys) -> list:
+    """The results of ``solve det`` by power and by gauss on ``path``."""
+    results = []
+    for method in ("power", "gauss"):
+        code, report = invoke(["solve", "det", "--matrix", str(path), "--method", method], capsys)
+        assert code == EXIT_OK
+        results.append(report["result"])
+    return results
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_solve_det_methods_agree_on_unequal_index_sets(tmp_path, capsys, q, shape):
+    """An I-by-J matrix with |I| != |J| has no inverse: power and gauss
+    both call it singular, though its rank is the smaller size."""
+    rows = [f"r{i}" for i in range(shape[0])]
+    cols = [f"c{j}" for j in range(shape[1])]
+    entries = {(rows[k], cols[k]): 1 for k in range(2)}
+    entries[rows[-1], cols[-1]] = q - 1
+    path = tmp_path / "rect.mat"
+    _write_field_matrix(path, q, rows, cols, entries)
+    power, gauss = _both_methods(path, capsys)
+    assert power == {"method": "power", "nonsingular": False}
+    assert gauss == {"method": "gauss", "rank": 2, "nonsingular": False}
+
+
+def test_solve_det_gf2_matrix_of_integer_determinant_two(tmp_path, capsys):
+    """Rows 110, 011, 101 have determinant 2 over Z: over GF(2) both
+    methods call them singular, rank 2, square and as an I-by-J matrix,
+    under every renaming of the rows."""
+    grid = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    path = tmp_path / "det2.mat"
+    for names in itertools.permutations(["x", "y", "z"]):
+        for cols in (names, ("c0", "c1", "c2")):
+            entries = {(names[i], cols[j]): 1 for i in range(3) for j in range(3) if grid[i][j]}
+            _write_field_matrix(path, 2, sorted(names), sorted(cols), entries)
+            power, gauss = _both_methods(path, capsys)
+            assert power == {"method": "power", "nonsingular": False}
+            assert gauss == {"method": "gauss", "rank": 2, "nonsingular": False}
+
+
 def test_solve_det_integer_crt(tmp_path, capsys):
     path = tmp_path / "z.mat"
     path.write_text("ring Z\nrows i0 i1\nsquare\ni0 i0 2\ni1 i1 3\n")
@@ -406,6 +453,33 @@ def test_prime_divisors_guard_bounds_the_scan_width(tmp_path, capsys, monkeypatc
     code, report = invoke(["solve", "det", "--matrix", str(path)], capsys)
     assert code == EXIT_OK
     assert report["result"] == {"method": "crt", "nonsingular": True}
+
+
+def test_prime_divisors_refusals_reach_neither_the_sieve_nor_a_product(
+    tmp_path, capsys, monkeypatch
+):
+    """A matrix past the scan width, past the work guard, or past both is
+    refused before the sieve and before any product; past both, the
+    refusal names the scan width, which is checked first."""
+    calls = []
+    monkeypatch.setattr(intmatrix, "sieve_first_primes", lambda k: calls.append("sieve"))
+    monkeypatch.setattr(intmatrix, "_power_sums", lambda m: calls.append("products"))
+    width = intmatrix.SCAN_MAX_WIDTH + 1
+    past_work = largest_admitted(9) + 1
+    past_both = largest_admitted(width) + 1
+    cases = [
+        ([[2**width - 1]], "det.scan_width"),
+        ([[2**8 + i + j for j in range(past_work)] for i in range(past_work)], "det.max_work"),
+        ([[2**width - 1 - i - j for j in range(past_both)] for i in range(past_both)],
+         "det.scan_width"),
+    ]
+    path = tmp_path / "z.mat"
+    for rows, guard in cases:
+        _write_int_matrix(path, rows)
+        code, report = invoke(["solve", "det", "--matrix", str(path), "--prime-divisors"], capsys)
+        assert code == EXIT_GUARD
+        assert guard in report["error"]["message"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("past", ["digits", "dimension"])

@@ -200,7 +200,8 @@ def _random_matrix_on(data, field, rows, cols):
 def test_mat_mul_matches_naive_on_every_shape_and_field(data):
     """Rows, inner and column sets of 0 to 4 indices each, under random
     names: the dense kernel agrees with the ordered dot product, and
-    ``nonsingular_rect`` with the rank on the same draws."""
+    ``nonsingular_rect`` with the rank on the same draws: a matrix with
+    |I| != |J| has no inverse, so it is singular whatever its rank."""
     field = gf(data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
     sizes = [data.draw(st.integers(0, 4)) for _ in range(3)]
     names = data.draw(
@@ -211,9 +212,8 @@ def test_mat_mul_matches_naive_on_every_shape_and_field(data):
     b = _random_matrix_on(data, field, inner, cols)
     assert mat_mul(field, a, b) == naive_product(field, a, b)
     for m in (a, b):
-        if len(m.rows) == len(m.cols):
-            by_rank = rank_gaussian(field, m, list(m.rows), list(m.cols)) == len(m.rows)
-            assert nonsingular_rect(field, m) == by_rank
+        rank = rank_gaussian(m, list(m.rows), list(m.cols))
+        assert nonsingular_rect(m) == (rank == len(m.rows) == len(m.cols))
 
 
 def _random_gf2(rng, rows, cols):
@@ -311,7 +311,7 @@ def test_slot_width_follows_the_largest_slot_sum(q, n, width):
     drawn = _random_over(random.Random(q * n), field, labels, labels)
     for m in (full, drawn):
         assert mat_mul(field, m, m) == naive_product(field, m, m)
-        assert mat_pow(field, m, 5) == _dict_pow(field, m, 5)
+        assert mat_pow(m, 5) == _dict_pow(field, m, 5)
 
 
 def test_mat_mul_dimension_mismatch():
@@ -321,19 +321,30 @@ def test_mat_mul_dimension_mismatch():
         mat_mul(GF2, a, b)
 
 
+def test_mat_mul_refuses_factors_over_another_field():
+    """A product is over the field it is asked for, so a factor over
+    any other field is refused, even where its entries would fit."""
+    m2 = dense(GF2, [[1, 1], [0, 1]])
+    m3 = dense(GF3, [[1, 1], [0, 1]])
+    for field, a, b in ((GF3, m2, m2), (GF2, m2, m3), (GF2, m3, m2), (gf(4), m2, m2)):
+        with pytest.raises(ValidationError, match="over the given field"):
+            mat_mul(field, a, b)
+    assert mat_mul(GF3, m3, m3) == dense(GF3, [[1, 2], [0, 1]])
+
+
 # ---------------------------------------------------------------- mat_pow
 
 
 def test_mat_pow_examples():
     eye = identity(GF2, frozenset(range(3)))
     for r in (1, 2, 7, 100):
-        assert mat_pow(GF2, eye, r) == eye
+        assert mat_pow(eye, r) == eye
     swap = dense(GF2, [[0, 1], [1, 0]])
-    assert mat_pow(GF2, swap, 2) == identity(GF2, swap.rows)
+    assert mat_pow(swap, 2) == identity(GF2, swap.rows)
     shear = dense(GF2, [[1, 1], [0, 1]])
-    assert mat_pow(GF2, shear, 2) == identity(GF2, shear.rows)
+    assert mat_pow(shear, 2) == identity(GF2, shear.rows)
     fib = dense(GF2, [[0, 1], [1, 1]])
-    assert mat_pow(GF2, fib, 3) == identity(GF2, fib.rows)
+    assert mat_pow(fib, 3) == identity(GF2, fib.rows)
 
 
 def test_mat_pow_matches_repeated_multiplication():
@@ -345,7 +356,7 @@ def test_mat_pow_matches_repeated_multiplication():
             m = dense(field, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
             acc = m
             for r in range(1, 9):
-                assert mat_pow(field, m, r) == acc
+                assert mat_pow(m, r) == acc
                 acc = naive_product(field, acc, m)
 
 
@@ -377,9 +388,9 @@ def test_gf2_packed_power_matches_dict_products(data):
     )
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     expected = _dict_pow(GF2, dense(GF2, grid), r)
-    assert mat_pow(GF2, dense(GF2, grid), r) == expected
+    assert mat_pow(dense(GF2, grid), r) == expected
     renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
-    assert mat_pow(GF2, dense(GF2, grid, labels), r).entries == renamed
+    assert mat_pow(dense(GF2, grid, labels), r).entries == renamed
 
 
 @given(st.data())
@@ -393,14 +404,14 @@ def test_dense_power_matches_dict_products(data):
     r = data.draw(st.one_of(st.integers(1, 300), st.just(gl_exponent(field, n))))
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     expected = _dict_pow(field, dense(field, grid), r)
-    assert mat_pow(field, dense(field, grid), r) == expected
+    assert mat_pow(dense(field, grid), r) == expected
     renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
-    assert mat_pow(field, dense(field, grid, labels), r).entries == renamed
+    assert mat_pow(dense(field, grid, labels), r).entries == renamed
 
 
 def test_mat_pow_rejects_zero_exponent():
     with pytest.raises(ValidationError):
-        mat_pow(GF2, identity(GF2, frozenset([0])), 0)
+        mat_pow(identity(GF2, frozenset([0])), 0)
 
 
 # ---------------------------------------------------------------- gl_order
@@ -506,31 +517,31 @@ def test_every_element_order_divides_gl_exponent(q, n):
 
 
 def test_nonsingular_square_examples():
-    assert nonsingular_square(GF2, identity(GF2, frozenset("abc")))
-    assert not nonsingular_square(GF2, dense(GF2, [[1, 1], [1, 1]]))
-    assert nonsingular_square(GF2, dense(GF2, [[0, 1], [1, 1]]))
-    assert nonsingular_square(GF2, dense(GF2, []))  # empty convention
+    assert nonsingular_square(identity(GF2, frozenset("abc")))
+    assert not nonsingular_square(dense(GF2, [[1, 1], [1, 1]]))
+    assert nonsingular_square(dense(GF2, [[0, 1], [1, 1]]))
+    assert nonsingular_square(dense(GF2, []))  # empty convention
 
 
 def test_exhaustive_sweep_2x2_and_3x3_gf2():
     for flat in itertools.product((0, 1), repeat=4):
         rows = [list(flat[:2]), list(flat[2:])]
         m = dense(GF2, rows)
-        expected = rank_gaussian(GF2, m, [0, 1], [0, 1]) == 2
-        assert nonsingular_square(GF2, m) == expected
+        expected = rank_gaussian(m, [0, 1], [0, 1]) == 2
+        assert nonsingular_square(m) == expected
     for flat in itertools.product((0, 1), repeat=9):
         rows = [list(flat[:3]), list(flat[3:6]), list(flat[6:])]
         m = dense(GF2, rows)
-        expected = rank_gaussian(GF2, m, [0, 1, 2], [0, 1, 2]) == 3
-        assert nonsingular_square(GF2, m) == expected
+        expected = rank_gaussian(m, [0, 1, 2], [0, 1, 2]) == 3
+        assert nonsingular_square(m) == expected
 
 
 def test_exhaustive_sweep_2x2_gf3():
     for flat in itertools.product((0, 1, 2), repeat=4):
         rows = [list(flat[:2]), list(flat[2:])]
         m = dense(GF3, rows)
-        expected = rank_gaussian(GF3, m, [0, 1], [0, 1]) == 2
-        assert nonsingular_square(GF3, m) == expected
+        expected = rank_gaussian(m, [0, 1], [0, 1]) == 2
+        assert nonsingular_square(m) == expected
 
 
 def test_singularity_absorbs_in_powers():
@@ -539,10 +550,10 @@ def test_singularity_absorbs_in_powers():
         n = rng.randrange(1, 4)
         m = dense(GF2, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
         order = list(range(n))
-        if rank_gaussian(GF2, m, order, order) < n:
+        if rank_gaussian(m, order, order) < n:
             power = m
             for _ in range(4):
-                assert rank_gaussian(GF2, power, order, order) < n
+                assert rank_gaussian(power, order, order) < n
                 assert power != identity(GF2, m.rows)
                 power = naive_product(GF2, power, m)
 
@@ -556,7 +567,7 @@ def test_verdicts_invariant_under_index_renaming():
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
             plain = dense(field, rows)
             renamed = dense(field, rows, labels=[f"x{i}" for i in range(n)])
-            assert nonsingular_square(field, plain) == nonsingular_square(field, renamed)
+            assert nonsingular_square(plain) == nonsingular_square(renamed)
 
 
 @given(st.data())
@@ -574,8 +585,31 @@ def test_nonsingular_square_matches_rank_every_field(data):
         grid[dst] = field.axpy(f, [0] * n, grid[src])
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     m = dense(field, grid, labels)
-    expected = rank_gaussian(field, m, labels, labels) == n
-    assert nonsingular_square(field, m) == expected
+    expected = rank_gaussian(m, labels, labels) == n
+    assert nonsingular_square(m) == expected
+
+
+def test_gf2_matrix_of_integer_determinant_two_is_singular_over_its_field():
+    """Rows 110, 011, 101 have determinant 2 over Z, so 0 over GF(2): the
+    matrix is singular over its own field, rank 2, by every route that
+    reads the field from it, under renamings of its indices, square and
+    as an I-by-J matrix."""
+    grid = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert bareiss_det(grid) == 2
+    m = dense(GF2, grid)
+    rng = random.Random(2)
+    for labels in itertools.permutations(["a", "b", "c"]):
+        renamed = _renamed(m, dict(enumerate(labels)))
+        order = sorted(renamed.rows)
+        assert not nonsingular_square(renamed)
+        assert rank_gaussian(renamed, order, order) == 2
+        rows = dict(enumerate(rng.sample(["r0", "r1", "r2"], 3)))
+        cols = dict(enumerate(rng.sample(["c0", "c1", "c2"], 3)))
+        rect = FieldMatrix(GF2, frozenset(rows.values()), frozenset(cols.values()),
+                           {(rows[i], cols[j]): v for (i, j), v in m.entries.items()})
+        assert not nonsingular_rect(rect)
+        assert rank_gaussian(rect, sorted(rect.rows), sorted(rect.cols)) == 2
+    assert nonsingular_square(dense(GF3, grid))  # 2 is a unit of GF(3)
 
 
 @pytest.mark.parametrize("n", [20, 31, 32, 45, 64])
@@ -587,17 +621,17 @@ def test_gf2_nonsingular_square_matches_rank_across_digits(n):
     index = list(range(n))
     while True:
         m = _random_gf2(rng, index, index)
-        if rank_gaussian(GF2, m, index, index) == n:
+        if rank_gaussian(m, index, index) == n:
             break
     src, dst = rng.sample(index, 2)
     copied = {(i, j): v for (i, j), v in m.entries.items() if i != dst}
     copied.update({(dst, j): v for (i, j), v in m.entries.items() if i == src})
     singular = FieldMatrix(GF2, m.rows, m.cols, copied)
-    assert rank_gaussian(GF2, singular, index, index) < n
+    assert rank_gaussian(singular, index, index) < n
     names = dict(zip(index, rng.sample([f"x{k}" for k in index], n)))
     for matrix, expected in ((m, True), (singular, False)):
-        assert nonsingular_square(GF2, matrix) is expected
-        assert nonsingular_square(GF2, _renamed(matrix, names)) is expected
+        assert nonsingular_square(matrix) is expected
+        assert nonsingular_square(_renamed(matrix, names)) is expected
 
 
 # ---------------------------------------------------------------- gauss
@@ -605,9 +639,9 @@ def test_gf2_nonsingular_square_matches_rank_across_digits(n):
 
 def test_rank_gaussian_basics():
     z = dense(GF2, [[0, 0], [0, 0]])
-    assert rank_gaussian(GF2, z, [0, 1], [0, 1]) == 0
+    assert rank_gaussian(z, [0, 1], [0, 1]) == 0
     eye = identity(GF3, frozenset(range(4)))
-    assert rank_gaussian(GF3, eye, list(range(4)), list(range(4))) == 4
+    assert rank_gaussian(eye, list(range(4)), list(range(4))) == 4
 
 
 def test_rank_gaussian_order_independent():
@@ -621,7 +655,7 @@ def test_rank_gaussian_order_independent():
             ro, co = base[:], base[:]
             rng.shuffle(ro)
             rng.shuffle(co)
-            ranks.add(rank_gaussian(GF3, m, ro, co))
+            ranks.add(rank_gaussian(m, ro, co))
         assert len(ranks) == 1
 
 
@@ -632,7 +666,7 @@ def test_solve_gaussian():
         frozenset(["s1", "s2", "s3"]),
         {("h1", "s1"): 1, ("h1", "s2"): 1, ("h2", "s2"): 1, ("h2", "s3"): 1},
     )
-    sol = solve_gaussian(GF2, m, {"h1": 1, "h2": 0}, ["h1", "h2"], ["s1", "s2", "s3"])
+    sol = solve_gaussian(m, {"h1": 1, "h2": 0}, ["h1", "h2"], ["s1", "s2", "s3"])
     assert sol is not None
     assert (sol["s1"] + sol["s2"]) % 2 == 1
     assert (sol["s2"] + sol["s3"]) % 2 == 0
@@ -643,7 +677,7 @@ def test_solve_gaussian():
         frozenset(["x"]),
         {("a", "x"): 1, ("b", "x"): 1},
     )
-    assert solve_gaussian(GF2, m2, {"a": 1, "b": 0}, ["a", "b"], ["x"]) is None
+    assert solve_gaussian(m2, {"a": 1, "b": 0}, ["a", "b"], ["x"]) is None
 
 
 @given(st.data())
@@ -673,11 +707,11 @@ def test_gaussian_matches_enumeration(data):
     col_order = data.draw(st.permutations(col_names))
 
     kernel = linear_solutions(field, grid, [field.zero] * n_rows, n_cols)
-    rank = rank_gaussian(field, m, row_order, col_order)
+    rank = rank_gaussian(m, row_order, col_order)
     assert q ** (n_cols - rank) == len(kernel)
 
     solutions = linear_solutions(field, grid, rhs, n_cols)
-    solution = solve_gaussian(field, m, dict(zip(row_names, rhs)), row_order, col_order)
+    solution = solve_gaussian(m, dict(zip(row_names, rhs)), row_order, col_order)
     assert (solution is not None) == bool(solutions)
     if solution is not None:
         assert set(solution) == set(col_names)
@@ -775,8 +809,8 @@ def test_prime_decision_matches_group_order_and_leibniz(data):
     # the exact determinant against the field route: 2 and 3 are at most
     # |I| for the larger sizes, where Newton's identities mod p would fail
     for p in sieve_first_primes(6):
-        assert nonsingular_square(zp(p), plain.reduce_mod(p)) == (det % p != 0)
-        assert nonsingular_square(zp(p), renamed.reduce_mod(p)) == (det % p != 0)
+        assert nonsingular_square(plain.reduce_mod(p)) == (det % p != 0)
+        assert nonsingular_square(renamed.reduce_mod(p)) == (det % p != 0)
         assert leibniz_det_mod(rows, p) == det % p
 
 
@@ -950,7 +984,7 @@ def test_nonsingular_rect_hand_example():
     assert gram.entry("i1", "i1") == 2
     assert gram.entry("i1", "i2") == 1
     assert gram.entry("i2", "i2") == 2
-    assert not nonsingular_rect(field, m)
+    assert not nonsingular_rect(m)
 
 
 def test_nonsingular_rect_bijection_matrix():
@@ -960,7 +994,7 @@ def test_nonsingular_rect_bijection_matrix():
         frozenset(["j1", "j2"]),
         {("i1", "j2"): 1, ("i2", "j1"): 1},
     )
-    assert nonsingular_rect(GF2, m)
+    assert nonsingular_rect(m)
 
 
 def test_rect_agrees_with_rank_and_block():
@@ -981,8 +1015,8 @@ def test_rect_agrees_with_rank_and_block():
                     for j in range(n)
                 },
             )
-            by_rank = rank_gaussian(field, m, row_labels, col_labels) == n
-            assert nonsingular_rect(field, m) == by_rank
+            by_rank = rank_gaussian(m, row_labels, col_labels) == n
+            assert nonsingular_rect(m) == by_rank
 
 
 # ---------------------------------------------------------------- random
@@ -1016,4 +1050,4 @@ def test_power_criterion_matches_leibniz_mod_p():
             n = rng.randrange(1, 5)
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             m = dense(field, rows)
-            assert nonsingular_square(field, m) == (leibniz_det_mod(rows, p) != 0)
+            assert nonsingular_square(m) == (leibniz_det_mod(rows, p) != 0)

@@ -377,22 +377,22 @@ def test_saturate_worked_example():
         ["b1", "b2"],
         [("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a3", "b2")],
     )
-    plus = saturate(g, stable_coloring(g))
+    plus = saturate(g)
     assert plus == g.edges | {("a1", "b2"), ("a3", "b1")}
 
 
 def test_saturate_trivia():
     empty = graph(["a1"], ["b1"], [])
-    assert saturate(empty, stable_coloring(empty)) == frozenset()
+    assert saturate(empty) == frozenset()
     complete = graph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1")])
-    assert saturate(complete, stable_coloring(complete)) == complete.edges
+    assert saturate(complete) == complete.edges
 
 
 def test_saturation_preserves_hall_condition():
     rng = random.Random(19)
     for _ in range(120):
         g = random_graph(rng, max_side=5)
-        plus = saturate(g, stable_coloring(g))
+        plus = saturate(g)
         assert g.edges <= plus
         g_plus = graph(g.a_side, g.b_side, plus)
         assert hall_condition_direct(g.a_side, g.edges) == hall_condition_direct(
@@ -409,7 +409,7 @@ def test_quotient_worked_example():
         ["b1", "b2"],
         [("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a3", "b2")],
     )
-    q = quotient(g, stable_coloring(g))
+    q = quotient(g)
     assert len(q.a_vertices) == 3
     assert len(q.b_vertices) == 2
     assert len(q.edges) == 6  # complete bipartite between the blocks
@@ -417,10 +417,10 @@ def test_quotient_worked_example():
 
 def test_quotient_single_vertices():
     linked = graph(["a1"], ["b1"], [("a1", "b1")])
-    q = quotient(linked, stable_coloring(linked))
+    q = quotient(linked)
     assert q.edges == frozenset({((0, 0, 0), (1, 0, 0))})
     bare = graph(["a1"], ["b1"], [])
-    assert quotient(bare, stable_coloring(bare)).edges == frozenset()
+    assert quotient(bare).edges == frozenset()
 
 
 def test_quotient_is_canonical_under_renaming():
@@ -436,7 +436,7 @@ def test_quotient_is_canonical_under_renaming():
             [mapping[b] for b in g.b_side],
             [(mapping[a], mapping[b]) for a, b in g.edges],
         )
-        assert quotient(g, stable_coloring(g)) == quotient(g2, stable_coloring(g2))
+        assert quotient(g) == quotient(g2)
 
 
 # ---------------------------------------------------------------- decision
@@ -486,7 +486,7 @@ def test_max_matching_size_against_brute_force(example):
 def test_decision_matches_path_algorithm_on_expanded_quotient(example):
     for sides in both_namings(example):
         g = graph(*sides)
-        q = quotient(g, stable_coloring(g))
+        q = quotient(g)
         expanded = BipartiteGraph(frozenset(q.a_vertices), frozenset(q.b_vertices), q.edges)
         by_path, _ = path_algorithm(expanded, sorted(q.a_vertices + q.b_vertices))
         assert decide_complete_matching(g) == by_path

@@ -470,7 +470,7 @@ def incidence_field_matrix(rows, n) -> FieldMatrix:
 def rank_by_elimination(m: Multipede3) -> int:
     rows = incidence_triples(m)
     n = len(m.segment_order)
-    return rank_gaussian(GF2, incidence_field_matrix(rows, n), rows, list(range(n)))
+    return rank_gaussian(incidence_field_matrix(rows, n), rows, list(range(n)))
 
 
 def iso_by_elimination(a: ShodMultipede, b: ShodMultipede) -> bool:
@@ -492,7 +492,7 @@ def iso_by_elimination(a: ShodMultipede, b: ShodMultipede) -> bool:
         rhs[row] = int(frozenset(mu[f] for f in p) not in b.pede.positives)
     rows.append((0,))  # x_0 = 0 keeps the shoe on its foot
     system = incidence_field_matrix(rows, n)
-    return solve_gaussian(GF2, system, rhs, rows, list(range(n))) is not None
+    return solve_gaussian(system, rhs, rows, list(range(n))) is not None
 
 
 def twist(m: Multipede3, hyperedges) -> Multipede3:
