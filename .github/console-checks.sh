@@ -56,6 +56,13 @@ printf 'atoms: a b c\n' > three.str
 printf '#steps 3\n#active 10\nif Atoms then Halt := true endif\n' > guard.bgs
 exits 3 guard.json choiceless-lab bgs run --program guard.bgs --input three.str
 expect '"line 3" in r["error"]["message"]' < guard.json
+# a non-Boolean Halt and an unbound variable: only the parser checks these
+printf '#steps 3\n#active 10\nHalt := Atoms\n' > halt.bgs
+exits 3 halt.json choiceless-lab bgs run --program halt.bgs --input three.str
+expect '"line 3" in r["error"]["message"] and "only takes Boolean values" in r["error"]["message"]' < halt.json
+printf '#steps 3\n#active 10\nOutput := x = x\n' > unbound.bgs
+exits 3 unbound.json choiceless-lab bgs run --program unbound.bgs --input three.str
+expect '"line 3" in r["error"]["message"] and "unbound variable \x27x\x27" in r["error"]["message"]' < unbound.json
 choiceless-lab bgs run --program "$programs/doubling.bgs" --input three.str | expect 'r["result"]["verdict"] == "bound-exceeded"'
 # power.bgs visits its comprehensions' indexed atoms in hash and
 # address order: the result may not depend on either; each run

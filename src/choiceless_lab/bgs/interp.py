@@ -8,7 +8,9 @@ clash (same location, different values) nothing at all is applied.  All
 reads within a step see the pre-step state, including nested reads of
 dynamic symbols.
 
-A run first checks the program's vocabulary against the structure: every
+A run takes what ``parse_program`` returns, a closed program that gives
+``Halt`` and ``Output`` only Boolean terms, and checks neither again.  It
+first checks the program's vocabulary against the structure: every
 input symbol must be there with its arity, every input symbol in a Boolean
 position must be a relation, and no dynamic symbol (Halt and Output
 included) may be a relation or function of the structure, so each name
@@ -83,7 +85,6 @@ from .structures import InputStructure
 from .syntax import (
     App,
     BOOLEAN_BUILTINS,
-    BOOLEAN_DYNAMICS,
     BUILTIN_ARITY,
     Compr,
     Cond,
@@ -148,14 +149,7 @@ class _Compiler:
 
     def term(self, node, scope: dict, depth: int):
         if isinstance(node, Var):
-            slot = scope.get(node.name)
-            if slot is None:
-                message = f"unbound variable {node.name!r}"
-
-                def unbound(tables, env):
-                    raise ValidationError(message)
-
-                return unbound
+            slot = scope[node.name]
 
             def var(tables, env):
                 return env[slot]
@@ -460,7 +454,7 @@ class _Compiler:
         symbol = node.symbol
         value = self.term(node.value, scope, depth)
         slots = _bound_slots(node.args, scope)
-        if symbol not in BOOLEAN_DYNAMICS and slots is not None:  # the key built inline
+        if slots is not None:  # the key built inline
             if not slots:
                 return lambda tables, env, out: out.add((symbol, (), value(tables, env)))
             if len(slots) == 1:
@@ -471,20 +465,9 @@ class _Compiler:
                 (symbol, (env[s0], env[s1]), value(tables, env))
             )
         key = self.arguments(node.args, scope, depth)
-        if symbol not in BOOLEAN_DYNAMICS:
-            return lambda tables, env, out: out.add(
-                (symbol, key(tables, env), value(tables, env))
-            )
-        message = f"{symbol} assigned a non-Boolean value"
-
-        def boolean_update(tables, env, out):
-            args = key(tables, env)
-            v = value(tables, env)
-            if v is not TRUE and v is not EMPTY:
-                raise ValidationError(message)
-            out.add((symbol, args, v))
-
-        return boolean_update
+        return lambda tables, env, out: out.add(
+            (symbol, key(tables, env), value(tables, env))
+        )
 
 
 def _read_slots(node, scope: dict):
@@ -685,7 +668,7 @@ def _input_tables(structure: InputStructure, symbols) -> dict:
 
 
 def run(program: Program, structure: InputStructure) -> RunOutcome:
-    """Fire the program from the initial state under its own budgets."""
+    """Fire a parsed program from the initial state under its own budgets."""
     _vocabulary_check(program, structure)
     compiler = _Compiler(structure)
     step = compiler.rule(program.rule, {}, 0)

@@ -9,7 +9,7 @@ field too, and it refuses factors over another.
 """
 
 from .fields import FiniteField, gf, zp
-from .intmatrix import IntMatrix, det_prime_divisors, nonsingular_int
+from .intmatrix import IntMatrix, nonsingular_int
 from .matrix import (
     FieldMatrix,
     gl_exponent,
@@ -29,7 +29,6 @@ __all__ = [
     "FiniteField",
     "FieldMatrix",
     "IntMatrix",
-    "det_prime_divisors",
     "frequency_experiment",
     "gf",
     "gl_exponent",

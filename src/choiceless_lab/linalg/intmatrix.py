@@ -34,8 +34,8 @@ from .fields import zp
 from .matrix import FieldMatrix, _dense_rows, _list_mul, nonsingular_square  # noqa: F401
 from .primes import sieve_first_primes
 
-__all__ = ["IntMatrix", "det_prime_divisors", "determinant", "determinant_work",
-           "nonsingular_int", "prime_scan", "scan_width"]
+__all__ = ["IntMatrix", "determinant", "determinant_work", "nonsingular_int",
+           "prime_scan", "scan_width"]
 
 # sieving the first 2 * 256**2 primes takes 0.05-0.09 s on one Xeon core (0.4 s at 512)
 SCAN_MAX_WIDTH = 256
@@ -133,8 +133,3 @@ def prime_scan(m: IntMatrix) -> tuple:
         raise GuardExceeded("det.scan_width", SCAN_MAX_WIDTH, width)
     det = determinant(m)
     return det, [p for p in sieve_first_primes(2 * width * width) if det % p == 0]
-
-
-def det_prime_divisors(m: IntMatrix) -> frozenset:
-    """The scanned primes that divide the determinant (:func:`prime_scan`)."""
-    return frozenset(prime_scan(m)[1])

@@ -25,7 +25,8 @@ and the order unchanged.  The blocks and their canonical order are those
 of recomputing every vertex's full count vector each round
 (``stable_coloring`` says why).  The flow starts from a greedy pass over
 the linked pairs, which leaves few augmenting paths to search.
-``saturate`` and ``quotient`` compute the coloring of the graph they get.
+``saturate`` and ``quotient`` compute the coloring of the graph they get,
+and return graphs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import ValidationError
 __all__ = [
     "BipartiteGraph",
     "StableColoring",
-    "QuotientGraph",
     "path_algorithm",
     "stable_coloring",
     "saturate",
@@ -88,15 +88,6 @@ class StableColoring:
 
     a_blocks: tuple  # of frozensets
     b_blocks: tuple
-
-
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Canonically ordered copy of the saturated graph on index triples."""
-
-    a_vertices: tuple  # (0, block index, rank), lexicographically sorted
-    b_vertices: tuple  # (1, block index, rank)
-    edges: frozenset
 
 
 def path_algorithm(graph: BipartiteGraph, order) -> tuple:
@@ -315,14 +306,14 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     )
 
 
-def saturate(graph: BipartiteGraph) -> frozenset:
-    """Complete the edge relation to full block products wherever it meets
-    a pair of blocks of the graph's stable coloring."""
+def saturate(graph: BipartiteGraph) -> BipartiteGraph:
+    """The graph with its edge relation completed to full block products
+    wherever it meets a pair of blocks of the graph's stable coloring."""
     coloring = stable_coloring(graph)
     out: set = set()
     for i, j in _linked_blocks(graph, coloring):
         out.update(itertools.product(coloring.a_blocks[i], coloring.b_blocks[j]))
-    return frozenset(out)
+    return BipartiteGraph(graph.a_side, graph.b_side, frozenset(out))
 
 
 def _linked_blocks(graph: BipartiteGraph, coloring: StableColoring) -> set:
@@ -337,13 +328,13 @@ def _linked_blocks(graph: BipartiteGraph, coloring: StableColoring) -> set:
     return {(block_of[a], block_of[b]) for a, b in graph.edges}
 
 
-def quotient(graph: BipartiteGraph) -> QuotientGraph:
-    """Replace each block of the graph's stable coloring by numbered
-    triples; block adjacency becomes the edge relation.  The result is
-    identical, not merely isomorphic, for isomorphic inputs."""
+def quotient(graph: BipartiteGraph) -> BipartiteGraph:
+    """The saturated graph with each block of the graph's stable coloring
+    replaced by triples (side, block index, rank): identical, not merely
+    isomorphic, for isomorphic inputs."""
     coloring = stable_coloring(graph)
-    a_vertices, b_vertices = (
-        tuple((side, i, r) for i, block in enumerate(blocks) for r in range(len(block)))
+    a_side, b_side = (
+        frozenset((side, i, r) for i, block in enumerate(blocks) for r in range(len(block)))
         for side, blocks in enumerate((coloring.a_blocks, coloring.b_blocks))
     )
     edges = frozenset(
@@ -352,7 +343,7 @@ def quotient(graph: BipartiteGraph) -> QuotientGraph:
         for r in range(len(coloring.a_blocks[i]))
         for s in range(len(coloring.b_blocks[j]))
     )
-    return QuotientGraph(a_vertices, b_vertices, edges)
+    return BipartiteGraph(a_side, b_side, edges)
 
 
 def decide_complete_matching(graph: BipartiteGraph) -> bool:

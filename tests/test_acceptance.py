@@ -23,7 +23,6 @@ from choiceless_lab.cfi import (
 from choiceless_lab.linalg import (
     FieldMatrix,
     IntMatrix,
-    det_prime_divisors,
     frequency_experiment,
     identity,
     mat_pow,
@@ -34,7 +33,7 @@ from choiceless_lab.linalg import (
     sieve_first_primes,
     zp,
 )
-from choiceless_lab.linalg.intmatrix import scan_width
+from choiceless_lab.linalg.intmatrix import prime_scan, scan_width
 from choiceless_lab.matching import (
     BipartiteGraph,
     decide_complete_matching,
@@ -120,9 +119,9 @@ def test_criterion_02_saturation_lemma():
     corpora += [random_bipartite(rng, 8) for _ in range(500)]
     violations = 0
     for g in corpora:
-        plus = saturate(g)
-        assert g.edges <= plus
-        saturated = BipartiteGraph(g.a_side, g.b_side, plus)
+        saturated = saturate(g)
+        assert (saturated.a_side, saturated.b_side) == (g.a_side, g.b_side)
+        assert g.edges <= saturated.edges
         if hall_condition_direct(g.a_side, g.edges) != hall_condition_direct(
             saturated.a_side, saturated.edges
         ):
@@ -300,7 +299,7 @@ def test_criterion_09_integer_crt_test():
         )
         d = bareiss_det(rows)
         listed = sieve_first_primes(2 * scan_width(m) ** 2)
-        assert det_prime_divisors(m) == {p for p in listed if d % p == 0}
+        assert prime_scan(m) == (d, [p for p in listed if d % p == 0])
         divisor_checks += 1
     elapsed = time.monotonic() - started
     assert elapsed < 30.0

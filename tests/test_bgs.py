@@ -38,7 +38,7 @@ from choiceless_lab.bgs import (
 from choiceless_lab.bgs import interp
 from choiceless_lab.bgs import parser as parser_module
 from choiceless_lab.bgs.parser import MAX_NESTING
-from choiceless_lab.bgs.syntax import Forall
+from choiceless_lab.bgs.syntax import BOOLEAN_BUILTINS, BOOLEAN_DYNAMICS, Forall
 from choiceless_lab.cfi import build_twisted, complete_graph, pad
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, pair, transitive_closure
@@ -522,6 +522,64 @@ def runnable_texts(draw):
 @given(runnable_texts())
 def test_runnable_texts_parse(text):
     assert isinstance(parse_program(text), Program)
+
+
+def checked_nodes(program: Program) -> int:
+    """Walk a parsed program and check what the compiler relies on: each
+    variable is bound by an enclosing binder (a comprehension's in its
+    element and guard, a forall's in its body), and each Halt or Output
+    update gives a Boolean application, of a logical builtin, Halt, Output
+    or an input symbol of ``boolean_static_uses``.  Returns how many
+    variables and such updates it checked."""
+    boolean = BOOLEAN_BUILTINS | BOOLEAN_DYNAMICS | program.boolean_static_uses
+    checked = 0
+
+    def term(node, bound):
+        nonlocal checked
+        if isinstance(node, Var):
+            assert node.name in bound, node
+            checked += 1
+        elif isinstance(node, App):
+            for arg in node.args:
+                term(arg, bound)
+        elif isinstance(node, Compr):
+            term(node.source, bound)
+            term(node.element, bound | {node.var})
+            term(node.guard, bound | {node.var})
+
+    def rule(node, bound):
+        nonlocal checked
+        if isinstance(node, Update):
+            for arg in node.args:
+                term(arg, bound)
+            term(node.value, bound)
+            if node.symbol in BOOLEAN_DYNAMICS:
+                assert isinstance(node.value, App) and node.value.symbol in boolean, node
+                checked += 1
+        elif isinstance(node, Cond):
+            term(node.guard, bound)
+            rule(node.then_rule, bound)
+            rule(node.else_rule, bound)
+        elif isinstance(node, Forall):
+            term(node.source, bound)
+            rule(node.body, bound | {node.var})
+        elif isinstance(node, Par):
+            for r in node.rules:
+                rule(r, bound)
+
+    rule(program.rule, frozenset())
+    return checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(runnable_texts())
+def test_parsed_programs_are_closed_and_give_halt_and_output_boolean_values(text):
+    assert checked_nodes(parse_program(text)) > 0  # Halt is always assigned
+
+
+def test_shipped_programs_are_closed_and_give_halt_and_output_boolean_values():
+    for name in ("power", "parity", "doubling"):
+        assert checked_nodes(load_builtin_program(name)) > 0
 
 
 # damaged texts seldom parse, so grammar-built bodies and closed programs
@@ -1021,16 +1079,15 @@ def test_off_domain_convention(five_atoms):
 
 
 def test_unbound_variable_is_reported_when_evaluated(five_atoms):
+    # no parsed program holds these trees, so the compiled path, which takes
+    # what parse_program returns, is not asked: only the oracle checks them
     state = State(five_atoms)
-    term = App("Pair", (Var("y"), Var("z")))
-    for eval_term in EVALUATORS:
-        with pytest.raises(ValidationError, match="unbound variable 'y'"):
-            eval_term(state, {}, term)
-    for collect in COLLECTORS:
-        with pytest.raises(ValidationError, match="unbound variable 'u'"):
-            collect(state, {}, Update("F", (Var("u"),), Var("w")))
-        with pytest.raises(ValidationError, match="non-Boolean"):
-            collect(state, {}, Update("Halt", (), Lit(2)))
+    with pytest.raises(ValidationError, match="unbound variable 'y'"):
+        bgs_oracle.eval_term(state, {}, App("Pair", (Var("y"), Var("z"))))
+    with pytest.raises(ValidationError, match="unbound variable 'u'"):
+        bgs_oracle.collect_updates(state, {}, Update("F", (Var("u"),), Var("w")))
+    with pytest.raises(ValidationError, match="non-Boolean"):
+        bgs_oracle.collect_updates(state, {}, Update("Halt", (), Lit(2)))
 
 
 # ----------------------------------------------------- updates and firing

@@ -16,7 +16,6 @@ from choiceless_lab.errors import GuardExceeded, ParseError, ValidationError
 from choiceless_lab.linalg import (
     FieldMatrix,
     IntMatrix,
-    det_prime_divisors,
     frequency_experiment,
     gf,
     gl_exponent,
@@ -35,7 +34,7 @@ from choiceless_lab.linalg import (
     zp,
 )
 from choiceless_lab.linalg.fields import _is_prime
-from choiceless_lab.linalg.intmatrix import determinant, determinant_work, scan_width
+from choiceless_lab.linalg.intmatrix import determinant, determinant_work, prime_scan, scan_width
 from choiceless_lab.linalg.matrix import _Layout
 from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
@@ -814,15 +813,13 @@ def test_prime_decision_matches_group_order_and_leibniz(data):
         assert leibniz_det_mod(rows, p) == det % p
 
 
-def test_det_prime_divisors_examples():
+def test_prime_scan_examples():
     diag = IntMatrix.from_int_entries({(0, 0): 2, (0, 1): 0, (1, 0): 0, (1, 1): 3})
-    divs = det_prime_divisors(diag)
-    assert {2, 3} <= divs
-    n = scan_width(diag)
-    listed = sieve_first_primes(2 * n * n)
-    assert divs == {p for p in listed if 6 % p == 0}
+    assert prime_scan(diag) == (6, [2, 3])
     eye = IntMatrix.from_int_entries({(0, 0): 1, (1, 1): 1}, index_set={0, 1})
-    assert det_prime_divisors(eye) == frozenset()
+    assert prime_scan(eye) == (1, [])
+    zero = IntMatrix.from_int_entries({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert prime_scan(zero) == (0, sieve_first_primes(2 * scan_width(zero) ** 2))
 
 
 def test_nonsingular_int_invariant_under_renaming():
@@ -859,7 +856,7 @@ def test_crt_soundness_some_prime_misses_nonzero_determinants():
         assert any(d % p != 0 for p in listed)
 
 
-def test_det_prime_divisors_matches_trial_division():
+def test_prime_scan_matches_trial_division():
     rng = random.Random(43)
     for _ in range(10):
         n = rng.randrange(1, 4)
@@ -870,7 +867,7 @@ def test_det_prime_divisors_matches_trial_division():
         )
         d = bareiss_det(rows)
         listed = sieve_first_primes(2 * scan_width(m) ** 2)
-        assert det_prime_divisors(m) == {p for p in listed if d % p == 0}
+        assert prime_scan(m) == (d, [p for p in listed if d % p == 0])
 
 
 def _diagonal(names, digit_count):

@@ -378,23 +378,23 @@ def test_saturate_worked_example():
         [("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a3", "b2")],
     )
     plus = saturate(g)
-    assert plus == g.edges | {("a1", "b2"), ("a3", "b1")}
+    assert (plus.a_side, plus.b_side) == (g.a_side, g.b_side)
+    assert plus.edges == g.edges | {("a1", "b2"), ("a3", "b1")}
 
 
 def test_saturate_trivia():
     empty = graph(["a1"], ["b1"], [])
-    assert saturate(empty) == frozenset()
+    assert saturate(empty).edges == frozenset()
     complete = graph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1")])
-    assert saturate(complete) == complete.edges
+    assert saturate(complete).edges == complete.edges
 
 
 def test_saturation_preserves_hall_condition():
     rng = random.Random(19)
     for _ in range(120):
         g = random_graph(rng, max_side=5)
-        plus = saturate(g)
-        assert g.edges <= plus
-        g_plus = graph(g.a_side, g.b_side, plus)
+        g_plus = saturate(g)
+        assert g.edges <= g_plus.edges
         assert hall_condition_direct(g.a_side, g.edges) == hall_condition_direct(
             g_plus.a_side, g_plus.edges
         )
@@ -410,14 +410,15 @@ def test_quotient_worked_example():
         [("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a3", "b2")],
     )
     q = quotient(g)
-    assert len(q.a_vertices) == 3
-    assert len(q.b_vertices) == 2
+    assert len(q.a_side) == 3
+    assert len(q.b_side) == 2
     assert len(q.edges) == 6  # complete bipartite between the blocks
 
 
 def test_quotient_single_vertices():
     linked = graph(["a1"], ["b1"], [("a1", "b1")])
     q = quotient(linked)
+    assert (q.a_side, q.b_side) == ({(0, 0, 0)}, {(1, 0, 0)})
     assert q.edges == frozenset({((0, 0, 0), (1, 0, 0))})
     bare = graph(["a1"], ["b1"], [])
     assert quotient(bare).edges == frozenset()
@@ -436,7 +437,8 @@ def test_quotient_is_canonical_under_renaming():
             [mapping[b] for b in g.b_side],
             [(mapping[a], mapping[b]) for a, b in g.edges],
         )
-        assert quotient(g) == quotient(g2)
+        q, q2 = quotient(g), quotient(g2)
+        assert (q.a_side, q.b_side, q.edges) == (q2.a_side, q2.b_side, q2.edges)
 
 
 # ---------------------------------------------------------------- decision
@@ -487,10 +489,20 @@ def test_decision_matches_path_algorithm_on_expanded_quotient(example):
     for sides in both_namings(example):
         g = graph(*sides)
         q = quotient(g)
-        expanded = BipartiteGraph(frozenset(q.a_vertices), frozenset(q.b_vertices), q.edges)
-        by_path, _ = path_algorithm(expanded, sorted(q.a_vertices + q.b_vertices))
+        by_path, _ = path_algorithm(q, sorted(q.a_side | q.b_side))
         assert decide_complete_matching(g) == by_path
         assert by_path == hall_condition_direct(g.a_side, g.edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming(max_side=6))
+def test_saturation_and_quotient_keep_the_maximum_matching_size(example):
+    for sides in both_namings(example):
+        g = graph(*sides)
+        size = max_matching_brute(g.a_side, g.edges)
+        for h in (saturate(g), quotient(g)):
+            assert max_matching_brute(h.a_side, h.edges) == size
+            assert decide_complete_matching(h) == (size == len(g.a_side))
 
 
 def test_max_matching_size_takes_flow_back(monkeypatch):
