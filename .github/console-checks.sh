@@ -116,6 +116,11 @@ for m in wide2 tall3; do
 done
 printf 'ring Z\nrows a b c\nsquare\na a 1\na b 2\na c 3\nb a 4\nb b 5\nb c 6\nc a 1\nc b 2\nc c 3\n' > z.mat
 choiceless-lab solve det --matrix z.mat --prime-divisors | expect 'r["result"]["determinant_zero"] is True'
+# the installed solve det loads the linear algebra it runs, and none of
+# the interpreter, matching, CFI or multipede modules
+PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve det --matrix z.mat 2> det-imports.txt > /dev/null
+grep -qE 'choiceless_lab\.linalg\.matrix\s*$' det-imports.txt || { echo "no import profile of solve det:"; cat det-imports.txt; exit 1; }
+if grep -E 'choiceless_lab\.(bgs\.interp|matching|cfi|multipede)\s*$' det-imports.txt; then echo "solve det imported the modules above"; exit 1; fi
 choiceless-lab gen matrix --n 3 --seed 1 --file zgen.mat
 head -n 1 zgen.mat | grep -qx 'ring Z'
 choiceless-lab solve det --matrix zgen.mat --prime-divisors | expect 'r["result"]["method"] == "crt"'

@@ -6,32 +6,27 @@ apart from the timing field.  Randomized commands require an explicit
 seed.  Resource guards exit with a distinct status; no option lifts them.
 
 Exit statuses: 0 ok, 2 usage, 3 parse/validation, 4 guard, 5 internal.
+
+Each invocation is a fresh process, so this module imports at load time
+only what every command needs, and each handler imports the code it runs
+when it is called, from the module that defines it: ``solve det`` loads
+no interpreter and ``bgs run`` no linear algebra.  ``parse_structure``
+and ``write_structure`` stay module-level names, read from the light
+``bgs.structures``, because most commands read or write a structure and
+a benchmark tracer rebinds ``parse_structure`` in every module that holds
+it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 import time
 
-from . import __version__, cfi, matching, multipede
-from .bgs import parse_program, parse_structure, run, write_structure
+from . import __version__
+from .bgs.structures import parse_structure, write_structure
 from .errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
-from .linalg import (
-    IntMatrix,
-    frequency_experiment,
-    gf,
-    nonsingular_int,
-    nonsingular_rect,
-    nonsingular_square,
-    random_matrix,
-    rank_gaussian,
-)
-from .linalg.intmatrix import prime_scan
-from .linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,6 +157,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_bgs_run(args) -> dict:
+    from .bgs.interp import run
+    from .bgs.parser import parse_program
+
     program = parse_program(_read(args.program))
     structure = parse_structure(_read(args.input))
     outcome = run(program, structure)
@@ -174,6 +172,8 @@ def _cmd_bgs_run(args) -> dict:
 
 
 def _cmd_gen_cfi(args) -> dict:
+    from . import cfi
+
     if args.m < 2:
         raise ValidationError("m must be at least 2")  # K2 gadgets classify as not-CFI
     cfi.check_m(args.m, args.pad)
@@ -198,6 +198,8 @@ def _cmd_gen_cfi(args) -> dict:
 
 
 def _cmd_gen_multipede(args) -> dict:
+    from . import multipede
+
     pede = multipede.random_multipede(args.segments, args.hyperedges, args.seed)
     emitted = multipede.shoe_expansions(pede)[0] if args.shoe else pede
     _write(args.file, write_structure(multipede.to_structure(emitted)))
@@ -211,6 +213,11 @@ def _cmd_gen_multipede(args) -> dict:
 
 
 def _cmd_gen_bipartite(args) -> dict:
+    import math
+    import random
+
+    from . import matching
+
     if args.na < 0 or args.nb < 0:
         raise ValidationError("side sizes must not be negative")
     if not 0 <= args.density <= 1:  # NaN fails too
@@ -240,6 +247,13 @@ def _check_matrix_size(n: int) -> None:
 
 
 def _cmd_gen_matrix(args) -> dict:
+    import random
+
+    from .linalg.fields import gf
+    from .linalg.intmatrix import IntMatrix
+    from .linalg.matio import write_field_matrix, write_int_matrix
+    from .linalg.sampling import random_matrix
+
     if args.q is not None and args.max_abs is not None:
         raise _UsageError("--max-abs needs an integer matrix")
     _check_matrix_size(args.n)
@@ -264,6 +278,8 @@ def _cmd_gen_matrix(args) -> dict:
 
 
 def _cmd_solve_matching(args) -> dict:
+    from . import matching
+
     graph = matching.graph_from_structure(parse_structure(_read(args.input)))
     if args.max_size:
         return {"max_matching": matching.max_matching_size(graph)}
@@ -272,6 +288,10 @@ def _cmd_solve_matching(args) -> dict:
 
 
 def _cmd_solve_det(args) -> dict:
+    from .linalg.intmatrix import nonsingular_int, prime_scan
+    from .linalg.matio import parse_matrix
+    from .linalg.matrix import nonsingular_rect, nonsingular_square, rank_gaussian
+
     kind, m = parse_matrix(_read(args.matrix))
     if kind == "int":
         if args.method:
@@ -301,29 +321,40 @@ def _cmd_solve_det(args) -> dict:
 
 
 def _cmd_solve_cfi_classify(args) -> dict:
+    from . import cfi
+
     structure = cfi.from_structure(parse_structure(_read(args.input)))
     return {"class": cfi.recognize_and_classify(structure)}
 
 
 def _cmd_iso_cfi(args) -> dict:
+    from . import cfi
+
     a = cfi.from_structure(parse_structure(_read(args.a)))
     b = cfi.from_structure(parse_structure(_read(args.b)))
     return {"isomorphic": cfi.isomorphic_gadgets(a, b)}
 
 
 def _cmd_iso_multipede(args) -> dict:
+    from . import multipede
+
     shod_a = multipede.from_structure(parse_structure(_read(args.a)))
     shod_b = multipede.from_structure(parse_structure(_read(args.b)))
     return {"isomorphic": multipede.iso3_decide(shod_a, shod_b)}
 
 
 def _cmd_experiment(args) -> dict:
+    from .linalg.fields import gf
+    from .linalg.sampling import frequency_experiment
+
     _check_matrix_size(args.n)  # every trial draws n^2 entries
     fraction = frequency_experiment(gf(args.q), args.n, args.trials, args.seed)
     return {"fraction": fraction, "trials": args.trials}
 
 
 def _cmd_validate_multipede(args) -> dict:
+    from . import multipede
+
     structure = parse_structure(_read(args.input))
     pede, shoe = multipede.from_structure_lenient(structure)
     violations = multipede.validate(pede)

@@ -20,7 +20,7 @@ from choiceless_lab.cli import (
     EXIT_USAGE,
     dispatch,
 )
-from choiceless_lab.linalg import intmatrix, sieve_first_primes
+from choiceless_lab.linalg import intmatrix, sampling, sieve_first_primes
 
 from helpers import largest_admitted, run_child, twin_gadget
 from oracles import flip_feet
@@ -821,7 +821,7 @@ def test_experiment_guard_admits_the_largest_matrix(capsys, monkeypatch):
     """The largest n the entry guard admits reaches the experiment, which
     is stubbed: one trial at n = 800 would eliminate for minutes."""
     drawn = []
-    monkeypatch.setattr(cli, "frequency_experiment", lambda field, n, *rest: drawn.append(n) or 0.0)
+    monkeypatch.setattr(sampling, "frequency_experiment", lambda field, n, *rest: drawn.append(n) or 0.0)
     n = math.isqrt(cli.MATRIX_MAX_ENTRIES)
     code, _ = _experiment(capsys, n)
     assert code == EXIT_OK

@@ -1,0 +1,148 @@
+"""Start-up: each command loads only the modules it runs.
+
+Every ``choiceless-lab`` invocation is a fresh process, so what a command
+imports is paid on every run.  These checks count modules and time
+nothing: each case runs in a fresh interpreter and reads ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import importlib.resources
+import json
+import pkgutil
+
+import pytest
+
+import choiceless_lab
+from choiceless_lab.cli import EXIT_OK, dispatch
+
+from helpers import run_child
+
+# dispatch argv, then print the package modules loaded as the last line
+_DISPATCH = """
+import json, sys
+from choiceless_lab import cli
+code, _ = cli.dispatch(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("choiceless_lab"))]))
+"""
+
+
+def _python(*args):
+    """Run python args... in a fresh interpreter; fail with its stderr."""
+    child = run_child(args, check=False)
+    assert child.returncode == 0, child.stderr
+    return child
+
+
+def _loaded_by(argv) -> set:
+    child = _python("-c", _DISPATCH, *argv)
+    code, modules = json.loads(child.stdout.splitlines()[-1])
+    assert code == EXIT_OK, child.stdout
+    return {m.removeprefix("choiceless_lab.") for m in modules}
+
+
+def _within(modules: set, names) -> set:
+    """The modules that are one of ``names`` or inside one of them."""
+    return {m for m in modules for n in names if m == n or m.startswith(n + ".")}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    paths = {
+        "int": root / "z.mat",
+        "field": root / "f.mat",
+        "graph": root / "g.str",
+        "gadget": root / "c.str",
+        "atoms": root / "atoms.str",
+    }
+    for argv in (
+        ["gen", "matrix", "--n", "4", "--seed", "1", "--file", str(paths["int"])],
+        ["gen", "matrix", "--q", "3", "--n", "4", "--seed", "1", "--file", str(paths["field"])],
+        ["gen", "bipartite", "--na", "4", "--nb", "4", "--seed", "1", "--file", str(paths["graph"])],
+        ["gen", "cfi", "--m", "3", "--twist", "odd", "--file", str(paths["gadget"])],
+    ):
+        assert dispatch(["--out", str(root / "gen.json")] + argv)[0] == EXIT_OK
+    paths["atoms"].write_text("atoms: a b c\n")
+    paths["parity"] = importlib.resources.files("choiceless_lab") / "programs" / "parity.bgs"
+    return {key: str(path) for key, path in paths.items()}
+
+
+# (argv with {input} placeholders, modules it must load, modules it may not)
+_CASES = {
+    "solve det, Z": (
+        ["solve", "det", "--matrix", "{int}"],
+        {"linalg.intmatrix"},
+        ["bgs.interp", "bgs.parser", "bgs.syntax", "matching", "cfi", "multipede"],
+    ),
+    "solve det, GF(3)": (
+        ["solve", "det", "--matrix", "{field}"],
+        {"linalg.matrix"},
+        ["bgs.interp", "bgs.parser", "bgs.syntax", "matching", "cfi", "multipede"],
+    ),
+    "solve matching": (
+        ["solve", "matching", "--input", "{graph}"],
+        {"matching"},
+        ["linalg", "bgs.interp", "cfi", "multipede"],
+    ),
+    "bgs run": (
+        ["bgs", "run", "--program", "{parity}", "--input", "{atoms}"],
+        {"bgs.interp", "bgs.parser"},
+        ["linalg", "matching", "cfi", "multipede"],
+    ),
+    "solve cfi-classify": (
+        ["solve", "cfi-classify", "--input", "{gadget}"],
+        {"cfi"},
+        ["multipede", "linalg", "bgs.interp"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_command_loads_only_what_it_runs(case, inputs):
+    argv, needed, barred = _CASES[case]
+    modules = _loaded_by([arg.format(**inputs) for arg in argv])
+    assert needed <= modules
+    assert _within(modules, barred) == set()
+
+
+_LAZY_NAMES = """
+import sys
+import choiceless_lab.bgs as bgs
+eager = {"InputStructure", "parse_structure", "write_structure"}
+light = [m for m in ("interp", "parser", "syntax") if f"choiceless_lab.bgs.{m}" in sys.modules]
+assert light == [], light
+from choiceless_lab.bgs import interp
+assert interp is sys.modules["choiceless_lab.bgs.interp"]
+from choiceless_lab.bgs import parser, structures, syntax
+for name in bgs.__all__:
+    holders = [m for m in (interp, parser, structures, syntax) if name in vars(m)]
+    assert holders, name
+    assert all(getattr(bgs, name) is vars(m)[name] for m in holders), name
+# nothing resolved through __getattr__ is kept in the package
+assert set(vars(bgs)) & set(bgs.__all__) == eager
+try:
+    bgs.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("bgs.no_such_name resolved")
+assert not hasattr(bgs, "no_such_name")
+"""
+
+
+def test_bgs_names_resolve_lazily_to_their_defining_objects():
+    _python("-c", _LAZY_NAMES)
+
+
+# __main__ runs the command line when imported, so it is left out
+_MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(choiceless_lab.__path__, "choiceless_lab.")
+    if info.name != "choiceless_lab.__main__"
+)
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_imports_alone(module):
+    _python("-c", f"import {module}")
