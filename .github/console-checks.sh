@@ -117,10 +117,14 @@ done
 printf 'ring Z\nrows a b c\nsquare\na a 1\na b 2\na c 3\nb a 4\nb b 5\nb c 6\nc a 1\nc b 2\nc c 3\n' > z.mat
 choiceless-lab solve det --matrix z.mat --prime-divisors | expect 'r["result"]["determinant_zero"] is True'
 # the installed solve det loads the linear algebra it runs, and none of
-# the interpreter, matching, CFI or multipede modules
+# the set-machine package, the sampler, matching, CFI or multipede modules
 PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve det --matrix z.mat 2> det-imports.txt > /dev/null
 grep -qE 'choiceless_lab\.linalg\.matrix\s*$' det-imports.txt || { echo "no import profile of solve det:"; cat det-imports.txt; exit 1; }
-if grep -E 'choiceless_lab\.(bgs\.interp|matching|cfi|multipede)\s*$' det-imports.txt; then echo "solve det imported the modules above"; exit 1; fi
+if grep -E 'choiceless_lab\.(bgs(\.\w+)?|linalg\.sampling|matching|cfi|multipede)\s*$' det-imports.txt; then echo "solve det imported the modules above"; exit 1; fi
+# solve matching loads neither the set-machine package nor linear algebra
+PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve matching --input g.str 2> matching-imports.txt > /dev/null
+grep -qE 'choiceless_lab\.matching\s*$' matching-imports.txt || { echo "no import profile of solve matching:"; cat matching-imports.txt; exit 1; }
+if grep -E 'choiceless_lab\.(bgs|linalg)(\.\w+)?\s*$' matching-imports.txt; then echo "solve matching imported the modules above"; exit 1; fi
 choiceless-lab gen matrix --n 3 --seed 1 --file zgen.mat
 head -n 1 zgen.mat | grep -qx 'ring Z'
 choiceless-lab solve det --matrix zgen.mat --prime-divisors | expect 'r["result"]["method"] == "crt"'

@@ -6,46 +6,29 @@ conditional, bounded forall and parallel blocks.  A program artifact also
 carries its polynomial step and active-element budgets and whether it
 needs the cardinality builtin.
 
-Importing the package loads only ``structures``, which the matching, CFI
-and multipede code read their inputs with.  The other names in
-``__all__`` (from ``interp``, ``parser`` and ``syntax``) resolve on first
-use through the module ``__getattr__``, which imports their module then.
-None is cached here: each access reads the defining module, so a function
-rebound there, and put back later, is seen as it is at that moment.
+The input structures the machine runs on are defined in
+:mod:`choiceless_lab.structures`; their three public names are re-exported
+here.
 """
 
-from importlib import import_module
-
-from .structures import InputStructure, parse_structure, write_structure
-
-# module -> the names of __all__ that it defines and __getattr__ resolves
-_LAZY = {
-    "interp": ("RunOutcome", "State", "fire", "run"),
-    "parser": ("parse_program",),
-    "syntax": (
-        "App",
-        "Compr",
-        "Cond",
-        "Forall",
-        "Lit",
-        "Par",
-        "Program",
-        "Rule",
-        "RunBounds",
-        "Skip",
-        "Term",
-        "Update",
-        "Var",
-    ),
-}
-
-
-def __getattr__(name):
-    for module, names in _LAZY.items():
-        if name in names:
-            return getattr(import_module(f".{module}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from ..structures import InputStructure, parse_structure, write_structure
+from .interp import RunOutcome, State, fire, run
+from .parser import parse_program
+from .syntax import (
+    App,
+    Compr,
+    Cond,
+    Forall,
+    Lit,
+    Par,
+    Program,
+    Rule,
+    RunBounds,
+    Skip,
+    Term,
+    Update,
+    Var,
+)
 
 __all__ = [
     "App",

@@ -81,7 +81,7 @@ from ..hfset import (
     the_unique,
     union_all,
 )
-from .structures import InputStructure
+from ..structures import InputStructure
 from .syntax import (
     App,
     BOOLEAN_BUILTINS,

@@ -10,7 +10,7 @@ whether the odd or the even subsets are kept; up to isomorphism only the
 parity of |T| matters, and the two parities give non-isomorphic graphs.
 
 :func:`build_twisted` returns a gadget as the
-:class:`~choiceless_lab.bgs.structures.InputStructure` that files and
+:class:`~choiceless_lab.structures.InputStructure` that files and
 programs read, and :func:`pad` a padded copy of one: the block vertices,
 pair vertices and any padding as atoms, in that order, ``Adj`` listing
 every edge both ways and ``Pre`` the block pre-order pair by pair.
@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bgs.structures import InputStructure, preorder_classes
+from .structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
 
 __all__ = [

@@ -11,9 +11,9 @@ Each invocation is a fresh process, so this module imports at load time
 only what every command needs, and each handler imports the code it runs
 when it is called, from the module that defines it: ``solve det`` loads
 no interpreter and ``bgs run`` no linear algebra.  ``parse_structure``
-and ``write_structure`` stay module-level names, read from the light
-``bgs.structures``, because most commands read or write a structure and
-a benchmark tracer rebinds ``parse_structure`` in every module that holds
+and ``write_structure`` stay module-level names, read from
+``structures``, because most commands read or write a structure and a
+benchmark tracer rebinds ``parse_structure`` in every module that holds
 it.
 """
 
@@ -25,8 +25,8 @@ import sys
 import time
 
 from . import __version__
-from .bgs.structures import parse_structure, write_structure
 from .errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
+from .structures import parse_structure, write_structure
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -24,6 +24,8 @@ in the test suite (``tests/oracles.py``), not at run time.
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import GuardExceeded, ValidationError
 
 
@@ -147,20 +149,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# every field made so far, by order: zp's prime fields and gf's tables
-_FIELDS: dict = {}
-
-
+@functools.cache
 def zp(p: int) -> FiniteField:
-    """The prime field of integers modulo ``p``."""
-    field = _FIELDS.get(p)
-    if field is None or p in _GF_MODULI:  # a table field's order is not prime
-        if p > FIELD_MAX_ORDER:
-            raise GuardExceeded("field.max_order", FIELD_MAX_ORDER, p)
-        if not _is_prime(p):
-            raise ValidationError(f"{p} is not prime")
-        field = _FIELDS[p] = _PrimeField(p)
-    return field
+    """The prime field of integers modulo ``p``, made once per order."""
+    if p > FIELD_MAX_ORDER:
+        raise GuardExceeded("field.max_order", FIELD_MAX_ORDER, p)
+    if not _is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    return _PrimeField(p)
 
 
 def _poly_field(p: int, e: int, modulus: tuple) -> FiniteField:
@@ -213,15 +209,14 @@ _GF_MODULI = {
 }
 
 
+@functools.cache
 def gf(q: int) -> FiniteField:
-    """A field of order q: prime orders arithmetically, 4/8/9 from tables."""
+    """A field of order q, made once per order: prime orders
+    arithmetically, 4/8/9 from tables."""
     if q not in _GF_MODULI:
         try:
             return zp(q)
         except ValidationError:
             raise ValidationError(f"no field fixture of order {q}") from None
-    field = _FIELDS.get(q)
-    if field is None:
-        p, modulus = _GF_MODULI[q]
-        field = _FIELDS[q] = _poly_field(p, len(modulus) - 1, modulus)
-    return field
+    p, modulus = _GF_MODULI[q]
+    return _poly_field(p, len(modulus) - 1, modulus)

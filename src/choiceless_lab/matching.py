@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .bgs.structures import InputStructure
+from .structures import InputStructure
 from .errors import ValidationError
 
 __all__ = [

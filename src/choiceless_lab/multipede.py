@@ -31,7 +31,7 @@ that lists fewer is refused, not read as the sets they would collapse to.
 A structure lists the segment order ``Leq`` pair by pair, n(n+1)/2 pairs.
 It is read, exactly and in time linear in the pairs, from the segments'
 degree counts as a total pre-order whose classes are the single segments
-(:func:`~choiceless_lab.bgs.structures.preorder_classes`).
+(:func:`~choiceless_lab.structures.preorder_classes`).
 
 Both decisions read ranks of the incidence matrix packed one int
 per hyperedge, with bit i for the segment at order position i.  A rank
@@ -57,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bgs.structures import InputStructure, preorder_classes
+from .structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
 from .linalg.matrix import _rank_bitrows
 

@@ -23,7 +23,6 @@ from choiceless_lab.bgs.interp import (
     State,
     _vocabulary_check,
 )
-from choiceless_lab.bgs.structures import InputStructure
 from choiceless_lab.bgs.syntax import (
     App,
     BOOLEAN_DYNAMICS,
@@ -51,6 +50,7 @@ from choiceless_lab.hfset import (
     the_unique,
     union_all,
 )
+from choiceless_lab.structures import InputStructure
 
 
 _TOKEN_RE = re.compile(

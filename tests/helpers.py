@@ -10,9 +10,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import choiceless_lab
-from choiceless_lab.bgs import InputStructure
 from choiceless_lab.cfi import build_twisted, complete_graph
 from choiceless_lab.linalg import intmatrix
+from choiceless_lab.structures import InputStructure
 
 
 def empty_structure(n: int) -> InputStructure:

@@ -20,20 +20,17 @@ from choiceless_lab.cfi import (
     pad,
     recognize_and_classify,
 )
-from choiceless_lab.linalg import (
+from choiceless_lab.linalg.fields import zp
+from choiceless_lab.linalg.intmatrix import IntMatrix, nonsingular_int, prime_scan, scan_width
+from choiceless_lab.linalg.matrix import (
     FieldMatrix,
-    IntMatrix,
-    frequency_experiment,
     identity,
     mat_pow,
-    nonsingular_int,
     nonsingular_square,
-    random_matrix,
     rank_gaussian,
-    sieve_first_primes,
-    zp,
 )
-from choiceless_lab.linalg.intmatrix import prime_scan, scan_width
+from choiceless_lab.linalg.primes import sieve_first_primes
+from choiceless_lab.linalg.sampling import frequency_experiment, random_matrix
 from choiceless_lab.matching import (
     BipartiteGraph,
     decide_complete_matching,

@@ -19,7 +19,6 @@ from choiceless_lab.bgs import (
     App,
     Compr,
     Cond,
-    InputStructure,
     Lit,
     Par,
     Program,
@@ -31,9 +30,7 @@ from choiceless_lab.bgs import (
     Var,
     fire,
     parse_program,
-    parse_structure,
     run,
-    write_structure,
 )
 from choiceless_lab.bgs import interp
 from choiceless_lab.bgs import parser as parser_module
@@ -42,8 +39,9 @@ from choiceless_lab.bgs.syntax import BOOLEAN_BUILTINS, BOOLEAN_DYNAMICS, Forall
 from choiceless_lab.cfi import build_twisted, complete_graph, pad
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import EMPTY, TRUE, Atom, make_set, ordinal, pair, transitive_closure
-from choiceless_lab.linalg import mat_pow, zp
-from choiceless_lab.linalg.matrix import FieldMatrix
+from choiceless_lab.linalg.fields import zp
+from choiceless_lab.linalg.matrix import FieldMatrix, mat_pow
+from choiceless_lab.structures import InputStructure, parse_structure, write_structure
 
 import bgs_oracle
 from bgs_oracle import run_oracle
@@ -148,6 +146,9 @@ def test_parse_errors():
         ("Pair(x) := 1", "cannot assign to builtin 'Pair'", 3, 1),
         # a character no token starts with is an error where it stands
         ("Output := x = x $", "unbound variable 'x'", 3, 11),
+        ("do forall 1 in Atoms, skip enddo", "expected a variable name", 3, 11),
+        ("do in parallel\n  A := F(1);\n  B := F(1, 2)\nenddo", "'F' used with arities 1 and 2", 5, 8),
+        ("do forall x in Atoms,\n  A := x(1)\nenddo", "variable 'x' cannot be applied", 4, 8),
     ],
 )
 def test_semantic_errors_carry_their_position(body, fragment, line, column):
@@ -192,6 +193,20 @@ def test_parse_error_reports_position():
 )
 def test_malformed_budget_coefficient_is_a_parse_error(headers, line):
     with pytest.raises(ParseError) as err:
+        parse_program(headers + "Halt := true")
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "headers, fragment, line",
+    [
+        ("#steps 1\n# // a comment only\n#active 2\n", "empty header line", 2),
+        ("#steps 1\n#active 2\n#budget 3\n", "unknown header 'budget'", 3),
+        ("#requires choice\n#steps 1\n#active 2\n", "unknown requirement ['choice']", 1),
+    ],
+)
+def test_unknown_header_is_a_parse_error_at_its_line(headers, fragment, line):
+    with pytest.raises(ParseError, match=re.escape(fragment)) as err:
         parse_program(headers + "Halt := true")
     assert err.value.line == line
 
@@ -1226,7 +1241,8 @@ def test_parity_run_counts(n, verdict, steps, peak_active):
 # large pytest process would report the parent's size
 _PROBE = """
 import json, re, sys
-from choiceless_lab.bgs import InputStructure, parse_program, run
+from choiceless_lab.bgs import parse_program, run
+from choiceless_lab.structures import InputStructure
 outcome = run(parse_program(sys.argv[1]), InputStructure.build(["a"]))
 with open("/proc/self/status") as status:
     peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import cfi
-from choiceless_lab.bgs import InputStructure, parse_structure, write_structure
 from choiceless_lab.cfi import (
     NOT_CFI,
     BaseGraph,
@@ -23,6 +22,7 @@ from choiceless_lab.cfi import (
     recognize_and_classify,
 )
 from choiceless_lab.errors import GuardExceeded, ValidationError
+from choiceless_lab.structures import InputStructure, parse_structure, write_structure
 
 from helpers import (
     GadgetLayout,

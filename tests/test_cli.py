@@ -12,7 +12,6 @@ import time
 import pytest
 
 from choiceless_lab import cli, multipede
-from choiceless_lab.bgs import parse_structure, write_structure
 from choiceless_lab.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -20,7 +19,9 @@ from choiceless_lab.cli import (
     EXIT_USAGE,
     dispatch,
 )
-from choiceless_lab.linalg import intmatrix, sampling, sieve_first_primes
+from choiceless_lab.linalg import intmatrix, sampling
+from choiceless_lab.linalg.primes import sieve_first_primes
+from choiceless_lab.structures import parse_structure, write_structure
 
 from helpers import largest_admitted, run_child, twin_gadget
 from oracles import flip_feet
@@ -528,6 +529,7 @@ def test_determinant_one_step_past_the_work_guard_exits_at_once(tmp_path, capsys
 _BAD_MATRIX_TEXTS = {
     "missing ring header": ("rows a\nsquare\n", None),
     "field order not a number": ("field two\nrows a\nsquare\n", 1),
+    "field header without an order": ("field\nrows a\nsquare\n", 1),
     "no field of that order": ("field 6\nrows a\nsquare\n", 1),
     "ring other than Z": ("ring Q\nrows a\nsquare\n", 1),
     "field then ring": ("field 2\nring Z\nrows a\nsquare\na a 3\n", 2),

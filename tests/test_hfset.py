@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import hfset
-from choiceless_lab.bgs import InputStructure, parse_program, run
+from choiceless_lab.bgs import parse_program, run
 from choiceless_lab.hfset import (
     EMPTY,
     Atom,
@@ -23,6 +23,7 @@ from choiceless_lab.hfset import (
     transitive_closure,
     union_all,
 )
+from choiceless_lab.structures import InputStructure
 
 from oracles import hf_model, is_atom, ordered_pair
 

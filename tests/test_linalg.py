@@ -13,30 +13,32 @@ from hypothesis import strategies as st
 
 from choiceless_lab import errors
 from choiceless_lab.errors import GuardExceeded, ParseError, ValidationError
-from choiceless_lab.linalg import (
-    FieldMatrix,
+from choiceless_lab.linalg import intmatrix
+from choiceless_lab.linalg.fields import _is_prime, gf, zp
+from choiceless_lab.linalg.intmatrix import (
     IntMatrix,
-    frequency_experiment,
-    gf,
+    determinant,
+    determinant_work,
+    nonsingular_int,
+    prime_scan,
+    scan_width,
+)
+from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
+from choiceless_lab.linalg.matrix import (
+    FieldMatrix,
+    _Layout,
     gl_exponent,
     identity,
-    intmatrix,
     mat_mul,
     mat_pow,
-    nonsingular_int,
     nonsingular_rect,
     nonsingular_square,
-    random_matrix,
     rank_gaussian,
-    sieve_first_primes,
     solve_gaussian,
     transpose,
-    zp,
 )
-from choiceless_lab.linalg.fields import _is_prime
-from choiceless_lab.linalg.intmatrix import determinant, determinant_work, prime_scan, scan_width
-from choiceless_lab.linalg.matrix import _Layout
-from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
+from choiceless_lab.linalg.primes import sieve_first_primes
+from choiceless_lab.linalg.sampling import frequency_experiment, random_matrix
 
 from helpers import largest_admitted
 from oracles import (
@@ -145,7 +147,7 @@ def test_field_addition_is_order_independent():
 def test_zp_rejects_composite():
     with pytest.raises(ValidationError):
         zp(6)
-    for q in (4, 8, 9):  # a table field in the shared cache is not Z/q
+    for q in (4, 8, 9):  # made by gf first, a table field is still not Z/q
         assert gf(q).order == q
         with pytest.raises(ValidationError, match=f"{q} is not prime"):
             zp(q)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiceless_lab.bgs import InputStructure, parse_structure, write_structure
 from choiceless_lab.errors import ValidationError
-from choiceless_lab.linalg import FieldMatrix, rank_gaussian, solve_gaussian, zp
+from choiceless_lab.linalg.fields import zp
+from choiceless_lab.linalg.matrix import FieldMatrix, rank_gaussian, solve_gaussian
 from choiceless_lab.multipede import (
     Multipede3,
     ShodMultipede,
@@ -29,6 +29,7 @@ from choiceless_lab.multipede import (
     to_structure,
     validate,
 )
+from choiceless_lab.structures import InputStructure, parse_structure, write_structure
 
 from helpers import run_child
 from oracles import (
@@ -111,8 +112,8 @@ def _digest(m) -> list:
 
 _SWEEP_CHILD = """
 import hashlib, json, sys
-from choiceless_lab.bgs import write_structure
 from choiceless_lab.multipede import is_odd, random_multipede, to_structure
+from choiceless_lab.structures import write_structure
 out = []
 for n, k, seed in json.loads(sys.argv[1]):
     m = random_multipede(n, k, seed)

@@ -54,6 +54,7 @@ def inputs(tmp_path_factory):
         "field": root / "f.mat",
         "graph": root / "g.str",
         "gadget": root / "c.str",
+        "multipede": root / "p.str",
         "atoms": root / "atoms.str",
     }
     for argv in (
@@ -61,6 +62,8 @@ def inputs(tmp_path_factory):
         ["gen", "matrix", "--q", "3", "--n", "4", "--seed", "1", "--file", str(paths["field"])],
         ["gen", "bipartite", "--na", "4", "--nb", "4", "--seed", "1", "--file", str(paths["graph"])],
         ["gen", "cfi", "--m", "3", "--twist", "odd", "--file", str(paths["gadget"])],
+        ["gen", "multipede", "--segments", "6", "--hyperedges", "8", "--seed", "1", "--shoe"]
+        + ["--file", str(paths["multipede"])],
     ):
         assert dispatch(["--out", str(root / "gen.json")] + argv)[0] == EXIT_OK
     paths["atoms"].write_text("atoms: a b c\n")
@@ -68,22 +71,23 @@ def inputs(tmp_path_factory):
     return {key: str(path) for key, path in paths.items()}
 
 
-# (argv with {input} placeholders, modules it must load, modules it may not)
+# (argv with {input} placeholders, modules it must load, modules it may
+# not); only bgs run loads the set-machine package
 _CASES = {
     "solve det, Z": (
         ["solve", "det", "--matrix", "{int}"],
-        {"linalg.intmatrix"},
-        ["bgs.interp", "bgs.parser", "bgs.syntax", "matching", "cfi", "multipede"],
+        {"structures", "linalg.intmatrix"},
+        ["bgs", "linalg.sampling", "matching", "cfi", "multipede"],
     ),
     "solve det, GF(3)": (
         ["solve", "det", "--matrix", "{field}"],
         {"linalg.matrix"},
-        ["bgs.interp", "bgs.parser", "bgs.syntax", "matching", "cfi", "multipede"],
+        ["bgs", "linalg.sampling", "matching", "cfi", "multipede"],
     ),
     "solve matching": (
         ["solve", "matching", "--input", "{graph}"],
-        {"matching"},
-        ["linalg", "bgs.interp", "cfi", "multipede"],
+        {"structures", "matching"},
+        ["bgs", "linalg", "cfi", "multipede"],
     ),
     "bgs run": (
         ["bgs", "run", "--program", "{parity}", "--input", "{atoms}"],
@@ -92,8 +96,13 @@ _CASES = {
     ),
     "solve cfi-classify": (
         ["solve", "cfi-classify", "--input", "{gadget}"],
-        {"cfi"},
-        ["multipede", "linalg", "bgs.interp"],
+        {"structures", "cfi"},
+        ["bgs", "multipede", "linalg"],
+    ),
+    "iso multipede3": (
+        ["iso", "multipede3", "--a", "{multipede}", "--b", "{multipede}"],
+        {"multipede", "linalg.matrix"},
+        ["bgs", "linalg.sampling", "matching", "cfi"],
     ),
 }
 
@@ -104,35 +113,6 @@ def test_command_loads_only_what_it_runs(case, inputs):
     modules = _loaded_by([arg.format(**inputs) for arg in argv])
     assert needed <= modules
     assert _within(modules, barred) == set()
-
-
-_LAZY_NAMES = """
-import sys
-import choiceless_lab.bgs as bgs
-eager = {"InputStructure", "parse_structure", "write_structure"}
-light = [m for m in ("interp", "parser", "syntax") if f"choiceless_lab.bgs.{m}" in sys.modules]
-assert light == [], light
-from choiceless_lab.bgs import interp
-assert interp is sys.modules["choiceless_lab.bgs.interp"]
-from choiceless_lab.bgs import parser, structures, syntax
-for name in bgs.__all__:
-    holders = [m for m in (interp, parser, structures, syntax) if name in vars(m)]
-    assert holders, name
-    assert all(getattr(bgs, name) is vars(m)[name] for m in holders), name
-# nothing resolved through __getattr__ is kept in the package
-assert set(vars(bgs)) & set(bgs.__all__) == eager
-try:
-    bgs.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("bgs.no_such_name resolved")
-assert not hasattr(bgs, "no_such_name")
-"""
-
-
-def test_bgs_names_resolve_lazily_to_their_defining_objects():
-    _python("-c", _LAZY_NAMES)
 
 
 # __main__ runs the command line when imported, so it is left out

@@ -21,11 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import cfi, hfset, multipede
-from choiceless_lab.bgs import InputStructure, parse_structure, run, write_structure
-from choiceless_lab.bgs.structures import preorder_classes
+from choiceless_lab.bgs import run
 from choiceless_lab.cli import EXIT_OK, EXIT_PARSE, dispatch
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import TRUE
+from choiceless_lab.structures import (
+    InputStructure,
+    parse_structure,
+    preorder_classes,
+    write_structure,
+)
 
 from helpers import power_structure
 from oracles import (
@@ -528,3 +533,42 @@ def test_decoders_reject_wrong_arities(tmp_path, capsys, command, text, message)
     capsys.readouterr()
     assert code == EXIT_PARSE
     assert message in report["error"]["message"]
+
+
+_TWO_SEGMENTS = (
+    "atoms: s0 s1 s0a s0b s1a s1b\nrel Segment/1: (s0) (s1)\nrel Foot/1: (s0a) (s0b) (s1a) (s1b)\n"
+    "rel S/2: (s0a,s0) (s0b,s0) (s1a,s1) (s1b,s1)\nrel Hyper/3:\nrel Positive/3:\n"
+    "rel Leq/2: (s0,s0) (s0,s1) (s1,s1)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "solve matching",
+            "atoms: a b\nrel InA/1: (a)\nrel InB/1: (a) (b)\nrel R/2: (a,b)\n",
+            "the two sides must be disjoint",
+        ),
+        (
+            "solve matching",
+            "atoms: a b\nrel InA/1: (a)\nrel InB/1: (b)\nrel R/2: (b,a)\n",
+            "edge ('b', 'a') leaves the vertex sets",
+        ),
+        ("iso multipede3", _TWO_SEGMENTS + "rel Shoe/1: (s0)\n", "the shoe must be a foot"),
+        ("validate multipede", _TWO_SEGMENTS + "rel Shoe/1: (s0a) (s1a)\n", "at most one shoe is allowed"),
+        ("iso multipede3", _TWO_SEGMENTS + "rel Shoe/1:\n", "exactly one shoe is required"),
+    ],
+)
+def test_decoders_reject_structures_outside_their_type(tmp_path, capsys, command, text, message):
+    """A well-formed structure that breaks a bipartite graph's or a
+    multipede's rules on sides and shoes is a parse error (exit 3) naming
+    the fault."""
+    path = tmp_path / "in.str"
+    path.write_text(text)
+    name = str(path)
+    inputs = ["--a", name, "--b", name] if command.startswith("iso") else ["--input", name]
+    code, report = dispatch(command.split() + inputs)
+    capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert report["error"]["message"] == message
