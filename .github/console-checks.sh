@@ -170,6 +170,13 @@ python3 -c 'import re, sys; print("".join(re.sub(r" \(([^(),]+),([^(),]+),([^(),
 exits 3 one-way.json choiceless-lab validate multipede --input one-way.str
 expect '"Hyper must list every ordering" in r["error"]["message"]' < one-way.json
 exits 3 one-way-iso.json choiceless-lab iso multipede3 --a p.str --b one-way.str
+# a shoe on a segment, and on a foot of the second segment: validate
+# reports the shoe's violation, and iso refuses the same file
+for shoe in s0 s1a; do
+  printf 'atoms: s0 s1 s0a s0b s1a s1b\nrel Segment/1: (s0) (s1)\nrel Foot/1: (s0a) (s0b) (s1a) (s1b)\nrel S/2: (s0a,s0) (s0b,s0) (s1a,s1) (s1b,s1)\nrel Hyper/3:\nrel Positive/3:\nrel Leq/2: (s0,s0) (s0,s1) (s1,s1)\nrel Shoe/1: (%s)\n' "$shoe" > "shoe-$shoe.str"
+  choiceless-lab validate multipede --input "shoe-$shoe.str" | expect 'r["result"]["valid"] is False and r["result"]["odd"] is None'
+  exits 3 "shoe-$shoe.json" choiceless-lab iso multipede3 --a "shoe-$shoe.str" --b "shoe-$shoe.str"
+done
 choiceless-lab gen cfi --m 3 --twist v1,v1 --pad --file c.str | expect 'r["result"]["twist_size"] == 1'
 same 'r["class"] == 1' '1:c 2:c' choiceless-lab solve cfi-classify --input @.str
 # the padded m = 4 gadget: 65,596 atoms on one line

@@ -288,12 +288,12 @@ def _cmd_solve_matching(args) -> dict:
 
 
 def _cmd_solve_det(args) -> dict:
-    from .linalg.intmatrix import nonsingular_int, prime_scan
+    from .linalg.intmatrix import IntMatrix, nonsingular_int, prime_scan
     from .linalg.matio import parse_matrix
     from .linalg.matrix import nonsingular_rect, nonsingular_square, rank_gaussian
 
-    kind, m = parse_matrix(_read(args.matrix))
-    if kind == "int":
+    m = parse_matrix(_read(args.matrix))
+    if isinstance(m, IntMatrix):
         if args.method:
             raise _UsageError("--method needs a field matrix")
         if not args.prime_divisors:
@@ -338,9 +338,9 @@ def _cmd_iso_cfi(args) -> dict:
 def _cmd_iso_multipede(args) -> dict:
     from . import multipede
 
-    shod_a = multipede.from_structure(parse_structure(_read(args.a)))
-    shod_b = multipede.from_structure(parse_structure(_read(args.b)))
-    return {"isomorphic": multipede.iso3_decide(shod_a, shod_b)}
+    a = multipede.from_structure(parse_structure(_read(args.a)))
+    b = multipede.from_structure(parse_structure(_read(args.b)))
+    return {"isomorphic": multipede.iso3_decide(a, b)}
 
 
 def _cmd_experiment(args) -> dict:
@@ -356,14 +356,14 @@ def _cmd_validate_multipede(args) -> dict:
     from . import multipede
 
     structure = parse_structure(_read(args.input))
-    pede, shoe = multipede.from_structure_lenient(structure)
+    pede = multipede.from_structure_lenient(structure)
     violations = multipede.validate(pede)
     intact = not violations and bool(pede.segments)
     return {
         "valid": not violations,
         "violations": [list(map(str, v)) for v in violations],
         "odd": multipede.is_odd(pede) if intact else None,
-        "has_shoe": shoe is not None,
+        "has_shoe": pede.shoe is not None,
     }
 
 

@@ -29,7 +29,7 @@ _HEADERS = ("field", "ring", "rows", "cols", "square")
 
 
 def parse_matrix(text: str):
-    """Returns ("field", FieldMatrix) or ("int", IntMatrix).  This is the
+    """Returns a FieldMatrix or an IntMatrix.  This is the
     only check on a matrix from outside, so it checks the whole format;
     every error that belongs to a line names it."""
     ring = q = rows = cols = None
@@ -100,8 +100,8 @@ def parse_matrix(text: str):
             raise ParseError(f"entry {value} is not an element index below {q}", line_no)
         cells[(i, j)] = value
     if ring == "field":
-        return "field", FieldMatrix(field, row_set, col_set, cells)
-    return "int", IntMatrix.from_int_entries(cells, index_set=row_set)
+        return FieldMatrix(field, row_set, col_set, cells)
+    return IntMatrix.from_int_entries(cells, index_set=row_set)
 
 
 def _index_line(head: str, names) -> str:

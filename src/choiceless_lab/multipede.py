@@ -5,10 +5,12 @@ Each segment owns exactly two feet.  Hyperedges are 3-element segment
 sets; over each hyperedge the eight foot triples split into two classes
 of four under "even symmetric difference", and the positive triples are
 exactly one of those classes.  A linear order on segments and an optional
-distinguished foot (the shoe, required to sit on the first segment)
-complete the picture.  A 4-multipede adds the power set of the segments as
-a further sort; that sort is padding with no isomorphism content, so it is
-never built and shod 4-multipedes are decided as 3-multipedes.
+distinguished foot, the shoe, complete the picture.  The shoe is an
+optional field of the one multipede type, and :func:`validate` checks it
+with the other axioms: it must be a foot of the first segment.  A
+4-multipede adds the power set of the segments as a further sort; that
+sort is padding with no isomorphism content, so it is never built and
+shod 4-multipedes are decided as 3-multipedes.
 
 Oddness (every nonempty segment set meets some hyperedge oddly) is the
 triviality of the GF(2) column kernel of the hyperedge incidence matrix;
@@ -54,7 +56,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .structures import InputStructure, preorder_classes
@@ -64,7 +66,6 @@ from .linalg.matrix import _rank_bitrows
 __all__ = [
     "Multipede2",
     "Multipede3",
-    "ShodMultipede",
     "from_structure",
     "from_structure_lenient",
     "is_odd",
@@ -107,30 +108,18 @@ class Multipede2:
 
 @dataclass(frozen=True, eq=False)
 class Multipede3(Multipede2):
-    """A 2-multipede with a linear order on segments."""
+    """A 2-multipede with a linear order on segments and, when shod, the
+    shoe: a foot that ``validate`` requires on the first segment."""
 
     segment_order: tuple = ()
+    shoe: str | None = None
 
     @property
     def first_segment(self):
         return self.segment_order[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ShodMultipede:
-    """A 3-multipede with a distinguished foot on the first segment."""
-
-    pede: Multipede3
-    shoe: str
-
-    def __post_init__(self):
-        if self.shoe not in self.pede.feet:
-            raise ValidationError("the shoe must be a foot")
-        if self.pede.segment_of[self.shoe] != self.pede.first_segment:
-            raise ValidationError("the shoe must sit on the first segment")
-
-
-def validate(m: Multipede2) -> list:
+def validate(m: Multipede3) -> list:
     """All axiom violations, each tagged with a name and witnesses, sorted
     so that no report depends on the iteration order of a set."""
     out = []
@@ -167,6 +156,11 @@ def validate(m: Multipede2) -> list:
                 out.append(
                     ("even-difference", tuple(sorted(p1, key=str)), tuple(sorted(p2, key=str)))
                 )
+    if m.shoe is not None:
+        if m.shoe not in m.feet:
+            out.append(("shoe-foot", m.shoe))
+        elif m.segment_order[:1] != (m.segment_of[m.shoe],):  # no segments: ()
+            out.append(("shoe-segment", m.shoe))
     return sorted(out)
 
 
@@ -180,14 +174,13 @@ def is_odd(m: Multipede3) -> bool:
     return _rank_bitrows(rows) == len(m.segment_order)
 
 
-def _parities(shod: ShodMultipede) -> dict:
+def _parities(m: Multipede3) -> dict:
     """Each hyperedge's incidence row, bit i for the segment at order
     position i, mapped to the parity of the right feet in its positive
     triples.  The left foot of a segment is the shoe on the shoe's segment
     and the name-first foot everywhere else."""
-    m = shod.pede
     right = {m.feet_of(s)[1] for s in m.segment_order[1:]}
-    right.update(f for f in m.feet_of(m.first_segment) if f != shod.shoe)
+    right.update(f for f in m.feet_of(m.first_segment) if f != m.shoe)
     # a foot weighs 4 times its segment's bit, plus 1 for a right foot, so a
     # triple's total is 4 times its row plus its count of right feet (< 4)
     position = {s: i for i, s in enumerate(m.segment_order)}
@@ -196,7 +189,7 @@ def _parities(shod: ShodMultipede) -> dict:
     return {total >> 2: total & 1 for total in totals}
 
 
-def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
+def iso3_decide(a: Multipede3, b: Multipede3) -> bool:
     """Isomorphism of shod 3-multipedes by one GF(2) linear system.
 
     The segment orders align the two skeletons, which must have the same
@@ -207,9 +200,9 @@ def iso3_decide(a: ShodMultipede, b: ShodMultipede) -> bool:
     solvable exactly when appending v as bit n leaves the rank unchanged
     (Rouché–Capelli).
     """
-    n = len(a.pede.segment_order)
+    n = len(a.segment_order)
     pa, pb = _parities(a), _parities(b)
-    if n != len(b.pede.segment_order) or pa.keys() != pb.keys():
+    if n != len(b.segment_order) or pa.keys() != pb.keys():
         return False
     shoe = 1  # x_0 = 0 keeps the shoe on its foot
     augmented = [row | (pa[row] ^ pb[row]) << n for row in pa]
@@ -220,7 +213,7 @@ def shoe_expansions(m3: Multipede3):
     """The two shod versions of a 3-multipede (one per foot of the first
     segment)."""
     f1, f2 = m3.feet_of(m3.first_segment)
-    return ShodMultipede(m3, f1), ShodMultipede(m3, f2)
+    return replace(m3, shoe=f1), replace(m3, shoe=f2)
 
 
 def _triple_at(rank: int, n: int) -> tuple:
@@ -282,16 +275,10 @@ def random_multipede(n_segments: int, n_hyperedges: int, seed) -> Multipede3:
 _ARITIES = {"Segment": 1, "Foot": 1, "S": 2, "Hyper": 3, "Positive": 3, "Leq": 2, "Shoe": 1}
 
 
-def to_structure(pede_or_shod):
+def to_structure(m: Multipede3):
     """Encode as a structure: sorts via Segment/Foot, the foot map S, the
     symmetric ternary Hyper and Positive, the segment order Leq, and the
     Shoe marker (empty for a bare multipede)."""
-    if isinstance(pede_or_shod, ShodMultipede):
-        m = pede_or_shod.pede
-        shoes = [(str(pede_or_shod.shoe),)]
-    else:
-        m = pede_or_shod
-        shoes = []
     names = [str(s) for s in m.segments] + [str(f) for f in m.feet]
     order = m.segment_order
     leq = [(str(s), str(t)) for i, s in enumerate(order) for t in order[i:]]
@@ -310,7 +297,7 @@ def to_structure(pede_or_shod):
             "Hyper": hyper,
             "Positive": pos,
             "Leq": leq,
-            "Shoe": shoes,
+            "Shoe": [] if m.shoe is None else [(str(m.shoe),)],
         },
         arities=_ARITIES,
     )
@@ -329,9 +316,9 @@ def _member_sets(name, tuples) -> frozenset:
     return frozenset(sets)
 
 
-def from_structure_lenient(structure):
-    """Decode the carrier, with symmetric ``Hyper`` and ``Positive``, without
-    enforcing the axioms; returns the bare 3-multipede and the shoe name (or None)."""
+def from_structure_lenient(structure) -> Multipede3:
+    """Decode the carrier, with symmetric ``Hyper`` and ``Positive`` and at
+    most one shoe, without enforcing the axioms."""
     segment, foot, s, hyper, positive, leq, shoe = structure.relations_with(_ARITIES)
     segments = tuple(sorted(t[0] for t in segment))
     feet = tuple(sorted(t[0] for t in foot))
@@ -347,16 +334,16 @@ def from_structure_lenient(structure):
     shoes = [t[0] for t in shoe]
     if len(shoes) > 1:
         raise ValidationError("at most one shoe is allowed")
-    pede = Multipede3(segments, feet, segment_of, hyperedges, positives, order)
-    return pede, (shoes[0] if shoes else None)
+    shoe = shoes[0] if shoes else None
+    return Multipede3(segments, feet, segment_of, hyperedges, positives, order, shoe)
 
 
-def from_structure(structure) -> ShodMultipede:
+def from_structure(structure) -> Multipede3:
     """Decode a shod multipede, enforcing the axioms."""
-    pede, shoe = from_structure_lenient(structure)
+    pede = from_structure_lenient(structure)
     violations = validate(pede)
     if violations:
         raise ValidationError(f"invalid multipede: {violations[:3]}")
-    if shoe is None:
+    if pede.shoe is None:
         raise ValidationError("exactly one shoe is required")
-    return ShodMultipede(pede, shoe)
+    return pede

@@ -12,7 +12,7 @@ import math
 import random
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -419,20 +419,18 @@ def twist_parity_by_labelling(g, order):
     return bad % 2
 
 
-def left_foot(shod, segment):
+def left_foot(m, segment):
     """The name-first foot of a segment, except that the shoe is always
     the left foot of its segment."""
-    m = shod.pede
     f1, f2 = sorted((f for f in m.feet if m.segment_of[f] == segment), key=str)
-    if shod.shoe in (f1, f2):
-        return shod.shoe
+    if m.shoe in (f1, f2):
+        return m.shoe
     return f1
 
 
-def right_foot(shod, segment):
-    m = shod.pede
+def right_foot(m, segment):
     f1, f2 = sorted((f for f in m.feet if m.segment_of[f] == segment), key=str)
-    left = left_foot(shod, segment)
+    left = left_foot(m, segment)
     return f2 if left == f1 else f1
 
 
@@ -440,29 +438,29 @@ def brute_force_iso(a, b) -> bool:
     """Isomorphism of two shod multipedes by exhaustive matching search,
     shoe to shoe: flip any subset of the non-first segments of the base
     left-to-left matching."""
-    if len(a.pede.segment_order) != len(b.pede.segment_order):
+    if len(a.segment_order) != len(b.segment_order):
         return False
-    a_idx = {s: i for i, s in enumerate(a.pede.segment_order)}
-    b_order = b.pede.segment_order
+    a_idx = {s: i for i, s in enumerate(a.segment_order)}
+    b_order = b.segment_order
     a_rows = {
-        frozenset(a_idx[s] for s in h) for h in a.pede.hyperedges
+        frozenset(a_idx[s] for s in h) for h in a.hyperedges
     }
     b_idx = {s: i for i, s in enumerate(b_order)}
-    b_rows = {frozenset(b_idx[s] for s in h) for h in b.pede.hyperedges}
+    b_rows = {frozenset(b_idx[s] for s in h) for h in b.hyperedges}
     if a_rows != b_rows:
         return False
-    n = len(a.pede.segment_order)
+    n = len(a.segment_order)
     for bits in itertools.product((0, 1), repeat=n - 1):
         mapping = {}
-        for pos, (sa, sb) in enumerate(zip(a.pede.segment_order, b_order)):
+        for pos, (sa, sb) in enumerate(zip(a.segment_order, b_order)):
             la, ra = left_foot(a, sa), right_foot(a, sa)
             lb, rb = left_foot(b, sb), right_foot(b, sb)
             if pos > 0 and bits[pos - 1]:
                 lb, rb = rb, lb
             mapping[la], mapping[ra] = lb, rb
         if all(
-            frozenset(mapping[f] for f in p) in b.pede.positives
-            for p in a.pede.positives
+            frozenset(mapping[f] for f in p) in b.positives
+            for p in a.positives
         ):
             return True
     return False
@@ -476,7 +474,7 @@ def _incidence_rows(m) -> dict:
 def _base_matching(a, b) -> dict:
     """Left feet to left feet, right to right, segment by order position."""
     mu = {}
-    for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
+    for sa, sb in zip(a.segment_order, b.segment_order):
         mu[left_foot(a, sa)] = left_foot(b, sb)
         mu[right_foot(a, sa)] = right_foot(b, sb)
     return mu
@@ -487,14 +485,14 @@ def _defect(a, b) -> dict:
     positivity there, 1 otherwise."""
     mu = _base_matching(a, b)
     reps: dict = {}
-    for p in a.pede.positives:
-        reps.setdefault(frozenset(a.pede.segment_of[f] for f in p), p)
+    for p in a.positives:
+        reps.setdefault(frozenset(a.segment_of[f] for f in p), p)
     defect = {}
-    for h in a.pede.hyperedges:
+    for h in a.hyperedges:
         rep = reps.get(h)
         if rep is None:
             raise ValidationError("hyperedge without positive triples; validate first")
-        defect[h] = int(frozenset(mu[f] for f in rep) not in b.pede.positives)
+        defect[h] = int(frozenset(mu[f] for f in rep) not in b.positives)
     return defect
 
 
@@ -520,10 +518,10 @@ def iso3_by_base_matching(a, b) -> bool:
     matching: one representative image triple per hyperedge gives the
     defect vector v of the system A x = v, x_0 = 0, kept as the
     differential oracle of the parity-bit decider."""
-    n = len(a.pede.segment_order)
-    rows = _incidence_rows(a.pede)
-    skeleton = set(_incidence_rows(b.pede).values())
-    if n != len(b.pede.segment_order) or set(rows.values()) != skeleton:
+    n = len(a.segment_order)
+    rows = _incidence_rows(a)
+    skeleton = set(_incidence_rows(b).values())
+    if n != len(b.segment_order) or set(rows.values()) != skeleton:
         return False
     defect = _defect(a, b)
     shoe = 1  # x_0 = 0 keeps the shoe on its foot
@@ -623,9 +621,7 @@ def flip_feet(m, segments_to_flip):
         else:
             swap[f1], swap[f2] = f1, f2
     positives = frozenset(frozenset(swap[f] for f in p) for p in m.positives)
-    return Multipede3(
-        m.segments, m.feet, m.segment_of, m.hyperedges, positives, m.segment_order
-    )
+    return replace(m, positives=positives)
 
 
 # ------------------------------------------------ the atom-making reader

@@ -38,7 +38,6 @@ from choiceless_lab.matching import (
     saturate,
 )
 from choiceless_lab.multipede import (
-    ShodMultipede,
     is_odd,
     iso3_decide,
     random_multipede,
@@ -198,8 +197,7 @@ def test_criterion_05_multipede_rigidity_and_iso():
             b = a
         elif style == 1:
             flips = [s for s in m.segments if rng.random() < 0.5]
-            twin = flip_feet(m, flips)
-            b = ShodMultipede(twin, a.shoe)
+            b = flip_feet(a, flips)
         elif style == 2:
             b, _ = shoe_expansions(random_multipede(n, k, seed=rng.randrange(10**9)))
         else:

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,23 @@ def test_gen_cfi_files_are_pinned(tmp_path, capsys):
         code, _ = invoke(["gen", "cfi", "--m", str(m), "--twist", twist, *pad, "--file", str(path)], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (m, twist, padded)
+
+
+# (segments, hyperedges, seed) -> sha256 of the file ``gen multipede --shoe`` writes
+_SHOD_FILE_DIGESTS = {
+    (1, 0, 2): "4e97405220609cb3e9c8564e20513afe04a30fcc0a564c1a90c0c8d166518f96",
+    (6, 8, 3): "54d709a261b035155a420241ebdda7f1390f55771c552824e6c7fc47c1d6ac99",
+    (40, 60, 1): "e22a5efe8be02601b1c7ba079a146742e5a77329e8e4096223b7f6c12cf53163",
+}
+
+
+def test_gen_multipede_shod_files_are_pinned(tmp_path, capsys):
+    path = tmp_path / "m.str"
+    for (n, k, seed), digest in _SHOD_FILE_DIGESTS.items():
+        argv = ["gen", "multipede", "--segments", str(n), "--hyperedges", str(k), "--seed", str(seed)]
+        code, _ = invoke([*argv, "--shoe", "--file", str(path)], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (n, k, seed)
 
 
 def test_gen_cfi_padded_and_iso(tmp_path, capsys):
@@ -278,11 +296,8 @@ def test_iso_multipede4_answers_past_sixteen_segments(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["result"]["odd"] is True  # rigid, so a first-segment flip is no isomorphism
     shod = multipede.from_structure(parse_structure(a.read_text()))
-    flipped = flip_feet(shod.pede, [shod.pede.first_segment])
     b = tmp_path / "b.str"
-    b.write_text(
-        write_structure(multipede.to_structure(multipede.ShodMultipede(flipped, shod.shoe)))
-    )
+    b.write_text(write_structure(multipede.to_structure(flip_feet(shod, [shod.first_segment]))))
     answers = []
     for other in (a, b):
         verdicts = []
@@ -903,11 +918,8 @@ def _broken_multipede_text() -> str:
     for h in sorted(m.hyperedges, key=sorted)[:4]:
         on_h = [p for p in positives if {m.segment_of[f] for f in p} == h]
         positives.remove(min(on_h, key=sorted))
-    broken = multipede.Multipede3(
-        m.segments, m.feet, m.segment_of, m.hyperedges, frozenset(positives), m.segment_order
-    )
-    shoe = m.feet_of(m.first_segment)[0]
-    return write_structure(multipede.to_structure(multipede.ShodMultipede(broken, shoe)))
+    broken = replace(m, positives=frozenset(positives), shoe=m.feet_of(m.first_segment)[0])
+    return write_structure(multipede.to_structure(broken))
 
 
 _FUNCTIONS_AS_GUARDS = """#steps 2

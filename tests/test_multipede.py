@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from choiceless_lab.linalg.fields import zp
 from choiceless_lab.linalg.matrix import FieldMatrix, rank_gaussian, solve_gaussian
 from choiceless_lab.multipede import (
     Multipede3,
-    ShodMultipede,
     _triple_at,
     from_structure,
     from_structure_lenient,
@@ -273,9 +273,8 @@ def test_iso3_identical_yes():
 def test_iso3_foot_flip_yes():
     m = random_multipede(6, 8, seed=3)
     flipped_seg = m.segment_order[2]
-    twin = flip_feet(m, [flipped_seg])
     a, _ = shoe_expansions(m)
-    b = ShodMultipede(twin, a.shoe)
+    b = flip_feet(a, [flipped_seg])
     assert iso3_decide(a, b)
     assert brute_force_iso(a, b)
 
@@ -317,10 +316,9 @@ def test_iso3_dependent_rows_twist_no():
     twisted = Multipede3(
         m.segments, m.feet, m.segment_of, m.hyperedges, others | swapped, m.segment_order
     )
-    assert validate(twisted) == []
     a, _ = shoe_expansions(m)
-    b = ShodMultipede(twisted, a.shoe) if a.shoe in twisted.feet else None
-    assert b is not None
+    b = replace(twisted, shoe=a.shoe)
+    assert validate(b) == []
     assert not iso3_decide(a, b)
     assert not brute_force_iso(a, b)
 
@@ -338,7 +336,7 @@ def test_iso_deciders_agree_with_brute_force():
             b = a
         elif style == 1:
             flips = [s for s in m.segments if rng.random() < 0.5]
-            b = ShodMultipede(flip_feet(m, flips), a.shoe)
+            b = flip_feet(a, flips)
         elif style == 2:
             twin = random_multipede(n, k, seed=rng.randrange(10**6))
             b, _ = shoe_expansions(twin)
@@ -368,8 +366,10 @@ def test_rigid_odd_multipedes_have_distinct_shoe_expansions():
 def test_shoe_must_sit_on_first_segment():
     m = random_multipede(5, 4, seed=9)
     other_seg_foot = m.feet_of(m.segment_order[1])[0]
-    with pytest.raises(ValidationError):
-        ShodMultipede(m, other_seg_foot)
+    first = m.first_segment
+    assert validate(replace(m, shoe=other_seg_foot)) == [("shoe-segment", other_seg_foot)]
+    assert validate(replace(m, shoe=first)) == [("shoe-foot", first)]
+    assert validate(replace(m, shoe=m.feet_of(first)[1])) == []
 
 
 # ------------------------------------------------------------ structure io
@@ -379,9 +379,9 @@ def test_structure_roundtrip():
     m = random_multipede(5, 5, seed=13)
     shod, _ = shoe_expansions(m)
     back = from_structure(to_structure(shod))
-    assert back.pede.segment_order == m.segment_order
-    assert back.pede.hyperedges == m.hyperedges
-    assert back.pede.positives == m.positives
+    assert back.segment_order == m.segment_order
+    assert back.hyperedges == m.hyperedges
+    assert back.positives == m.positives
     assert back.shoe == shod.shoe
     assert iso3_decide(shod, back)
 
@@ -401,7 +401,7 @@ _SEGMENT_ORDER = "rel Leq/2: (s0,s0) (s0,s1) (s1,s1)\n"
 def test_leq_must_be_the_segment_order(leq):
     text = write_structure(to_structure(pede_from(["s0", "s1"], [])))
     assert _SEGMENT_ORDER in text
-    pede, _ = from_structure_lenient(parse_structure(text))
+    pede = from_structure_lenient(parse_structure(text))
     assert pede.segment_order == ("s0", "s1")
     bad = text.replace(_SEGMENT_ORDER, f"rel Leq/2: {leq}\n")
     with pytest.raises(ValidationError, match="Leq is not a linear order"):
@@ -443,7 +443,7 @@ def test_repeated_members_listed_every_way_reach_validate():
     for name, triple in degenerate.items():
         orderings = set(itertools.permutations(triple))
         tuples = structure.relations[name] | orderings
-        pede, _ = from_structure_lenient(relisted(structure, name, tuples))
+        pede = from_structure_lenient(relisted(structure, name, tuples))
         shape = "hyperedge-shape" if name == "Hyper" else "positive-shape"
         assert (shape, tuple(sorted(set(triple)))) in validate(pede)
         with pytest.raises(ValidationError, match=f"{name} must list every ordering"):
@@ -474,23 +474,23 @@ def rank_by_elimination(m: Multipede3) -> int:
     return rank_gaussian(incidence_field_matrix(rows, n), rows, list(range(n)))
 
 
-def iso_by_elimination(a: ShodMultipede, b: ShodMultipede) -> bool:
+def iso_by_elimination(a: Multipede3, b: Multipede3) -> bool:
     """The shod isomorphism system A x = v, x_0 = 0, solved by ordered
     Gaussian elimination over GF(2)."""
-    n = len(a.pede.segment_order)
-    rows = incidence_triples(a.pede)
-    if n != len(b.pede.segment_order) or rows != incidence_triples(b.pede):
+    n = len(a.segment_order)
+    rows = incidence_triples(a)
+    if n != len(b.segment_order) or rows != incidence_triples(b):
         return False
     mu = {}
-    for sa, sb in zip(a.pede.segment_order, b.pede.segment_order):
+    for sa, sb in zip(a.segment_order, b.segment_order):
         mu[left_foot(a, sa)] = left_foot(b, sb)
         mu[right_foot(a, sa)] = right_foot(b, sb)
-    position = {s: i for i, s in enumerate(a.pede.segment_order)}
+    position = {s: i for i, s in enumerate(a.segment_order)}
     rhs = {}
-    for p in a.pede.positives:
+    for p in a.positives:
         # every triple of a positivity class has the same defect
-        row = tuple(sorted(position[a.pede.segment_of[f]] for f in p))
-        rhs[row] = int(frozenset(mu[f] for f in p) not in b.pede.positives)
+        row = tuple(sorted(position[a.segment_of[f]] for f in p))
+        rhs[row] = int(frozenset(mu[f] for f in p) not in b.positives)
     rows.append((0,))  # x_0 = 0 keeps the shoe on its foot
     system = incidence_field_matrix(rows, n)
     return solve_gaussian(system, rhs, rows, list(range(n))) is not None
@@ -504,28 +504,25 @@ def twist(m: Multipede3, hyperedges) -> Multipede3:
         club = {p for p in positives if {m.segment_of[f] for f in p} == h}
         positives -= club
         positives |= {frozenset({f2 if f == f1 else f1 if f == f2 else f for f in p}) for p in club}
-    return Multipede3(
-        m.segments, m.feet, m.segment_of, m.hyperedges, frozenset(positives), m.segment_order
-    )
+    return replace(m, positives=frozenset(positives))
 
 
-def rename(shod: ShodMultipede, rng: random.Random) -> ShodMultipede:
+def rename(m: Multipede3, rng: random.Random) -> Multipede3:
     """The same shod multipede under fresh segment and foot names, drawn
     so that the names' string order is shuffled too."""
-    m = shod.pede
     seg_names = rng.sample(range(100), len(m.segments))
     foot_names = rng.sample(range(100), len(m.feet))
     seg = {s: f"g{k}" for s, k in zip(m.segments, seg_names)}
     foot = {f: f"f{k}" for f, k in zip(m.feet, foot_names)}
-    pede = Multipede3(
+    return Multipede3(
         tuple(seg[s] for s in m.segments),
         tuple(foot[f] for f in m.feet),
         {foot[f]: seg[s] for f, s in m.segment_of.items()},
         frozenset(frozenset(seg[s] for s in h) for h in m.hyperedges),
         frozenset(frozenset(foot[f] for f in p) for p in m.positives),
         tuple(seg[s] for s in m.segment_order),
+        foot[m.shoe],
     )
-    return ShodMultipede(pede, foot[shod.shoe])
 
 
 @settings(max_examples=200, deadline=None)
@@ -543,17 +540,17 @@ def test_packed_rank_matches_elimination_under_renaming(n, k, style, seed):
     if style == 0:
         b = a
     elif style == 1:
-        b = ShodMultipede(flip_feet(m, [s for s in m.segments if rng.random() < 0.5]), a.shoe)
+        b = flip_feet(a, [s for s in m.segments if rng.random() < 0.5])
     elif style == 2:
-        twisted = twist(m, [h for h in sorted(m.hyperedges, key=sorted) if rng.random() < 0.3])
-        b = ShodMultipede(flip_feet(twisted, rng.sample(m.segments, 1)), a.shoe)
+        twisted = twist(a, [h for h in sorted(m.hyperedges, key=sorted) if rng.random() < 0.3])
+        b = flip_feet(twisted, rng.sample(m.segments, 1))
     else:
         b = a_other
     rank = rank_by_elimination(m)
     verdicts = (is_odd(m), automorphism_count(m), iso3_decide(a, b))
     assert verdicts == (rank == n, 2 ** (n - rank), iso_by_elimination(a, b))
     a2, b2 = rename(a, rng), rename(b, rng)
-    assert (is_odd(a2.pede), automorphism_count(a2.pede), iso3_decide(a2, b2)) == verdicts
+    assert (is_odd(a2), automorphism_count(a2), iso3_decide(a2, b2)) == verdicts
 
 
 @settings(max_examples=300, deadline=None)
@@ -571,12 +568,12 @@ def test_parity_bits_match_the_base_matching_under_renaming(n, k, style, seed):
     m = random_multipede(n, min(k, math.comb(n, 3)), seed=rng.randrange(10**6))
     a, a_other = shoe_expansions(m)
     if style == "flip":
-        b = ShodMultipede(flip_feet(m, [s for s in m.segments if rng.random() < 0.5]), a.shoe)
+        b = flip_feet(a, [s for s in m.segments if rng.random() < 0.5])
     elif style == "shoe":
         b = a_other
     else:
         hyperedges = sorted(m.hyperedges, key=sorted)
-        b = ShodMultipede(twist(m, rng.sample(hyperedges, min(1, len(hyperedges)))), a.shoe)
+        b = twist(a, rng.sample(hyperedges, min(1, len(hyperedges))))
     a, b = rename(a, rng), rename(b, rng)
     verdict = iso3_decide(a, b)
     assert verdict == iso3_by_base_matching(a, b)

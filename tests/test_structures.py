@@ -415,7 +415,7 @@ def test_leq_is_read_as_the_pair_set_reads_it(linear, data):
     )
     expected = leq_order_by_pair_set(segments, structure.relations["Leq"])
     try:
-        pede, _ = multipede.from_structure_lenient(structure)
+        pede = multipede.from_structure_lenient(structure)
     except ValidationError as exc:
         assert expected is None and "Leq is not a linear order" in str(exc)
     else:
@@ -555,7 +555,7 @@ _TWO_SEGMENTS = (
             "atoms: a b\nrel InA/1: (a)\nrel InB/1: (b)\nrel R/2: (b,a)\n",
             "edge ('b', 'a') leaves the vertex sets",
         ),
-        ("iso multipede3", _TWO_SEGMENTS + "rel Shoe/1: (s0)\n", "the shoe must be a foot"),
+        ("iso multipede3", _TWO_SEGMENTS + "rel Shoe/1: (s0)\n", "invalid multipede: [('shoe-foot', 's0')]"),
         ("validate multipede", _TWO_SEGMENTS + "rel Shoe/1: (s0a) (s1a)\n", "at most one shoe is allowed"),
         ("iso multipede3", _TWO_SEGMENTS + "rel Shoe/1:\n", "exactly one shoe is required"),
     ],
@@ -572,3 +572,34 @@ def test_decoders_reject_structures_outside_their_type(tmp_path, capsys, command
     capsys.readouterr()
     assert code == EXIT_PARSE
     assert report["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "text, violation",
+    [
+        (_TWO_SEGMENTS + "rel Shoe/1: (s0)\n", ["shoe-foot", "s0"]),
+        (_TWO_SEGMENTS + "rel Shoe/1: (s1a)\n", ["shoe-segment", "s1a"]),
+        # no segments, so no first segment for the shoe to sit on
+        (
+            "atoms: x f\nrel Segment/1:\nrel Foot/1: (f)\nrel S/2: (f,x)\nrel Hyper/3:\n"
+            "rel Positive/3:\nrel Leq/2:\nrel Shoe/1: (f)\n",
+            ["shoe-segment", "f"],
+        ),
+    ],
+    ids=["segment", "second-segment", "no-segments"],
+)
+def test_validate_and_iso_agree_on_misplaced_shoes(tmp_path, capsys, text, violation):
+    """``validate multipede`` reports a shoe that is not a foot of the
+    first segment beside the other axioms, and ``iso multipede3`` refuses
+    the same file (exit 3) naming the same violation."""
+    path = tmp_path / "in.str"
+    path.write_text(text)
+    code, report = dispatch(["validate", "multipede", "--input", str(path)])
+    assert code == EXIT_OK
+    result = report["result"]
+    assert (result["valid"], result["odd"], result["has_shoe"]) == (False, None, True)
+    assert violation in result["violations"]
+    code, report = dispatch(["iso", "multipede3", "--a", str(path), "--b", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert repr(tuple(violation)) in report["error"]["message"]
