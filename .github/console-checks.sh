@@ -97,6 +97,16 @@ printf '%s\n' '#steps 3' '#active 0 4' '#requires card' 'if Mode = 0 then do in 
   '      = Card({ y : y in Atoms : (E(x, y) and N(y) in 2) or (not E(x, y) and N(y) = 1) })) } = empty;' \
   '  Halt := true' 'enddo endif' > ors.bgs
 same 'r["verdict"] == "accept"' '1:ors 2:ors 1:renamed-ors' timeout 10 choiceless-lab bgs run --program ors.bgs --input @.str
+# fill B over 30,000 atoms, then rewrite the one B entry at the First
+# atom in each of 1,999 steps: a step visits that atom through First's
+# index and writes one entry of B, so it costs the same at any size
+python3 -c 'n = 30000; print("atoms:", *(f"a{i}" for i in range(n))); print("rel First/1: (a17)")' > onewrite.str
+rename onewrite.str renamed-onewrite.str
+printf '%s\n' '#steps 2000' '#active 2010 1' 'if Mode = 0 then do in parallel' \
+  '  do forall x in Atoms, B(x) := x enddo;' '  Mode := 1' 'enddo else' \
+  '  do forall x in Atoms, if First(x) then B(x) := Pair(B(x), B(x)) endif enddo' 'endif' > onewrite.bgs
+same 'r["verdict"] == "bound-exceeded" and r["steps"] == 2000 and r["peak_active"] == 32001' \
+  '1:onewrite 2:onewrite 1:renamed-onewrite' timeout 10 choiceless-lab bgs run --program onewrite.bgs --input @.str
 # GF(2) rows of 64 bits span three 30-bit digits of the packed matrix
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat

@@ -4,9 +4,9 @@ A state is the input structure plus one table per dynamic symbol mapping
 argument tuples to values; absent locations read as ordinal 0, which also
 makes the initial state "constantly 0".  One step collects the update set
 of the whole program under the pre-step state and fires it: if two updates
-clash (same location, different values) nothing at all is applied.  All
-reads within a step see the pre-step state, including nested reads of
-dynamic symbols.
+clash (same location, different values) nothing at all is applied, and
+otherwise each is written into its table in place.  All reads within a
+step see the pre-step state, including nested reads of dynamic symbols.
 
 A run takes what ``parse_program`` returns, a closed program that gives
 ``Halt`` and ``Output`` only Boolean terms, and checks neither again.  It
@@ -40,13 +40,17 @@ compares it with a literal or asks whether it holds a literal: the
 consumer's closure reads the table itself, as an update's closure builds
 its key.
 
-A comprehension over ``Atoms`` whose guard starts with a lookup of its
-binder (a symbol read as a truth value or as a nonzero literal) visits
-only the atoms that lookup can hold, through an index of the symbol's
-table, remade when the table changes, which an input table never does.
-The index holds exactly the atoms at which that first conjunct reads the
-wanted value, so the visited atoms are tested against the rest of the
-guard only, and a count with no rest is the length of the index entry.
+A comprehension over ``Atoms``, and a ``do forall v in Atoms, if g then
+r endif`` with no else branch, whose guard starts with a lookup of its
+binder (a symbol read as a truth value, as a nonzero literal, or as
+holding a literal, ``k in S(...)``) visits only the atoms that lookup can
+hold, through an index of the symbol's table, dropped when a step writes
+the symbol, which an input symbol never is.  For a truth value or
+``= k`` the index holds exactly the atoms at which that first conjunct
+reads the wanted value, so the visited atoms are tested against the rest
+of the guard only, and a count with no rest is the length of the index
+entry; for ``k in`` it holds the atoms at which the read is not 0, and
+the conjunct is tested again.
 ``Card({ v : v in S : g })`` counts what passes, and
 ``x in { e : v in S : g }`` searches and stops at the first hit; neither
 builds the set.  No value can change and no order can leak: every
@@ -105,12 +109,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class State:
-    """Input structure plus dynamic function tables (default ordinal 0)."""
+    """Input structure plus function tables (default ordinal 0): the
+    dynamic ones, and while a run fires steps the input's as well.  Not a
+    snapshot: ``fire`` writes a state's tables in place."""
 
     structure: InputStructure
     tables: dict = field(default_factory=dict)
+    # symbol -> {(argument position, by value): [index] over its table},
+    # each emptied by ``fire`` when it writes the symbol
+    indexes: dict = field(default_factory=dict)
 
     def read(self, symbol: str, args: tuple) -> HfValue:
         table = self.tables.get(symbol)
@@ -140,7 +149,7 @@ class _Compiler:
 
     def __init__(self, structure: InputStructure):
         self.atoms = make_set(structure.by_name.values())
-        self.indexes: dict = {}  # (symbol, argument position) -> its index
+        self.indexes: dict = {}  # the run's State.indexes
         self.slots = 0
 
     def bind(self, scope: dict, name: str, depth: int) -> dict:
@@ -235,7 +244,8 @@ class _Compiler:
         still pass as a test, and its element."""
         inner = self.bind(scope, node.var, depth)
         element = self.term(node.element, inner, depth + 1)
-        members, guard = self.lookup(node, scope, depth) or (None, node.guard)
+        found = self.lookup(node.var, node.source, node.guard, scope, depth)
+        members, guard = found or (None, node.guard)
         if members is None:
             source = self.term(node.source, scope, depth)
             members = lambda tables, env: source(tables, env).members  # noqa: E731
@@ -287,27 +297,30 @@ class _Compiler:
 
         return search
 
-    def lookup(self, node: Compr, scope: dict, depth: int):
-        """For a comprehension over Atoms, the closure listing only the
-        atoms at which the first conjunct of its guard holds, and the rest
-        of the guard (``true`` when nothing is left); or None.
+    def lookup(self, var: str, source, guard, scope: dict, depth: int):
+        """For a range of ``var`` over Atoms, the closure listing only the
+        atoms at which the first conjunct of ``guard`` can hold, and the
+        guard those atoms must still pass; or None.
 
-        That conjunct must read a symbol ``= k`` with k not 0, or as a
-        truth value (= 1), with the binder as exactly one argument and
-        bound variables or literals as the others.  The index holds exactly
-        the atoms at which the conjunct reads the wanted value: a table
-        holds no 0, so an atom outside the index reads something else
-        there.  So the index nested-loop join of Selinger et al., "Access
-        path selection in a relational database management system"
-        (1979), visits fewer atoms and gives the same set, and a
-        visited atom is tested against the rest of the guard only: the
-        conjunct the index answered is not tested again."""
-        if node.source != App("Atoms"):
+        That conjunct must read a symbol ``= k`` with k not 0, as a truth
+        value (= 1), or as ``k in`` it with k a literal, with the binder
+        as exactly one argument and bound variables or literals as the
+        others.  For ``= k`` and truth values the index holds exactly the
+        atoms at which the conjunct reads the wanted value: a table holds
+        no 0, so an atom outside the index reads something else there.
+        So the index nested-loop join of Selinger et al., "Access path
+        selection in a relational database management system" (1979),
+        visits fewer atoms and gives the same answer, and a visited atom
+        is tested against the rest of the guard only.  For ``k in`` the
+        index holds the atoms at which the read is not 0, since 0 holds
+        nothing; k need not be in every such value, so the conjunct is
+        tested again."""
+        if source != App("Atoms"):
             return None
-        first = node.guard
+        first = guard
         while isinstance(first, App) and first.symbol == "and":
             first = first.args[0]
-        wanted = TRUE
+        wanted = TRUE  # the value read, or None for any value but 0
         if isinstance(first, App) and first.symbol == "eq":
             first, k = first.args
             if isinstance(first, Lit):
@@ -315,55 +328,55 @@ class _Compiler:
             if not isinstance(k, Lit) or k.value == 0:
                 return None
             wanted = ordinal(k.value)
+        elif isinstance(first, App) and first.symbol == "in" and isinstance(first.args[0], Lit):
+            first = first.args[1]
+            wanted = None
         if (
             not isinstance(first, App)
             or first.symbol in BUILTIN_ARITY
-            or first.args.count(Var(node.var)) != 1
+            or first.args.count(Var(var)) != 1
         ):
             return None
-        p = first.args.index(Var(node.var))
+        p = first.args.index(Var(var))
         rest = first.args[:p] + first.args[p + 1:]
         if not all(isinstance(a, Lit) or (isinstance(a, Var) and a.name in scope) for a in rest):
             return None
         symbol = first.symbol
-        index_of = self.table_index(symbol, p)
-        guard = _without_first_conjunct(node.guard)
+        built, build = self.table_index(symbol, p, wanted is not None)
+        if wanted is not None:
+            guard = _without_first_conjunct(guard)
         slots = _bound_slots(rest, scope)
         if slots is not None and len(slots) == 1:  # the key built inline
             (s0,) = slots
             return (
-                lambda tables, env: index_of(tables[symbol])
+                lambda tables, env: (built or build(tables[symbol]))[0]
                 .get(((env[s0],), wanted), ())
             ), guard
         key = self.arguments(rest, scope, depth)
         return (
-            lambda tables, env: index_of(tables[symbol])
+            lambda tables, env: (built or build(tables[symbol]))[0]
             .get((key(tables, env), wanted), ())
         ), guard
 
-    def table_index(self, symbol: str, p: int):
-        """The function taking a table of ``symbol`` to its atoms at
-        argument ``p`` by the other arguments and the value, remade only
-        when it is handed a table other than the last one.  An input
-        table is the same dict all run, and ``fire`` copies a table before
-        it writes to it, so the last table is unchanged; holding it keeps
-        any other dict from taking its identity."""
-        found = self.indexes.get((symbol, p))
-        if found is None:
-            atoms = self.atoms.members
-            last = [None, None]  # the table last indexed, and its index
+    def table_index(self, symbol: str, p: int, by_value: bool):
+        """The cell holding the index of the table of ``symbol``, its atoms
+        at argument ``p`` by the other arguments and the value (or None
+        when not ``by_value``), and the function building it into the
+        cell.  ``fire`` empties the cell when it writes the symbol's table,
+        which an input table never is."""
+        atoms = self.atoms.members
+        built = self.indexes.setdefault(symbol, {}).setdefault((p, by_value), [])
 
-            def found(table):
-                if table is not last[0]:
-                    index: dict = {}
-                    for args, value in table.items():
-                        if args[p] in atoms:  # the binder ranges over atoms only
-                            index.setdefault((args[:p] + args[p + 1:], value), []).append(args[p])
-                    last[:] = table, index
-                return last[1]
+        def build(table):
+            index: dict = {}
+            for args, value in table.items():
+                if args[p] in atoms:  # the binder ranges over atoms only
+                    key = (args[:p] + args[p + 1:], value if by_value else None)
+                    index.setdefault(key, []).append(args[p])
+            built.append(index)
+            return built
 
-            self.indexes[(symbol, p)] = found
-        return found
+        return built, build
 
     def arguments(self, nodes: tuple, scope: dict, depth: int):
         """A closure building the argument tuple, left to right."""
@@ -416,7 +429,8 @@ class _Compiler:
             guard = self.test(node.guard, scope, depth)
             then_rule = self.rule(node.then_rule, scope, depth)
             else_rule = self.rule(node.else_rule, scope, depth)
-
+            if guard is _true:
+                return then_rule
             if else_rule is _skip:
 
                 def when(tables, env, out):
@@ -430,12 +444,21 @@ class _Compiler:
 
             return cond
         if isinstance(node, Forall):
-            source = self.term(node.source, scope, depth)
-            body = self.rule(node.body, self.bind(scope, node.var, depth), depth + 1)
+            body = node.body
+            found = None
+            if isinstance(body, Cond) and body.else_rule == Skip():
+                found = self.lookup(node.var, node.source, body.guard, scope, depth)
+            if found is not None:  # visit the atoms an index lists
+                members, guard = found
+                body = Cond(guard, body.then_rule, body.else_rule)
+            else:
+                source = self.term(node.source, scope, depth)
+                members = lambda tables, env: source(tables, env).members  # noqa: E731
+            body = self.rule(body, self.bind(scope, node.var, depth), depth + 1)
             slot = depth
 
             def forall(tables, env, out):
-                for member in source(tables, env).members:
+                for member in members(tables, env):
                     env[slot] = member
                     body(tables, env, out)
 
@@ -568,30 +591,39 @@ def collect_updates(step, tables: dict, env: list) -> set:
 
 
 def fire(state: State, updates) -> State:
-    """Apply all updates simultaneously; a clash leaves the state as is.
+    """Apply a set of updates simultaneously; a clash leaves the state as is.
 
-    One pass over the updates groups them by symbol and stops at the
-    first location given two values; each written table is then its old
-    table with the step's writes laid over it, and the locations written
-    0 taken out, since absent locations already read 0."""
+    One pass groups the updates by symbol and location.  They are
+    distinct, so fewer locations than updates means a location given two
+    values: then ``state`` is returned with nothing written.  Otherwise
+    each written table is written in place, a symbol's first write giving
+    it a table of its own, and the locations written 0 are taken out,
+    since absent locations already read 0; the indexes over each written
+    table are emptied.  The result is a new State over the same tables, so
+    a step costs its number of updates, not the size of what it writes."""
     if not updates:
         return state
     writes: dict = {}  # symbol -> {args: value} of this step
-    zeros: list = []  # the (symbol, args) written 0
     for symbol, args, value in updates:
         written = writes.get(symbol)
         if written is None:
             written = writes[symbol] = {}
-        if written.setdefault(args, value) is not value:
-            return state
-        if value is EMPTY:
-            zeros.append((symbol, args))
-    tables = dict(state.tables)
+        written[args] = value
+    if sum(map(len, writes.values())) < len(updates):
+        return state
+    tables, indexes = state.tables, state.indexes
     for symbol, written in writes.items():
-        tables[symbol] = {**tables.get(symbol, _NO_TABLE), **written}
-    for symbol, args in zeros:
-        del tables[symbol][args]
-    return State(state.structure, tables)
+        table = tables.get(symbol, _NO_TABLE)
+        if table is _NO_TABLE:
+            table = tables[symbol] = {}
+        table.update(written)
+        if EMPTY in written.values():
+            for args in [args for args, value in written.items() if value is EMPTY]:
+                del table[args]
+        if symbol in indexes:
+            for built in indexes[symbol].values():
+                built.clear()
+    return State(state.structure, tables, indexes)
 
 
 def _accumulate_active(updates, active: set, ordinals: int) -> int:
@@ -668,15 +700,19 @@ def _input_tables(structure: InputStructure, symbols) -> dict:
 
 
 def run(program: Program, structure: InputStructure) -> RunOutcome:
-    """Fire a parsed program from the initial state under its own budgets."""
+    """Fire a parsed program from the initial state under its own budgets.
+
+    The run's state holds the tables every step reads, input tables
+    included, and ``fire`` writes them in place; the final state holds
+    the dynamic tables written."""
     _vocabulary_check(program, structure)
     compiler = _Compiler(structure)
     step = compiler.rule(program.rule, {}, 0)
     env: list = [None] * compiler.slots
-    # the tables a step reads, {**unwritten, **inputs, **state.tables}: an
-    # empty one for each dynamic symbol, then each input symbol's (a key set
-    # disjoint from the first by the vocabulary check), then the state's,
-    # laid over them after each step that changes the state
+    # the tables a step reads, and the state's, which fire writes: an empty
+    # one for each dynamic symbol until it is first written, then each
+    # input symbol's (a key set disjoint from the first by the
+    # vocabulary check)
     tables = {
         **dict.fromkeys(program.dynamic_arity, _NO_TABLE),
         **_input_tables(structure, program.static_arity),
@@ -686,7 +722,7 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
     max_steps = program.bounds.max_steps(n)
     max_active = program.bounds.max_active(n)
 
-    state = State(structure)
+    state = State(structure, tables, compiler.indexes)
     active: set = set()  # the active non-ordinals
     ordinals = 0  # the active ordinals are 0, ..., ordinals - 1
     steps = 0
@@ -703,9 +739,9 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
         if new_state is not state:
             ordinals = _accumulate_active(updates, active, ordinals)
             state = new_state
-            tables.update(state.tables)
             if len(active) + ordinals > max_active:
                 verdict = "bound-exceeded"
                 break
     output = _as_flag(state.read("Output", ()))
-    return RunOutcome(verdict, steps, len(active) + ordinals, output, state)
+    written = {s: tables[s] for s in program.dynamic_arity if tables[s] is not _NO_TABLE}
+    return RunOutcome(verdict, steps, len(active) + ordinals, output, State(structure, written))

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -736,6 +737,8 @@ def _indexed_guards(draw, v, o):
                 f"D({o}, {v}) = {k}", f"{k} = D({v}, {o})", f"D({v}, {v}) = {k}",
                 f"D(Pair({o}, {o}), {v}) = {k}", f"D({v}, 2) = {k}", f"D(Atoms, {v}) = {k}",
                 f"B({v})", f"U({v}) = {k}", f"{k} = U({v})", f"U({v})",
+                # served by the atoms that read nonzero, then tested again
+                f"{k} in D({o}, {v})", f"{k} in U({v})", f"{k} in B({v})",
                 # the binder inside another argument: no index can serve
                 f"D(F({v}), {v}) = {k}", f"E({v}, F({v}))",
             ]
@@ -795,7 +798,15 @@ def two_step_programs(draw):
     fill = draw(_fill_rules())
     outer = draw(st.sampled_from(_OUTER_RANGES))
     reads = draw(st.lists(_reads("y"), min_size=1, max_size=3))
-    body = "; ".join(f"R{i}(x, y) := {t}" for i, t in enumerate(reads))
+    # a guarded forall whose guard an index may serve
+    when = draw(_indexed_guards("v", "y"))
+    written = draw(st.sampled_from(["1", "v", "Pair(v, y)", "D(y, v)"]))
+    body = "; ".join(
+        [
+            *(f"R{i}(x, y) := {t}" for i, t in enumerate(reads)),
+            f"do forall v in Atoms, if {when} then W(x, y, v) := {written} endif enddo",
+        ]
+    )
     halt = draw(_indexed_guards("v", "x"))
     return (
         "#steps 3\n#active 200 20\n#requires card\n"
@@ -1129,17 +1140,37 @@ def test_collect_updates_by_rule_kind(five_atoms):
 
 
 def test_fire_semantics(five_atoms):
-    state = State(five_atoms)
     a = five_atoms.by_name["a0"]
     b = five_atoms.by_name["a1"]
-    for fire_ in (fire, bgs_oracle.fire):
-        ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
+    ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
+    clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
+    for fire_, in_place in ((fire, True), (bgs_oracle.fire, False)):
+        state = State(five_atoms)
         new = fire_(state, ok)
+        assert new is not state
         assert new.read("F", (a,)) is ordinal(1)
         assert new.read("F", (b,)) is ordinal(1)
-        assert state.read("F", (a,)) is EMPTY  # old state untouched
-        clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
-        assert fire_(state, clash) is state
+        # fire writes the tables it is given; the oracle's fire copies them
+        assert state.read("F", (a,)) is (ordinal(1) if in_place else EMPTY)
+        assert fire_(new, clash) is new
+        assert new.read("F", (a,)) is ordinal(1)
+
+
+def test_clash_on_one_symbol_writes_no_other():
+    """An update set that is valid on F but gives G two values writes
+    nothing to F, in whichever order its distinct updates come."""
+    a, b = _FIRE_ATOMS[:2]
+    updates = [
+        ("F", (a,), EMPTY),
+        ("F", (b,), ordinal(2)),
+        ("G", (), ordinal(1)),
+        ("G", (), ordinal(2)),
+    ]
+    for order in itertools.permutations(updates):
+        state = fire(State(empty_structure(0)), {("F", (a,), TRUE)})
+        f = state.tables["F"]
+        assert fire(state, list(order)) is state
+        assert state.tables == {"F": {(a,): TRUE}} and state.tables["F"] is f
 
 
 _FIRE_ATOMS = [Atom(f"f{i}") for i in range(3)]
@@ -1153,17 +1184,87 @@ _fire_updates = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sets(_fire_updates, max_size=6), max_size=4))
 def test_fire_matches_oracle_fire(steps):
-    """``fire`` and the oracle's plain ``fire`` agree step by step on
-    writes, writes of 0, clashes and empty update sets, and neither
-    changes the state it is given."""
+    """``fire`` and the oracle's copying ``fire`` agree step by step on
+    writes, writes of 0, clashes and empty update sets.  ``fire`` writes
+    the tables it is given: after a step with no clash they equal the
+    oracle's new tables, and after a clash, or an empty update set, they
+    are unchanged and ``fire`` returns the state it got."""
     got = want = State(empty_structure(0))
     for updates in steps:
         before = {symbol: dict(table) for symbol, table in got.tables.items()}
         new_got, new_want = fire(got, updates), bgs_oracle.fire(want, updates)
         assert (new_got is got) == (new_want is want)
+        assert got.tables == (before if new_got is got else new_want.tables)
         assert new_got.tables == new_want.tables
-        assert got.tables == before
         got, want = new_got, new_want
+
+
+# fill B over every atom, then rewrite the one B entry at the First atom
+_ONE_WRITE = (
+    "if Mode = 0 then do in parallel\n"
+    "  do forall x in Atoms, B(x) := x enddo;\n"
+    "  Mode := 1\n"
+    "enddo else\n"
+    "  do forall x in Atoms, if First(x) then B(x) := Pair(B(x), B(x)) endif enddo\n"
+    "endif\n"
+)
+
+
+def _one_write_work(n: int, monkeypatch) -> tuple:
+    """The one-write program run for six steps on n atoms: the Python
+    calls each step makes while collecting its updates, and for each step
+    after the fill whether B kept its dict and how many B entries changed."""
+    prog = parse(_ONE_WRITE, "#steps 6\n#active 10 1\n")
+    names = [f"a{i}" for i in range(n)]
+    structure = InputStructure.build(names, relations={"First": [(names[n // 2],)]})
+    collect_updates, fire_ = interp.collect_updates, interp.fire
+    calls: list = []
+    writes: list = []
+
+    def counted_collect(step, tables, env):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return collect_updates(step, tables, env)
+        finally:
+            sys.setprofile(previous)
+            calls.append(count)
+
+    def watched_fire(state, updates):
+        table = state.tables.get("B", {})
+        before = dict(table)
+        new = fire_(state, updates)
+        if before:
+            after = new.tables["B"]
+            changed = sum(before.get(args) is not value for args, value in after.items())
+            writes.append((after is table, len(after) - len(before), changed))
+        return new
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interp, "collect_updates", counted_collect)
+        patch.setattr(interp, "fire", watched_fire)
+        outcome = run(prog, structure)
+    assert (outcome.verdict, outcome.steps) == ("bound-exceeded", 6)
+    return calls, writes
+
+
+def test_one_write_step_costs_the_same_at_any_size(monkeypatch):
+    """After B is filled over every atom, a step rewrites one B entry: the
+    forall visits the First atom alone, through First's index, and fire
+    writes that entry into B in place.  Work is counted, not timed: each
+    step after the fill makes as many Python calls at 10,000 atoms as at
+    100, keeps B's dict and changes one entry of it."""
+    small_calls, small_writes = _one_write_work(100, monkeypatch)
+    large_calls, large_writes = _one_write_work(10_000, monkeypatch)
+    assert small_calls[1:] == large_calls[1:]
+    assert large_calls[0] > 100 * small_calls[1]  # the fill visits every atom
+    assert small_writes == large_writes == [(True, 0, 1)] * 5
 
 
 def test_active_count_examples(five_atoms):
