@@ -110,6 +110,17 @@ same 'r["verdict"] == "bound-exceeded" and r["steps"] == 2000 and r["peak_active
 # GF(2) rows of 64 bits span three 30-bit digits of the packed matrix
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat
+# the same matrix with comments, a blank line, doubled spaces and its
+# headers reordered: read by the line reader, to the same verdict
+python3 -c 'import sys; l = sys.stdin.read().splitlines(); print("\n".join(["// a copy of m.mat", l[2] + "  // flag", "", l[1].replace(" ", "  ", 3), l[0], *l[3:]]))' < m.mat > m-lines.mat
+agree m-lines.mat
+same 'r["method"] == "power"' '1:m 1:m-lines' choiceless-lab solve det --matrix @.mat
+# --out on either side of the command
+choiceless-lab --out a.json solve det --matrix m.mat
+choiceless-lab solve det --matrix m.mat --out b.json
+python3 -c 'import json, sys; a, b = (json.load(open(f))["result"] for f in sys.argv[1:]); assert a == b, (a, b)' a.json b.json
+exits 2 nonsense.json choiceless-lab solve nonsense
+expect 'r["error"]["kind"] == "usage" and "solve det" in r["error"]["message"]' < nonsense.json
 for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done
 # field powers that took 3 to 7 s on one list or table product per entry:
 # GF(4) and GF(8) now run on GF(2), and GF(3) in byte slots

@@ -15,6 +15,13 @@ and ``write_structure`` stay module-level names, read from
 ``structures``, because most commands read or write a structure and a
 benchmark tracer rebinds ``parse_structure`` in every module that holds
 it.
+
+Commands are one flat table, ``_COMMANDS``, from ``(group, command)`` to
+the handler and its options.  The command words are the first two
+arguments that are not ``--out`` or its value, so ``--out`` may stand on
+either side of the command.  Each command's parser declares ``--out`` and
+the command's options; it is built when the command first runs and kept,
+so a request runs one argparse parse and an import builds no parser.
 """
 
 from __future__ import annotations
@@ -58,83 +65,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    """The command tree: every leaf names its handler."""
-    parser = _Parser(prog="choiceless-lab")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name, handler):
-        command = group.add_parser(name)
-        command.set_defaults(handler=handler)
-        return command
-
-    bgs_sub = sub.add_parser("bgs").add_subparsers(dest="action", required=True)
-    bgs_run = leaf(bgs_sub, "run", _cmd_bgs_run)
-    bgs_run.add_argument("--program", required=True)
-    bgs_run.add_argument("--input", required=True)
-
-    gen_sub = sub.add_parser("gen").add_subparsers(dest="target", required=True)
-    g_cfi = leaf(gen_sub, "cfi", _cmd_gen_cfi)
-    g_cfi.add_argument("--m", type=int, required=True)
-    g_cfi.add_argument("--twist", required=True, help="even, odd, or a comma list of base vertices")
-    g_cfi.add_argument("--pad", action="store_true")
-    g_cfi.add_argument("--file", required=True, help="structure file to write")
-    g_multi = leaf(gen_sub, "multipede", _cmd_gen_multipede)
-    g_multi.add_argument("--segments", type=int, required=True)
-    g_multi.add_argument("--hyperedges", type=int, required=True)
-    g_multi.add_argument("--seed", type=int, required=True)
-    g_multi.add_argument("--shoe", action="store_true")
-    g_multi.add_argument("--file", required=True)
-    g_bip = leaf(gen_sub, "bipartite", _cmd_gen_bipartite)
-    g_bip.add_argument("--na", type=int, required=True)
-    g_bip.add_argument("--nb", type=int, required=True)
-    g_bip.add_argument("--density", type=float, default=0.5)
-    g_bip.add_argument("--seed", type=int, required=True)
-    g_bip.add_argument("--file", required=True)
-    g_mat = leaf(gen_sub, "matrix", _cmd_gen_matrix)
-    g_mat.add_argument("--q", type=int, help="field order (omit for ring Z)")
-    g_mat.add_argument("--n", type=int, required=True)
-    g_mat.add_argument("--max-abs", type=int, help="entry bound for ring Z (default 256)")
-    g_mat.add_argument("--seed", type=int, required=True)
-    g_mat.add_argument("--file", required=True)
-
-    solve_sub = sub.add_parser("solve").add_subparsers(dest="problem", required=True)
-    s_match = leaf(solve_sub, "matching", _cmd_solve_matching)
-    s_match.add_argument("--input", required=True)
-    s_match.add_argument("--max-size", action="store_true")
-    s_det = leaf(solve_sub, "det", _cmd_solve_det)
-    s_det.add_argument("--matrix", required=True)
-    s_det.add_argument("--method", choices=["power", "gauss"], help="field matrices only")
-    s_det.add_argument("--prime-divisors", action="store_true")
-    s_cfi = leaf(solve_sub, "cfi-classify", _cmd_solve_cfi_classify)
-    s_cfi.add_argument("--input", required=True)
-
-    iso_sub = sub.add_parser("iso").add_subparsers(dest="kind", required=True)
-    # a 4-multipede's power-set sort is padding, so both kinds share a decider
-    for kind, handler in (
-        ("multipede3", _cmd_iso_multipede),
-        ("multipede4", _cmd_iso_multipede),
-        ("cfi", _cmd_iso_cfi),
-    ):
-        pair = leaf(iso_sub, kind, handler)
-        pair.add_argument("--a", required=True)
-        pair.add_argument("--b", required=True)
-
-    exp_sub = sub.add_parser("experiment").add_subparsers(dest="experiment", required=True)
-    freq = leaf(exp_sub, "det-frequency", _cmd_experiment)
-    freq.add_argument("--q", type=int, required=True)
-    freq.add_argument("--n", type=int, required=True)
-    freq.add_argument("--trials", type=int, required=True)
-    freq.add_argument("--seed", type=int, required=True)
-
-    val_sub = sub.add_parser("validate").add_subparsers(dest="what", required=True)
-    leaf(val_sub, "multipede", _cmd_validate_multipede).add_argument("--input", required=True)
-    leaf(val_sub, "structure", _cmd_validate_structure).add_argument("--input", required=True)
-
-    return parser
 
 
 def _read(path: str) -> str:
@@ -384,9 +314,79 @@ def _cmd_validate_structure(args) -> dict:
     }
 
 
-# built once per process, after the handlers it names: parse_args leaves
-# the parser as it found it
-_PARSER = _build_parser()
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_INPUT = {"--input": _REQUIRED}
+_PAIR = {"--a": _REQUIRED, "--b": _REQUIRED}
+
+# (group, command) -> (handler, {flag: its add_argument keywords})
+_COMMANDS = {
+    ("bgs", "run"): (_cmd_bgs_run, {"--program": _REQUIRED, "--input": _REQUIRED}),
+    ("gen", "cfi"): (_cmd_gen_cfi, {
+        "--m": _INT,
+        "--twist": dict(_REQUIRED, help="even, odd, or a comma list of base vertices"),
+        "--pad": _FLAG,
+        "--file": dict(_REQUIRED, help="structure file to write"),
+    }),
+    ("gen", "multipede"): (_cmd_gen_multipede, {
+        "--segments": _INT, "--hyperedges": _INT, "--seed": _INT, "--shoe": _FLAG,
+        "--file": _REQUIRED,
+    }),
+    ("gen", "bipartite"): (_cmd_gen_bipartite, {
+        "--na": _INT, "--nb": _INT, "--density": {"type": float, "default": 0.5},
+        "--seed": _INT, "--file": _REQUIRED,
+    }),
+    ("gen", "matrix"): (_cmd_gen_matrix, {
+        "--q": {"type": int, "help": "field order (omit for ring Z)"},
+        "--n": _INT,
+        "--max-abs": {"type": int, "help": "entry bound for ring Z (default 256)"},
+        "--seed": _INT,
+        "--file": _REQUIRED,
+    }),
+    ("solve", "matching"): (_cmd_solve_matching, {"--input": _REQUIRED, "--max-size": _FLAG}),
+    ("solve", "det"): (_cmd_solve_det, {
+        "--matrix": _REQUIRED,
+        "--method": {"choices": ["power", "gauss"], "help": "field matrices only"},
+        "--prime-divisors": _FLAG,
+    }),
+    ("solve", "cfi-classify"): (_cmd_solve_cfi_classify, _INPUT),
+    # a 4-multipede's power-set sort is padding, so both kinds share a decider
+    ("iso", "multipede3"): (_cmd_iso_multipede, _PAIR),
+    ("iso", "multipede4"): (_cmd_iso_multipede, _PAIR),
+    ("iso", "cfi"): (_cmd_iso_cfi, _PAIR),
+    ("experiment", "det-frequency"): (_cmd_experiment, {
+        "--q": _INT, "--n": _INT, "--trials": _INT, "--seed": _INT,
+    }),
+    ("validate", "multipede"): (_cmd_validate_multipede, _INPUT),
+    ("validate", "structure"): (_cmd_validate_structure, _INPUT),
+}
+
+_LEAVES: dict = {}  # (group, command) -> its parser, built on first use
+
+
+def _leaf(command: tuple) -> _Parser:
+    """The parser of one command: ``--out`` and the command's options."""
+    if command not in _LEAVES:
+        parser = _Parser(prog="choiceless-lab " + " ".join(command))
+        parser.add_argument("--out", help="write the JSON report here instead of stdout")
+        for flag, options in _COMMANDS[command][1].items():
+            parser.add_argument(flag, **options)
+        _LEAVES[command] = parser
+    return _LEAVES[command]
+
+
+def _split(argv) -> tuple:
+    """The command words, the first two arguments that are not ``--out``
+    (or a prefix of it, such as ``--o``) or its value, and the others."""
+    words, rest, at = [], list(argv), 0
+    while len(words) < 2 and at < len(rest):
+        flag, inline, _ = rest[at].partition("=")
+        if len(flag) > 2 and "--out".startswith(flag):
+            at += 1 if inline else 2
+        else:
+            words.append(rest.pop(at))
+    return tuple(words), rest
 
 
 def _emit(report: dict, out_path):
@@ -407,9 +407,16 @@ def dispatch(argv) -> tuple:
     started = time.monotonic()
     out_path = None
     try:
-        args = _PARSER.parse_args(argv)
+        command, rest = _split(argv)
+        if command not in _COMMANDS:
+            listing = ", ".join(map(" ".join, _COMMANDS))
+            if "-h" in argv or "--help" in argv:
+                print(f"usage: choiceless-lab [--out OUT] <command> ...\ncommands: {listing}")
+                raise SystemExit(EXIT_OK)
+            raise _UsageError(f"unknown command {' '.join(command)!r}; the commands are {listing}")
+        args = _leaf(command).parse_args(rest)
         out_path = args.out
-        report = dict(envelope, result=args.handler(args))
+        report = dict(envelope, result=_COMMANDS[command][0](args))
         report["timing_seconds"] = round(time.monotonic() - started, 6)
         _emit(report, out_path)
         return EXIT_OK, report

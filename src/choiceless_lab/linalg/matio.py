@@ -14,24 +14,74 @@ most once.  Field entries are canonical element indices; ring entries are
 decimal integers (possibly negative).  Integer matrices must be square.
 Every decimal (the field order, an entry) is ASCII digits, at most 4,300
 of them, with a ``-`` before a negative entry.
+
+Text in the layout the writers and ``gen matrix`` use is read in bulk:
+the three headers, the ring's, the rows' and the square flag or the
+columns', on the first three lines, then one ``i j v`` line per entry,
+fields one space apart, and no ``//`` anywhere.  The line reader reads the
+headers, and the entries are checked column by column, with set and
+string operations over all of them at once.  Any other text, and any text
+that fails a check there, goes to the line reader, which holds every
+error message and line number.
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError, ValidationError, read_decimal
+from ..errors import DECIMAL_MAX_DIGITS, ParseError, ValidationError, read_decimal
 from .fields import gf
 from .intmatrix import IntMatrix
 from .matrix import FieldMatrix
 
 __all__ = ["parse_matrix", "write_field_matrix", "write_int_matrix"]
 
-_HEADERS = ("field", "ring", "rows", "cols", "square")
+_HEADERS = frozenset({"field", "ring", "rows", "cols", "square"})
 
 
 def parse_matrix(text: str):
     """Returns a FieldMatrix or an IntMatrix.  This is the
     only check on a matrix from outside, so it checks the whole format;
     every error that belongs to a line names it."""
+    matrix = _read_bulk(text)
+    return _read_lines(text) if matrix is None else matrix
+
+
+def _read_bulk(text: str):
+    """The matrix that ``text`` writes in the written layout, or None when
+    it is in another layout or fails a check: the line reader reads the
+    three headers, and the entries are checked column by column."""
+    lines = text.split("\n")
+    if len(lines) < 4 or lines.pop() or "//" in text or not "".join(lines[:3]).isprintable():
+        return None
+    try:
+        empty = _read_lines("\n".join(lines[:3]))
+    except ParseError:
+        return None
+    field = getattr(empty, "field", None)
+    rows, cols = (empty.index_set,) * 2 if field is None else (empty.rows, empty.cols)
+    cells = [line.split(" ") for line in lines[3:]]
+    columns = list(zip(*cells)) or [(), (), ()]
+    # three fields on every line, and no line that the line reader reads as a header
+    if len(columns) != 3 or sum(map(len, cells)) != 3 * len(cells) or _HEADERS & rows:
+        return None
+    i, j, v = columns
+    digits = "".join(v).replace("-", "") if field is None else "".join(v)
+    known = rows.issuperset(i) and cols.issuperset(j) and (digits or "0").isdigit()
+    if not (known and digits.isascii()) or max(map(len, v), default=0) > DECIMAL_MAX_DIGITS:
+        return None
+    try:  # a misplaced "-", an empty value, or past the interpreter's digits
+        values = list(map(int, v))
+    except ValueError:
+        return None
+    entries = dict(zip(zip(i, j), values))
+    if len(entries) < len(values) or field is not None and max(values, default=0) >= field.order:
+        return None  # a cell listed twice, or a value that is no element
+    if field is None:
+        return IntMatrix.from_int_entries(entries, rows)
+    return FieldMatrix(field, rows, cols, entries)
+
+
+def _read_lines(text: str):
+    """The line reader: every layout, and the one source of every error."""
     ring = q = rows = cols = None
     square = False
     header_line: dict = {}  # header -> line number

@@ -662,7 +662,7 @@ def test_one_parser_serves_every_dispatch(tmp_path, capsys, monkeypatch):
     shared = [invoke(argv, capsys) for argv in argvs]
     fresh = []
     for argv in argvs:
-        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        monkeypatch.setattr(cli, "_LEAVES", {})  # every leaf parser built afresh
         fresh.append(invoke(argv, capsys))
     assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
     for (code, report), (fresh_code, fresh_report) in zip(shared, fresh):
@@ -1236,3 +1236,168 @@ def test_generated_multipede_file_reparses_bytewise(tmp_path, capsys):
     invoke(args + ["--file", str(a)], capsys)
     invoke(args + ["--file", str(b)], capsys)
     assert a.read_text() == b.read_text()
+
+
+# ------------------------------------------------------------ command table
+
+# every command's options as the three-level argparse tree declared them:
+# flag -> (required, type, choices, default, store_true, help)
+_REQ = (True, None, None, None, False, None)
+_REQ_INT = (True, int, None, None, False, None)
+_STORE_TRUE = (False, None, None, False, True, None)
+_OLD_TREE = {
+    ("bgs", "run"): {"--program": _REQ, "--input": _REQ},
+    ("gen", "cfi"): {
+        "--m": _REQ_INT,
+        "--twist": (True, None, None, None, False, "even, odd, or a comma list of base vertices"),
+        "--pad": _STORE_TRUE,
+        "--file": (True, None, None, None, False, "structure file to write"),
+    },
+    ("gen", "multipede"): {
+        "--segments": _REQ_INT,
+        "--hyperedges": _REQ_INT,
+        "--seed": _REQ_INT,
+        "--shoe": _STORE_TRUE,
+        "--file": _REQ,
+    },
+    ("gen", "bipartite"): {
+        "--na": _REQ_INT,
+        "--nb": _REQ_INT,
+        "--density": (False, float, None, 0.5, False, None),
+        "--seed": _REQ_INT,
+        "--file": _REQ,
+    },
+    ("gen", "matrix"): {
+        "--q": (False, int, None, None, False, "field order (omit for ring Z)"),
+        "--n": _REQ_INT,
+        "--max-abs": (False, int, None, None, False, "entry bound for ring Z (default 256)"),
+        "--seed": _REQ_INT,
+        "--file": _REQ,
+    },
+    ("solve", "matching"): {"--input": _REQ, "--max-size": _STORE_TRUE},
+    ("solve", "det"): {
+        "--matrix": _REQ,
+        "--method": (False, None, ["power", "gauss"], None, False, "field matrices only"),
+        "--prime-divisors": _STORE_TRUE,
+    },
+    ("solve", "cfi-classify"): {"--input": _REQ},
+    ("iso", "multipede3"): {"--a": _REQ, "--b": _REQ},
+    ("iso", "multipede4"): {"--a": _REQ, "--b": _REQ},
+    ("iso", "cfi"): {"--a": _REQ, "--b": _REQ},
+    ("experiment", "det-frequency"): {
+        "--q": _REQ_INT,
+        "--n": _REQ_INT,
+        "--trials": _REQ_INT,
+        "--seed": _REQ_INT,
+    },
+    ("validate", "multipede"): {"--input": _REQ},
+    ("validate", "structure"): {"--input": _REQ},
+}
+
+
+def test_command_table_keeps_the_old_tree_options(monkeypatch):
+    import argparse
+
+    monkeypatch.setattr(cli, "_LEAVES", {})
+    assert sorted(cli._COMMANDS) == sorted(_OLD_TREE)
+    for command, options in _OLD_TREE.items():
+        declared = {}
+        for action in cli._leaf(command)._actions:
+            (flag,) = action.option_strings[-1:]
+            declared[flag] = (
+                action.required,
+                action.type,
+                action.choices,
+                action.default,
+                isinstance(action, argparse._StoreTrueAction),
+                action.help,
+            )
+        assert declared.pop("--help")[4:] == (False, "show this help message and exit")
+        out = (False, None, None, None, False, "write the JSON report here instead of stdout")
+        assert declared.pop("--out") == out
+        assert declared == options, command
+
+
+def test_solve_det_runs_one_argparse_parse(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("field 2\nrows a b\nsquare\na b 1\nb a 1\n")
+    parse = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, report = invoke(["solve", "det", "--matrix", str(matrix)], capsys)
+    assert (code, report["result"]["nonsingular"]) == (EXIT_OK, True)
+    assert calls == ["choiceless-lab solve det"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    count = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import choiceless_lab.cli\n"
+        "print(len(made), len(choiceless_lab.cli._LEAVES))\n"
+    )
+    assert run_child(["-c", count]).stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "out", [["--out", "{}"], ["--out={}"], ["--o", "{}"], ["--ou={}"]], ids=" ".join
+)
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+def test_out_on_either_side_of_the_command(tmp_path, capsys, out, after):
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("ring Z\nrows a b\nsquare\na a 2\nb b 3\n")
+    report_path = tmp_path / "report.json"
+    out = [arg.format(report_path) for arg in out]
+    command = ["solve", "det", "--matrix", str(matrix)]
+    argv = command + out if after else out + command
+    code, report = dispatch(argv)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert json.loads(report_path.read_text()) == report
+    assert report["result"] == {"method": "crt", "nonsingular": True}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "nonsense"], "unknown command 'solve nonsense'"),
+        (["nonsense", "det", "--matrix", "m.mat"], "unknown command 'nonsense det'"),
+        (["solve"], "unknown command 'solve'"),
+        (["--out", "x.json"], "unknown command ''"),
+        ([], "unknown command ''"),
+        (["solve", "det"], "the following arguments are required: --matrix"),
+        (["gen", "cfi", "--m", "3", "--file", "x.str"], "required: --twist"),
+    ],
+)
+def test_usage_errors(capsys, argv, message):
+    code, report = dispatch(argv)
+    assert code == EXIT_USAGE
+    assert report["error"]["kind"] == "usage"
+    assert message in report["error"]["message"]
+    if "unknown command" in message:
+        assert "solve det, solve cfi-classify" in report["error"]["message"]
+    assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["solve", "det", "--help"], "usage: choiceless-lab solve det [-h] [--out OUT] --matrix"),
+        (["--help"], "usage: choiceless-lab [--out OUT] <command> ..."),
+        (["solve", "-h"], "usage: choiceless-lab [--out OUT] <command> ..."),
+    ],
+)
+def test_help_prints_usage_and_exits_zero(capsys, argv, usage):
+    with pytest.raises(SystemExit) as stop:
+        dispatch(argv)
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith(usage)

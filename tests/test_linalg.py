@@ -6,13 +6,14 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import errors
-from choiceless_lab.errors import GuardExceeded, ParseError, ValidationError
+from choiceless_lab.errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
 from choiceless_lab.linalg import intmatrix
 from choiceless_lab.linalg.fields import _is_prime, gf, zp
 from choiceless_lab.linalg.intmatrix import (
@@ -23,10 +24,17 @@ from choiceless_lab.linalg.intmatrix import (
     prime_scan,
     scan_width,
 )
-from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
+from choiceless_lab.linalg.matio import (
+    _read_bulk,
+    _read_lines,
+    parse_matrix,
+    write_field_matrix,
+    write_int_matrix,
+)
 from choiceless_lab.linalg.matrix import (
     FieldMatrix,
     _Layout,
+    _square_and_multiply,
     gl_exponent,
     identity,
     mat_mul,
@@ -408,6 +416,32 @@ def test_dense_power_matches_dict_products(data):
     assert mat_pow(dense(field, grid), r) == expected
     renamed = {(labels[i], labels[j]): v for (i, j), v in expected.entries.items()}
     assert mat_pow(dense(field, grid, labels), r).entries == renamed
+
+
+def _counted_power(r: int):
+    """``3**r`` modulo a Mersenne prime by ``_square_and_multiply``, and
+    the number of products it took."""
+    products = []
+
+    def mul(x, y):
+        products.append(1)
+        return x * y % MERSENNE61
+
+    return _square_and_multiply(mul, 3, r), len(products)
+
+
+def test_windowed_powers_match_pow_in_no_more_products_than_binary():
+    rng = random.Random(46)
+    for r in [*range(1, 4096), *(rng.randrange(1, 2**1300) for _ in range(200))]:
+        power, products = _counted_power(r)
+        assert power == pow(3, r, MERSENNE61)
+        assert products <= r.bit_length() + r.bit_count() - 2  # the binary method's count
+
+
+# products the binary method takes: 206, 1,856 and 59
+@pytest.mark.parametrize("q, n, products", [(2, 20, 169), (2, 64, 1485), (4, 7, 50)])
+def test_gl_exponent_power_products(q, n, products):
+    assert _counted_power(gl_exponent(gf(q), n))[1] == products
 
 
 def test_mat_pow_rejects_zero_exponent():
@@ -931,6 +965,150 @@ def test_matrix_files_round_trip_legal_names(data):
     nonzero = {cell: value for cell, value in int_entries.items() if value}
     assert isinstance(back, IntMatrix)
     assert (back.index_set, back.entries) == (rows, nonzero)
+
+
+def _reading(read, text):
+    """What ``read`` makes of ``text``: the matrix, or the error."""
+    try:
+        m = read(text)
+    except ChoicelessLabError as exc:
+        return type(exc), str(exc)
+    if isinstance(m, IntMatrix):
+        return m.index_set, m.entries, m.digit_count
+    return m
+
+
+def _benchmark_layout(header: str, m, rng: random.Random) -> str:
+    """``m`` as the benchmark writes a matrix: rows and cells shuffled."""
+    rows = sorted(map(str, m.rows if header != "ring Z" else m.index_set))
+    rng.shuffle(rows)
+    cols = "square" if header == "ring Z" or m.square else "cols " + " ".join(sorted(m.cols))
+    cells = list(m.entries.items())
+    rng.shuffle(cells)
+    lines = [header, "rows " + " ".join(rows), cols, *(f"{i} {j} {v}" for (i, j), v in cells)]
+    return "\n".join(lines) + "\n"
+
+
+# each takes an entry line, the field order (None over Z) and a random source
+_CORRUPTIONS = {
+    "unknown index": lambda line, q, rng: line.replace(" ", "_ ", 1),
+    "repeated cell": lambda line, q, rng: line + "\n" + line.rsplit(" ", 1)[0] + " 1",
+    "value past q": lambda line, q, rng: line.rsplit(" ", 1)[0] + f" {q or 0}",
+    "minus": lambda line, q, rng: line.rsplit(" ", 1)[0] + " -1",
+    "non-ASCII digit": lambda line, q, rng: line + rng.choice(["\u0663", "\u00b2", "\uff11"]),
+    "4,301 digits": lambda line, q, rng: line.rsplit(" ", 1)[0] + " " + "1" * 4301,
+    "fourth field": lambda line, q, rng: line + " 1",
+    "missing field": lambda line, q, rng: line.rsplit(" ", 1)[0],
+    "tab": lambda line, q, rng: line.replace(" ", "\t", 1),
+    "comment": lambda line, q, rng: line + " // note",
+    "blank line": lambda line, q, rng: "\n" + line,
+    "doubled space": lambda line, q, rng: line.replace(" ", "  ", 1),
+    "empty value": lambda line, q, rng: line.rsplit(" ", 1)[0] + " ",
+    "misplaced minus": lambda line, q, rng: line + "-",
+    "carriage return": lambda line, q, rng: line + "\r",
+    "header name": lambda line, q, rng: line.replace(line.split(" ")[0], "cols"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bulk_reader_agrees_with_the_line_reader(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 251, 257, None]))
+    n = data.draw(st.integers(1, 6))
+    names = data.draw(st.lists(_legal_names, min_size=2 * n, max_size=2 * n, unique=True))
+    rows = names[:n]
+    square = q is None or data.draw(st.booleans())
+    cols = rows if square else names[n : n + data.draw(st.integers(1, n))]
+    cells = st.tuples(st.sampled_from(rows), st.sampled_from(cols))
+    # nonzero, so every file has an entry line to corrupt
+    values = st.integers(-(10**30), 10**30).filter(bool) if q is None else st.integers(1, q - 1)
+    entries = data.draw(st.dictionaries(cells, values, min_size=1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    renamed = dict(zip(names, rng.sample(names, len(names))))  # a renaming of the indices
+    if q is None:
+        m = IntMatrix.from_int_entries(entries, rows)
+        header, write = "ring Z", write_int_matrix
+        relabel = IntMatrix.from_int_entries(
+            {(renamed[i], renamed[j]): v for (i, j), v in entries.items()}, map(renamed.get, rows)
+        )
+    else:
+        m = FieldMatrix(gf(q), frozenset(rows), frozenset(cols), entries)
+        header, write = f"field {q}", write_field_matrix
+        relabel = FieldMatrix(
+            gf(q),
+            frozenset(map(renamed.get, rows)),
+            frozenset(map(renamed.get, cols)),
+            {(renamed[i], renamed[j]): v for (i, j), v in entries.items()},
+        )
+    for matrix in (m, relabel):
+        for text in (write(matrix), _benchmark_layout(header, matrix, rng)):
+            assert _read_bulk(text) is not None  # the written layout is read in bulk
+            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+            assert _reading(parse_matrix, text) == _reading(lambda _: matrix, None)
+            lines = text.splitlines()
+            at = rng.randrange(3, len(lines))
+            corruption = data.draw(st.sampled_from(sorted(_CORRUPTIONS)))
+            lines[at] = _CORRUPTIONS[corruption](lines[at], q, rng)
+            if data.draw(st.booleans()):  # the headers in another order
+                lines[:3] = rng.sample(lines[:3], 3)
+            bad = "\n".join(lines) + "\n"
+            assert _reading(parse_matrix, bad) == _reading(_read_lines, bad)
+            bulk = _read_bulk(bad)
+            assert bulk is None or _reading(lambda _: bulk, None) == _reading(_read_lines, bad)
+
+
+@pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028", "\x0c"])
+def test_bulk_reader_leaves_other_line_breaks_to_the_line_reader(separator):
+    """The line reader breaks lines at more than newlines: an entry joined
+    to a header, or to another entry, by such a break is still an entry."""
+    for text in (
+        f"field 2\nrows a b\nsquare{separator}a b 1\nb a 1\n",
+        f"field 3\nrows a b\nsquare\na b 1{separator}b a 2\n",
+    ):
+        assert _read_bulk(text) is None
+        assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+
+
+def test_bulk_reader_keeps_the_digit_limit_when_int_has_none():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on the digits int converts")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for digits in ("7" * 4300, "7" * 4301):
+            text = f"ring Z\nrows a\nsquare\na a -{digits}\n"
+            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+            text = f"field 2\nrows a\nsquare\na a {digits}\n"
+            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+        with pytest.raises(ParseError, match="at most 4300 ASCII digits at line 4"):
+            parse_matrix("ring Z\nrows a\nsquare\na a " + "7" * 4301 + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bulk_reader_reads_a_matrix_without_entries():
+    for text in ("field 3\nrows a b\nsquare\n", "ring Z\nrows a\nsquare\n"):
+        assert _reading(_read_bulk, text) == _reading(_read_lines, text)
+        assert _read_bulk(text) is not None
+
+
+def test_bulk_reader_leaves_a_last_line_without_newline_to_the_line_reader():
+    text = "field 2\nrows a b\nsquare\na b 1\nb a 1"
+    assert _read_bulk(text) is None
+    assert parse_matrix(text).entries == {("a", "b"): 1, ("b", "a"): 1}
+
+
+@pytest.mark.parametrize("head", ["field", "ring", "rows", "cols", "square"])
+def test_bulk_reader_leaves_header_words_as_row_names_to_the_line_reader(head):
+    """A header word names no row the writers write, but a file may use
+    one; the line reader reads an entry line that starts with it as a
+    header, and the bulk reader must not read it as an entry."""
+    for text in (
+        f"field 2\nrows {head} a\nsquare\n{head} a 1\n",
+        f"ring Z\nrows {head} a\nsquare\n{head} a 2\na {head} -3\n",
+    ):
+        assert _read_bulk(text) is None
+        assert _reading(parse_matrix, text) == _reading(_read_lines, text)
 
 
 def test_matrix_entries_look_up_no_digit_limit(monkeypatch):
