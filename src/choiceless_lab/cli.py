@@ -16,12 +16,9 @@ and ``write_structure`` stay module-level names, read from
 benchmark tracer rebinds ``parse_structure`` in every module that holds
 it.
 
-Commands are one flat table, ``_COMMANDS``, from ``(group, command)`` to
-the handler and its options.  The command words are the first two
-arguments that are not ``--out`` or its value, so ``--out`` may stand on
-either side of the command.  Each command's parser declares ``--out`` and
-the command's options; it is built when the command first runs and kept,
-so a request runs one argparse parse and an import builds no parser.
+Commands are one flat table, ``_COMMANDS``.  A command's parser is built
+when the command first runs (:func:`_leaf`), so an import builds none, and
+``--out`` may stand on either side of the command (:func:`_split`).
 """
 
 from __future__ import annotations
@@ -324,10 +321,8 @@ _PAIR = {"--a": _REQUIRED, "--b": _REQUIRED}
 _COMMANDS = {
     ("bgs", "run"): (_cmd_bgs_run, {"--program": _REQUIRED, "--input": _REQUIRED}),
     ("gen", "cfi"): (_cmd_gen_cfi, {
-        "--m": _INT,
-        "--twist": dict(_REQUIRED, help="even, odd, or a comma list of base vertices"),
-        "--pad": _FLAG,
-        "--file": dict(_REQUIRED, help="structure file to write"),
+        "--m": _INT, "--twist": dict(_REQUIRED, help="even, odd, or a comma list of base vertices"),
+        "--pad": _FLAG, "--file": dict(_REQUIRED, help="structure file to write"),
     }),
     ("gen", "multipede"): (_cmd_gen_multipede, {
         "--segments": _INT, "--hyperedges": _INT, "--seed": _INT, "--shoe": _FLAG,
@@ -338,11 +333,9 @@ _COMMANDS = {
         "--seed": _INT, "--file": _REQUIRED,
     }),
     ("gen", "matrix"): (_cmd_gen_matrix, {
-        "--q": {"type": int, "help": "field order (omit for ring Z)"},
-        "--n": _INT,
+        "--q": {"type": int, "help": "field order (omit for ring Z)"}, "--n": _INT,
         "--max-abs": {"type": int, "help": "entry bound for ring Z (default 256)"},
-        "--seed": _INT,
-        "--file": _REQUIRED,
+        "--seed": _INT, "--file": _REQUIRED,
     }),
     ("solve", "matching"): (_cmd_solve_matching, {"--input": _REQUIRED, "--max-size": _FLAG}),
     ("solve", "det"): (_cmd_solve_det, {

@@ -15,14 +15,11 @@ decimal integers (possibly negative).  Integer matrices must be square.
 Every decimal (the field order, an entry) is ASCII digits, at most 4,300
 of them, with a ``-`` before a negative entry.
 
-Text in the layout the writers and ``gen matrix`` use is read in bulk:
-the three headers, the ring's, the rows' and the square flag or the
-columns', on the first three lines, then one ``i j v`` line per entry,
-fields one space apart, and no ``//`` anywhere.  The line reader reads the
-headers, and the entries are checked column by column, with set and
-string operations over all of them at once.  Any other text, and any text
-that fails a check there, goes to the line reader, which holds every
-error message and line number.
+Text in the layout the writers and ``gen matrix`` use (the headers on the
+first three lines, then one ``i j v`` line per entry, fields one space
+apart, no ``//``) is read in bulk, its entries checked column by column.
+Any other text, and any that fails a check there, goes to the line reader,
+which holds every error message and line number.
 """
 
 from __future__ import annotations
@@ -41,14 +38,11 @@ def parse_matrix(text: str):
     """Returns a FieldMatrix or an IntMatrix.  This is the
     only check on a matrix from outside, so it checks the whole format;
     every error that belongs to a line names it."""
-    matrix = _read_bulk(text)
-    return _read_lines(text) if matrix is None else matrix
+    return _read_bulk(text) or _read_lines(text)
 
 
 def _read_bulk(text: str):
-    """The matrix that ``text`` writes in the written layout, or None when
-    it is in another layout or fails a check: the line reader reads the
-    three headers, and the entries are checked column by column."""
+    """The matrix in the written layout, or None for the line reader."""
     lines = text.split("\n")
     if len(lines) < 4 or lines.pop() or "//" in text or not "".join(lines[:3]).isprintable():
         return None

@@ -80,20 +80,19 @@ multiple of the exponent decides the same way, so that argument is the
 special case.  The exponent has about ``(3 / pi**2) n**2 log2 q`` bits
 against ``n**2 log2 q`` for the order, and the number of products follows
 the bit length: powers run by left-to-right sliding windows (Knuth, TAOCP
-vol. 2, 4.6.3), which cut the exponent's digits into windows of at most w
-digits that end in a 1 and take about ``bits + bits / (w + 1) +
-2**(w - 1)`` products, with w in 1..5 the one that takes fewest for the
-exponent.  The ordered Gaussian routines live alongside as the
-independent oracle and as ``solve det --method gauss``; rank, solve and the
-frequency experiment share one forward elimination, :func:`echelon`, over
-the row operation the field supplies.  GF(2) rank on packed rows is
-:func:`_rank_bitrows`, which the frequency experiment and the multipede
-decisions read.
+vol. 2, 4.6.3) of at most w digits, which take about ``bits + bits / (w +
+1) + 2**(w - 1)`` products, with w in 1..5 the least of that for the bit
+length, or by the binary method when the exponent has too few 1 digits
+for windows to be sure of fewer.  The ordered Gaussian routines live
+alongside as the independent oracle and as ``solve det --method gauss``;
+rank, solve and the frequency experiment share one forward elimination,
+:func:`echelon`, over the row operation the field supplies.  GF(2) rank
+on packed rows is :func:`_rank_bitrows`, which the frequency experiment
+and the multipede decisions read.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -334,52 +333,34 @@ def mat_pow(m: FieldMatrix, r: int) -> FieldMatrix:
 
 
 def _square_and_multiply(mul, base, r: int):
-    """``base**r`` (r >= 1) as :func:`_windows` plans it: the odd powers
-    ``base, base**3, ...`` up to the largest window first, then per window
-    a squaring for each digit it moves and one product."""
-    top, steps = _windows(r)
-    odd = [base]  # base**(2 k + 1) at k
-    if top > 1:
-        square = mul(base, base)
-        for _ in range(top // 2):
-            odd.append(mul(odd[-1], square))
-    (_, first), *rest = steps
-    power = odd[first // 2]
-    for squarings, value in rest:
-        for _ in range(squarings):
-            power = mul(power, power)
-        if value:
-            power = mul(power, odd[value // 2])
-    return power
-
-
-# a plan costs about a small power test (0.15 ms for GL_20(2)'s exponent
-# against 0.12 ms for a whole GF(2) test at n = 8 on a 2-core Xeon VM),
-# and a process meets the same exponents again
-@functools.lru_cache(maxsize=32)
-def _windows(r: int) -> tuple:
-    """``(top, steps)``: ``r``'s digits, from the most significant, cut
-    into windows of at most w digits that start and end with a 1, for the
-    w in 1..5 whose products, counted exactly, are fewest.  A step ``(k,
-    u)`` squares k times, then multiplies by ``base**u`` unless u is 0;
-    the first starts from ``base**u``.  w = 1 is the binary method, with
-    ``bits + ones - 2`` products, so no ``r`` takes more."""
+    """``base**r`` (r >= 1) by sliding windows: the odd powers ``base,
+    base**3, ..., base**(2**w - 1)``, then ``r``'s digits, from the most
+    significant, in windows of at most w digits that start and end with a
+    1.  Windows start at least w digits apart, so they take at most
+    ``2**(w - 1) + bits + ceil(bits / w) - 2`` products; when that is more
+    than the binary method's ``bits + ones - 2``, w = 1, which is the
+    binary method, so no ``r`` takes more."""
     bits = format(r, "b")
-    plans = []
-    for w in range(1, 6):
-        steps, done = [], 0
-        while (start := bits.find("1", done)) >= 0:
-            end = bits.rfind("1", start, start + w) + 1
-            steps.append((end - done, int(bits[start:end], 2)))
-            done = end
-        steps.append((len(bits) - done, 0))  # the trailing 0s
-        top = max(value for _, value in steps)
-        # the odd powers up to top, a squaring per digit past the first
-        # window, and a product per later window
-        products = top // 2 + (top > 1) + len(bits) - steps[0][0] + len(steps) - 2
-        plans.append((products, top, tuple(steps)))
-    _, top, steps = min(plans, key=operator.itemgetter(0))
-    return top, steps
+    # the w in 1..5 where bits / (w + 1) + 2**(w - 1) is least
+    w = 1 + sum(len(bits) > bound for bound in (6, 24, 80, 240))
+    if (w > 1) * 2 ** (w - 1) - (-len(bits) // w) > r.bit_count():
+        w = 1
+    odd = {"1": base}  # base**v at v's digits, for odd v below 2**w
+    if w > 1:
+        square, power = mul(base, base), base
+        for v in range(3, 2**w, 2):
+            odd[format(v, "b")] = power = mul(power, square)
+    done = bits.rfind("1", 0, w) + 1
+    power = odd[bits[:done]]
+    while (start := bits.find("1", done)) >= 0:
+        end = bits.rfind("1", start, start + w) + 1
+        for _ in range(end - done):
+            power = mul(power, power)
+        power = mul(power, odd[bits[start:end]])
+        done = end
+    for _ in range(len(bits) - done):
+        power = mul(power, power)
+    return power
 
 
 def _rank_bitrows(rows) -> int:
