@@ -119,6 +119,14 @@ same 'r["method"] == "power"' '1:m 1:m-lines' choiceless-lab solve det --matrix 
 choiceless-lab --out a.json solve det --matrix m.mat
 choiceless-lab solve det --matrix m.mat --out b.json
 python3 -c 'import json, sys; a, b = (json.load(open(f))["result"] for f in sys.argv[1:]); assert a == b, (a, b)' a.json b.json
+# a short report written over a long one at the same --out is cut after
+# its last byte: the file reads as the report on stdout, timing aside
+python3 -c 'print("atoms: a"); print("\n".join(f"rel R{i}/1: (a)" for i in range(200)))' > symbols.str
+choiceless-lab validate structure --input symbols.str --out report.json
+choiceless-lab validate structure --input one.str --out report.json
+choiceless-lab validate structure --input one.str > stdout.json
+python3 -c 'import json, sys; f, s = (json.load(open(p)) for p in sys.argv[1:]); f["invocation"]["argv"][-2:] = []; [r.pop("timing_seconds") for r in (f, s)]; assert f == s, (f, s)' report.json stdout.json
+exits 0 null.json choiceless-lab solve det --matrix m.mat --out /dev/null
 exits 2 nonsense.json choiceless-lab solve nonsense
 expect 'r["error"]["kind"] == "usage" and "solve det" in r["error"]["message"]' < nonsense.json
 for q in 3 4 9; do choiceless-lab gen matrix --q "$q" --n 8 --seed 3 --file "m$q.mat"; agree "m$q.mat"; done

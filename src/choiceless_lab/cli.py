@@ -19,12 +19,20 @@ it.
 Commands are one flat table, ``_COMMANDS``.  A command's parser is built
 when the command first runs (:func:`_leaf`), so an import builds none, and
 ``--out`` may stand on either side of the command (:func:`_split`).
+
+``--out`` and every ``gen ... --file`` go through :func:`_write`, which
+follows a symlink, writes over an existing regular file in place and cuts
+it to the new length; a FIFO or a device is written but never truncated.
+Nothing is synced: a crash mid-write can leave the new bytes over the old
+file's tail.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 
@@ -73,9 +81,19 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` over the file at ``path``, then cut a regular file
+    after it; truncating to zero first would make ext4 flush it on close."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            left = memoryview(data)
+            while left:
+                left = left[os.write(fd, left):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 

@@ -38,6 +38,7 @@ gadget's ``Pre`` or a multipede's ``Leq``, from its degree counts.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import re
 import string
@@ -145,23 +146,31 @@ def _from_flat(atoms: tuple, relations: dict, functions: dict, arities: dict) ->
         # no tuples, or tuples of no names: never a list as long as the arity
         return zip(*[iter(names)] * arity) if arity and count else [()] * count
 
-    rels = {
-        name: frozenset(group("relation", name, names, count))
-        for name, (names, count) in relations.items()
-    }
-    funs = {}
-    for name, (names, count, values) in functions.items():
-        args = group("function", name, names, count)
-        size, arity = len(atoms), arities[name]
-        # size ** arity > count once 2 ** arity is: past arity 64 it is
-        # neither computed nor printed
-        huge = size > 1 and arity > max(64, count.bit_length())
-        if huge or count != size**arity:
-            expected = f"{size}^{arity}" if huge else size**arity
-            raise ValidationError(
-                f"function {name} must be total on the universe ({count} of {expected} tuples)"
-            )
-        funs[name] = dict(zip(args, share("function", name, values)))
+    # the tables' tuples hold only strings, so no cycle can form among
+    # them: the cyclic collector is paused while they are built
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rels = {
+            name: frozenset(group("relation", name, names, count))
+            for name, (names, count) in relations.items()
+        }
+        funs = {}
+        for name, (names, count, values) in functions.items():
+            args = group("function", name, names, count)
+            size, arity = len(atoms), arities[name]
+            # size ** arity > count once 2 ** arity is: past arity 64 it is
+            # neither computed nor printed
+            huge = size > 1 and arity > max(64, count.bit_length())
+            if huge or count != size**arity:
+                expected = f"{size}^{arity}" if huge else size**arity
+                raise ValidationError(
+                    f"function {name} must be total on the universe ({count} of {expected} tuples)"
+                )
+            funs[name] = dict(zip(args, share("function", name, values)))
+    finally:
+        if was_enabled:
+            gc.enable()
     return InputStructure(atoms, rels, funs, arities)
 
 

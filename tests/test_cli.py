@@ -6,7 +6,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -1140,6 +1142,82 @@ def test_gen_file_to_missing_directory_exits_parse(tmp_path, capsys):
         assert code == EXIT_PARSE
         assert report["error"]["message"].startswith(f"cannot write {missing / 'x'}")
     assert not missing.exists()
+
+
+def _report_text(report) -> bytes:
+    """The bytes a fresh write of ``report`` gives."""
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _many_symbols(tmp_path):
+    path = tmp_path / "many.str"
+    path.write_text("atoms: a\n" + "".join(f"rel R{i}/1: (a)\n" for i in range(40)))
+    return ["validate", "structure", "--input", str(path)]
+
+
+def test_out_rewrites_a_longer_report_in_place(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, long = invoke(["--out", str(out)] + _many_symbols(tmp_path), capsys)
+    assert code == EXIT_OK
+    inode = out.stat().st_ino
+    short = tmp_path / "one.str"
+    short.write_text("atoms: a\n")
+    code, report = invoke(["validate", "structure", "--input", str(short), "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    assert len(_report_text(report)) < len(_report_text(long))
+    assert out.read_bytes() == _report_text(report)
+    assert out.stat().st_ino == inode
+
+
+def test_out_follows_a_symlink_and_hard_links_see_the_report(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 10_000)
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+    link.symlink_to(target)
+    os.link(target, hard)
+    code, report = invoke(["--out", str(link)] + _many_symbols(tmp_path), capsys)
+    assert code == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == _report_text(report)
+
+
+def test_out_to_a_device_or_fifo_is_written_and_not_truncated(tmp_path, capsys):
+    code, _ = invoke(["--out", os.devnull] + _many_symbols(tmp_path), capsys)
+    assert code == EXIT_OK
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, report = invoke(["--out", str(fifo)] + _many_symbols(tmp_path), capsys)
+    reader.join(timeout=10)
+    assert code == EXIT_OK
+    assert received == [_report_text(report)]
+
+
+@pytest.mark.parametrize("kind", ["read-only", "directory"])
+def test_out_that_cannot_be_written_reports_on_stdout(tmp_path, capsys, kind):
+    out = tmp_path / "report.json"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out.write_text("old")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user writes through a read-only mode")
+    code, report = dispatch(["--out", str(out)] + _many_symbols(tmp_path))
+    assert code == EXIT_PARSE
+    assert report["error"]["message"].startswith(f"cannot write {out}")
+    assert json.loads(capsys.readouterr().out) == report
+    assert out.is_dir() if kind == "directory" else out.read_text() == "old"
+
+
+def test_gen_file_over_a_larger_file_equals_a_fresh_one(tmp_path, capsys):
+    over, fresh = tmp_path / "over.str", tmp_path / "fresh.str"
+    gen = ["gen", "cfi", "--twist", "odd", "--m"]
+    for argv in (["4", "--pad", "--file", over], ["2", "--file", over], ["2", "--file", fresh]):
+        assert invoke(gen + list(map(str, argv)), capsys)[0] == EXIT_OK
+    assert over.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ its degree counts, is checked against the set-based readers it replaced.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import tracemalloc
 from importlib import resources
@@ -209,6 +210,51 @@ def test_empty_relation_of_huge_arity_costs_no_memory():
         tracemalloc.stop()
     assert read.relations == built.relations == {"R": frozenset()}
     assert peak < 1_000_000
+
+
+def _pairs_text(tail: str) -> str:
+    """200 atoms and a relation of 20,000 pairs, then ``tail``."""
+    names = [f"a{i}" for i in range(200)]
+    pairs = " ".join(f"({x},{y})" for x in names for y in names[:100])
+    return f"atoms: {' '.join(names)}\nrel R/2: {pairs}\n{tail}"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: parse_structure(_pairs_text("")), None),
+        (lambda: parse_structure(_pairs_text("rel S/1: (b)\n")), ParseError),
+        (lambda: parse_structure(_pairs_text("fun F/1: (a0)->a1\n")), ParseError),
+        (lambda: InputStructure.build(["a"], {"R": [("a",)] * 20_000 + [("b",)]}), ValidationError),
+    ],
+    ids=["built", "unknown-atom", "partial-function", "build-unknown-atom"],
+)
+def test_tables_are_built_with_the_collector_paused(enabled, build, error):
+    """The tables' tuples hold only strings, so a read of 20,000 pairs runs
+    the collection its pause defers and at most one before it (25 without
+    the pause), and leaves the collector as it found it, whether or not the
+    build fails."""
+    started = []
+
+    def callback(phase, info):
+        if phase == "start":
+            started.append(info)
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(callback)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            build()
+        else:
+            with pytest.raises(error):
+                build()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(started) <= (2 if enabled else 0)
 
 
 # ------------------------------------------------------------- writing back
