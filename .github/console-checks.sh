@@ -107,6 +107,23 @@ printf '%s\n' '#steps 2000' '#active 2010 1' 'if Mode = 0 then do in parallel' \
   '  do forall x in Atoms, if First(x) then B(x) := Pair(B(x), B(x)) endif enddo' 'endif' > onewrite.bgs
 same 'r["verdict"] == "bound-exceeded" and r["steps"] == 2000 and r["peak_active"] == 32001' \
   '1:onewrite 2:onewrite 1:renamed-onewrite' timeout 10 choiceless-lab bgs run --program onewrite.bgs --input @.str
+# a step that gives M(x) two values at the atoms with two E-successors
+# clashes and writes nothing, not B's nor Halt's valid updates: each step
+# after the first clashes until the step budget; with E a function the
+# same step is written and the run accepts
+python3 -c 'n = 40; u = [f"u{i}" for i in range(n)]; print("atoms:", *u); print("rel E/2:", *(f"({u[i]},{u[(i + 1) % n]})" for i in range(n)), "(u3,u5) (u17,u19)")' > clash.str
+python3 -c 'n = 40; u = [f"u{i}" for i in range(n)]; print("atoms:", *u); print("rel E/2:", *(f"({u[i]},{u[(i + 1) % n]})" for i in range(n)))' > noclash.str
+rename clash.str renamed-clash.str
+rename noclash.str renamed-noclash.str
+printf '%s\n' '#steps 30' '#active 10 2' 'if Mode = 0 then do in parallel' \
+  '  do forall x in Atoms, B(x) := Pair(x, x) enddo;' '  Mode := 1' 'enddo else do in parallel' \
+  '  do forall x in Atoms, B(x) := x enddo;' \
+  '  do forall x in Atoms, do forall y in Atoms, if E(x, y) then M(x) := y endif enddo enddo;' \
+  '  Output := true;' '  Halt := true' 'enddo endif' > clash.bgs
+same 'r["verdict"] == "bound-exceeded" and r["steps"] == 30 and r["peak_active"] == 82' \
+  '1:clash 2:clash 1:renamed-clash' timeout 10 choiceless-lab bgs run --program clash.bgs --input @.str
+same 'r["verdict"] == "accept" and r["steps"] == 2 and r["peak_active"] == 82' \
+  '1:noclash 2:noclash 1:renamed-noclash' timeout 10 choiceless-lab bgs run --program clash.bgs --input @.str
 # GF(2) rows of 64 bits span three 30-bit digits of the packed matrix
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat

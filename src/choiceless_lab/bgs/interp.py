@@ -5,8 +5,12 @@ argument tuples to values; absent locations read as ordinal 0, which also
 makes the initial state "constantly 0".  One step collects the update set
 of the whole program under the pre-step state and fires it: if two updates
 clash (same location, different values) nothing at all is applied, and
-otherwise each is written into its table in place.  All reads within a
-step see the pre-step state, including nested reads of dynamic symbols.
+otherwise each is written into its table in place.  The update set is held
+as write maps, one ``{args: value}`` dict per updated symbol made once per
+run and emptied before each step: an update writes itself into its
+symbol's map, and a second value for a location there is the clash, which
+ends the step's collection at once.  All reads within a step see the
+pre-step state, including nested reads of dynamic symbols.
 
 A run takes what ``parse_program`` returns, a closed program that gives
 ``Halt`` and ``Output`` only Boolean terms, and checks neither again.  It
@@ -18,7 +22,7 @@ means one thing for the whole run.  It then compiles the rule once into
 nested closures, in the manner of Feeley and Lapalme, "Using closures for
 code generation" (1987): a term becomes ``f(tables, env)``, a guard a
 predicate ``f(tables, env) -> bool`` that tells whether the term reads 1,
-and a rule ``f(tables, env, out)``, adding its updates to ``out``.  The
+and a rule ``f(tables, env)``, writing its updates into the write maps.  The
 logical builtins compile to predicates (``and`` to Python's ``and``,
 ``eq`` to ``is``) and are boxed into ordinals 0 and 1 only where a value is
 needed.  Builtins, ``Atoms`` and literals are resolved while compiling.
@@ -70,6 +74,7 @@ Exhausting either budget yields the bound-exceeded verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..errors import ValidationError
 from ..hfset import (
@@ -104,6 +109,7 @@ from .syntax import (
 __all__ = [
     "RunOutcome",
     "State",
+    "Updates",
     "fire",
     "run",
 ]
@@ -150,6 +156,7 @@ class _Compiler:
     def __init__(self, structure: InputStructure):
         self.atoms = make_set(structure.by_name.values())
         self.indexes: dict = {}  # the run's State.indexes
+        self.updates = Updates({})  # the run's write maps
         self.slots = 0
 
     def bind(self, scope: dict, name: str, depth: int) -> dict:
@@ -433,14 +440,14 @@ class _Compiler:
                 return then_rule
             if else_rule is _skip:
 
-                def when(tables, env, out):
+                def when(tables, env):
                     if guard(tables, env):
-                        then_rule(tables, env, out)
+                        then_rule(tables, env)
 
                 return when
 
-            def cond(tables, env, out):
-                (then_rule if guard(tables, env) else else_rule)(tables, env, out)
+            def cond(tables, env):
+                (then_rule if guard(tables, env) else else_rule)(tables, env)
 
             return cond
         if isinstance(node, Forall):
@@ -457,40 +464,63 @@ class _Compiler:
             body = self.rule(body, self.bind(scope, node.var, depth), depth + 1)
             slot = depth
 
-            def forall(tables, env, out):
+            def forall(tables, env):
                 for member in members(tables, env):
                     env[slot] = member
-                    body(tables, env, out)
+                    body(tables, env)
 
             return forall
         if isinstance(node, Par):
             rules = [self.rule(r, scope, depth) for r in node.rules]
 
-            def par(tables, env, out):
+            def par(tables, env):
                 for r in rules:
-                    r(tables, env, out)
+                    r(tables, env)
 
             return par
         raise TypeError(f"not a rule: {node!r}")
 
     def update(self, node: Update, scope: dict, depth: int):
-        symbol = node.symbol
+        """The closure writing the update into its symbol's write map; it
+        raises ``_Clash`` when the map holds another value at the location
+        (values are interned, so equal values are the same object)."""
+        written = self.updates.maps.setdefault(node.symbol, {})
         value = self.term(node.value, scope, depth)
         slots = _bound_slots(node.args, scope)
-        if slots is not None:  # the key built inline
-            if not slots:
-                return lambda tables, env, out: out.add((symbol, (), value(tables, env)))
-            if len(slots) == 1:
-                (s0,) = slots
-                return lambda tables, env, out: out.add((symbol, (env[s0],), value(tables, env)))
+        # the key built inline at up to two bound variables
+        if slots == ():
+
+            def update(tables, env):
+                v = value(tables, env)
+                if written.setdefault((), v) is not v:
+                    raise _Clash
+
+        elif slots is not None and len(slots) == 1:
+            (s0,) = slots
+
+            def update(tables, env):
+                v = value(tables, env)
+                if written.setdefault((env[s0],), v) is not v:
+                    raise _Clash
+
+        elif slots is not None:
             s0, s1 = slots
-            return lambda tables, env, out: out.add(
-                (symbol, (env[s0], env[s1]), value(tables, env))
-            )
-        key = self.arguments(node.args, scope, depth)
-        return lambda tables, env, out: out.add(
-            (symbol, key(tables, env), value(tables, env))
-        )
+
+            def update(tables, env):
+                v = value(tables, env)
+                if written.setdefault((env[s0], env[s1]), v) is not v:
+                    raise _Clash
+
+        else:
+            key = self.arguments(node.args, scope, depth)
+
+            def update(tables, env):
+                k = key(tables, env)
+                v = value(tables, env)
+                if written.setdefault(k, v) is not v:
+                    raise _Clash
+
+        return update
 
 
 def _read_slots(node, scope: dict):
@@ -561,7 +591,7 @@ def _read_holds(symbol: str, slots: tuple, k: int):
     return holds
 
 
-def _skip(tables, env, out):
+def _skip(tables, env):
     pass
 
 
@@ -581,38 +611,63 @@ _BUILTINS = {
 }
 
 
-def collect_updates(step, tables: dict, env: list) -> set:
-    """The update set of one step, as (symbol, argument tuple, value)
-    triples: the compiled rule ``step`` run on the pre-step tables.  A
-    function of its own, so a step can be timed apart from ``fire``."""
-    out: set = set()
-    step(tables, env, out)
-    return out
+class _Clash(Exception):
+    """Raised by the update that gives a location a second value."""
 
 
-def fire(state: State, updates) -> State:
-    """Apply a set of updates simultaneously; a clash leaves the state as is.
+class Updates:
+    """One step's update set as write maps: ``maps`` takes each updated
+    symbol to its ``{args: value}`` dict, and ``clash`` tells whether an
+    update gave a location a second value, which ended the collection.
+    ``len()`` is the number of distinct updates collected: all of the
+    step's, or on a clash those collected before it, at least one."""
 
-    One pass groups the updates by symbol and location.  They are
-    distinct, so fewer locations than updates means a location given two
-    values: then ``state`` is returned with nothing written.  Otherwise
-    each written table is written in place, a symbol's first write giving
-    it a table of its own, and the locations written 0 are taken out,
-    since absent locations already read 0; the indexes over each written
-    table are emptied.  The result is a new State over the same tables, so
-    a step costs its number of updates, not the size of what it writes."""
-    if not updates:
-        return state
-    writes: dict = {}  # symbol -> {args: value} of this step
-    for symbol, args, value in updates:
-        written = writes.get(symbol)
-        if written is None:
-            written = writes[symbol] = {}
-        written[args] = value
-    if sum(map(len, writes.values())) < len(updates):
+    __slots__ = ("maps", "clash")
+
+    def __init__(self, maps: dict):
+        self.maps = maps
+        self.clash = False
+
+    def __len__(self) -> int:
+        return sum(map(len, self.maps.values()))
+
+
+def collect_updates(step, tables: dict, env: list, updates: Updates) -> Updates:
+    """One step's updates: ``updates`` emptied, then written by the
+    compiled rule ``step`` run on the pre-step tables, each update into
+    its symbol's write map.  A clash ends the collection and marks the
+    step clashed.  A function of its own, so a step can be timed apart
+    from ``fire``."""
+    for written in updates.maps.values():
+        if written:
+            written.clear()
+    updates.clash = False
+    try:
+        step(tables, env)
+    except _Clash:
+        updates.clash = True
+    return updates
+
+
+def fire(state: State, updates: Updates) -> State:
+    """Apply a step's updates simultaneously; a clash leaves the state as is.
+
+    The collection found any clash, so a clashed or empty step returns
+    ``state`` with nothing written.  Otherwise each written symbol's table
+    takes its write map in one ``dict.update``, a symbol's first write
+    giving it a table of its own, and the locations written 0 are taken
+    out, since absent locations already read 0; the indexes over each
+    written table are emptied.  The result is a new State over the same
+    tables, so a step costs its number of updates, not the size of what
+    it writes."""
+    if updates.clash:
         return state
     tables, indexes = state.tables, state.indexes
-    for symbol, written in writes.items():
+    wrote = False
+    for symbol, written in updates.maps.items():
+        if not written:
+            continue
+        wrote = True
         table = tables.get(symbol, _NO_TABLE)
         if table is _NO_TABLE:
             table = tables[symbol] = {}
@@ -623,25 +678,31 @@ def fire(state: State, updates) -> State:
         if symbol in indexes:
             for built in indexes[symbol].values():
                 built.clear()
-    return State(state.structure, tables, indexes)
+    return State(state.structure, tables, indexes) if wrote else state
 
 
-def _accumulate_active(updates, active: set, ordinals: int) -> int:
+def _accumulate_active(updates: Updates, active: set, ordinals: int) -> int:
     """Add the non-ordinals that ``updates`` involve to ``active`` and return
     the new count of active ordinals.  The active elements are closed under
     membership, so the active ordinals are always 0, ..., ordinals - 1, and
-    nothing already counted is walked again: not an argument tuple whose
-    members are all counted, nor a set whose members are counted with it."""
+    nothing already counted is walked again: not a write map's argument
+    tuples when all their members are counted, nor one such tuple, nor a
+    set whose members are counted with it."""
     counted = active.issuperset
     stack: list = []
-    for _, args, value in updates:
-        if not counted(args):
-            stack.extend(args)
-        if type(value) is Ordinal:
-            if value.n >= ordinals:
-                ordinals = value.n + 1
-        elif value not in active:
-            stack.append(value)
+    for written in updates.maps.values():
+        if not written:
+            continue
+        if not counted(chain.from_iterable(written)):
+            for args in written:
+                if not counted(args):
+                    stack.extend(args)
+        for value in written.values():
+            if type(value) is Ordinal:
+                if value.n >= ordinals:
+                    ordinals = value.n + 1
+            elif value not in active:
+                stack.append(value)
     while stack:
         v = stack.pop()
         if type(v) is Ordinal:
@@ -733,7 +794,7 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
         if steps >= max_steps:
             verdict = "bound-exceeded"
             break
-        updates = collect_updates(step, tables, env)
+        updates = collect_updates(step, tables, env, compiler.updates)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:

@@ -338,18 +338,23 @@ def _square_and_multiply(mul, base, r: int):
     significant, in windows of at most w digits that start and end with a
     1.  Windows start at least w digits apart, so they take at most
     ``2**(w - 1) + bits + ceil(bits / w) - 2`` products; when that is more
-    than the binary method's ``bits + ones - 2``, w = 1, which is the
-    binary method, so no ``r`` takes more."""
+    than the binary method's ``bits + ones - 2``, w = 1: the binary
+    method, a plain left-to-right digit loop making the same products in
+    the same order, so no ``r`` takes more."""
     bits = format(r, "b")
     # the w in 1..5 where bits / (w + 1) + 2**(w - 1) is least
     w = 1 + sum(len(bits) > bound for bound in (6, 24, 80, 240))
-    if (w > 1) * 2 ** (w - 1) - (-len(bits) // w) > r.bit_count():
-        w = 1
+    if w == 1 or 2 ** (w - 1) - (-len(bits) // w) > r.bit_count():
+        power = base
+        for digit in bits[1:]:
+            power = mul(power, power)
+            if digit == "1":
+                power = mul(power, base)
+        return power
     odd = {"1": base}  # base**v at v's digits, for odd v below 2**w
-    if w > 1:
-        square, power = mul(base, base), base
-        for v in range(3, 2**w, 2):
-            odd[format(v, "b")] = power = mul(power, square)
+    square, power = mul(base, base), base
+    for v in range(3, 2**w, 2):
+        odd[format(v, "b")] = power = mul(power, square)
     done = bits.rfind("1", 0, w) + 1
     power = odd[bits[:done]]
     while (start := bits.find("1", done)) >= 0:

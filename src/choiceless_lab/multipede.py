@@ -136,8 +136,9 @@ def validate(m: Multipede3) -> list:
         if len(h) != 3 or not h <= segments:
             out.append(("hyperedge-shape", tuple(sorted(h, key=str))))
     by_edge: dict = {}
+    segment_of = m.segment_of
     for p in m.positives:
-        image = frozenset(m.segment_of.get(f) for f in p)  # None for a non-foot
+        image = frozenset(map(segment_of.get, p))  # None for a non-foot
         on_edge = len(image) == 3 and image in m.hyperedges
         if on_edge:
             by_edge.setdefault(image, set()).add(p)
@@ -145,10 +146,19 @@ def validate(m: Multipede3) -> list:
             out.append(("positive-shape", tuple(sorted(p, key=str))))
         elif not on_edge:
             out.append(("positive-image", tuple(sorted(p, key=str))))
+    # where each segment has two feet, two triples over one hyperedge,
+    # one foot per segment, differ in as many positions as segments where
+    # just one of them has the segment's last-listed foot: an even number
+    # exactly when their counts of last-listed feet have the same parity
+    feet_on = Counter(segment_of.values())
+    last = set({s: f for f, s in segment_of.items()}.values())
     for h in m.hyperedges:
         club = by_edge.get(h, set())
         if len(club) != 4:
             out.append(("four-of-eight", tuple(sorted(h, key=str)), len(club)))
+        if all(feet_on[s] == 2 for s in h) and all(len(p) == 3 for p in club):
+            if len({len(p & last) & 1 for p in club}) < 2:
+                continue  # no two differ in an odd number of positions
         for p1, p2 in itertools.combinations(sorted(club, key=sorted), 2):
             # two triples differing in k positions have a 2k-element
             # symmetric difference, so "even position count" means 0 mod 4

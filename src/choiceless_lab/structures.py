@@ -206,7 +206,8 @@ _SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
 _SEPARATORS = str.maketrans("(),", "   ")
 _DROP_NAMES = str.maketrans("", "", _NAME_CHARS)
 _DROP_NAMES_AND_BLANKS = str.maketrans("", "", _NAME_CHARS + " \t")
-_BAD_START = re.compile(r"[ \t][0-9.+-]")
+# a name's start that is not a letter or "_" to "#", a tab to a blank
+_BAD_STARTS = bytes.maketrans(b"0123456789.+-\t", b"#" * 13 + b" ")
 
 
 def _names(chunk: str) -> tuple:
@@ -217,9 +218,13 @@ def _names(chunk: str) -> tuple:
 def _atom_names(rest: str, line_no: int) -> list:
     """The names listed after ``atoms:``; the first one that is not a name
     is rejected.  A line of name characters and blanks on which no name
-    starts with a digit, ``.``, ``+`` or ``-`` needs no check name by name."""
+    starts with a digit, ``.``, ``+`` or ``-`` needs no check name by name.
+    Such a line is ASCII, so one translation of its bytes marks each
+    character that would start a name badly."""
     names = rest.split()
-    if rest.translate(_DROP_NAMES_AND_BLANKS) or _BAD_START.search(" " + rest):
+    if rest.translate(_DROP_NAMES_AND_BLANKS) or b" #" in (
+        b" " + rest.encode("ascii")
+    ).translate(_BAD_STARTS):
         bad = next(itertools.filterfalse(_NAME_RE.match, names), None)
         if bad is not None:
             raise ParseError(f"bad name {bad!r}", line_no)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 
 from choiceless_lab.bgs import parse_program
-from choiceless_lab.bgs.interp import _accumulate_active
+from choiceless_lab.bgs.interp import Updates, _accumulate_active
 from choiceless_lab.cfi import _block_token, _edge_token, _pair_token, build_twisted
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import Atom, make_set
@@ -530,6 +530,22 @@ def iso3_by_base_matching(a, b) -> bool:
     return _rank_gf2(augmented + [shoe], width) == _rank_gf2([*rows.values(), shoe], width)
 
 
+def even_difference_pairwise(m) -> list:
+    """The "even-difference" violations ``multipede.validate`` reports,
+    sorted, found by testing every two positive triples over a hyperedge:
+    triples differing in k positions have a 2k-element symmetric
+    difference, so an odd k leaves a remainder mod 4."""
+    out = []
+    for h in m.hyperedges:
+        club = [p for p in m.positives if len(h) == 3 and frozenset(map(m.segment_of.get, p)) == h]
+        for p1, p2 in itertools.combinations(sorted(club, key=sorted), 2):
+            if len(p1 ^ p2) % 4 != 0:
+                out.append(
+                    ("even-difference", tuple(sorted(p1, key=str)), tuple(sorted(p2, key=str)))
+                )
+    return sorted(out)
+
+
 # ------------------------------------------- helpers the library dropped
 
 
@@ -541,11 +557,19 @@ def load_builtin_program(name: str):
 
 def active_count(trace) -> int:
     """Number of elements hereditarily involved in the traced update sets,
-    counted by the interpreter's own active walk."""
+    each a collection of (symbol, argument tuple, value) triples, counted
+    by the interpreter's own active walk over write maps.  A triple that
+    gives a location a second value starts a new walk, so every triple is
+    walked even where a set of them would clash."""
     active: set = set()
     ordinals = 0
     for updates in trace:
-        ordinals = _accumulate_active(updates, active, ordinals)
+        maps: dict = {}
+        for symbol, args, value in updates:
+            if maps.setdefault(symbol, {}).setdefault(args, value) is not value:
+                ordinals = _accumulate_active(Updates(maps), active, ordinals)
+                maps = {symbol: {args: value}}
+        ordinals = _accumulate_active(Updates(maps), active, ordinals)
     return len(active) + ordinals
 
 

@@ -1048,12 +1048,54 @@ def compiled_collect(state, env, rule):
     assert not env, "compiled rules are closed"
     compiler = interp._Compiler(state.structure)
     step = compiler.rule(rule, {}, 0)
-    return interp.collect_updates(step, _StepTables(state), [None] * compiler.slots)
+    return interp.collect_updates(
+        step, _StepTables(state), [None] * compiler.slots, compiler.updates
+    )
+
+
+def triples(updates: interp.Updates) -> frozenset:
+    """The write maps of ``updates`` as (symbol, argument tuple, value)
+    triples, the oracle's form of an update set."""
+    return frozenset(
+        (symbol, args, value)
+        for symbol, written in updates.maps.items()
+        for args, value in written.items()
+    )
+
+
+def compiled_updates(updates) -> interp.Updates:
+    """The (symbol, argument tuple, value) triples ``updates`` collected
+    in their order by compiled rules ``S(x1, ..., xk) := v``, one per
+    symbol and arity, with the arguments and the value bound to their
+    variables: a clash ends the collection, as it ends a step's."""
+    updates = list(updates)
+    compiler = interp._Compiler(empty_structure(0))
+    compiler.slots = 3  # v, then up to two arguments
+    rules: dict = {}
+    for symbol, args, _ in updates:
+        if (symbol, len(args)) not in rules:
+            names = [f"x{i}" for i in range(len(args))]
+            scope = {"v": 0, **{name: i + 1 for i, name in enumerate(names)}}
+            node = Update(symbol, tuple(map(Var, names)), Var("v"))
+            rules[symbol, len(args)] = compiler.update(node, scope, 1 + len(args))
+
+    def step(tables, env):
+        for symbol, args, value in updates:
+            env[0] = value
+            env[1:1 + len(args)] = args
+            rules[symbol, len(args)](tables, env)
+
+    return interp.collect_updates(step, {}, [None] * compiler.slots, compiler.updates)
 
 
 # each evaluator test checks the tree-walking oracle and the compiled path
 EVALUATORS = (bgs_oracle.eval_term, compiled_eval)
-COLLECTORS = (bgs_oracle.collect_updates, compiled_collect)
+# each collector test fires the oracle's triples with the oracle's fire and
+# the compiled path's write maps with the interpreter's
+COLLECTORS = (
+    (bgs_oracle.collect_updates, bgs_oracle.fire, frozenset),
+    (compiled_collect, fire, triples),
+)
 
 
 @pytest.fixture()
@@ -1121,22 +1163,22 @@ def test_unbound_variable_is_reported_when_evaluated(five_atoms):
 
 def test_collect_updates_by_rule_kind(five_atoms):
     state = State(five_atoms)
-    for collect_updates in COLLECTORS:
-        assert collect_updates(state, {}, Skip()) == frozenset()
+    for collect_updates, fire_, as_triples in COLLECTORS:
+        assert as_triples(collect_updates(state, {}, Skip())) == frozenset()
         forall_empty = collect_updates(
             state, {}, Forall("v", App("empty"), Update("F", (Var("v"),), Lit(1)))
         )
-        assert forall_empty == frozenset()
+        assert as_triples(forall_empty) == frozenset()
         par = Par((Update("F", (), Lit(1)), Update("G", (), Lit(2))))
         got = collect_updates(state, {}, par)
-        assert got == frozenset(
+        assert as_triples(got) == frozenset(
             {("F", (), ordinal(1)), ("G", (), ordinal(2))}
         )
-        assert fire(state, got) is not state
+        assert fire_(state, got) is not state
         clash = collect_updates(
             state, {}, Par((Update("F", (), Lit(1)), Update("F", (), Lit(0))))
         )
-        assert fire(state, clash) is state
+        assert fire_(state, clash) is state
 
 
 def test_fire_semantics(five_atoms):
@@ -1144,15 +1186,18 @@ def test_fire_semantics(five_atoms):
     b = five_atoms.by_name["a1"]
     ok = frozenset({("F", (a,), ordinal(1)), ("F", (b,), ordinal(1))})
     clash = frozenset({("F", (a,), ordinal(1)), ("F", (a,), ordinal(0))})
-    for fire_, in_place in ((fire, True), (bgs_oracle.fire, False)):
+    for fire_, in_place, collect in (
+        (fire, True, compiled_updates),
+        (bgs_oracle.fire, False, frozenset),
+    ):
         state = State(five_atoms)
-        new = fire_(state, ok)
+        new = fire_(state, collect(ok))
         assert new is not state
         assert new.read("F", (a,)) is ordinal(1)
         assert new.read("F", (b,)) is ordinal(1)
         # fire writes the tables it is given; the oracle's fire copies them
         assert state.read("F", (a,)) is (ordinal(1) if in_place else EMPTY)
-        assert fire_(new, clash) is new
+        assert fire_(new, collect(clash)) is new
         assert new.read("F", (a,)) is ordinal(1)
 
 
@@ -1167,9 +1212,9 @@ def test_clash_on_one_symbol_writes_no_other():
         ("G", (), ordinal(2)),
     ]
     for order in itertools.permutations(updates):
-        state = fire(State(empty_structure(0)), {("F", (a,), TRUE)})
+        state = fire(State(empty_structure(0)), compiled_updates([("F", (a,), TRUE)]))
         f = state.tables["F"]
-        assert fire(state, list(order)) is state
+        assert fire(state, compiled_updates(order)) is state
         assert state.tables == {"F": {(a,): TRUE}} and state.tables["F"] is f
 
 
@@ -1184,19 +1229,109 @@ _fire_updates = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sets(_fire_updates, max_size=6), max_size=4))
 def test_fire_matches_oracle_fire(steps):
-    """``fire`` and the oracle's copying ``fire`` agree step by step on
-    writes, writes of 0, clashes and empty update sets.  ``fire`` writes
-    the tables it is given: after a step with no clash they equal the
-    oracle's new tables, and after a clash, or an empty update set, they
-    are unchanged and ``fire`` returns the state it got."""
+    """The compiled collection plus ``fire`` and the oracle's copying
+    ``fire`` agree step by step on the same updates: writes, writes of 0,
+    clashes and empty update sets.  ``fire`` writes the tables it is
+    given: after a step with no clash they equal the oracle's new tables,
+    and after a clash, or an empty update set, they are unchanged and
+    ``fire`` returns the state it got."""
     got = want = State(empty_structure(0))
     for updates in steps:
         before = {symbol: dict(table) for symbol, table in got.tables.items()}
-        new_got, new_want = fire(got, updates), bgs_oracle.fire(want, updates)
+        new_got = fire(got, compiled_updates(updates))
+        new_want = bgs_oracle.fire(want, updates)
         assert (new_got is got) == (new_want is want)
         assert got.tables == (before if new_got is got else new_want.tables)
         assert new_got.tables == new_want.tables
         got, want = new_got, new_want
+
+
+# fill B, then steps whose first rules are valid and whose last one gives
+# Mode a second value
+_CLASH_LAST = (
+    "if Mode = 0 then do in parallel\n"
+    "  do forall x in Atoms, B(x) := x enddo;\n"
+    "  Mode := 1\n"
+    "enddo else do in parallel\n"
+    "  do forall x in Atoms, B(x) := Pair(x, x) enddo;\n"
+    "  Halt := true;\n"
+    "  Mode := 2;\n"
+    "  Mode := 3\n"
+    "enddo endif\n"
+)
+# nine copies of one update, then writes of 0, then steps with no update
+_EMPTY_LAST = (
+    "if Mode = 0 then do in parallel\n"
+    "  do forall x in Atoms, do forall y in Atoms, D := 1 enddo enddo;\n"
+    "  do forall x in Atoms, B(x) := x enddo;\n"
+    "  Mode := 1\n"
+    "enddo else if Mode = 1 then do in parallel\n"
+    "  do forall x in Atoms, B(x) := 0 enddo;\n"
+    "  Mode := 2\n"
+    "enddo endif endif\n"
+)
+
+
+def test_clash_in_the_last_rule_writes_nothing():
+    """The writes to B and Halt collected before the clash on Mode are not
+    applied: every step after the fill clashes, so the run exhausts its
+    steps with the tables the fill left, and its steps and peak_active are
+    the oracle's."""
+    prog = parse(_CLASH_LAST, "#steps 4\n#active 10 1\n")
+    structure = empty_structure(3)
+    got, want = run(prog, structure), run_oracle(prog, structure)
+    assert (got.verdict, got.steps, got.peak_active) == ("bound-exceeded", 4, 5)
+    assert (want.verdict, want.steps, want.peak_active) == ("bound-exceeded", 4, 5)
+    fill = {"B": {(a,): a for a in structure.by_name.values()}, "Mode": {(): TRUE}}
+    assert got.final_state.tables == want.final_state.tables == fill
+
+
+@pytest.mark.parametrize("body", [_CLASH_LAST, _EMPTY_LAST], ids=["clash", "empty"])
+def test_step_counts_read_by_the_span_counters(body, monkeypatch):
+    """What ``bench/spans.py`` reads off a step: the ``len()`` of what
+    ``collect_updates`` returns is the step's number of distinct updates,
+    as in the oracle's update set, or on a clash a positive count; and
+    ``fire`` returns the very State it got exactly when the step clashed
+    or was empty."""
+    prog = parse(body, "#steps 5\n#active 20 1\n")
+    structure = empty_structure(3)
+    collect_updates, fire_ = interp.collect_updates, interp.fire
+    oracle_collect = bgs_oracle.collect_updates
+    # per step: len() after collecting and after firing, and whether fire
+    # returned the state it got
+    got: list = []
+    want: list = []  # per step: the oracle's update set
+
+    def counted_collect(*args):
+        updates = collect_updates(*args)
+        got.append([len(updates)])
+        return updates
+
+    def counted_fire(state, updates):
+        new = fire_(state, updates)
+        got[-1] += [len(updates), new is state]
+        return new
+
+    def oracle_steps(*args):
+        want.append(oracle_collect(*args))
+        return want[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interp, "collect_updates", counted_collect)
+        patch.setattr(interp, "fire", counted_fire)
+        patch.setattr(bgs_oracle, "collect_updates", oracle_steps)
+        outcome, oracle = run(prog, structure), run_oracle(prog, structure)
+    assert outcome.steps == oracle.steps == 5
+    assert outcome.peak_active == oracle.peak_active
+    assert len(got) == len(want) == 5
+    kinds = set()
+    for (collected, fired, kept), updates in zip(got, want):
+        clash = len({(symbol, args) for symbol, args, _ in updates}) < len(updates)
+        kinds.add("clash" if clash else len(updates) and "written" or "empty")
+        assert collected == fired
+        assert collected > 0 if clash else collected == len(updates)
+        assert kept == (clash or not updates)
+    assert kinds == ({"written", "clash"} if body is _CLASH_LAST else {"written", "empty"})
 
 
 # fill B over every atom, then rewrite the one B entry at the First atom
@@ -1221,7 +1356,7 @@ def _one_write_work(n: int, monkeypatch) -> tuple:
     calls: list = []
     writes: list = []
 
-    def counted_collect(step, tables, env):
+    def counted_collect(step, tables, env, updates):
         count = 0
 
         def profile(frame, event, arg):
@@ -1231,7 +1366,7 @@ def _one_write_work(n: int, monkeypatch) -> tuple:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            return collect_updates(step, tables, env)
+            return collect_updates(step, tables, env, updates)
         finally:
             sys.setprofile(previous)
             calls.append(count)

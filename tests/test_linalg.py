@@ -438,6 +438,29 @@ def test_windowed_powers_match_pow_in_no_more_products_than_binary():
         assert products <= r.bit_length() + r.bit_count() - 2  # the binary method's count
 
 
+def test_binary_method_squares_then_multiplies_digit_by_digit():
+    """Up to six digits, and wherever windows would take more products,
+    the power is the binary method: after the leading digit, a square per
+    digit and then a product by the base at each 1, in that order
+    (products traced as exponent pairs)."""
+    for r in [*range(1, 64), 2**40 + 1, 2**100 + 2**50]:
+        products = []
+
+        def mul(x, y):
+            products.append((x, y))
+            return x + y
+
+        want, power = [], 1
+        for digit in format(r, "b")[1:]:
+            want.append((power, power))
+            power *= 2
+            if digit == "1":
+                want.append((power, 1))
+                power += 1
+        assert _square_and_multiply(mul, 1, r) == r
+        assert products == want
+
+
 # products the binary method takes: 206, 1,856 and 59
 @pytest.mark.parametrize("q, n, products", [(2, 20, 169), (2, 64, 1485), (4, 7, 50)])
 def test_gl_exponent_power_products(q, n, products):

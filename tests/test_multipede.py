@@ -35,6 +35,7 @@ from helpers import run_child
 from oracles import (
     automorphism_count,
     brute_force_iso,
+    even_difference_pairwise,
     flip_feet,
     iso3_by_base_matching,
     left_foot,
@@ -178,6 +179,57 @@ def test_validate_even_difference_violation():
     kinds = {v[0] for v in validate(broken)}
     assert "even-difference" in kinds
     assert "four-of-eight" in kinds  # five triples on one hyperedge
+
+
+@st.composite
+def mutated_multipedes(draw) -> Multipede3:
+    """A random valid multipede with up to five faults: a positive triple
+    dropped, a foot swapped for its partner in one, a positive triple
+    grown by a partner foot, a random foot set of one to four feet made
+    positive, a foot moved to another segment, a name given a segment but
+    not listed as a foot, or a foot swapped in a positive triple for such
+    a name."""
+    n = draw(st.integers(3, 7))
+    m = random_multipede(n, draw(st.integers(0, math.comb(n, 3))), seed=draw(st.integers(0, 10**6)))
+    positives, segment_of = set(m.positives), dict(m.segment_of)
+    feet = sorted(m.feet)
+    for _ in range(draw(st.integers(0, 5))):
+        fault = draw(st.sampled_from(["drop", "swap", "grow", "add", "move", "name", "stray"]))
+        listed = sorted(positives, key=sorted)
+        if fault == "drop" and listed:
+            positives.discard(draw(st.sampled_from(listed)))
+        elif fault in ("swap", "grow") and listed:
+            p = draw(st.sampled_from(listed))
+            feet_in_p = sorted(p & m.segment_of.keys())  # strays have no partner
+            if feet_in_p:
+                f = draw(st.sampled_from(feet_in_p))
+                a, b = m.feet_of(m.segment_of[f])
+                partner = b if f == a else a
+                positives.add(p - {f} | {partner} if fault == "swap" else p | {partner})
+        elif fault == "add":
+            positives.add(frozenset(draw(st.lists(st.sampled_from(feet), min_size=1, max_size=4))))
+        elif fault == "move":
+            segment_of[draw(st.sampled_from(feet))] = draw(st.sampled_from(m.segments))
+        elif fault == "name":
+            segment_of[f"name{len(segment_of)}"] = draw(st.sampled_from(m.segments))
+        elif fault == "stray" and listed:
+            p = draw(st.sampled_from(listed))
+            f = draw(st.sampled_from(sorted(p)))
+            stray = f"stray{len(segment_of)}"
+            segment_of[stray] = segment_of[f]
+            positives.add(p - {f} | {stray})
+    return replace(m, positives=frozenset(positives), segment_of=segment_of)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_multipedes())
+def test_even_difference_violations_match_the_pairwise_check(m):
+    """``validate`` tests pairs of a hyperedge's positive triples only when
+    their parities of last-listed feet can differ; its even-difference
+    witnesses are those of testing every pair."""
+    report = validate(m)
+    assert [v for v in report if v[0] == "even-difference"] == even_difference_pairwise(m)
+    assert report == sorted(report)
 
 
 # ----------------------------------------------------------------- oddness

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import re
 import tracemalloc
 from importlib import resources
 
@@ -27,7 +28,9 @@ from choiceless_lab.cli import EXIT_OK, EXIT_PARSE, dispatch
 from choiceless_lab.errors import ParseError, ValidationError
 from choiceless_lab.hfset import TRUE
 from choiceless_lab.structures import (
+    _NAME_RE,
     InputStructure,
+    _atom_names,
     parse_structure,
     preorder_classes,
     write_structure,
@@ -168,6 +171,28 @@ def structure_texts(draw):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "")
     return "\n".join(lines) + "\n", fault
+
+
+# lines of name characters and blanks, which the atoms line's fast check
+# decides, and lines with other characters too, which it sends to the check
+# name by name
+_NAME_OR_BLANK = st.sampled_from(list("aZ_09.+-") + [" ", " ", "\t"])
+ATOMS_LINES = st.text(_NAME_OR_BLANK, max_size=30) | st.text(
+    _NAME_OR_BLANK | st.sampled_from(["#", "$", "\xe9", "\x0c", "\x1c", "\xa0"]), max_size=30
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ATOMS_LINES)
+def test_atoms_line_check_matches_the_name_pattern(rest):
+    """The atoms line is refused exactly when one of its names fails
+    ``_NAME_RE``, and the first such name is the one reported."""
+    bad = [name for name in rest.split() if not _NAME_RE.match(name)]
+    if bad:
+        with pytest.raises(ParseError, match=re.escape(f"bad name {bad[0]!r}")):
+            _atom_names(rest, 1)
+    else:
+        assert _atom_names(rest, 1) == rest.split()
 
 
 def _outcome(reader, text):
