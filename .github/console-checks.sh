@@ -39,11 +39,14 @@ choiceless-lab gen bipartite --na 300 --nb 300 --density 0.02 --seed 1 --file g.
 choiceless-lab solve matching --input g.str --max-size | expect '"max_matching" in r["result"]'
 python3 -c 'n = 3000; a = [f"a{i}" for i in range(n)]; b = [f"b{i}" for i in range(n)]; r = [f"({a[i]},{b[i]})" for i in range(n)] + [f"({a[i + 1]},{b[i]})" for i in range(n - 1)]; print("atoms:", *a, *b); print("rel InA/1:", *(f"({v})" for v in a)); print("rel InB/1:", *(f"({v})" for v in b)); print("rel R/2:", *r)' > path.str
 timeout 10 choiceless-lab solve matching --input path.str --max-size | expect 'r["result"]["max_matching"] == 3000'
+timeout 10 choiceless-lab solve matching --input path.str | expect 'r["result"]["verdict"] == "yes"'
 # a large sparse random graph, whose coloring ends nearly discrete:
 # its maximum matching may depend on neither hash order nor names
 choiceless-lab gen bipartite --na 3000 --nb 3000 --density 0.0013 --seed 2 --file sparse.str > /dev/null
 rename sparse.str renamed-sparse.str
 same '"max_matching" in r' '1:sparse 2:sparse 1:renamed-sparse' timeout 10 choiceless-lab solve matching --input @.str --max-size
+# and the decision, which stops at its first failed search, likewise
+same '"verdict" in r' '1:sparse 2:sparse 1:renamed-sparse' timeout 10 choiceless-lab solve matching --input @.str
 printf 'atoms: a b c d e\n' > five.str
 programs="$(python3 -c 'import importlib.resources as r; print(r.files("choiceless_lab") / "programs")')"
 choiceless-lab bgs run --program "$programs/parity.bgs" --input five.str | expect 'r["result"]["verdict"] == "accept"'

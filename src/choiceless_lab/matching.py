@@ -16,6 +16,16 @@ spread evenly over each linked pair's e_ij edges loads a vertex of A_i
 with sum_j f_ij / |A_i| <= 1, and one of B_j likewise: a fractional
 matching of value |f|, and the bipartite matching polytope is integral.
 
+The decision searches only from the first A-block with spare capacity,
+in canonical order, and answers no as soon as such a search fails.  That
+is exact: let R be the blocks the failed search reached.  Every B-block
+in R is full, or the search would have ended there; all flow into those
+B-blocks comes from A-blocks in R, since the search follows it back; and
+every block an A-block in R links to is in R.  So the cut {source} + R
+has capacity |A| - |A_R| + |B_R|, where |B_R| is the flow out of A_R,
+below |A_R| by the first block's spare capacity: no flow saturates A, and
+the A-vertices in R have fewer neighbours than themselves (Hall).
+
 The coloring refines by splitters: each round reads only the neighbours
 of the smaller children of the blocks that split in the round before,
 never those of a split block's largest child, so it reads O((n + m) log n)
@@ -23,18 +33,22 @@ adjacency entries in all.  It counts and keys only the vertices that share
 their block, since a singleton cannot split, which leaves both that bound
 and the order unchanged.  The blocks and their canonical order are those
 of recomputing every vertex's full count vector each round
-(``stable_coloring`` says why).  The flow starts from a greedy pass over
-the linked pairs, which leaves few augmenting paths to search.
+(``stable_coloring`` says why).  The rounds run on an internal numbering
+of the vertices, A first, in the sides' iteration order: lists of
+neighbour numbers, a block id and an alone flag per vertex, a start and
+members per block id.  Keys and block ranks hold positions in the
+canonical order, never numbers, so the numbering decides only the running
+time, and it never leaves this module.  The flow starts from a greedy pass
+over the linked pairs, which leaves few augmenting paths to search.
 ``saturate`` and ``quotient`` compute the coloring of the graph they get,
 and return graphs.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
 
 from .structures import InputStructure
 from .errors import ValidationError
@@ -72,15 +86,6 @@ class BipartiteGraph:
     def build(a_side, b_side, edges) -> "BipartiteGraph":
         return BipartiteGraph(frozenset(a_side), frozenset(b_side), frozenset(edges))
 
-    @cached_property
-    def adjacency(self) -> dict:
-        """Every vertex of either side mapped to a tuple of its neighbours."""
-        adj: dict = {v: [] for v in self.a_side | self.b_side}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(n) for v, n in adj.items()}
-
 
 @dataclass(frozen=True)
 class StableColoring:
@@ -99,11 +104,14 @@ def path_algorithm(graph: BipartiteGraph, order) -> tuple:
     unmatched one; its neighbourhood is strictly smaller than itself.
     """
     order = list(order)
-    if set(order) != set(graph.a_side | graph.b_side):
+    vertices = graph.a_side | graph.b_side
+    if set(order) != vertices or len(order) != len(vertices):
         raise ValidationError("order must enumerate all vertices")
     rank = {v: i for i, v in enumerate(order)}
     a_sorted = sorted(graph.a_side, key=rank.__getitem__)
-    forward = {a: sorted(graph.adjacency[a], key=rank.__getitem__) for a in a_sorted}
+    forward: dict = {a: [] for a in a_sorted}
+    for a, b in sorted(graph.edges, key=lambda edge: rank[edge[1]]):
+        forward[a].append(b)
 
     matched_of_b: dict = {}
     matched_of_a: dict = {}
@@ -145,21 +153,10 @@ def path_algorithm(graph: BipartiteGraph, order) -> tuple:
     return True, frozenset(matched_of_a.items())
 
 
-class _Block:
-    """A block of the current partition: its members, and the start of the
-    range of positions it holds in the canonical order."""
-
-    __slots__ = ("start", "members")
-
-    def __init__(self, start: int, members: set):
-        self.start = start
-        self.members = members
-
-
 _UNTOUCHED = (0,)  # the key of the zero vector
 
 
-def _touched_keys(splits, adjacency, block_of) -> dict:
+def _touched_keys(splits, adjacency, part) -> dict:
     """Every vertex that a split of last round touches and that shares its
     block, mapped to its key.
 
@@ -173,18 +170,19 @@ def _touched_keys(splits, adjacency, block_of) -> dict:
     its block after last round is neither counted nor keyed: a singleton
     cannot split.
     """
+    _, alone, start, members = part
     entries: dict = {}  # vertex -> [(position, sign, ±position, count)]
     for children, skipped in splits:
         totals: dict = {}
         for child in children:
-            if child is skipped:
+            if child == skipped:
                 continue
             counts: dict = {}
-            for u in child.members:
+            for u in members[child]:
                 for v in adjacency[u]:
-                    if len(block_of[v].members) > 1:
+                    if not alone[v]:
                         counts[v] = counts.get(v, 0) + 1
-            p = child.start
+            p = start[child]
             for v, count in counts.items():
                 entry = (p, 1, -p, count)
                 listed = entries.get(v)
@@ -193,7 +191,7 @@ def _touched_keys(splits, adjacency, block_of) -> dict:
                 else:
                     listed.append(entry)
                 totals[v] = totals.get(v, 0) + count
-        p = skipped.start
+        p = start[skipped]
         for v, count in totals.items():
             entries[v].append((p, -1, p, -count))
     keys = {}
@@ -207,13 +205,14 @@ def _touched_keys(splits, adjacency, block_of) -> dict:
     return keys
 
 
-def _split(keys, block_of) -> list:
+def _split(keys, part) -> list:
     """Split every block that holds a touched vertex by its members' keys,
     the untouched ones keeping the zero key, and return the splits made.
 
     The subblocks take the block's range in ascending key order.  Only the
-    touched vertices move: the untouched rest keeps the block's record.
+    touched vertices move: the untouched rest keeps the block's id.
     """
+    block_of, alone, start, members = part
     by_block: dict = {}
     for v, key in keys.items():
         block = block_of[v]
@@ -228,31 +227,87 @@ def _split(keys, block_of) -> list:
                 group.append(v)
     splits = []
     for block, groups in by_block.items():
-        if len(groups) == 1 and sum(map(len, groups.values())) == len(block.members):
+        kept = members[block]
+        if len(groups) == 1 and sum(map(len, groups.values())) == len(kept):
             continue  # every member has the one key: the block stays whole
         for moved in groups.values():
-            block.members.difference_update(moved)
-        if block.members:
-            groups[_UNTOUCHED] = block.members
+            kept.difference_update(moved)
+        if kept:
+            groups[_UNTOUCHED] = kept
         children = []
         largest, most = None, 0
-        start = block.start
+        position = start[block]
         for key in sorted(groups):
-            members = groups[key]
-            if members is block.members:
+            group = groups[key]
+            if group is kept:
                 child = block
-                block.start = start
+                start[block] = position
             else:
-                child = _Block(start, set(members))
-                for v in members:
+                child = len(start)
+                start.append(position)
+                members.append(set(group))
+                for v in group:
                     block_of[v] = child
+            size = len(group)
+            if size == 1:
+                for v in group:
+                    alone[v] = True
             children.append(child)
-            size = len(members)
             if size > most:  # so the first of largest size is skipped
                 largest, most = child, size
-            start += size
+            position += size
         splits.append((children, largest))
     return splits
+
+
+def _refine(graph: BipartiteGraph) -> tuple:
+    """The coarsest stable coloring on the internal numbering (module
+    docstring): the numbering's vertices, each side's blocks as sets of
+    numbers in canonical order, and the linked pairs of block ranks."""
+    names = [*graph.a_side, *graph.b_side]
+    index = dict(zip(names, range(len(names))))
+    tails = [index[a] for a, _ in graph.edges]
+    heads = [index[b] for _, b in graph.edges]
+    adjacency = [[] for _ in names]
+    for a, b in zip(tails, heads):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    na, nb = len(graph.a_side), len(graph.b_side)
+    # the partition: per vertex its block id and whether it is alone in its
+    # block, per block id its start, that of its range of positions in the
+    # canonical order, and its members; A starts as block 0 and B as 1
+    part = (
+        [0] * na + [1] * nb,
+        [na == 1] * na + [nb == 1] * nb,
+        [0, 0],
+        [set(range(na)), set(range(na, na + nb))],
+    )
+    # round 1 counts edges into the whole opposite side: the degree, keyed
+    # as the one entry at position 0; a side of one degree stays whole
+    degrees = list(map(len, adjacency))
+    a_splits, b_splits = (
+        _split({v: (1, 0, degrees[v], 0) for v in side if degrees[v]}, part)
+        if len(set(degrees[side.start : side.stop])) > 1
+        else []
+        for side in (range(na), range(na, na + nb))
+    )
+    while a_splits or b_splits:
+        a_keys = _touched_keys(b_splits, adjacency, part)
+        b_keys = _touched_keys(a_splits, adjacency, part)
+        a_splits, b_splits = _split(a_keys, part), _split(b_keys, part)
+    block_of, _, start, members = part
+    rank = [0] * len(start)  # a live block id -> its rank on its side
+    blocks = []
+    for ids in (block_of[:na], block_of[na:]):
+        order = sorted(set(ids), key=start.__getitem__)
+        for r, block in enumerate(order):
+            rank[block] = r
+        blocks.append([members[block] for block in order])
+    linked = {
+        (rank[i], rank[j])
+        for i, j in set(zip(map(block_of.__getitem__, tails), map(block_of.__getitem__, heads)))
+    }
+    return names, blocks, linked
 
 
 def stable_coloring(graph: BipartiteGraph) -> StableColoring:
@@ -278,131 +333,127 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     share their block after round r - 1 are counted and keyed: a singleton
     never splits, so skipping it changes neither the blocks nor their
     order.  On a tie for a split block's largest child, any choice gives
-    the same blocks, and the first is skipped.
+    the same blocks, and the first is skipped.  The rounds run on the
+    module's internal vertex numbering; keys hold positions, never
+    numbers, so the numbering decides only the running time.
     """
-    adjacency = graph.adjacency
-    block_of: dict = {}
-    first_splits = []
-    for side in (graph.a_side, graph.b_side):
-        block = _Block(0, set(side))
-        block_of.update(dict.fromkeys(side, block))
-        # round 1 counts edges into the whole opposite side: the degree,
-        # keyed as the one entry at position 0
-        degrees = {v: (1, 0, len(adjacency[v]), 0) for v in side if adjacency[v]}
-        first_splits.append(_split(degrees, block_of))
-    a_splits, b_splits = first_splits
-    while a_splits or b_splits:
-        a_keys = _touched_keys(b_splits, adjacency, block_of)
-        b_keys = _touched_keys(a_splits, adjacency, block_of)
-        a_splits, b_splits = _split(a_keys, block_of), _split(b_keys, block_of)
+    names, blocks, _ = _refine(graph)
     return StableColoring(
-        *(
-            tuple(
-                frozenset(block.members)
-                for block in sorted({block_of[v] for v in side}, key=attrgetter("start"))
-            )
-            for side in (graph.a_side, graph.b_side)
-        )
+        *(tuple(frozenset(map(names.__getitem__, block)) for block in side) for side in blocks)
     )
 
 
 def saturate(graph: BipartiteGraph) -> BipartiteGraph:
     """The graph with its edge relation completed to full block products
     wherever it meets a pair of blocks of the graph's stable coloring."""
-    coloring = stable_coloring(graph)
+    names, (a_blocks, b_blocks), linked = _refine(graph)
+    name = names.__getitem__
     out: set = set()
-    for i, j in _linked_blocks(graph, coloring):
-        out.update(itertools.product(coloring.a_blocks[i], coloring.b_blocks[j]))
+    for i, j in linked:
+        out.update(itertools.product(map(name, a_blocks[i]), map(name, b_blocks[j])))
     return BipartiteGraph(graph.a_side, graph.b_side, frozenset(out))
-
-
-def _linked_blocks(graph: BipartiteGraph, coloring: StableColoring) -> set:
-    """The index pairs ``(i, j)`` of A-block i and B-block j that some edge
-    joins, in one pass over the edges."""
-    block_of = {
-        v: i
-        for blocks in (coloring.a_blocks, coloring.b_blocks)
-        for i, block in enumerate(blocks)
-        for v in block
-    }
-    return {(block_of[a], block_of[b]) for a, b in graph.edges}
 
 
 def quotient(graph: BipartiteGraph) -> BipartiteGraph:
     """The saturated graph with each block of the graph's stable coloring
     replaced by triples (side, block index, rank): identical, not merely
     isomorphic, for isomorphic inputs."""
-    coloring = stable_coloring(graph)
+    _, (a_blocks, b_blocks), linked = _refine(graph)
     a_side, b_side = (
         frozenset((side, i, r) for i, block in enumerate(blocks) for r in range(len(block)))
-        for side, blocks in enumerate((coloring.a_blocks, coloring.b_blocks))
+        for side, blocks in enumerate((a_blocks, b_blocks))
     )
     edges = frozenset(
         ((0, i, r), (1, j, s))
-        for i, j in _linked_blocks(graph, coloring)
-        for r in range(len(coloring.a_blocks[i]))
-        for s in range(len(coloring.b_blocks[j]))
+        for i, j in linked
+        for r in range(len(a_blocks[i]))
+        for s in range(len(b_blocks[j]))
     )
     return BipartiteGraph(a_side, b_side, edges)
 
 
 def decide_complete_matching(graph: BipartiteGraph) -> bool:
     """Whether A can be matched completely: whether the block flow, which
-    reads only the coloring's canonical blocks, saturates A."""
-    return max_matching_size(graph) == len(graph.a_side)
+    reads only the coloring's canonical blocks, saturates A.  It searches
+    from the first A-block with spare capacity only, and answers no when
+    that search fails (module docstring)."""
+    return not _unmatched(graph, first_only=True)
 
 
 def max_matching_size(graph: BipartiteGraph) -> int:
     """Largest matching cardinality: the block network's maximum flow (module
-    docstring).  A greedy pass over the linked pairs in canonical order
-    starts the flow, and breadth-first augmenting paths in canonical block
-    order complete it."""
-    coloring = stable_coloring(graph)
-    a_left = [len(block) for block in coloring.a_blocks]
-    b_left = [len(block) for block in coloring.b_blocks]
-    forward: list = [[] for _ in a_left]
-    into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
-    for i, j in sorted(_linked_blocks(graph, coloring)):
-        push = min(a_left[i], b_left[j])
-        a_left[i] -= push
-        b_left[j] -= push
-        forward[i].append(j)
-        into[j][i] = push
-    spare = [i for i, left in enumerate(a_left) if left]
-    while True:
-        # a reached A-block maps to the arc (i, j) by which the search came
-        # to take back its flow into j, or to None if it has spare capacity
-        reached = spare[:]
-        via = dict.fromkeys(reached)
-        seen_b: set = set()
-        for i in reached:  # appended to while read, so breadth first
-            b_end = next((j for j in forward[i] if b_left[j]), None)
-            if b_end is not None:
+    docstring), on the block sizes and linked rank pairs the refinement
+    returns, with no vertex names read.  A greedy pass over the linked
+    pairs in canonical order starts the flow, and breadth-first augmenting
+    paths from every spare A-block, in canonical block order, complete it."""
+    return len(graph.a_side) - _unmatched(graph, first_only=False)
+
+
+def _unmatched(graph: BipartiteGraph, first_only: bool) -> int:
+    """How many A-vertices the block flow leaves unmatched once its search
+    fails: from every spare A-block, |A| minus the maximum matching size;
+    from the first one only, a number that is 0 exactly when A can be
+    matched completely."""
+    # the refinement and the flow build only numbers and flat containers of
+    # them, so no cycle can form: the cyclic collector is paused meanwhile
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, blocks, linked = _refine(graph)
+        a_left, b_left = ([len(block) for block in side] for side in blocks)
+        forward: list = [[] for _ in a_left]
+        into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
+        for i, j in sorted(linked):
+            push = min(a_left[i], b_left[j])
+            a_left[i] -= push
+            b_left[j] -= push
+            forward[i].append(j)
+            into[j][i] = push
+        spare = [i for i, left in enumerate(a_left) if left]
+        while spare:
+            path = _search(spare[:1] if first_only else spare, forward, into, b_left)
+            if path is None:
                 break
-            for j in forward[i]:
-                if j not in seen_b:
-                    seen_b.add(j)
-                    for k, units in into[j].items():
-                        if units and k not in via:
-                            via[k] = i, j
-                            reached.append(k)
-        else:
-            return len(graph.a_side) - sum(a_left)
-        path = [(i, b_end)]  # the arcs that gain flow, walked back to the source
-        while via[path[-1][0]] is not None:
-            path.append(via[path[-1][0]])
-        # each A-block on the path gives back its flow into the next arc's B-block
-        returned = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]
-        a_root = path[-1][0]
-        push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
-        a_left[a_root] -= push
-        b_left[b_end] -= push
-        if not a_left[a_root]:
-            spare.remove(a_root)
-        for i, j in path:
-            into[j][i] += push
-        for i, j in returned:
-            into[j][i] -= push
+            # each A-block on the path gives back its flow into the next arc's B-block
+            returned = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]
+            a_root, b_end = path[-1][0], path[0][1]
+            push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
+            a_left[a_root] -= push
+            b_left[b_end] -= push
+            if not a_left[a_root]:
+                spare.remove(a_root)
+            for i, j in path:
+                into[j][i] += push
+            for i, j in returned:
+                into[j][i] -= push
+        return sum(a_left)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _search(roots, forward, into, b_left):
+    """The arcs that gain flow on the first breadth-first augmenting path
+    from the A-blocks ``roots``, walked back to the source, or None."""
+    # a reached A-block maps to the arc (i, j) by which the search came to
+    # take back its flow into j, or to None if it is a root
+    reached = list(roots)
+    via = dict.fromkeys(reached)
+    seen_b: set = set()
+    for i in reached:  # appended to while read, so breadth first
+        for j in forward[i]:
+            if b_left[j]:
+                path = [(i, j)]
+                while via[path[-1][0]] is not None:
+                    path.append(via[path[-1][0]])
+                return path
+            if j not in seen_b:
+                seen_b.add(j)
+                for k, units in into[j].items():
+                    if units and k not in via:
+                        via[k] = i, j
+                        reached.append(k)
+    return None
 
 
 _ARITIES = {"InA": 1, "InB": 1, "R": 2}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import matching
+from choiceless_lab.errors import ValidationError
 from choiceless_lab.matching import (
     BipartiteGraph,
     StableColoring,
@@ -23,6 +25,7 @@ from choiceless_lab.matching import (
     stable_coloring,
 )
 
+from helpers import run_child
 from oracles import (
     hall_condition_direct,
     max_matching_brute,
@@ -75,9 +78,7 @@ def test_path_algorithm_gang_defector_no():
     g = gang_defector()
     ok, x_set = path_algorithm(g, sorted(g.a_side | g.b_side))
     assert not ok
-    neighbourhood = set()
-    for a in x_set:
-        neighbourhood.update(g.adjacency[a])
+    neighbourhood = {b for a, b in g.edges if a in x_set}
     assert len(neighbourhood) < len(x_set)
 
 
@@ -95,9 +96,7 @@ def test_path_algorithm_augments_one_edge_at_a_time():
             assert set(witness) <= set(g.edges)
         else:
             x_set = witness
-            neigh = set()
-            for a in x_set:
-                neigh.update(g.adjacency[a])
+            neigh = {b for a, b in g.edges if a in x_set}
             assert len(neigh) < len(x_set)
 
 
@@ -113,6 +112,15 @@ def test_path_algorithm_decision_independent_of_order():
             ok, _ = path_algorithm(g, order)
             decisions.add(ok)
         assert len(decisions) == 1
+
+
+def test_path_algorithm_refuses_an_order_that_repeats_a_vertex():
+    g = graph(["a1", "a2"], ["b1", "b2"], [("a1", "b1"), ("a2", "b2")])
+    # a repeat, a vertex left out, and a vertex of no side
+    orders = (["a1", "a2", "b1", "b2", "a1"], ["a1", "a2", "b1"], ["a1", "a2", "b1", "b2", "b"])
+    for order in orders:
+        with pytest.raises(ValidationError, match="order must enumerate all vertices"):
+            path_algorithm(g, order)
 
 
 def test_path_algorithm_long_chain_without_recursion():
@@ -355,11 +363,12 @@ def test_stable_coloring_keys_no_vertex_alone_in_its_block(monkeypatch):
     keyed_alone = []
     split = matching._split
 
-    def spy(keys, block_of):
-        # both key sets are built before either side splits, so block_of
-        # still holds the blocks the keys were built against
-        keyed_alone.append(sum(len(block_of[v].members) == 1 for v in keys))
-        return split(keys, block_of)
+    def spy(keys, part):
+        # both key sets are built before either side splits, so the
+        # partition still holds the blocks the keys were built against
+        block_of, _, _, members = part
+        keyed_alone.append(sum(len(members[block_of[v]]) == 1 for v in keys))
+        return split(keys, part)
 
     monkeypatch.setattr(matching, "_split", spy)
     c = stable_coloring(graph(a, b, edges))
@@ -505,6 +514,18 @@ def test_saturation_and_quotient_keep_the_maximum_matching_size(example):
             assert decide_complete_matching(h) == (size == len(g.a_side))
 
 
+def refinement_of(g, coloring):
+    """What the flow reads from the refinement, for the blocks of
+    ``coloring`` in its order: the numbered vertices, each side's blocks as
+    sets of numbers, and the linked pairs of block ranks."""
+    sides = (coloring.a_blocks, coloring.b_blocks)
+    names = [v for blocks in sides for block in blocks for v in block]
+    number = {v: k for k, v in enumerate(names)}
+    rank = {v: i for blocks in sides for i, block in enumerate(blocks) for v in block}
+    blocks = [[{number[v] for v in block} for block in side] for side in sides]
+    return names, blocks, {(rank[a], rank[b]) for a, b in g.edges}
+
+
 def test_max_matching_size_takes_flow_back(monkeypatch):
     # any stable partition in any order gives the same flow value; in this
     # order the greedy first pass sends y to p, so x's search must take
@@ -518,7 +539,7 @@ def test_max_matching_size_takes_flow_back(monkeypatch):
         (frozenset({"y"}), frozenset({"x1", "x2"})), (frozenset({"p"}), frozenset({"q1", "q2"}))
     )
     assert stable_coloring(g) == StableColoring(reordered.a_blocks[::-1], reordered.b_blocks[::-1])
-    monkeypatch.setattr(matching, "stable_coloring", lambda _: reordered)
+    monkeypatch.setattr(matching, "_refine", lambda _: refinement_of(g, reordered))
     assert max_matching_size(g) == 2
 
 
@@ -526,30 +547,89 @@ def test_max_matching_size_takes_flow_back(monkeypatch):
 @given(graphs_with_renaming(max_side=7), st.randoms(use_true_random=False))
 def test_max_matching_size_under_any_block_order(example, rng):
     # shuffled block orders make the searches take flow back far more often
-    # than the canonical order does
+    # than the canonical order does, and leave the decision's first spare
+    # A-block more often to an augmenting path
     a, b, edges, _ = example
     g = graph(a, b, edges)
     c = stable_coloring(g)
     shuffled = StableColoring(
         *(tuple(rng.sample(blocks, len(blocks))) for blocks in (c.a_blocks, c.b_blocks))
     )
+    size = max_matching_brute(a, edges)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matching, "stable_coloring", lambda _: shuffled)
-        assert max_matching_size(g) == max_matching_brute(a, edges)
+        patch.setattr(matching, "_refine", lambda _: refinement_of(g, shuffled))
+        assert max_matching_size(g) == size
+        assert decide_complete_matching(g) == (size == len(a))
 
 
 def test_max_matching_size_colors_once(monkeypatch):
     # deficiency 2: three A-vertices share the one B-vertex they reach
     g = graph(["a1", "a2", "a3"], ["b1", "b2"], [("a1", "b1"), ("a2", "b1"), ("a3", "b1")])
     calls = []
+    refine = matching._refine
 
     def counted(graph_):
         calls.append(graph_)
-        return stable_coloring(graph_)
+        return refine(graph_)
 
-    monkeypatch.setattr(matching, "stable_coloring", counted)
+    monkeypatch.setattr(matching, "_refine", counted)
     assert max_matching_size(g) == 1
     assert calls == [g]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_renaming(max_side=7))
+def test_decision_agrees_with_flow_value_and_hall(example):
+    # the decision stops at the first failed search; the flow value runs
+    # every search to the end
+    for a, b, edges in both_namings(example):
+        g = graph(a, b, edges)
+        decided = decide_complete_matching(g)
+        assert decided == (max_matching_size(g) == len(g.a_side))
+        assert decided == hall_condition_direct(g.a_side, g.edges)
+
+
+def test_decision_stops_at_the_first_failed_search(monkeypatch):
+    # an isolated A-vertex beside 300 + 300 vertices with a perfect
+    # matching: its block comes first in canonical order, so the decision's
+    # one search, from it, fails before any augmentation, while the flow
+    # value needs augmenting paths to match the other 300
+    rng = random.Random(3)
+    a = [f"a{i}" for i in range(300)]
+    b = [f"b{i}" for i in range(300)]
+    edges = list(zip(a, b)) + [(x, y) for x in a for y in b if rng.random() < 0.01]
+    g = graph(a + ["lone"], b, edges)
+    found = []
+    search = matching._search
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(matching, "_search", spy)
+    assert not decide_complete_matching(g)
+    assert found == [None]
+    found.clear()
+    assert max_matching_size(g) == 300
+    assert found[-1] is None and None not in found[:-1] and len(found) > 1
+
+
+def test_coloring_and_flow_do_not_depend_on_the_hash_seed():
+    # the internal numbering follows the sides' iteration order, which
+    # changes with the hash seed; the blocks and answers may not
+    child = [
+        "-c",
+        "import json, random; from choiceless_lab.matching import *; "
+        "rng = random.Random(31); "
+        "a = [f'a{i}' for i in range(200)]; b = [f'b{j}' for j in range(200)]; "
+        "g = BipartiteGraph.build(a, b, [(x, y) for x in a for y in b if rng.random() < 0.02]); "
+        "c = stable_coloring(g); "
+        "print(json.dumps([[sorted(k) for k in c.a_blocks], [sorted(k) for k in c.b_blocks], "
+        "max_matching_size(g), decide_complete_matching(g)]))",
+    ]
+    first, second = (json.loads(run_child(child, seed).stdout) for seed in "12")
+    assert first == second
+    assert len(first[0]) + len(first[1]) > 300
 
 
 def test_decisions_build_no_quotient(monkeypatch):
