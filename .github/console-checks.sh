@@ -131,10 +131,19 @@ same 'r["verdict"] == "accept" and r["steps"] == 2 and r["peak_active"] == 82' \
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat
 # the same matrix with comments, a blank line, doubled spaces and its
-# headers reordered: read by the line reader, to the same verdict
+# headers reordered: read to the same verdict
 python3 -c 'import sys; l = sys.stdin.read().splitlines(); print("\n".join(["// a copy of m.mat", l[2] + "  // flag", "", l[1].replace(" ", "  ", 3), l[0], *l[3:]]))' < m.mat > m-lines.mat
 agree m-lines.mat
 same 'r["method"] == "power"' '1:m 1:m-lines' choiceless-lab solve det --matrix @.mat
+# a GF(7) matrix laid out by hand: a leading comment, CRLF line ends,
+# tabs between fields and the square header after the entries
+choiceless-lab gen matrix --q 7 --n 40 --seed 3 --file m7.mat
+python3 -c 'import sys; l = sys.stdin.read().splitlines(); sys.stdout.buffer.write("\r\n".join(["// m7.mat by hand", l[0], l[1], *(e.replace(" ", "\t") for e in l[3:]), l[2], ""]).encode())' < m7.mat > hand-m7.mat
+same '"nonsingular" in r' '1:m7 2:m7 1:hand-m7' timeout 10 choiceless-lab solve det --matrix @.mat
+# an element index carries no sign: -0 is no element of GF(3)
+printf 'field 3\nrows a b\nsquare\na a -0\na b 1\nb a 1\n' > minus-zero.mat
+exits 3 minus-zero.json choiceless-lab solve det --matrix minus-zero.mat
+expect '"line 4" in r["error"]["message"]' < minus-zero.json
 # --out on either side of the command
 choiceless-lab --out a.json solve det --matrix m.mat
 choiceless-lab solve det --matrix m.mat --out b.json

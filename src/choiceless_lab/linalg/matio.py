@@ -10,19 +10,21 @@ Header declares the ring, then the index sets, then sparse entries::
     r1 c1 1
 
 Omitted entries are zero, and each header and each cell is listed at
-most once.  Field entries are canonical element indices; ring entries are
-decimal integers (possibly negative).  Integer matrices must be square.
+most once.  Field entries are canonical element indices, unsigned; ring
+entries are decimal integers (possibly negative).  Integer matrices must
+be square.
 Every decimal (the field order, an entry) is ASCII digits, at most 4,300
 of them, with a ``-`` before a negative entry.
 
-Text in the layout the writers and ``gen matrix`` use (the headers on the
-first three lines, then one ``i j v`` line per entry, fields one space
-apart, no ``//``) is read in bulk, its entries checked column by column.
-Any other text, and any that fails a check there, goes to the line reader,
-which holds every error message and line number.
+Each file is read in one pass over its lines: the headers in line order,
+then every entry at once, column by column.  Only when that check fails
+are the entries read one by one, to name the first bad one and its line.
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
+from operator import not_
 
 from ..errors import DECIMAL_MAX_DIGITS, ParseError, ValidationError, read_decimal
 from .fields import gf
@@ -32,70 +34,37 @@ from .matrix import FieldMatrix
 __all__ = ["parse_matrix", "write_field_matrix", "write_int_matrix"]
 
 _HEADERS = frozenset({"field", "ring", "rows", "cols", "square"})
+# a line of three fields is an entry unless it starts with one of these
+_HEADS_OF_THREE = _HEADERS - {"square"}
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def parse_matrix(text: str):
     """Returns a FieldMatrix or an IntMatrix.  This is the
     only check on a matrix from outside, so it checks the whole format;
     every error that belongs to a line names it."""
-    return _read_bulk(text) or _read_lines(text)
-
-
-def _read_bulk(text: str):
-    """The matrix in the written layout, or None for the line reader."""
-    lines = text.split("\n")
-    if len(lines) < 4 or lines.pop() or "//" in text or not "".join(lines[:3]).isprintable():
-        return None
-    try:
-        empty = _read_lines("\n".join(lines[:3]))
-    except ParseError:
-        return None
-    field = getattr(empty, "field", None)
-    rows, cols = (empty.index_set,) * 2 if field is None else (empty.rows, empty.cols)
-    cells = [line.split(" ") for line in lines[3:]]
-    columns = list(zip(*cells)) or [(), (), ()]
-    # three fields on every line, and no line that the line reader reads as a header
-    if len(columns) != 3 or sum(map(len, cells)) != 3 * len(cells) or _HEADERS & rows:
-        return None
-    i, j, v = columns
-    digits = "".join(v).replace("-", "") if field is None else "".join(v)
-    known = rows.issuperset(i) and cols.issuperset(j) and (digits or "0").isdigit()
-    if not (known and digits.isascii()) or max(map(len, v), default=0) > DECIMAL_MAX_DIGITS:
-        return None
-    try:  # a misplaced "-", an empty value, or past the interpreter's digits
-        values = list(map(int, v))
-    except ValueError:
-        return None
-    entries = dict(zip(zip(i, j), values))
-    if len(entries) < len(values) or field is not None and max(values, default=0) >= field.order:
-        return None  # a cell listed twice, or a value that is no element
-    if field is None:
-        return IntMatrix.from_int_entries(entries, rows)
-    return FieldMatrix(field, rows, cols, entries)
-
-
-def _read_lines(text: str):
-    """The line reader: every layout, and the one source of every error."""
-    ring = q = rows = cols = None
+    lines = text.splitlines()
+    if "//" in text:
+        lines = [line.split("//", 1)[0] for line in lines]
+    split = list(map(str.split, lines))
+    is_entry = [len(parts) == 3 and parts[0] not in _HEADS_OF_THREE for parts in split]
+    field = rows = cols = None
     square = False
     header_line: dict = {}  # header -> line number
-    entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
+    for line_no in compress(count(1), map(not_, is_entry)):
+        parts = split[line_no - 1]
+        if not parts:
             continue
-        parts = line.split()
         head = parts[0]
         if head in _HEADERS and (head != "square" or len(parts) == 1):
             key = "ring" if head == "field" else head
             if key in header_line:
-                first = header_line[key]
-                raise ParseError(f"second {key} header, after line {first}", line_no)
+                raise ParseError(f"second {key} header, after line {header_line[key]}", line_no)
             header_line[key] = line_no
         if head == "field":
             if len(parts) != 2:
                 raise ParseError("field header needs one numeric order", line_no)
-            ring, q = "field", read_decimal(parts[1], "field order", line_no)
+            q = read_decimal(parts[1], "field order", line_no)
             try:
                 field = gf(q)
             except ValidationError as exc:
@@ -103,18 +72,15 @@ def _read_lines(text: str):
         elif head == "ring":
             if parts[1:] != ["Z"]:
                 raise ParseError("only ring Z is supported", line_no)
-            ring = "int"
         elif head == "rows":
             rows = parts[1:]
         elif head == "cols":
             cols = parts[1:]
         elif head == "square" and len(parts) == 1:
             square = True
-        elif len(parts) == 3:
-            entries.append((parts[0], parts[1], parts[2], line_no))
         else:
-            raise ParseError(f"unrecognized line {line!r}", line_no)
-    if ring is None:
+            raise ParseError(f"unrecognized line {lines[line_no - 1].strip()!r}", line_no)
+    if "ring" not in header_line:
         raise ParseError("missing field/ring header")
     if rows is None:
         raise ParseError("missing rows header")
@@ -127,25 +93,49 @@ def _read_lines(text: str):
             raise ParseError("duplicate index names", header_line[head])
     if square and set(rows) != set(cols):
         raise ParseError("square matrices need rows == cols", header_line["square"])
-    if ring == "int" and not square:
+    if field is None and not square:
         raise ParseError("integer matrices must carry the square flag", header_line["ring"])
     row_set, col_set = frozenset(rows), frozenset(cols)
-    cells = {}
-    for i, j, v, line_no in entries:
-        if i not in row_set or j not in col_set:
-            raise ParseError(f"entry ({i}, {j}) outside the index sets", line_no)
-        if (i, j) in cells:
-            raise ParseError(f"entry ({i}, {j}) listed twice", line_no)
-        digits = v[1:] if v.startswith("-") else v  # ring entries may be negative
-        value = read_decimal(digits, "entry value", line_no)
-        if digits != v:
-            value = -value
-        if ring == "field" and not 0 <= value < q:
-            raise ParseError(f"entry {value} is not an element index below {q}", line_no)
-        cells[(i, j)] = value
-    if ring == "field":
-        return FieldMatrix(field, row_set, col_set, cells)
-    return IntMatrix.from_int_entries(cells, index_set=row_set)
+    entries = list(compress(split, is_entry))
+    cells = _checked_at_once(field, row_set, col_set, entries)
+    if cells is None:  # the first bad entry names the error, at its line
+        cells = {}
+        for (i, j, v), line_no in zip(entries, compress(count(1), is_entry)):
+            if i not in row_set or j not in col_set:
+                raise ParseError(f"entry ({i}, {j}) outside the index sets", line_no)
+            if (i, j) in cells:
+                raise ParseError(f"entry ({i}, {j}) listed twice", line_no)
+            sign = "-" if v.startswith("-") else ""  # ring entries may be negative
+            value = read_decimal(v[len(sign) :], "entry value", line_no)
+            if field is not None and (sign or value >= q):  # -0 is no element index either
+                raise ParseError(f"entry {sign}{value} is not an element index below {q}", line_no)
+            cells[(i, j)] = -value if sign else value
+    if field is None:
+        return IntMatrix.from_int_entries(cells, index_set=row_set)
+    return FieldMatrix(field, row_set, col_set, cells)
+
+
+def _checked_at_once(field, row_set, col_set, entries):
+    """The cells, when every entry passes each check column by column; else
+    None."""
+    i, j, v = zip(*entries) if entries else ((), (), ())
+    digits = "".join(v) if field is not None else "".join(v).replace("-", "")
+    known = row_set.issuperset(i) and col_set.issuperset(j)
+    if not (known and digits.isascii() and (digits or "0").isdigit()):
+        return None
+    if field is not None and len(digits) == len(v):  # one digit an entry
+        values = list(digits.encode().translate(_DIGIT_VALUES))
+    elif max(map(len, v), default=0) > DECIMAL_MAX_DIGITS:
+        return None  # past the limit, or a legal "-" and 4,300 digits: read one by one
+    else:
+        try:  # a misplaced "-", or past the interpreter's digits
+            values = list(map(int, v))
+        except ValueError:
+            return None
+    cells = dict(zip(zip(i, j), values))
+    if len(cells) < len(values) or field is not None and max(values, default=0) >= field.order:
+        return None  # a cell listed twice, or a value that is no element
+    return cells
 
 
 def _index_line(head: str, names) -> str:
@@ -160,19 +150,18 @@ def _index_line(head: str, names) -> str:
     return " ".join([head, *texts])
 
 
+def _entry_lines(entries: dict) -> list:
+    """One ``i j v`` line per entry, in the order of the names' texts."""
+    cells = sorted(entries, key=lambda pair: (str(pair[0]), str(pair[1])))
+    return [f"{i} {j} {entries[(i, j)]}" for (i, j) in cells]
+
+
 def write_field_matrix(m: FieldMatrix) -> str:
     lines = [f"field {m.field.order}", _index_line("rows", m.rows)]
-    if m.square:
-        lines.append("square")
-    else:
-        lines.append(_index_line("cols", m.cols))
-    for (i, j) in sorted(m.entries, key=lambda pair: (str(pair[0]), str(pair[1]))):
-        lines.append(f"{i} {j} {m.entries[(i, j)]}")
-    return "\n".join(lines) + "\n"
+    lines.append("square" if m.square else _index_line("cols", m.cols))
+    return "\n".join(lines + _entry_lines(m.entries)) + "\n"
 
 
 def write_int_matrix(m: IntMatrix) -> str:
     lines = ["ring Z", _index_line("rows", m.index_set), "square"]
-    for (i, j) in sorted(m.entries, key=lambda pair: (str(pair[0]), str(pair[1]))):
-        lines.append(f"{i} {j} {m.entries[(i, j)]}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _entry_lines(m.entries)) + "\n"

@@ -565,6 +565,7 @@ _BAD_MATRIX_TEXTS = {
     "entry not a number": ("field 3\nrows a\nsquare\na a x\n", 4),
     "entry not below the order": ("field 3\nrows a b\nsquare\nb b 5\n", 4),
     "negative field entry": ("field 3\nrows a\nsquare\na a -1\n", 4),
+    "signed zero field entry": ("field 3\nrows a b\nsquare\na a -0\na b 1\nb a 1\n", 4),
     "field cell listed twice": ("field 2\nrows a\nsquare\na a 1\na a 0\n", 5),
     "integer cell listed twice": ("ring Z\nrows a\nsquare\na a 1\na a 2\n", 5),
 }

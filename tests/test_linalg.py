@@ -13,8 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless_lab import errors
-from choiceless_lab.errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
-from choiceless_lab.linalg import intmatrix
+from choiceless_lab.errors import (
+    ChoicelessLabError,
+    GuardExceeded,
+    ParseError,
+    ValidationError,
+    read_decimal,
+)
+from choiceless_lab.linalg import intmatrix, matio
 from choiceless_lab.linalg.fields import _is_prime, gf, zp
 from choiceless_lab.linalg.intmatrix import (
     IntMatrix,
@@ -24,13 +30,7 @@ from choiceless_lab.linalg.intmatrix import (
     prime_scan,
     scan_width,
 )
-from choiceless_lab.linalg.matio import (
-    _read_bulk,
-    _read_lines,
-    parse_matrix,
-    write_field_matrix,
-    write_int_matrix,
-)
+from choiceless_lab.linalg.matio import parse_matrix, write_field_matrix, write_int_matrix
 from choiceless_lab.linalg.matrix import (
     FieldMatrix,
     _Layout,
@@ -990,15 +990,20 @@ def test_matrix_files_round_trip_legal_names(data):
     assert (back.index_set, back.entries) == (rows, nonzero)
 
 
-def _reading(read, text):
-    """What ``read`` makes of ``text``: the matrix, or the error."""
-    try:
-        m = read(text)
-    except ChoicelessLabError as exc:
-        return type(exc), str(exc)
+def _shown(m):
+    """A matrix as ``_reading`` shows it."""
     if isinstance(m, IntMatrix):
         return m.index_set, m.entries, m.digit_count
     return m
+
+
+def _reading(text):
+    """What ``parse_matrix`` makes of ``text``: the matrix, or the error."""
+    try:
+        m = parse_matrix(text)
+    except ChoicelessLabError as exc:
+        return type(exc), str(exc)
+    return _shown(m)
 
 
 def _benchmark_layout(header: str, m, rng: random.Random) -> str:
@@ -1014,10 +1019,11 @@ def _benchmark_layout(header: str, m, rng: random.Random) -> str:
 
 # each takes an entry line, the field order (None over Z) and a random source
 _CORRUPTIONS = {
-    "unknown index": lambda line, q, rng: line.replace(" ", "_ ", 1),
+    "unknown index": lambda line, q, rng: line.replace(" ", "~ ", 1),  # no name holds "~"
     "repeated cell": lambda line, q, rng: line + "\n" + line.rsplit(" ", 1)[0] + " 1",
     "value past q": lambda line, q, rng: line.rsplit(" ", 1)[0] + f" {q or 0}",
     "minus": lambda line, q, rng: line.rsplit(" ", 1)[0] + " -1",
+    "minus zero": lambda line, q, rng: line.rsplit(" ", 1)[0] + " -0",
     "non-ASCII digit": lambda line, q, rng: line + rng.choice(["\u0663", "\u00b2", "\uff11"]),
     "4,301 digits": lambda line, q, rng: line.rsplit(" ", 1)[0] + " " + "1" * 4301,
     "fourth field": lambda line, q, rng: line + " 1",
@@ -1032,10 +1038,50 @@ _CORRUPTIONS = {
     "header name": lambda line, q, rng: line.replace(line.split(" ")[0], "cols"),
 }
 
+_LAYOUT_ONLY = {"tab", "comment", "blank line", "doubled space", "carriage return"}
+
+
+def _corrupted_reading(kind: str, matrix, lines: list, at: int, written: str):
+    """What a written matrix text, ``lines`` with its headers on the first
+    three, must read to once its entry line ``written`` at index ``at`` is
+    corrupted by ``kind``: the matrix itself, the matrix as the edit
+    changed it, or the error at its line."""
+    i, j, _ = written.split(" ")
+    q = None if isinstance(matrix, IntMatrix) else matrix.field.order
+
+    def error(message, line_no=at + 1):
+        return ParseError, f"{message} at line {line_no}"
+
+    if kind in _LAYOUT_ONLY:
+        return _shown(matrix)
+    if kind in ("minus", "minus zero", "value past q"):
+        value = {"minus": "-1", "minus zero": "-0", "value past q": str(q or 0)}[kind]
+        if q is None:  # a ring entry may be negative or zero
+            entries = {**matrix.entries, (i, j): int(value)}
+            return _shown(IntMatrix.from_int_entries(entries, matrix.index_set))
+        return error(f"entry {value} is not an element index below {q}")
+    if kind == "unknown index":
+        return error(f"entry ({i}~, {j}) outside the index sets")
+    if kind == "repeated cell":
+        return error(f"entry ({i}, {j}) listed twice", at + 2)
+    if kind in ("fourth field", "missing field", "empty value"):
+        return error(f"unrecognized line {lines[at].strip()!r}")
+    if kind == "header name":  # a second cols header, or one that is not the rows
+        if q is not None and not matrix.square:
+            first = next(k for k, line in enumerate(lines) if line.startswith("cols "))
+            return error(f"second cols header, after line {first + 1}")
+        names = lines[at].split(" ")[1:]
+        if names[0] == names[1]:
+            return error("duplicate index names")
+        return error("square matrices need rows == cols", lines.index("square") + 1)
+    digits = lines[at].rsplit(" ", 1)[1].removeprefix("-")  # not a decimal
+    shown = repr(digits) if len(digits) <= 20 else f"{digits[:20]!r}... ({len(digits)} characters)"
+    return error(f"entry value {shown} is not a decimal of at most 4300 ASCII digits")
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_bulk_reader_agrees_with_the_line_reader(data):
+def test_matrix_file_corruptions_read_as_expected(data):
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 251, 257, None]))
     n = data.draw(st.integers(1, 6))
     names = data.draw(st.lists(_legal_names, min_size=2 * n, max_size=2 * n, unique=True))
@@ -1065,31 +1111,103 @@ def test_bulk_reader_agrees_with_the_line_reader(data):
         )
     for matrix in (m, relabel):
         for text in (write(matrix), _benchmark_layout(header, matrix, rng)):
-            assert _read_bulk(text) is not None  # the written layout is read in bulk
-            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
-            assert _reading(parse_matrix, text) == _reading(lambda _: matrix, None)
+            assert _reading(text) == _shown(matrix)
             lines = text.splitlines()
             at = rng.randrange(3, len(lines))
             corruption = data.draw(st.sampled_from(sorted(_CORRUPTIONS)))
+            written = lines[at]
             lines[at] = _CORRUPTIONS[corruption](lines[at], q, rng)
             if data.draw(st.booleans()):  # the headers in another order
                 lines[:3] = rng.sample(lines[:3], 3)
-            bad = "\n".join(lines) + "\n"
-            assert _reading(parse_matrix, bad) == _reading(_read_lines, bad)
-            bulk = _read_bulk(bad)
-            assert bulk is None or _reading(lambda _: bulk, None) == _reading(_read_lines, bad)
+            expected = _corrupted_reading(corruption, matrix, lines, at, written)
+            assert _reading("\n".join(lines) + "\n") == expected
+
+
+def test_field_entries_carry_no_sign():
+    """An element index is unsigned: ``-0`` names no element, although a
+    ring entry ``-0`` is zero."""
+    for value in ("-0", "-00"):
+        text = f"field 3\nrows a b\nsquare\na a {value}\na b 1\nb a 1\n"
+        with pytest.raises(ParseError) as raised:
+            parse_matrix(text)
+        assert str(raised.value) == "entry -0 is not an element index below 3 at line 4"
+        ring = parse_matrix(text.replace("field 3", "ring Z"))
+        assert ring.entries == {("a", "b"): 1, ("b", "a"): 1}
+    with pytest.raises(ParseError, match="^entry -1 is not an element index below 3 at line 5$"):
+        parse_matrix("field 3\nrows a b\nsquare\na b 1\na a -01\n")
+
+
+def _hand_layout(text: str, rng: random.Random) -> str:
+    """``text`` laid out by hand: its lines in any order, among comment and
+    blank lines, fields apart by runs of blanks and tabs, a comment after a
+    line, and any of the line breaks ``str.splitlines`` knows."""
+    lines = text.splitlines()
+    lines += ["// a note", "", "  \t", "//"]
+    rng.shuffle(lines)
+    blanks = [" ", "\t", "  ", " \t ", "\u3000"]
+    laid = [
+        rng.choice(["", " ", "\t"])
+        + "".join(field + rng.choice(blanks) for field in line.split(" "))
+        + rng.choice(["", "// after"])
+        for line in lines
+    ]
+    breaks = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    return "".join(line + rng.choice(breaks) for line in laid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_files_read_alike_in_any_layout(data):
+    rows = data.draw(st.sets(_legal_names, min_size=1, max_size=4))
+    square = data.draw(st.booleans())
+    cols = rows if square else data.draw(st.sets(_legal_names, min_size=1, max_size=4))
+    cells = st.tuples(st.sampled_from(sorted(rows)), st.sampled_from(sorted(cols)))
+    q = data.draw(st.sampled_from([2, 3, 4, 11]))
+    field_entries = data.draw(st.dictionaries(cells, st.integers(0, q - 1)))
+    square_cells = st.tuples(st.sampled_from(sorted(rows)), st.sampled_from(sorted(rows)))
+    int_entries = data.draw(st.dictionaries(square_cells, st.integers(-300, 300)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for written in (
+        write_field_matrix(FieldMatrix(gf(q), frozenset(rows), frozenset(cols), field_entries)),
+        write_int_matrix(IntMatrix.from_int_entries(int_entries, rows)),
+    ):
+        hand = _hand_layout(written, rng)
+        assert _reading(hand) == _reading(written), hand
+
+
+def test_matrix_entries_read_no_decimal_one_by_one(monkeypatch):
+    """A legal file reads every entry at once, in any layout and with
+    entries of any width: the only decimal read on its own is the field
+    order."""
+    rng = random.Random(3)
+    calls = []
+    monkeypatch.setattr(matio, "read_decimal", lambda *a: calls.append(a) or read_decimal(*a))
+    names = [f"v{k}" for k in range(20)]
+    widths = {"field 3": range(3), "field 251": range(251), "ring Z": range(-99, 99)}
+    for header, values in widths.items():
+        cells = [f"{i}\t{j}  {rng.choice(values)}" for i in names for j in names]
+        lines = ["// a hand-laid copy", header, *cells, "rows " + " ".join(names), "square"]
+        calls.clear()
+        m = parse_matrix("\r\n".join(lines))
+        assert len(m.entries) > 200
+        assert calls == ([(header[6:], "field order", 2)] if header != "ring Z" else [])
+
+
+# These tests keep the names they had when a bulk reader and a line reader
+# split the texts between them; each pins its texts to the readings they
+# had then.
 
 
 @pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028", "\x0c"])
 def test_bulk_reader_leaves_other_line_breaks_to_the_line_reader(separator):
-    """The line reader breaks lines at more than newlines: an entry joined
-    to a header, or to another entry, by such a break is still an entry."""
-    for text in (
-        f"field 2\nrows a b\nsquare{separator}a b 1\nb a 1\n",
-        f"field 3\nrows a b\nsquare\na b 1{separator}b a 2\n",
+    """Lines break at more than newlines: an entry joined to a header, or
+    to another entry, by such a break is still an entry."""
+    for text, entries in (
+        (f"field 2\nrows a b\nsquare{separator}a b 1\nb a 1\n", {("a", "b"): 1, ("b", "a"): 1}),
+        (f"field 3\nrows a b\nsquare\na b 1{separator}b a 2\n", {("a", "b"): 1, ("b", "a"): 2}),
     ):
-        assert _read_bulk(text) is None
-        assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+        m = parse_matrix(text)
+        assert (m.rows, m.cols, m.entries) == ({"a", "b"}, {"a", "b"}, entries)
 
 
 def test_bulk_reader_keeps_the_digit_limit_when_int_has_none():
@@ -1098,40 +1216,55 @@ def test_bulk_reader_keeps_the_digit_limit_when_int_has_none():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for digits in ("7" * 4300, "7" * 4301):
-            text = f"ring Z\nrows a\nsquare\na a -{digits}\n"
-            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
-            text = f"field 2\nrows a\nsquare\na a {digits}\n"
-            assert _reading(parse_matrix, text) == _reading(_read_lines, text)
-        with pytest.raises(ParseError, match="at most 4300 ASCII digits at line 4"):
-            parse_matrix("ring Z\nrows a\nsquare\na a " + "7" * 4301 + "\n")
+        digits = "7" * 4300
+        m = parse_matrix(f"ring Z\nrows a\nsquare\na a -{digits}\n")
+        assert m.entries == {("a", "a"): -int(digits)}
+        with pytest.raises(ParseError, match=f"^entry {digits} is not an element index below 2 "):
+            parse_matrix(f"field 2\nrows a\nsquare\na a {digits}\n")
+        for text in ("ring Z\nrows a\nsquare\na a -", "field 2\nrows a\nsquare\na a "):
+            with pytest.raises(ParseError) as raised:
+                parse_matrix(text + digits + "7\n")
+            assert str(raised.value) == (
+                "entry value '77777777777777777777'... (4301 characters)"
+                " is not a decimal of at most 4300 ASCII digits at line 4"
+            )
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_bulk_reader_reads_a_matrix_without_entries():
-    for text in ("field 3\nrows a b\nsquare\n", "ring Z\nrows a\nsquare\n"):
-        assert _reading(_read_bulk, text) == _reading(_read_lines, text)
-        assert _read_bulk(text) is not None
+    m = parse_matrix("field 3\nrows a b\nsquare\n")
+    assert (m.field.order, m.rows, m.cols, m.entries) == (3, {"a", "b"}, {"a", "b"}, {})
+    m = parse_matrix("ring Z\nrows a\nsquare\n")
+    assert (m.index_set, m.entries, m.digit_count) == ({"a"}, {}, 1)
 
 
 def test_bulk_reader_leaves_a_last_line_without_newline_to_the_line_reader():
     text = "field 2\nrows a b\nsquare\na b 1\nb a 1"
-    assert _read_bulk(text) is None
     assert parse_matrix(text).entries == {("a", "b"): 1, ("b", "a"): 1}
+
+
+_HEADER_WORD_ERRORS = {
+    "field": "second ring header, after line 1 at line 4",
+    "ring": "second ring header, after line 1 at line 4",
+    "rows": "second rows header, after line 2 at line 4",
+    "cols": "square matrices need rows == cols at line 3",
+}
 
 
 @pytest.mark.parametrize("head", ["field", "ring", "rows", "cols", "square"])
 def test_bulk_reader_leaves_header_words_as_row_names_to_the_line_reader(head):
     """A header word names no row the writers write, but a file may use
-    one; the line reader reads an entry line that starts with it as a
-    header, and the bulk reader must not read it as an entry."""
-    for text in (
-        f"field 2\nrows {head} a\nsquare\n{head} a 1\n",
-        f"ring Z\nrows {head} a\nsquare\n{head} a 2\na {head} -3\n",
-    ):
-        assert _read_bulk(text) is None
-        assert _reading(parse_matrix, text) == _reading(_read_lines, text)
+    one: a line of three fields that starts with it is a header, except
+    for ``square``, which heads a header line only alone."""
+    field_text = f"field 2\nrows {head} a\nsquare\n{head} a 1\n"
+    int_text = f"ring Z\nrows {head} a\nsquare\n{head} a 2\na {head} -3\n"
+    if head == "square":
+        assert parse_matrix(field_text).entries == {("square", "a"): 1}
+        assert parse_matrix(int_text).entries == {("square", "a"): 2, ("a", "square"): -3}
+    else:
+        for text in (field_text, int_text):
+            assert _reading(text) == (ParseError, _HEADER_WORD_ERRORS[head])
 
 
 def test_matrix_entries_look_up_no_digit_limit(monkeypatch):
