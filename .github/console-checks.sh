@@ -27,6 +27,15 @@ same() {
   done
   expect "$want" < "$first"
 }
+# decided IN: solve matching's verdict on IN is yes exactly when
+# --max-size matches all of A; each run has 10 s
+decided() {
+  local verdict size na
+  verdict="$(timeout 10 choiceless-lab solve matching --input "$1" | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["verdict"])')"
+  size="$(timeout 10 choiceless-lab solve matching --input "$1" --max-size | python3 -c 'import json, sys; print(json.load(sys.stdin)["result"]["max_matching"])')"
+  na="$(grep '^rel InA/1:' "$1" | grep -o '(' | wc -l)"
+  test "$verdict" = "$(if [ "$size" = "$na" ]; then echo yes; else echo no; fi)" || { echo "$1: verdict $verdict, but --max-size $size with |A| = $na"; exit 1; }
+}
 # agree M: solve det gives the matrix M one verdict by power and by gauss
 agree() {
   local power gauss
@@ -47,6 +56,9 @@ rename sparse.str renamed-sparse.str
 same '"max_matching" in r' '1:sparse 2:sparse 1:renamed-sparse' timeout 10 choiceless-lab solve matching --input @.str --max-size
 # and the decision, which stops at its first failed search, likewise
 same '"verdict" in r' '1:sparse 2:sparse 1:renamed-sparse' timeout 10 choiceless-lab solve matching --input @.str
+# the decision, which may answer no from the degree partition alone,
+# agrees with the maximum matching size
+for g in sparse renamed-sparse path; do decided "$g.str"; done
 printf 'atoms: a b c d e\n' > five.str
 programs="$(python3 -c 'import importlib.resources as r; print(r.files("choiceless_lab") / "programs")')"
 choiceless-lab bgs run --program "$programs/parity.bgs" --input five.str | expect 'r["result"]["verdict"] == "accept"'

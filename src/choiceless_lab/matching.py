@@ -15,6 +15,8 @@ neighbours in B_j, and each of B_j the same number in A_i, so a flow f
 spread evenly over each linked pair's e_ij edges loads a vertex of A_i
 with sum_j f_ij / |A_i| <= 1, and one of B_j likewise: a fractional
 matching of value |f|, and the bipartite matching polytope is integral.
+Only that converse needs stability: on any partition of the sides, the
+same network's flow bounds the maximum matching from above.
 
 The decision searches only from the first A-block with spare capacity,
 in canonical order, and answers no as soon as such a search fails.  That
@@ -24,7 +26,13 @@ B-blocks comes from A-blocks in R, since the search follows it back; and
 every block an A-block in R links to is in R.  So the cut {source} + R
 has capacity |A| - |A_R| + |B_R|, where |B_R| is the flow out of A_R,
 below |A_R| by the first block's spare capacity: no flow saturates A, and
-the A-vertices in R have fewer neighbours than themselves (Hall).
+the A-vertices in R have fewer neighbours than themselves (Hall).  The
+argument never uses stability, so it holds on any partition.  The
+decision therefore first runs the flow on the degree partition, which
+the coloring's first round builds in O(n + m), and a failed search there
+is a final no; only a yes goes on to the stable coloring.  Such a no's
+Hall set, the A-vertices in R, is a union of degree classes, and every
+automorphism of the graph fixes it.
 
 The coloring refines by splitters: each round reads only the neighbours
 of the smaller children of the blocks that split in the round before,
@@ -46,6 +54,7 @@ and return graphs.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 from dataclasses import dataclass
@@ -260,10 +269,19 @@ def _split(keys, part) -> list:
     return splits
 
 
-def _refine(graph: BipartiteGraph) -> tuple:
+def _refine(graph: BipartiteGraph, decide: bool = False) -> tuple | None:
     """The coarsest stable coloring on the internal numbering (module
     docstring): the numbering's vertices, each side's blocks as sets of
-    numbers in canonical order, and the linked pairs of block ranks."""
+    numbers in canonical order, and the linked pairs of block ranks.
+
+    With ``decide``, the decision's block flow first runs on the degree
+    partition that round 1 leaves, and None is returned when its search
+    fails: A then cannot be matched completely (module docstring).  The
+    check is made after round 1 only, and not when round 1 split neither
+    side, since that partition is then already stable and the flow runs
+    on it once anyway.  A check after every round would cost a path on n
+    vertices, which refines in about n / 2 rounds, that many flows.
+    """
     names = [*graph.a_side, *graph.b_side]
     index = dict(zip(names, range(len(names))))
     tails = [index[a] for a, _ in graph.edges]
@@ -291,10 +309,22 @@ def _refine(graph: BipartiteGraph) -> tuple:
         else []
         for side in (range(na), range(na, na + nb))
     )
+    if decide and (a_splits or b_splits) and _flow(*_ranked(part, na, tails, heads), True):
+        return None
+    # a side that split nothing last round touches no vertex of the other,
+    # which is then neither keyed nor split: on a path with one A-vertex
+    # more than B, one side in every round
     while a_splits or b_splits:
-        a_keys = _touched_keys(b_splits, adjacency, part)
-        b_keys = _touched_keys(a_splits, adjacency, part)
-        a_splits, b_splits = _split(a_keys, part), _split(b_keys, part)
+        a_keys = _touched_keys(b_splits, adjacency, part) if b_splits else None
+        b_keys = _touched_keys(a_splits, adjacency, part) if a_splits else None
+        a_splits = [] if a_keys is None else _split(a_keys, part)
+        b_splits = [] if b_keys is None else _split(b_keys, part)
+    return names, *_ranked(part, na, tails, heads)
+
+
+def _ranked(part, na, tails, heads) -> tuple:
+    """The partition's blocks on each side in canonical order, and the
+    pairs of block ranks that some edge joins."""
     block_of, _, start, members = part
     rank = [0] * len(start)  # a live block id -> its rank on its side
     blocks = []
@@ -307,7 +337,7 @@ def _refine(graph: BipartiteGraph) -> tuple:
         (rank[i], rank[j])
         for i, j in set(zip(map(block_of.__getitem__, tails), map(block_of.__getitem__, heads)))
     }
-    return names, blocks, linked
+    return blocks, linked
 
 
 def stable_coloring(graph: BipartiteGraph) -> StableColoring:
@@ -374,10 +404,16 @@ def quotient(graph: BipartiteGraph) -> BipartiteGraph:
 
 def decide_complete_matching(graph: BipartiteGraph) -> bool:
     """Whether A can be matched completely: whether the block flow, which
-    reads only the coloring's canonical blocks, saturates A.  It searches
+    reads only a partition's canonical blocks, saturates A.  It searches
     from the first A-block with spare capacity only, and answers no when
-    that search fails (module docstring)."""
-    return not _unmatched(graph, first_only=True)
+    that search fails.  The flow on the degree partition is tried first,
+    and its no is final: the flow on any canonical partition bounds the
+    maximum matching from above, and the cut argument for no needs no
+    stability (module docstring).  The Hall set behind such a no is a
+    union of degree classes, which every automorphism fixes."""
+    with _collector_paused():
+        refinement = _refine(graph, decide=True)
+        return refinement is not None and not _flow(*refinement[1:], True)
 
 
 def max_matching_size(graph: BipartiteGraph) -> int:
@@ -386,50 +422,60 @@ def max_matching_size(graph: BipartiteGraph) -> int:
     returns, with no vertex names read.  A greedy pass over the linked
     pairs in canonical order starts the flow, and breadth-first augmenting
     paths from every spare A-block, in canonical block order, complete it."""
-    return len(graph.a_side) - _unmatched(graph, first_only=False)
+    with _collector_paused():
+        return len(graph.a_side) - _flow(*_refine(graph)[1:], False)
 
 
-def _unmatched(graph: BipartiteGraph, first_only: bool) -> int:
-    """How many A-vertices the block flow leaves unmatched once its search
-    fails: from every spare A-block, |A| minus the maximum matching size;
-    from the first one only, a number that is 0 exactly when A can be
-    matched completely."""
-    # the refinement and the flow build only numbers and flat containers of
-    # them, so no cycle can form: the cyclic collector is paused meanwhile
+@contextlib.contextmanager
+def _collector_paused():
+    """The refinement and the flow build only numbers and flat containers
+    of them, so no cycle can form: the cyclic collector is paused
+    meanwhile, and left as it was found."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        _, blocks, linked = _refine(graph)
-        a_left, b_left = ([len(block) for block in side] for side in blocks)
-        forward: list = [[] for _ in a_left]
-        into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
-        for i, j in sorted(linked):
-            push = min(a_left[i], b_left[j])
-            a_left[i] -= push
-            b_left[j] -= push
-            forward[i].append(j)
-            into[j][i] = push
-        spare = [i for i, left in enumerate(a_left) if left]
-        while spare:
-            path = _search(spare[:1] if first_only else spare, forward, into, b_left)
-            if path is None:
-                break
-            # each A-block on the path gives back its flow into the next arc's B-block
-            returned = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]
-            a_root, b_end = path[-1][0], path[0][1]
-            push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
-            a_left[a_root] -= push
-            b_left[b_end] -= push
-            if not a_left[a_root]:
-                spare.remove(a_root)
-            for i, j in path:
-                into[j][i] += push
-            for i, j in returned:
-                into[j][i] -= push
-        return sum(a_left)
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _flow(blocks, linked, first_only: bool) -> int:
+    """How many A-vertices the block flow over a partition's ``blocks`` and
+    ``linked`` rank pairs leaves unmatched once its search fails: from
+    every spare A-block, |A| minus the flow's maximum; from the first one
+    only, a number that is 0 exactly when the flow saturates A."""
+    a_left, b_left = ([len(block) for block in side] for side in blocks)
+    forward: list = [[] for _ in a_left]
+    into: list = [{} for _ in b_left]  # into[j][i]: the flow on arc i -> j
+    # the greedy pass visits every linked pair, so it calls no min() and
+    # writes no zero push
+    for i, j in sorted(linked):
+        forward[i].append(j)
+        a, b = a_left[i], b_left[j]
+        push = a if a < b else b
+        if push:
+            a_left[i] = a - push
+            b_left[j] = b - push
+        into[j][i] = push
+    spare = [i for i, left in enumerate(a_left) if left]
+    while spare:
+        path = _search(spare[:1] if first_only else spare, forward, into, b_left)
+        if path is None:
+            break
+        # each A-block on the path gives back its flow into the next arc's B-block
+        returned = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]
+        a_root, b_end = path[-1][0], path[0][1]
+        push = min(a_left[a_root], b_left[b_end], *(into[j][i] for i, j in returned))
+        a_left[a_root] -= push
+        b_left[b_end] -= push
+        if not a_left[a_root]:
+            spare.remove(a_root)
+        for i, j in path:
+            into[j][i] += push
+        for i, j in returned:
+            into[j][i] -= push
+    return sum(a_left)
 
 
 def _search(roots, forward, into, b_left):

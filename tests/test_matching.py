@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
@@ -539,7 +540,7 @@ def test_max_matching_size_takes_flow_back(monkeypatch):
         (frozenset({"y"}), frozenset({"x1", "x2"})), (frozenset({"p"}), frozenset({"q1", "q2"}))
     )
     assert stable_coloring(g) == StableColoring(reordered.a_blocks[::-1], reordered.b_blocks[::-1])
-    monkeypatch.setattr(matching, "_refine", lambda _: refinement_of(g, reordered))
+    monkeypatch.setattr(matching, "_refine", lambda _, decide=False: refinement_of(g, reordered))
     assert max_matching_size(g) == 2
 
 
@@ -557,7 +558,7 @@ def test_max_matching_size_under_any_block_order(example, rng):
     )
     size = max_matching_brute(a, edges)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matching, "_refine", lambda _: refinement_of(g, shuffled))
+        patch.setattr(matching, "_refine", lambda _, decide=False: refinement_of(g, shuffled))
         assert max_matching_size(g) == size
         assert decide_complete_matching(g) == (size == len(a))
 
@@ -612,6 +613,120 @@ def test_decision_stops_at_the_first_failed_search(monkeypatch):
     found.clear()
     assert max_matching_size(g) == 300
     assert found[-1] is None and None not in found[:-1] and len(found) > 1
+
+
+@st.composite
+def graphs_renamed_within_sides(draw, max_side=7):
+    """Sides of up to ``max_side`` vertices, a drawn set of them kept
+    isolated, edges among the rest, and a renaming of each side within
+    itself."""
+    na, nb = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    a = [f"a{i}" for i in range(na)]
+    b = [f"b{j}" for j in range(nb)]
+    lone = draw(st.sets(st.sampled_from(a + b))) if na + nb else set()
+    cells = [(x, y) for x in a for y in b if x not in lone and y not in lone]
+    edges = sorted(draw(st.sets(st.sampled_from(cells)))) if cells else []
+    mapping = {**dict(zip(a, draw(st.permutations(a)))), **dict(zip(b, draw(st.permutations(b))))}
+    return a, b, edges, mapping
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_renamed_within_sides())
+def test_degree_partition_decision_agrees_with_the_stable_one(example):
+    # the path the degree partition's check replaces: the first-spare
+    # search on the stable coloring's blocks
+    for a, b, edges in both_namings(example):
+        g = graph(a, b, edges)
+        decided = decide_complete_matching(g)
+        _, blocks, linked = matching._refine(g)
+        assert decided == (not matching._flow(blocks, linked, True))
+        assert decided == (max_matching_size(g) == len(a))
+        assert decided == (max_matching_brute(a, edges) == len(a))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_renamed_within_sides(), st.randoms(use_true_random=False))
+def test_degree_partition_flow_bounds_the_matching_in_any_block_order(example, rng):
+    # the degree classes in shuffled order: the flow bounds the maximum
+    # matching from above, and a failed first search still proves no
+    a, b, edges, _ = example
+    degree = collections.Counter(v for edge in edges for v in edge)
+    blocks = []
+    for side in (a, b):
+        classes = {}
+        for v in side:
+            classes.setdefault(degree[v], set()).add(v)
+        blocks.append(rng.sample(list(classes.values()), len(classes)))
+    rank = {v: i for side in blocks for i, block in enumerate(side) for v in block}
+    linked = {(rank[x], rank[y]) for x, y in edges}
+    size = max_matching_brute(a, edges)
+    assert len(a) - matching._flow(blocks, linked, False) >= size
+    if matching._flow(blocks, linked, True):
+        assert size < len(a)
+
+
+def counted_calls(monkeypatch, name):
+    """The argument tuples of every call to the matching module's ``name``."""
+    calls = []
+    function = getattr(matching, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(matching, name, counted)
+    return calls
+
+
+def test_degree_partition_answers_no_without_refining(monkeypatch):
+    # an isolated A-vertex, and a path with one A-vertex more than B: the
+    # degree partition's flow already fails, so no later round runs
+    touched = counted_calls(monkeypatch, "_touched_keys")
+    flows = counted_calls(monkeypatch, "_flow")
+    lone = graph(["a1", "a2", "lone"], ["b1", "b2"], [("a1", "b1"), ("a1", "b2"), ("a2", "b2")])
+    assert not decide_complete_matching(lone)
+    assert not decide_complete_matching(graph(*path_graph(40, extra=True)))
+    assert touched == []
+    assert len(flows) == 2
+
+
+def test_regular_graph_runs_the_flow_once(monkeypatch):
+    # round 1 splits neither side, so the degree partition is the stable
+    # coloring and is not checked twice: a 3-regular circulant, and four
+    # A-vertices of degree 1 sharing two B-vertices of degree 2
+    flows = counted_calls(monkeypatch, "_flow")
+    n = 30
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    assert decide_complete_matching(graph(a, b, [(a[i], b[(i + d) % n]) for i in range(n) for d in range(3)]))
+    assert len(flows) == 1
+    assert not decide_complete_matching(graph(a[:4], b[:2], [(a[i], b[i // 2]) for i in range(4)]))
+    assert len(flows) == 2
+
+
+def test_yes_path_still_refines_to_the_end(monkeypatch):
+    # the degree partition's flow saturates A, so the decision refines on to
+    # the stable coloring, in as many rounds as stable_coloring takes
+    g = graph(*path_graph(40))
+    touched = counted_calls(monkeypatch, "_touched_keys")
+    flows = counted_calls(monkeypatch, "_flow")
+    c = stable_coloring(g)
+    keyed = len(touched)
+    touched.clear()
+    assert decide_complete_matching(g)
+    assert keyed > 30 and len(touched) == keyed
+    (degree_blocks, _, _), (stable_blocks, _, _) = flows
+    assert len(degree_blocks[0]) < len(c.a_blocks)
+    assert [len(side) for side in stable_blocks] == [len(c.a_blocks), len(c.b_blocks)]
+
+
+def test_a_side_that_split_nothing_is_not_keyed(monkeypatch):
+    # on a path with one A-vertex more than B, the rounds' splits alternate
+    # sides, so each round keys one side only
+    touched = counted_calls(monkeypatch, "_touched_keys")
+    assert max_matching_size(graph(*path_graph(20, extra=True))) == 20
+    assert len(touched) > 15
+    assert all(splits for splits, _, _ in touched)
 
 
 def test_coloring_and_flow_do_not_depend_on_the_hash_seed():
