@@ -220,14 +220,20 @@ expect 'r["error"]["kind"] == "parse"' < twice.json
 choiceless-lab gen multipede --segments 40 --hyperedges 60 --seed 1 --shoe --file p.str
 choiceless-lab validate multipede --input p.str | expect 'r["result"]["valid"] is True and isinstance(r["result"]["odd"], bool)'
 for kind in multipede3 multipede4; do choiceless-lab iso "$kind" --a p.str --b p.str | expect 'r["result"]["isomorphic"] is True'; done
-# swap the a/b suffix of every foot name, the shoe's included: a
-# renaming, so isomorphic, that reverses the feet's name order on
-# every segment
-python3 -c 'import re, sys; print(re.sub(r"\b(s\d+)([ab])\b", lambda x: x.group(1) + "ba"[x.group(2) == "b"], sys.stdin.read()), end="")' < p.str > q.str
-iso3() { choiceless-lab iso multipede3 --a "${1%,*}.str" --b "${1#*,}.str"; }
+# swap IN OUT: IN with the a/b suffix of every foot name swapped, the
+# shoe's included: a renaming, so isomorphic, that reverses the feet's
+# name order on every segment
+swap() { python3 -c 'import re, sys; print(re.sub(r"\b(s\d+)([ab])\b", lambda x: x.group(1) + "ba"[x.group(2) == "b"], sys.stdin.read()), end="")' < "$1" > "$2"; }
+swap p.str q.str
+# iso3 A,B: iso multipede3 on A.str and B.str, with 10 s
+iso3() { timeout 10 choiceless-lab iso multipede3 --a "${1%,*}.str" --b "${1#*,}.str"; }
 same 'r["isomorphic"] is True' '1:p,q 1:q,p 2:p,q 2:q,p' iso3 @
-# the largest multipede the tuple guard admits, and one hyperedge more
+# the largest multipede the tuple guard admits, and one hyperedge more;
+# the largest is decided against itself and its swapped feet in 10 s each
 timeout 10 choiceless-lab gen multipede --segments 100 --hyperedges 16481 --seed 1 --shoe --file big.str | expect 'r["result"]["hyperedges"] == 16481'
+swap big.str big-q.str
+same 'r["isomorphic"] is True' '1:big,big 2:big,big' iso3 @
+same 'r["isomorphic"] is True' '1:big,big-q 2:big,big-q' iso3 @
 exits 4 past.json choiceless-lab gen multipede --segments 100 --hyperedges 16482 --seed 1 --file past.str
 test ! -e past.str
 # drop the positive triples on the feet s00a and s01a: several

@@ -16,6 +16,19 @@ and ``write_structure`` stay module-level names, read from
 benchmark tracer rebinds ``parse_structure`` in every module that holds
 it.
 
+Each handler runs with the cyclic garbage collector paused
+(:func:`~choiceless_lab.structures.collector_paused`), which is left as
+it was found however the handler ends.  That is safe because no command
+makes a reference cycle: structures, tables, matrices, sets and machine
+states hold strings, numbers and one another, never themselves.  What a
+handler made and dropped is freed by reference counts when it returns,
+and each freed object lowers the allocation count that would start the
+next collection, so a large input costs no collection at all: a multipede
+file's tens of thousands of fresh tuples would otherwise be traversed by
+collections that can find nothing.  The report is encoded outside
+the pause: :mod:`json`'s indenting encoder leaves a few closures in a
+cycle, for the collector to free.
+
 Commands are one flat table, ``_COMMANDS``.  A command's parser is built
 when the command first runs (:func:`_leaf`), so an import builds none, and
 ``--out`` may stand on either side of the command (:func:`_split`).
@@ -38,7 +51,7 @@ import time
 
 from . import __version__
 from .errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
-from .structures import parse_structure, write_structure
+from .structures import collector_paused, parse_structure, write_structure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -427,7 +440,9 @@ def dispatch(argv) -> tuple:
             raise _UsageError(f"unknown command {' '.join(command)!r}; the commands are {listing}")
         args = _leaf(command).parse_args(rest)
         out_path = args.out
-        report = dict(envelope, result=_COMMANDS[command][0](args))
+        with collector_paused():
+            result = _COMMANDS[command][0](args)
+        report = dict(envelope, result=result)
         report["timing_seconds"] = round(time.monotonic() - started, 6)
         _emit(report, out_path)
         return EXIT_OK, report

@@ -86,9 +86,9 @@ length, or by the binary method when the exponent has too few 1 digits
 for windows to be sure of fewer.  The ordered Gaussian routines live
 alongside as the independent oracle and as ``solve det --method gauss``;
 rank, solve and the frequency experiment share one forward elimination,
-:func:`echelon`, over the row operation the field supplies.  GF(2) rank
-on packed rows is :func:`_rank_bitrows`, which the frequency experiment
-and the multipede decisions read.
+:func:`echelon`, over the row operation the field supplies.  GF(2) rows
+packed as ints are eliminated by :func:`_bitrow_pivots`, whose pivots the
+frequency experiment and the multipede decisions read.
 """
 
 from __future__ import annotations
@@ -126,8 +126,10 @@ class FieldMatrix:
     entries: dict
 
     def __post_init__(self):
-        # equal maps have equal entry dicts: zero entries are never stored
-        object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
+        # equal maps have equal entry dicts: zero entries are never stored,
+        # and a dict that holds none is kept as given
+        if not all(self.entries.values()):
+            object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
 
     @property
     def square(self) -> bool:
@@ -368,20 +370,21 @@ def _square_and_multiply(mul, base, r: int):
     return power
 
 
-def _rank_bitrows(rows) -> int:
-    """Rank over GF(2) of rows packed as Python ints."""
-    pivots: dict = {}  # leading bit -> reduced row
-    rank = 0
+def _bitrow_pivots(rows) -> dict:
+    """Forward elimination over GF(2) of rows packed as Python ints: leading
+    bit -> reduced row, one pivot per independent row, so as many as the
+    rank.  The rows span the int 1 exactly when a pivot leads at bit 0: in
+    a sum of distinct pivots the highest leading bit survives."""
+    pivots: dict = {}
     for row in rows:
         while row:
             top = row.bit_length() - 1
             other = pivots.get(top)
             if other is None:
                 pivots[top] = row
-                rank += 1
                 break
             row ^= other
-    return rank
+    return pivots
 
 
 def gl_exponent(field: FiniteField, n: int) -> int:

@@ -6,7 +6,7 @@ import random
 
 from ..errors import ValidationError
 from .fields import FiniteField
-from .matrix import FieldMatrix, _rank_bitrows, echelon
+from .matrix import FieldMatrix, _bitrow_pivots, echelon
 
 __all__ = ["random_matrix", "frequency_experiment"]
 
@@ -40,7 +40,7 @@ def frequency_experiment(field: FiniteField, n: int, trials: int, seed) -> float
         # rows as bit masks: xor is far faster than the generic row operation
         for _ in range(trials):
             rows = [rng.getrandbits(n) for _ in range(n)]
-            if _rank_bitrows(rows) == n:
+            if len(_bitrow_pivots(rows)) == n:
                 hits += 1
     else:
         for _ in range(trials):

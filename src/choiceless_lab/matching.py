@@ -47,19 +47,19 @@ neighbour numbers, a block id and an alone flag per vertex, a start and
 members per block id.  Keys and block ranks hold positions in the
 canonical order, never numbers, so the numbering decides only the running
 time, and it never leaves this module.  The flow starts from a greedy pass
-over the linked pairs, which leaves few augmenting paths to search.
+over the linked pairs, which leaves few augmenting paths to search.  The
+refinement and the flow build only numbers and flat containers of them,
+so no cycle can form, and they run with the cyclic collector paused.
 ``saturate`` and ``quotient`` compute the coloring of the graph they get,
 and return graphs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import itertools
 from dataclasses import dataclass
 
-from .structures import InputStructure
+from .structures import InputStructure, collector_paused
 from .errors import ValidationError
 
 __all__ = [
@@ -411,7 +411,7 @@ def decide_complete_matching(graph: BipartiteGraph) -> bool:
     maximum matching from above, and the cut argument for no needs no
     stability (module docstring).  The Hall set behind such a no is a
     union of degree classes, which every automorphism fixes."""
-    with _collector_paused():
+    with collector_paused():
         refinement = _refine(graph, decide=True)
         return refinement is not None and not _flow(*refinement[1:], True)
 
@@ -422,22 +422,8 @@ def max_matching_size(graph: BipartiteGraph) -> int:
     returns, with no vertex names read.  A greedy pass over the linked
     pairs in canonical order starts the flow, and breadth-first augmenting
     paths from every spare A-block, in canonical block order, complete it."""
-    with _collector_paused():
+    with collector_paused():
         return len(graph.a_side) - _flow(*_refine(graph)[1:], False)
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """The refinement and the flow build only numbers and flat containers
-    of them, so no cycle can form: the cyclic collector is paused
-    meanwhile, and left as it was found."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _flow(blocks, linked, first_only: bool) -> int:

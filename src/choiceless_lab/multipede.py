@@ -35,10 +35,11 @@ It is read, exactly and in time linear in the pairs, from the segments'
 degree counts as a total pre-order whose classes are the single segments
 (:func:`~choiceless_lab.structures.preorder_classes`).
 
-Both decisions read ranks of the incidence matrix packed one int
-per hyperedge, with bit i for the segment at order position i.  A rank
-does not depend on the order of the rows, so no hyperedge order is
-chosen; the segment order is part of a 3-multipede.
+Both decisions eliminate the incidence matrix packed one int per
+hyperedge, with bit i for the segment at order position i (shifted up by
+one in the isomorphism system, whose right-hand side takes bit 0).  Which
+bits the pivots lead at does not depend on the order of the rows, so no
+hyperedge order is chosen; the segment order is part of a 3-multipede.
 
 The random generator samples hyperedges as positions in the listing of
 all segment triples and unranks each position to its triple, so it never
@@ -61,7 +62,7 @@ from functools import cached_property
 
 from .structures import InputStructure, preorder_classes
 from .errors import GuardExceeded, ValidationError
-from .linalg.matrix import _rank_bitrows
+from .linalg.matrix import _bitrow_pivots
 
 __all__ = [
     "Multipede2",
@@ -181,7 +182,7 @@ def is_odd(m: Multipede3) -> bool:
         raise ValidationError("a multipede needs at least one segment")
     bit = {s: 1 << i for i, s in enumerate(m.segment_order)}
     rows = [sum(map(bit.__getitem__, h)) for h in m.hyperedges]
-    return _rank_bitrows(rows) == len(m.segment_order)
+    return len(_bitrow_pivots(rows)) == len(m.segment_order)
 
 
 def _parities(m: Multipede3) -> dict:
@@ -206,17 +207,18 @@ def iso3_decide(a: Multipede3, b: Multipede3) -> bool:
     incidence rows.  Matching left feet to left feet, except at a segment
     set X, preserves positivity exactly when A x = v, where v is the XOR of
     the two multipedes' parity bits; keeping the shoe fixed forces X to
-    avoid the first segment, the extra equation x_0 = 0.  The system is
-    solvable exactly when appending v as bit n leaves the rank unchanged
-    (Rouché–Capelli).
+    avoid the first segment, the extra equation x_0 = 0.  Each equation is
+    packed as ``row << 1 | v``, its right-hand side in bit 0, and the
+    system is solvable exactly when no sum of equations reads 0 = 1: when
+    no pivot of their one elimination leads at bit 0.
     """
     n = len(a.segment_order)
     pa, pb = _parities(a), _parities(b)
     if n != len(b.segment_order) or pa.keys() != pb.keys():
         return False
-    shoe = 1  # x_0 = 0 keeps the shoe on its foot
-    augmented = [row | (pa[row] ^ pb[row]) << n for row in pa]
-    return _rank_bitrows(augmented + [shoe]) == _rank_bitrows([*pa, shoe])
+    shoe = 1 << 1  # x_0 = 0 keeps the shoe on its foot
+    equations = [row << 1 | (pa[row] ^ pb[row]) for row in pa]
+    return 0 not in _bitrow_pivots([*equations, shoe])
 
 
 def shoe_expansions(m3: Multipede3):

@@ -27,9 +27,16 @@ and hands them to the routine that checks flat name lists, and
 The reader checks only the text's grammar and name syntax, with line
 numbers, and reports what the check rejects as a :class:`ParseError`.  A
 relation line in the written layout ``(a,b) (c,d)`` is read in one pass:
-split once into names, its punctuation compared as a whole, and each name
-looked up once; an ``atoms:`` line of well-formed names is checked as a
-whole.  Other layouts go through the general reader, cell by cell.
+split once into names, its punctuation (its bytes with the ASCII name
+characters deleted) compared as a whole, and its names swapped for the
+atoms' strings by one ``itemgetter`` call.  An ``atoms:`` line of name
+characters and blanks is checked as a whole: its least name shows
+whether any name starts badly.  Other lines go through the general
+reader, cell by cell or name by name.
+
+The check pauses the cyclic collector while it builds the tables, with
+:func:`collector_paused`, which the command line holds around each whole
+command.
 
 :func:`preorder_classes` reads a total pre-order listed pair by pair, a
 gadget's ``Pre`` or a multipede's ``Leq``, from its degree counts.
@@ -37,6 +44,7 @@ gadget's ``Pre`` or a multipede's ``Leq``, from its degree counts.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import itertools
@@ -49,7 +57,13 @@ from operator import itemgetter
 from .errors import ParseError, ValidationError, read_decimal
 from .hfset import Atom
 
-__all__ = ["InputStructure", "parse_structure", "preorder_classes", "write_structure"]
+__all__ = [
+    "InputStructure",
+    "collector_paused",
+    "parse_structure",
+    "preorder_classes",
+    "write_structure",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +141,12 @@ def _from_flat(atoms: tuple, relations: dict, functions: dict, arities: dict) ->
     if both:
         raise ValidationError(f"symbol {min(both)!r} is both a relation and a function")
 
-    def share(kind, name, names) -> list:
+    def share(kind, name, names) -> tuple:
         """Every name, swapped for the atom's string."""
         try:
-            return list(map(shared.__getitem__, names))
+            if len(names) > 1:
+                return itemgetter(*names)(shared)
+            return tuple(map(shared.__getitem__, names))  # one name: itemgetter returns it bare
         except KeyError:
             unknown = min(x for x in names if x not in shared)
             raise ValidationError(f"{kind} {name} mentions unknown atom {unknown!r}") from None
@@ -148,9 +164,7 @@ def _from_flat(atoms: tuple, relations: dict, functions: dict, arities: dict) ->
 
     # the tables' tuples hold only strings, so no cycle can form among
     # them: the cyclic collector is paused while they are built
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         rels = {
             name: frozenset(group("relation", name, names, count))
             for name, (names, count) in relations.items()
@@ -168,10 +182,23 @@ def _from_flat(atoms: tuple, relations: dict, functions: dict, arities: dict) ->
                     f"function {name} must be total on the universe ({count} of {expected} tuples)"
                 )
             funs[name] = dict(zip(args, share("function", name, values)))
+    return InputStructure(atoms, rels, funs, arities)
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, and leave it as it
+    was found however the block ends.  Only for code that makes no
+    reference cycles: what it makes is freed by reference counts, and each
+    object freed lowers the count of allocations that would start the next
+    collection."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if was_enabled:
             gc.enable()
-    return InputStructure(atoms, rels, funs, arities)
 
 
 def preorder_classes(pairs):
@@ -200,14 +227,10 @@ def preorder_classes(pairs):
     return classes
 
 
-_NAME_CHARS = string.ascii_letters + string.digits + "_.+-"
+_NAME_BYTES = (string.ascii_letters + string.digits + "_.+-").encode()
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 _SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
 _SEPARATORS = str.maketrans("(),", "   ")
-_DROP_NAMES = str.maketrans("", "", _NAME_CHARS)
-_DROP_NAMES_AND_BLANKS = str.maketrans("", "", _NAME_CHARS + " \t")
-# a name's start that is not a letter or "_" to "#", a tab to a blank
-_BAD_STARTS = bytes.maketrans(b"0123456789.+-\t", b"#" * 13 + b" ")
 
 
 def _names(chunk: str) -> tuple:
@@ -218,13 +241,11 @@ def _names(chunk: str) -> tuple:
 def _atom_names(rest: str, line_no: int) -> list:
     """The names listed after ``atoms:``; the first one that is not a name
     is rejected.  A line of name characters and blanks on which no name
-    starts with a digit, ``.``, ``+`` or ``-`` needs no check name by name.
-    Such a line is ASCII, so one translation of its bytes marks each
-    character that would start a name badly."""
+    starts with a digit, ``.``, ``+`` or ``-`` needs no check name by
+    name.  Those bad first characters all sort before ``A``, and the good
+    ones, letters and ``_``, at or after it, so the least name tells."""
     names = rest.split()
-    if rest.translate(_DROP_NAMES_AND_BLANKS) or b" #" in (
-        b" " + rest.encode("ascii")
-    ).translate(_BAD_STARTS):
+    if rest.encode().translate(None, _NAME_BYTES + b" \t") or min(names, default="A") < "A":
         bad = next(itertools.filterfalse(_NAME_RE.match, names), None)
         if bad is not None:
             raise ParseError(f"bad name {bad!r}", line_no)
@@ -239,17 +260,18 @@ def _relation_names(rest: str, name: str, arities: dict, line_no: int) -> tuple:
     if arity and body:
         # The written layout "(a,b) (c,d)", checked without building tuples:
         # a name holds no "(", ")", "," or blank, so with the names deleted
-        # the line is k cells "(,)" of the arity, single-spaced.  Name
+        # the line is k cells "(,)" of the arity, single-spaced (a line
+        # that is not ASCII keeps its other bytes, and is read below).  Name
         # characters may then stand only inside the cells, if the line
         # starts and ends with a cell and no ") (" has one between; and no
         # cell has an empty slot if there are k * arity names.
-        punctuation = body.translate(_DROP_NAMES)
+        punctuation = body.encode().translate(None, _NAME_BYTES)
         count = (len(punctuation) + 1) // (arity + 2)
         names = body.translate(_SEPARATORS).split()
         if (
             count
             and len(names) == count * arity
-            and punctuation + " " == ("(" + "," * (arity - 1) + ") ") * count
+            and punctuation + b" " == (b"(" + b"," * (arity - 1) + b") ") * count
             and body[0] == "("
             and body[-1] == ")"
             and body.count(") (") == count - 1

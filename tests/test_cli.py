@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from choiceless_lab.linalg import intmatrix, sampling
 from choiceless_lab.linalg.primes import sieve_first_primes
 from choiceless_lab.structures import parse_structure, write_structure
 
-from helpers import largest_admitted, run_child, twin_gadget
+from helpers import largest_admitted, power_structure, run_child, twin_gadget
 from oracles import flip_feet
 
 
@@ -1480,3 +1482,196 @@ def test_help_prints_usage_and_exits_zero(capsys, argv, usage):
         dispatch(argv)
     assert stop.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith(usage)
+
+
+# ----------------------------------------------------- the collector's pause
+
+
+@pytest.fixture
+def collector():
+    """Record each collection that starts, with the collector's state as the
+    test found it restored afterwards."""
+    started = []
+
+    def callback(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(callback)
+    yield started
+    gc.callbacks.remove(callback)
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _watch_handler(monkeypatch, collector, command) -> dict:
+    """Wrap ``command``'s handler: the dict returned gets whether the
+    collector was enabled when the handler started, and the generations of
+    the collections that started while it ran."""
+    handler, options = cli._COMMANDS[command]
+    seen = {}
+
+    def watched(args):
+        before = len(collector)
+        seen["enabled"] = gc.isenabled()
+        try:
+            return handler(args)
+        finally:
+            seen["started"] = collector[before:]
+
+    monkeypatch.setitem(cli._COMMANDS, command, (watched, options))
+    return seen
+
+
+def test_no_collection_starts_inside_a_large_handler(tmp_path, capsys, monkeypatch, collector):
+    """A 150-segment multipede pair and the padded m = 4 gadget make tens of
+    thousands of tuples that die by reference count, and no collection
+    starts while their handlers run (without the pause, six start while the
+    multipede pair is decided)."""
+    pede = multipede.random_multipede(150, 225, 5)
+    shod = replace(pede, shoe=pede.feet_of(pede.first_segment)[0])
+    a, b, gadget = tmp_path / "a.str", tmp_path / "b.str", tmp_path / "c4.str"
+    a.write_text(write_structure(multipede.to_structure(shod)))
+    flipped = flip_feet(shod, pede.segment_order[1::2])
+    b.write_text(write_structure(multipede.to_structure(flipped)))
+    gen = ["gen", "cfi", "--m", "4", "--twist", "odd", "--pad", "--file", str(gadget)]
+    assert invoke(gen, capsys)[0] == EXIT_OK
+    runs = [
+        (("iso", "multipede3"), ["--a", str(a), "--b", str(b)], "isomorphic"),
+        (("solve", "cfi-classify"), ["--input", str(gadget)], "class"),
+    ]
+    gc.enable()
+    for command, options, key in runs:
+        seen = _watch_handler(monkeypatch, collector, command)
+        code, report = invoke([*command, *options], capsys)
+        assert code == EXIT_OK and key in report["result"]
+        assert seen == {"enabled": False, "started": []}, command
+    assert gc.isenabled()
+
+
+def _pause_cases(tmp_path):
+    """(argv, exit status) per way a handler can end."""
+    good, bad = tmp_path / "good.str", tmp_path / "bad.str"
+    good.write_text("atoms: a b\nrel E/2: (a,b)\n")
+    bad.write_text("atoms: a\nnonsense line\n")
+    matrix = ["gen", "matrix", "--seed", "1", "--file", str(tmp_path / "m.mat")]
+    return {
+        "success": (["validate", "structure", "--input", str(good)], EXIT_OK),
+        "usage": ([*matrix, "--n", "2", "--q", "2", "--max-abs", "3"], EXIT_USAGE),
+        "parse": (["validate", "structure", "--input", str(bad)], EXIT_PARSE),
+        "guard": ([*matrix, "--n", "801"], EXIT_GUARD),
+        "internal": (["validate", "structure", "--input", str(good)], cli.EXIT_INTERNAL),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", ["success", "usage", "parse", "guard", "internal"])
+def test_collector_is_left_as_found(tmp_path, capsys, monkeypatch, collector, enabled, case):
+    """Each handler runs with the collector paused, and however it ends the
+    collector is left enabled or disabled as dispatch found it."""
+    argv, status = _pause_cases(tmp_path)[case]
+    command = tuple(argv[:2])
+    if case == "internal":
+
+        def broken(args):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._COMMANDS, command, (broken, cli._COMMANDS[command][1]))
+    seen = _watch_handler(monkeypatch, collector, command)
+    (gc.enable if enabled else gc.disable)()
+    code, report = invoke(argv, capsys)
+    assert gc.isenabled() is enabled
+    assert code == status, report
+    assert seen == {"enabled": False, "started": []}
+
+
+def _power_text(n: int, r: int) -> str:
+    rows = [[(i * 7 + j * 3) % 5 < 2 for j in range(n)] for i in range(n)]
+    return write_structure(power_structure(rows, r))
+
+
+# a clash on Mode in every step after the first
+_CLASHING = (
+    "#steps 4\n#active 10 1\n"
+    "if Mode = 0 then do in parallel\n"
+    "  do forall x in Atoms, B(x) := x enddo;\n"
+    "  Mode := 1\n"
+    "enddo else do in parallel\n"
+    "  Mode := 2;\n"
+    "  Mode := 3\n"
+    "enddo endif\n"
+)
+
+
+def _requests(root, size: int) -> list:
+    """Argument vectors for every command, the deciders on inputs that grow
+    about tenfold from size 1 to size 10; the generators write the inputs."""
+    folder = root / str(size)
+    folder.mkdir()
+    f = lambda name: str(folder / name)  # noqa: E731
+    programs = Path(cli.__file__).parent / "programs"
+    Path(f("power.str")).write_text(_power_text(3 + 3 * (size > 1), 5 + 200 * (size > 1)))
+    Path(f("atoms.str")).write_text("atoms: " + " ".join(f"x{i}" for i in range(5 * size)) + "\n")
+    Path(f("clash.bgs")).write_text(_CLASHING)
+    m = "3" if size == 1 else "6"
+    n = {1: ("4", "3"), 10: ("13", "10")}[size]
+    return [
+        ["gen", "multipede", "--segments", str(10 * size), "--hyperedges", str(15 * size),
+         "--seed", "1", "--shoe", "--file", f("p.str")],
+        ["gen", "cfi", "--m", m, "--twist", "odd", "--file", f("c.str")],
+        ["gen", "bipartite", "--na", str(6 * size), "--nb", str(6 * size), "--density",
+         str(0.4 / size), "--seed", "1", "--file", f("g.str")],
+        ["gen", "matrix", "--q", "3", "--n", n[0], "--seed", "1", "--file", f("f.mat")],
+        ["gen", "matrix", "--n", n[1], "--seed", "1", "--file", f("z.mat")],
+        ["solve", "matching", "--input", f("g.str")],
+        ["solve", "matching", "--input", f("g.str"), "--max-size"],
+        ["solve", "det", "--matrix", f("f.mat")],
+        ["solve", "det", "--matrix", f("f.mat"), "--method", "gauss"],
+        ["solve", "det", "--matrix", f("z.mat")],
+        ["solve", "det", "--matrix", f("z.mat"), "--prime-divisors"],
+        ["solve", "cfi-classify", "--input", f("c.str")],
+        ["iso", "multipede3", "--a", f("p.str"), "--b", f("p.str")],
+        ["iso", "multipede4", "--a", f("p.str"), "--b", f("p.str")],
+        ["iso", "cfi", "--a", f("c.str"), "--b", f("c.str")],
+        ["experiment", "det-frequency", "--q", "2", "--n", n[0], "--trials", "10", "--seed", "1"],
+        ["validate", "multipede", "--input", f("p.str")],
+        ["validate", "structure", "--input", f("p.str")],
+        ["bgs", "run", "--program", str(programs / "power.bgs"), "--input", f("power.str")],
+        ["bgs", "run", "--program", str(programs / "parity.bgs"), "--input", f("atoms.str")],
+        ["bgs", "run", "--program", str(programs / "doubling.bgs"), "--input", f("atoms.str")],
+        ["bgs", "run", "--program", f("clash.bgs"), "--input", f("atoms.str")],
+    ]
+
+
+def test_requests_leave_no_more_cyclic_garbage_than_their_report(tmp_path, capsys):
+    """Once each command has run (a first use imports modules, which leaves
+    a few cyclic objects once), a request leaves the collector only what
+    encoding its report leaves: the handlers make no reference cycle, so
+    pausing the collector around them frees nothing later than it would
+    have been freed."""
+    small, large = _requests(tmp_path, 1), _requests(tmp_path, 10)
+    assert {tuple(argv[:2]) for argv in small} == set(cli._COMMANDS)
+    out = ["--out", str(tmp_path / "report.json")]
+    for argv in small:  # the warm-up
+        assert dispatch(out + argv)[0] == EXIT_OK, argv
+    verdicts = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in small + large:
+            gc.collect()
+            code, report = dispatch(out + argv)
+            found = gc.collect()
+            json.dumps(report, sort_keys=True, indent=2)
+            alone = gc.collect()
+            assert code == EXIT_OK, report
+            assert found <= alone, argv
+            if argv[0] == "bgs":
+                verdicts.append((Path(argv[3]).stem, report["result"]["verdict"]))
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert verdicts == [
+        ("power", "accept"), ("parity", "accept"), ("doubling", "bound-exceeded"),
+        ("clash", "bound-exceeded"), ("power", "accept"), ("parity", "reject"),
+        ("doubling", "bound-exceeded"), ("clash", "bound-exceeded"),
+    ]

@@ -171,6 +171,22 @@ def test_prime_fields_are_cached_once():
 # ---------------------------------------------------------------- mat_mul
 
 
+@pytest.mark.parametrize("q", [2, 4, 7])
+def test_matrix_stores_no_zero_entry(q):
+    """Zero entries given to the constructor are dropped, so the matrix
+    equals one built without them; a dict with no zero is kept as given."""
+    field = gf(q)
+    idx = frozenset("abc")
+    nonzero = {("a", "b"): 1, ("c", "a"): q - 1, ("b", "b"): 1}
+    zeros = {("a", "a"): 0, ("b", "c"): 0}
+    with_zeros = FieldMatrix(field, idx, idx, {**zeros, **nonzero})
+    without = FieldMatrix(field, idx, idx, nonzero)
+    assert with_zeros.entries == nonzero
+    assert with_zeros == without
+    assert without.entries is nonzero
+    assert FieldMatrix(field, idx, idx, zeros).entries == {}
+
+
 def test_mat_mul_identity():
     m = dense(GF2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert mat_mul(GF2, m, identity(GF2, m.rows)) == m

@@ -19,6 +19,7 @@ from choiceless_lab.linalg.fields import zp
 from choiceless_lab.linalg.matrix import FieldMatrix, rank_gaussian, solve_gaussian
 from choiceless_lab.multipede import (
     Multipede3,
+    _parities,
     _triple_at,
     from_structure,
     from_structure_lenient,
@@ -562,8 +563,8 @@ def twist(m: Multipede3, hyperedges) -> Multipede3:
 def rename(m: Multipede3, rng: random.Random) -> Multipede3:
     """The same shod multipede under fresh segment and foot names, drawn
     so that the names' string order is shuffled too."""
-    seg_names = rng.sample(range(100), len(m.segments))
-    foot_names = rng.sample(range(100), len(m.feet))
+    seg_names = rng.sample(range(max(100, len(m.segments))), len(m.segments))
+    foot_names = rng.sample(range(max(100, len(m.feet))), len(m.feet))
     seg = {s: f"g{k}" for s, k in zip(m.segments, seg_names)}
     foot = {f: f"f{k}" for f, k in zip(m.feet, foot_names)}
     return Multipede3(
@@ -631,3 +632,55 @@ def test_parity_bits_match_the_base_matching_under_renaming(n, k, style, seed):
     assert verdict == iso3_by_base_matching(a, b)
     if n <= 6:
         assert verdict == brute_force_iso(a, b)
+
+
+def _rank_by_xor(rows) -> int:
+    """GF(2) rank of rows packed as ints, as the decider counted it before
+    it read pivots."""
+    pivots: dict = {}  # leading bit -> reduced row
+    for row in rows:
+        while row and row.bit_length() - 1 in pivots:
+            row ^= pivots[row.bit_length() - 1]
+        if row:
+            pivots[row.bit_length() - 1] = row
+    return len(pivots)
+
+
+def iso3_by_two_ranks(a: Multipede3, b: Multipede3) -> bool:
+    """The decider before one elimination: the system A x = v, x_0 = 0 is
+    solvable exactly when appending v as bit n leaves the rank unchanged
+    (Rouché–Capelli)."""
+    n = len(a.segment_order)
+    pa, pb = _parities(a), _parities(b)
+    if n != len(b.segment_order) or pa.keys() != pb.keys():
+        return False
+    shoe = 1  # x_0 = 0 keeps the shoe on its foot
+    augmented = [row | (pa[row] ^ pb[row]) << n for row in pa]
+    return _rank_by_xor(augmented + [shoe]) == _rank_by_xor([*pa, shoe])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(0, 150),
+    st.sampled_from(["flip", "twist", "shoe"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_elimination_matches_two_ranks_under_renaming(n, k, style, seed):
+    """Shod multipedes of up to 60 segments, past where ``brute_force_iso``
+    reaches: b is a with the feet flipped on random segments, with a few
+    hyperedges' positive classes switched too, or the other shoe
+    expansion; both get fresh names.  ``iso3_decide`` agrees with the two
+    ranks it replaced, and ``is_odd`` with ordered Gaussian elimination."""
+    rng = random.Random(seed)
+    m = random_multipede(n, min(k, math.comb(n, 3)), seed=rng.randrange(10**6))
+    a, a_other = shoe_expansions(m)
+    b = flip_feet(a, [s for s in m.segments if rng.random() < 0.5])
+    if style == "twist":
+        hyperedges = sorted(m.hyperedges, key=sorted)
+        b = twist(b, rng.sample(hyperedges, min(rng.randrange(4), len(hyperedges))))
+    elif style == "shoe":
+        b = a_other
+    a, b = rename(a, rng), rename(b, rng)
+    assert iso3_decide(a, b) == iso3_by_two_ranks(a, b)
+    assert is_odd(a) == (rank_by_elimination(m) == n)

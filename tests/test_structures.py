@@ -202,25 +202,59 @@ def _outcome(reader, text):
         return None, (str(exc), exc.line)
 
 
+def _reads_as_atom_reader(text):
+    """The reader's structure and error on ``text``, after checking that
+    the atom-making reader reads the same or fails the same way."""
+    new, new_error = _outcome(parse_structure, text)
+    old, old_error = _outcome(parse_structure_atoms, text)
+    assert new_error == old_error, text
+    if new is not None:
+        names = lambda tup: tuple(a.name for a in tup)  # noqa: E731
+        assert new.atoms == names(old.atoms)
+        assert new.relations == {k: frozenset(map(names, v)) for k, v in old.relations.items()}
+        assert new.functions == {
+            k: {names(args): out.name for args, out in table.items()}
+            for k, table in old.functions.items()
+        }
+        assert new.arities == old.arities
+        assert parse_structure(write_structure(new)).relations == new.relations
+    return new, new_error
+
+
 @settings(max_examples=400, deadline=None)
 @given(structure_texts())
 def test_reader_matches_atom_reader(case):
     text, fault = case
-    new, new_error = _outcome(parse_structure, text)
-    old, old_error = _outcome(parse_structure_atoms, text)
-    assert new_error == old_error, text
-    assert (new_error is not None) == FAULTS[fault], text
-    if new is None:
-        return
-    names = lambda tup: tuple(a.name for a in tup)  # noqa: E731
-    assert new.atoms == names(old.atoms)
-    assert new.relations == {k: frozenset(map(names, v)) for k, v in old.relations.items()}
-    assert new.functions == {
-        k: {names(args): out.name for args, out in table.items()}
-        for k, table in old.functions.items()
-    }
-    assert new.arities == old.arities
-    assert parse_structure(write_structure(new)).relations == new.relations
+    _, error = _reads_as_atom_reader(text)
+    assert (error is not None) == FAULTS[fault], text
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # not ASCII: read by the general reader, which strips str.strip's blanks
+        ("atoms: a b\nrel R/2: (a,\xe9)\n", "relation R mentions unknown atom '\xe9'"),
+        ("atoms: a b\nrel R/2: (a,\xa0b) (b,a)\n", None),
+        ("atoms: a b\nrel R/2: (a,b) (b,\u2003a)\n", None),
+        # itemgetter with one name returns it bare
+        ("atoms: ab b\nrel R/1: (ab)\n", None),
+        ("atoms: ab b\nfun F/0: ()->ab\n", None),
+        ("atoms: a b\nrel R/1: (c)\n", "relation R mentions unknown atom 'c'"),
+        ("atoms: a b\nrel R/2: (a,b) (b,a) // (a,a) (c,c)\n", None),
+        ("atoms: a b\nrel R/2: (a,b) // ,b)\n", None),
+        ("atoms: a b\nrel R/2: (a,b)// comment\nrel S/1: (b)\n", None),
+    ]
+    + [
+        (f"atoms: {names}\n", f"bad name '{bad}z' at line 1")
+        for bad in "09.+-"
+        for names in (f"{bad}z a b", f"a b{bad} c {bad}z d")
+    ],
+)
+def test_reader_edge_cases_read_as_the_atom_reader(text, error):
+    """Lines off the reader's fast paths read, or are refused with the
+    message and line, as the atom-making reader reads them."""
+    _, read_error = _reads_as_atom_reader(text)
+    assert (read_error and read_error[0]) == error
 
 
 def test_empty_relation_of_huge_arity_costs_no_memory():
