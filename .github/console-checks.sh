@@ -191,6 +191,13 @@ choiceless-lab solve det --matrix z.mat --prime-divisors | expect 'r["result"]["
 PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve det --matrix z.mat 2> det-imports.txt > /dev/null
 grep -qE 'choiceless_lab\.linalg\.matrix\s*$' det-imports.txt || { echo "no import profile of solve det:"; cat det-imports.txt; exit 1; }
 if grep -E 'choiceless_lab\.(bgs(\.\w+)?|linalg\.sampling|matching|cfi|multipede)\s*$' det-imports.txt; then echo "solve det imported the modules above"; exit 1; fi
+# flags are read from the command table, without argparse, with its
+# usage line and messages
+if grep -E '\|\s*argparse\s*$' det-imports.txt; then echo "solve det imported argparse"; exit 1; fi
+choiceless-lab solve det --help > det-help.txt
+head -n 1 det-help.txt | grep -q '^usage: choiceless-lab solve det' || { echo "solve det --help printed:"; cat det-help.txt; exit 1; }
+exits 2 crt.json choiceless-lab solve det --matrix z.mat --method crt
+expect 'r["error"]["message"] == "argument --method: invalid choice: '"'crt'"' (choose from '"'power', 'gauss'"')"' < crt.json
 # solve matching loads neither the set-machine package nor linear algebra
 PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve matching --input g.str 2> matching-imports.txt > /dev/null
 grep -qE 'choiceless_lab\.matching\s*$' matching-imports.txt || { echo "no import profile of solve matching:"; cat matching-imports.txt; exit 1; }

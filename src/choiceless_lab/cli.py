@@ -25,13 +25,15 @@ handler made and dropped is freed by reference counts when it returns,
 and each freed object lowers the allocation count that would start the
 next collection, so a large input costs no collection at all: a multipede
 file's tens of thousands of fresh tuples would otherwise be traversed by
-collections that can find nothing.  The report is encoded outside
-the pause: :mod:`json`'s indenting encoder leaves a few closures in a
-cycle, for the collector to free.
+collections that can find nothing.  The flag reader and the report
+writer (:func:`_json`) make no cycle either, so a request leaves the
+collector nothing to free.
 
-Commands are one flat table, ``_COMMANDS``.  A command's parser is built
-when the command first runs (:func:`_leaf`), so an import builds none, and
-``--out`` may stand on either side of the command (:func:`_split`).
+Commands are one flat table, ``_COMMANDS``, of each command's handler and
+flags, and :func:`_read_flags` reads a command's flags straight from it,
+with the forms and usage messages that :mod:`argparse` has on Python 3.10
+to 3.12, without importing it.  ``--out`` may stand on either side of
+the command (:func:`_split`).
 
 ``--out`` and every ``gen ... --file`` go through :func:`_write`, which
 follows a symlink, writes over an existing regular file in place and cuts
@@ -42,12 +44,13 @@ file's tail.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import re
 import stat
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ChoicelessLabError, GuardExceeded, ParseError, ValidationError
@@ -78,11 +81,6 @@ BIPARTITE_MAX_WRITTEN = 150_000
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _read(path: str) -> str:
@@ -344,7 +342,7 @@ def _cmd_validate_structure(args) -> dict:
 
 _REQUIRED = {"required": True}
 _INT = {"type": int, "required": True}
-_FLAG = {"action": "store_true"}
+_FLAG = {"action": "store_true", "default": False}
 _INPUT = {"--input": _REQUIRED}
 _PAIR = {"--a": _REQUIRED, "--b": _REQUIRED}
 
@@ -386,18 +384,125 @@ _COMMANDS = {
     ("validate", "structure"): (_cmd_validate_structure, _INPUT),
 }
 
-_LEAVES: dict = {}  # (group, command) -> its parser, built on first use
+# the options every command has, before its own, in argparse's order
+_HELP = {"action": "help", "help": "show this help message and exit"}
+_COMMON = {
+    "-h": _HELP,
+    "--help": _HELP,
+    "--out": {"help": "write the JSON report here instead of stdout"},
+}
+# argparse reads an unknown argument that looks like this as a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _leaf(command: tuple) -> _Parser:
-    """The parser of one command: ``--out`` and the command's options."""
-    if command not in _LEAVES:
-        parser = _Parser(prog="choiceless-lab " + " ".join(command))
-        parser.add_argument("--out", help="write the JSON report here instead of stdout")
-        for flag, options in _COMMANDS[command][1].items():
-            parser.add_argument(flag, **options)
-        _LEAVES[command] = parser
-    return _LEAVES[command]
+def _option(arg: str, options: dict):
+    """What argparse reads ``arg`` as: None for a value, else the option
+    string it names (None for an unknown option) and its ``=`` value (None
+    if it has none).  A prefix of a ``--`` option names the one option it
+    starts, and is an error if it starts several."""
+    if arg in options:
+        return arg, None
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    if arg[1] == "-":
+        found = [(flag, value if eq else None) for flag in options if flag.startswith(name)]
+    else:  # of the one-dash options, -h alone, which takes the rest as its value
+        found = [("-h", arg[2:])] if arg[:2] == "-h" else []
+    if len(found) > 1:
+        matches = ", ".join(flag for flag, _ in found)
+        raise _UsageError(f"ambiguous option: {arg} could match {matches}")
+    if found:
+        return found[0]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _usage(command: tuple, options: dict) -> str:
+    """The usage line, then one line per option with its help text."""
+    words, lines = [], [f"  -h, --help  {_HELP['help']}"]
+    for flag, spec in options.items():
+        if spec is _HELP:
+            continue
+        if "action" in spec:
+            shown = flag
+        elif "choices" in spec:
+            shown = f"{flag} {{{','.join(spec['choices'])}}}"
+        else:
+            shown = f"{flag} {flag[2:].replace('-', '_').upper()}"
+        words.append(shown if spec.get("required") else f"[{shown}]")
+        lines.append(f"  {shown}  {spec['help']}" if "help" in spec else f"  {shown}")
+    return "\n".join([f"usage: choiceless-lab {' '.join(command)} [-h] {' '.join(words)}", *lines])
+
+
+def _read_flags(command: tuple, argv: list) -> SimpleNamespace:
+    """``argv``'s values of ``--out`` and the command's flags, each under
+    its name with ``-`` read as ``_``, as argparse reads them from the
+    table: ``--flag value`` or ``--flag=value``, a flag or a unique prefix
+    of one, the last of a repeated flag, a store-true flag as True, an
+    absent one as its default.  ``-h`` or ``--help`` prints the usage and
+    exits 0; every other misuse raises :class:`_UsageError` with
+    argparse's message."""
+    options = {**_COMMON, **_COMMANDS[command][1]}
+    # argparse reads each argument before the first "--" (a prefix that
+    # starts several options is an error there), then takes the options in
+    # order; "--" and what follows it are no option's value
+    end = argv.index("--") if "--" in argv else len(argv)
+    read = [_option(arg, options) for arg in argv[:end]]
+    given, extras, at = {}, [], 0
+    while at < end:
+        if read[at] is None or read[at][0] is None:  # a value no option took, an unknown option
+            extras.append(argv[at])
+            at += 1
+            continue
+        flag, value = read[at]
+        spec = options[flag]
+        at += 1
+        if "action" in spec:
+            if flag == "-h" and value:  # -hh is -h -h; what follows the h's is left over
+                value = value.lstrip("h") or None
+            if value is not None:
+                name = "-h/--help" if spec is _HELP else flag
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if spec is _HELP:
+                print(_usage(command, options))
+                raise SystemExit(EXIT_OK)
+            given[flag] = True
+            continue
+        if value is None:
+            if at == end or read[at] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            value = argv[at]
+            at += 1
+        elif value == "--":  # argparse drops it and reads the flag as []
+            given[flag] = []
+            continue
+        convert = spec.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                message = f"argument {flag}: invalid {convert.__name__} value: {value!r}"
+                raise _UsageError(message) from None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            listing = ", ".join(map(repr, choices))
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {listing})")
+        given[flag] = value
+    missing = [flag for flag, spec in options.items() if spec.get("required") and flag not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    extras += argv[end:]
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**{
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in options.items()
+        if spec is not _HELP
+    })
 
 
 def _split(argv) -> tuple:
@@ -413,8 +518,47 @@ def _split(argv) -> tuple:
     return tuple(words), rest
 
 
+_INFINITY = float("inf")
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, for dicts with str keys, lists, tuples, str, int, bool, None and
+    float; any other value raises TypeError.  ``indent`` is the newline and
+    indentation before the line that holds ``value``'s closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json(item, inner) for item in value])}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json(report) + "\n"
     if out_path:
         _write(out_path, text)
     else:
@@ -438,7 +582,7 @@ def dispatch(argv) -> tuple:
                 print(f"usage: choiceless-lab [--out OUT] <command> ...\ncommands: {listing}")
                 raise SystemExit(EXIT_OK)
             raise _UsageError(f"unknown command {' '.join(command)!r}; the commands are {listing}")
-        args = _leaf(command).parse_args(rest)
+        args = _read_flags(command, rest)
         out_path = args.out
         with collector_paused():
             result = _COMMANDS[command][0](args)

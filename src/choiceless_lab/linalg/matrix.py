@@ -229,8 +229,8 @@ class _Layout:
     """The dense layout of a ``rows x inner`` and an ``inner x cols``
     matrix over ``field``, and of their product, as matrices over its prime
     field GF(p): a matrix is packed once (:meth:`pack`), multiplied any
-    number of times (``mul``) and read back once (:meth:`unpack`); see the
-    module docstring."""
+    number of times (``mul``) and read back once (:meth:`unpack`), or
+    compared with another matrix packed alike; see the module docstring."""
 
     def __init__(self, field: FiniteField, rows: int, inner: int, cols: int):
         self.field = field
@@ -409,8 +409,13 @@ def nonsingular_square(m: FieldMatrix) -> bool:
     n = len(m.rows)
     if n == 0:
         return True
+    # the power and the identity are compared as laid out: the lift and the
+    # packing are injective, and the lift of the identity is the identity
+    index = list(m.rows)
+    layout = _Layout(m.field, n, n, n)
     e = gl_exponent(m.field, n)
-    return mat_pow(m, e) == identity(m.field, m.rows)
+    power = _square_and_multiply(layout.mul, layout.pack(m.entries, index, index), e)
+    return power == layout.pack({(i, i): m.field.one for i in index}, index, index)
 
 
 def nonsingular_rect(m: FieldMatrix) -> bool:

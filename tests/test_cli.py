@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -15,6 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiceless_lab import cli, multipede
 from choiceless_lab.cli import (
@@ -648,9 +653,9 @@ def test_bgs_run_dynamic_symbol_in_structure_exits_parse(tmp_path, capsys):
     assert "dynamic symbol 'Mark'" in report["error"]["message"]
 
 
-def test_one_parser_serves_every_dispatch(tmp_path, capsys, monkeypatch):
-    from choiceless_lab import cli
-
+def test_one_parser_serves_every_dispatch(tmp_path, capsys):
+    """The same requests, made twice in one process, give the same reports:
+    reading a command's flags leaves nothing behind for the next request."""
     program = tmp_path / "flag.bgs"
     program.write_text(
         "#steps 3\n#active 10 2\ndo in parallel Output := true; Halt := true enddo\n"
@@ -665,10 +670,7 @@ def test_one_parser_serves_every_dispatch(tmp_path, capsys, monkeypatch):
         ["solve", "det", "--matrix", str(matrix)],
     ]
     shared = [invoke(argv, capsys) for argv in argvs]
-    fresh = []
-    for argv in argvs:
-        monkeypatch.setattr(cli, "_LEAVES", {})  # every leaf parser built afresh
-        fresh.append(invoke(argv, capsys))
+    fresh = [invoke(argv, capsys) for argv in argvs]
     assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
     for (code, report), (fresh_code, fresh_report) in zip(shared, fresh):
         report.pop("timing_seconds")
@@ -1376,57 +1378,182 @@ _OLD_TREE = {
 }
 
 
-def test_command_table_keeps_the_old_tree_options(monkeypatch):
-    import argparse
+_KEYWORDS = {"required", "type", "choices", "default", "action", "help"}
 
-    monkeypatch.setattr(cli, "_LEAVES", {})
+
+def test_command_table_keeps_the_old_tree_options():
     assert sorted(cli._COMMANDS) == sorted(_OLD_TREE)
     for command, options in _OLD_TREE.items():
         declared = {}
-        for action in cli._leaf(command)._actions:
-            (flag,) = action.option_strings[-1:]
+        for flag, spec in cli._COMMANDS[command][1].items():
+            assert set(spec) <= _KEYWORDS, (command, flag)
+            store_true = spec.get("action") == "store_true"
+            assert store_true or "action" not in spec, (command, flag)
             declared[flag] = (
-                action.required,
-                action.type,
-                action.choices,
-                action.default,
-                isinstance(action, argparse._StoreTrueAction),
-                action.help,
+                spec.get("required", False),
+                spec.get("type"),
+                spec.get("choices"),
+                spec.get("default", False if store_true else None),
+                store_true,
+                spec.get("help"),
             )
-        assert declared.pop("--help")[4:] == (False, "show this help message and exit")
-        out = (False, None, None, None, False, "write the JSON report here instead of stdout")
-        assert declared.pop("--out") == out
         assert declared == options, command
+    assert cli._COMMON["--out"] == {"help": "write the JSON report here instead of stdout"}
+    assert cli._COMMON["-h"] is cli._COMMON["--help"]
 
 
-def test_solve_det_runs_one_argparse_parse(tmp_path, capsys, monkeypatch):
-    import argparse
-
-    matrix = tmp_path / "m.mat"
-    matrix.write_text("field 2\nrows a b\nsquare\na b 1\nb a 1\n")
-    parse = argparse.ArgumentParser.parse_known_args
-    calls = []
-
-    def counted(self, *args, **kwargs):
-        calls.append(self.prog)
-        return parse(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    code, report = invoke(["solve", "det", "--matrix", str(matrix)], capsys)
-    assert (code, report["result"]["nonsingular"]) == (EXIT_OK, True)
-    assert calls == ["choiceless-lab solve det"]
-
-
-def test_importing_the_cli_builds_no_parser():
-    count = (
-        "import argparse\n"
-        "made = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
-        "import choiceless_lab.cli\n"
-        "print(len(made), len(choiceless_lab.cli._LEAVES))\n"
+def test_no_command_imports_argparse(tmp_path):
+    """Every command, in one fresh process, leaves argparse unimported."""
+    argvs = _requests(tmp_path, 1)
+    assert {tuple(argv[:2]) for argv in argvs} == set(cli._COMMANDS)
+    script = (
+        "import json, sys\n"
+        "from choiceless_lab import cli\n"
+        "codes = [cli.dispatch(argv)[0] for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'argparse' in sys.modules]))\n"
     )
-    assert run_child(["-c", count]).stdout.split() == ["0", "0"]
+    out = ["--out", str(tmp_path / "report.json")]
+    child = run_child(["-c", script, json.dumps([out + argv for argv in argvs])])
+    assert json.loads(child.stdout.splitlines()[-1]) == [[EXIT_OK] * len(argvs), False]
+
+
+def test_importing_the_cli_imports_no_argparse():
+    check = "import sys, choiceless_lab.cli; print('argparse' in sys.modules)"
+    assert run_child(["-c", check]).stdout.split() == ["False"]
+
+
+# ------------------------------------------------- the flag reader's oracle
+
+
+class _Refused(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _oracle_parser(command: tuple) -> _OracleParser:
+    """The argparse parser each command had, built from the table."""
+    parser = _OracleParser(prog="choiceless-lab " + " ".join(command))
+    parser.add_argument("--out", help="write the JSON report here instead of stdout")
+    for flag, options in cli._COMMANDS[command][1].items():
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def _argparse_reads(command: tuple, argv: list):
+    """What the argparse parser reads from ``argv``: ("ok", its
+    namespace), ("usage", its message) or ("exit", status)."""
+    parser = _oracle_parser(command)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", _shown(vars(parser.parse_args(argv)))
+    except _Refused as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def _reads(command: tuple, argv: list):
+    """The same for :func:`cli._read_flags`."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", _shown(vars(cli._read_flags(command, argv)))
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def _shown(namespace: dict) -> dict:
+    """Each value as its type and repr, so that NaN equals NaN."""
+    return {name: (type(value), repr(value)) for name, value in namespace.items()}
+
+
+# values: ints and floats good and bad, negative numbers (which argparse
+# takes as values, "-1e3" and "-inf" excepted), choices, unknown words
+_VALUES = [
+    "3", "-2", "0", "007", " 4", "1_0", "+5", "-\u0663", "-5\n", "0.5", "-0.5",
+    "-.5", "nan", "-inf", "1e3", "-1e3", "x", "", "3.5", "power", "gauss", "crt",
+    "a.str", "-", "-x", "-5 x", "bogus", "--bogus", "--",
+]
+# forms argparse reads specially: help in clusters, explicit values of
+# flags that take none
+_ODD = ["-h", "--help", "-hh", "-hx", "-hhx", "-h=", "-h=h", "--help=x", "--he", "--=x", "---x"]
+
+
+def _argvs(command: tuple):
+    """Argument vectors for ``command``: half of them start with a valid
+    value of every required flag; then come flags, --out and prefixes of
+    them (some shared by several flags), with a value, an ``=value`` or
+    alone, and values and odd forms alone."""
+    flags = ["--out", *cli._COMMANDS[command][1]]
+    required = [[flag, "3"] for flag, spec in cli._COMMANDS[command][1].items() if spec.get("required")]
+    names = st.sampled_from(flags) | st.builds(
+        lambda flag, cut: flag[: max(3, len(flag) - cut)], st.sampled_from(flags), st.integers(0, 8)
+    )
+    values = st.sampled_from(_VALUES) | st.text("-=h.1x ", max_size=4)
+    pieces = st.one_of(
+        st.tuples(names, values),
+        st.builds(lambda name, value: (f"{name}={value}",), names, values),
+        st.tuples(names | values | st.sampled_from(_ODD)),
+    )
+    return st.builds(
+        lambda valid, drawn: sum(required, []) * valid + [word for piece in drawn for word in piece],
+        st.booleans(),
+        st.lists(pieces, max_size=5),
+    )
+
+
+# the reader reads as argparse did on Python 3.10 to 3.12.1; argparse 3.13
+# reads "--flag=--" as "--", where those read it as [], and runs the -h of
+# "-hx" before refusing the x
+_AS_PINNED = pytest.mark.skipif(
+    _argparse_reads(("solve", "det"), ["--matrix=--"])
+    != ("ok", _shown({"out": None, "matrix": [], "method": None, "prime_divisors": False})),
+    reason="this Python's argparse reads some forms otherwise than the one the reader pins",
+)
+# one command per table of flags: commands that share a table read alike
+_TABLES = {id(flags): command for command, (_, flags) in reversed(cli._COMMANDS.items())}
+_ARGVS = {command: _argvs(command) for command in _TABLES.values()}
+
+
+@_AS_PINNED
+@pytest.mark.parametrize("command", sorted(_ARGVS), ids=" ".join)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flag_reader_reads_as_argparse_did(command, data):
+    """Each argument vector gives the namespace, the usage message or the
+    help exit that the command's argparse parser gave."""
+    argv = data.draw(_ARGVS[command], label="argv")
+    assert _reads(command, argv) == _argparse_reads(command, argv)
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        (("solve", "det"), ["--ma=m.mat", "--me", "gauss", "--matrix=n.mat", "--p", "--o=-1"]),
+        (("gen", "bipartite"), ["--na", "-3", "--nb=2", "--d", "1e3", "--seed", "-0", "--f", "g"]),
+        (("solve", "det"), ["--method", "gauss"]),
+        (("gen", "matrix"), ["--n", "1.5", "--seed", "1", "--file", "m"]),
+        (("gen", "bipartite"), ["--na", "2", "--nb", "2", "--density", "half"]),
+        (("solve", "det"), ["--matrix", "m.mat", "--method", "crt"]),
+        (("solve", "det"), ["--m", "m.mat"]),
+        (("solve", "det"), ["--matrix"]),
+        (("solve", "det"), ["--matrix", "m.mat", "--out", "--bogus"]),
+        (("solve", "det"), ["--matrix", "m.mat", "--prime-divisors=yes"]),
+        (("solve", "det"), ["--matrix", "m.mat", "stray", "--", "--method"]),
+        (("solve", "det"), ["--matrix", "m.mat", "-hh"]),
+    ],
+    ids=str,
+)
+@_AS_PINNED
+def test_flag_reader_cases(command, argv):
+    """A namespace, each usage message and the help exit at least once,
+    whatever the draws above."""
+    assert _reads(command, argv) == _argparse_reads(command, argv)
 
 
 @pytest.mark.parametrize(
@@ -1482,6 +1609,22 @@ def test_help_prints_usage_and_exits_zero(capsys, argv, usage):
         dispatch(argv)
     assert stop.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith(usage)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS), ids=" ".join)
+def test_command_help_lists_every_flag(capsys, command):
+    """``--help`` prints argparse's usage line, unwrapped, then one line per
+    option with its help text."""
+    with pytest.raises(SystemExit) as stop:
+        dispatch([*command, "--help"])
+    assert stop.value.code == EXIT_OK
+    usage, *lines = capsys.readouterr().out.splitlines()
+    assert usage.split() == _oracle_parser(command).format_usage().split()
+    flags = {"-h": cli._COMMON["-h"], "--out": cli._COMMON["--out"], **cli._COMMANDS[command][1]}
+    assert len(lines) == len(flags)
+    for line, (flag, spec) in zip(lines, flags.items()):
+        assert line.startswith(f"  {flag}"), line
+        assert line.endswith(spec.get("help", line)), line
 
 
 # ----------------------------------------------------- the collector's pause
@@ -1643,29 +1786,36 @@ def _requests(root, size: int) -> list:
     ]
 
 
+def _refusals(root) -> list:
+    """A request refused with each of the usage, guard and parse statuses."""
+    return [
+        ["solve", "det", "--matrix", "m.mat", "--method", "crt"],
+        ["gen", "cfi", "--m", "13", "--twist", "even", "--file", str(root / "c.str")],
+        ["validate", "structure", "--input", str(root / "missing.str")],
+    ]
+
+
 def test_requests_leave_no_more_cyclic_garbage_than_their_report(tmp_path, capsys):
     """Once each command has run (a first use imports modules, which leaves
-    a few cyclic objects once), a request leaves the collector only what
-    encoding its report leaves: the handlers make no reference cycle, so
-    pausing the collector around them frees nothing later than it would
-    have been freed."""
+    a few cyclic objects once), a request, refused or not, leaves the
+    collector nothing: the handlers, the flag reader and the report writer
+    make no reference cycle, so pausing the collector around the handlers
+    frees nothing later than it would have been freed."""
     small, large = _requests(tmp_path, 1), _requests(tmp_path, 10)
     assert {tuple(argv[:2]) for argv in small} == set(cli._COMMANDS)
     out = ["--out", str(tmp_path / "report.json")]
     for argv in small:  # the warm-up
         assert dispatch(out + argv)[0] == EXIT_OK, argv
+    refused = _refusals(tmp_path)
     verdicts = []
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for argv in small + large:
+        for argv in small + large + refused:
             gc.collect()
             code, report = dispatch(out + argv)
-            found = gc.collect()
-            json.dumps(report, sort_keys=True, indent=2)
-            alone = gc.collect()
-            assert code == EXIT_OK, report
-            assert found <= alone, argv
+            assert gc.collect() == 0, argv
+            assert (code == EXIT_OK) is (argv not in refused), report
             if argv[0] == "bgs":
                 verdicts.append((Path(argv[3]).stem, report["result"]["verdict"]))
     finally:
@@ -1675,3 +1825,48 @@ def test_requests_leave_no_more_cyclic_garbage_than_their_report(tmp_path, capsy
         ("clash", "bound-exceeded"), ("power", "accept"), ("parity", "reject"),
         ("doubling", "bound-exceeded"), ("clash", "bound-exceeded"),
     ]
+
+
+# ---------------------------------------------------------- report writer
+
+_JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**200), 10**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-7, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+    | st.text()
+    | st.text("\x00\x1f\\\"\u00e9\u2028\U0001f600 a", max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_JSON_LIKE)
+def test_report_writer_writes_as_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", object(), {"a": [1, {2}]}, {"a": 1j}])
+def test_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_every_commands_report_is_the_json_dumps_text(tmp_path, capsys):
+    """For a report of every command, and of a refusal of each kind, the
+    text written is exactly what ``json.dumps`` writes of the report."""
+    report_path = tmp_path / "report.json"
+    for argv in _requests(tmp_path, 1) + _refusals(tmp_path):
+        for out in ([], ["--out", str(report_path)]):
+            code, report = dispatch(out + argv)
+            printed = capsys.readouterr().out
+            # a usage error is found before --out is read
+            written = report_path.read_text(encoding="utf-8") if out and code != EXIT_USAGE else printed
+            assert written == json.dumps(report, sort_keys=True, indent=2) + "\n", argv

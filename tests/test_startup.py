@@ -18,12 +18,14 @@ from choiceless_lab.cli import EXIT_OK, dispatch
 
 from helpers import run_child
 
-# dispatch argv, then print the package modules loaded as the last line
+# dispatch argv, then print the package modules loaded, and argparse if it
+# was, as the last line
 _DISPATCH = """
 import json, sys
 from choiceless_lab import cli
 code, _ = cli.dispatch(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("choiceless_lab"))]))
+loaded = [m for m in sys.modules if m.startswith("choiceless_lab") or m == "argparse"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 
@@ -113,6 +115,7 @@ def test_command_loads_only_what_it_runs(case, inputs):
     modules = _loaded_by([arg.format(**inputs) for arg in argv])
     assert needed <= modules
     assert _within(modules, barred) == set()
+    assert "argparse" not in modules  # flags are read from the command table
 
 
 # __main__ runs the command line when imported, so it is left out
