@@ -139,6 +139,16 @@ same 'r["verdict"] == "bound-exceeded" and r["steps"] == 30 and r["peak_active"]
   '1:clash 2:clash 1:renamed-clash' timeout 10 choiceless-lab bgs run --program clash.bgs --input @.str
 same 'r["verdict"] == "accept" and r["steps"] == 2 and r["peak_active"] == 82' \
   '1:noclash 2:noclash 1:renamed-noclash' timeout 10 choiceless-lab bgs run --program clash.bgs --input @.str
+# programs nested as deep as the parser admits, as forall loops and as
+# conditionals that are not constant: Python allows a function 20 nested
+# loops and a file 100 levels of indentation, so each step is generated
+# as several functions
+nested() { python3 -c 'import sys; from choiceless_lab.bgs.parser import MAX_NESTING; k = MAX_NESTING - 2; print("#steps 2\n#active 10 1\n" + sys.argv[1] * k + "Halt := true" + sys.argv[2] * k)' "$@"; }
+nested 'do forall x in Atoms, ' ' enddo' > deepforall.bgs
+nested 'if not Halt then ' ' endif' > deepif.bgs
+for deep in deepforall deepif; do
+  timeout 10 choiceless-lab bgs run --program $deep.bgs --input one.str | expect 'r["result"]["verdict"] == "reject" and r["result"]["steps"] == 1'
+done
 # GF(2) rows of 64 bits span three 30-bit digits of the packed matrix
 choiceless-lab gen matrix --q 2 --n 64 --seed 3 --file m.mat
 agree m.mat

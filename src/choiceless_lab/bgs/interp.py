@@ -1,4 +1,4 @@
-"""Set-machine runs: compile the program once per run, then fire it.
+"""Set-machine runs: generate each program's step once, then fire it.
 
 A state is the input structure plus one table per dynamic symbol mapping
 argument tuples to values; absent locations read as ordinal 0, which also
@@ -18,31 +18,32 @@ first checks the program's vocabulary against the structure: every
 input symbol must be there with its arity, every input symbol in a Boolean
 position must be a relation, and no dynamic symbol (Halt and Output
 included) may be a relation or function of the structure, so each name
-means one thing for the whole run.  It then compiles the rule once into
-nested closures, in the manner of Feeley and Lapalme, "Using closures for
-code generation" (1987): a term becomes ``f(tables, env)``, a guard a
-predicate ``f(tables, env) -> bool`` that tells whether the term reads 1,
-and a rule ``f(tables, env)``, writing its updates into the write maps.  The
-logical builtins compile to predicates (``and`` to Python's ``and``,
-``eq`` to ``is``) and are boxed into ordinals 0 and 1 only where a value is
-needed.  Builtins, ``Atoms`` and literals are resolved while compiling.
-Every other symbol is read as ``tables[symbol]``, from the one dict of
-tables each step gets: the input's relations and functions are the
-static part of the vocabulary, made into tables once per run over the
-structure's ``by_name`` atoms (a relation reads 1 at its tuples), and
-each dynamic symbol has the pre-step table, or a shared empty one until
-first written.  Variables live in one list ``env`` allocated per run: a
-binder's slot is its nesting depth, the number of binders around it, so a
-shadowing binder takes a fresh slot and the outer binding survives.
+means one thing for the whole run.
 
-A construct compiles one way, except where programs spend their steps:
-fused forms exist only for reads at up to two bound variables, and for
-comprehensions, counts and searches, and a conditional with no else
-branch calls none.  A read at no more than two bound variables
-makes no call of its own where a test reads it as a truth value,
-compares it with a literal or asks whether it holds a literal: the
-consumer's closure reads the table itself, as an update's closure builds
-its key.
+The rule then runs as generated Python.  The first run of a program in a
+process writes the source of one factory function for its rule and
+compiles it, 1.6 ms for power.bgs on a 2-core VM; the factory is kept as
+long as the program is, and ``parse_program`` returns one program per
+text, so a later run of the same text neither parses nor generates.  Each
+run calls the factory with its atoms, its index cells and its write maps,
+and gets its step, ``step(tables, env)``.  A step first takes each
+symbol's table from ``tables``, the one dict of tables it is handed: the
+input's relations and functions, made into tables once per run over the
+structure's ``by_name`` atoms (a relation reads 1 at its tuples), and
+each dynamic symbol's pre-step table, or a shared empty one until first
+written.  The rule is then inline Python: a read is a ``get`` on its
+table, a binder a ``for`` loop over a local named by its nesting depth
+(so a shadowing binder takes a fresh local and the outer binding
+survives), a guard a Python condition (``and`` short-circuits, ``eq`` is
+``is``), and an update a ``setdefault`` on its symbol's write map.  Truth
+values are boxed into ordinals 0 and 1 only where a value is needed;
+``Union``, ``TheUnique``, ``Card`` and ``Pair`` call
+:mod:`choiceless_lab.hfset`.  A name from the program enters the source
+only as a string constant.  CPython allows 20 nested loops in a function
+and 100 levels of indentation in a file, so a rule or term nested deeper
+than ``_MAX_LOOPS`` loops or ``_MAX_INDENT`` levels becomes a function of
+its own, taking the binders in scope, and an expression with more than
+``_MAX_PARENS`` parentheses is held in a local first.
 
 A comprehension over ``Atoms``, and a ``do forall v in Atoms, if g then
 r endif`` with no else branch, whose guard starts with a lookup of its
@@ -61,7 +62,7 @@ builds the set.  No value can change and no order can leak: every
 comprehension ends as a set, a count or a yes/no answer, so which members
 are visited first, or whether one that fails the guard is visited at all,
 cannot show, and no term of a checked program raises, so a term left
-unevaluated changes nothing.
+unevaluated, or evaluated before it is needed, changes nothing.
 
 A run fires steps until Halt reads 1, then reports accept or reject from
 Output.  Two budgets police the run: a step polynomial, and an
@@ -73,11 +74,13 @@ Exhausting either budget yields the bound-exceeded verdict.
 
 from __future__ import annotations
 
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
 from ..errors import ValidationError
-from ..hfset import (
+from ..hfset import (  # the generated steps read most of these from here
     EMPTY,
     TRUE,
     HfSet,
@@ -139,175 +142,288 @@ def _as_flag(value: HfValue) -> int:
     return 1 if value is TRUE else 0
 
 
-def _constant(value: HfValue):
-    def constant(tables, env):
-        return value
-
-    return constant
-
-
 _NO_TABLE: dict = {}  # the table of a dynamic symbol not yet written; never written
 
+# how deep one generated function may nest before a rule or term goes into
+# a function of its own: CPython allows 20 nested loops in a function and
+# 100 indentation levels in a file, and a generated step starts at level 2
+_MAX_LOOPS = 12
+_MAX_INDENT = 32
+# the parentheses an expression may hold before a local takes its value
+# (the tokenizer allows 200 nested ones)
+_MAX_PARENS = 24
 
-class _Compiler:
-    """Turns terms and rules into closures against one structure, and
-    records in ``slots`` how long ``env`` must be."""
+# builtins with arguments that are not truth values: name -> hfset function
+_BUILTINS = {"Union": "union_all", "TheUnique": "the_unique", "Card": "card", "Pair": "pair"}
 
-    def __init__(self, structure: InputStructure):
-        self.atoms = make_set(structure.by_name.values())
-        self.indexes: dict = {}  # the run's State.indexes
-        self.updates = Updates({})  # the run's write maps
-        self.slots = 0
 
-    def bind(self, scope: dict, name: str, depth: int) -> dict:
-        self.slots = max(self.slots, depth + 1)
-        return {**scope, name: depth}
+class _Generator:
+    """Writes the source of the factory of one rule or term: see
+    :func:`_generate`.  Terms become Python expressions, written after
+    the lines that compute their parts; a guard becomes an expression
+    that is true exactly when the term reads 1, with no truth value
+    boxed; a rule becomes lines.  Names are made here: ``t`` a table,
+    ``w`` a write map, ``c`` an index cell, ``k`` a literal, ``b<depth>``
+    a binder, ``h`` a split-off function, and the rest locals."""
 
-    def term(self, node, scope: dict, depth: int):
+    def __init__(self):
+        self.made = 0  # names made so far
+        self.prelude: list = []  # the factory's lines: write maps, index cells, literals
+        self.tables: dict = {}  # symbol read -> the step's local holding its table
+        self.maps: dict = {}  # symbol written -> its write map's local
+        self.cells: dict = {}  # (symbol, position, by value) -> the index cell's local
+        self.literals: dict = {}  # n -> the local holding ordinal(n)
+        self.helpers: list = []  # (name, parameters, lines) of each split-off function
+        # the function being written: its lines as (indentation, text), and
+        # the indentation and loop nesting of the next line
+        self.lines: list = []
+        self.indent = 0
+        self.loops = 0
+
+    # -- writing lines ----------------------------------------------------
+
+    def fresh(self, prefix: str) -> str:
+        self.made += 1
+        return f"{prefix}{self.made}"
+
+    def emit(self, text: str) -> None:
+        self.lines.append((self.indent, text))
+
+    @contextmanager
+    def block(self, header: str, loop: bool = False):
+        """The lines written inside are the body of ``header``."""
+        self.emit(header)
+        start = len(self.lines)
+        self.indent += 1
+        self.loops += loop
+        yield
+        if len(self.lines) == start:
+            self.emit("pass")
+        self.indent -= 1
+        self.loops -= loop
+
+    @contextmanager
+    def guarded(self, guard, scope: dict, depth: int):
+        """The lines written inside run when ``guard`` holds."""
+        test = self.test(guard, scope, depth)
+        if test == "True":
+            yield
+        else:
+            with self.block(f"if {test}:"):
+                yield
+
+    def local(self, expr: str) -> str:
+        """A name holding the value of the term ``expr``."""
+        if expr.isidentifier():
+            return expr
+        name = self.fresh("v")
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def split(self, write, node, scope: dict, depth: int):
+        """``write(node, scope, depth)`` as the body of a new function of
+        the binders in scope, defined at the top of the step; returns the
+        call of a term or test, and writes the call of a rule."""
+        name = self.fresh("h")
+        params = ", ".join(sorted(set(scope.values()), key=lambda b: int(b[1:])))
+        outer = self.lines, self.indent, self.loops
+        self.lines, self.indent, self.loops = [], 0, 0
+        result = write(node, scope, depth)
+        if result is not None:
+            self.emit(f"return {result}")
+        self.helpers.append((name, params, self.lines))
+        self.lines, self.indent, self.loops = outer
+        call = f"{name}({params})"
+        if result is None:
+            self.emit(call)
+        return call
+
+    def deep(self) -> bool:
+        return self.indent >= _MAX_INDENT or self.loops >= _MAX_LOOPS
+
+    def settled(self, expr: str) -> str:
+        return expr if expr.count("(") <= _MAX_PARENS else self.local(expr)
+
+    # -- names made once per run ----------------------------------------------
+
+    def table(self, symbol: str) -> str:
+        if symbol not in self.tables:
+            self.tables[symbol] = self.fresh("t")
+        return self.tables[symbol]
+
+    def write_map(self, symbol: str) -> str:
+        if symbol not in self.maps:
+            name = self.maps[symbol] = self.fresh("w")
+            self.prelude.append(f"{name} = maps.setdefault({symbol!r}, {{}})")
+        return self.maps[symbol]
+
+    def cell(self, symbol: str, p: int, by_value: bool) -> str:
+        key = (symbol, p, by_value)
+        if key not in self.cells:
+            name = self.cells[key] = self.fresh("c")
+            self.prelude.append(
+                f"{name} = indexes.setdefault({symbol!r}, {{}}).setdefault(({p}, {by_value}), [])"
+            )
+        return self.cells[key]
+
+    def literal(self, n: int) -> str:
+        if n < 2:
+            return ("EMPTY", "TRUE")[n]
+        if n not in self.literals:
+            name = self.literals[n] = self.fresh("k")
+            self.prelude.append(f"{name} = ordinal({int(n)})")
+        return self.literals[n]
+
+    # -- terms and tests --------------------------------------------------------
+
+    def term(self, node, scope: dict, depth: int) -> str:
+        """The expression of a term's value, its parts' lines written."""
+        if self.deep() and not isinstance(node, (Var, Lit)):
+            return self.split(self.term, node, scope, depth)
+        return self.settled(self.value(node, scope, depth))
+
+    def test(self, node, scope: dict, depth: int) -> str:
+        """The expression telling whether a term reads 1: what guards
+        become, with no truth value boxed."""
+        if self.deep():
+            return self.split(self.test, node, scope, depth)
+        return self.settled(self.condition(node, scope, depth))
+
+    def value(self, node, scope: dict, depth: int) -> str:
         if isinstance(node, Var):
-            slot = scope[node.name]
-
-            def var(tables, env):
-                return env[slot]
-
-            return var
+            return scope[node.name]
         if isinstance(node, Lit):
-            return _constant(ordinal(node.value))
+            return self.literal(node.value)
         if isinstance(node, Compr):
             return self.comprehension(node, scope, depth)
-        if isinstance(node, App):
-            return self.application(node, scope, depth)
-        raise TypeError(f"not a term: {node!r}")
+        if not isinstance(node, App):
+            raise TypeError(f"not a term: {node!r}")
+        symbol = node.symbol
+        if symbol == "true":
+            return "TRUE"
+        if symbol in ("false", "empty"):
+            return "EMPTY"
+        if symbol == "Atoms":
+            return "atoms"
+        if symbol in BOOLEAN_BUILTINS:
+            return f"(TRUE if {self.test(node, scope, depth)} else EMPTY)"
+        if symbol == "Card":
+            (arg,) = node.args
+            if isinstance(arg, Compr) and arg.element == Var(arg.var):
+                return self.count(arg, scope, depth)
+        args = [self.term(a, scope, depth) for a in node.args]
+        if symbol in _BUILTINS:
+            return f"{_BUILTINS[symbol]}({', '.join(args)})"
+        return f"{self.table(symbol)}.get({_tuple(args)}, EMPTY)"
 
-    def test(self, node, scope: dict, depth: int):
-        """The closure ``f(tables, env) -> bool`` telling whether a term
-        reads 1: what guards compile to, with no truth value boxed."""
+    def condition(self, node, scope: dict, depth: int) -> str:
         symbol = node.symbol if isinstance(node, App) else None
         if symbol == "true":
-            return _true
+            return "True"
         if symbol == "false":
-            return lambda tables, env: False
+            return "False"
         if symbol == "and":
-            x, y = (self.test(a, scope, depth) for a in node.args)
-            # short-circuit: no term of a checked program raises, so skipping
-            # the right operand when the left one is not 1 changes no value
-            return lambda tables, env: x(tables, env) and y(tables, env)
+            left, right = node.args
+            x = self.test(left, scope, depth)
+            # the right operand's lines run only when the left one holds
+            outer, self.lines = self.lines, []
+            self.indent += 1
+            y = self.test(right, scope, depth)
+            lines, self.lines = self.lines, outer
+            self.indent -= 1
+            if not lines:
+                return f"({x} and {y})"
+            held = self.fresh("g")
+            self.emit(f"{held} = {x}")
+            self.emit(f"if {held}:")
+            self.lines += lines
+            self.lines.append((self.indent + 1, f"{held} = {y}"))
+            return held
         if symbol == "or":
             # "or" reads 1 when one operand reads 1 and neither reads
             # anything but 0 or 1, so its operands are not Boolean
             # positions: "true or 5" reads 0
-            x, y = (self.term(a, scope, depth) for a in node.args)
-
-            def disjunction(tables, env):
-                u = x(tables, env)
-                v = y(tables, env)
-                if u is TRUE:
-                    return v is TRUE or v is EMPTY
-                return u is EMPTY and v is TRUE
-
-            return disjunction
+            u, v = (self.local(self.term(a, scope, depth)) for a in node.args)
+            return f"(({v} is TRUE or {v} is EMPTY) if {u} is TRUE else ({u} is EMPTY and {v} is TRUE))"
         if symbol == "not":
-            x = self.term(node.args[0], scope, depth)
-            return lambda tables, env: x(tables, env) is EMPTY
+            return f"({self.term(node.args[0], scope, depth)} is EMPTY)"
         if symbol == "eq":
-            return self.equality(*node.args, scope, depth)
+            x, y = (self.term(a, scope, depth) for a in node.args)
+            return f"({x} is {y})"
         if symbol == "in":
-            return self.membership(*node.args, scope, depth)
-        slots = _read_slots(node, scope)
-        if slots is not None:
-            return _read_is(symbol, slots, TRUE)
-        x = self.term(node, scope, depth)
-        return lambda tables, env: x(tables, env) is TRUE
+            left, right = node.args
+            if isinstance(right, Compr):
+                return self.search(left, right, scope, depth)
+            if isinstance(left, Lit):
+                # ordinal n holds the literals below n, and an atom's members are ()
+                v = self.fresh("v")
+                read = self.term(right, scope, depth)
+                k = self.literal(left.value)
+                return f"({v}.n > {int(left.value)} if type({v} := {read}) is Ordinal else {k} in {v}.members)"
+            u = self.local(self.term(left, scope, depth))
+            v = self.local(self.term(right, scope, depth))
+            return (
+                f"({u} in {v}.members if type({v}) is HfSet"
+                f" else (type({v}) is Ordinal and type({u}) is Ordinal and {u}.n < {v}.n))"
+            )
+        return f"({self.term(node, scope, depth)} is TRUE)"
 
-    def equality(self, left, right, scope: dict, depth: int):
-        if isinstance(left, Lit):
-            left, right = right, left
-        slots = _read_slots(left, scope) if isinstance(right, Lit) else None
-        if slots is not None:
-            return _read_is(left.symbol, slots, ordinal(right.value))
-        x = self.term(left, scope, depth)
-        y = self.term(right, scope, depth)
-        return lambda tables, env: x(tables, env) is y(tables, env)
+    # -- comprehensions ---------------------------------------------------------
 
-    def membership(self, left, right, scope: dict, depth: int):
-        if isinstance(right, Compr):
-            return self.search(left, right, scope, depth)
-        slots = _read_slots(right, scope) if isinstance(left, Lit) else None
-        if slots is not None:
-            return _read_holds(right.symbol, slots, left.value)
-        x = self.term(left, scope, depth)
-        y = self.term(right, scope, depth)
-
-        def member(tables, env):
-            u = x(tables, env)
-            v = y(tables, env)
-            return isinstance(v, HfSet) and u in v
-
-        return member
+    def members(self, node, scope: dict, depth: int) -> str:
+        """The expression listing the members of the term ``node``."""
+        if node == App("Atoms"):
+            return "atom_members"
+        return f"{self.term(node, scope, depth)}.members"
 
     def ranged(self, node: Compr, scope: dict, depth: int) -> tuple:
-        """A comprehension's parts: the closure listing the members its
-        binder visits, the binder's slot, the guard those members must
-        still pass as a test, and its element."""
-        inner = self.bind(scope, node.var, depth)
-        element = self.term(node.element, inner, depth + 1)
+        """What a comprehension's binder visits, the guard those members
+        must still pass, the binder's local and the scope inside."""
         found = self.lookup(node.var, node.source, node.guard, scope, depth)
-        members, guard = found or (None, node.guard)
-        if members is None:
-            source = self.term(node.source, scope, depth)
-            members = lambda tables, env: source(tables, env).members  # noqa: E731
-        return members, depth, self.test(guard, inner, depth + 1), element
+        members, guard = found or (self.members(node.source, scope, depth), node.guard)
+        binder = f"b{depth}"
+        return members, guard, binder, {**scope, node.var: binder}
 
-    def comprehension(self, node: Compr, scope: dict, depth: int):
-        members, slot, guard, element = self.ranged(node, scope, depth)
+    def comprehension(self, node: Compr, scope: dict, depth: int) -> str:
+        members, guard, binder, inner = self.ranged(node, scope, depth)
+        collected = self.fresh("s")
+        self.emit(f"{collected} = []")
+        with self.block(f"for {binder} in {members}:", loop=True):
+            with self.guarded(guard, inner, depth + 1):
+                self.emit(f"{collected}.append({self.term(node.element, inner, depth + 1)})")
+        return f"make_set({collected})"
 
-        def comprehension(tables, env):
-            collected = []
-            for member in members(tables, env):
-                env[slot] = member
-                if guard(tables, env):
-                    collected.append(element(tables, env))
-            return make_set(collected)
-
-        return comprehension
-
-    def count(self, node: Compr, scope: dict, depth: int):
+    def count(self, node: Compr, scope: dict, depth: int) -> str:
         """``Card({ v : v in S : g })`` with no set built: the members of S
         are distinct, so the count is how many of them pass."""
-        members, slot, guard, _ = self.ranged(node, scope, depth)
-        if guard is _true:
-            return lambda tables, env: ordinal(len(members(tables, env)))
+        members, guard, binder, inner = self.ranged(node, scope, depth)
+        if guard == App("true"):
+            return f"ordinal(len({members}))"
+        n = self.fresh("n")
+        self.emit(f"{n} = 0")
+        with self.block(f"for {binder} in {members}:", loop=True):
+            with self.guarded(guard, inner, depth + 1):
+                self.emit(f"{n} += 1")
+        return f"ordinal({n})"
 
-        def count(tables, env):
-            n = 0
-            for member in members(tables, env):
-                env[slot] = member
-                if guard(tables, env):
-                    n += 1
-            return ordinal(n)
-
-        return count
-
-    def search(self, left, node: Compr, scope: dict, depth: int):
+    def search(self, left, node: Compr, scope: dict, depth: int) -> str:
         """``x in { e : v in S : g }`` with no set built: whether some v in
         S passes g with e(v) = x, stopping at the first found."""
-        x = self.term(left, scope, depth)
-        members, slot, guard, element = self.ranged(node, scope, depth)
-
-        def search(tables, env):
-            wanted = x(tables, env)
-            for member in members(tables, env):
-                env[slot] = member
-                if guard(tables, env) and element(tables, env) is wanted:
-                    return True
-            return False
-
-        return search
+        wanted = self.local(self.term(left, scope, depth))
+        members, guard, binder, inner = self.ranged(node, scope, depth)
+        found = self.fresh("f")
+        self.emit(f"{found} = False")
+        with self.block(f"for {binder} in {members}:", loop=True):
+            with self.guarded(guard, inner, depth + 1):
+                with self.block(f"if {self.term(node.element, inner, depth + 1)} is {wanted}:"):
+                    self.emit(f"{found} = True")
+                    self.emit("break")
+        return found
 
     def lookup(self, var: str, source, guard, scope: dict, depth: int):
-        """For a range of ``var`` over Atoms, the closure listing only the
-        atoms at which the first conjunct of ``guard`` can hold, and the
-        guard those atoms must still pass; or None.
+        """For a range of ``var`` over Atoms, the expression listing only
+        the atoms at which the first conjunct of ``guard`` can hold, and
+        the guard those atoms must still pass; or None.
 
         That conjunct must read a symbol ``= k`` with k not 0, as a truth
         value (= 1), or as ``k in`` it with k a literal, with the binder
@@ -327,17 +443,17 @@ class _Compiler:
         first = guard
         while isinstance(first, App) and first.symbol == "and":
             first = first.args[0]
-        wanted = TRUE  # the value read, or None for any value but 0
+        wanted = "TRUE"  # the value read, or None for any value but 0
         if isinstance(first, App) and first.symbol == "eq":
             first, k = first.args
             if isinstance(first, Lit):
                 first, k = k, first
             if not isinstance(k, Lit) or k.value == 0:
                 return None
-            wanted = ordinal(k.value)
+            wanted = self.literal(k.value)
         elif isinstance(first, App) and first.symbol == "in" and isinstance(first.args[0], Lit):
             first = first.args[1]
-            wanted = None
+            wanted = "None"
         if (
             not isinstance(first, App)
             or first.symbol in BUILTIN_ARITY
@@ -348,109 +464,36 @@ class _Compiler:
         rest = first.args[:p] + first.args[p + 1:]
         if not all(isinstance(a, Lit) or (isinstance(a, Var) and a.name in scope) for a in rest):
             return None
-        symbol = first.symbol
-        built, build = self.table_index(symbol, p, wanted is not None)
-        if wanted is not None:
-            guard = _without_first_conjunct(guard)
-        slots = _bound_slots(rest, scope)
-        if slots is not None and len(slots) == 1:  # the key built inline
-            (s0,) = slots
-            return (
-                lambda tables, env: (built or build(tables[symbol]))[0]
-                .get(((env[s0],), wanted), ())
-            ), guard
-        key = self.arguments(rest, scope, depth)
-        return (
-            lambda tables, env: (built or build(tables[symbol]))[0]
-            .get((key(tables, env), wanted), ())
-        ), guard
+        by_value = wanted != "None"
+        cell = self.cell(first.symbol, p, by_value)
+        table = self.table(first.symbol)
+        key = _tuple([self.term(a, scope, depth) for a in rest])
+        index = f"({cell} or _index({cell}, {table}, {p}, {by_value}, atom_members))[0]"
+        return f"{index}.get(({key}, {wanted}), ())", _without_first_conjunct(guard) if by_value else guard
 
-    def table_index(self, symbol: str, p: int, by_value: bool):
-        """The cell holding the index of the table of ``symbol``, its atoms
-        at argument ``p`` by the other arguments and the value (or None
-        when not ``by_value``), and the function building it into the
-        cell.  ``fire`` empties the cell when it writes the symbol's table,
-        which an input table never is."""
-        atoms = self.atoms.members
-        built = self.indexes.setdefault(symbol, {}).setdefault((p, by_value), [])
+    # -- rules ----------------------------------------------------------------
 
-        def build(table):
-            index: dict = {}
-            for args, value in table.items():
-                if args[p] in atoms:  # the binder ranges over atoms only
-                    key = (args[:p] + args[p + 1:], value if by_value else None)
-                    index.setdefault(key, []).append(args[p])
-            built.append(index)
-            return built
-
-        return built, build
-
-    def arguments(self, nodes: tuple, scope: dict, depth: int):
-        """A closure building the argument tuple, left to right."""
-        slots = _bound_slots(nodes, scope)
-        if slots == ():
-            return _constant(())
-        if slots is not None:  # a lookup's key at two bound variables, read directly
-            s0, s1 = slots
-            return lambda tables, env: (env[s0], env[s1])
-        fns = [self.term(a, scope, depth) for a in nodes]
-        return lambda tables, env: tuple([f(tables, env) for f in fns])
-
-    def application(self, node: App, scope: dict, depth: int):
-        symbol = node.symbol
-        if symbol == "true":
-            return _constant(TRUE)
-        if symbol in ("false", "empty"):
-            return _constant(EMPTY)
-        if symbol == "Atoms":
-            return _constant(self.atoms)
-        if symbol in BOOLEAN_BUILTINS:
-            holds = self.test(node, scope, depth)
-            return lambda tables, env: TRUE if holds(tables, env) else EMPTY
-        if symbol == "Card":
-            (arg,) = node.args
-            if isinstance(arg, Compr) and arg.element == Var(arg.var):
-                return self.count(arg, scope, depth)
-        builtin = _BUILTINS.get(symbol)
-        if builtin is not None:
-            return builtin(*[self.term(a, scope, depth) for a in node.args])
-        # a symbol's read: reads of at most two bound variables take one call
-        slots = _read_slots(node, scope)
-        if slots is None:
-            key = self.arguments(node.args, scope, depth)
-            return lambda tables, env: tables[symbol].get(key(tables, env), EMPTY)
-        if not slots:
-            return lambda tables, env: tables[symbol].get((), EMPTY)
-        if len(slots) == 1:
-            (s0,) = slots
-            return lambda tables, env: tables[symbol].get((env[s0],), EMPTY)
-        s0, s1 = slots
-        return lambda tables, env: tables[symbol].get((env[s0], env[s1]), EMPTY)
-
-    def rule(self, node, scope: dict, depth: int):
-        if isinstance(node, Skip):
-            return _skip
-        if isinstance(node, Update):
-            return self.update(node, scope, depth)
-        if isinstance(node, Cond):
-            guard = self.test(node.guard, scope, depth)
-            then_rule = self.rule(node.then_rule, scope, depth)
-            else_rule = self.rule(node.else_rule, scope, depth)
-            if guard is _true:
-                return then_rule
-            if else_rule is _skip:
-
-                def when(tables, env):
-                    if guard(tables, env):
-                        then_rule(tables, env)
-
-                return when
-
-            def cond(tables, env):
-                (then_rule if guard(tables, env) else else_rule)(tables, env)
-
-            return cond
-        if isinstance(node, Forall):
+    def rule(self, node, scope: dict, depth: int) -> None:
+        if self.deep():
+            self.split(self.rule, node, scope, depth)
+        elif isinstance(node, Update):
+            # a second value at the location is the clash (values are
+            # interned, so equal values are the same object)
+            written = self.write_map(node.symbol)
+            key = _tuple([self.term(a, scope, depth) for a in node.args])
+            value = self.local(self.term(node.value, scope, depth))
+            self.emit(f"if {written}.setdefault({key}, {value}) is not {value}: raise _Clash")
+        elif isinstance(node, Cond):
+            if node.guard == App("true"):
+                self.rule(node.then_rule, scope, depth)
+                return
+            test = self.test(node.guard, scope, depth)
+            with self.block(f"if {test}:"):
+                self.rule(node.then_rule, scope, depth)
+            if node.else_rule != Skip():
+                with self.block("else:"):
+                    self.rule(node.else_rule, scope, depth)
+        elif isinstance(node, Forall):
             body = node.body
             found = None
             if isinstance(body, Cond) and body.else_rule == Skip():
@@ -459,83 +502,19 @@ class _Compiler:
                 members, guard = found
                 body = Cond(guard, body.then_rule, body.else_rule)
             else:
-                source = self.term(node.source, scope, depth)
-                members = lambda tables, env: source(tables, env).members  # noqa: E731
-            body = self.rule(body, self.bind(scope, node.var, depth), depth + 1)
-            slot = depth
-
-            def forall(tables, env):
-                for member in members(tables, env):
-                    env[slot] = member
-                    body(tables, env)
-
-            return forall
-        if isinstance(node, Par):
-            rules = [self.rule(r, scope, depth) for r in node.rules]
-
-            def par(tables, env):
-                for r in rules:
-                    r(tables, env)
-
-            return par
-        raise TypeError(f"not a rule: {node!r}")
-
-    def update(self, node: Update, scope: dict, depth: int):
-        """The closure writing the update into its symbol's write map; it
-        raises ``_Clash`` when the map holds another value at the location
-        (values are interned, so equal values are the same object)."""
-        written = self.updates.maps.setdefault(node.symbol, {})
-        value = self.term(node.value, scope, depth)
-        slots = _bound_slots(node.args, scope)
-        # the key built inline at up to two bound variables
-        if slots == ():
-
-            def update(tables, env):
-                v = value(tables, env)
-                if written.setdefault((), v) is not v:
-                    raise _Clash
-
-        elif slots is not None and len(slots) == 1:
-            (s0,) = slots
-
-            def update(tables, env):
-                v = value(tables, env)
-                if written.setdefault((env[s0],), v) is not v:
-                    raise _Clash
-
-        elif slots is not None:
-            s0, s1 = slots
-
-            def update(tables, env):
-                v = value(tables, env)
-                if written.setdefault((env[s0], env[s1]), v) is not v:
-                    raise _Clash
-
-        else:
-            key = self.arguments(node.args, scope, depth)
-
-            def update(tables, env):
-                k = key(tables, env)
-                v = value(tables, env)
-                if written.setdefault(k, v) is not v:
-                    raise _Clash
-
-        return update
+                members = self.members(node.source, scope, depth)
+            binder = f"b{depth}"
+            with self.block(f"for {binder} in {members}:", loop=True):
+                self.rule(body, {**scope, node.var: binder}, depth + 1)
+        elif isinstance(node, Par):
+            for r in node.rules:
+                self.rule(r, scope, depth)
+        elif not isinstance(node, Skip):
+            raise TypeError(f"not a rule: {node!r}")
 
 
-def _read_slots(node, scope: dict):
-    """The ``env`` slots of a symbol's read at no more than two bound
-    variables, which its consumer reads inline, or None."""
-    if not isinstance(node, App) or node.symbol in BUILTIN_ARITY:
-        return None
-    return _bound_slots(node.args, scope)
-
-
-def _bound_slots(nodes: tuple, scope: dict):
-    """The ``env`` slots of ``nodes`` when they are at most two bound
-    variables, else None."""
-    slots = tuple(scope.get(a.name) if isinstance(a, Var) else None for a in nodes)
-    return slots if len(slots) <= 2 and None not in slots else None
+def _tuple(items: list) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 def _without_first_conjunct(guard):
@@ -547,68 +526,67 @@ def _without_first_conjunct(guard):
     return right if rest == App("true") else App("and", (rest, right))
 
 
-def _true(tables, env):
-    return True
+def _generate(node, free: tuple = ()) -> str:
+    """The source of ``factory(atoms, indexes, maps)`` for a rule or a term.
 
-
-def _read_is(symbol: str, slots: tuple, k: HfValue):
-    """The test that ``symbol`` at the bound variables ``slots`` reads
-    ``k``, the table read inline."""
-    if not slots:
-        return lambda tables, env: tables[symbol].get((), EMPTY) is k
-    if len(slots) == 1:
-        (s0,) = slots
-        return lambda tables, env: tables[symbol].get((env[s0],), EMPTY) is k
-    s0, s1 = slots
-    return lambda tables, env: tables[symbol].get((env[s0], env[s1]), EMPTY) is k
-
-
-def _read_holds(symbol: str, slots: tuple, k: int):
-    """The test ``k in symbol(...)`` for a literal k and the bound
-    variables ``slots``, the table read inline; ordinal n holds the
-    literals below n, and an atom's members are ()."""
-    literal = ordinal(k)
-    if not slots:
-
-        def holds(tables, env):
-            v = tables[symbol].get((), EMPTY)
-            return v.n > k if type(v) is Ordinal else literal in v.members
-
-    elif len(slots) == 1:
-        (s0,) = slots
-
-        def holds(tables, env):
-            v = tables[symbol].get((env[s0],), EMPTY)
-            return v.n > k if type(v) is Ordinal else literal in v.members
-
+    The factory takes a run's atoms, its ``State.indexes`` (for an index
+    cell per symbol read through an index) and its write maps (one per
+    symbol the rule updates), and returns ``step(tables, env)``.  A rule's
+    step writes its updates into the write maps and raises ``_Clash`` at
+    a second value for a location; a term's step returns its value.
+    ``free`` names the variables the node may read unbound, which ``env``
+    holds in that order; a program's rule is closed, and ``env`` empty."""
+    gen = _Generator()
+    scope = {name: f"b{i}" for i, name in enumerate(free)}
+    if free:
+        gen.emit(f"{', '.join(scope.values())}, = env")
+    if isinstance(node, (Var, Lit, App, Compr)):
+        gen.emit(f"return {gen.term(node, scope, len(free))}")
     else:
-        s0, s1 = slots
-
-        def holds(tables, env):
-            v = tables[symbol].get((env[s0], env[s1]), EMPTY)
-            return v.n > k if type(v) is Ordinal else literal in v.members
-
-    return holds
-
-
-def _skip(tables, env):
-    pass
-
-
-def _lifted(f):
-    """A one-argument builtin as the function taking its argument's
-    closure to the closure of its application."""
-    return lambda x: lambda tables, env: f(x(tables, env))
+        gen.rule(node, scope, len(free))
+    lines = ["def factory(atoms, indexes, maps):", "    atom_members = atoms.members"]
+    lines += [f"    {line}" for line in gen.prelude]
+    lines.append("    def step(tables, env):")
+    lines += [f"        {name} = tables[{symbol!r}]" for symbol, name in gen.tables.items()]
+    for name, params, body in gen.helpers:
+        lines.append(f"        def {name}({params}):")
+        lines += [" " * (12 + 4 * indent) + text for indent, text in body or [(0, "pass")]]
+    lines += [" " * (8 + 4 * indent) + text for indent, text in gen.lines or [(0, "pass")]]
+    lines.append("    return step")
+    return "\n".join(lines) + "\n"
 
 
-# builtins with arguments that are not truth values: name -> closure over
-# the argument closures
-_BUILTINS = {
-    "Union": _lifted(union_all),
-    "TheUnique": _lifted(the_unique),
-    "Card": _lifted(card),
-    "Pair": lambda x, y: lambda tables, env: pair(x(tables, env), y(tables, env)),
-}
+def _compile(node, free: tuple = ()):
+    """The factory of a rule or a term (see :func:`_generate`), compiled.
+    Its names other than its own resolve in this module when it runs."""
+    namespace: dict = {}
+    exec(compile(_generate(node, free), "<set-machine step>", "exec"), globals(), namespace)
+    return namespace["factory"]
+
+
+_FACTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # program -> factory
+
+
+def _factory(program: Program):
+    """The factory of a program's rule, compiled at its first run."""
+    factory = _FACTORIES.get(program)
+    if factory is None:
+        factory = _FACTORIES[program] = _compile(program.rule)
+    return factory
+
+
+def _index(cell: list, table: dict, p: int, by_value: bool, atoms) -> list:
+    """``cell`` holding the index of ``table`` for a binder at argument
+    ``p``: its atoms at ``p`` by the other arguments and the value (or
+    None when not ``by_value``).  ``fire`` empties the cell when it writes
+    the table, which an input table never is."""
+    index: dict = {}
+    for args, value in table.items():
+        if args[p] in atoms:  # the binder ranges over atoms only
+            key = (args[:p] + args[p + 1:], value if by_value else None)
+            index.setdefault(key, []).append(args[p])
+    cell.append(index)
+    return cell
 
 
 class _Clash(Exception):
@@ -634,7 +612,7 @@ class Updates:
 
 def collect_updates(step, tables: dict, env: list, updates: Updates) -> Updates:
     """One step's updates: ``updates`` emptied, then written by the
-    compiled rule ``step`` run on the pre-step tables, each update into
+    generated ``step`` run on the pre-step tables, each update into
     its symbol's write map.  A clash ends the collection and marks the
     step clashed.  A function of its own, so a step can be timed apart
     from ``fire``."""
@@ -767,9 +745,6 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
     included, and ``fire`` writes them in place; the final state holds
     the dynamic tables written."""
     _vocabulary_check(program, structure)
-    compiler = _Compiler(structure)
-    step = compiler.rule(program.rule, {}, 0)
-    env: list = [None] * compiler.slots
     # the tables a step reads, and the state's, which fire writes: an empty
     # one for each dynamic symbol until it is first written, then each
     # input symbol's (a key set disjoint from the first by the
@@ -783,7 +758,10 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
     max_steps = program.bounds.max_steps(n)
     max_active = program.bounds.max_active(n)
 
-    state = State(structure, tables, compiler.indexes)
+    state = State(structure, tables)
+    updates = Updates({})  # the run's write maps
+    step = _factory(program)(make_set(structure.by_name.values()), state.indexes, updates.maps)
+    env: list = []  # a program's rule reads no free variable
     active: set = set()  # the active non-ordinals
     ordinals = 0  # the active ordinals are 0, ..., ordinals - 1
     steps = 0
@@ -794,7 +772,7 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
         if steps >= max_steps:
             verdict = "bound-exceeded"
             break
-        updates = collect_updates(step, tables, env, compiler.updates)
+        updates = collect_updates(step, tables, env, updates)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:

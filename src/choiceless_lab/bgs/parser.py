@@ -62,7 +62,9 @@ no program that parses can exhaust the recursion limit downstream.
 
 from __future__ import annotations
 
+import functools
 import re
+from types import MappingProxyType
 
 from ..errors import ParseError, read_decimal
 from .syntax import (
@@ -496,8 +498,13 @@ def _parse_headers(text: str):
     return bounds, "\n".join(body_lines)
 
 
+@functools.lru_cache(maxsize=16)
 def parse_program(text: str) -> Program:
-    """Parse program text into a checked :class:`Program`."""
+    """Parse program text into a checked :class:`Program`.
+
+    The programs of the last 16 texts are kept, so a text parsed again
+    returns the same program, and its rule's generated step with it; a
+    text with an error raises on every call."""
     bounds, body = _parse_headers(text)
     parser = _Parser(_tokenize(body), bounds.card_enabled)
     try:
@@ -511,4 +518,10 @@ def parse_program(text: str) -> Program:
         raise min(parser.errors, key=lambda exc: (exc.line, exc.column))
     dynamic = {"Halt": 0, "Output": 0, **parser.assigned}
     static = {name: arity for name, arity in parser.applied.items() if name not in dynamic}
-    return Program(rule, bounds, dynamic, static, frozenset(parser.boolean_static_uses))
+    return Program(
+        rule,
+        bounds,
+        MappingProxyType(dynamic),
+        MappingProxyType(static),
+        frozenset(parser.boolean_static_uses),
+    )

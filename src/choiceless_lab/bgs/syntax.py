@@ -149,7 +149,7 @@ class RunBounds:
         return poly_eval(self.active, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Program:
     """A closed rule with budgets and its inferred symbol usage.
 
@@ -157,7 +157,9 @@ class Program:
     Halt and Output at arity 0); ``static_arity`` maps input symbols to
     arities; ``boolean_static_uses`` are the input symbols that appear in
     Boolean positions and therefore must be relations in any structure the
-    program runs on.
+    program runs on.  A program is equal only to itself: ``parse_program``
+    returns one program per text to every caller, with both maps
+    read-only.
     """
 
     rule: Rule

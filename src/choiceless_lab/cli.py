@@ -32,8 +32,9 @@ collector nothing to free.
 Commands are one flat table, ``_COMMANDS``, of each command's handler and
 flags, and :func:`_read_flags` reads a command's flags straight from it,
 with the forms and usage messages that :mod:`argparse` has on Python 3.10
-to 3.12, without importing it.  ``--out`` may stand on either side of
-the command (:func:`_split`).
+to 3.12, without importing it; ``--flag=--`` gives the flag the value
+``--``, as argparse does from 3.13 on.  ``--out`` may stand on either
+side of the command (:func:`_split`).
 
 ``--out`` and every ``gen ... --file`` go through :func:`_write`, which
 follows a symlink, writes over an existing regular file in place and cuts
@@ -477,9 +478,6 @@ def _read_flags(command: tuple, argv: list) -> SimpleNamespace:
                 raise _UsageError(f"argument {flag}: expected one argument")
             value = argv[at]
             at += 1
-        elif value == "--":  # argparse drops it and reads the flag as []
-            given[flag] = []
-            continue
         convert = spec.get("type")
         if convert is not None:
             try:

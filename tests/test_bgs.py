@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import json
 import random
 import re
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import choiceless_lab
+from choiceless_lab import cli
 from choiceless_lab.bgs import (
     App,
     Compr,
@@ -92,6 +95,51 @@ def test_power_program_is_par_of_three_conditionals():
     assert len(prog.rule.rules) == 3
     assert all(isinstance(r, Cond) for r in prog.rule.rules)
     assert prog.bounds.card_enabled
+
+
+def test_a_text_parses_to_one_shared_read_only_program():
+    text = HEADERS + "do in parallel Seen(A) := 1; Halt := true enddo"
+    prog = parse_program(text)
+    assert parse_program(text) is prog
+    assert parse_program(text + "\n") is not prog
+    with pytest.raises(TypeError):
+        prog.dynamic_arity["Halt"] = 1
+    with pytest.raises(TypeError):
+        prog.static_arity["A"] = 2
+    with pytest.raises(TypeError):
+        del prog.static_arity["A"]
+    assert prog.dynamic_arity == {"Halt": 0, "Output": 0, "Seen": 1}
+    assert prog.static_arity == {"A": 0}
+    # errors are not kept: each call parses again and raises again
+    broken = HEADERS + "Output := Pair(1)"
+    for _ in range(3):
+        with pytest.raises(ParseError, match="Pair expects 2 arguments"):
+            parse_program(broken)
+
+
+def test_a_program_text_is_generated_once_per_process(tmp_path, monkeypatch, capsys):
+    """Twenty ``bgs run`` requests of one power.bgs text on changing
+    inputs parse the text once and generate and compile its step once:
+    the work is counted, not timed."""
+    program = tmp_path / "power.bgs"
+    program.write_text((Path(choiceless_lab.__file__).parent / "programs" / "power.bgs").read_text())
+    parse_program.cache_clear()
+    generated: list = []
+    compile_step = interp._compile
+    monkeypatch.setattr(interp, "_compile", lambda *args: generated.append(args) or compile_step(*args))
+    rng = random.Random(54)
+    for i in range(20):
+        n = 2 + i % 5
+        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        r = rng.randrange(1, 40)
+        path = tmp_path / f"power{i}.str"
+        path.write_text(write_structure(power_structure(rows, r)))
+        code, report = cli.dispatch(["bgs", "run", "--program", str(program), "--input", str(path)])
+        assert code == 0 and report["result"]["verdict"] == "accept", report
+    capsys.readouterr()
+    assert len(generated) == 1
+    info = parse_program.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
 
 
 def test_parse_errors():
@@ -300,6 +348,39 @@ def test_nesting_cap(shape):
         parse(nested_body(shape, MAX_NESTING + 1))
     assert "nesting" in str(err.value)
     assert err.value.line == 3 and err.value.column is not None
+
+
+def deep_body(shape: str, depth: int) -> str:
+    """A program body nested about ``depth`` parser levels deep in which
+    every level opens a block of the generated step, so that the step is
+    written as several functions: guards that are not constant, else
+    branches, "and" operands that need lines of their own, loops over the
+    atoms, and searches in the guards of searches."""
+    k = depth - 2
+    if shape == "if":
+        return "if not Halt then " * k + "Halt := true" + " endif" * k
+    if shape == "else":
+        return "if Halt then skip else " * k + "Halt := true" + " endif" * k
+    if shape == "and":
+        k //= 2
+        return "Halt := " + "(0 in { 0 : x in Atoms : true } and " * k + "true" + ")" * k
+    if shape == "forall":
+        return "do forall x in Atoms, " * k + "Halt := true" + " enddo" * k
+    if shape == "search":
+        k -= 1
+        return "Halt := 0 in " + "{ 0 : x in Atoms : 0 in " * k + "Pair(0, x) }" + " }" * (k - 1)
+    raise ValueError(shape)
+
+
+@pytest.mark.parametrize("shape", ["if", "else", "and", "forall", "search"])
+def test_deep_nesting_is_split_into_functions(shape):
+    """Python allows a function 20 nested loops and a file 100 levels of
+    indentation: a program nested as deep as the parser admits runs as the
+    oracle does, its step written as more than one function.  The first
+    step reaches the innermost rule, which halts the run."""
+    prog = parse(deep_body(shape, MAX_NESTING))
+    assert "def h" in interp._generate(prog.rule)
+    assert assert_runs_agree(prog, empty_structure(1))[:2] == ("reject", 1)
 
 
 _BAD_COEFFICIENTS = ["1.5", "x", "-1", "2.0", ""]
@@ -664,6 +745,64 @@ def test_compiled_binder_after_nested_shadowing_binder():
         assert tables["C"][(a,)] is make_set([atoms, make_set([a])])
 
 
+# every symbol and binder is a name with a meaning in Python, or one the
+# generated step uses for its own locals; each binder also shadows a symbol
+_PYTHON_NAMES = (
+    "if Mode = 0 then do in parallel\n"
+    "  do forall def in Atoms, do forall lambda in Atoms,\n"
+    "    if None(def, lambda) then tables(def, lambda) := Pair(def, lambda) endif\n"
+    "  enddo enddo;\n"
+    "  do forall env in Atoms, lambda(env) := Card({ tables : tables in Atoms : None(env, tables) }) enddo;\n"
+    "  Mode := 1\n"
+    "enddo else if Mode = 1 then do in parallel\n"
+    "  env := { Pair(None, lambda(None)) : None in Atoms : __builtins__(None) };\n"
+    "  def := 0 in { 0 : __builtins__ in Atoms : 1 in lambda(__builtins__)\n"
+    "    and tables(__builtins__, __builtins__) = Pair(__builtins__, __builtins__) };\n"
+    "  Mode := 2\n"
+    "enddo else do in parallel\n"
+    "  Output := def = 1 and 0 in { 0 : lambda in env : true };\n"
+    "  Halt := true\n"
+    "enddo endif endif\n"
+)
+_PYTHON_NAME_ATOMS = InputStructure.build(
+    ["a", "b", "c", "d"],
+    relations={
+        "None": [("a", "a"), ("a", "b"), ("b", "b"), ("c", "a"), ("d", "d")],
+        "__builtins__": [("a",), ("c",), ("d",)],
+    },
+)
+
+
+def _code_tokens(source: str) -> list:
+    """The tokens of Python source other than its string constants."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [(t.type, t.string) for t in tokens if t.type != tokenize.STRING]
+
+
+def test_program_names_enter_the_step_as_strings_only():
+    """Symbols and binders named def, None, lambda, tables, env and
+    __builtins__ run as the oracle runs them, under renamings of the
+    atoms; and renaming each of them changes only string constants of
+    the generated source."""
+    prog = parse(_PYTHON_NAMES, "#steps 4\n#active 200 20\n#requires card\n")
+    assert set(prog.dynamic_arity) >= {"def", "lambda", "tables", "env"}
+    assert set(prog.static_arity) == {"None", "__builtins__"}
+    assert assert_runs_agree(prog, _PYTHON_NAME_ATOMS)[0] == "accept"
+    for seed in range(5):
+        assert_runs_agree(prog, permuted_structure(_PYTHON_NAME_ATOMS, seed))
+    renames = {"def": "d1", "None": "N1", "lambda": "l1", "tables": "t1", "env": "e1"}
+    renames["__builtins__"] = "B1"
+    renamed = re.sub(
+        r"\b(def|None|lambda|tables|env|__builtins__)\b",
+        lambda m: renames[m.group()],
+        _PYTHON_NAMES,
+    )
+    other = parse(renamed, "#steps 4\n#active 200 20\n#requires card\n")
+    source, other_source = (interp._generate(p.rule) for p in (prog, other))
+    assert source != other_source
+    assert _code_tokens(source) == _code_tokens(other_source)
+
+
 def test_compiled_shipped_programs_match_oracle():
     rng = random.Random(1010)
     power = load_builtin_program("power")
@@ -683,12 +822,12 @@ def test_compiled_shipped_programs_match_oracle():
 # ------------------------------------------ fast paths against the oracle
 
 # Step 1 of a two-step program fills D/2, U/1 and B/1, some entries at
-# set-valued keys; step 2 reads them through each fused form of the
-# compiler (comprehensions over Atoms whose first conjunct is an indexed
-# lookup, Card counts, "x in { ... }" searches, and tests of reads at
-# bound variables) and through the one-way forms beside them: "or" with
-# Boolean and non-Boolean right operands, literal membership and equality
-# on terms that are not reads, and each builtin.
+# set-valued keys; step 2 reads them through each fast path of the
+# generated step (comprehensions over Atoms whose first conjunct is an
+# indexed lookup, Card counts, "x in { ... }" searches, and tests of reads
+# at bound variables) and through the general forms beside them: "or"
+# with Boolean and non-Boolean right operands, literal membership and
+# equality on terms that are not reads, and each builtin.
 _FILL_VALUES = ("0", "1", "2", "2", "true", "x", "Pair(x, y)", "{ z : z in Atoms : E(x, z) }")
 _FILL_CONDITIONS = ("true", "E(x, y)", "not E(x, y)", "F(x) = y", "x = y", "E(y, x) or F(y) = x")
 # what y ranges over while step 2 reads: atoms, and sets and numbers too
@@ -865,7 +1004,8 @@ def test_indexed_table_read_after_it_changes():
     assert [read("N", x, two) for x in (a, b, c)] == [one, one, EMPTY]
 
 
-# Each shape the compiler fuses, against the oracle under renamings:
+# Each fast-path shape of the generated step, against the oracle under
+# renamings:
 # comprehensions, counts and searches whose first conjunct an index
 # answers (a relation, a dynamic "= k" or a dynamic truth value) and is
 # not tested again, followed by 0, 1 or 2 more conjuncts; "= k" and
@@ -1023,7 +1163,7 @@ def test_structure_may_not_interpret_a_dynamic_symbol(symbol_line):
 
 
 class _StepTables(dict):
-    """The tables a compiled closure reads: the structure's input tables
+    """The tables a generated step reads: the structure's input tables
     under the state's, and an empty table for a symbol not yet written."""
 
     def __init__(self, state):
@@ -1034,23 +1174,24 @@ class _StepTables(dict):
         return {}
 
 
+def _atoms(structure):
+    return make_set(structure.by_name.values())
+
+
 def compiled_eval(state, env, term):
-    """``eval_term``'s signature over the compiled path: ``env``'s variables
-    sit in the first slots of the closure's ``env``."""
-    compiler = interp._Compiler(state.structure)
-    compiler.slots = len(env)
-    fn = compiler.term(term, {name: slot for slot, name in enumerate(env)}, len(env))
-    return fn(_StepTables(state), list(env.values()) + [None] * (compiler.slots - len(env)))
+    """``eval_term``'s signature over the generated path: ``env``'s
+    variables are the step's free variables, its ``env`` their values."""
+    factory = interp._compile(term, tuple(env))
+    step = factory(_atoms(state.structure), {}, {})
+    return step(_StepTables(state), list(env.values()))
 
 
 def compiled_collect(state, env, rule):
-    """``collect_updates``' tree-walker signature over the compiled path."""
+    """``collect_updates``' tree-walker signature over the generated path."""
     assert not env, "compiled rules are closed"
-    compiler = interp._Compiler(state.structure)
-    step = compiler.rule(rule, {}, 0)
-    return interp.collect_updates(
-        step, _StepTables(state), [None] * compiler.slots, compiler.updates
-    )
+    updates = interp.Updates({})
+    step = interp._compile(rule)(_atoms(state.structure), {}, updates.maps)
+    return interp.collect_updates(step, _StepTables(state), [], updates)
 
 
 def triples(updates: interp.Updates) -> frozenset:
@@ -1065,33 +1206,30 @@ def triples(updates: interp.Updates) -> frozenset:
 
 def compiled_updates(updates) -> interp.Updates:
     """The (symbol, argument tuple, value) triples ``updates`` collected
-    in their order by compiled rules ``S(x1, ..., xk) := v``, one per
+    in their order by generated rules ``S(x1, ..., xk) := v``, one per
     symbol and arity, with the arguments and the value bound to their
     variables: a clash ends the collection, as it ends a step's."""
     updates = list(updates)
-    compiler = interp._Compiler(empty_structure(0))
-    compiler.slots = 3  # v, then up to two arguments
-    rules: dict = {}
+    collected = interp.Updates({})
+    steps: dict = {}
     for symbol, args, _ in updates:
-        if (symbol, len(args)) not in rules:
+        if (symbol, len(args)) not in steps:
             names = [f"x{i}" for i in range(len(args))]
-            scope = {"v": 0, **{name: i + 1 for i, name in enumerate(names)}}
             node = Update(symbol, tuple(map(Var, names)), Var("v"))
-            rules[symbol, len(args)] = compiler.update(node, scope, 1 + len(args))
+            factory = interp._compile(node, ("v", *names))
+            steps[symbol, len(args)] = factory(EMPTY, {}, collected.maps)
 
     def step(tables, env):
         for symbol, args, value in updates:
-            env[0] = value
-            env[1:1 + len(args)] = args
-            rules[symbol, len(args)](tables, env)
+            steps[symbol, len(args)](tables, [value, *args])
 
-    return interp.collect_updates(step, {}, [None] * compiler.slots, compiler.updates)
+    return interp.collect_updates(step, {}, [], collected)
 
 
-# each evaluator test checks the tree-walking oracle and the compiled path
+# each evaluator test checks the tree-walking oracle and the generated path
 EVALUATORS = (bgs_oracle.eval_term, compiled_eval)
 # each collector test fires the oracle's triples with the oracle's fire and
-# the compiled path's write maps with the interpreter's
+# the generated path's write maps with the interpreter's
 COLLECTORS = (
     (bgs_oracle.collect_updates, bgs_oracle.fire, frozenset),
     (compiled_collect, fire, triples),
@@ -1346,9 +1484,10 @@ _ONE_WRITE = (
 
 
 def _one_write_work(n: int, monkeypatch) -> tuple:
-    """The one-write program run for six steps on n atoms: the Python
-    calls each step makes while collecting its updates, and for each step
-    after the fill whether B kept its dict and how many B entries changed."""
+    """The one-write program run for six steps on n atoms: the calls of
+    Python and of C functions (such as a write map's ``setdefault``) each
+    step makes while collecting its updates, and for each step after the
+    fill whether B kept its dict and how many B entries changed."""
     prog = parse(_ONE_WRITE, "#steps 6\n#active 10 1\n")
     names = [f"a{i}" for i in range(n)]
     structure = InputStructure.build(names, relations={"First": [(names[n // 2],)]})
@@ -1361,7 +1500,7 @@ def _one_write_work(n: int, monkeypatch) -> tuple:
 
         def profile(frame, event, arg):
             nonlocal count
-            count += event == "call"
+            count += event in ("call", "c_call")
 
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -1393,8 +1532,8 @@ def test_one_write_step_costs_the_same_at_any_size(monkeypatch):
     """After B is filled over every atom, a step rewrites one B entry: the
     forall visits the First atom alone, through First's index, and fire
     writes that entry into B in place.  Work is counted, not timed: each
-    step after the fill makes as many Python calls at 10,000 atoms as at
-    100, keeps B's dict and changes one entry of it."""
+    step after the fill makes as many calls at 10,000 atoms as at 100,
+    keeps B's dict and changes one entry of it."""
     small_calls, small_writes = _one_write_work(100, monkeypatch)
     large_calls, large_writes = _one_write_work(10_000, monkeypatch)
     assert small_calls[1:] == large_calls[1:]
