@@ -36,6 +36,11 @@ decided() {
   na="$(grep '^rel InA/1:' "$1" | grep -o '(' | wc -l)"
   test "$verdict" = "$(if [ "$size" = "$na" ]; then echo yes; else echo no; fi)" || { echo "$1: verdict $verdict, but --max-size $size with |A| = $na"; exit 1; }
 }
+# lean PROFILE: the import profile PROFILE loads neither dataclasses nor
+# the inspect it brings in: no class of the package is a dataclass
+lean() {
+  if grep -E '\|\s*(dataclasses|inspect)\s*$' "$1"; then echo "$1: the command imported the modules above"; exit 1; fi
+}
 # agree M: solve det gives the matrix M one verdict by power and by gauss
 agree() {
   local power gauss
@@ -62,6 +67,9 @@ for g in sparse renamed-sparse path; do decided "$g.str"; done
 printf 'atoms: a b c d e\n' > five.str
 programs="$(python3 -c 'import importlib.resources as r; print(r.files("choiceless_lab") / "programs")')"
 choiceless-lab bgs run --program "$programs/parity.bgs" --input five.str | expect 'r["result"]["verdict"] == "accept"'
+PYTHONPROFILEIMPORTTIME=1 choiceless-lab bgs run --program "$programs/parity.bgs" --input five.str 2> bgs-imports.txt > /dev/null
+grep -qE 'choiceless_lab\.bgs\.interp\s*$' bgs-imports.txt || { echo "no import profile of bgs run:"; cat bgs-imports.txt; exit 1; }
+lean bgs-imports.txt
 python3 -c 'print("atoms: " + " ".join(f"a{i}" for i in range(3001)))' > many.str
 timeout 30 choiceless-lab bgs run --program "$programs/parity.bgs" --input many.str | expect 'r["result"]["verdict"] == "accept" and r["result"]["peak_active"] == 3002'
 printf '#steps 1\n#active 0 1\nN := 10000000\n' > literal.bgs
@@ -204,6 +212,7 @@ if grep -E 'choiceless_lab\.(bgs(\.\w+)?|linalg\.sampling|matching|cfi|multipede
 # flags are read from the command table, without argparse, with its
 # usage line and messages
 if grep -E '\|\s*argparse\s*$' det-imports.txt; then echo "solve det imported argparse"; exit 1; fi
+lean det-imports.txt
 choiceless-lab solve det --help > det-help.txt
 head -n 1 det-help.txt | grep -q '^usage: choiceless-lab solve det' || { echo "solve det --help printed:"; cat det-help.txt; exit 1; }
 exits 2 crt.json choiceless-lab solve det --matrix z.mat --method crt
@@ -212,6 +221,7 @@ expect 'r["error"]["message"] == "argument --method: invalid choice: '"'crt'"' (
 PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve matching --input g.str 2> matching-imports.txt > /dev/null
 grep -qE 'choiceless_lab\.matching\s*$' matching-imports.txt || { echo "no import profile of solve matching:"; cat matching-imports.txt; exit 1; }
 if grep -E 'choiceless_lab\.(bgs|linalg)(\.\w+)?\s*$' matching-imports.txt; then echo "solve matching imported the modules above"; exit 1; fi
+lean matching-imports.txt
 choiceless-lab gen matrix --n 3 --seed 1 --file zgen.mat
 head -n 1 zgen.mat | grep -qx 'ring Z'
 choiceless-lab solve det --matrix zgen.mat --prime-divisors | expect 'r["result"]["method"] == "crt"'
@@ -272,6 +282,9 @@ for shoe in s0 s1a; do
 done
 choiceless-lab gen cfi --m 3 --twist v1,v1 --pad --file c.str | expect 'r["result"]["twist_size"] == 1'
 same 'r["class"] == 1' '1:c 2:c' choiceless-lab solve cfi-classify --input @.str
+PYTHONPROFILEIMPORTTIME=1 choiceless-lab solve cfi-classify --input c.str 2> cfi-imports.txt > /dev/null
+grep -qE 'choiceless_lab\.cfi\s*$' cfi-imports.txt || { echo "no import profile of solve cfi-classify:"; cat cfi-imports.txt; exit 1; }
+lean cfi-imports.txt
 # the padded m = 4 gadget: 65,596 atoms on one line
 choiceless-lab gen cfi --m 4 --twist odd --pad --file c4.str > /dev/null
 timeout 5 choiceless-lab solve cfi-classify --input c4.str | expect 'r["result"]["class"] == 1'

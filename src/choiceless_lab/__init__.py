@@ -19,6 +19,7 @@ Subpackages and modules:
   determinant of an integer matrix.  The package re-exports nothing;
   each name is imported from the module that defines it.
 - ``cli``: the ``choiceless-lab`` command line front end.
+- ``record``: the one base of the classes that are equal by value.
 """
 
 __version__ = "0.1.0"

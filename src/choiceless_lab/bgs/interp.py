@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain
 
 from ..errors import ValidationError
@@ -93,6 +92,7 @@ from ..hfset import (  # the generated steps read most of these from here
     the_unique,
     union_all,
 )
+from ..record import Record
 from ..structures import InputStructure
 from .syntax import (
     App,
@@ -118,17 +118,17 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class State:
     """Input structure plus function tables (default ordinal 0): the
     dynamic ones, and while a run fires steps the input's as well.  Not a
     snapshot: ``fire`` writes a state's tables in place."""
 
-    structure: InputStructure
-    tables: dict = field(default_factory=dict)
-    # symbol -> {(argument position, by value): [index] over its table},
-    # each emptied by ``fire`` when it writes the symbol
-    indexes: dict = field(default_factory=dict)
+    def __init__(self, structure: InputStructure, tables=None, indexes=None):
+        self.structure = structure
+        self.tables = {} if tables is None else tables
+        # symbol -> {(argument position, by value): [index] over its table},
+        # each emptied by ``fire`` when it writes the symbol
+        self.indexes = {} if indexes is None else indexes
 
     def read(self, symbol: str, args: tuple) -> HfValue:
         table = self.tables.get(symbol)
@@ -692,15 +692,18 @@ def _accumulate_active(updates: Updates, active: set, ordinals: int) -> int:
     return ordinals
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """Verdict plus the resources the run consumed."""
+class RunOutcome(Record):
+    """Verdict plus the resources the run consumed; the final state is
+    neither compared nor shown."""
 
-    verdict: str  # "accept" | "reject" | "bound-exceeded"
-    steps: int
-    peak_active: int
-    output: int
-    final_state: State = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
+    _fields = ("verdict", "steps", "peak_active", "output")
+
+    def __init__(self, verdict: str, steps: int, peak_active: int, output: int, final_state=None):
+        self.verdict = verdict  # "accept" | "reject" | "bound-exceeded"
+        self.steps = steps
+        self.peak_active = peak_active
+        self.output = output
+        self.final_state = final_state
 
 
 def _vocabulary_check(program: Program, structure: InputStructure) -> None:

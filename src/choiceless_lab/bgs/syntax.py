@@ -18,8 +18,7 @@ in a Boolean position is a relation is checked when a run starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from ..record import Record
 
 __all__ = [
     "BUILTIN_ARITY",
@@ -62,65 +61,80 @@ BOOLEAN_BUILTINS = frozenset({"true", "false", "not", "and", "or", "eq", "in"})
 BOOLEAN_DYNAMICS = frozenset({"Halt", "Output"})
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(Record):
+    _fields = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple = ()
+class App(Record):
+    _fields = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple = ()):
+        self.symbol = symbol
+        self.args = args
 
 
-@dataclass(frozen=True)
-class Compr:
-    element: "Term"
-    var: str
-    source: "Term"
-    guard: "Term"
+class Compr(Record):
+    _fields = ("element", "var", "source", "guard")
+
+    def __init__(self, element: Term, var: str, source: Term, guard: Term):
+        self.element = element
+        self.var = var
+        self.source = source
+        self.guard = guard
 
 
-Term = Union[Var, Lit, App, Compr]
+Term = Var | Lit | App | Compr
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Update:
-    symbol: str
-    args: tuple
-    value: "Term"
+class Update(Record):
+    _fields = ("symbol", "args", "value")
+
+    def __init__(self, symbol: str, args: tuple, value: Term):
+        self.symbol = symbol
+        self.args = args
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Cond:
-    guard: "Term"
-    then_rule: "Rule"
-    else_rule: "Rule"
+class Cond(Record):
+    _fields = ("guard", "then_rule", "else_rule")
+
+    def __init__(self, guard: Term, then_rule: Rule, else_rule: Rule):
+        self.guard = guard
+        self.then_rule = then_rule
+        self.else_rule = else_rule
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    source: "Term"
-    body: "Rule"
+class Forall(Record):
+    _fields = ("var", "source", "body")
+
+    def __init__(self, var: str, source: Term, body: Rule):
+        self.var = var
+        self.source = source
+        self.body = body
 
 
-@dataclass(frozen=True)
-class Par:
-    rules: tuple
+class Par(Record):
+    _fields = ("rules",)
+
+    def __init__(self, rules: tuple):
+        self.rules = rules
 
 
-Rule = Union[Skip, Update, Cond, Forall, Par]
+Rule = Skip | Update | Cond | Forall | Par
 
 
 def poly_eval(coeffs, n: int) -> int:
@@ -133,14 +147,16 @@ def poly_eval(coeffs, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RunBounds:
+class RunBounds(Record):
     """Step and active-element budgets as coefficient vectors, plus the
     cardinality switch."""
 
-    steps: tuple
-    active: tuple
-    card_enabled: bool = False
+    _fields = ("steps", "active", "card_enabled")
+
+    def __init__(self, steps: tuple, active: tuple, card_enabled: bool = False):
+        self.steps = steps
+        self.active = active
+        self.card_enabled = card_enabled
 
     def max_steps(self, n: int) -> int:
         return poly_eval(self.steps, n)
@@ -149,7 +165,6 @@ class RunBounds:
         return poly_eval(self.active, n)
 
 
-@dataclass(frozen=True, eq=False)
 class Program:
     """A closed rule with budgets and its inferred symbol usage.
 
@@ -162,8 +177,16 @@ class Program:
     read-only.
     """
 
-    rule: Rule
-    bounds: RunBounds
-    dynamic_arity: Mapping[str, int] = field(default_factory=dict)
-    static_arity: Mapping[str, int] = field(default_factory=dict)
-    boolean_static_uses: frozenset = frozenset()
+    def __init__(
+        self,
+        rule: Rule,
+        bounds: RunBounds,
+        dynamic_arity,
+        static_arity,
+        boolean_static_uses: frozenset,
+    ):
+        self.rule = rule
+        self.bounds = bounds
+        self.dynamic_arity = dynamic_arity
+        self.static_arity = static_arity
+        self.boolean_static_uses = boolean_static_uses

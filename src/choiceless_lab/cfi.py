@@ -43,7 +43,6 @@ on the command line).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .structures import InputStructure, preorder_classes
@@ -70,14 +69,13 @@ STRUCTURE_MAX_M = 8
 _ARITIES = {"Adj": 2, "Pre": 2}
 
 
-@dataclass(frozen=True, eq=False)
 class BaseGraph:
     """Connected simple graph with a fixed linear order on its vertices."""
 
-    vertices: tuple
-    edges: frozenset  # of 2-element frozensets
+    def __init__(self, vertices: tuple, edges: frozenset):
+        self.vertices = vertices
+        self.edges = edges  # of 2-element frozensets
 
-    def __post_init__(self):
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise ValidationError("duplicate base vertices")

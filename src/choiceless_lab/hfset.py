@@ -31,8 +31,6 @@ example a member query on an atom) is to return ordinal 0.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
-
 __all__ = [
     "Atom",
     "HfSet",
@@ -86,7 +84,7 @@ class HfSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator["HfValue"]:
+    def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, value: "HfValue") -> bool:
@@ -124,13 +122,13 @@ class Ordinal(HfSet):
         return type(value) is Ordinal and value.n < self.n
 
 
-HfValue = Union[Atom, HfSet]
+HfValue = Atom | HfSet
 
 _INTERN: dict = {}  # member set -> the non-ordinal set with those members
 _ORDINALS: dict = {}  # n -> ordinal(n)
 
 
-def make_set(elems: Iterable[HfValue]) -> HfSet:
+def make_set(elems) -> HfSet:
     """Build the canonical set of the given values (duplicates collapse)."""
     key = frozenset(elems)
     found = _INTERN.get(key)
@@ -160,7 +158,7 @@ EMPTY = FALSE = ordinal(0)
 TRUE = ordinal(1)
 
 
-def ordinal_value(value: HfValue) -> Optional[int]:
+def ordinal_value(value: HfValue) -> int | None:
     """Decode a von Neumann ordinal to an int, or None for anything else."""
     return value.n if type(value) is Ordinal else None
 

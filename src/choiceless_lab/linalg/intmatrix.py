@@ -25,8 +25,6 @@ squared, so ``SCAN_MAX_WIDTH`` bounds n, and both guards run before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import GuardExceeded, ValidationError
 from .fields import zp
 # nonsingular_square is not called here: bench/tests/test_bench.py checks
@@ -44,13 +42,13 @@ SCAN_MAX_WIDTH = 256
 DET_MAX_WORK = 2_500_000_000_000
 
 
-@dataclass(frozen=True, eq=False)
 class IntMatrix:
     """Square integer matrix over I x I, stored sparsely."""
 
-    index_set: frozenset
-    entries: dict  # (i, j) -> nonzero int
-    digit_count: int  # the largest binary length of an entry, at least 1
+    def __init__(self, index_set: frozenset, entries: dict, digit_count: int):
+        self.index_set = index_set
+        self.entries = entries  # (i, j) -> nonzero int
+        self.digit_count = digit_count  # the largest binary length of an entry, at least 1
 
     @staticmethod
     def from_int_entries(entries: dict, index_set=None) -> "IntMatrix":

@@ -97,9 +97,9 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 
 from ..errors import ValidationError
+from ..record import Record
 from .fields import FiniteField
 
 __all__ = [
@@ -116,20 +116,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
+class FieldMatrix(Record):
     """A total map ``rows x cols -> field``; zero entries may be omitted."""
 
-    field: FiniteField
-    rows: frozenset
-    cols: frozenset
-    entries: dict
+    _fields = ("field", "rows", "cols", "entries")
 
-    def __post_init__(self):
+    def __init__(self, field: FiniteField, rows: frozenset, cols: frozenset, entries: dict):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
         # equal maps have equal entry dicts: zero entries are never stored,
         # and a dict that holds none is kept as given
-        if not all(self.entries.values()):
-            object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
+        self.entries = entries if all(entries.values()) else {k: v for k, v in entries.items() if v}
 
     @property
     def square(self) -> bool:

@@ -57,10 +57,10 @@ and return graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .structures import InputStructure, collector_paused
 from .errors import ValidationError
+from .record import Record
 
 __all__ = [
     "BipartiteGraph",
@@ -76,15 +76,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Two disjoint vertex sets with edges from the first to the second."""
 
-    a_side: frozenset
-    b_side: frozenset
-    edges: frozenset  # pairs (a, b)
+    def __init__(self, a_side: frozenset, b_side: frozenset, edges: frozenset):
+        self.a_side = a_side
+        self.b_side = b_side
+        self.edges = edges  # pairs (a, b)
 
-    def __post_init__(self):
         if self.a_side & self.b_side:
             raise ValidationError("the two sides must be disjoint")
         bad = [(a, b) for a, b in self.edges if a not in self.a_side or b not in self.b_side]
@@ -96,12 +95,14 @@ class BipartiteGraph:
         return BipartiteGraph(frozenset(a_side), frozenset(b_side), frozenset(edges))
 
 
-@dataclass(frozen=True)
-class StableColoring:
+class StableColoring(Record):
     """Ordered partitions of both sides with uniform cross-block degrees."""
 
-    a_blocks: tuple  # of frozensets
-    b_blocks: tuple
+    _fields = ("a_blocks", "b_blocks")
+
+    def __init__(self, a_blocks: tuple, b_blocks: tuple):
+        self.a_blocks = a_blocks  # of frozensets
+        self.b_blocks = b_blocks
 
 
 def path_algorithm(graph: BipartiteGraph, order) -> tuple:

@@ -57,7 +57,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .structures import InputStructure, preorder_classes
@@ -84,16 +83,18 @@ __all__ = [
 STRUCTURE_MAX_TUPLES = 500_000
 
 
-@dataclass(frozen=True, eq=False)
 class Multipede2:
     """Two-sorted structure: segments, feet, the foot-to-segment map, the
     hyperedges and the positive triples."""
 
-    segments: tuple
-    feet: tuple
-    segment_of: dict  # foot -> segment
-    hyperedges: frozenset  # of 3-element frozensets of segments
-    positives: frozenset  # of 3-element frozensets of feet
+    def __init__(
+        self, segments: tuple, feet: tuple, segment_of: dict, hyperedges: frozenset, positives: frozenset
+    ):
+        self.segments = segments
+        self.feet = feet
+        self.segment_of = segment_of  # foot -> segment
+        self.hyperedges = hyperedges  # of 3-element frozensets of segments
+        self.positives = positives  # of 3-element frozensets of feet
 
     def feet_of(self, segment) -> tuple:
         """The two feet of a segment, in the auxiliary (name) order."""
@@ -107,13 +108,23 @@ class Multipede2:
         return {s: tuple(feet) for s, feet in by_segment.items()}
 
 
-@dataclass(frozen=True, eq=False)
 class Multipede3(Multipede2):
     """A 2-multipede with a linear order on segments and, when shod, the
     shoe: a foot that ``validate`` requires on the first segment."""
 
-    segment_order: tuple = ()
-    shoe: str | None = None
+    def __init__(
+        self,
+        segments: tuple,
+        feet: tuple,
+        segment_of: dict,
+        hyperedges: frozenset,
+        positives: frozenset,
+        segment_order: tuple = (),
+        shoe: str | None = None,
+    ):
+        super().__init__(segments, feet, segment_of, hyperedges, positives)
+        self.segment_order = segment_order
+        self.shoe = shoe
 
     @property
     def first_segment(self):
@@ -225,7 +236,8 @@ def shoe_expansions(m3: Multipede3):
     """The two shod versions of a 3-multipede (one per foot of the first
     segment)."""
     f1, f2 = m3.feet_of(m3.first_segment)
-    return replace(m3, shoe=f1), replace(m3, shoe=f2)
+    fields = m3.segments, m3.feet, m3.segment_of, m3.hyperedges, m3.positives, m3.segment_order
+    return Multipede3(*fields, f1), Multipede3(*fields, f2)
 
 
 def _triple_at(rank: int, n: int) -> tuple:

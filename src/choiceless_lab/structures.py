@@ -51,7 +51,6 @@ import itertools
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ParseError, ValidationError, read_decimal
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class InputStructure:
     """Atom names in listing order, plus relation and function
     interpretations over those names.
@@ -76,10 +74,11 @@ class InputStructure:
     :meth:`build`, which checks what the fields promise.
     """
 
-    atoms: tuple
-    relations: dict
-    functions: dict
-    arities: dict
+    def __init__(self, atoms: tuple, relations: dict, functions: dict, arities: dict):
+        self.atoms = atoms
+        self.relations = relations
+        self.functions = functions
+        self.arities = arities
 
     @functools.cached_property
     def by_name(self) -> dict:

@@ -12,7 +12,7 @@ import math
 import random
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -645,7 +645,9 @@ def flip_feet(m, segments_to_flip):
         else:
             swap[f1], swap[f2] = f1, f2
     positives = frozenset(frozenset(swap[f] for f in p) for p in m.positives)
-    return replace(m, positives=positives)
+    return Multipede3(
+        m.segments, m.feet, m.segment_of, m.hyperedges, positives, m.segment_order, m.shoe
+    )
 
 
 # ------------------------------------------------ the atom-making reader

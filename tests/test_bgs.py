@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import json
@@ -1702,6 +1701,13 @@ def test_doubling_program_exceeds_active_bound():
     assert outcome.steps <= 4
 
 
+def _with_bounds(program: Program, bounds: RunBounds) -> Program:
+    """The program with other run budgets."""
+    return Program(
+        program.rule, bounds, program.dynamic_arity, program.static_arity, program.boolean_static_uses
+    )
+
+
 def test_bound_monotonicity():
     prog = load_builtin_program("parity")
     for n in (4, 7):
@@ -1711,12 +1717,12 @@ def test_bound_monotonicity():
             tuple(c * 10 for c in prog.bounds.active),
             card_enabled=True,
         )
-        again = run(dataclasses.replace(prog, bounds=wide), empty_structure(n))
+        again = run(_with_bounds(prog, wide), empty_structure(n))
         assert again.verdict == base.verdict
         assert again.steps == base.steps
     doubling = load_builtin_program("doubling")
     raised = RunBounds((2000,), (0, 4), card_enabled=False)
-    raised_run = run(dataclasses.replace(doubling, bounds=raised), empty_structure(6))
+    raised_run = run(_with_bounds(doubling, raised), empty_structure(6))
     assert raised_run.verdict == "bound-exceeded"
 
 

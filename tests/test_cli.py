@@ -14,7 +14,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -925,7 +924,15 @@ def _broken_multipede_text() -> str:
     for h in sorted(m.hyperedges, key=sorted)[:4]:
         on_h = [p for p in positives if {m.segment_of[f] for f in p} == h]
         positives.remove(min(on_h, key=sorted))
-    broken = replace(m, positives=frozenset(positives), shoe=m.feet_of(m.first_segment)[0])
+    broken = multipede.Multipede3(
+        m.segments,
+        m.feet,
+        m.segment_of,
+        m.hyperedges,
+        frozenset(positives),
+        m.segment_order,
+        m.feet_of(m.first_segment)[0],
+    )
     return write_structure(multipede.to_structure(broken))
 
 
@@ -1704,7 +1711,15 @@ def test_no_collection_starts_inside_a_large_handler(tmp_path, capsys, monkeypat
     starts while their handlers run (without the pause, six start while the
     multipede pair is decided)."""
     pede = multipede.random_multipede(150, 225, 5)
-    shod = replace(pede, shoe=pede.feet_of(pede.first_segment)[0])
+    shod = multipede.Multipede3(
+        pede.segments,
+        pede.feet,
+        pede.segment_of,
+        pede.hyperedges,
+        pede.positives,
+        pede.segment_order,
+        pede.feet_of(pede.first_segment)[0],
+    )
     a, b, gadget = tmp_path / "a.str", tmp_path / "b.str", tmp_path / "c4.str"
     a.write_text(write_structure(multipede.to_structure(shod)))
     flipped = flip_feet(shod, pede.segment_order[1::2])

@@ -8,7 +8,6 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +65,12 @@ def pede_from(segments, hyperedges, seed=0, order=None) -> Multipede3:
         frozenset(positives),
         tuple(order or segments),
     )
+
+
+def _carrier(m) -> tuple:
+    """The segments, feet, foot-to-segment map and hyperedges of ``m``: the
+    first four arguments of a multipede built from it."""
+    return m.segments, m.feet, m.segment_of, m.hyperedges
 
 
 # ------------------------------------------------------------- validation
@@ -219,7 +224,9 @@ def mutated_multipedes(draw) -> Multipede3:
             stray = f"stray{len(segment_of)}"
             segment_of[stray] = segment_of[f]
             positives.add(p - {f} | {stray})
-    return replace(m, positives=frozenset(positives), segment_of=segment_of)
+    return Multipede3(
+        m.segments, m.feet, segment_of, m.hyperedges, frozenset(positives), m.segment_order, m.shoe
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -370,7 +377,7 @@ def test_iso3_dependent_rows_twist_no():
         m.segments, m.feet, m.segment_of, m.hyperedges, others | swapped, m.segment_order
     )
     a, _ = shoe_expansions(m)
-    b = replace(twisted, shoe=a.shoe)
+    b = Multipede3(*_carrier(twisted), twisted.positives, twisted.segment_order, a.shoe)
     assert validate(b) == []
     assert not iso3_decide(a, b)
     assert not brute_force_iso(a, b)
@@ -420,9 +427,12 @@ def test_shoe_must_sit_on_first_segment():
     m = random_multipede(5, 4, seed=9)
     other_seg_foot = m.feet_of(m.segment_order[1])[0]
     first = m.first_segment
-    assert validate(replace(m, shoe=other_seg_foot)) == [("shoe-segment", other_seg_foot)]
-    assert validate(replace(m, shoe=first)) == [("shoe-foot", first)]
-    assert validate(replace(m, shoe=m.feet_of(first)[1])) == []
+    def shod(shoe):
+        return Multipede3(*_carrier(m), m.positives, m.segment_order, shoe)
+
+    assert validate(shod(other_seg_foot)) == [("shoe-segment", other_seg_foot)]
+    assert validate(shod(first)) == [("shoe-foot", first)]
+    assert validate(shod(m.feet_of(first)[1])) == []
 
 
 # ------------------------------------------------------------ structure io
@@ -557,7 +567,7 @@ def twist(m: Multipede3, hyperedges) -> Multipede3:
         club = {p for p in positives if {m.segment_of[f] for f in p} == h}
         positives -= club
         positives |= {frozenset({f2 if f == f1 else f1 if f == f2 else f for f in p}) for p in club}
-    return replace(m, positives=frozenset(positives))
+    return Multipede3(*_carrier(m), frozenset(positives), m.segment_order, m.shoe)
 
 
 def rename(m: Multipede3, rng: random.Random) -> Multipede3:

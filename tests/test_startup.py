@@ -18,13 +18,14 @@ from choiceless_lab.cli import EXIT_OK, dispatch
 
 from helpers import run_child
 
-# dispatch argv, then print the package modules loaded, and argparse if it
-# was, as the last line
+# dispatch argv, then print the package modules loaded, and argparse,
+# dataclasses and inspect if they were, as the last line
 _DISPATCH = """
 import json, sys
 from choiceless_lab import cli
 code, _ = cli.dispatch(sys.argv[1:])
-loaded = [m for m in sys.modules if m.startswith("choiceless_lab") or m == "argparse"]
+barred = {"argparse", "dataclasses", "inspect"}
+loaded = [m for m in sys.modules if m.startswith("choiceless_lab") or m in barred]
 print(json.dumps([code, sorted(loaded)]))
 """
 
@@ -116,6 +117,9 @@ def test_command_loads_only_what_it_runs(case, inputs):
     assert needed <= modules
     assert _within(modules, barred) == set()
     assert "argparse" not in modules  # flags are read from the command table
+    # no class is a dataclass: dataclasses imports inspect, which cost
+    # most of a command's start-up
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 # __main__ runs the command line when imported, so it is left out
