@@ -22,9 +22,9 @@ means one thing for the whole run.
 
 The rule then runs as generated Python.  The first run of a program in a
 process writes the source of one factory function for its rule and
-compiles it, 1.6 ms for power.bgs on a 2-core VM; the factory is kept as
-long as the program is, and ``parse_program`` returns one program per
-text, so a later run of the same text neither parses nor generates.  Each
+compiles it, 1.6 ms for power.bgs on a 2-core VM; the parsed program
+holds the factory, and ``parse_program`` returns one program per text,
+so a later run of the same text neither parses nor generates.  Each
 run calls the factory with its atoms, its index cells and its write maps,
 and gets its step, ``step(tables, env)``.  A step first takes each
 symbol's table from ``tables``, the one dict of tables it is handed: the
@@ -74,7 +74,6 @@ Exhausting either budget yields the bound-exceeded verdict.
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from itertools import chain
 
@@ -564,17 +563,6 @@ def _compile(node, free: tuple = ()):
     return namespace["factory"]
 
 
-_FACTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # program -> factory
-
-
-def _factory(program: Program):
-    """The factory of a program's rule, compiled at its first run."""
-    factory = _FACTORIES.get(program)
-    if factory is None:
-        factory = _FACTORIES[program] = _compile(program.rule)
-    return factory
-
-
 def _index(cell: list, table: dict, p: int, by_value: bool, atoms) -> list:
     """``cell`` holding the index of ``table`` for a binder at argument
     ``p``: its atoms at ``p`` by the other arguments and the value (or
@@ -763,7 +751,10 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
 
     state = State(structure, tables)
     updates = Updates({})  # the run's write maps
-    step = _factory(program)(make_set(structure.by_name.values()), state.indexes, updates.maps)
+    factory = program.factory
+    if factory is None:  # the program's first run
+        factory = program.factory = _compile(program.rule)
+    step = factory(make_set(structure.by_name.values()), state.indexes, updates.maps)
     env: list = []  # a program's rule reads no free variable
     active: set = set()  # the active non-ordinals
     ordinals = 0  # the active ordinals are 0, ..., ordinals - 1

@@ -64,15 +64,9 @@ BOOLEAN_DYNAMICS = frozenset({"Halt", "Output"})
 class Var(Record):
     _fields = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
 
 class Lit(Record):
     _fields = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
 
 
 class App(Record):
@@ -86,12 +80,6 @@ class App(Record):
 class Compr(Record):
     _fields = ("element", "var", "source", "guard")
 
-    def __init__(self, element: Term, var: str, source: Term, guard: Term):
-        self.element = element
-        self.var = var
-        self.source = source
-        self.guard = guard
-
 
 Term = Var | Lit | App | Compr
 
@@ -103,35 +91,17 @@ class Skip(Record):
 class Update(Record):
     _fields = ("symbol", "args", "value")
 
-    def __init__(self, symbol: str, args: tuple, value: Term):
-        self.symbol = symbol
-        self.args = args
-        self.value = value
-
 
 class Cond(Record):
     _fields = ("guard", "then_rule", "else_rule")
-
-    def __init__(self, guard: Term, then_rule: Rule, else_rule: Rule):
-        self.guard = guard
-        self.then_rule = then_rule
-        self.else_rule = else_rule
 
 
 class Forall(Record):
     _fields = ("var", "source", "body")
 
-    def __init__(self, var: str, source: Term, body: Rule):
-        self.var = var
-        self.source = source
-        self.body = body
-
 
 class Par(Record):
     _fields = ("rules",)
-
-    def __init__(self, rules: tuple):
-        self.rules = rules
 
 
 Rule = Skip | Update | Cond | Forall | Par
@@ -174,7 +144,9 @@ class Program:
     Boolean positions and therefore must be relations in any structure the
     program runs on.  A program is equal only to itself: ``parse_program``
     returns one program per text to every caller, with both maps
-    read-only.
+    read-only.  ``factory`` is ``None`` until the program's first run
+    stores there the step factory it generates and compiles, so a program
+    holds its factory for as long as it lives.
     """
 
     def __init__(
@@ -190,3 +162,4 @@ class Program:
         self.dynamic_arity = dynamic_arity
         self.static_arity = static_arity
         self.boolean_static_uses = boolean_static_uses
+        self.factory = None

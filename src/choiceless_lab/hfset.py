@@ -37,7 +37,6 @@ __all__ = [
     "HfValue",
     "Ordinal",
     "EMPTY",
-    "FALSE",
     "TRUE",
     "make_set",
     "pair",
@@ -154,7 +153,7 @@ def ordinal(n: int) -> Ordinal:
     return found
 
 
-EMPTY = FALSE = ordinal(0)
+EMPTY = ordinal(0)
 TRUE = ordinal(1)
 
 

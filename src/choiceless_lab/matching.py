@@ -98,11 +98,7 @@ class BipartiteGraph:
 class StableColoring(Record):
     """Ordered partitions of both sides with uniform cross-block degrees."""
 
-    _fields = ("a_blocks", "b_blocks")
-
-    def __init__(self, a_blocks: tuple, b_blocks: tuple):
-        self.a_blocks = a_blocks  # of frozensets
-        self.b_blocks = b_blocks
+    _fields = ("a_blocks", "b_blocks")  # tuples of frozensets
 
 
 def path_algorithm(graph: BipartiteGraph, order) -> tuple:

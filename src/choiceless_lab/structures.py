@@ -49,7 +49,6 @@ import functools
 import gc
 import itertools
 import re
-import string
 from collections import Counter
 from operator import itemgetter
 
@@ -226,7 +225,7 @@ def preorder_classes(pairs):
     return classes
 
 
-_NAME_BYTES = (string.ascii_letters + string.digits + "_.+-").encode()
+_NAME_BYTES = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*$")
 _SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
 _SEPARATORS = str.maketrans("(),", "   ")

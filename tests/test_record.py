@@ -4,18 +4,22 @@ Each value-equal class of the package is a ``Record``.  Its twin here is a
 frozen dataclass of the same name and fields, and the two must agree on
 ``==``, ``!=``, ``hash`` and ``repr`` over random field values.  The
 identity-equal classes are equal only to themselves, as ``eq=False``
-dataclasses were.
+dataclasses were.  A record takes its field values positionally, and a
+class with no constructor of its own rejects a wrong count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import choiceless_lab
 from choiceless_lab.bgs.interp import RunOutcome, State
 from choiceless_lab.bgs.syntax import (
     App,
@@ -36,6 +40,7 @@ from choiceless_lab.linalg.intmatrix import IntMatrix
 from choiceless_lab.linalg.matrix import FieldMatrix
 from choiceless_lab.matching import BipartiteGraph, StableColoring
 from choiceless_lab.multipede import Multipede2, Multipede3, random_multipede
+from choiceless_lab.record import Record
 from choiceless_lab.structures import InputStructure
 
 _VALUE_CLASSES = (
@@ -104,6 +109,51 @@ def test_run_outcome_equality_ignores_the_final_state(fields, s, t):
     a, b = RunOutcome(*fields, s), RunOutcome(*fields, t)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.final_state == s and "final_state" not in repr(a)
+
+
+def _records() -> list:
+    """Every ``Record`` subclass in the package, each module imported."""
+    for info in pkgutil.walk_packages(choiceless_lab.__path__, "choiceless_lab."):
+        if info.name != "choiceless_lab.__main__":  # it runs the command line
+            importlib.import_module(info.name)
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("choiceless_lab.") and cls not in found:
+                found.append(cls)
+                todo.append(cls)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+_RECORDS = _records()
+_SHARED = [cls for cls in _RECORDS if "__init__" not in vars(cls)]
+
+
+def test_only_records_that_do_more_than_assign_write_a_constructor():
+    assert set(_RECORDS) >= {*_VALUE_CLASSES, FieldMatrix}
+    assert set(_RECORDS) - set(_SHARED) == {App, RunBounds, RunOutcome, FieldMatrix}
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__qualname__)
+def test_a_record_built_positionally_holds_its_values_in_field_order(cls):
+    values = tuple(object() for _ in cls._fields)
+    extra = ()
+    if cls is FieldMatrix:  # nonzero entries, which it keeps as given
+        values = (zp(3), frozenset({0}), frozenset({1}), {(0, 1): 2})
+    elif cls is RunOutcome:
+        extra = (object(),)
+    record = cls(*values, *extra)
+    assert record._values() == values
+    if extra:
+        assert record.final_state is extra[0]
+
+
+@pytest.mark.parametrize("cls", _SHARED, ids=lambda cls: cls.__qualname__)
+def test_the_shared_constructor_rejects_a_wrong_count(cls):
+    n = len(cls._fields)
+    for count in (n - 1, n + 1) if n else (1,):
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__} takes {n} values, got {count}$"):
+            cls(*range(count))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,12 +19,12 @@ from choiceless_lab.cli import EXIT_OK, dispatch
 from helpers import run_child
 
 # dispatch argv, then print the package modules loaded, and argparse,
-# dataclasses and inspect if they were, as the last line
+# dataclasses, inspect and string if they were, as the last line
 _DISPATCH = """
 import json, sys
 from choiceless_lab import cli
 code, _ = cli.dispatch(sys.argv[1:])
-barred = {"argparse", "dataclasses", "inspect"}
+barred = {"argparse", "dataclasses", "inspect", "string"}
 loaded = [m for m in sys.modules if m.startswith("choiceless_lab") or m in barred]
 print(json.dumps([code, sorted(loaded)]))
 """
@@ -120,6 +120,8 @@ def test_command_loads_only_what_it_runs(case, inputs):
     # no class is a dataclass: dataclasses imports inspect, which cost
     # most of a command's start-up
     assert "dataclasses" not in modules and "inspect" not in modules
+    # the structure reader spells out its name characters
+    assert "string" not in modules
 
 
 # __main__ runs the command line when imported, so it is left out
