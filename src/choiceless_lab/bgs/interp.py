@@ -26,7 +26,8 @@ compiles it, 1.6 ms for power.bgs on a 2-core VM; the parsed program
 holds the factory, and ``parse_program`` returns one program per text,
 so a later run of the same text neither parses nor generates.  Each
 run calls the factory with its atoms, its index cells and its write maps,
-and gets its step, ``step(tables, env)``.  A step first takes each
+and gets its step, ``step(tables)``.  A program's rule is closed, so the
+step reads no variable bound outside it.  A step first takes each
 symbol's table from ``tables``, the one dict of tables it is handed: the
 input's relations and functions, made into tables once per run over the
 structure's ``by_name`` atoms (a relation reads 1 at its tuples), and
@@ -136,11 +137,6 @@ class State:
         return table.get(args, EMPTY)
 
 
-def _as_flag(value: HfValue) -> int:
-    """Interpret a value as a truth flag: 1 for ordinal 1, 0 otherwise."""
-    return 1 if value is TRUE else 0
-
-
 _NO_TABLE: dict = {}  # the table of a dynamic symbol not yet written; never written
 
 # how deep one generated function may nest before a rule or term goes into
@@ -157,7 +153,7 @@ _BUILTINS = {"Union": "union_all", "TheUnique": "the_unique", "Card": "card", "P
 
 
 class _Generator:
-    """Writes the source of the factory of one rule or term: see
+    """Writes the source of the factory of one closed rule: see
     :func:`_generate`.  Terms become Python expressions, written after
     the lines that compute their parts; a guard becomes an expression
     that is true exactly when the term reads 1, with no truth value
@@ -525,27 +521,19 @@ def _without_first_conjunct(guard):
     return right if rest == App("true") else App("and", (rest, right))
 
 
-def _generate(node, free: tuple = ()) -> str:
-    """The source of ``factory(atoms, indexes, maps)`` for a rule or a term.
+def _generate(rule) -> str:
+    """The source of ``factory(atoms, indexes, maps)`` for a closed rule.
 
     The factory takes a run's atoms, its ``State.indexes`` (for an index
     cell per symbol read through an index) and its write maps (one per
-    symbol the rule updates), and returns ``step(tables, env)``.  A rule's
-    step writes its updates into the write maps and raises ``_Clash`` at
-    a second value for a location; a term's step returns its value.
-    ``free`` names the variables the node may read unbound, which ``env``
-    holds in that order; a program's rule is closed, and ``env`` empty."""
+    symbol the rule updates), and returns ``step(tables)``, which writes
+    the rule's updates into the write maps and raises ``_Clash`` at a
+    second value for a location."""
     gen = _Generator()
-    scope = {name: f"b{i}" for i, name in enumerate(free)}
-    if free:
-        gen.emit(f"{', '.join(scope.values())}, = env")
-    if isinstance(node, (Var, Lit, App, Compr)):
-        gen.emit(f"return {gen.term(node, scope, len(free))}")
-    else:
-        gen.rule(node, scope, len(free))
+    gen.rule(rule, {}, 0)
     lines = ["def factory(atoms, indexes, maps):", "    atom_members = atoms.members"]
     lines += [f"    {line}" for line in gen.prelude]
-    lines.append("    def step(tables, env):")
+    lines.append("    def step(tables):")
     lines += [f"        {name} = tables[{symbol!r}]" for symbol, name in gen.tables.items()]
     for name, params, body in gen.helpers:
         lines.append(f"        def {name}({params}):")
@@ -555,11 +543,11 @@ def _generate(node, free: tuple = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile(node, free: tuple = ()):
-    """The factory of a rule or a term (see :func:`_generate`), compiled.
+def _compile(rule):
+    """The factory of a closed rule (see :func:`_generate`), compiled.
     Its names other than its own resolve in this module when it runs."""
     namespace: dict = {}
-    exec(compile(_generate(node, free), "<set-machine step>", "exec"), globals(), namespace)
+    exec(compile(_generate(rule), "<set-machine step>", "exec"), globals(), namespace)
     return namespace["factory"]
 
 
@@ -598,7 +586,7 @@ class Updates:
         return sum(map(len, self.maps.values()))
 
 
-def collect_updates(step, tables: dict, env: list, updates: Updates) -> Updates:
+def collect_updates(step, tables: dict, updates: Updates) -> Updates:
     """One step's updates: ``updates`` emptied, then written by the
     generated ``step`` run on the pre-step tables, each update into
     its symbol's write map.  A clash ends the collection and marks the
@@ -609,7 +597,7 @@ def collect_updates(step, tables: dict, env: list, updates: Updates) -> Updates:
             written.clear()
     updates.clash = False
     try:
-        step(tables, env)
+        step(tables)
     except _Clash:
         updates.clash = True
     return updates
@@ -755,7 +743,6 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
     if factory is None:  # the program's first run
         factory = program.factory = _compile(program.rule)
     step = factory(make_set(structure.by_name.values()), state.indexes, updates.maps)
-    env: list = []  # a program's rule reads no free variable
     active: set = set()  # the active non-ordinals
     ordinals = 0  # the active ordinals are 0, ..., ordinals - 1
     steps = 0
@@ -766,7 +753,7 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
         if steps >= max_steps:
             verdict = "bound-exceeded"
             break
-        updates = collect_updates(step, tables, env, updates)
+        updates = collect_updates(step, tables, updates)
         new_state = fire(state, updates)
         steps += 1
         if new_state is not state:
@@ -775,6 +762,6 @@ def run(program: Program, structure: InputStructure) -> RunOutcome:
             if len(active) + ordinals > max_active:
                 verdict = "bound-exceeded"
                 break
-    output = _as_flag(state.read("Output", ()))
+    output = 1 if state.read("Output", ()) is TRUE else 0
     written = {s: tables[s] for s in program.dynamic_arity if tables[s] is not _NO_TABLE}
     return RunOutcome(verdict, steps, len(active) + ordinals, output, State(structure, written))

@@ -82,13 +82,15 @@ against ``n**2 log2 q`` for the order, and the number of products follows
 the bit length: powers run by left-to-right sliding windows (Knuth, TAOCP
 vol. 2, 4.6.3) of at most w digits, which take about ``bits + bits / (w +
 1) + 2**(w - 1)`` products, with w in 1..5 the least of that for the bit
-length, or by the binary method when the exponent has too few 1 digits
-for windows to be sure of fewer.  The ordered Gaussian routines live
-alongside as the independent oracle and as ``solve det --method gauss``;
-rank, solve and the frequency experiment share one forward elimination,
-:func:`echelon`, over the row operation the field supplies.  GF(2) rows
-packed as ints are eliminated by :func:`_bitrow_pivots`, whose pivots the
-frequency experiment and the multipede decisions read.
+length, or w = 1 when the exponent has too few 1 digits for windows to
+be sure of fewer.  Windows of w = 1 are the binary method: a square per
+digit and a product by the base at each 1.  The ordered Gaussian
+routines live alongside as the independent oracle and as ``solve det
+--method gauss``; rank, solve and the frequency experiment share one
+forward elimination, :func:`echelon`, over the row operation the field
+supplies.  GF(2) rows packed as ints are eliminated by
+:func:`_bitrow_pivots`, whose pivots the frequency experiment and the
+multipede decisions read.
 """
 
 from __future__ import annotations
@@ -291,18 +293,13 @@ class _Layout:
             count = len(row_index) * d * s
             slots = packed.to_bytes(count * w // 8, "little")
             slots = struct.unpack(f"<{count}H", slots) if w == 16 else slots
-        if d == 1:
-            entries = {
-                (row_index[t // s], col_index[t % s]): v for t, v in enumerate(slots) if v
-            }
-        else:
-            p = self.field.characteristic
-            entries = {}
-            for t, v in enumerate(slots):
-                if v and not t % s % d:
-                    r, c = divmod(t, s)
-                    key = row_index[r // d], col_index[c // d]
-                    entries[key] = entries.get(key, 0) + v * p ** (r % d)
+        p = self.field.characteristic
+        entries = {}
+        for t, v in enumerate(slots):
+            if v and not t % s % d:
+                r, c = divmod(t, s)
+                key = row_index[r // d], col_index[c // d]
+                entries[key] = entries.get(key, 0) + v * p ** (r % d)
         return FieldMatrix(self.field, frozenset(row_index), frozenset(col_index), entries)
 
 
@@ -338,23 +335,20 @@ def _square_and_multiply(mul, base, r: int):
     significant, in windows of at most w digits that start and end with a
     1.  Windows start at least w digits apart, so they take at most
     ``2**(w - 1) + bits + ceil(bits / w) - 2`` products; when that is more
-    than the binary method's ``bits + ones - 2``, w = 1: the binary
-    method, a plain left-to-right digit loop making the same products in
-    the same order, so no ``r`` takes more."""
+    than the binary method's ``bits + ones - 2``, w = 1.  With w = 1 the
+    windows are the single 1 digits and no odd power is made: that is the
+    binary method, a square per digit after the first and a product by
+    the base at each 1, so no ``r`` takes more."""
     bits = format(r, "b")
     # the w in 1..5 where bits / (w + 1) + 2**(w - 1) is least
     w = 1 + sum(len(bits) > bound for bound in (6, 24, 80, 240))
-    if w == 1 or 2 ** (w - 1) - (-len(bits) // w) > r.bit_count():
-        power = base
-        for digit in bits[1:]:
-            power = mul(power, power)
-            if digit == "1":
-                power = mul(power, base)
-        return power
+    if 2 ** (w - 1) - (-len(bits) // w) > r.bit_count():
+        w = 1
     odd = {"1": base}  # base**v at v's digits, for odd v below 2**w
-    square, power = mul(base, base), base
-    for v in range(3, 2**w, 2):
-        odd[format(v, "b")] = power = mul(power, square)
+    if w > 1:
+        square, power = mul(base, base), base
+        for v in range(3, 2**w, 2):
+            odd[format(v, "b")] = power = mul(power, square)
     done = bits.rfind("1", 0, w) + 1
     power = odd[bits[:done]]
     while (start := bits.find("1", done)) >= 0:

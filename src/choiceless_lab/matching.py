@@ -50,13 +50,11 @@ time, and it never leaves this module.  The flow starts from a greedy pass
 over the linked pairs, which leaves few augmenting paths to search.  The
 refinement and the flow build only numbers and flat containers of them,
 so no cycle can form, and they run with the cyclic collector paused.
-``saturate`` and ``quotient`` compute the coloring of the graph they get,
-and return graphs.
+``quotient`` computes the coloring of the graph it gets, and returns a
+graph.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .structures import InputStructure, collector_paused
 from .errors import ValidationError
@@ -67,7 +65,6 @@ __all__ = [
     "StableColoring",
     "path_algorithm",
     "stable_coloring",
-    "saturate",
     "quotient",
     "decide_complete_matching",
     "max_matching_size",
@@ -368,17 +365,6 @@ def stable_coloring(graph: BipartiteGraph) -> StableColoring:
     return StableColoring(
         *(tuple(frozenset(map(names.__getitem__, block)) for block in side) for side in blocks)
     )
-
-
-def saturate(graph: BipartiteGraph) -> BipartiteGraph:
-    """The graph with its edge relation completed to full block products
-    wherever it meets a pair of blocks of the graph's stable coloring."""
-    names, (a_blocks, b_blocks), linked = _refine(graph)
-    name = names.__getitem__
-    out: set = set()
-    for i, j in linked:
-        out.update(itertools.product(map(name, a_blocks[i]), map(name, b_blocks[j])))
-    return BipartiteGraph(graph.a_side, graph.b_side, frozenset(out))
 
 
 def quotient(graph: BipartiteGraph) -> BipartiteGraph:

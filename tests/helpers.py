@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,11 +13,25 @@ from typing import NamedTuple
 import choiceless_lab
 from choiceless_lab.cfi import build_twisted, complete_graph
 from choiceless_lab.linalg import intmatrix
+from choiceless_lab.matching import BipartiteGraph, stable_coloring
 from choiceless_lab.structures import InputStructure
 
 
 def empty_structure(n: int) -> InputStructure:
     return InputStructure.build([f"a{i}" for i in range(n)])
+
+
+def saturate(graph: BipartiteGraph) -> BipartiteGraph:
+    """The graph with its edge relation completed to full block products
+    wherever it meets a pair of blocks of the graph's stable coloring."""
+    coloring = stable_coloring(graph)
+    a_block, b_block = (
+        {v: block for block in blocks for v in block}
+        for blocks in (coloring.a_blocks, coloring.b_blocks)
+    )
+    linked = {(a_block[a], b_block[b]) for a, b in graph.edges}
+    edges = frozenset(edge for blocks in linked for edge in itertools.product(*blocks))
+    return BipartiteGraph(graph.a_side, graph.b_side, edges)
 
 
 def largest_admitted(digit_count: int) -> int:

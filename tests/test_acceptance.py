@@ -35,7 +35,6 @@ from choiceless_lab.matching import (
     BipartiteGraph,
     decide_complete_matching,
     path_algorithm,
-    saturate,
 )
 from choiceless_lab.multipede import (
     is_odd,
@@ -45,7 +44,7 @@ from choiceless_lab.multipede import (
 )
 
 from conftest import record_criterion
-from helpers import empty_structure, permuted_structure, power_structure, x_table
+from helpers import empty_structure, permuted_structure, power_structure, saturate, x_table
 from oracles import (
     automorphism_count,
     bareiss_det,

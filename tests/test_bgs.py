@@ -1177,20 +1177,36 @@ def _atoms(structure):
     return make_set(structure.by_name.values())
 
 
+def _bound(node, names):
+    """``node`` inside ``do forall x in <x>`` for each variable x in
+    ``names``, the first outermost.  ``<x>`` is a nullary table holding
+    the singleton of x's value (:func:`_binding_tables`), so x is bound to
+    that value as the binder ``b0``, ``b1``, ... of its depth."""
+    for name in reversed(list(names)):
+        node = Forall(name, App(f"<{name}>"), node)
+    return node
+
+
+def _binding_tables(env: dict) -> dict:
+    """The table ``<x>`` of :func:`_bound` for each variable x of ``env``."""
+    return {f"<{name}>": {(): make_set([value])} for name, value in env.items()}
+
+
 def compiled_eval(state, env, term):
-    """``eval_term``'s signature over the generated path: ``env``'s
-    variables are the step's free variables, its ``env`` their values."""
-    factory = interp._compile(term, tuple(env))
-    step = factory(_atoms(state.structure), {}, {})
-    return step(_StepTables(state), list(env.values()))
+    """``eval_term``'s signature over the generated path: the value that
+    ``<out> := term`` writes, with ``env``'s variables bound by
+    :func:`_bound`."""
+    return compiled_collect(state, env, Update("<out>", (), term)).maps["<out>"][()]
 
 
 def compiled_collect(state, env, rule):
-    """``collect_updates``' tree-walker signature over the generated path."""
-    assert not env, "compiled rules are closed"
+    """``collect_updates``' tree-walker signature over the generated path,
+    with ``env``'s variables bound by :func:`_bound`."""
     updates = interp.Updates({})
-    step = interp._compile(rule)(_atoms(state.structure), {}, updates.maps)
-    return interp.collect_updates(step, _StepTables(state), [], updates)
+    step = interp._compile(_bound(rule, env))(_atoms(state.structure), {}, updates.maps)
+    tables = _StepTables(state)
+    tables.update(_binding_tables(env))
+    return interp.collect_updates(step, tables, updates)
 
 
 def triples(updates: interp.Updates) -> frozenset:
@@ -1205,24 +1221,25 @@ def triples(updates: interp.Updates) -> frozenset:
 
 def compiled_updates(updates) -> interp.Updates:
     """The (symbol, argument tuple, value) triples ``updates`` collected
-    in their order by generated rules ``S(x1, ..., xk) := v``, one per
-    symbol and arity, with the arguments and the value bound to their
-    variables: a clash ends the collection, as it ends a step's."""
+    in their order by generated rules ``S(x0, ..., xk) := v``, one per
+    symbol and arity, with the value and the arguments bound to their
+    variables by :func:`_bound`: a clash ends the collection, as it ends
+    a step's."""
     updates = list(updates)
     collected = interp.Updates({})
     steps: dict = {}
     for symbol, args, _ in updates:
         if (symbol, len(args)) not in steps:
-            names = [f"x{i}" for i in range(len(args))]
-            node = Update(symbol, tuple(map(Var, names)), Var("v"))
-            factory = interp._compile(node, ("v", *names))
-            steps[symbol, len(args)] = factory(EMPTY, {}, collected.maps)
+            names = ["v", *(f"x{i}" for i in range(len(args)))]
+            node = _bound(Update(symbol, tuple(map(Var, names[1:])), Var("v")), names)
+            steps[symbol, len(args)] = names, interp._compile(node)(EMPTY, {}, collected.maps)
 
-    def step(tables, env):
+    def step(tables):
         for symbol, args, value in updates:
-            steps[symbol, len(args)](tables, [value, *args])
+            names, bound_step = steps[symbol, len(args)]
+            bound_step(_binding_tables(dict(zip(names, (value, *args)))))
 
-    return interp.collect_updates(step, {}, [], collected)
+    return interp.collect_updates(step, {}, collected)
 
 
 # each evaluator test checks the tree-walking oracle and the generated path
@@ -1494,7 +1511,7 @@ def _one_write_work(n: int, monkeypatch) -> tuple:
     calls: list = []
     writes: list = []
 
-    def counted_collect(step, tables, env, updates):
+    def counted_collect(step, tables, updates):
         count = 0
 
         def profile(frame, event, arg):
@@ -1504,7 +1521,7 @@ def _one_write_work(n: int, monkeypatch) -> tuple:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            return collect_updates(step, tables, env, updates)
+            return collect_updates(step, tables, updates)
         finally:
             sys.setprofile(previous)
             calls.append(count)

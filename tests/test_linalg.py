@@ -454,12 +454,30 @@ def test_windowed_powers_match_pow_in_no_more_products_than_binary():
         assert products <= r.bit_length() + r.bit_count() - 2  # the binary method's count
 
 
+def _binary_falls_back(r: int) -> bool:
+    """Whether windows of the width chosen for ``r``'s bit length could
+    take more products than the binary method, which ``r`` then takes."""
+    bits = r.bit_length()
+    w = 1 + sum(bits > bound for bound in (6, 24, 80, 240))
+    return 2 ** (w - 1) + bits + -(-bits // w) - 2 > bits + r.bit_count() - 2
+
+
 def test_binary_method_squares_then_multiplies_digit_by_digit():
     """Up to six digits, and wherever windows would take more products,
     the power is the binary method: after the leading digit, a square per
     digit and then a product by the base at each 1, in that order
-    (products traced as exponent pairs)."""
-    for r in [*range(1, 64), 2**40 + 1, 2**100 + 2**50]:
+    (products traced as exponent pairs).  Checked at every such r below
+    2**12 and at sparse r of up to 1,300 digits."""
+    rng = random.Random(57)
+    sparse = []
+    for _ in range(200):
+        bits = rng.randrange(1, 1301)
+        ones = rng.sample(range(bits - 1), rng.randrange(bits // 8 + 1))
+        sparse.append(sum(1 << k for k in [bits - 1, *ones]))
+    small = [r for r in range(1, 2**12) if _binary_falls_back(r)]
+    assert small[:63] == list(range(1, 64)) and len(small) > 63
+    for r in [*small, 2**40 + 1, 2**100 + 2**50, *sparse]:
+        assert _binary_falls_back(r)
         products = []
 
         def mul(x, y):

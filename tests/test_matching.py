@@ -22,11 +22,10 @@ from choiceless_lab.matching import (
     max_matching_size,
     path_algorithm,
     quotient,
-    saturate,
     stable_coloring,
 )
 
-from helpers import run_child
+from helpers import run_child, saturate
 from oracles import (
     hall_condition_direct,
     max_matching_brute,
