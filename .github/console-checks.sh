@@ -196,6 +196,16 @@ for qn in 4:40 8:30 3:40; do choiceless-lab gen matrix --q "${qn%:*}" --n "${qn#
 printf 'field 2\nrows a b\ncols x y\na y 1\nb x 1\nb y 1\n' > rect2.mat
 printf 'field 3\nrows a b\ncols x y\na x 1\na y 2\nb x 2\nb y 1\n' > rect3.mat
 for q in 2 3; do agree "rect$q.mat"; done
+# I x J files over GF(17), laid out in 16-bit slots, and over GF(251), in
+# lists: one non-singular (file:True) and one singular (file:False) each
+printf 'field 17\nrows a b\ncols x y\na x 1\na y 2\nb x 3\nb y 4\n' > rect17.mat
+printf 'field 17\nrows a b\ncols x y\na x 1\na y 2\nb x 2\nb y 4\n' > rect17s.mat
+printf 'field 251\nrows a b\ncols x y\na x 250\na y 1\nb x 1\nb y 1\n' > rect251.mat
+printf 'field 251\nrows a b\ncols x y\na x 250\na y 1\nb x 1\nb y 250\n' > rect251s.mat
+for m in rect17:True rect17s:False rect251:True rect251s:False; do
+  agree "${m%:*}.mat"
+  choiceless-lab solve det --matrix "${m%:*}.mat" --method power | expect "r['result']['nonsingular'] is ${m#*:}"
+done
 # |I| != |J|: no inverse, so both methods say singular
 printf 'field 2\nrows a b\ncols x y z\na x 1\nb y 1\nb z 1\n' > wide2.mat
 printf 'field 3\nrows a b c\ncols x y\na x 1\nb y 2\nc x 1\n' > tall3.mat

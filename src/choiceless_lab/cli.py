@@ -247,7 +247,7 @@ def _cmd_solve_matching(args) -> dict:
 def _cmd_solve_det(args) -> dict:
     from .linalg.intmatrix import IntMatrix, nonsingular_int, prime_scan
     from .linalg.matio import parse_matrix
-    from .linalg.matrix import nonsingular_rect, nonsingular_square, rank_gaussian
+    from .linalg.matrix import nonsingular_square, rank_gaussian
 
     m = parse_matrix(_read(args.matrix))
     if isinstance(m, IntMatrix):
@@ -265,8 +265,7 @@ def _cmd_solve_det(args) -> dict:
     if args.prime_divisors:
         raise _UsageError("--prime-divisors needs an integer matrix")
     if args.method != "gauss":
-        decide = nonsingular_square if m.square else nonsingular_rect
-        return {"method": "power", "nonsingular": decide(m)}
+        return {"method": "power", "nonsingular": nonsingular_square(m)}
     rows = sorted(m.rows, key=str)
     cols = sorted(m.cols, key=str)
     rank = rank_gaussian(m, rows, cols)

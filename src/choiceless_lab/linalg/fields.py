@@ -40,10 +40,6 @@ class FiniteField:
         self.order = q
         self.characteristic = characteristic
 
-    @property
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteField(q={self.order})"
 

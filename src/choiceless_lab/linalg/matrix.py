@@ -64,10 +64,16 @@ Each entry of a product is a field sum over the inner indices, and field
 addition is commutative and associative, so the numberings decide
 nothing: the same numbering lays out and reads back, so the matrix
 returned is the same map under any numbering, and only the time the
-products take could depend on it, so it never leaves this module.
+products take could depend on it, so it never leaves this module.  The
+non-singularity test lays an I x J matrix with |I| = |J| = n out as an
+n x n matrix P under a numbering of I and one of J, and the identity on
+the pairs (i, j) numbered alike.  Another numbering or pairing multiplies
+P by permutation matrices, which keeps P invertible or keeps it singular,
+so no verdict depends on the choice.
 
-Non-singularity of an I-square matrix is decided without elimination, by
-checking ``M**e == identity`` for ``e`` the exponent of GL_n(q), n = |I|:
+Non-singularity is decided without elimination: an I x J matrix with
+|I| != |J| has no inverse, and otherwise the test checks ``P**e ==
+identity`` for ``e`` the exponent of GL_n(q), n = |I|:
 ``p**c * lcm(q**k - 1 : 1 <= k <= n)``, with p the characteristic and
 ``p**c`` the least power of p that is at least n.  An invertible M is the
 commuting product of a semisimple part, whose eigenvalues lie in fields
@@ -107,14 +113,11 @@ from .fields import FiniteField
 __all__ = [
     "FieldMatrix",
     "gl_exponent",
-    "identity",
     "mat_mul",
     "mat_pow",
-    "nonsingular_rect",
     "nonsingular_square",
     "rank_gaussian",
     "solve_gaussian",
-    "transpose",
 ]
 
 
@@ -144,15 +147,6 @@ class FieldMatrix(Record):
             f"FieldMatrix(q={self.field.order}, {len(self.rows)}x{len(self.cols)},"
             f" nnz={len(self.entries)})"
         )
-
-
-def identity(field: FiniteField, index_set) -> FieldMatrix:
-    idx = frozenset(index_set)
-    return FieldMatrix(field, idx, idx, {(i, i): field.one for i in idx})
-
-
-def transpose(m: FieldMatrix) -> FieldMatrix:
-    return FieldMatrix(m.field, m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
 
 
 def _dense_rows(entries: dict, row_index: list, col_index: list) -> list:
@@ -393,29 +387,23 @@ def gl_exponent(field: FiniteField, n: int) -> int:
 
 
 def nonsingular_square(m: FieldMatrix) -> bool:
-    """True iff ``m**e`` is the identity for ``e`` the exponent of the
-    general linear group of its dimension.  Empty matrices are non-singular
-    by convention."""
-    if not m.square:
-        raise ValidationError("nonsingular_square needs a square matrix")
+    """True iff the I x J matrix ``m`` is invertible: |I| = |J| = n and
+    ``P**e`` is the identity, for P ``m`` laid out as an n x n matrix and
+    ``e`` the exponent of GL_n(q).  Another numbering or pairing of I with
+    J multiplies P by permutation matrices, which keeps P invertible or
+    keeps it singular.  Empty matrices are non-singular by convention."""
     n = len(m.rows)
+    if n != len(m.cols):
+        return False
     if n == 0:
         return True
     # the power and the identity are compared as laid out: the lift and the
     # packing are injective, and the lift of the identity is the identity
-    index = list(m.rows)
+    rows, cols = list(m.rows), list(m.cols)
     layout = _Layout(m.field, n, n, n)
     e = gl_exponent(m.field, n)
-    power = _square_and_multiply(layout.mul, layout.pack(m.entries, index, index), e)
-    return power == layout.pack({(i, i): m.field.one for i in index}, index, index)
-
-
-def nonsingular_rect(m: FieldMatrix) -> bool:
-    """Non-singularity of an I-by-J matrix: none if |I| != |J|, else that
-    of ``M M^t``, whose determinant is the square of M's."""
-    if len(m.rows) != len(m.cols):
-        return False
-    return nonsingular_square(mat_mul(m.field, m, transpose(m)))
+    power = _square_and_multiply(layout.mul, layout.pack(m.entries, rows, cols), e)
+    return power == layout.pack({pair: m.field.one for pair in zip(rows, cols)}, rows, cols)
 
 
 def _ordered_grid(m: FieldMatrix, row_order, col_order):

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import choiceless_lab
 from choiceless_lab.cfi import build_twisted, complete_graph
 from choiceless_lab.linalg import intmatrix
+from choiceless_lab.linalg.matrix import FieldMatrix
 from choiceless_lab.matching import BipartiteGraph, stable_coloring
 from choiceless_lab.structures import InputStructure
 
@@ -32,6 +33,12 @@ def saturate(graph: BipartiteGraph) -> BipartiteGraph:
     linked = {(a_block[a], b_block[b]) for a, b in graph.edges}
     edges = frozenset(edge for blocks in linked for edge in itertools.product(*blocks))
     return BipartiteGraph(graph.a_side, graph.b_side, edges)
+
+
+def identity(field, index_set) -> FieldMatrix:
+    """The identity matrix over ``field`` on ``index_set``."""
+    idx = frozenset(index_set)
+    return FieldMatrix(field, idx, idx, {(i, i): field.one for i in idx})
 
 
 def largest_admitted(digit_count: int) -> int:

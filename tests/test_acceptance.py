@@ -24,7 +24,6 @@ from choiceless_lab.linalg.fields import zp
 from choiceless_lab.linalg.intmatrix import IntMatrix, nonsingular_int, prime_scan, scan_width
 from choiceless_lab.linalg.matrix import (
     FieldMatrix,
-    identity,
     mat_pow,
     nonsingular_square,
     rank_gaussian,

@@ -36,19 +36,16 @@ from choiceless_lab.linalg.matrix import (
     _Layout,
     _square_and_multiply,
     gl_exponent,
-    identity,
     mat_mul,
     mat_pow,
-    nonsingular_rect,
     nonsingular_square,
     rank_gaussian,
     solve_gaussian,
-    transpose,
 )
 from choiceless_lab.linalg.primes import sieve_first_primes
 from choiceless_lab.linalg.sampling import frequency_experiment, random_matrix
 
-from helpers import largest_admitted
+from helpers import identity, largest_admitted
 from oracles import (
     bareiss_det,
     field_axiom_violations,
@@ -95,7 +92,7 @@ def test_field_fixtures_satisfy_axioms(q):
     field = gf(q)
     assert field.order == q
     assert field_axiom_violations(field) == []
-    els = list(field.elements)
+    els = list(range(q))
     for a in els:
         assert field.add(a, field.neg(a)) == field.zero
         if a != field.zero:
@@ -119,15 +116,15 @@ def test_regular_representation_is_an_injective_ring_homomorphism(q):
     field = gf(q)
     p, d = field.characteristic, field.degree
     assert p**d == q
-    block = {a: [list(row) for row in field.block(a)] for a in field.elements}
+    block = {a: [list(row) for row in field.block(a)] for a in range(q)}
     assert all(len(m) == d and all(len(row) == d for row in m) for m in block.values())
     assert block[field.one] == [[int(i == j) for j in range(d)] for i in range(d)]
     assert len({repr(m) for m in block.values()}) == q
-    for a, b in itertools.product(field.elements, repeat=2):
+    for a, b in itertools.product(range(q), repeat=2):
         assert mat_mul_mod(p, block[a], block[b]) == block[field.mul(a, b)]
         summed = [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(block[a], block[b])]
         assert summed == block[field.add(a, b)]
-    for a in field.elements:
+    for a in range(q):
         assert [row[0] for row in block[a]] == [a // p**i % p for i in range(d)]
 
 
@@ -225,7 +222,7 @@ def _random_matrix_on(data, field, rows, cols):
 def test_mat_mul_matches_naive_on_every_shape_and_field(data):
     """Rows, inner and column sets of 0 to 4 indices each, under random
     names: the dense kernel agrees with the ordered dot product, and
-    ``nonsingular_rect`` with the rank on the same draws: a matrix with
+    ``nonsingular_square`` with the rank on the same draws: a matrix with
     |I| != |J| has no inverse, so it is singular whatever its rank."""
     field = gf(data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
     sizes = [data.draw(st.integers(0, 4)) for _ in range(3)]
@@ -238,7 +235,7 @@ def test_mat_mul_matches_naive_on_every_shape_and_field(data):
     assert mat_mul(field, a, b) == naive_product(field, a, b)
     for m in (a, b):
         rank = rank_gaussian(m, list(m.rows), list(m.cols))
-        assert nonsingular_rect(m) == (rank == len(m.rows) == len(m.cols))
+        assert nonsingular_square(m) == (rank == len(m.rows) == len(m.cols))
 
 
 def _random_gf2(rng, rows, cols):
@@ -699,7 +696,7 @@ def test_gf2_matrix_of_integer_determinant_two_is_singular_over_its_field():
         cols = dict(enumerate(rng.sample(["c0", "c1", "c2"], 3)))
         rect = FieldMatrix(GF2, frozenset(rows.values()), frozenset(cols.values()),
                            {(rows[i], cols[j]): v for (i, j), v in m.entries.items()})
-        assert not nonsingular_rect(rect)
+        assert not nonsingular_square(rect)
         assert rank_gaussian(rect, sorted(rect.rows), sorted(rect.cols)) == 2
     assert nonsingular_square(dense(GF3, grid))  # 2 is a unit of GF(3)
 
@@ -1349,11 +1346,12 @@ def test_nonsingular_rect_hand_example():
             ("i2", "j2"): 1,
         },
     )
-    gram = mat_mul(field, m, transpose(m))
+    transposed = {(j, i): v for (i, j), v in m.entries.items()}
+    gram = mat_mul(field, m, FieldMatrix(field, m.cols, m.rows, transposed))
     assert gram.entry("i1", "i1") == 2
     assert gram.entry("i1", "i2") == 1
     assert gram.entry("i2", "i2") == 2
-    assert not nonsingular_rect(m)
+    assert not nonsingular_square(m)
 
 
 def test_nonsingular_rect_bijection_matrix():
@@ -1363,7 +1361,7 @@ def test_nonsingular_rect_bijection_matrix():
         frozenset(["j1", "j2"]),
         {("i1", "j2"): 1, ("i2", "j1"): 1},
     )
-    assert nonsingular_rect(m)
+    assert nonsingular_square(m)
 
 
 def test_rect_agrees_with_rank_and_block():
@@ -1385,7 +1383,32 @@ def test_rect_agrees_with_rank_and_block():
                 },
             )
             by_rank = rank_gaussian(m, row_labels, col_labels) == n
-            assert nonsingular_rect(m) == by_rank
+            assert nonsingular_square(m) == by_rank
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_nonsingular_square_agrees_with_the_gram_route_and_rank(data):
+    """I x J matrices with |I| = |J| <= 6, over fields in 1-bit, byte,
+    16-bit and list layouts, with I and J named independently from a pool
+    small enough that they often share names or are equal: the verdict is
+    that of ``M M^t``, whose determinant is the square of M's, and that of
+    the rank.  Half the draws copy a multiple of one row onto another."""
+    field = gf(data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 17, 251])))
+    n = data.draw(st.integers(0, 6))
+    labels = st.lists(st.integers(0, 7), min_size=n, max_size=n, unique=True)
+    rows, cols = data.draw(labels), data.draw(labels)
+    element = st.integers(0, field.order - 1)
+    grid = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        src, dst = data.draw(st.permutations(range(n)))[:2]
+        grid[dst] = field.axpy(data.draw(element), [0] * n, grid[src])
+    entries = {(i, j): grid[a][b] for a, i in enumerate(rows) for b, j in enumerate(cols)}
+    m = FieldMatrix(field, frozenset(rows), frozenset(cols), entries)
+    transposed = FieldMatrix(field, m.cols, m.rows, {(j, i): v for (i, j), v in entries.items()})
+    verdict = nonsingular_square(m)
+    assert verdict == nonsingular_square(mat_mul(field, m, transposed))
+    assert verdict == (rank_gaussian(m, rows, cols) == n)
 
 
 # ---------------------------------------------------------------- random
